@@ -1,6 +1,6 @@
 //! Admission-control micro-benchmarks: the §III-A claim that admission is
 //! "quite simple" (O(1)) and the statistical `Q < ε` test, plus the
-//! incremental max-flow probe used online.
+//! incremental feasibility probe used online.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fqos_core::{AppAdmission, StatisticalCounters};
@@ -35,11 +35,14 @@ fn bench_admission(c: &mut Criterion) {
         b.iter(|| black_box(counters.would_admit(black_box(9), &p, 0.01)));
     });
 
-    // Online feasibility probe via incremental max-flow.
+    // Online feasibility probe via the incremental matching kernel. The
+    // kernel is built once and `reset()` per iteration, as a window slot
+    // does, so the ids time `try_add` and not the allocator.
     for &m in &[1usize, 2] {
+        let mut inc = IncrementalRetrieval::new(9, m);
         group.bench_with_input(BenchmarkId::new("incremental_try_add", m), &m, |b, &m| {
             b.iter(|| {
-                let mut inc = IncrementalRetrieval::new(9, m);
+                inc.reset(m, 0);
                 let mut admitted = 0;
                 for bucket in 0..36usize {
                     if inc.try_add(scheme.replicas(bucket)) {
@@ -49,6 +52,25 @@ fn bench_admission(c: &mut Criterion) {
                 black_box(admitted)
             });
         });
+        // The delay-horizon scan's case: probes into a window that is
+        // already full. A refusal leaves the kernel untouched, so the same
+        // saturated state serves every iteration.
+        assert_eq!(inc.len(), 9 * m, "all 36 buckets saturate the window");
+        group.bench_with_input(
+            BenchmarkId::new("incremental_try_add_refused", m),
+            &m,
+            |b, _| {
+                b.iter(|| {
+                    let mut refused = 0;
+                    for bucket in 0..36usize {
+                        if !inc.try_add(scheme.replicas(bucket)) {
+                            refused += 1;
+                        }
+                    }
+                    black_box(refused)
+                });
+            },
+        );
     }
     group.finish();
 }

@@ -69,15 +69,13 @@ pub enum DegradedAdmit {
 ///
 /// The online serving path admits requests one at a time and needs the
 /// degraded analogue of [`IncrementalRetrieval`]: the same re-augmenting
-/// max-flow schedule, but with failed devices excluded from the bipartite
-/// graph, exactly as [`degraded_retrieval`] excludes them for a batch.
-/// Requests whose every replica is down are refused (`Unavailable`), never
-/// silently dropped — the caller decides whether to delay or reject.
+/// schedule, but with failed devices excluded from the bipartite graph,
+/// exactly as [`degraded_retrieval`] excludes them for a batch. Requests
+/// whose every replica is down are refused (`Unavailable`), never silently
+/// dropped — the caller decides whether to delay or reject.
 #[derive(Debug, Clone)]
 pub struct DegradedWindow {
     inc: IncrementalRetrieval,
-    failed: Vec<bool>,
-    live_devices: usize,
 }
 
 impl DegradedWindow {
@@ -85,11 +83,24 @@ impl DegradedWindow {
     /// per-device budget of `accesses`, with `failed` devices down.
     pub fn new(devices: usize, accesses: usize, failed: &[bool]) -> Self {
         assert_eq!(failed.len(), devices);
+        let mask = failed
+            .iter()
+            .enumerate()
+            .fold(0u64, |m, (d, &f)| m | u64::from(f) << d);
+        Self::with_failed_mask(devices, accesses, mask)
+    }
+
+    /// As [`Self::new`], with the failed set given as a device bitmap.
+    pub fn with_failed_mask(devices: usize, accesses: usize, failed: u64) -> Self {
         DegradedWindow {
-            inc: IncrementalRetrieval::new(devices, accesses),
-            live_devices: failed.iter().filter(|&&f| !f).count(),
-            failed: failed.to_vec(),
+            inc: IncrementalRetrieval::with_failed(devices, accesses, failed),
         }
+    }
+
+    /// Start a new window in place — same device count, new budget and
+    /// failed set — without allocating.
+    pub fn reset(&mut self, accesses: usize, failed: u64) {
+        self.inc.reset(accesses, failed);
     }
 
     /// Number of admitted requests.
@@ -104,7 +115,7 @@ impl DegradedWindow {
 
     /// Surviving (non-failed) device count.
     pub fn live_devices(&self) -> usize {
-        self.live_devices
+        self.inc.devices() - self.inc.failed().count_ones() as usize
     }
 
     /// The degraded per-window capacity bound: with `f` devices down, no
@@ -112,41 +123,45 @@ impl DegradedWindow {
     /// tightens its aggregate admission limit to
     /// `min(S(M), degraded_limit())` while any device is down.
     pub fn degraded_limit(&self) -> usize {
-        self.inc.accesses() * self.live_devices
+        self.inc.accesses() * self.live_devices()
     }
 
     /// True iff `replicas` mentions at least one failed device (the request
     /// would be re-routed onto survivors if admitted).
     pub fn touches_failed(&self, replicas: &[DeviceId]) -> bool {
-        replicas.iter().any(|&d| self.failed[d])
+        let failed = self.inc.failed();
+        failed != 0 && replicas.iter().any(|&d| failed >> d & 1 == 1)
     }
 
     /// Try to admit one request, scheduling it on a surviving replica.
     pub fn try_add(&mut self, replicas: &[DeviceId]) -> DegradedAdmit {
-        if !self.touches_failed(replicas) {
-            // Fast path: all replicas live, no filtering allocation.
-            return if self.inc.try_add(replicas) {
-                DegradedAdmit::Admitted
-            } else {
-                DegradedAdmit::Infeasible
-            };
-        }
-        let live: Vec<DeviceId> = replicas
-            .iter()
-            .copied()
-            .filter(|&d| !self.failed[d])
-            .collect();
-        if live.is_empty() {
+        let failed = self.inc.failed();
+        if !replicas.is_empty() && replicas.iter().all(|&d| failed >> d & 1 == 1) {
             DegradedAdmit::Unavailable
-        } else if self.inc.try_add(&live) {
+        } else if self.inc.try_add(replicas) {
             DegradedAdmit::Admitted
         } else {
             DegradedAdmit::Infeasible
         }
     }
 
-    /// Device assignment of every admitted request, in admission order.
+    /// See [`IncrementalRetrieval::checkpoint`].
+    pub fn checkpoint(&mut self) {
+        self.inc.checkpoint();
+    }
+
+    /// See [`IncrementalRetrieval::rollback`].
+    pub fn rollback(&mut self) {
+        self.inc.rollback();
+    }
+
+    /// Device of every admitted request, in admission order, as stored.
     /// Never names a failed device.
+    pub fn assigned(&self) -> &[u8] {
+        self.inc.assigned()
+    }
+
+    /// Device assignment of every admitted request, in admission order.
     pub fn assignments(&self) -> Vec<DeviceId> {
         self.inc.assignments()
     }

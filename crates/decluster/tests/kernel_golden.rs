@@ -1,0 +1,106 @@
+//! Golden fingerprints of the per-window feasibility kernel.
+//!
+//! The values below were captured from the `FlowNetwork` + Dinic
+//! implementation of `IncrementalRetrieval` before it was replaced by the
+//! matching kernel. They pin not only every admit/refuse decision but the
+//! *augmenting path* taken — the full `assignments()` vector is hashed after
+//! every call — so the server's simulated metrics cannot drift.
+
+use fqos_decluster::retrieval::{DegradedAdmit, DegradedWindow};
+use fqos_decluster::{AllocationScheme, DesignTheoretic};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv(h: &mut u64, byte: u64) {
+    *h = (*h ^ byte).wrapping_mul(FNV_PRIME);
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Inverse-CDF Zipf(1) over `n` buckets, in integer arithmetic so the
+/// stream is the same on every host.
+struct Zipf {
+    cdf: Vec<u64>,
+}
+
+impl Zipf {
+    fn new(n: usize) -> Self {
+        let mut acc = 0u64;
+        let cdf = (1..=n as u64)
+            .map(|k| {
+                acc += 1_000_000 / k;
+                acc
+            })
+            .collect();
+        Zipf { cdf }
+    }
+
+    fn sample(&self, rng: &mut u64) -> usize {
+        let total = *self.cdf.last().unwrap();
+        let u = splitmix(rng) % total;
+        self.cdf.partition_point(|&c| c <= u)
+    }
+}
+
+/// 200 windows of Zipf-skewed arrivals at ~1.6× the window's capacity, each
+/// window opened with `failed` devices down and 0–2 pinned phantom units.
+fn fingerprint(scheme: &DesignTheoretic, accesses: usize, failed_devs: &[usize], seed: u64) -> u64 {
+    let devices = scheme.devices();
+    let mut failed = vec![false; devices];
+    for &d in failed_devs {
+        failed[d] = true;
+    }
+    let zipf = Zipf::new(scheme.num_buckets());
+    let mut rng = seed;
+    let mut h = FNV_OFFSET;
+    let mut refused = 0u32;
+    let mut unavailable = 0u32;
+    for _ in 0..200 {
+        let mut win = DegradedWindow::new(devices, accesses, &failed);
+        for _ in 0..splitmix(&mut rng) % 3 {
+            let d = (splitmix(&mut rng) % devices as u64) as usize;
+            let code = win.try_add(&[d]);
+            fnv(&mut h, code as u64 + 1);
+        }
+        let arrivals = devices * accesses * 8 / 5;
+        for _ in 0..arrivals {
+            let bucket = zipf.sample(&mut rng);
+            let code = win.try_add(scheme.replicas(bucket));
+            match code {
+                DegradedAdmit::Admitted => {}
+                DegradedAdmit::Infeasible => refused += 1,
+                DegradedAdmit::Unavailable => unavailable += 1,
+            }
+            fnv(&mut h, code as u64 + 1);
+            for d in win.assignments() {
+                fnv(&mut h, d as u64);
+            }
+            fnv(&mut h, 0xff);
+        }
+    }
+    assert!(refused > 100, "stream must exercise refusals: {refused}");
+    // A failed set covering a whole design block must reach `Unavailable`.
+    assert_eq!(unavailable > 0, failed_devs.len() >= scheme.copies());
+    h
+}
+
+#[test]
+fn golden_9_3_1_m2() {
+    let s = DesignTheoretic::paper_9_3_1();
+    assert_eq!(fingerprint(&s, 2, &[4], 7), 0xeee2_92ad_c140_1bfb);
+    assert_eq!(fingerprint(&s, 2, &[], 11), 0x07fc_cc67_3a09_6e7a);
+}
+
+#[test]
+fn golden_13_3_1_m3() {
+    let s = DesignTheoretic::paper_13_3_1();
+    assert_eq!(fingerprint(&s, 3, &[2, 11], 7), 0xd832_6e3f_b161_32ff);
+    assert_eq!(fingerprint(&s, 3, &[0, 1, 4], 13), 0x044d_317a_ceb3_ca5c);
+}

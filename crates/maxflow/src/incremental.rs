@@ -5,125 +5,295 @@
 //! Used by the online retrieval path and the statistical admission
 //! controller, which probe "would adding this request keep the interval
 //! retrievable in `M` accesses?" many times per interval.
+//!
+//! The state is a bipartite b-matching kept in flat arrays — no residual
+//! graph. Every request has exactly one residual in-edge (from the device it
+//! is assigned to), so the search runs over *devices* only: a request's
+//! level is its device's level plus one, and per-device `u64` bitmaps serve
+//! as the level sets and the DFS dead-end marks. The augmenting path found
+//! is the one Dinic's algorithm finds on the equivalent
+//! `source → requests → devices → sink` network (see DESIGN.md,
+//! "Per-window feasibility kernel"), so assignments are reproducible
+//! against the batch [`crate::RetrievalNetwork`].
 
-use crate::graph::FlowNetwork;
 use fqos_designs::DeviceId;
 
-/// Incrementally maintained retrieval network with a fixed access budget.
+/// Largest device count the kernel supports: device sets are `u64` bitmaps
+/// and device ids are stored as `u8`.
+pub const MAX_DEVICES: usize = 64;
+
+/// Incrementally maintained retrieval schedule with a fixed access budget.
 #[derive(Debug, Clone)]
 pub struct IncrementalRetrieval {
-    net: FlowNetwork,
-    devices: usize,
-    accesses: usize,
-    /// Edge id of `device_d → sink` for capacity updates.
-    device_edges: Vec<usize>,
-    /// Source-edge id per admitted request, to recover assignments.
-    request_edges: Vec<usize>,
-    /// Replica tuples of admitted requests.
-    requests: Vec<Vec<DeviceId>>,
+    devices: u8,
+    accesses: u16,
+    /// Devices excluded from every request's replica set.
+    failed: u64,
+    /// Live devices with `load < accesses`.
+    free: u64,
+    /// Per-device load of the current schedule. Inline, and the vectors
+    /// below start empty: building a kernel allocates nothing.
+    load: [u16; MAX_DEVICES],
+    /// Device each admitted request is assigned to, in admission order.
+    assigned: Vec<u8>,
+    /// Request `i`'s live replicas are `reps[end[i - 1]..end[i]]` (from 0
+    /// for the first), in the caller's tuple order.
+    end: Vec<u32>,
+    reps: Vec<u8>,
+    /// `assigned` as of the last [`Self::checkpoint`].
+    saved: Vec<u8>,
+}
+
+fn bit(d: u8) -> u64 {
+    1 << d
 }
 
 impl IncrementalRetrieval {
     /// Create an empty scheduler over `devices` devices with a per-device
     /// budget of `accesses`.
     pub fn new(devices: usize, accesses: usize) -> Self {
-        assert!(devices > 0);
-        // Layout: 0 = source, 1 = sink, 2..2+N = devices; blocks appended.
-        let mut net = FlowNetwork::new(2 + devices, 0, 1);
-        let mut device_edges = Vec::with_capacity(devices);
-        for d in 0..devices {
-            device_edges.push(net.add_edge(2 + d, 1, accesses as u64));
-        }
-        IncrementalRetrieval {
-            net,
-            devices,
-            accesses,
-            device_edges,
-            request_edges: Vec::new(),
-            requests: Vec::new(),
-        }
+        Self::with_failed(devices, accesses, 0)
+    }
+
+    /// As [`Self::new`], with the devices in the `failed` bitmap down: they
+    /// are dropped from every replica tuple and never assigned.
+    pub fn with_failed(devices: usize, accesses: usize, failed: u64) -> Self {
+        assert!(
+            (1..=MAX_DEVICES).contains(&devices),
+            "1..={MAX_DEVICES} devices supported, got {devices}"
+        );
+        let mut inc = IncrementalRetrieval {
+            devices: devices as u8,
+            accesses: 0,
+            failed: 0,
+            free: 0,
+            load: [0; MAX_DEVICES],
+            assigned: Vec::new(),
+            end: Vec::new(),
+            reps: Vec::new(),
+            saved: Vec::new(),
+        };
+        inc.reset(accesses, failed);
+        inc
+    }
+
+    /// Forget every request and start over with a new budget and failed
+    /// set, keeping the buffers: equivalent to [`Self::with_failed`] on the
+    /// same device count, without allocating.
+    pub fn reset(&mut self, accesses: usize, failed: u64) {
+        self.accesses = u16::try_from(accesses).expect("access budget fits u16");
+        self.failed = failed;
+        self.load.fill(0);
+        self.assigned.clear();
+        self.end.clear();
+        self.reps.clear();
+        self.saved.clear();
+        self.recount_free();
+    }
+
+    /// Number of devices (failed ones included).
+    pub fn devices(&self) -> usize {
+        self.devices as usize
+    }
+
+    /// Bitmap of the devices excluded as failed.
+    pub fn failed(&self) -> u64 {
+        self.failed
     }
 
     /// Number of admitted requests.
     pub fn len(&self) -> usize {
-        self.requests.len()
+        self.assigned.len()
     }
 
     /// True if no request has been admitted.
     pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
+        self.assigned.is_empty()
     }
 
     /// Current per-device access budget `M`.
     pub fn accesses(&self) -> usize {
-        self.accesses
+        self.accesses as usize
     }
 
     /// Try to admit one more request. Returns `true` (and keeps the request)
     /// if all admitted requests remain schedulable within `M` accesses;
     /// returns `false` and leaves the state untouched otherwise.
     pub fn try_add(&mut self, replicas: &[DeviceId]) -> bool {
-        let block = self.net.add_vertex();
-        let source_edge = self.net.add_edge(0, block, 1);
+        let mut live = 0u64;
         for &d in replicas {
-            debug_assert!(d < self.devices);
-            self.net.add_edge(block, 2 + d, 1);
+            assert!(d < self.devices(), "replica {d} out of range");
+            live |= 1 << d;
         }
-        // One augmenting path suffices: the previous flow saturated all
-        // earlier source edges, so max-flow can grow by at most 1.
-        let pushed = crate::dinic::max_flow(&mut self.net);
-        debug_assert!(pushed <= 1);
-        if pushed == 1 {
-            self.request_edges.push(source_edge);
-            self.requests.push(replicas.to_vec());
-            true
+        live &= !self.failed;
+        let Some(first) = self.augment(replicas, live) else {
+            return false;
+        };
+        self.assigned.push(first);
+        self.reps.extend(
+            replicas
+                .iter()
+                .map(|&d| d as u8)
+                .filter(|&d| live & bit(d) != 0),
+        );
+        self.end.push(self.reps.len() as u32);
+        true
+    }
+
+    /// Find the augmenting path for a new request with live replica set
+    /// `live`, re-route the requests along it, charge the device at its far
+    /// end, and return the device the new request lands on.
+    fn augment(&mut self, replicas: &[DeviceId], live: u64) -> Option<u8> {
+        if self.free == 0 {
+            // Saturated window: no path can end anywhere.
+            return None;
+        }
+        // Level graph over devices: level 0 is the request's own replicas;
+        // a device reaches every replica of every request assigned to it.
+        // The sink is levelled as soon as a level holds a free device.
+        let mut level = [u8::MAX; MAX_DEVICES];
+        let (mut seen, mut frontier, mut last) = (0u64, live, 0u8);
+        while frontier & self.free == 0 {
+            seen |= frontier;
+            let mut next = 0u64;
+            for (i, &a) in self.assigned.iter().enumerate() {
+                if frontier & bit(a) != 0 {
+                    for &r in &self.reps[self.span(i)] {
+                        next |= bit(r);
+                    }
+                }
+            }
+            frontier = next & !seen;
+            if frontier == 0 {
+                return None;
+            }
+            last += 1;
+            let mut rest = frontier;
+            while rest != 0 {
+                level[rest.trailing_zeros() as usize] = last;
+                rest &= rest - 1;
+            }
+        }
+        let mut dead = 0u64;
+        let first = replicas
+            .iter()
+            .map(|&d| d as u8)
+            .find(|&d| live & bit(d) != 0 && self.descend(d, 0, last, &level, &mut dead));
+        debug_assert!(first.is_some(), "a levelled sink is always reachable");
+        first
+    }
+
+    /// Level-constrained DFS from device `d` at level `lvl`. Devices are
+    /// tried in tuple order at a request, requests in admission order at a
+    /// device; an exhausted device is marked `dead` and never re-entered.
+    fn descend(&mut self, d: u8, lvl: u8, last: u8, level: &[u8], dead: &mut u64) -> bool {
+        if *dead & bit(d) != 0 {
+            return false;
+        }
+        if lvl == last {
+            if self.free & bit(d) != 0 {
+                self.load[d as usize] += 1;
+                if self.load[d as usize] >= self.accesses {
+                    self.free &= !bit(d);
+                }
+                return true;
+            }
         } else {
-            // Zero the new source edge so the dead vertex can never carry
-            // flow; the vertex itself stays as a tombstone.
-            self.net.set_capacity(source_edge, 0);
-            false
+            for i in 0..self.assigned.len() {
+                if self.assigned[i] != d {
+                    continue;
+                }
+                for j in self.span(i) {
+                    let r = self.reps[j];
+                    if r != d
+                        && level[r as usize] == lvl + 1
+                        && self.descend(r, lvl + 1, last, level, dead)
+                    {
+                        self.assigned[i] = r;
+                        return true;
+                    }
+                }
+            }
         }
+        *dead |= bit(d);
+        false
+    }
+
+    /// Index range of request `i`'s replicas in `reps`.
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        let start = if i == 0 { 0 } else { self.end[i - 1] };
+        start as usize..self.end[i] as usize
+    }
+
+    fn recount_free(&mut self) {
+        self.free = 0;
+        for (d, &l) in self.load[..self.devices()].iter().enumerate() {
+            if l < self.accesses {
+                self.free |= 1 << d;
+            }
+        }
+        self.free &= !self.failed;
     }
 
     /// Raise the access budget to `accesses` (no-op if not larger).
     pub fn grow_accesses(&mut self, accesses: usize) {
-        if accesses <= self.accesses {
+        if accesses <= self.accesses() {
             return;
         }
-        self.accesses = accesses;
-        for &e in &self.device_edges {
-            let flow = self.net.flow(e);
-            self.net.set_capacity(e, (accesses as u64).max(flow));
+        self.accesses = u16::try_from(accesses).expect("access budget fits u16");
+        self.recount_free();
+    }
+
+    /// Remember the current schedule so that [`Self::rollback`] can return
+    /// to it. One level deep: a second checkpoint replaces the first.
+    pub fn checkpoint(&mut self) {
+        self.saved.clear();
+        self.saved.extend_from_slice(&self.assigned);
+    }
+
+    /// Undo every `try_add` since the last [`Self::checkpoint`]: requests
+    /// admitted since are dropped and every earlier request returns to the
+    /// device it was assigned to then. The budget must not have been
+    /// changed in between.
+    pub fn rollback(&mut self) {
+        let n = self.saved.len();
+        self.assigned.truncate(n);
+        self.assigned.copy_from_slice(&self.saved);
+        self.end.truncate(n);
+        self.reps
+            .truncate(self.end.last().map_or(0, |&e| e as usize));
+        self.load.fill(0);
+        for &d in &self.assigned {
+            self.load[d as usize] += 1;
         }
+        self.recount_free();
+    }
+
+    /// Device of every admitted request, in admission order, as stored.
+    pub fn assigned(&self) -> &[u8] {
+        &self.assigned
     }
 
     /// Current device assignment of every admitted request, in admission
     /// order.
     pub fn assignments(&self) -> Vec<DeviceId> {
-        let mut out = Vec::with_capacity(self.requests.len());
-        for (&src_edge, replicas) in self.request_edges.iter().zip(&self.requests) {
-            let block = self.net.edge_to(src_edge);
-            let mut assigned = None;
-            for &e in self.net.adjacent(block) {
-                if e % 2 == 0 && e != src_edge && self.net.flow(e) == 1 {
-                    assigned = Some(self.net.edge_to(e) - 2);
-                    break;
-                }
-            }
-            let d = assigned.expect("admitted request must be assigned");
-            debug_assert!(replicas.contains(&d));
-            out.push(d);
-        }
-        out
+        self.assigned.iter().map(|&d| d as DeviceId).collect()
     }
 
     /// Per-device load of the current schedule.
     pub fn device_loads(&self) -> Vec<usize> {
-        let mut loads = vec![0usize; self.devices];
-        for d in self.assignments() {
-            loads[d] += 1;
-        }
-        loads
+        self.load[..self.devices()]
+            .iter()
+            .map(|&l| l as usize)
+            .collect()
+    }
+
+    /// Heap bytes held by the kernel's buffers (capacity, not length).
+    pub fn retained_bytes(&self) -> usize {
+        self.assigned.capacity()
+            + self.end.capacity() * 4
+            + self.reps.capacity()
+            + self.saved.capacity()
     }
 }
 

@@ -12,13 +12,15 @@
 //!
 //! * [`graph::FlowNetwork`] — residual-graph representation.
 //! * [`dinic`] — Dinic's algorithm, `O(E·√V)` on unit-capacity bipartite
-//!   networks (the production path).
+//!   networks (the batch production path).
 //! * [`edmonds_karp`] — Edmonds–Karp BFS augmentation (cross-check baseline).
 //! * [`push_relabel`] — Goldberg–Tarjan push–relabel with the gap
 //!   heuristic (third independent implementation, dense-network option).
 //! * [`retrieval`] — the block→device retrieval network, feasibility test,
 //!   minimal-`M` search and schedule extraction.
-//! * [`incremental`] — one-request-at-a-time augmentation for online use.
+//! * [`incremental`] — one-request-at-a-time augmentation for online use: a
+//!   flat-array matching kernel that takes the path Dinic would, without a
+//!   residual graph or heap allocation.
 //!
 //! # Example
 //!

@@ -67,45 +67,71 @@ proptest! {
         prop_assert!(s.accesses >= reqs.len().div_ceil(devices));
     }
 
+    /// The batch solver is the oracle for the incremental kernel: same
+    /// admit/refuse decision on every prefix, with devices failed, a skewed
+    /// replica choice and a budget raise part-way through.
     #[test]
     fn incremental_agrees_with_batch(
-        devices in 2usize..8,
+        devices in 2usize..14,
         m in 1usize..4,
-        reqs in prop::collection::vec(prop::collection::vec(0usize..8, 1..4), 1..20),
+        failed in any::<u64>(),
+        skew in 1usize..4,
+        grow_at in 0usize..40,
+        reqs in prop::collection::vec(prop::collection::vec(0usize..4096, 1..4), 1..40),
     ) {
-        let reqs: Vec<Vec<usize>> = reqs
-            .into_iter()
-            .map(|r| {
-                let mut r: Vec<usize> = r.into_iter().map(|d| d % devices).collect();
-                r.sort_unstable();
-                r.dedup();
-                r
-            })
-            .collect();
+        // Keep at least device 0 alive; fail each other device w.p. 1/4.
+        let failed = failed & (failed >> 1) & ((1u64 << devices) - 2);
+        let live = |r: &[usize]| -> Vec<usize> {
+            r.iter().copied().filter(|&d| failed >> d & 1 == 0).collect()
+        };
         let net = RetrievalNetwork::new(devices);
-        let mut inc = IncrementalRetrieval::new(devices, m);
+        let feasible = |set: &[Vec<usize>], m: usize| {
+            let refs: Vec<&[usize]> = set.iter().map(Vec::as_slice).collect();
+            net.feasible(&refs, m).is_some()
+        };
+        let mut inc = IncrementalRetrieval::with_failed(devices, m, failed);
+        let mut m = m;
+        // Live replica tuples of the admitted requests, in admission order.
         let mut admitted: Vec<Vec<usize>> = Vec::new();
-        for r in &reqs {
-            let accepted = inc.try_add(r);
-            if accepted {
-                admitted.push(r.clone());
+        let mut refused: Vec<Vec<usize>> = Vec::new();
+        for (i, r) in reqs.iter().enumerate() {
+            if i == grow_at {
+                m += 1;
+                inc.grow_accesses(m);
+                // The raise unlocks exactly what the batch solver says.
+                for r in std::mem::take(&mut refused) {
+                    let mut probe = admitted.clone();
+                    probe.push(live(&r));
+                    let ok = !probe.last().unwrap().is_empty() && feasible(&probe, m);
+                    prop_assert_eq!(inc.try_add(&r), ok);
+                    if ok {
+                        admitted = probe;
+                    }
+                }
             }
-            // Incremental acceptance must equal batch feasibility of the
-            // would-be admitted prefix.
+            // Skew: higher powers of a uniform draw crowd the low devices.
+            let mut r: Vec<usize> = r
+                .iter()
+                .map(|&u| (0..skew).fold(devices, |d, _| d * u / 4096))
+                .collect();
+            r.dedup();
             let mut probe = admitted.clone();
-            if !accepted {
-                probe.push(r.clone());
+            probe.push(live(&r));
+            let ok = !probe.last().unwrap().is_empty() && feasible(&probe, m);
+            prop_assert_eq!(inc.try_add(&r), ok, "request {:?} on {:?}", r, admitted);
+            if ok {
+                admitted = probe;
+            } else {
+                refused.push(r);
             }
-            let probe_refs: Vec<&[usize]> = probe.iter().map(std::vec::Vec::as_slice).collect();
-            let batch_ok = net.feasible(&probe_refs, m).is_some();
-            prop_assert_eq!(accepted, batch_ok || accepted,
-                "incremental rejected a feasible set");
-            if !accepted {
-                prop_assert!(!batch_ok, "incremental rejected a batch-feasible request");
+            let assign = inc.assignments();
+            prop_assert_eq!(assign.len(), admitted.len());
+            for (d, tuple) in assign.iter().zip(&admitted) {
+                prop_assert!(tuple.contains(d), "{} not a live replica of {:?}", d, tuple);
             }
+            let loads = inc.device_loads();
+            prop_assert!(loads.iter().all(|&l| l <= m));
+            prop_assert_eq!(loads.iter().sum::<usize>(), admitted.len());
         }
-        // The final incremental schedule is within budget.
-        let loads = inc.device_loads();
-        prop_assert!(loads.iter().all(|&l| l <= m));
     }
 }

@@ -99,9 +99,9 @@ pub enum AssignmentMode {
     OptimalFlow,
     /// Greedy earliest-finish-time on arrival: pick the replica with the
     /// least load at submit time, refuse when all replicas are at `M`.
-    /// Cheaper per request and assigns immediately, but an unlucky arrival
-    /// order can strand a feasible set (online bipartite matching is not
-    /// exact), surfacing as extra delays under bursty same-bucket load.
+    /// Assigns immediately, but an unlucky arrival order can strand a
+    /// feasible set (online bipartite matching is not exact), surfacing as
+    /// extra delays under bursty same-bucket load.
     Eft,
 }
 
@@ -441,6 +441,13 @@ impl ServerConfig {
         self.fault_schedule
             .validate(self.qos.devices())
             .map_err(|e| e.to_string())?;
+        let copies = self.qos.guarantee().copies;
+        if copies > crate::window::MAX_COPIES {
+            return Err(format!(
+                "scheme keeps {copies} copies per block; window slots hold at most {}",
+                crate::window::MAX_COPIES
+            ));
+        }
         Ok(())
     }
 }
@@ -482,6 +489,19 @@ mod tests {
         let mut bad = ServerConfig::new(QosConfig::paper_9_3_1());
         bad.queue_depth = 0;
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_more_copies_than_a_window_slot_holds() {
+        let mut qos = QosConfig::paper_9_3_1();
+        qos.scheme = fqos_decluster::DesignTheoretic::new(fqos_designs::Design::new_unchecked(
+            9,
+            9,
+            1,
+            vec![(0..9).collect()],
+        ));
+        let err = ServerConfig::new(qos).validate().unwrap_err();
+        assert!(err.contains("copies"), "{err}");
     }
 
     #[test]

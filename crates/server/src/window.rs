@@ -28,23 +28,75 @@
 //! around again (enforced here with an occupancy check).
 
 use crate::config::AssignmentMode;
-use crate::fault::FaultPlane;
+use crate::fault::{FaultPlane, MAX_FAULT_DEVICES};
 use crate::sync::{Arc, Mutex, MutexGuard};
 use fqos_decluster::retrieval::{DegradedAdmit, DegradedWindow};
 use fqos_flashsim::{IoOp, IoRequest};
 use std::collections::HashMap;
+
+/// Most replicas a block can have: an `(N, c, 1)` design needs
+/// `N ≥ c² − c + 1` devices, so `c ≤ 8` under the 64-device fault plane.
+pub(crate) const MAX_COPIES: usize = 8;
+
+/// A block's replica devices stored inline, in the scheme's tuple order —
+/// the seal-time least-loaded picks break ties toward the earlier replica.
+#[derive(Debug, Clone, Copy)]
+struct ReplicaTuple {
+    devs: [u8; MAX_COPIES],
+    len: u8,
+}
+
+impl ReplicaTuple {
+    fn new(replicas: &[usize]) -> Self {
+        assert!(
+            replicas.len() <= MAX_COPIES,
+            "replica tuple of {} exceeds {MAX_COPIES} copies",
+            replicas.len()
+        );
+        let mut devs = [0u8; MAX_COPIES];
+        for (slot, &d) in devs.iter_mut().zip(replicas) {
+            debug_assert!(d < MAX_FAULT_DEVICES);
+            *slot = d as u8;
+        }
+        ReplicaTuple {
+            devs,
+            len: replicas.len() as u8,
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.devs[..self.len as usize].iter().map(|&d| d as usize)
+    }
+
+    fn mask(&self) -> u64 {
+        self.iter().fold(0u64, |m, d| m | 1 << d)
+    }
+
+    /// Replicas outside `mask`, in tuple order.
+    fn outside(&self, mask: u64) -> impl Iterator<Item = usize> + '_ {
+        self.iter().filter(move |&d| mask >> d & 1 == 0)
+    }
+
+    /// The tuple widened into `buf`, for the `&[usize]` feasibility API.
+    fn widen<'a>(&self, buf: &'a mut [usize; MAX_COPIES]) -> &'a [usize] {
+        for (slot, d) in buf.iter_mut().zip(self.iter()) {
+            *slot = d;
+        }
+        &buf[..self.len as usize]
+    }
+}
 
 /// A request parked in a window awaiting seal.
 #[derive(Debug, Clone)]
 struct Parked {
     tenant: u64,
     req: IoRequest,
-    replicas: Vec<usize>,
-    /// Chosen replica (set at admit time in EFT mode, at seal in flow mode).
+    replicas: ReplicaTuple,
+    /// Chosen replica of a read: set at admit time in EFT mode, copied out
+    /// of the flow kernel at seal in flow mode. Writes fan out to every
+    /// replica; the units they charged are the replicas outside the
+    /// slot's `admit_mask`.
     assigned: Option<usize>,
-    /// Write fan-out only: the replica devices this write charged capacity
-    /// on at admission (one feasibility unit each). Empty for reads.
-    charged: Vec<usize>,
 }
 
 /// Outcome of one [`WindowRing::try_admit`].
@@ -75,6 +127,28 @@ impl AdmitResult {
     }
 }
 
+/// A slot's per-window feasibility state, one variant per
+/// [`AssignmentMode`]. Built once with the ring — without allocating: a
+/// thousand small buffers per ring fragment the heap of whoever builds and
+/// drops servers — and reset per window, keeping what the windows grew.
+// Every slot of a ring holds the same variant, and boxing the kernel would
+// bring the per-slot allocation back.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+enum Feasibility {
+    /// Exact degraded feasibility over the live replica subgraph. The
+    /// GC-pressure reserve is materialized as `phantom` pinned units
+    /// admitted at reset — capacity the kernel can never hand to a request;
+    /// seal skips that many leading assignment entries.
+    Flow {
+        kernel: DegradedWindow,
+        phantom: usize,
+    },
+    /// Greedy EFT: per-device guaranteed load against the budget left
+    /// after the per-device GC-pressure `reserve` captured at reset.
+    Eft { loads: Vec<u32>, reserve: Vec<u32> },
+}
+
 /// Mutable state of one in-flight window.
 #[derive(Debug)]
 struct SlotState {
@@ -87,19 +161,7 @@ struct SlotState {
     /// Fail-stop-only subset of `admit_mask`; distinguishes "data gone"
     /// (reject `Unavailable`) from "data slow" (serve best-effort).
     fail_mask: u64,
-    /// Exact degraded feasibility state (flow mode only).
-    flow: Option<DegradedWindow>,
-    /// Per-device guaranteed load (EFT mode; flow mode derives it at seal).
-    loads: Vec<u32>,
-    /// Per-device GC-pressure reserve captured when the slot opened:
-    /// capacity withheld from admission on devices under write
-    /// amplification. In flow mode the reserve is materialized as pinned
-    /// phantom units already inside `flow` (counted by `phantom`); in EFT
-    /// mode it shrinks the per-device budget directly.
-    reserve: Vec<u32>,
-    /// Successful phantom reserve units injected into `flow` at reset;
-    /// seal skips this many leading assignment entries.
-    phantom: usize,
+    feas: Feasibility,
     /// Per-tenant admitted count, enforcing each tenant's reservation.
     per_tenant: HashMap<u64, u32>,
     guaranteed: Vec<Parked>,
@@ -107,54 +169,42 @@ struct SlotState {
 }
 
 impl SlotState {
-    #[allow(clippy::too_many_arguments)]
-    fn reset_for(
-        &mut self,
-        window: u64,
-        devices: usize,
-        accesses: usize,
-        mode: AssignmentMode,
-        admit_mask: u64,
-        fail_mask: u64,
-        reserve: &[u32],
-    ) {
+    /// Open the slot for `window`: capture the health view and the
+    /// per-device GC-pressure reserve (capacity withheld from admission on
+    /// devices under write amplification) and clear the previous window's
+    /// state, keeping every buffer.
+    fn reset_for(&mut self, window: u64, accesses: usize, fault: &FaultPlane) {
+        // Fail-stop devices are excluded outright; detected-slow devices
+        // are steered around too (they are live — blocks with no other
+        // copy still fall back to them, see try_admit).
+        let fail_mask = fault.admission_mask(window);
+        let admit_mask = fail_mask | fault.live_slow_mask();
         self.window = window;
         self.active = true;
         self.admit_mask = admit_mask;
         self.fail_mask = fail_mask;
-        self.phantom = 0;
-        self.flow = match mode {
-            AssignmentMode::OptimalFlow => {
-                let failed: Vec<bool> = (0..devices).map(|d| admit_mask >> d & 1 == 1).collect();
-                let mut flow = DegradedWindow::new(devices, accesses, &failed);
-                // Materialize the GC-pressure reserve as pinned phantom
-                // units: capacity the flow can never hand to a request.
-                for (d, &r) in reserve.iter().enumerate() {
-                    if admit_mask >> d & 1 == 1 {
-                        continue;
-                    }
-                    for _ in 0..r {
-                        if flow.try_add(&[d]) == DegradedAdmit::Admitted {
-                            self.phantom += 1;
+        match &mut self.feas {
+            Feasibility::Flow { kernel, phantom } => {
+                kernel.reset(accesses, admit_mask);
+                *phantom = 0;
+                for d in (0..fault.devices()).filter(|&d| admit_mask >> d & 1 == 0) {
+                    for _ in 0..fault.gc_reserve(d, accesses) {
+                        if kernel.try_add(&[d]) == DegradedAdmit::Admitted {
+                            *phantom += 1;
                         }
                     }
                 }
-                Some(flow)
             }
-            AssignmentMode::Eft => None,
-        };
-        self.loads.clear();
-        self.loads.resize(devices, 0);
-        self.reserve.clear();
-        self.reserve.extend_from_slice(reserve);
+            Feasibility::Eft { loads, reserve } => {
+                loads.clear();
+                loads.resize(fault.devices(), 0);
+                reserve.clear();
+                reserve.extend((0..fault.devices()).map(|d| fault.gc_reserve(d, accesses) as u32));
+            }
+        }
         self.per_tenant.clear();
         self.guaranteed.clear();
         self.overflow.clear();
-    }
-
-    /// EFT-mode effective budget on `d` after the GC-pressure reserve.
-    fn eft_cap(&self, d: usize, accesses: usize) -> usize {
-        accesses.saturating_sub(self.reserve.get(d).copied().unwrap_or(0) as usize)
     }
 }
 
@@ -196,7 +246,6 @@ pub(crate) struct WindowRing {
     slots: Vec<Mutex<SlotState>>,
     devices: usize,
     accesses: usize,
-    mode: AssignmentMode,
     fault: Arc<FaultPlane>,
     /// Whether seal drains items off devices the scorer detected `Slow`
     /// *after* admission (the fail-slow reaction path; off when hedging is
@@ -213,6 +262,7 @@ impl WindowRing {
         fault: Arc<FaultPlane>,
         failslow: bool,
     ) -> Self {
+        assert_eq!(fault.devices(), devices);
         WindowRing {
             slots: (0..ring_slots)
                 .map(|_| {
@@ -221,10 +271,16 @@ impl WindowRing {
                         active: false,
                         admit_mask: 0,
                         fail_mask: 0,
-                        flow: None,
-                        loads: Vec::new(),
-                        reserve: Vec::new(),
-                        phantom: 0,
+                        feas: match mode {
+                            AssignmentMode::OptimalFlow => Feasibility::Flow {
+                                kernel: DegradedWindow::with_failed_mask(devices, accesses, 0),
+                                phantom: 0,
+                            },
+                            AssignmentMode::Eft => Feasibility::Eft {
+                                loads: Vec::new(),
+                                reserve: Vec::new(),
+                            },
+                        },
                         per_tenant: HashMap::new(),
                         guaranteed: Vec::new(),
                         overflow: Vec::new(),
@@ -233,7 +289,6 @@ impl WindowRing {
                 .collect(),
             devices,
             accesses,
-            mode,
             fault,
             failslow,
         }
@@ -249,23 +304,7 @@ impl WindowRing {
     fn locked(&self, window: u64) -> MutexGuard<'_, SlotState> {
         let mut s = self.slot(window).lock();
         if !s.active {
-            // Fail-stop devices are excluded outright; detected-slow
-            // devices are steered around too (they are live — blocks with
-            // no other copy still fall back to them, see try_admit).
-            let fail = self.fault.admission_mask(window);
-            let mask = fail | self.fault.live_slow_mask();
-            let reserve: Vec<u32> = (0..self.devices)
-                .map(|d| self.fault.gc_reserve(d, self.accesses) as u32)
-                .collect();
-            s.reset_for(
-                window,
-                self.devices,
-                self.accesses,
-                self.mode,
-                mask,
-                fail,
-                &reserve,
-            );
+            s.reset_for(window, self.accesses, &self.fault);
         } else if s.window != window {
             assert!(
                 s.window > window,
@@ -297,54 +336,51 @@ impl WindowRing {
         req: IoRequest,
         replicas: &[usize],
     ) -> AdmitResult {
-        let mut s = self.locked(window);
+        let mut guard = self.locked(window);
+        let s = &mut *guard;
         let used = s.per_tenant.get(&tenant).copied().unwrap_or(0);
         if used as usize >= reserved {
             return AdmitResult::Full;
         }
         if req.op == IoOp::Write {
-            return self.try_admit_write(&mut s, tenant, req, replicas);
+            return self.try_admit_write(s, tenant, req, replicas);
         }
-        let degraded = s.admit_mask != 0 && replicas.iter().any(|&d| s.admit_mask >> d & 1 == 1);
-        let assigned = match self.mode {
-            AssignmentMode::OptimalFlow => {
-                match s.flow.as_mut().expect("flow mode").try_add(replicas) {
-                    DegradedAdmit::Admitted => None,
-                    DegradedAdmit::Infeasible => return AdmitResult::Full,
-                    DegradedAdmit::Unavailable => {
-                        return Self::admit_on_slow_only(&mut s, tenant, req, replicas)
-                    }
+        let mask = s.admit_mask;
+        let assigned = match &mut s.feas {
+            Feasibility::Flow { kernel, .. } => match kernel.try_add(replicas) {
+                DegradedAdmit::Admitted => None,
+                DegradedAdmit::Infeasible => return AdmitResult::Full,
+                DegradedAdmit::Unavailable => {
+                    return Self::admit_on_slow_only(s, tenant, req, replicas)
                 }
-            }
-            AssignmentMode::Eft => {
+            },
+            Feasibility::Eft { loads, reserve } => {
                 // Earliest finish time under equal service times = least
                 // loaded replica, among the window's live devices.
-                let mask = s.admit_mask;
                 let best = replicas
                     .iter()
                     .copied()
                     .filter(|&d| mask >> d & 1 == 0)
-                    .min_by_key(|&d| s.loads[d]);
+                    .min_by_key(|&d| loads[d]);
                 let Some(best) = best else {
-                    return Self::admit_on_slow_only(&mut s, tenant, req, replicas);
+                    return Self::admit_on_slow_only(s, tenant, req, replicas);
                 };
-                if s.loads[best] as usize >= s.eft_cap(best, self.accesses) {
+                if !eft_fits(loads, reserve, best, self.accesses) {
                     return AdmitResult::Full;
                 }
-                s.loads[best] += 1;
+                loads[best] += 1;
                 Some(best)
             }
         };
-        if degraded {
+        if mask != 0 && replicas.iter().any(|&d| mask >> d & 1 == 1) {
             self.fault.note_reroute();
         }
         *s.per_tenant.entry(tenant).or_insert(0) += 1;
         s.guaranteed.push(Parked {
             tenant,
             req,
-            replicas: replicas.to_vec(),
+            replicas: ReplicaTuple::new(replicas),
             assigned,
-            charged: Vec::new(),
         });
         AdmitResult::Admitted
     }
@@ -367,12 +403,9 @@ impl WindowRing {
         req: IoRequest,
         replicas: &[usize],
     ) -> AdmitResult {
-        let charged: Vec<usize> = replicas
-            .iter()
-            .copied()
-            .filter(|&d| s.admit_mask >> d & 1 == 0)
-            .collect();
-        if charged.is_empty() {
+        let mask = s.admit_mask;
+        let tuple = ReplicaTuple::new(replicas);
+        if tuple.outside(mask).next().is_none() {
             // Nothing schedulable: all replicas failed is a data-path
             // refusal; all merely slow is congestion — delay, don't lose.
             return if replicas.iter().all(|&d| s.fail_mask >> d & 1 == 1) {
@@ -381,43 +414,42 @@ impl WindowRing {
                 AdmitResult::Full
             };
         }
-        let degraded = s.admit_mask != 0 && replicas.iter().any(|&d| s.admit_mask >> d & 1 == 1);
-        match self.mode {
-            AssignmentMode::OptimalFlow => {
-                let flow = s.flow.as_mut().expect("flow mode");
-                // Charge one pinned unit per replica; the incremental flow
-                // cannot retract units, so snapshot for exact rollback when
-                // a later replica does not fit.
-                let snapshot = flow.clone();
-                for &d in &charged {
-                    if flow.try_add(&[d]) != DegradedAdmit::Admitted {
-                        *flow = snapshot;
-                        return AdmitResult::Full;
-                    }
+        // Charge one pinned unit per schedulable replica, all or nothing.
+        let fits = match &mut s.feas {
+            Feasibility::Flow { kernel, .. } => {
+                // A unit that does not fit may already have re-routed
+                // earlier requests: roll back to the exact prior schedule.
+                kernel.checkpoint();
+                let fits = tuple
+                    .outside(mask)
+                    .all(|d| kernel.try_add(&[d]) == DegradedAdmit::Admitted);
+                if !fits {
+                    kernel.rollback();
                 }
+                fits
             }
-            AssignmentMode::Eft => {
-                if charged
-                    .iter()
-                    .any(|&d| s.loads[d] as usize >= s.eft_cap(d, self.accesses))
-                {
-                    return AdmitResult::Full;
+            Feasibility::Eft { loads, reserve } => {
+                let fits = tuple
+                    .outside(mask)
+                    .all(|d| eft_fits(loads, reserve, d, self.accesses));
+                if fits {
+                    tuple.outside(mask).for_each(|d| loads[d] += 1);
                 }
-                for &d in &charged {
-                    s.loads[d] += 1;
-                }
+                fits
             }
+        };
+        if !fits {
+            return AdmitResult::Full;
         }
-        if degraded {
+        if mask & tuple.mask() != 0 {
             self.fault.note_reroute();
         }
         *s.per_tenant.entry(tenant).or_insert(0) += 1;
         s.guaranteed.push(Parked {
             tenant,
             req,
-            replicas: replicas.to_vec(),
+            replicas: tuple,
             assigned: None,
-            charged,
         });
         AdmitResult::Admitted
     }
@@ -438,9 +470,8 @@ impl WindowRing {
         s.overflow.push(Parked {
             tenant,
             req,
-            replicas: replicas.to_vec(),
+            replicas: ReplicaTuple::new(replicas),
             assigned: None,
-            charged: Vec::new(),
         });
         AdmitResult::AdmittedSlow
     }
@@ -479,9 +510,8 @@ impl WindowRing {
         s.overflow.push(Parked {
             tenant,
             req,
-            replicas: replicas.to_vec(),
+            replicas: ReplicaTuple::new(replicas),
             assigned: None,
-            charged: Vec::new(),
         });
         true
     }
@@ -506,7 +536,8 @@ impl WindowRing {
         if exec_mask != 0 {
             self.fault.note_degraded_window();
         }
-        let mut s = self.slot(window).lock();
+        let mut guard = self.slot(window).lock();
+        let s = &mut *guard;
         if !s.active || s.window != window {
             return SealedWindow {
                 guaranteed: 0,
@@ -516,85 +547,50 @@ impl WindowRing {
             };
         }
         s.active = false;
-
+        if let Feasibility::Flow { kernel, phantom } = &s.feas {
+            // The kernel's assignment list leads with the GC-reserve
+            // phantom units, then one entry per admitted unit in admission
+            // order: a read consumed one unit, a write one per charged
+            // replica. Writes ignore their entries (they fan out to every
+            // replica regardless).
+            let assigned = kernel.assigned();
+            let mut next = *phantom;
+            for p in &mut s.guaranteed {
+                if p.req.op == IoOp::Write {
+                    next += p.replicas.outside(s.admit_mask).count();
+                } else {
+                    p.assigned = assigned.get(next).map(|&d| d as usize);
+                    next += 1;
+                }
+            }
+            debug_assert_eq!(next, assigned.len());
+        }
         let guaranteed = std::mem::take(&mut s.guaranteed);
         let overflow = std::mem::take(&mut s.overflow);
-        let flow = s.flow.take();
-        let phantom = s.phantom;
-        drop(s);
+        drop(guard);
 
         // Final per-device loads are rebuilt from scratch so seal-time
         // re-dispatch balances against what actually lands on survivors.
-        let mut loads = vec![0u32; self.devices];
+        let mut loads = [0u32; MAX_FAULT_DEVICES];
         let mut items = Vec::with_capacity(guaranteed.len() + overflow.len());
         let mut lost: Vec<u64> = Vec::new();
         // Logical guaranteed admissions: a write counts once even though it
         // emits one item per replica copy below.
         let n_guaranteed = guaranteed.len() as u64;
-        // Per-parked preliminary assignment. The flow's assignment list
-        // leads with the GC-reserve phantom units, then one entry per
-        // admitted unit in admission order: reads consumed one unit, writes
-        // one per charged replica. Writes ignore their entries (they fan
-        // out to every replica regardless), so skip those slots.
-        let prelim: Vec<Option<usize>> = match self.mode {
-            AssignmentMode::OptimalFlow => {
-                let flow = flow.expect("flow mode");
-                let assigns = flow.assignments();
-                debug_assert_eq!(
-                    assigns.len(),
-                    phantom
-                        + guaranteed
-                            .iter()
-                            .map(|p| {
-                                if p.req.op == IoOp::Write {
-                                    p.charged.len()
-                                } else {
-                                    1
-                                }
-                            })
-                            .sum::<usize>()
-                );
-                let mut next = assigns.into_iter().skip(phantom);
-                guaranteed
-                    .iter()
-                    .map(|p| {
-                        if p.req.op == IoOp::Write {
-                            next.by_ref().take(p.charged.len()).for_each(drop);
-                            None
-                        } else {
-                            // One unit per admitted read remains (length
-                            // check above); a None here surfaces at the
-                            // assigned-request invariant when emitting.
-                            next.next()
-                        }
-                    })
-                    .collect()
-            }
-            AssignmentMode::Eft => guaranteed.iter().map(|p| p.assigned).collect(),
-        };
         // Sequential id for each logical write within this window; the
         // engine keys its all-must-settle aggregation on it.
         let mut write_groups = 0u32;
         if drain_mask == 0 {
             // Healthy execution interval: the admission-time assignments
             // stand as-is.
-            for (p, prelim) in guaranteed.into_iter().zip(prelim) {
+            for p in guaranteed {
                 if p.req.op == IoOp::Write {
                     fan_out_write(&mut items, &mut loads, &mut write_groups, &p);
                     continue;
                 }
-                let d = prelim.expect("guaranteed request must be assigned");
+                let d = p.assigned.expect("guaranteed request must be assigned");
                 loads[d] += 1;
-                let replica_mask = mask_of(&p.replicas);
-                let mut req = p.req;
-                req.device = d;
-                items.push(SealedItem {
-                    tenant: p.tenant,
-                    req,
-                    guaranteed: true,
-                    replica_mask,
-                    write_group: None,
-                });
+                items.push(p.sealed_on(d, true));
             }
         } else {
             // A device is down (or condemned slow) for the execution
@@ -604,51 +600,40 @@ impl WindowRing {
             // rebuild the whole window's schedule on the surviving
             // subgraph, so whenever a feasible `≤ M` per-device schedule
             // exists the rebuilt one meets every deadline.
-            let failed: Vec<bool> = (0..self.devices)
-                .map(|d| drain_mask >> d & 1 == 1)
-                .collect();
-            let mut rebuilt = DegradedWindow::new(self.devices, self.accesses, &failed);
+            let mut rebuilt =
+                DegradedWindow::with_failed_mask(self.devices, self.accesses, drain_mask);
             // Writes keep their full fan-out whatever the drain: pre-charge
             // the rebuilt schedule with one pinned unit per surviving write
             // replica so read re-dispatch packs around the write load
             // instead of overcommitting the survivors. Pinned adds on
             // drained devices report `Unavailable` and charge nothing.
-            let mut next = 0usize;
-            for p in &guaranteed {
-                if p.req.op != IoOp::Write {
-                    continue;
-                }
-                for &d in &p.replicas {
-                    if rebuilt.try_add(&[d]) == DegradedAdmit::Admitted {
-                        next += 1;
-                    }
+            for p in guaranteed.iter().filter(|p| p.req.op == IoOp::Write) {
+                for d in p.replicas.iter() {
+                    rebuilt.try_add(&[d]);
                 }
             }
+            let mut next = rebuilt.len();
+            let mut buf = [0usize; MAX_COPIES];
             let placements: Vec<Option<DegradedAdmit>> = guaranteed
                 .iter()
                 .map(|p| {
-                    if p.req.op == IoOp::Write {
-                        None
-                    } else {
-                        Some(rebuilt.try_add(&p.replicas))
-                    }
+                    (p.req.op != IoOp::Write).then(|| rebuilt.try_add(p.replicas.widen(&mut buf)))
                 })
                 .collect();
-            let rebuilt_assign = rebuilt.assignments();
-            for ((p, prelim), placement) in guaranteed.into_iter().zip(prelim).zip(placements) {
+            for (p, placement) in guaranteed.into_iter().zip(placements) {
                 let Some(placement) = placement else {
                     fan_out_write(&mut items, &mut loads, &mut write_groups, &p);
                     continue;
                 };
                 let d = match placement {
                     DegradedAdmit::Admitted => {
-                        let d = rebuilt_assign[next];
+                        let d = rebuilt.assigned()[next] as usize;
                         next += 1;
                         // One audit note per moved item: off a failed
                         // device = redispatch, off a slow one = retry.
-                        if prelim.is_some_and(|pd| exec_mask >> pd & 1 == 1) {
+                        if p.assigned.is_some_and(|pd| exec_mask >> pd & 1 == 1) {
                             self.fault.note_redispatch();
-                        } else if prelim.is_some_and(|pd| slow_mask >> pd & 1 == 1) {
+                        } else if p.assigned.is_some_and(|pd| slow_mask >> pd & 1 == 1) {
                             self.fault.note_retry();
                         }
                         d
@@ -668,9 +653,7 @@ impl WindowRing {
                             self.fault.note_retry();
                         }
                         p.replicas
-                            .iter()
-                            .copied()
-                            .filter(|&d| exec_mask >> d & 1 == 0)
+                            .outside(exec_mask)
                             .min_by_key(|&d| loads[d])
                             .expect("Infeasible implies a live replica exists")
                     }
@@ -682,13 +665,7 @@ impl WindowRing {
                         // readable data. Only an all-failed set — beyond
                         // the c − 1 tolerance — is lost: counted, audited,
                         // never silently dropped.
-                        let live = p
-                            .replicas
-                            .iter()
-                            .copied()
-                            .filter(|&d| exec_mask >> d & 1 == 0)
-                            .min_by_key(|&d| loads[d]);
-                        match live {
+                        match p.replicas.outside(exec_mask).min_by_key(|&d| loads[d]) {
                             Some(d) => {
                                 self.fault.note_retry();
                                 d
@@ -702,16 +679,7 @@ impl WindowRing {
                     }
                 };
                 loads[d] += 1;
-                let replica_mask = mask_of(&p.replicas);
-                let mut req = p.req;
-                req.device = d;
-                items.push(SealedItem {
-                    tenant: p.tenant,
-                    req,
-                    guaranteed: true,
-                    replica_mask,
-                    write_group: None,
-                });
+                items.push(p.sealed_on(d, true));
             }
         }
         let n_guaranteed = n_guaranteed - lost.len() as u64;
@@ -721,34 +689,17 @@ impl WindowRing {
             // fall back to a slow-but-live one before declaring loss.
             let pick = p
                 .replicas
-                .iter()
-                .copied()
-                .filter(|&d| drain_mask >> d & 1 == 0)
+                .outside(drain_mask)
                 .min_by_key(|&d| loads[d])
-                .or_else(|| {
-                    p.replicas
-                        .iter()
-                        .copied()
-                        .filter(|&d| exec_mask >> d & 1 == 0)
-                        .min_by_key(|&d| loads[d])
-                });
+                .or_else(|| p.replicas.outside(exec_mask).min_by_key(|&d| loads[d]));
             let Some(d) = pick else {
                 self.fault.note_lost();
                 lost.push(p.tenant);
                 continue;
             };
             loads[d] += 1;
-            let replica_mask = mask_of(&p.replicas);
-            let mut req = p.req;
-            req.device = d;
             n_overflow += 1;
-            items.push(SealedItem {
-                tenant: p.tenant,
-                req,
-                guaranteed: false,
-                replica_mask,
-                write_group: None,
-            });
+            items.push(p.sealed_on(d, false));
         }
         SealedWindow {
             guaranteed: n_guaranteed,
@@ -759,9 +710,24 @@ impl WindowRing {
     }
 }
 
-/// Replica index list → bitmap.
-fn mask_of(replicas: &[usize]) -> u64 {
-    replicas.iter().fold(0u64, |m, &d| m | 1 << d)
+impl Parked {
+    /// The dispatch-ready read item for this request on device `d`.
+    fn sealed_on(&self, d: usize, guaranteed: bool) -> SealedItem {
+        let mut req = self.req;
+        req.device = d;
+        SealedItem {
+            tenant: self.tenant,
+            req,
+            guaranteed,
+            replica_mask: self.replicas.mask(),
+            write_group: None,
+        }
+    }
+}
+
+/// EFT mode: whether device `d` has budget left after its GC reserve.
+fn eft_fits(loads: &[u32], reserve: &[u32], d: usize, accesses: usize) -> bool {
+    (loads[d] as usize) < accesses.saturating_sub(reserve[d] as usize)
 }
 
 /// Emit one [`SealedItem`] per replica copy of a logical write, all tagged
@@ -777,19 +743,12 @@ fn fan_out_write(
 ) {
     let group = *write_groups;
     *write_groups += 1;
-    let fanout = p.replicas.len() as u32;
-    let replica_mask = mask_of(&p.replicas);
-    for &d in &p.replicas {
+    let fanout = u32::from(p.replicas.len);
+    for d in p.replicas.iter() {
         loads[d] += 1;
-        let mut req = p.req;
-        req.device = d;
-        items.push(SealedItem {
-            tenant: p.tenant,
-            req,
-            guaranteed: true,
-            replica_mask,
-            write_group: Some((group, fanout)),
-        });
+        let mut item = p.sealed_on(d, true);
+        item.write_group = Some((group, fanout));
+        items.push(item);
     }
 }
 
@@ -895,15 +854,19 @@ mod tests {
 
     #[test]
     fn sealing_empty_and_reuse() {
-        let r = ring(AssignmentMode::Eft);
-        let sealed = r.seal(42);
-        assert_eq!(sealed.total, 0);
-        // Admit into w, seal, then the slot is reusable for w + RING.
-        assert!(r.try_admit(5, 1, 1, req(1), &[0]).is_admitted());
-        assert_eq!(r.seal(5).total, 1);
-        let next = 5 + WINDOW_RING as u64;
-        assert!(r.try_admit(next, 1, 1, req(2), &[0]).is_admitted());
-        assert_eq!(r.seal(next).total, 1);
+        for mode in BOTH_MODES {
+            let r = ring(mode);
+            let sealed = r.seal(42);
+            assert_eq!(sealed.total, 0);
+            // Admit into w, seal, then the slot is reusable for w + RING:
+            // the previous window's load must not carry over.
+            assert!(r.try_admit(5, 1, 9, req(1), &[0]).is_admitted());
+            assert_eq!(r.try_admit(5, 1, 9, req(2), &[0]), AdmitResult::Full);
+            assert_eq!(r.seal(5).total, 1);
+            let next = 5 + WINDOW_RING as u64;
+            assert!(r.try_admit(next, 1, 9, req(3), &[0]).is_admitted());
+            assert_eq!(r.seal(next).total, 1);
+        }
     }
 
     #[test]
@@ -1140,6 +1103,18 @@ mod tests {
             assert!(r.try_admit(0, 1, 9, req(4), &[2]).is_admitted());
             assert_eq!(r.seal(0).total, 3);
         }
+    }
+
+    #[test]
+    fn write_refused_on_its_second_replica_restores_rerouted_reads() {
+        let r = ring(AssignmentMode::OptimalFlow);
+        assert!(r.try_admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
+        assert!(r.try_admit(0, 1, 9, req(2), &[1, 2]).is_admitted());
+        // The write's unit on 1 fits by pushing read 2 over to device 2;
+        // its unit on 2 then cannot fit. The refusal must undo the push.
+        assert_eq!(r.try_admit(0, 1, 9, wreq(3), &[1, 2]), AdmitResult::Full);
+        let devs: Vec<usize> = r.seal(0).items.iter().map(|i| i.req.device).collect();
+        assert_eq!(devs, vec![0, 1]);
     }
 
     #[test]
