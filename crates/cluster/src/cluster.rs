@@ -7,14 +7,9 @@
 //! `kill:A@T`): its engine halts without draining, stranding whatever was
 //! admitted but not yet settled. The stranded difference is charged to the
 //! fleet's `evacuation_lost` ledger the moment the engine halts, so the
-//! extended conservation law
-//!
-//! ```text
-//! Σ served + Σ fault_lost + Σ hedges_cancelled
-//!     + migrated_in_flight + evacuation_lost == Σ admitted_total
-//! ```
-//!
-//! holds throughout the outage, not just after repair. Detection is
+//! cluster conservation law ([`ClusterMetrics::conserved`]: the fleet
+//! ledger balances once `migrated_in_flight + evacuation_lost` are
+//! accounted) holds throughout the outage, not just after repair. Detection is
 //! decoupled from injection: the control loop heartbeats every slot once
 //! per tick and handles report transport-level refusals; the health plane
 //! (`crate::health`) turns those symptoms into a `Dead` verdict after
@@ -132,8 +127,7 @@ struct Shared {
 /// Admissions a snapshot admitted but never settled: the stranded work a
 /// fail-stop leaves behind, charged to `evacuation_lost`.
 fn residue(s: &MetricsSnapshot) -> u64 {
-    s.admitted_total()
-        .saturating_sub(s.served + s.fault_lost + s.hedges_cancelled)
+    s.ledger().in_flight()
 }
 
 /// Unsettled admissions of drained tenants on their source arrays: the
@@ -844,7 +838,7 @@ impl QosCluster {
                             rejected: t.rejected,
                             delayed: t.delayed,
                             overflow: t.overflow,
-                            admitted: t.admitted,
+                            admitted_total: t.ledger().admitted_total(),
                         },
                     );
                 } else {
@@ -959,11 +953,11 @@ impl QosCluster {
             let rejected = t.rejected.saturating_sub(prev.rejected);
             let delayed = t.delayed.saturating_sub(prev.delayed);
             let overflow = t.overflow.saturating_sub(prev.overflow);
-            let admitted = t.admitted.saturating_sub(prev.admitted);
-            (
-                rejected + delayed + overflow,
-                admitted + rejected + overflow,
-            )
+            let admitted_total = t
+                .ledger()
+                .admitted_total()
+                .saturating_sub(prev.admitted_total);
+            (rejected + delayed + overflow, admitted_total + rejected)
         };
         let (candidate, tenant_pressure, demand) = snap
             .tenants
@@ -1275,6 +1269,46 @@ mod tests {
     fn two_arrays() -> QosCluster {
         let array = ServerConfig::new(QosConfig::paper_9_3_1());
         QosCluster::new(ClusterConfig::uniform(2, &array)).unwrap()
+    }
+
+    #[test]
+    fn residue_counts_settled_writes_as_settled() {
+        // A fail-stopped array that had settled writes — three landed, one
+        // lost a replica through its retries — and nothing in flight.
+        let server = QosServer::new(ServerConfig::new(QosConfig::paper_9_3_1())).unwrap();
+        server.register(1, 2, OverloadPolicy::Delay).unwrap();
+        let scheme = server.config().qos.scheme.clone();
+        let dead = {
+            use fqos_decluster::AllocationScheme;
+            scheme.replicas(scheme.bucket_for_lbn(7))[0]
+        };
+        let mut h = server.handle();
+        for w in 0..3u64 {
+            assert!(h.submit_write(1, 100 + w, w * BASE_T).is_admitted());
+        }
+        // Seal the three before the fault lands: it takes effect at the
+        // next unsealed window.
+        h.advance_to(5 * BASE_T);
+        server.inject_fault(dead).unwrap();
+        assert!(h.submit_write(1, 7, 5 * BASE_T).is_admitted());
+        drop(h); // seals and dispatches everything admitted
+        let frozen = server.halt();
+        assert_eq!((frozen.write_settled, frozen.write_lost), (3, 1));
+        assert_eq!(frozen.served, 0);
+        assert_eq!(residue(&frozen), 0, "settled writes are not stranded");
+        // A fleet holding that frozen snapshot, charged its residue,
+        // closes the law.
+        let array = ServerConfig::new(QosConfig::paper_9_3_1());
+        let empty = QosCluster::new(ClusterConfig::uniform(1, &array))
+            .unwrap()
+            .finish();
+        let fleet = ClusterMetrics {
+            evacuation_lost: residue(&frozen),
+            arrays: vec![frozen],
+            frozen: vec![true],
+            ..empty
+        };
+        assert!(fleet.conserved(), "{}", fleet.render_audit());
     }
 
     #[test]

@@ -45,7 +45,8 @@ pub(crate) struct TenantObs {
     pub rejected: u64,
     pub delayed: u64,
     pub overflow: u64,
-    pub admitted: u64,
+    /// Guaranteed + overflow admissions (the demand basis).
+    pub admitted_total: u64,
 }
 
 /// A tenant drained off `from`; its departed record's unsettled

@@ -15,8 +15,8 @@
 //!   array when the fleet has headroom — cooperative drain on the source,
 //!   re-register on the target, router epoch bump.
 //! - **Audit** ([`ClusterMetrics::conserved`]): the per-array conservation
-//!   law extends to `Σ served + Σ fault_lost + Σ hedges_cancelled +
-//!   migrated_in_flight == Σ admitted_total` across rebalances.
+//!   law extends across rebalances and failures — the arrays' ledgers
+//!   merged, plus the admissions in transit or stranded.
 //!
 //! A [`MetricsExporter`] serves the fleet's metrics in Prometheus text
 //! format from a background thread.

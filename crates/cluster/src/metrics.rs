@@ -2,19 +2,14 @@
 
 use crate::ctrl::{EvacuationEvent, RebalanceEvent};
 use crate::health::ArrayHealth;
-use fqos_server::MetricsSnapshot;
+use fqos_server::{Ledger, MetricsSnapshot};
 
 /// Fleet-wide snapshot: per-array [`MetricsSnapshot`]s plus the routing,
-/// rebalancing and failure-tolerance view, with the extended cluster
-/// conservation law
+/// rebalancing and failure-tolerance view, with the cluster conservation
+/// law: the fleet [`ClusterMetrics::ledger`] is
+/// [`Ledger::conserved_with`] `migrated_in_flight + evacuation_lost`.
 ///
-/// ```text
-/// Σ served + Σ write_settled + Σ fault_lost + Σ hedges_cancelled
-///     + Σ write_lost + migrated_in_flight + evacuation_lost
-///     == Σ admitted_total
-/// ```
-///
-/// where the sums run over every array snapshot (current slots *and*
+/// The fleet ledger merges every array snapshot (current slots *and*
 /// archived past incarnations), `migrated_in_flight` counts admissions of
 /// drained (migrated-away) tenants not yet settled on their live source
 /// array, and `evacuation_lost` is the ledger of admissions stranded on
@@ -81,40 +76,29 @@ impl ClusterMetrics {
         self.arrays.iter().chain(self.past.iter())
     }
 
-    /// Σ admitted (guaranteed + overflow) over the fleet history.
-    pub fn admitted_total(&self) -> u64 {
-        self.all().map(MetricsSnapshot::admitted_total).sum()
+    /// The fleet's account of the law: every snapshot's ledger merged.
+    pub fn ledger(&self) -> Ledger {
+        let mut fleet = Ledger::default();
+        for m in self.all() {
+            fleet.merge(&m.ledger());
+        }
+        fleet
     }
 
-    /// Σ served (primary completions) over the fleet history.
-    pub fn served(&self) -> u64 {
-        self.all().map(|m| m.served).sum()
+    /// Σ admitted (guaranteed + overflow) over the fleet history.
+    pub fn admitted_total(&self) -> u64 {
+        self.ledger().admitted_total()
     }
 
     /// Σ completions (primary + hedge wins) over the fleet history.
     pub fn completed(&self) -> u64 {
-        self.all().map(MetricsSnapshot::completed).sum()
+        self.ledger().completed()
     }
 
     /// Σ rejected over the fleet history (router-level refusals excluded;
     /// see [`ClusterMetrics::unrouted`]).
     pub fn rejected(&self) -> u64 {
         self.all().map(|m| m.rejected).sum()
-    }
-
-    /// Σ fault-lost over the fleet history.
-    pub fn fault_lost(&self) -> u64 {
-        self.all().map(|m| m.fault_lost).sum()
-    }
-
-    /// Σ logical writes settled on every replica over the fleet history.
-    pub fn write_settled(&self) -> u64 {
-        self.all().map(|m| m.write_settled).sum()
-    }
-
-    /// Σ logical writes that lost a replica past retries.
-    pub fn write_lost(&self) -> u64 {
-        self.all().map(|m| m.write_lost).sum()
     }
 
     /// Σ host pages programmed by the fleet's FTL models.
@@ -137,25 +121,9 @@ impl ClusterMetrics {
         }
     }
 
-    /// Σ hedge-cancelled primaries over the fleet history.
-    pub fn hedges_cancelled(&self) -> u64 {
-        self.all().map(|m| m.hedges_cancelled).sum()
-    }
-
     /// Σ deadline violations over the fleet history.
     pub fn deadline_violations(&self) -> u64 {
         self.all().map(|m| m.deadline_violations).sum()
-    }
-
-    /// Σ windows sealed over the fleet history.
-    pub fn windows_sealed(&self) -> u64 {
-        self.all().map(|m| m.windows_sealed).sum()
-    }
-
-    /// Σ settled admissions — the left side of the extended law before
-    /// the in-flight and stranded terms.
-    fn settled(&self) -> u64 {
-        self.all().map(MetricsSnapshot::settled).sum()
     }
 
     /// Admissions not yet settled on a *live* array
@@ -167,11 +135,7 @@ impl ClusterMetrics {
             .iter()
             .zip(self.frozen_flags())
             .filter(|&(_, frozen)| !frozen)
-            .map(|(m, _)| {
-                m.admitted_total().saturating_sub(
-                    m.served + m.write_settled + m.hedges_won + m.fault_lost + m.write_lost,
-                )
-            })
+            .map(|(m, _)| m.ledger().in_flight())
             .sum()
     }
 
@@ -223,12 +187,12 @@ impl ClusterMetrics {
     ///
     /// 1. `migrated_in_flight` is 0 — every drained tenant's admissions
     ///    settled on its (live) source array;
-    /// 2. every non-frozen snapshot closes its own per-array law exactly;
-    /// 3. the fleet-wide equation `settled + migrated_in_flight +
-    ///    evacuation_lost == admitted_total` balances, which pins
-    ///    `evacuation_lost` to exactly the frozen snapshots' stranded
-    ///    residue — a drifting ledger (double charge, missed reversal)
-    ///    breaks it.
+    /// 2. every non-frozen snapshot closes its own per-array law exactly
+    ///    ([`MetricsSnapshot::conserved`]);
+    /// 3. the fleet ledger balances once `migrated_in_flight +
+    ///    evacuation_lost` are accounted, which pins `evacuation_lost` to
+    ///    exactly the frozen snapshots' stranded residue — a drifting
+    ///    ledger (double charge, missed reversal) breaks it.
     pub fn conserved(&self) -> bool {
         self.migrated_in_flight == 0
             && self
@@ -236,26 +200,26 @@ impl ClusterMetrics {
                 .iter()
                 .zip(self.frozen_flags())
                 .filter(|&(_, frozen)| !frozen)
-                .all(|(m, _)| {
-                    m.hedges_won == m.hedges_cancelled && m.settled() == m.admitted_total()
-                })
-            && self.settled() + self.migrated_in_flight + self.evacuation_lost
-                == self.admitted_total()
+                .all(|(m, _)| m.conserved())
+            && self
+                .ledger()
+                .conserved_with(self.migrated_in_flight + self.evacuation_lost)
     }
 
     /// One-line audit for logs and `finish()`.
     pub fn render_audit(&self) -> String {
+        let fleet = self.ledger();
         format!(
             "cluster audit: arrays={} admitted={} completed={} write_settled={} \
              fault_lost={} hedges_cancelled={} write_lost={} migrated_in_flight={} \
              evacuation_lost={} evacuated={} dead={} rebalances={} epoch={} law={}",
             self.arrays.len(),
-            self.admitted_total(),
-            self.completed(),
-            self.write_settled(),
-            self.fault_lost(),
-            self.hedges_cancelled(),
-            self.write_lost(),
+            fleet.admitted_total(),
+            fleet.completed(),
+            fleet.write_settled,
+            fleet.lost,
+            fleet.hedge_wins,
+            fleet.write_lost,
             self.migrated_in_flight,
             self.evacuation_lost,
             self.evacuated_tenants,

@@ -234,9 +234,7 @@ pub fn render(m: &ClusterMetrics) -> String {
         "Admissions awaiting settlement this window",
     );
     for (i, s) in m.arrays.iter().enumerate() {
-        let in_flight = s.admitted_total().saturating_sub(
-            s.served + s.write_settled + s.hedges_won + s.fault_lost + s.write_lost,
-        );
+        let in_flight = s.ledger().in_flight();
         let _ = writeln!(out, "fqos_in_flight{{array=\"{i}\"}} {in_flight}");
     }
     gauge(

@@ -20,7 +20,6 @@ use crate::scheme::AllocationScheme;
 use fqos_maxflow::RetrievalNetwork;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// How request sets are drawn for the `P_k` estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -68,9 +67,9 @@ pub fn optimal_retrieval_probabilities<S: AllocationScheme + Sync + ?Sized>(
     optimal_retrieval_probabilities_with(scheme, k_max, trials, seed, Sampling::WithReplacement)
 }
 
-/// Estimate `P_k` under an explicit sampling mode. Request sizes are
-/// embarrassingly parallel; each `k` gets its own deterministic RNG stream
-/// so results are reproducible regardless of thread scheduling.
+/// Estimate `P_k` under an explicit sampling mode. Each `k` gets its own
+/// deterministic RNG stream, so one size's estimate does not depend on
+/// which other sizes were computed.
 pub fn optimal_retrieval_probabilities_with<S: AllocationScheme + Sync + ?Sized>(
     scheme: &S,
     k_max: usize,
@@ -88,7 +87,6 @@ pub fn optimal_retrieval_probabilities_with<S: AllocationScheme + Sync + ?Sized>
     let net = RetrievalNetwork::new(scheme.devices());
     let n = scheme.num_buckets();
     let p: Vec<f64> = (1..=k_max)
-        .into_par_iter()
         .map(|k| {
             let mut rng = StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E3779B97F4A7C15));
             let mut optimal = 0usize;

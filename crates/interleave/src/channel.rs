@@ -1,5 +1,5 @@
-//! Instrumented MPMC channel matching the `crossbeam` shim's API subset
-//! (`bounded`/`unbounded`, disconnect-on-last-endpoint-drop semantics).
+//! Instrumented channel matching the `crossbeam` shim's API subset
+//! (`bounded`, `send`/`recv`, disconnect-on-last-endpoint-drop semantics).
 //!
 //! Under a [`crate::model`] execution, send/recv park on scheduler
 //! conditions evaluated against a mirror of the queue state — a blocked
@@ -40,27 +40,9 @@ pub struct Receiver<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 
-/// Non-blocking send failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// Channel at capacity; value returned.
-    Full(T),
-    /// All receivers dropped; value returned.
-    Disconnected(T),
-}
-
 /// Receive failed: channel empty and all senders dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
-
-/// Non-blocking receive failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// Nothing buffered right now.
-    Empty,
-    /// Channel empty and all senders dropped.
-    Disconnected,
-}
 
 impl<T> fmt::Display for SendError<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -78,11 +60,6 @@ impl fmt::Display for RecvError {
 /// `cap = 0` is rounded up to 1 (true rendezvous is not needed here).
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     with_capacity(Some(cap.max(1)))
-}
-
-/// Channel with no capacity bound; sends never block.
-pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    with_capacity(None)
 }
 
 fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
@@ -184,59 +161,6 @@ impl<T> Sender<T> {
         shared.not_empty.notify_one();
         Ok(())
     }
-
-    /// Enqueue without blocking.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let shared = &*self.shared;
-        if let Some((rt, me)) = ctx() {
-            let id = shared.ensure(&rt);
-            rt.yield_point(me, Condition::Always, "chan.try_send");
-            let (len, cap, receivers) = rt.read_resource(id, |r| match r {
-                Resource::Channel {
-                    len,
-                    cap,
-                    receivers,
-                    ..
-                } => (*len, *cap, *receivers),
-                other => unreachable!("channel slot holds {other:?}"),
-            });
-            if receivers == 0 {
-                return Err(TrySendError::Disconnected(value));
-            }
-            if len >= cap {
-                return Err(TrySendError::Full(value));
-            }
-            shared.lock_queue().push_back(value);
-            rt.update_resource(id, |r| match r {
-                Resource::Channel { len, .. } => *len += 1,
-                other => unreachable!("channel slot holds {other:?}"),
-            });
-            return Ok(());
-        }
-        let mut q = shared.lock_queue();
-        if shared.no_receivers() {
-            return Err(TrySendError::Disconnected(value));
-        }
-        if let Some(cap) = shared.capacity {
-            if q.len() >= cap {
-                return Err(TrySendError::Full(value));
-            }
-        }
-        q.push_back(value);
-        drop(q);
-        shared.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Messages currently buffered.
-    pub fn len(&self) -> usize {
-        self.shared.lock_queue().len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Receiver<T> {
@@ -276,78 +200,6 @@ impl<T> Receiver<T> {
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
-
-    /// Dequeue without blocking.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let shared = &*self.shared;
-        if let Some((rt, me)) = ctx() {
-            let id = shared.ensure(&rt);
-            rt.yield_point(me, Condition::Always, "chan.try_recv");
-            match shared.lock_queue().pop_front() {
-                Some(v) => {
-                    rt.update_resource(id, |r| match r {
-                        Resource::Channel { len, .. } => *len -= 1,
-                        other => unreachable!("channel slot holds {other:?}"),
-                    });
-                    return Ok(v);
-                }
-                None => {
-                    return if shared.no_senders() {
-                        Err(TryRecvError::Disconnected)
-                    } else {
-                        Err(TryRecvError::Empty)
-                    };
-                }
-            }
-        }
-        let mut q = shared.lock_queue();
-        if let Some(v) = q.pop_front() {
-            drop(q);
-            shared.not_full.notify_one();
-            return Ok(v);
-        }
-        if shared.no_senders() {
-            return Err(TryRecvError::Disconnected);
-        }
-        Err(TryRecvError::Empty)
-    }
-
-    /// Messages currently buffered.
-    pub fn len(&self) -> usize {
-        self.shared.lock_queue().len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterate until the channel disconnects.
-    pub fn iter(&self) -> Iter<'_, T> {
-        Iter { receiver: self }
-    }
-}
-
-/// Blocking iterator over received messages.
-pub struct Iter<'a, T> {
-    receiver: &'a Receiver<T>,
-}
-
-impl<T> Iterator for Iter<'_, T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        self.receiver.recv().ok()
-    }
-}
-
-impl<'a, T> IntoIterator for &'a Receiver<T> {
-    type Item = T;
-    type IntoIter = Iter<'a, T>;
-
-    fn into_iter(self) -> Iter<'a, T> {
-        self.iter()
-    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -357,19 +209,6 @@ impl<T> Clone for Sender<T> {
             self.shared.mirror(&rt, |_, _, senders, _| *senders += 1);
         }
         Sender {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        self.shared.receivers.fetch_add(1, Ordering::AcqRel);
-        if let Some((rt, _)) = ctx() {
-            self.shared
-                .mirror(&rt, |_, _, _, receivers| *receivers += 1);
-        }
-        Receiver {
             shared: Arc::clone(&self.shared),
         }
     }

@@ -167,7 +167,7 @@ mod tests {
                 tx.send(1u32).unwrap();
                 tx.send(2u32).unwrap();
             });
-            let got: Vec<u32> = rx.iter().collect();
+            let got: Vec<u32> = std::iter::from_fn(|| rx.recv().ok()).collect();
             assert_eq!(got, vec![0, 1, 2]);
             producer.join().unwrap();
         });
@@ -232,7 +232,7 @@ mod tests {
             })
             .collect();
         drop(tx);
-        let mut got: Vec<u64> = rx.iter().collect();
+        let mut got: Vec<u64> = std::iter::from_fn(|| rx.recv().ok()).collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3]);
         let mut ids: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();

@@ -40,13 +40,6 @@ impl<T> Mutex<T> {
             cell: sync::Mutex::new(value),
         }
     }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.cell
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -90,50 +83,6 @@ impl<T: ?Sized> Mutex<T> {
                 ),
             },
         }
-    }
-
-    /// Try to acquire without blocking. Still a scheduling point under a
-    /// model (the outcome of the race is what is being explored).
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match ctx() {
-            Some((rt, me)) => {
-                let id = self.ensure(&rt);
-                rt.yield_point(me, Condition::Always, "mutex.try_lock");
-                let held = rt.read_resource(id, |r| match r {
-                    Resource::Mutex { held } => *held,
-                    other => unreachable!("mutex slot holds {other:?}"),
-                });
-                if held {
-                    return None;
-                }
-                rt.update_resource(id, |r| match r {
-                    Resource::Mutex { held } => *held = true,
-                    other => unreachable!("mutex slot holds {other:?}"),
-                });
-                Some(MutexGuard {
-                    model: Some((rt, id)),
-                    inner: Some(self.take_cell()),
-                })
-            }
-            None => match self.cell.try_lock() {
-                Ok(g) => Some(MutexGuard {
-                    model: None,
-                    inner: Some(g),
-                }),
-                Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                    model: None,
-                    inner: Some(p.into_inner()),
-                }),
-                Err(sync::TryLockError::WouldBlock) => None,
-            },
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.cell
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 }
 
@@ -198,13 +147,6 @@ impl<T> RwLock<T> {
             id: ResourceId::new(),
             cell: sync::RwLock::new(value),
         }
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.cell
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 }
 
@@ -280,13 +222,6 @@ impl<T: ?Sized> RwLock<T> {
                 ),
             },
         }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.cell
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 }
 

@@ -1,15 +1,14 @@
-//! Offline stand-in for the `parking_lot` crate (0.12 API subset).
+//! Offline stand-in for the `parking_lot` crate (0.12 API subset): exactly
+//! what `fqos-server` and `fqos-cluster` call.
 //!
 //! Wraps `std::sync` primitives behind parking_lot's panic-free signatures:
 //! `lock()`/`read()`/`write()` return guards directly, and a lock poisoned
 //! by a panicking holder is recovered rather than propagated (parking_lot
 //! has no poisoning at all, so recovery matches its semantics). Not a
-//! performance shim — fairness and timed waits beyond `wait_for` are out of
-//! scope.
+//! performance shim — fairness is out of scope.
 
 use std::ops::{Deref, DerefMut};
 use std::sync;
-use std::time::Duration;
 
 /// Mutual exclusion lock; `lock` never returns an error.
 #[derive(Debug, Default)]
@@ -17,11 +16,10 @@ pub struct Mutex<T: ?Sized> {
     inner: sync::Mutex<T>,
 }
 
-/// Guard for [`Mutex`]. Holds the inner std guard in an `Option` so
-/// [`Condvar::wait`] can temporarily take ownership of it.
+/// Guard for [`Mutex`].
 #[derive(Debug)]
 pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<sync::MutexGuard<'a, T>>,
+    inner: sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -31,41 +29,17 @@ impl<T> Mutex<T> {
             inner: sync::Mutex::new(value),
         }
     }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking; recovers from poisoning.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let g = self
-            .inner
-            .lock()
-            .unwrap_or_else(sync::PoisonError::into_inner);
-        MutexGuard { inner: Some(g) }
-    }
-
-    /// Try to acquire without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
+        MutexGuard {
+            inner: self
+                .inner
+                .lock()
+                .unwrap_or_else(sync::PoisonError::into_inner),
         }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 }
 
@@ -73,17 +47,13 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        self.inner
-            .as_ref()
-            .expect("guard taken during condvar wait")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner
-            .as_mut()
-            .expect("guard taken during condvar wait")
+        &mut self.inner
     }
 }
 
@@ -110,13 +80,6 @@ impl<T> RwLock<T> {
             inner: sync::RwLock::new(value),
         }
     }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -139,13 +102,6 @@ impl<T: ?Sized> RwLock<T> {
                 .unwrap_or_else(sync::PoisonError::into_inner),
         }
     }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
@@ -167,74 +123,6 @@ impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
 impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.inner
-    }
-}
-
-/// Condition variable with parking_lot's `&mut guard` wait signature.
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-/// Result of [`Condvar::wait_for`].
-#[derive(Debug, Clone, Copy)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended by timeout rather than notification.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    /// Block until notified, releasing the mutex while waiting.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("re-entrant condvar wait");
-        let inner = self
-            .inner
-            .wait(inner)
-            .unwrap_or_else(sync::PoisonError::into_inner);
-        guard.inner = Some(inner);
-    }
-
-    /// Block until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.inner.take().expect("re-entrant condvar wait");
-        let (inner, res) = match self.inner.wait_timeout(inner, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(p) => {
-                let (g, r) = p.into_inner();
-                (g, r)
-            }
-        };
-        guard.inner = Some(inner);
-        WaitTimeoutResult {
-            timed_out: res.timed_out(),
-        }
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
     }
 }
 
@@ -262,15 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_contends() {
-        let m = Mutex::new(1);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
     fn rwlock_many_readers_one_writer() {
         let l = RwLock::new(vec![1, 2, 3]);
         {
@@ -280,34 +159,5 @@ mod tests {
         }
         l.write().push(4);
         assert_eq!(*l.read(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let waiter = thread::spawn(move || {
-            let (lock, cv) = &*pair2;
-            let mut ready = lock.lock();
-            while !*ready {
-                cv.wait(&mut ready);
-            }
-            true
-        });
-        {
-            let (lock, cv) = &*pair;
-            *lock.lock() = true;
-            cv.notify_one();
-        }
-        assert!(waiter.join().unwrap());
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let res = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(res.timed_out());
     }
 }

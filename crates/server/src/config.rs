@@ -1,6 +1,6 @@
 //! Serving-engine configuration.
 
-use crate::fault::FaultSchedule;
+use crate::fault::{FaultSchedule, HEALTH_WINDOW};
 use fqos_core::QosConfig;
 use fqos_flashsim::{FtlGeometry, BLOCK_READ_NS};
 use std::path::PathBuf;
@@ -142,27 +142,9 @@ pub struct ServerConfig {
     /// and otherwise serves as PR 2 did — the configuration used to
     /// demonstrate what fail-slow costs without mitigation.
     pub hedge_enabled: bool,
-    /// Percentile of a device's recent service latencies used as the
-    /// hedge base (in `(0, 1]`).
-    pub hedge_percentile: f64,
     /// Samples the scorer needs on a device before the percentile
     /// threshold exists; below this only a projected deadline miss hedges.
     pub hedge_min_samples: usize,
-    /// Hedge when the projected latency exceeds `hedge_slack ×` the
-    /// percentile latency (must be ≥ 1.0; guards against jitter).
-    pub hedge_slack: f64,
-    /// Maximum speculative dispatches per block (first hedge + backoff
-    /// retries), in `1..=16`.
-    pub retry_limit: u32,
-    /// Simulated detection/reissue delay added per speculative hop: the
-    /// `k`-th hedge of a block starts no earlier than
-    /// `exec_start + k × retry_backoff_ns`.
-    pub retry_backoff_ns: u64,
-    /// Scorer recent-latency ring size per device.
-    pub health_window: usize,
-    /// A completion is anomalous when its service latency exceeds
-    /// `health_suspect_factor ×` the device's EWMA baseline (> 1.0).
-    pub health_suspect_factor: f64,
     /// Consecutive anomalies promoting `Suspect → Slow`.
     pub health_promote_streak: u32,
     /// Consecutive normal completions demoting `Slow → Healthy`.
@@ -194,13 +176,7 @@ impl ServerConfig {
             fault_schedule: FaultSchedule::new(),
             ring_slots: WINDOW_RING,
             hedge_enabled: true,
-            hedge_percentile: 0.9,
             hedge_min_samples: 4,
-            hedge_slack: 2.0,
-            retry_limit: 2,
-            retry_backoff_ns: 8_000,
-            health_window: 16,
-            health_suspect_factor: 3.0,
             health_promote_streak: 3,
             health_recover_streak: 8,
             health_probe_windows: 8,
@@ -254,45 +230,9 @@ impl ServerConfig {
         self
     }
 
-    /// Set the hedge threshold percentile (in `(0, 1]`).
-    pub fn with_hedge_percentile(mut self, percentile: f64) -> Self {
-        self.hedge_percentile = percentile;
-        self
-    }
-
     /// Set the sample floor below which no percentile threshold exists.
     pub fn with_hedge_min_samples(mut self, samples: usize) -> Self {
         self.hedge_min_samples = samples;
-        self
-    }
-
-    /// Set the hedge slack multiplier (≥ 1.0).
-    pub fn with_hedge_slack(mut self, slack: f64) -> Self {
-        self.hedge_slack = slack;
-        self
-    }
-
-    /// Set the speculative-dispatch bound per block (first hedge included).
-    pub fn with_retry_limit(mut self, limit: u32) -> Self {
-        self.retry_limit = limit;
-        self
-    }
-
-    /// Set the per-hop speculative reissue delay in nanoseconds.
-    pub fn with_retry_backoff_ns(mut self, backoff_ns: u64) -> Self {
-        self.retry_backoff_ns = backoff_ns;
-        self
-    }
-
-    /// Set the scorer's recent-latency ring size.
-    pub fn with_health_window(mut self, window: usize) -> Self {
-        self.health_window = window;
-        self
-    }
-
-    /// Set the anomaly factor over the EWMA baseline (> 1.0).
-    pub fn with_health_suspect_factor(mut self, factor: f64) -> Self {
-        self.health_suspect_factor = factor;
         self
     }
 
@@ -353,14 +293,10 @@ impl ServerConfig {
     /// fault plane consumes.
     pub fn health_params(&self) -> crate::fault::HealthParams {
         crate::fault::HealthParams {
-            window: self.health_window,
-            suspect_factor: self.health_suspect_factor,
             promote_streak: self.health_promote_streak,
             recover_streak: self.health_recover_streak,
             probe_windows: self.health_probe_windows,
-            hedge_percentile: self.hedge_percentile,
             hedge_min_samples: self.hedge_min_samples,
-            hedge_slack: self.hedge_slack,
         }
     }
 
@@ -386,44 +322,10 @@ impl ServerConfig {
                 self.ring_slots / 2
             ));
         }
-        // NaN-safe: a NaN knob must fail validation, not sail through.
-        if self.hedge_percentile.is_nan()
-            || self.hedge_percentile <= 0.0
-            || self.hedge_percentile > 1.0
-        {
+        if self.hedge_min_samples == 0 || self.hedge_min_samples > HEALTH_WINDOW {
             return Err(format!(
-                "hedge_percentile {} must lie in (0, 1]",
-                self.hedge_percentile
-            ));
-        }
-        if self.hedge_min_samples == 0 || self.hedge_min_samples > self.health_window {
-            return Err(format!(
-                "hedge_min_samples {} must lie in 1..=health_window ({})",
-                self.hedge_min_samples, self.health_window
-            ));
-        }
-        if self.hedge_slack.is_nan() || self.hedge_slack < 1.0 {
-            return Err(format!(
-                "hedge_slack {} must be at least 1.0",
-                self.hedge_slack
-            ));
-        }
-        if self.retry_limit == 0 || self.retry_limit > 16 {
-            return Err(format!(
-                "retry_limit {} must lie in 1..=16",
-                self.retry_limit
-            ));
-        }
-        if self.health_window < 2 || self.health_window > 1024 {
-            return Err(format!(
-                "health_window {} must lie in 2..=1024",
-                self.health_window
-            ));
-        }
-        if self.health_suspect_factor.is_nan() || self.health_suspect_factor <= 1.0 {
-            return Err(format!(
-                "health_suspect_factor {} must exceed 1.0",
-                self.health_suspect_factor
+                "hedge_min_samples {} must lie in 1..={HEALTH_WINDOW} (the scorer's sample ring)",
+                self.hedge_min_samples
             ));
         }
         if self.health_promote_streak == 0 || self.health_recover_streak == 0 {
@@ -574,20 +476,12 @@ mod tests {
     fn hedge_and_health_builders_round_trip() {
         let cfg = ServerConfig::new(QosConfig::paper_9_3_1())
             .with_hedging(false)
-            .with_hedge_percentile(0.99)
             .with_hedge_min_samples(2)
-            .with_hedge_slack(1.5)
-            .with_retry_limit(3)
-            .with_retry_backoff_ns(1_000)
-            .with_health_window(32)
-            .with_health_suspect_factor(4.0)
             .with_health_streaks(2, 4)
             .with_health_probe_windows(6);
         assert!(!cfg.hedge_enabled);
-        assert_eq!(cfg.retry_limit, 3);
         cfg.validate().unwrap();
         let p = cfg.health_params();
-        assert_eq!(p.window, 32);
         assert_eq!(p.hedge_min_samples, 2);
         assert_eq!(p.promote_streak, 2);
         assert_eq!(p.probe_windows, 6);
@@ -597,19 +491,8 @@ mod tests {
     fn validate_bounds_hedge_and_health_knobs() {
         let base = || ServerConfig::new(QosConfig::paper_9_3_1());
         for (cfg, needle) in [
-            (base().with_hedge_percentile(0.0), "hedge_percentile"),
-            (base().with_hedge_percentile(1.5), "hedge_percentile"),
-            (base().with_hedge_percentile(f64::NAN), "hedge_percentile"),
             (base().with_hedge_min_samples(0), "hedge_min_samples"),
             (base().with_hedge_min_samples(17), "hedge_min_samples"),
-            (base().with_hedge_slack(0.5), "hedge_slack"),
-            (base().with_retry_limit(0), "retry_limit"),
-            (base().with_retry_limit(99), "retry_limit"),
-            (base().with_health_window(1), "health_window"),
-            (
-                base().with_health_suspect_factor(1.0),
-                "health_suspect_factor",
-            ),
             (base().with_health_streaks(0, 8), "streak"),
             (base().with_health_probe_windows(0), "health_probe_windows"),
         ] {

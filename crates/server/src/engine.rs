@@ -41,13 +41,14 @@
 
 use crate::config::ServerConfig;
 use crate::fault::{FaultKind, FaultPlane};
+use crate::ledger::{AtomicLedger, SettleKind};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, TenantSnapshot};
 use crate::registry::{RegisterError, Tenant, TenantRegistry};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::channel::{bounded, Receiver, Sender};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{Arc, Mutex, RwLock};
-use crate::wal::{crash_point, SettleKind, Wal, WalState};
+use crate::wal::{crash_point, Wal};
 use crate::window::{AdmitResult, WindowRing};
 use fqos_core::{OverloadPolicy, StatisticalCounters};
 use fqos_decluster::sampling::{optimal_retrieval_probabilities, OptimalRetrievalProbabilities};
@@ -141,13 +142,20 @@ struct StatState {
     k_max: usize,
 }
 
+/// Maximum speculative dispatches per block (the first hedge plus backoff
+/// retries); write copies re-issue against a dead replica as many times.
+const RETRY_LIMIT: u64 = 2;
+
+/// Simulated detection/reissue delay per speculative hop: the `k`-th
+/// attempt of a block starts no earlier than `exec_start + k ×` this.
+const RETRY_BACKOFF_NS: u64 = 8_000;
+
+/// Array-wide telemetry. The conservation-law terms are not here: they
+/// are [`Engine::ledger`].
 #[derive(Default)]
 struct GlobalStats {
-    admitted: AtomicU64,
-    overflow: AtomicU64,
     delayed: AtomicU64,
     rejected: AtomicU64,
-    served: AtomicU64,
     violations: AtomicU64,
     guaranteed_violations: AtomicU64,
     max_window_guaranteed: AtomicU64,
@@ -155,11 +163,6 @@ struct GlobalStats {
     windows_sealed: AtomicU64,
     hedges_issued: AtomicU64,
     hedges_won: AtomicU64,
-    hedges_cancelled: AtomicU64,
-    /// Logical writes whose every replica copy landed.
-    write_settled: AtomicU64,
-    /// Logical writes that lost ≥ 1 copy past the retry budget.
-    write_lost: AtomicU64,
     // Array-wide GC counters, aggregated from the workers' devices as
     // writes complete (each worker owns its devices, so per-request deltas
     // never race).
@@ -179,8 +182,9 @@ struct GlobalStats {
 /// Shared settlement state of one logical write's replica fan-out. Every
 /// copy's [`WorkItem`] holds the same `Arc`; the worker that lands the
 /// *last* copy (remaining hits zero) settles the logical write exactly
-/// once — as `write_settled` if every copy landed, `write_lost` if any
-/// copy died on a fail-stopped replica past the retry budget.
+/// once — [`SettleKind::WriteSettled`] if every copy landed,
+/// [`SettleKind::WriteLost`] if any copy died on a fail-stopped replica
+/// past the retry budget.
 struct WriteSink {
     /// Copies still outstanding.
     remaining: AtomicU64,
@@ -199,10 +203,11 @@ struct WorkItem {
     /// The admitting tenant's id, kept even when the record is gone so the
     /// WAL settle record always carries it.
     tenant_id: u64,
-    /// Simulated time the window's execution phase starts: `(t+1)·T`.
+    /// The window `t` the request was admitted into.
+    window: u64,
+    /// Simulated time the window's execution phase starts: `(t+1)·T`; the
+    /// interval deadline is one interval later.
     exec_start: u64,
-    /// Interval deadline: `(t+2)·T`.
-    deadline: u64,
     guaranteed: bool,
     /// Replica bitmap of the block; the bits other than `req.device` are
     /// the hedge candidates.
@@ -210,6 +215,22 @@ struct WorkItem {
     /// Write fan-out: settlement sink shared by all replica copies of the
     /// logical write. `None` for reads.
     write: Option<Arc<WriteSink>>,
+}
+
+impl WorkItem {
+    /// Settle this dispatch's admission through [`Engine::settle`];
+    /// `finish` is the completion time the deadline audit judges (`None`
+    /// when nothing completed).
+    fn settle(&self, engine: &Engine, kind: SettleKind, finish: Option<u64>) {
+        let done = finish.map(|f| (self, f));
+        engine.settle(
+            self.window,
+            self.tenant_id,
+            self.tenant.as_deref(),
+            kind,
+            done,
+        );
+    }
 }
 
 enum WorkMsg {
@@ -254,6 +275,8 @@ struct Engine {
     /// Cross-worker device busy frontier for hedged reads.
     hedge: Mutex<HedgeState>,
     stat: Option<StatState>,
+    /// The array's account of the conservation law.
+    ledger: AtomicLedger,
     stats: GlobalStats,
     hist: LatencyHistogram,
     next_id: AtomicU64,
@@ -308,12 +331,11 @@ impl QosServer {
 
     /// Rebuild a server from the write-ahead log in
     /// `cfg.wal` (required): load the compaction snapshot, replay the log
-    /// tail (discarding a torn final record), charge sealed-but-unsettled
-    /// admissions to `fault_lost`, re-park the admissions of still-open
-    /// windows into the window ring, and restore every per-tenant and
-    /// global counter — leaving a state where the conservation law
-    /// `served + fault_lost + hedges_cancelled == admitted_total` holds
-    /// over the durable admissions. The reopened log continues from where
+    /// tail (discarding a torn final record), settle sealed-but-unsettled
+    /// admissions as lost, re-park the admissions of still-open windows
+    /// into the window ring, and restore every per-tenant and global
+    /// ledger — leaving a state where [`crate::ledger::Ledger::conserved`]
+    /// holds over the durable admissions. The reopened log continues from where
     /// the previous epoch ended, so recovery is itself crash-consistent
     /// (a second crash replays to the same state).
     pub fn recover(cfg: ServerConfig) -> Result<Self, String> {
@@ -326,9 +348,9 @@ impl QosServer {
         // Every sealed-but-unsettled admission's dispatch died with the
         // old process: the durable outcome is Lost.
         let crash_lost = wal.resolve_crash_losses();
-        let state = wal.state_snapshot();
-        let server = Self::build(cfg, Some(Arc::new(wal)))?;
-        let restored = server.engine.restore_state(&state)?;
+        let wal = Arc::new(wal);
+        let server = Self::build(cfg, Some(Arc::clone(&wal)))?;
+        let restored = server.engine.restore_state(&wal)?;
         let s = &server.engine.stats;
         s.recovered_admissions.store(restored, Ordering::Relaxed);
         s.recovered_lost.store(crash_lost, Ordering::Relaxed);
@@ -342,9 +364,7 @@ impl QosServer {
             .store(u64::from(report.torn), Ordering::Relaxed);
         // Fold the recovered state into a fresh snapshot so the *next*
         // restart replays only post-recovery records.
-        if let Some(wal) = &server.engine.wal {
-            wal.compact();
-        }
+        wal.compact();
         Ok(server)
     }
 
@@ -396,6 +416,7 @@ impl QosServer {
                 spec: vec![0; devices],
             }),
             stat,
+            ledger: AtomicLedger::default(),
             stats: GlobalStats::default(),
             hist: LatencyHistogram::new(),
             next_id: AtomicU64::new(0),
@@ -554,10 +575,9 @@ impl QosServer {
     /// windows never seal and their admissions never settle. Workers are
     /// stopped and joined (items already dispatched to their queues still
     /// complete — they left the admission plane before the failure), then
-    /// the counters are frozen into the returned snapshot. The residue
-    /// `admitted_total − served − fault_lost − hedges_cancelled` is the
-    /// work the failure stranded; the cluster tier charges it to
-    /// `evacuation_lost`. The WAL (if any) is flushed and kept on disk so
+    /// the counters are frozen into the returned snapshot. Its ledger's
+    /// [`crate::ledger::Ledger::in_flight`] is the work the failure
+    /// stranded; the cluster tier charges it to `evacuation_lost`. The WAL (if any) is flushed and kept on disk so
     /// a later [`QosServer::recover`] can reconcile the stranded work from
     /// the durable record — this models an array whose serving path dies
     /// while its log device survives.
@@ -630,17 +650,14 @@ impl Engine {
                 // durable admission of a sealed window whose settle record
                 // is missing is deterministically crash-lost.
                 wal.log_seal(w);
-                for &t in &sealed.lost {
-                    wal.log_settle(w, t, SettleKind::Lost);
-                }
-                crash_point("seal-mid-batch");
             }
-            // Seal-time losses settle per-tenant too (the global counter
-            // lives in the fault plane), so per-tenant in-flight reconciles.
+            // Admissions whose every replica was down at seal.
             for &t in &sealed.lost {
-                if let Some(rec) = self.registry.lookup_any(t) {
-                    rec.counters.lost.fetch_add(1, Ordering::Relaxed);
-                }
+                let rec = self.registry.lookup_any(t);
+                self.settle(w, t, rec.as_deref(), SettleKind::Lost, None);
+            }
+            if self.wal.is_some() {
+                crash_point("seal-mid-batch");
             }
             if let Some(stat) = &self.stat {
                 // Every elapsed interval counts toward the R_k history,
@@ -655,7 +672,6 @@ impl Engine {
                     .max_window_total
                     .fetch_max(sealed.total, Ordering::Relaxed);
                 let exec_start = (w + 1) * t_ns;
-                let deadline = (w + 2) * t_ns;
                 let stopping = self.shutdown.load(Ordering::Acquire);
                 // One settlement sink per logical write in this window,
                 // shared by its replica copies (group ids are
@@ -682,8 +698,8 @@ impl Engine {
                         tenant: self.registry.lookup_any(item.tenant),
                         tenant_id: item.tenant,
                         req: item.req,
+                        window: w,
                         exec_start,
-                        deadline,
                         guaranteed: item.guaranteed,
                         replica_mask: item.replica_mask,
                         write,
@@ -703,19 +719,20 @@ impl Engine {
 
     fn snapshot(&self) -> MetricsSnapshot {
         let s = &self.stats;
+        let l = self.ledger.snapshot();
         let wal = self
             .wal
             .as_deref()
             .map(Wal::wal_counters)
             .unwrap_or_default();
         MetricsSnapshot {
-            admitted: s.admitted.load(Ordering::Relaxed),
-            overflow: s.overflow.load(Ordering::Relaxed),
+            admitted: l.admitted,
+            overflow: l.overflow,
             delayed: s.delayed.load(Ordering::Relaxed),
             rejected: s.rejected.load(Ordering::Relaxed),
-            served: s.served.load(Ordering::Relaxed),
-            write_settled: s.write_settled.load(Ordering::Relaxed),
-            write_lost: s.write_lost.load(Ordering::Relaxed),
+            served: l.served,
+            write_settled: l.write_settled,
+            write_lost: l.write_lost,
             gc_host_pages: s.gc_host_pages.load(Ordering::Relaxed),
             gc_pages: s.gc_pages.load(Ordering::Relaxed),
             gc_relocated: s.gc_relocated.load(Ordering::Relaxed),
@@ -729,11 +746,11 @@ impl Engine {
             fault_reroutes: self.fault.reroutes(),
             fault_redispatches: self.fault.redispatches(),
             fault_overloads: self.fault.overloads(),
-            fault_lost: self.fault.lost(),
+            fault_lost: l.lost,
             fault_rejected: self.fault.unavailable_rejects(),
             hedges_issued: s.hedges_issued.load(Ordering::Relaxed),
             hedges_won: s.hedges_won.load(Ordering::Relaxed),
-            hedges_cancelled: s.hedges_cancelled.load(Ordering::Relaxed),
+            hedges_cancelled: l.hedge_wins,
             retries: self.fault.retries(),
             slow_detected: self.fault.slow_detected(),
             health_suspects: self.fault.health_suspects(),
@@ -759,91 +776,108 @@ impl Engine {
                 .iter()
                 .map(|t| {
                     let c = &t.counters;
+                    let l = c.ledger.snapshot();
                     TenantSnapshot {
                         tenant: t.id,
                         reserved: t.reserved,
                         live: t.is_live(),
-                        admitted: c.admitted.load(Ordering::Relaxed),
-                        overflow: c.overflow.load(Ordering::Relaxed),
+                        admitted: l.admitted,
+                        overflow: l.overflow,
                         delayed: c.delayed.load(Ordering::Relaxed),
                         rejected: c.rejected.load(Ordering::Relaxed),
                         violations: c.violations.load(Ordering::Relaxed),
-                        served: c.served.load(Ordering::Relaxed),
-                        hedge_wins: c.hedge_wins.load(Ordering::Relaxed),
-                        lost: c.lost.load(Ordering::Relaxed),
-                        write_settled: c.write_settled.load(Ordering::Relaxed),
-                        write_lost: c.write_lost.load(Ordering::Relaxed),
+                        served: l.served,
+                        hedge_wins: l.hedge_wins,
+                        lost: l.lost,
+                        write_settled: l.write_settled,
+                        write_lost: l.write_lost,
                     }
                 })
                 .collect(),
         }
     }
 
-    /// Log one admission and hit the post-admit crash point. Called on
-    /// every admitted `submit` path after counters are bumped, before the
-    /// outcome is returned — so with `fsync_batch = 1` the admission is
-    /// durable strictly before its ack.
-    fn wal_admit(
+    /// Count one admission — array ledger, tenant ledger, delay telemetry —
+    /// then log it and hit the post-admit crash point. Runs before the
+    /// outcome is returned, so with `fsync_batch = 1` the admission is
+    /// durable strictly before its ack. `delayed_by` is the number of
+    /// windows a guaranteed admission was pushed past its arrival.
+    fn admit(
         &self,
         window: u64,
-        tenant: u64,
+        tenant: &Tenant,
         lbn: u64,
         guaranteed: bool,
-        delayed: bool,
+        delayed_by: u64,
         is_write: bool,
     ) {
+        self.ledger.admit(guaranteed); // ledger: defer(settled by Engine::settle — at seal if lost, else by the worker)
+        tenant.counters.ledger.admit(guaranteed); // ledger: defer(settled by Engine::settle — at seal if lost, else by the worker)
+        if delayed_by > 0 {
+            let c = &tenant.counters;
+            c.delayed.fetch_add(1, Ordering::Relaxed);
+            c.delay_ns
+                .fetch_add(delayed_by * self.cfg.qos.interval_ns, Ordering::Relaxed);
+            self.stats.delayed.fetch_add(1, Ordering::Relaxed);
+        }
         if let Some(wal) = &self.wal {
-            wal.log_admit(window, tenant, lbn, guaranteed, delayed, is_write);
+            wal.log_admit(window, tenant.id, lbn, guaranteed, delayed_by > 0, is_write);
             // The record is durable (or at least appended); the submitter
             // has not seen the ack yet — the durable-unacked crash window.
             crash_point("post-admit-pre-ack");
         }
     }
 
-    /// Log one completion settlement. The item's window is recovered from
-    /// its execution phase start (`exec_start = (w + 1)·T`).
-    fn wal_settle(&self, item: &WorkItem, kind: SettleKind) {
+    /// The one settle path: every admission leaves the system through
+    /// here, exactly once, in this fixed order — array ledger, tenant
+    /// ledger, latency histogram and deadline audit (`done`: the dispatch
+    /// and its finish time, for kinds that completed service), WAL
+    /// record. `tenant` is the admitting record if it still resolves;
+    /// `tenant_id` always reaches the log.
+    fn settle(
+        &self,
+        window: u64,
+        tenant_id: u64,
+        tenant: Option<&Tenant>,
+        kind: SettleKind,
+        done: Option<(&WorkItem, u64)>,
+    ) {
+        self.ledger.settle(kind);
+        if let Some(t) = tenant {
+            t.counters.ledger.settle(kind);
+        }
+        if let Some((item, finish)) = done {
+            self.hist.record(finish.saturating_sub(item.req.arrival));
+            if finish > item.exec_start + self.cfg.qos.interval_ns {
+                self.stats.violations.fetch_add(1, Ordering::Relaxed);
+                // GC stalls and retry backoff legitimately push writes
+                // late; the deadline promise the engine *keeps* is for
+                // guaranteed reads, so a late write counts in the general
+                // total only.
+                if item.guaranteed && !kind.is_write() {
+                    self.stats
+                        .guaranteed_violations
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                if let Some(t) = tenant {
+                    t.counters.violations.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
         if let Some(wal) = &self.wal {
-            let window = item.exec_start / self.cfg.qos.interval_ns - 1;
-            wal.log_settle(window, item.tenant_id, kind);
+            wal.log_settle(window, tenant_id, kind);
         }
     }
 
-    /// Recovery: fold a replayed [`WalState`] into the freshly built
-    /// engine — tenants (with preset counters), global counters, the
-    /// sealed-through floor, and the still-open windows' admissions
-    /// re-parked into the window ring. Returns how many admissions were
-    /// re-parked.
-    fn restore_state(&self, state: &WalState) -> Result<u64, String> {
-        for (&id, t) in &state.tenants {
-            self.registry
-                .restore_record(
-                    id,
-                    t.reserved as usize,
-                    crate::wal::decode_policy(t.policy),
-                    t.live,
-                    t,
-                )
-                .map_err(|e| format!("restoring tenant {id}: {e}"))?;
-        }
-        let s = &self.stats;
-        s.admitted.store(state.admitted, Ordering::Relaxed);
-        s.overflow.store(state.overflow, Ordering::Relaxed);
-        s.delayed.store(state.delayed, Ordering::Relaxed);
-        s.served.store(state.served, Ordering::Relaxed);
-        s.write_settled
-            .store(state.write_settled, Ordering::Relaxed);
-        s.write_lost.store(state.write_lost, Ordering::Relaxed);
-        s.hedges_won.store(state.hedges_won, Ordering::Relaxed);
-        // hedges_cancelled == hedges_won is the exactly-once invariant;
-        // the WAL stores the pair as one number.
-        s.hedges_cancelled
-            .store(state.hedges_won, Ordering::Relaxed);
-        s.windows_sealed
-            .store(state.sealed_through, Ordering::Relaxed);
-        self.fault.restore_lost(state.lost);
-        // Rejections, violations, delay totals and the latency histogram
-        // are non-durable telemetry: they restart at zero.
+    /// Recovery: fold the replayed WAL state into the freshly built
+    /// engine — the sealed-through floor, the still-open windows'
+    /// admissions re-parked into the window ring, then tenants and the
+    /// array ledger. An admission that cannot be re-parked is forfeited
+    /// *in the WAL's state* first, and the books are restored from that
+    /// state afterwards, so engine and log agree by construction. Returns
+    /// how many admissions were re-parked.
+    fn restore_state(&self, wal: &Wal) -> Result<u64, String> {
+        let state = wal.state_snapshot();
         {
             let mut ds = self.dispatch.lock();
             ds.sealed_through = state.sealed_through;
@@ -861,7 +895,7 @@ impl Engine {
                 // entry below the floor is defensive only — forfeit it as
                 // lost rather than corrupt a reused ring slot.
                 if w < state.sealed_through {
-                    self.forfeit_recovered(w, e.tenant, e.is_write);
+                    wal.forfeit_open(w, e.tenant, e.is_write);
                     continue;
                 }
                 let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -890,35 +924,31 @@ impl Engine {
                     max_target = max_target.max(w);
                 } else {
                     // Unreachable short of every replica being down at
-                    // restart; account it lost, never drop it silently.
-                    self.forfeit_recovered(w, e.tenant, e.is_write);
+                    // restart; settled lost (a write `write_lost`), never
+                    // dropped silently.
+                    wal.forfeit_open(w, e.tenant, e.is_write);
                 }
             }
         }
         self.max_target.fetch_max(max_target, Ordering::AcqRel);
+        // The books, forfeits included. Rejections, violations, delay
+        // totals and the latency histogram are non-durable: they restart
+        // at zero.
+        let state = wal.state_snapshot();
+        for (&id, t) in &state.tenants {
+            self.registry
+                .restore_record(id, t)
+                .map_err(|e| format!("restoring tenant {id}: {e}"))?;
+        }
+        self.ledger.restore(&state.ledger);
+        let s = &self.stats;
+        s.delayed.store(state.delayed, Ordering::Relaxed);
+        // Every durable hedge win cancelled exactly one primary.
+        s.hedges_won
+            .store(state.ledger.hedge_wins, Ordering::Relaxed);
+        s.windows_sealed
+            .store(state.sealed_through, Ordering::Relaxed);
         Ok(restored)
-    }
-
-    /// Charge one un-re-parkable recovered admission as lost (`fault_lost`
-    /// for reads, `write_lost` for writes), in the engine's books and the
-    /// WAL's materialized state.
-    fn forfeit_recovered(&self, window: u64, tenant: u64, is_write: bool) {
-        if is_write {
-            self.stats.write_lost.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.fault.note_lost();
-        }
-        if let Some(rec) = self.registry.lookup_any(tenant) {
-            let c = &rec.counters;
-            if is_write {
-                c.write_lost.fetch_add(1, Ordering::Relaxed);
-            } else {
-                c.lost.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if let Some(wal) = &self.wal {
-            wal.forfeit_open(window, tenant, is_write);
-        }
     }
 }
 
@@ -984,7 +1014,8 @@ impl SubmitterHandle {
             OverloadPolicy::Delay => engine.cfg.delay_horizon,
             OverloadPolicy::Reject => 0,
         };
-        let mut admitted_at = None;
+        // (windows past arrival, admitted under the guarantee?)
+        let mut admitted_at: Option<(u64, bool)> = None;
         let mut any_full = false;
         for k in 0..=horizon {
             match engine
@@ -992,7 +1023,7 @@ impl SubmitterHandle {
                 .try_admit(window + k, tenant, tenant_rec.reserved, req, replicas)
             {
                 AdmitResult::Admitted => {
-                    admitted_at = Some(k);
+                    admitted_at = Some((k, true));
                     break;
                 }
                 AdmitResult::Full => {
@@ -1001,10 +1032,9 @@ impl SubmitterHandle {
                     // guarantee for admission — meaningless for a write,
                     // whose fan-out must charge real capacity on every
                     // replica. Writes shed at admission instead.
-                    if k == 0 && !is_write {
-                        if let Some(out) = self.try_overflow(&tenant_rec, window, req, replicas) {
-                            return out;
-                        }
+                    if k == 0 && !is_write && self.try_overflow(tenant, window, req, replicas) {
+                        admitted_at = Some((0, false));
+                        break;
                     }
                 }
                 // Every replica is on a scorer-condemned (but live) device:
@@ -1013,41 +1043,33 @@ impl SubmitterHandle {
                 // overflow (best-effort) path rather than reject readable
                 // data.
                 AdmitResult::AdmittedSlow => {
-                    let w = window + k;
-                    tenant_rec.counters.overflow.fetch_add(1, Ordering::Relaxed); // ledger: defer(settled at seal_window — served or fault_lost)
-                    engine.stats.overflow.fetch_add(1, Ordering::Relaxed); // ledger: defer(settled at seal_window — served or fault_lost)
-                    engine.wal_admit(w, tenant, lbn, false, false, is_write);
-                    engine.max_target.fetch_max(w, Ordering::AcqRel);
-                    engine.pump();
-                    return SubmitOutcome::Overflow { window: w };
+                    admitted_at = Some((k, false));
+                    break;
                 }
                 // Every replica down for this window; a later window only
                 // helps if a recovery is scheduled inside the horizon.
                 AdmitResult::Unavailable => {}
             }
         }
-        let c = &tenant_rec.counters;
         let outcome = match admitted_at {
-            Some(0) => {
-                c.admitted.fetch_add(1, Ordering::Relaxed); // ledger: defer(settled at seal_window — served or fault_lost)
-                engine.stats.admitted.fetch_add(1, Ordering::Relaxed); // ledger: defer(settled at seal_window — served or fault_lost)
-                engine.wal_admit(window, tenant, lbn, true, false, is_write);
-                SubmitOutcome::Admitted { window }
-            }
-            Some(k) => {
-                c.admitted.fetch_add(1, Ordering::Relaxed); // ledger: defer(settled at seal_window — served or fault_lost)
-                c.delayed.fetch_add(1, Ordering::Relaxed);
-                c.delay_ns.fetch_add(k * t_ns, Ordering::Relaxed);
-                engine.stats.admitted.fetch_add(1, Ordering::Relaxed); // ledger: defer(settled at seal_window — served or fault_lost)
-                engine.stats.delayed.fetch_add(1, Ordering::Relaxed);
-                engine.wal_admit(window + k, tenant, lbn, true, true, is_write);
-                SubmitOutcome::Delayed {
-                    window: window + k,
-                    delayed_windows: k,
+            Some((k, guaranteed)) => {
+                let window = window + k;
+                // Only a guaranteed admission counts as delayed; a
+                // best-effort one parked in a later window promised nothing.
+                let delayed_by = if guaranteed { k } else { 0 };
+                engine.admit(window, &tenant_rec, lbn, guaranteed, delayed_by, is_write); // ledger: defer(Engine::admit — settled by Engine::settle)
+                engine.max_target.fetch_max(window, Ordering::AcqRel);
+                match (guaranteed, k) {
+                    (false, _) => SubmitOutcome::Overflow { window },
+                    (true, 0) => SubmitOutcome::Admitted { window },
+                    (true, delayed_windows) => SubmitOutcome::Delayed {
+                        window,
+                        delayed_windows,
+                    },
                 }
             }
             None => {
-                c.rejected.fetch_add(1, Ordering::Relaxed);
+                tenant_rec.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 engine.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 let reason = if any_full {
                     match tenant_rec.policy {
@@ -1062,46 +1084,29 @@ impl SubmitterHandle {
                 SubmitOutcome::Rejected(reason)
             }
         };
-        if let Some(w) = outcome.window() {
-            engine.max_target.fetch_max(w, Ordering::AcqRel);
-        }
         engine.pump();
         outcome
     }
 
-    /// Statistical overflow (§III-B2): past the deterministic limit, admit
-    /// while the projected violation probability `Q` stays below `ε`.
-    fn try_overflow(
-        &self,
-        tenant_rec: &Tenant,
-        window: u64,
-        req: IoRequest,
-        replicas: &[usize],
-    ) -> Option<SubmitOutcome> {
+    /// Statistical overflow (§III-B2): past the deterministic limit, park
+    /// the request best-effort while the projected violation probability
+    /// `Q` stays below `ε`. True when parked; the caller admits it.
+    fn try_overflow(&self, tenant: u64, window: u64, req: IoRequest, replicas: &[usize]) -> bool {
         let engine = &self.engine;
-        let stat = engine.stat.as_ref()?;
+        let Some(stat) = engine.stat.as_ref() else {
+            return false;
+        };
         let k = engine.ring.admitted_total(window) + 1;
-        if k > stat.k_max
-            || !stat
-                .counters
+        if k > stat.k_max {
+            return false;
+        }
+        // The guard is released before the ring is touched.
+        let within_epsilon =
+            stat.counters
                 .lock()
-                .would_admit(k, &stat.probabilities, engine.cfg.qos.epsilon)
-        {
-            return None;
-        }
-        if !engine
-            .ring
-            .add_overflow(window, tenant_rec.id, req, replicas)
-        {
-            // Every replica down: the statistical path refuses too.
-            return None;
-        }
-        tenant_rec.counters.overflow.fetch_add(1, Ordering::Relaxed); // ledger: defer(settled at seal_window — served or fault_lost)
-        engine.stats.overflow.fetch_add(1, Ordering::Relaxed); // ledger: defer(settled at seal_window — served or fault_lost)
-        engine.wal_admit(window, tenant_rec.id, req.lbn, false, false, false);
-        engine.max_target.fetch_max(window, Ordering::AcqRel);
-        engine.pump();
-        Some(SubmitOutcome::Overflow { window })
+                .would_admit(k, &stat.probabilities, engine.cfg.qos.epsilon);
+        // Every replica down: the statistical path refuses too.
+        within_epsilon && engine.ring.add_overflow(window, tenant, req, replicas)
     }
 
     /// Inject a live device failure from this submitter thread (see
@@ -1187,15 +1192,14 @@ impl Drop for SubmitterHandle {
 /// frontier. If the projected completion crosses the device's adaptive
 /// hedge threshold — or misses the interval deadline outright — the worker
 /// speculatively re-issues the read on alternate replicas (earliest
-/// estimated finish first), bounded by `retry_limit` attempts spaced
-/// `retry_backoff_ns` apart. First completion wins: losing attempts are
+/// estimated finish first), bounded by [`RETRY_LIMIT`] attempts spaced
+/// [`RETRY_BACKOFF_NS`] apart. First completion wins: losing attempts are
 /// rolled back off the frontier and a winning hedge cancels the primary's
 /// reservation, so speculative capacity is reclaimed exactly.
 #[allow(clippy::needless_pass_by_value)] // thread entry: owns its receiver + engine handle
 fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc<Engine>) {
     let devices = engine.cfg.qos.devices();
     let service = engine.cfg.qos.service_ns;
-    let t_ns = engine.cfg.qos.interval_ns;
     let n_local = (devices + workers - 1 - worker) / workers;
     // With a GC model attached, writes run at their configured program
     // latency through a per-device page-mapped FTL whose relocation work
@@ -1226,9 +1230,8 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
         .collect();
     while let Ok(WorkMsg::Item(item)) = rx.recv() {
         let d = item.req.device;
-        // `exec_start` is `(t+1)·T`, so the wall-clock window the item
-        // executes in is `exec_start / T`.
-        let exec_window = item.exec_start / t_ns;
+        // Admitted into window `t`, the item executes during `t + 1`.
+        let exec_window = item.window + 1;
         if let Some(sink) = item.write.clone() {
             serve_write_copy(&engine, &mut devs[d / workers], &item, &sink, exec_window);
             continue;
@@ -1253,14 +1256,19 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
         engine
             .fault
             .observe(d, completion.finish - completion.service_start, exec_window);
-        hedge_and_settle(
+        // Exactly one settlement per read: the winning hedge cancels the
+        // primary, otherwise the primary stood.
+        match hedge(
             &engine,
             &mut devs[d / workers],
             &item,
             exec_window,
             threshold,
             completion,
-        );
+        ) {
+            Some(finish) => item.settle(&engine, SettleKind::HedgeWin, Some(finish)),
+            None => item.settle(&engine, SettleKind::Served, Some(completion.finish)),
+        }
     }
 }
 
@@ -1271,7 +1279,7 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
 /// fail-stopped between admission and execution (the seal deliberately
 /// fans writes to every replica so surviving copies keep the data's
 /// redundancy). The copy retries across the bounded backoff budget
-/// (`retry_limit` re-issues spaced `retry_backoff_ns` apart) waiting for a
+/// ([`RETRY_LIMIT`] re-issues spaced [`RETRY_BACKOFF_NS`] apart) waiting for a
 /// scheduled recovery; a copy still facing a dead device after the last
 /// attempt is lost, and the logical write settles `write_lost`. Writes are
 /// **never hedged**: a speculative duplicate of a write would either fork
@@ -1289,13 +1297,13 @@ fn serve_write_copy(
     let t_ns = cfg.qos.interval_ns;
     let mut outcome: Option<Completion> = None;
     let mut retries = 0u64;
-    for attempt in 0..=cfg.retry_limit as u64 {
-        let issue = item.exec_start + attempt * cfg.retry_backoff_ns;
+    for attempt in 0..=RETRY_LIMIT {
+        let issue = item.exec_start + attempt * RETRY_BACKOFF_NS;
         let issue_window = issue / t_ns;
         if engine.fault.mask_at(issue_window) >> d & 1 == 1 {
             // Fail-stopped at this attempt's issue time; back off and
             // re-check (a scheduled recovery may land mid-interval).
-            if attempt < cfg.retry_limit as u64 {
+            if attempt < RETRY_LIMIT {
                 retries += 1;
             }
             continue;
@@ -1361,34 +1369,14 @@ fn settle_write_copy(
     if sink.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
         return; // copies still outstanding; they will settle
     }
-    // Last copy: settle the logical write.
-    let lost = sink.lost.load(Ordering::Relaxed);
-    let finish = sink.latest_finish.load(Ordering::Relaxed);
-    if lost {
-        engine.stats.write_lost.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = &item.tenant {
-            t.counters.write_lost.fetch_add(1, Ordering::Relaxed);
-        }
-        engine.wal_settle(item, SettleKind::WriteLost);
-        return;
+    // Last copy: settle the logical write. It is only as done as its
+    // slowest replica, so that finish is what the deadline audit sees.
+    if sink.lost.load(Ordering::Relaxed) {
+        item.settle(engine, SettleKind::WriteLost, None);
+    } else {
+        let finish = sink.latest_finish.load(Ordering::Relaxed);
+        item.settle(engine, SettleKind::WriteSettled, Some(finish));
     }
-    engine.hist.record(finish.saturating_sub(item.req.arrival));
-    engine.stats.write_settled.fetch_add(1, Ordering::Relaxed);
-    // A write is done when its slowest replica lands; audit that against
-    // the interval deadline. GC stalls and retry backoff legitimately push
-    // writes late — the deadline promise the engine *keeps* is for
-    // guaranteed reads, so write misses land in the general violation
-    // count only.
-    if finish > item.deadline {
-        engine.stats.violations.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = &item.tenant {
-            t.counters.violations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    if let Some(t) = &item.tenant {
-        t.counters.write_settled.fetch_add(1, Ordering::Relaxed);
-    }
-    engine.wal_settle(item, SettleKind::WriteSettled);
 }
 
 /// A hedge candidate: an alternate replica of the dispatched block.
@@ -1401,32 +1389,32 @@ struct HedgeCandidate {
     tried: bool,
 }
 
-/// Decide whether to hedge `item`'s primary completion, run the bounded
-/// speculative-attempt loop, and settle the request exactly once: the
-/// winner is counted as `served` (primary) or `hedges_won` plus
-/// `hedges_cancelled` for the cancelled primary — never both.
-fn hedge_and_settle(
+/// Decide whether to hedge `item`'s primary completion and run the bounded
+/// speculative-attempt loop. Returns the winning hedge's finish time, or
+/// `None` when the primary stood (no trigger, no candidate, or nothing
+/// beat it); the caller settles the read exactly once either way.
+fn hedge(
     engine: &Engine,
     primary_dev: &mut CalibratedSsd,
     item: &WorkItem,
     exec_window: u64,
     threshold: Option<u64>,
     completion: Completion,
-) {
+) -> Option<u64> {
     let d = item.req.device;
     let cfg = &engine.cfg;
     // Trigger on evidence of *device* trouble — the service component
     // crossing the adaptive threshold — or on a projected deadline miss
     // (which also catches pathological queueing). Queueing below the
     // deadline is the scheduler's normal business and never hedges.
+    let deadline = item.exec_start + cfg.qos.interval_ns;
     let service_lat = completion.finish.saturating_sub(completion.service_start);
     let candidate_mask = item.replica_mask & !(1u64 << d);
     let trigger = cfg.hedge_enabled
         && candidate_mask != 0
-        && (threshold.is_some_and(|thr| service_lat > thr) || completion.finish > item.deadline);
+        && (threshold.is_some_and(|thr| service_lat > thr) || completion.finish > deadline);
     if !trigger {
-        settle_primary(engine, item, completion.finish);
-        return;
+        return None;
     }
 
     // Candidate replicas: not the primary, not fail-stop dead this
@@ -1444,8 +1432,7 @@ fn hedge_and_settle(
         })
         .collect();
     if cands.is_empty() {
-        settle_primary(engine, item, completion.finish);
-        return;
+        return None;
     }
 
     let mut hedges_issued = 0u64;
@@ -1458,8 +1445,8 @@ fn hedge_and_settle(
         // frontier restore is exact (nothing else moves in between).
         let mut hs = engine.hedge.lock();
         let mut placed: Vec<(usize, u64, u64)> = Vec::new(); // (dev, prev_busy, finish)
-        for attempt in 1..=cfg.retry_limit as u64 {
-            if winner_finish <= item.deadline {
+        for attempt in 1..=RETRY_LIMIT {
+            if winner_finish <= deadline {
                 break;
             }
             // Attempt 1 (the hedge) fires immediately off the primary's
@@ -1467,7 +1454,7 @@ fn hedge_and_settle(
             // time, so the speculative read starts with the window's
             // execution phase. Each later attempt models a re-issue after
             // one more backoff period.
-            let issue = item.exec_start + (attempt - 1) * cfg.retry_backoff_ns;
+            let issue = item.exec_start + (attempt - 1) * RETRY_BACKOFF_NS;
             // A hedge starts after the primary work its target has
             // accepted so far AND after every speculative read already
             // parked there.
@@ -1528,65 +1515,12 @@ fn hedge_and_settle(
     for _ in 0..retries {
         engine.fault.note_retry();
     }
-    match winner {
-        None => settle_primary(engine, item, completion.finish),
-        Some((wdev, start, fin)) => {
-            // The hedge's service latency is a health sample for the
-            // replica that absorbed it.
-            engine.fault.observe(wdev, fin - start, exec_window);
-            engine.stats.hedges_won.fetch_add(1, Ordering::Relaxed);
-            engine
-                .stats
-                .hedges_cancelled
-                .fetch_add(1, Ordering::Relaxed);
-            engine.hist.record(fin.saturating_sub(item.req.arrival));
-            let violated = fin > item.deadline;
-            if violated {
-                engine.stats.violations.fetch_add(1, Ordering::Relaxed);
-                if item.guaranteed {
-                    engine
-                        .stats
-                        .guaranteed_violations
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            // Hedge wins settle per-tenant too, so per-tenant completions
-            // (`served + hedge_wins`) reconcile against admissions even on
-            // the speculative path.
-            if let Some(t) = &item.tenant {
-                t.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                if violated {
-                    t.counters.violations.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            engine.wal_settle(item, SettleKind::HedgeWin);
-        }
-    }
-}
-
-/// The primary dispatch stood: count it served and audit its deadline.
-/// Per-tenant `served` deliberately tracks the global `served` counter
-/// (primary wins only), so per-tenant totals stay reconcilable.
-fn settle_primary(engine: &Engine, item: &WorkItem, finish: u64) {
-    engine.hist.record(finish.saturating_sub(item.req.arrival));
-    engine.stats.served.fetch_add(1, Ordering::Relaxed);
-    let violated = finish > item.deadline;
-    if violated {
-        engine.stats.violations.fetch_add(1, Ordering::Relaxed);
-        if item.guaranteed {
-            engine
-                .stats
-                .guaranteed_violations
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    if let Some(t) = &item.tenant {
-        t.counters.served.fetch_add(1, Ordering::Relaxed);
-        if violated {
-            t.counters.violations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    engine.wal_settle(item, SettleKind::Served);
+    let (wdev, start, fin) = winner?;
+    // The hedge's service latency is a health sample for the replica that
+    // absorbed it.
+    engine.fault.observe(wdev, fin - start, exec_window);
+    engine.stats.hedges_won.fetch_add(1, Ordering::Relaxed);
+    Some(fin)
 }
 
 #[cfg(test)]
@@ -1990,9 +1924,9 @@ mod tests {
         drop(h);
         let m = s.finish();
         let t1 = m.tenants.iter().find(|t| t.tenant == 1).unwrap();
-        assert_eq!(t1.served + t1.hedge_wins, 1);
+        assert_eq!(t1.ledger().completed(), 1);
         assert_eq!(t1.in_flight(), 0, "no stranded reservations");
-        assert_eq!(m.served + m.hedges_won, m.admitted_total());
+        assert_eq!(m.completed(), m.admitted_total());
     }
 
     #[test]
@@ -2032,15 +1966,85 @@ mod tests {
         assert_eq!(m.guaranteed_violations, 0);
     }
 
-    /// The extended conservation law the write path adds (see DESIGN.md):
-    /// `served + write_settled + fault_lost + hedges_cancelled +
-    /// write_lost == admitted_total`.
+    /// The conservation law with the write path's terms (see DESIGN.md,
+    /// "Ledger").
     fn assert_extended_law(m: &MetricsSnapshot) {
-        assert_eq!(
-            m.served + m.write_settled + m.fault_lost + m.hedges_cancelled + m.write_lost,
-            m.admitted_total(),
-            "extended conservation law violated: {m:#?}"
-        );
+        assert!(m.conserved(), "conservation law violated: {m:#?}");
+    }
+
+    #[test]
+    fn engine_tenant_and_wal_ledgers_agree_on_a_mixed_trace() {
+        use crate::fault::FaultSchedule;
+        use crate::ledger::Ledger;
+        // Reads, writes, a silently slow device (hedges), a live triple
+        // failure (a read lost at seal) and a write facing a dead replica
+        // through its retries: every settle kind occurs.
+        let cfg = ServerConfig::new(QosConfig::paper_9_3_1())
+            .with_wal_memory()
+            .with_fault_schedule(FaultSchedule::new().slow(2, 4, 10));
+        let s = QosServer::new(cfg).unwrap();
+        s.register(1, 3, OverloadPolicy::Delay).unwrap();
+        s.register(2, 2, OverloadPolicy::Reject).unwrap();
+        let scheme = s.config().qos.scheme.clone();
+        let trio = scheme.replicas(scheme.bucket_for_lbn(7)).to_vec();
+        let mut h = s.handle();
+        let engine = Arc::clone(&h.engine);
+        let traffic = |h: &mut SubmitterHandle, windows: std::ops::Range<u64>| {
+            for w in windows {
+                for i in 0..3u64 {
+                    h.submit(1, 100 + w * 3 + i, w * BASE_T + i);
+                }
+                h.submit_write(2, 500 + w, w * BASE_T);
+                h.submit(2, 900 + w, w * BASE_T);
+            }
+        };
+        traffic(&mut h, 0..12);
+        // A read parks in window 12, then all its replicas die before the
+        // seal: lost. The trio returns once the window has executed.
+        assert!(h.submit(1, 7, 12 * BASE_T).is_admitted());
+        for &d in &trio {
+            h.inject_fault(d).unwrap();
+        }
+        h.advance_to(14 * BASE_T);
+        for &d in &trio[1..] {
+            h.recover_device(d).unwrap();
+        }
+        // One replica stays down through a write's whole retry budget.
+        assert!(h.submit_write(2, 7, 15 * BASE_T).is_admitted());
+        h.advance_to(17 * BASE_T);
+        h.recover_device(trio[0]).unwrap();
+        traffic(&mut h, 18..30);
+        drop(h);
+        let m = s.finish();
+
+        let l = m.ledger();
+        assert!(m.conserved(), "{m:#?}");
+        for (term, n) in [
+            ("served", l.served),
+            ("hedge_wins", l.hedge_wins),
+            ("lost", l.lost),
+            ("write_settled", l.write_settled),
+            ("write_lost", l.write_lost),
+        ] {
+            assert!(n > 0, "the trace never settled {term}: {l:?}");
+        }
+        assert_eq!(engine.ledger.snapshot(), l);
+        let mut tenants = Ledger::default();
+        for t in &m.tenants {
+            tenants.merge(&t.ledger());
+        }
+        assert_eq!(tenants, l, "tenant ledgers sum to the array's");
+        let wal = engine.wal.as_ref().unwrap().state_snapshot();
+        assert_eq!(wal.misordered, 0);
+        assert_eq!(wal.ledger, l, "the log replays to the same account");
+        for t in &m.tenants {
+            assert_eq!(
+                wal.tenants[&t.tenant].ledger,
+                t.ledger(),
+                "tenant {}",
+                t.tenant
+            );
+        }
     }
 
     #[test]

@@ -413,14 +413,23 @@ pub enum DeviceHealth {
     Slow,
 }
 
+/// Scorer recent-latency ring size per device (the quantile window).
+pub(crate) const HEALTH_WINDOW: usize = 16;
+
+/// A completion is anomalous when its service latency exceeds this
+/// multiple of the device's EWMA baseline.
+const SUSPECT_FACTOR: f64 = 3.0;
+
+/// Percentile of the recent-latency ring used as the hedge base.
+const HEDGE_PERCENTILE: f64 = 0.9;
+
+/// Hedging fires only when the projected latency exceeds this multiple of
+/// the percentile latency (guards against jitter).
+const HEDGE_SLACK: f64 = 2.0;
+
 /// Scorer tuning, derived from `ServerConfig` health/hedge knobs.
 #[derive(Debug, Clone)]
 pub struct HealthParams {
-    /// Recent-latency ring size per device (quantile window).
-    pub window: usize,
-    /// A completion is anomalous when its service latency exceeds
-    /// `suspect_factor ×` the device's EWMA baseline.
-    pub suspect_factor: f64,
     /// Consecutive anomalous completions that promote `Suspect → Slow`.
     pub promote_streak: u32,
     /// Consecutive normal completions that demote `Slow → Healthy`.
@@ -428,26 +437,17 @@ pub struct HealthParams {
     /// Sealed windows without a sample after which a `Slow` device is
     /// re-probed (demoted to `Suspect`, bit cleared, schedulable again).
     pub probe_windows: u64,
-    /// Percentile of the recent-latency ring used as the hedge base.
-    pub hedge_percentile: f64,
     /// Minimum samples in the ring before a hedge threshold exists.
     pub hedge_min_samples: usize,
-    /// Multiplier on the percentile latency: hedging fires only when the
-    /// projected latency exceeds `slack × quantile`.
-    pub hedge_slack: f64,
 }
 
 impl Default for HealthParams {
     fn default() -> Self {
         HealthParams {
-            window: 16,
-            suspect_factor: 3.0,
             promote_streak: 3,
             recover_streak: 8,
             probe_windows: 8,
-            hedge_percentile: 0.9,
             hedge_min_samples: 4,
-            hedge_slack: 2.0,
         }
     }
 }
@@ -521,7 +521,6 @@ pub struct FaultPlane {
     reroutes: AtomicU64,
     redispatches: AtomicU64,
     overloads: AtomicU64,
-    lost: AtomicU64,
     unavailable_rejects: AtomicU64,
     slow_detected: AtomicU64,
     suspects: AtomicU64,
@@ -577,7 +576,6 @@ impl FaultPlane {
             reroutes: AtomicU64::new(0),
             redispatches: AtomicU64::new(0),
             overloads: AtomicU64::new(0),
-            lost: AtomicU64::new(0),
             unavailable_rejects: AtomicU64::new(0),
             slow_detected: AtomicU64::new(0),
             suspects: AtomicU64::new(0),
@@ -667,25 +665,17 @@ impl FaultPlane {
     /// the `fault.health` leaf lock.
     pub fn observe(&self, device: usize, service_ns: u64, window: u64) {
         let mut board = self.health.lock();
-        let (suspect_factor, ring, promote, recover) = {
-            let p = &board.params;
-            (
-                p.suspect_factor,
-                p.window,
-                p.promote_streak,
-                p.recover_streak,
-            )
-        };
+        let (promote, recover) = (board.params.promote_streak, board.params.recover_streak);
         let Some(st) = board.devices.get_mut(device) else {
             return;
         };
         st.last_sample_window = window;
-        let anomalous = st.seen > 0 && service_ns as f64 > suspect_factor * st.ewma_ns as f64;
-        if st.samples.len() < ring {
+        let anomalous = st.seen > 0 && service_ns as f64 > SUSPECT_FACTOR * st.ewma_ns as f64;
+        if st.samples.len() < HEALTH_WINDOW {
             st.samples.push(service_ns);
         } else {
             st.samples[st.next] = service_ns;
-            st.next = (st.next + 1) % ring;
+            st.next = (st.next + 1) % HEALTH_WINDOW;
         }
         st.seen += 1;
         if st.seen == 1 {
@@ -772,7 +762,7 @@ impl FaultPlane {
     }
 
     /// Latency above which a dispatch on `device` should be hedged:
-    /// `hedge_slack ×` the `hedge_percentile` quantile of the device's
+    /// [`HEDGE_SLACK`] × the [`HEDGE_PERCENTILE`] quantile of the device's
     /// recent service latencies. `None` until `hedge_min_samples` have
     /// been observed — hedging with no baseline would be guessing.
     pub fn hedge_threshold(&self, device: usize) -> Option<u64> {
@@ -784,8 +774,8 @@ impl FaultPlane {
         }
         let mut v = st.samples.clone();
         v.sort_unstable();
-        let idx = ((v.len() as f64 * p.hedge_percentile).ceil() as usize).clamp(1, v.len()) - 1;
-        Some((v[idx] as f64 * p.hedge_slack) as u64)
+        let idx = ((v.len() as f64 * HEDGE_PERCENTILE).ceil() as usize).clamp(1, v.len()) - 1;
+        Some((v[idx] as f64 * HEDGE_SLACK) as u64)
     }
 
     /// Best current estimate of a single-block service latency on
@@ -925,16 +915,6 @@ impl FaultPlane {
         self.overloads.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_lost(&self) {
-        self.lost.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Seed the lost counter from a recovered WAL state so the restored
-    /// engine's conservation audit balances from its first snapshot.
-    pub(crate) fn restore_lost(&self, n: u64) {
-        self.lost.fetch_add(n, Ordering::Relaxed);
-    }
-
     pub(crate) fn note_unavailable_reject(&self) {
         self.unavailable_rejects.fetch_add(1, Ordering::Relaxed);
     }
@@ -972,14 +952,6 @@ impl FaultPlane {
     /// already covers the execution interval).
     pub fn overloads(&self) -> u64 {
         self.overloads.load(Ordering::Relaxed)
-    }
-
-    /// Admitted requests that could not be served because every replica
-    /// was down at seal time. Zero whenever failures stay within the
-    /// design's `c − 1` tolerance; never silently dropped — always counted
-    /// here and audited by `finish()`.
-    pub fn lost(&self) -> u64 {
-        self.lost.load(Ordering::Relaxed)
     }
 
     /// Submissions rejected because every replica of the block was down

@@ -37,6 +37,7 @@
 pub mod config;
 mod engine;
 pub mod fault;
+pub mod ledger;
 pub mod metrics;
 pub mod registry;
 mod sync;
@@ -51,6 +52,7 @@ pub use fault::{
 };
 pub use fqos_core::OverloadPolicy;
 pub use fqos_flashsim::{FtlGeometry, IoOp};
+pub use ledger::{AtomicLedger, Ledger, SettleKind};
 pub use metrics::{LatencyHistogram, MetricsSnapshot, TenantCounters, TenantSnapshot};
 pub use registry::{RegisterError, Tenant, TenantRegistry};
 pub use wal::CRASH_POINTS;

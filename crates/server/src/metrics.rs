@@ -4,6 +4,7 @@
 //! snapshot taken mid-flight may be torn *across* counters, which reports
 //! tolerate).
 
+use crate::ledger::{AtomicLedger, Ledger};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Histogram over nanosecond latencies with power-of-two bucket edges:
@@ -95,52 +96,26 @@ impl LatencyHistogram {
 }
 
 /// Per-tenant serving counters (shared via `Arc` between the registry and
-/// the worker pool).
+/// the worker pool): the tenant's share of the conservation law plus its
+/// admission telemetry.
 #[derive(Debug, Default)]
 pub struct TenantCounters {
-    /// Requests admitted under the deterministic guarantee.
-    pub admitted: AtomicU64,
-    /// Requests admitted on the statistical overflow path.
-    pub overflow: AtomicU64,
+    /// Admissions and settlements (see [`crate::ledger`]).
+    pub ledger: AtomicLedger,
     /// Requests pushed to a later window than their arrival window.
     pub delayed: AtomicU64,
     /// Requests refused.
     pub rejected: AtomicU64,
     /// Requests whose service finished past their interval deadline.
     pub violations: AtomicU64,
-    /// Requests fully served.
-    pub served: AtomicU64,
-    /// Requests completed by a winning hedge instead of their primary
-    /// dispatch. `served + hedge_wins + lost` is the tenant's settled
-    /// total, so per-tenant in-flight is `admitted + overflow − served −
-    /// hedge_wins − lost`.
-    pub hedge_wins: AtomicU64,
-    /// Admissions lost to faults (every replica down at seal) or stranded
-    /// by a crash between seal and settlement — the tenant's share of the
-    /// global `fault_lost` term.
-    pub lost: AtomicU64,
-    /// Logical writes whose every replica copy landed (all-must-settle).
-    pub write_settled: AtomicU64,
-    /// Logical writes that lost at least one replica copy past the retry
-    /// budget — the tenant's share of the global `write_lost` term.
-    pub write_lost: AtomicU64,
     /// Total admission delay (arrival window → admitted window) in ns.
     pub delay_ns: AtomicU64,
 }
 
 impl TenantCounters {
-    /// Admissions not yet settled against these counters:
-    /// `admitted + overflow − served − hedge_wins − lost − write_settled −
-    /// write_lost`.
+    /// Admissions not yet settled against these counters.
     pub fn in_flight(&self) -> u64 {
-        (self.admitted.load(Ordering::Relaxed) + self.overflow.load(Ordering::Relaxed))
-            .saturating_sub(
-                self.served.load(Ordering::Relaxed)
-                    + self.hedge_wins.load(Ordering::Relaxed)
-                    + self.lost.load(Ordering::Relaxed)
-                    + self.write_settled.load(Ordering::Relaxed)
-                    + self.write_lost.load(Ordering::Relaxed),
-            )
+        self.ledger.snapshot().in_flight()
     }
 }
 
@@ -155,9 +130,9 @@ pub struct TenantSnapshot {
     /// array); its counters stay reported so nothing it was served is lost
     /// from the audit.
     pub live: bool,
-    /// See [`TenantCounters::admitted`].
+    /// See [`Ledger::admitted`].
     pub admitted: u64,
-    /// See [`TenantCounters::overflow`].
+    /// See [`Ledger::overflow`].
     pub overflow: u64,
     /// See [`TenantCounters::delayed`].
     pub delayed: u64,
@@ -165,28 +140,38 @@ pub struct TenantSnapshot {
     pub rejected: u64,
     /// See [`TenantCounters::violations`].
     pub violations: u64,
-    /// See [`TenantCounters::served`].
+    /// See [`Ledger::served`].
     pub served: u64,
-    /// See [`TenantCounters::hedge_wins`].
+    /// See [`Ledger::hedge_wins`].
     pub hedge_wins: u64,
-    /// See [`TenantCounters::lost`].
+    /// See [`Ledger::lost`] — the tenant's share of the array's
+    /// `fault_lost`.
     pub lost: u64,
-    /// See [`TenantCounters::write_settled`].
+    /// See [`Ledger::write_settled`].
     pub write_settled: u64,
-    /// See [`TenantCounters::write_lost`].
+    /// See [`Ledger::write_lost`].
     pub write_lost: u64,
 }
 
 impl TenantSnapshot {
-    /// Admissions not yet settled: `admitted + overflow − served −
-    /// hedge_wins − lost − write_settled − write_lost`. For a departed
-    /// tenant this is the migrated-in-flight contribution to the cluster
-    /// conservation law (0 once every window the tenant touched has sealed
-    /// and drained).
+    /// The tenant's law terms as one account.
+    pub fn ledger(&self) -> Ledger {
+        Ledger {
+            admitted: self.admitted,
+            overflow: self.overflow,
+            served: self.served,
+            hedge_wins: self.hedge_wins,
+            lost: self.lost,
+            write_settled: self.write_settled,
+            write_lost: self.write_lost,
+        }
+    }
+
+    /// Admissions not yet settled. For a departed tenant this is the
+    /// migrated-in-flight contribution to the cluster conservation law (0
+    /// once every window the tenant touched has sealed and drained).
     pub fn in_flight(&self) -> u64 {
-        (self.admitted + self.overflow).saturating_sub(
-            self.served + self.hedge_wins + self.lost + self.write_settled + self.write_lost,
-        )
+        self.ledger().in_flight()
     }
 }
 
@@ -203,13 +188,12 @@ pub struct MetricsSnapshot {
     pub rejected: u64,
     /// Requests fully served.
     pub served: u64,
-    /// Logical writes whose every replica copy landed (all-must-settle).
-    /// Part of the extended conservation law: `served + write_settled +
-    /// fault_lost + hedges_cancelled + write_lost == admitted_total`.
+    /// Logical writes whose every replica copy landed (all-must-settle);
+    /// a settling term of the law ([`Ledger::write_settled`]).
     pub write_settled: u64,
     /// Logical writes that lost at least one replica copy to a fail-stopped
     /// device past the bounded retry budget. Counted, never silently
-    /// dropped — the partial-failure term of the extended law.
+    /// dropped — the law's partial-failure term ([`Ledger::write_lost`]).
     pub write_lost: u64,
     /// Host page programs across every device (write-path demand).
     pub gc_host_pages: u64,
@@ -247,7 +231,7 @@ pub struct MetricsSnapshot {
     /// Admitted requests unservable because every replica was down at seal
     /// (only possible past the design's `c − 1` tolerance, or when a live
     /// injection lands between admission and seal). Counted, never
-    /// silently dropped: `served + fault_lost = admitted_total`.
+    /// silently dropped — a settling term of the law ([`Ledger::lost`]).
     pub fault_lost: u64,
     /// Submissions refused because every replica of the block was down
     /// across the admissible horizon.
@@ -259,9 +243,8 @@ pub struct MetricsSnapshot {
     /// win cancels the original dispatch, so `hedges_won ==
     /// hedges_cancelled` is an exactly-once settlement invariant.
     pub hedges_won: u64,
-    /// Original dispatches cancelled by a winning hedge. Part of the
-    /// conservation law: `served + fault_lost + hedges_cancelled ==
-    /// admitted_total`.
+    /// Original dispatches cancelled by a winning hedge — a settling term
+    /// of the law ([`Ledger::hedge_wins`]).
     pub hedges_cancelled: u64,
     /// Deadline-aware re-dispatches: backoff retry hops past the first
     /// hedge plus seal-time drains off a detected-slow device.
@@ -315,24 +298,41 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// The array's law terms as one account (`fault_lost` is its `lost`,
+    /// `hedges_cancelled` its `hedge_wins`).
+    pub fn ledger(&self) -> Ledger {
+        Ledger {
+            admitted: self.admitted,
+            overflow: self.overflow,
+            served: self.served,
+            hedge_wins: self.hedges_cancelled,
+            lost: self.fault_lost,
+            write_settled: self.write_settled,
+            write_lost: self.write_lost,
+        }
+    }
+
     /// Requests admitted in total (guaranteed + overflow).
     pub fn admitted_total(&self) -> u64 {
-        self.admitted + self.overflow
+        self.ledger().admitted_total()
     }
 
-    /// Requests that completed service on either dispatch path: primaries
-    /// (`served`) plus hedge wins. In a conserving run this equals
-    /// `admitted_total − fault_lost` for read-only traffic; mixed traffic
-    /// adds `write_settled` (see [`MetricsSnapshot::settled`]).
+    /// Reads that completed service on either dispatch path: primaries
+    /// plus hedge wins.
     pub fn completed(&self) -> u64 {
-        self.served + self.hedges_won
+        self.ledger().completed()
     }
 
-    /// Every admission settled one way or another: the left side of the
-    /// extended conservation law `served + write_settled + fault_lost +
-    /// hedges_cancelled + write_lost == admitted_total`.
+    /// Admissions settled one way or another (see [`Ledger::settled`]).
     pub fn settled(&self) -> u64 {
-        self.served + self.write_settled + self.fault_lost + self.hedges_cancelled + self.write_lost
+        self.ledger().settled()
+    }
+
+    /// [`Ledger::conserved`] over this snapshot, plus the exactly-once
+    /// hedge invariant: every win counted by the hedge telemetry cancelled
+    /// exactly one primary in the ledger.
+    pub fn conserved(&self) -> bool {
+        self.hedges_won == self.hedges_cancelled && self.ledger().conserved()
     }
 
     /// Measured write amplification across the array:

@@ -192,21 +192,18 @@ impl TenantRegistry {
     }
 
     /// Recovery path: re-install a tenant from a replayed WAL state with
-    /// its durable counters preset, without logging (the records that
+    /// its durable ledger preset, without logging (the records that
     /// produced this state are already in the log). Live tenants re-enter
     /// `S(M)` admission; departed records are installed for settlement
     /// resolution only (their reservation was already freed).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn restore_record(
         &self,
         tenant: u64,
-        reserved: usize,
-        policy: OverloadPolicy,
-        live: bool,
-        counts: &crate::wal::TenantState,
+        state: &crate::wal::TenantState,
     ) -> Result<(), RegisterError> {
+        let reserved = state.reserved as usize;
         let mut admission = self.admission.lock();
-        if live && !admission.register(tenant, reserved) {
+        if state.live && !admission.register(tenant, reserved) {
             return Err(RegisterError::OverCapacity {
                 requested: reserved,
                 headroom: admission.headroom(),
@@ -215,39 +212,15 @@ impl TenantRegistry {
         let record = Arc::new(Tenant {
             id: tenant,
             reserved,
-            policy,
+            policy: crate::wal::decode_policy(state.policy),
             counters: TenantCounters::default(),
-            live: AtomicBool::new(live),
+            live: AtomicBool::new(state.live),
         });
-        record
-            .counters
-            .admitted
-            .store(counts.admitted, Ordering::Relaxed);
-        record
-            .counters
-            .overflow
-            .store(counts.overflow, Ordering::Relaxed);
+        record.counters.ledger.restore(&state.ledger);
         record
             .counters
             .delayed
-            .store(counts.delayed, Ordering::Relaxed);
-        record
-            .counters
-            .served
-            .store(counts.served, Ordering::Relaxed);
-        record
-            .counters
-            .hedge_wins
-            .store(counts.hedge_wins, Ordering::Relaxed);
-        record.counters.lost.store(counts.lost, Ordering::Relaxed);
-        record
-            .counters
-            .write_settled
-            .store(counts.write_settled, Ordering::Relaxed);
-        record
-            .counters
-            .write_lost
-            .store(counts.write_lost, Ordering::Relaxed);
+            .store(state.delayed, Ordering::Relaxed);
         self.shard(tenant).write().insert(tenant, record);
         Ok(())
     }
@@ -320,6 +293,7 @@ impl TenantRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::{Ledger, SettleKind};
     use std::sync::atomic::Ordering;
 
     #[test]
@@ -374,16 +348,19 @@ mod tests {
     fn counters_survive_deregistration() {
         let reg = TenantRegistry::new(5, 2);
         let t = reg.register(1, 1, OverloadPolicy::Delay).unwrap();
-        t.counters.served.fetch_add(3, Ordering::Relaxed);
+        t.counters.rejected.fetch_add(3, Ordering::Relaxed);
         let removed = reg.deregister(1).unwrap();
-        assert_eq!(removed.counters.served.load(Ordering::Relaxed), 3);
+        assert_eq!(removed.counters.rejected.load(Ordering::Relaxed), 3);
     }
 
     #[test]
     fn departed_records_stay_resolvable_until_reregistered() {
         let reg = TenantRegistry::new(5, 2);
         let t = reg.register(1, 2, OverloadPolicy::Delay).unwrap();
-        t.counters.served.fetch_add(2, Ordering::Relaxed);
+        for _ in 0..2 {
+            t.counters.ledger.admit(true);
+            t.counters.ledger.settle(SettleKind::Served);
+        }
         assert!(reg.deregister(1).is_some());
         // The admission path no longer sees the tenant...
         assert!(reg.get(1).is_none());
@@ -392,7 +369,7 @@ mod tests {
         // ...but the seal path still resolves the departed record.
         let departed = reg.lookup_any(1).unwrap();
         assert!(!departed.is_live());
-        assert_eq!(departed.counters.served.load(Ordering::Relaxed), 2);
+        assert_eq!(departed.counters.ledger.snapshot().served, 2);
         assert_eq!(reg.all_tenants().len(), 1);
         // A second deregister is a no-op (no double-free of the reservation).
         assert!(reg.deregister(1).is_none());
@@ -400,7 +377,7 @@ mod tests {
         // Re-registration starts a fresh serving epoch.
         let fresh = reg.register(1, 3, OverloadPolicy::Reject).unwrap();
         assert!(fresh.is_live());
-        assert_eq!(fresh.counters.served.load(Ordering::Relaxed), 0);
+        assert_eq!(fresh.counters.ledger.snapshot(), Ledger::default());
         assert_eq!(reg.tenants().len(), 1);
         assert_eq!(reg.headroom(), 2);
     }
@@ -409,8 +386,10 @@ mod tests {
     fn reregistration_waits_for_departed_drain() {
         let reg = TenantRegistry::new(5, 2);
         let t = reg.register(1, 2, OverloadPolicy::Delay).unwrap();
-        t.counters.admitted.fetch_add(3, Ordering::Relaxed);
-        t.counters.served.fetch_add(1, Ordering::Relaxed);
+        for _ in 0..3 {
+            t.counters.ledger.admit(true);
+        }
+        t.counters.ledger.settle(SettleKind::Served);
         assert!(reg.deregister(1).is_some());
         // Two admissions still unsettled: a fresh epoch now would credit
         // their seal-time settlement to counters that never admitted them.
@@ -420,10 +399,11 @@ mod tests {
         );
         assert_eq!(reg.headroom(), 5, "refusal must not leak reservation");
         // Once the residue settles, the id can start a fresh epoch.
-        t.counters.served.fetch_add(2, Ordering::Relaxed);
+        t.counters.ledger.settle(SettleKind::Served);
+        t.counters.ledger.settle(SettleKind::HedgeWin);
         let fresh = reg.register(1, 1, OverloadPolicy::Reject).unwrap();
         assert!(fresh.is_live());
-        assert_eq!(fresh.counters.served.load(Ordering::Relaxed), 0);
+        assert_eq!(fresh.counters.ledger.snapshot(), Ledger::default());
     }
 
     #[test]

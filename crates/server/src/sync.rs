@@ -8,11 +8,12 @@
 //! `registry.rs` and `fault.rs` can be schedule-explored unmodified — the
 //! checked code and the shipped code are the same code.
 //!
-//! The one deliberate exception is `metrics.rs`, which stays on `std`
-//! atomics directly: its counters are write-only leaves that never feed
-//! back into control flow, so instrumenting them would multiply the
-//! schedule space without adding any observable interleaving (see
-//! DESIGN.md, "Concurrency invariants").
+//! The one deliberate exception is `metrics.rs` (telemetry counters and
+//! the latency histogram), which stays on `std` atomics directly: its
+//! counters are write-only leaves that never feed back into control flow,
+//! so instrumenting them would multiply the schedule space without adding
+//! any observable interleaving (see DESIGN.md, "Concurrency invariants").
+//! The conservation-law terms in `ledger.rs` *are* instrumented.
 
 #[cfg(feature = "model-check")]
 pub(crate) use interleave::channel;

@@ -6,8 +6,7 @@
 //! before the engine acknowledges it. [`crate::QosServer::recover`]
 //! replays the log (plus the latest compaction snapshot) into a state
 //! where window reservations, the in-flight ledger and per-tenant
-//! counters are mutually consistent and
-//! `served + fault_lost + hedges_cancelled == admitted_total` holds over
+//! counters are mutually consistent and [`Ledger::conserved`] holds over
 //! the durable admissions.
 //!
 //! # Record framing and the torn-tail rule
@@ -56,6 +55,7 @@
 //! (register/deregister) and never holds anything else.
 
 use crate::config::WalConfig;
+use crate::ledger::{Ledger, SettleKind};
 use crate::sync::Mutex;
 use fqos_core::OverloadPolicy;
 use std::collections::BTreeMap;
@@ -70,7 +70,7 @@ const MAX_PAYLOAD: usize = 256;
 /// Frame header: lsn (8) + len (4) + crc (4).
 const FRAME_HEADER: usize = 16;
 /// Snapshot file magic (8 bytes, versioned).
-const SNAP_MAGIC: &[u8; 8] = b"FQWSNAP2";
+const SNAP_MAGIC: &[u8; 8] = b"FQWSNAP3";
 
 /// The deterministic crash points the injection harness recognizes, in
 /// log order of the operation they interrupt.
@@ -123,25 +123,6 @@ pub(crate) fn crash_point(point: &str) {
     }
 }
 
-/// How a durable admission left the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SettleKind {
-    /// Served by its primary dispatch.
-    Served,
-    /// Completed by a winning hedge (counts `hedges_won` and, via the
-    /// exactly-once invariant, `hedges_cancelled`).
-    HedgeWin,
-    /// Unservable: every replica down at seal, or stranded by a crash
-    /// between seal and settlement (charged to `fault_lost`).
-    Lost,
-    /// A replicated write whose every copy landed (all-must-settle).
-    WriteSettled,
-    /// A replicated write with at least one copy permanently failed after
-    /// bounded retries — or stranded mid-fan-out by a crash (charged to
-    /// `write_lost`).
-    WriteLost,
-}
-
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum WalRecord {
     Register {
@@ -154,11 +135,7 @@ enum WalRecord {
     },
     Admit {
         window: u64,
-        tenant: u64,
-        lbn: u64,
-        guaranteed: bool,
-        delayed: bool,
-        is_write: bool,
+        entry: OpenEntry,
     },
     Seal {
         window: u64,
@@ -171,8 +148,9 @@ enum WalRecord {
 }
 
 /// One admission of an as-yet-unsealed window, replayable into a fresh
-/// window ring.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// window ring. Encoded `tenant, lbn, flags` in both the `Admit` record
+/// and the snapshot's open-window list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct OpenEntry {
     pub tenant: u64,
     pub lbn: u64,
@@ -181,41 +159,52 @@ pub(crate) struct OpenEntry {
     pub is_write: bool,
 }
 
-/// Per-tenant durable counters (the law-relevant subset of
-/// [`crate::metrics::TenantCounters`]; rejected/violations/delay are
-/// telemetry and deliberately non-durable).
+impl OpenEntry {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.tenant);
+        put_u64(out, self.lbn);
+        out.push(
+            u8::from(self.guaranteed) | u8::from(self.delayed) << 1 | u8::from(self.is_write) << 2,
+        );
+    }
+
+    fn take(r: &mut Reader<'_>) -> Option<OpenEntry> {
+        let tenant = r.take_u64()?;
+        let lbn = r.take_u64()?;
+        let flags = r.take_u8()?;
+        (flags <= 7).then_some(OpenEntry {
+            tenant,
+            lbn,
+            guaranteed: flags & 1 == 1,
+            delayed: flags & 2 == 2,
+            is_write: flags & 4 == 4,
+        })
+    }
+}
+
+/// Per-tenant durable state: the registration, the tenant's ledger and
+/// its delayed count (durable but not a law term; rejected/violations/
+/// delay totals are telemetry and deliberately non-durable).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct TenantState {
     pub reserved: u64,
     pub policy: u8,
     pub live: bool,
-    pub admitted: u64,
-    pub overflow: u64,
+    pub ledger: Ledger,
     pub delayed: u64,
-    pub served: u64,
-    pub hedge_wins: u64,
-    pub lost: u64,
-    pub write_settled: u64,
-    pub write_lost: u64,
 }
 
-/// The state a full replay of the log materializes: every counter the
-/// conservation law touches, the admissions of still-open windows, and
-/// the unsettled residue of sealed windows.
+/// The state a full replay of the log materializes: the array's ledger,
+/// the admissions of still-open windows, and the unsettled residue of
+/// sealed windows.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct WalState {
     /// Highest LSN folded into this state (0 = none).
     pub last_lsn: u64,
     /// All windows `< sealed_through` carry a durable seal record.
     pub sealed_through: u64,
-    pub admitted: u64,
-    pub overflow: u64,
+    pub ledger: Ledger,
     pub delayed: u64,
-    pub served: u64,
-    pub hedges_won: u64,
-    pub lost: u64,
-    pub write_settled: u64,
-    pub write_lost: u64,
     pub tenants: BTreeMap<u64, TenantState>,
     /// Admissions of windows without a seal record, in admission order.
     pub open: BTreeMap<u64, Vec<OpenEntry>>,
@@ -269,29 +258,23 @@ impl WalState {
                 Some(t) => t.live = false,
                 None => self.misordered += 1,
             },
-            WalRecord::Admit {
-                window,
-                tenant,
-                lbn,
-                guaranteed,
-                delayed,
-                is_write,
-            } => {
+            WalRecord::Admit { window, entry } => {
+                let OpenEntry {
+                    tenant,
+                    guaranteed,
+                    delayed,
+                    ..
+                } = entry;
                 let Some(t) = self.tenants.get_mut(&tenant) else {
                     // An admit must follow its tenant's durable register.
                     self.misordered += 1;
                     return;
                 };
-                if guaranteed {
-                    t.admitted += 1; // ledger: defer(replay tally; later Settle/Seal records in the log settle it)
-                    self.admitted += 1; // ledger: defer(replay tally; later Settle/Seal records in the log settle it)
-                    if delayed {
-                        t.delayed += 1;
-                        self.delayed += 1;
-                    }
-                } else {
-                    t.overflow += 1; // ledger: defer(replay tally; later Settle/Seal records in the log settle it)
-                    self.overflow += 1; // ledger: defer(replay tally; later Settle/Seal records in the log settle it)
+                self.ledger.admit(guaranteed); // ledger: defer(replay tally; later Settle/Seal records in the log settle it)
+                t.ledger.admit(guaranteed); // ledger: defer(replay tally; later Settle/Seal records in the log settle it)
+                if guaranteed && delayed {
+                    t.delayed += 1;
+                    self.delayed += 1;
                 }
                 if window < self.sealed_through {
                     // The watermark protocol orders every admit before its
@@ -299,13 +282,7 @@ impl WalState {
                     // ordering bug.
                     self.misordered += 1;
                 }
-                self.open.entry(window).or_default().push(OpenEntry {
-                    tenant,
-                    lbn,
-                    guaranteed,
-                    delayed,
-                    is_write,
-                });
+                self.open.entry(window).or_default().push(entry);
             }
             WalRecord::Seal { window } => {
                 if window < self.sealed_through {
@@ -333,7 +310,7 @@ impl WalState {
                 // not-yet-exhausted admission of (window, tenant) — of the
                 // matching class (a write settle cannot consume a read
                 // admission, or vice versa).
-                let wants_write = matches!(kind, SettleKind::WriteSettled | SettleKind::WriteLost);
+                let wants_write = kind.is_write();
                 let matched = match self.pending.get_mut(&window) {
                     Some(per_tenant) => match per_tenant.get_mut(&tenant) {
                         Some(counts) => {
@@ -367,40 +344,21 @@ impl WalState {
                 {
                     self.pending.remove(&window);
                 }
-                let Some(t) = self.tenants.get_mut(&tenant) else {
-                    self.misordered += 1;
-                    return;
-                };
-                match kind {
-                    SettleKind::Served => {
-                        t.served += 1;
-                        self.served += 1;
-                    }
-                    SettleKind::HedgeWin => {
-                        t.hedge_wins += 1;
-                        self.hedges_won += 1;
-                    }
-                    SettleKind::Lost => {
-                        t.lost += 1;
-                        self.lost += 1;
-                    }
-                    SettleKind::WriteSettled => {
-                        t.write_settled += 1;
-                        self.write_settled += 1;
-                    }
-                    SettleKind::WriteLost => {
-                        t.write_lost += 1;
-                        self.write_lost += 1;
-                    }
-                }
+                self.settle(tenant, kind);
             }
         }
     }
 
-    /// Admissions durable in this state (guaranteed + overflow).
-    #[cfg(test)]
-    pub fn admitted_total(&self) -> u64 {
-        self.admitted + self.overflow
+    /// Settle one durable admission of `tenant` as `kind`, in the array's
+    /// ledger and the tenant's. Every state a tenant has admitted from
+    /// keeps its record (deregistration only flags it), so a missing one
+    /// is a durable-order violation.
+    fn settle(&mut self, tenant: u64, kind: SettleKind) {
+        self.ledger.settle(kind);
+        match self.tenants.get_mut(&tenant) {
+            Some(t) => t.ledger.settle(kind),
+            None => self.misordered += 1,
+        }
     }
 }
 
@@ -457,19 +415,10 @@ fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
             out.push(2);
             put_u64(out, tenant);
         }
-        WalRecord::Admit {
-            window,
-            tenant,
-            lbn,
-            guaranteed,
-            delayed,
-            is_write,
-        } => {
+        WalRecord::Admit { window, entry } => {
             out.push(3);
             put_u64(out, window);
-            put_u64(out, tenant);
-            put_u64(out, lbn);
-            out.push(u8::from(guaranteed) | u8::from(delayed) << 1 | u8::from(is_write) << 2);
+            entry.put(out);
         }
         WalRecord::Seal { window } => {
             out.push(4);
@@ -483,48 +432,36 @@ fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
             out.push(5);
             put_u64(out, window);
             put_u64(out, tenant);
-            out.push(match kind {
-                SettleKind::Served => 0,
-                SettleKind::HedgeWin => 1,
-                SettleKind::Lost => 2,
-                SettleKind::WriteSettled => 3,
-                SettleKind::WriteLost => 4,
-            });
+            out.push(kind as u8);
         }
     }
 }
 
-/// Bounds-checked little-endian reader for payload and snapshot decoding.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
+/// Bounds-checked little-endian cursor for payload and snapshot decoding:
+/// each `take_*` splits its bytes off the front.
+struct Reader<'a>(&'a [u8]);
 
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, off: 0 }
-    }
-
+impl Reader<'_> {
     fn take_u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.off)?;
-        self.off += 1;
+        let (&b, rest) = self.0.split_first()?;
+        self.0 = rest;
         Some(b)
     }
 
     fn take_u64(&mut self) -> Option<u64> {
-        let end = self.off.checked_add(8)?;
-        let chunk = self.bytes.get(self.off..end)?;
-        self.off = end;
-        Some(u64::from_le_bytes(chunk.try_into().ok()?))
+        let chunk = self.0.get(..8)?;
+        let v = u64::from_le_bytes(chunk.try_into().ok()?);
+        self.0 = &self.0[8..];
+        Some(v)
     }
 
     fn exhausted(&self) -> bool {
-        self.off == self.bytes.len()
+        self.0.is_empty()
     }
 }
 
 fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-    let mut r = Reader::new(payload);
+    let mut r = Reader(payload);
     let rec = match r.take_u8()? {
         1 => WalRecord::Register {
             tenant: r.take_u64()?,
@@ -538,37 +475,17 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
         2 => WalRecord::Deregister {
             tenant: r.take_u64()?,
         },
-        3 => {
-            let window = r.take_u64()?;
-            let tenant = r.take_u64()?;
-            let lbn = r.take_u64()?;
-            let flags = r.take_u8()?;
-            if flags > 7 {
-                return None;
-            }
-            WalRecord::Admit {
-                window,
-                tenant,
-                lbn,
-                guaranteed: flags & 1 == 1,
-                delayed: flags & 2 == 2,
-                is_write: flags & 4 == 4,
-            }
-        }
+        3 => WalRecord::Admit {
+            window: r.take_u64()?,
+            entry: OpenEntry::take(&mut r)?,
+        },
         4 => WalRecord::Seal {
             window: r.take_u64()?,
         },
         5 => WalRecord::Settle {
             window: r.take_u64()?,
             tenant: r.take_u64()?,
-            kind: match r.take_u8()? {
-                0 => SettleKind::Served,
-                1 => SettleKind::HedgeWin,
-                2 => SettleKind::Lost,
-                3 => SettleKind::WriteSettled,
-                4 => SettleKind::WriteLost,
-                _ => return None,
-            },
+            kind: SettleKind::from_code(r.take_u8()?)?,
         },
         _ => return None,
     };
@@ -579,14 +496,8 @@ fn encode_state(state: &WalState) -> Vec<u8> {
     let mut body = Vec::with_capacity(256);
     put_u64(&mut body, state.last_lsn);
     put_u64(&mut body, state.sealed_through);
-    put_u64(&mut body, state.admitted);
-    put_u64(&mut body, state.overflow);
+    state.ledger.put(&mut body);
     put_u64(&mut body, state.delayed);
-    put_u64(&mut body, state.served);
-    put_u64(&mut body, state.hedges_won);
-    put_u64(&mut body, state.lost);
-    put_u64(&mut body, state.write_settled);
-    put_u64(&mut body, state.write_lost);
     put_u64(&mut body, state.misordered);
     put_u64(&mut body, state.tenants.len() as u64);
     for (&id, t) in &state.tenants {
@@ -594,29 +505,15 @@ fn encode_state(state: &WalState) -> Vec<u8> {
         put_u64(&mut body, t.reserved);
         body.push(t.policy);
         body.push(u8::from(t.live));
-        for v in [
-            t.admitted,
-            t.overflow,
-            t.delayed,
-            t.served,
-            t.hedge_wins,
-            t.lost,
-            t.write_settled,
-            t.write_lost,
-        ] {
-            put_u64(&mut body, v);
-        }
+        t.ledger.put(&mut body);
+        put_u64(&mut body, t.delayed);
     }
     put_u64(&mut body, state.open.len() as u64);
     for (&w, entries) in &state.open {
         put_u64(&mut body, w);
         put_u64(&mut body, entries.len() as u64);
         for e in entries {
-            put_u64(&mut body, e.tenant);
-            put_u64(&mut body, e.lbn);
-            body.push(
-                u8::from(e.guaranteed) | u8::from(e.delayed) << 1 | u8::from(e.is_write) << 2,
-            );
+            e.put(&mut body);
         }
     }
     put_u64(&mut body, state.pending.len() as u64);
@@ -646,18 +543,12 @@ fn decode_state(bytes: &[u8]) -> Option<WalState> {
     if crc32(0, body) != expect {
         return None;
     }
-    let mut r = Reader::new(body);
+    let mut r = Reader(body);
     let mut state = WalState {
         last_lsn: r.take_u64()?,
         sealed_through: r.take_u64()?,
-        admitted: r.take_u64()?,
-        overflow: r.take_u64()?,
+        ledger: Ledger::take(&mut r.0)?,
         delayed: r.take_u64()?,
-        served: r.take_u64()?,
-        hedges_won: r.take_u64()?,
-        lost: r.take_u64()?,
-        write_settled: r.take_u64()?,
-        write_lost: r.take_u64()?,
         misordered: r.take_u64()?,
         ..WalState::default()
     };
@@ -666,24 +557,16 @@ fn decode_state(bytes: &[u8]) -> Option<WalState> {
         let reserved = r.take_u64()?;
         let policy = r.take_u8()?;
         let live = r.take_u8()? == 1;
-        let mut vals = [0u64; 8];
-        for v in &mut vals {
-            *v = r.take_u64()?;
-        }
+        let ledger = Ledger::take(&mut r.0)?;
+        let delayed = r.take_u64()?;
         state.tenants.insert(
             id,
             TenantState {
                 reserved,
                 policy,
                 live,
-                admitted: vals[0],
-                overflow: vals[1],
-                delayed: vals[2],
-                served: vals[3],
-                hedge_wins: vals[4],
-                lost: vals[5],
-                write_settled: vals[6],
-                write_lost: vals[7],
+                ledger,
+                delayed,
             },
         );
     }
@@ -692,16 +575,7 @@ fn decode_state(bytes: &[u8]) -> Option<WalState> {
         let n = r.take_u64()?;
         let mut entries = Vec::new();
         for _ in 0..n {
-            let tenant = r.take_u64()?;
-            let lbn = r.take_u64()?;
-            let flags = r.take_u8()?;
-            entries.push(OpenEntry {
-                tenant,
-                lbn,
-                guaranteed: flags & 1 == 1,
-                delayed: flags & 2 == 2,
-                is_write: flags & 4 == 4,
-            });
+            entries.push(OpenEntry::take(&mut r)?);
         }
         state.open.insert(w, entries);
     }
@@ -830,8 +704,13 @@ impl Wal {
             // The published snapshot is fsynced before its rename commits
             // it, so it is either absent or whole; failing its CRC means
             // real corruption, which recovery must surface, not mask.
-            state = decode_state(&bytes)
-                .ok_or_else(|| format!("corrupt WAL snapshot {}", snap_path.display()))?;
+            state = decode_state(&bytes).ok_or_else(|| {
+                format!(
+                    "unreadable WAL snapshot {} (corrupt, or not the {} layout)",
+                    snap_path.display(),
+                    String::from_utf8_lossy(SNAP_MAGIC)
+                )
+            })?;
             report.snapshot = true;
         }
         let mut log = OpenOptions::new()
@@ -969,18 +848,14 @@ impl Wal {
         delayed: bool,
         is_write: bool,
     ) {
-        self.push_record(
-            &WalRecord::Admit {
-                window,
-                tenant,
-                lbn,
-                guaranteed,
-                delayed,
-                is_write,
-            },
-            false,
-            true,
-        );
+        let entry = OpenEntry {
+            tenant,
+            lbn,
+            guaranteed,
+            delayed,
+            is_write,
+        };
+        self.push_record(&WalRecord::Admit { window, entry }, false, true);
     }
 
     /// Log a window seal (force-synced: the seal is the boundary after
@@ -1003,7 +878,7 @@ impl Wal {
     /// Log one settlement (batched; a settle is re-derivable as
     /// crash-lost, so it does not need per-record durability).
     pub fn log_settle(&self, window: u64, tenant: u64, kind: SettleKind) {
-        if matches!(kind, SettleKind::WriteSettled | SettleKind::WriteLost) {
+        if kind.is_write() {
             // Kill site between the last copy landing and the settle
             // record: recovery must resolve the write as crash-lost.
             crash_point("wal-write-settle");
@@ -1046,20 +921,22 @@ impl Wal {
     /// re-derives from the same pending set.
     pub fn resolve_crash_losses(&self) -> u64 {
         let mut g = self.wal.lock();
-        let pending = std::mem::take(&mut g.state.pending);
-        let mut lost = 0u64;
-        for per_tenant in pending.into_values() {
+        let state = &mut g.state;
+        let mut stranded = 0u64;
+        for per_tenant in std::mem::take(&mut state.pending).into_values() {
             for (tenant, n) in per_tenant {
-                lost += n.reads + n.writes;
-                g.state.lost += n.reads;
-                g.state.write_lost += n.writes;
-                if let Some(t) = g.state.tenants.get_mut(&tenant) {
-                    t.lost += n.reads;
-                    t.write_lost += n.writes;
+                for (kind, count) in [
+                    (SettleKind::Lost, n.reads),
+                    (SettleKind::WriteLost, n.writes),
+                ] {
+                    for _ in 0..count {
+                        state.settle(tenant, kind);
+                    }
+                    stranded += count;
                 }
             }
         }
-        lost
+        stranded
     }
 
     /// Drop one open-window admission that could not be re-parked at
@@ -1081,18 +958,12 @@ impl Wal {
             emptied = entries.is_empty();
         }
         if hit {
-            if is_write {
-                state.write_lost += 1;
+            let kind = if is_write {
+                SettleKind::WriteLost
             } else {
-                state.lost += 1;
-            }
-            if let Some(t) = state.tenants.get_mut(&tenant) {
-                if is_write {
-                    t.write_lost += 1;
-                } else {
-                    t.lost += 1;
-                }
-            }
+                SettleKind::Lost
+            };
+            state.settle(tenant, kind);
         }
         if emptied {
             state.open.remove(&window);
@@ -1226,19 +1097,23 @@ mod tests {
             WalRecord::Deregister { tenant: 7 },
             WalRecord::Admit {
                 window: 41,
-                tenant: 7,
-                lbn: 123,
-                guaranteed: true,
-                delayed: true,
-                is_write: false,
+                entry: OpenEntry {
+                    tenant: 7,
+                    lbn: 123,
+                    guaranteed: true,
+                    delayed: true,
+                    is_write: false,
+                },
             },
             WalRecord::Admit {
                 window: 42,
-                tenant: 7,
-                lbn: 124,
-                guaranteed: true,
-                delayed: false,
-                is_write: true,
+                entry: OpenEntry {
+                    tenant: 7,
+                    lbn: 124,
+                    guaranteed: true,
+                    delayed: false,
+                    is_write: true,
+                },
             },
             WalRecord::Seal { window: 41 },
             WalRecord::Settle {
@@ -1284,8 +1159,8 @@ mod tests {
         let decoded = decode_state(&encode_state(&state)).expect("decode");
         assert_eq!(decoded, state);
         assert_eq!(state.misordered, 0);
-        assert_eq!(state.admitted, 2);
-        assert_eq!(state.overflow, 1);
+        assert_eq!(state.ledger.admitted, 2);
+        assert_eq!(state.ledger.overflow, 1);
         assert_eq!(state.sealed_through, 1);
         assert_eq!(
             state.pending[&0][&2],
@@ -1303,6 +1178,34 @@ mod tests {
     }
 
     #[test]
+    fn an_old_layout_snapshot_is_refused_not_misread() {
+        // An empty-maps FQWSNAP2 body — last_lsn, sealed_through, then
+        // admitted, overflow, delayed, served, hedges_won, lost,
+        // write_settled, write_lost, misordered — is exactly as long as
+        // the current header, so only the magic keeps `delayed` from being
+        // read as `served`.
+        let mut body = Vec::new();
+        for v in [9u64, 1, 2, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0] {
+            put_u64(&mut body, v);
+        }
+        let stamp = |magic: &[u8; 8]| {
+            let mut blob = magic.to_vec();
+            blob.extend_from_slice(&body);
+            blob.extend_from_slice(&crc32(0, &body).to_le_bytes());
+            blob
+        };
+        assert!(decode_state(&stamp(b"FQWSNAP2")).is_none());
+        let misread = decode_state(&stamp(SNAP_MAGIC)).expect("same length");
+        assert_eq!(misread.ledger.served, 1, "the old `delayed` slot");
+        // On disk: recovery reports it instead of replaying past it.
+        let dir = tmpdir("oldsnap");
+        std::fs::write(dir.join("wal.snapshot"), stamp(b"FQWSNAP2")).unwrap();
+        let err = Wal::resume(&dir_cfg(&dir, 1)).err().expect("refused");
+        assert!(err.contains("FQWSNAP3"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn settle_without_durable_admission_is_misordered() {
         let wal = Wal::create(&mem_cfg()).unwrap();
         wal.log_register(1, 2, OverloadPolicy::Delay);
@@ -1314,7 +1217,7 @@ mod tests {
         wal.log_settle(0, 1, SettleKind::Served); // double settle
         assert_eq!(wal.wal_counters().misordered, 2);
         let s = wal.state_snapshot();
-        assert_eq!(s.served, 1);
+        assert_eq!(s.ledger.served, 1);
     }
 
     #[test]
@@ -1342,7 +1245,7 @@ mod tests {
         assert!(!report.snapshot);
         assert_eq!(report.records, 2, "register + first admit survive");
         let s = wal.state_snapshot();
-        assert_eq!(s.admitted, 1, "torn admit discarded");
+        assert_eq!(s.ledger.admitted, 1, "torn admit discarded");
         assert_eq!(s.open[&0].len(), 1);
         assert_eq!(s.misordered, 0);
         // The truncated log accepts new appends and replays cleanly.
@@ -1351,7 +1254,7 @@ mod tests {
         drop(wal);
         let (wal, report) = Wal::resume(&cfg).unwrap();
         assert!(!report.torn);
-        assert_eq!(wal.state_snapshot().admitted, 2);
+        assert_eq!(wal.state_snapshot().ledger.admitted, 2);
         assert_eq!(report.records, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1370,7 +1273,7 @@ mod tests {
         let (wal, report) = Wal::resume(&cfg).unwrap();
         assert_eq!(report.records, 1);
         let s = wal.state_snapshot();
-        assert_eq!(s.admitted, 0);
+        assert_eq!(s.ledger.admitted, 0);
         assert!(s.tenants[&1].live);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1396,8 +1299,8 @@ mod tests {
         assert!(report.snapshot);
         assert_eq!(report.records, 1, "only the post-compaction admit replays");
         let s = wal.state_snapshot();
-        assert_eq!(s.admitted, 5);
-        assert_eq!(s.served, 4);
+        assert_eq!(s.ledger.admitted, 5);
+        assert_eq!(s.ledger.served, 4);
         assert_eq!(s.sealed_through, 4);
         assert_eq!(s.open[&4].len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1413,10 +1316,10 @@ mod tests {
         wal.log_settle(0, 1, SettleKind::Served);
         assert_eq!(wal.resolve_crash_losses(), 1);
         let s = wal.state_snapshot();
-        assert_eq!(s.lost, 1);
-        assert_eq!(s.tenants[&1].lost, 1);
+        assert_eq!(s.ledger.lost, 1);
+        assert_eq!(s.tenants[&1].ledger.lost, 1);
         assert!(s.pending.is_empty());
-        assert_eq!(s.served + s.lost, s.admitted_total());
+        assert!(s.ledger.conserved());
         // Idempotent: nothing left to resolve.
         assert_eq!(wal.resolve_crash_losses(), 0);
     }
@@ -1429,21 +1332,21 @@ mod tests {
         wal.forfeit_open(3, 1, false);
         let s = wal.state_snapshot();
         assert!(s.open.is_empty());
-        assert_eq!(s.lost, 1);
-        assert_eq!(s.served + s.lost, s.admitted_total());
+        assert_eq!(s.ledger.lost, 1);
+        assert!(s.ledger.conserved());
         // Forfeiting something absent is a no-op.
         wal.forfeit_open(3, 1, false);
-        assert_eq!(wal.state_snapshot().lost, 1);
+        assert_eq!(wal.state_snapshot().ledger.lost, 1);
         // A forfeited write charges write_lost, and only a write entry
         // satisfies a write forfeit.
         wal.log_admit(4, 1, 2, true, false, true);
         wal.forfeit_open(4, 1, false);
-        assert_eq!(wal.state_snapshot().lost, 1, "class mismatch: no-op");
+        assert_eq!(wal.state_snapshot().ledger.lost, 1, "class mismatch: no-op");
         wal.forfeit_open(4, 1, true);
         let s = wal.state_snapshot();
         assert!(s.open.is_empty());
-        assert_eq!(s.write_lost, 1);
-        assert_eq!(s.tenants[&1].write_lost, 1);
+        assert_eq!(s.ledger.write_lost, 1);
+        assert_eq!(s.tenants[&1].ledger.write_lost, 1);
     }
 
     #[test]
@@ -1468,15 +1371,11 @@ mod tests {
         );
         assert_eq!(wal.resolve_crash_losses(), 1, "the stranded write");
         let s = wal.state_snapshot();
-        assert_eq!(s.write_settled, 1);
-        assert_eq!(s.write_lost, 2, "retry-exhausted + crash-stranded");
-        assert_eq!(s.tenants[&1].write_settled, 1);
-        assert_eq!(s.tenants[&1].write_lost, 2);
-        // Extended conservation over the durable admissions.
-        assert_eq!(
-            s.served + s.write_settled + s.lost + s.write_lost,
-            s.admitted_total()
-        );
+        assert_eq!(s.ledger.write_settled, 1);
+        assert_eq!(s.ledger.write_lost, 2, "retry-exhausted + crash-stranded");
+        assert_eq!(s.tenants[&1].ledger.write_settled, 1);
+        assert_eq!(s.tenants[&1].ledger.write_lost, 2);
+        assert!(s.ledger.conserved(), "over the durable admissions");
         let decoded = decode_state(&encode_state(&s)).expect("decode");
         assert_eq!(decoded, s);
     }
@@ -1494,7 +1393,7 @@ mod tests {
         let t = &s.tenants[&1];
         assert!(t.live);
         assert_eq!(t.reserved, 3);
-        assert_eq!(t.admitted, 0, "fresh epoch");
-        assert_eq!(s.admitted, 1, "global history is kept");
+        assert_eq!(t.ledger.admitted, 0, "fresh epoch");
+        assert_eq!(s.ledger.admitted, 1, "global history is kept");
     }
 }

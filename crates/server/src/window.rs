@@ -237,7 +237,7 @@ pub(crate) struct SealedWindow {
     pub items: Vec<SealedItem>,
     /// Tenant of each admission unservable at seal (every replica down),
     /// one entry per lost request, in drain order — the engine settles
-    /// these as `Lost` in per-tenant counters and the WAL.
+    /// each as [`crate::ledger::SettleKind::Lost`].
     pub lost: Vec<u64>,
 }
 
@@ -671,7 +671,6 @@ impl WindowRing {
                                 d
                             }
                             None => {
-                                self.fault.note_lost();
                                 lost.push(p.tenant);
                                 continue;
                             }
@@ -693,7 +692,6 @@ impl WindowRing {
                 .min_by_key(|&d| loads[d])
                 .or_else(|| p.replicas.outside(exec_mask).min_by_key(|&d| loads[d]));
             let Some(d) = pick else {
-                self.fault.note_lost();
                 lost.push(p.tenant);
                 continue;
             };
@@ -898,7 +896,7 @@ mod tests {
         assert_eq!(sealed.items[0].req.device, 1);
         assert_eq!(fault.reroutes(), 1);
         assert_eq!(fault.redispatches(), 0, "scripted faults never redispatch");
-        assert_eq!(fault.lost(), 0);
+        assert!(sealed.lost.is_empty());
         // Window 6 executes during 7: recovered, full capacity back.
         assert!(r.try_admit(6, 1, 9, req(2), &[0]).is_admitted());
         assert_eq!(r.seal(6).items[0].req.device, 0);
@@ -951,7 +949,7 @@ mod tests {
         assert_eq!(sealed.total, 1);
         assert_eq!(sealed.items[0].req.device, 1, "re-dispatched to survivor");
         assert_eq!(fault.redispatches(), 1);
-        assert_eq!(fault.lost(), 0);
+        assert!(sealed.lost.is_empty());
     }
 
     #[test]
@@ -971,7 +969,7 @@ mod tests {
         fault.inject(1, FaultKind::Fail, 1).unwrap();
         let sealed = r.seal(0);
         assert_eq!(sealed.total, 0, "both replicas down: nothing dispatchable");
-        assert_eq!(fault.lost(), 2);
+        assert_eq!(sealed.lost, vec![1, 1]);
         assert_eq!(fault.degraded_windows(), 1);
     }
 
@@ -1036,7 +1034,7 @@ mod tests {
         );
         assert_eq!(fault.retries(), 1);
         assert_eq!(fault.redispatches(), 0, "slow is not fail-stop");
-        assert_eq!(fault.lost(), 0);
+        assert!(sealed.lost.is_empty());
         assert_eq!(fault.degraded_windows(), 0, "no device actually failed");
     }
 
@@ -1217,6 +1215,6 @@ mod tests {
         let sealed = r.seal(0);
         assert_eq!(sealed.total, 1, "slow-but-live data still serves");
         assert_eq!(sealed.guaranteed, 0, "no deadline promise was made");
-        assert_eq!(fault.lost(), 0);
+        assert!(sealed.lost.is_empty());
     }
 }

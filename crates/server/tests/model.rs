@@ -13,10 +13,10 @@
 //! Invariants checked on every schedule (see DESIGN.md, "Concurrency
 //! invariants"):
 //!
-//! - **Conservation**: `served + fault_lost + hedges_cancelled ==
-//!   admitted_total` (a hedge win cancels exactly one primary, so
-//!   `hedges_won == hedges_cancelled`), and `admitted_total + rejected`
-//!   equals the number of submits issued.
+//! - **Conservation**: `Ledger::conserved` over the final snapshot (a
+//!   hedge win cancels exactly one primary, so `hedges_won ==
+//!   hedges_cancelled`), and `admitted_total + rejected` equals the
+//!   number of submits issued.
 //! - **Deadline audit**: no guaranteed-deadline violations unless a live
 //!   fault forced the overload path (`fault_overloads > 0`).
 //! - **Deadlock freedom**: the scenario runs to completion — submitters
@@ -163,10 +163,11 @@ fn inject_fault_vs_seal_conserves_requests() {
         assert_eq!(ts.rejected, m.rejected);
         assert_eq!(m.admitted_total() + m.rejected, 2);
         assert_eq!(m.hedges_won, m.hedges_cancelled);
-        assert_eq!(
-            m.served + m.fault_lost + m.hedges_cancelled,
-            m.admitted_total(),
-            "conservation"
+        assert!(
+            m.ledger().conserved(),
+            "{}: {}",
+            "conservation",
+            m.ledger().render()
         );
         assert_eq!(m.fault_lost, 0, "one replica survives on every schedule");
         if m.fault_overloads == 0 {
@@ -307,10 +308,11 @@ fn rebalance_vs_seal_conserves_the_cluster_law() {
         // Cluster law over both arrays, and per array.
         for m in [&ms, &md] {
             assert_eq!(m.hedges_won, m.hedges_cancelled);
-            assert_eq!(
-                m.served + m.fault_lost + m.hedges_cancelled,
-                m.admitted_total(),
-                "conservation"
+            assert!(
+                m.ledger().conserved(),
+                "{}: {}",
+                "conservation",
+                m.ledger().render()
             );
             assert_eq!(m.fault_lost, 0, "no faults were injected");
             assert_eq!(m.guaranteed_violations, 0, "deadline audit");
@@ -366,10 +368,11 @@ fn hedge_vs_seal_conserves_requests() {
         assert_eq!(ts.admitted, m.admitted_total());
         assert_eq!(m.admitted_total() + m.rejected, 2);
         assert_eq!(m.hedges_won, m.hedges_cancelled, "exactly-once hedging");
-        assert_eq!(
-            m.served + m.fault_lost + m.hedges_cancelled,
-            m.admitted_total(),
-            "conservation"
+        assert!(
+            m.ledger().conserved(),
+            "{}: {}",
+            "conservation",
+            m.ledger().render()
         );
         assert_eq!(m.fault_lost, 0, "slow devices stay live; nothing is lost");
     });
@@ -453,16 +456,15 @@ fn kill_vs_submit_freezes_every_ack_into_the_ledger() {
         // (residue of `frozen`) misses nothing the client was promised.
         assert_eq!(t.admitted, frozen.admitted_total());
         assert_eq!(frozen.hedges_won, frozen.hedges_cancelled);
-        let settled = frozen.served + frozen.fault_lost + frozen.hedges_cancelled;
-        assert!(settled <= frozen.admitted_total(), "over-settled");
-        let residue = frozen.admitted_total() - settled;
-        // Extended law, as the cluster audit states it after charging the
-        // residue to `evacuation_lost`.
-        assert_eq!(
-            settled + residue,
-            frozen.admitted_total(),
-            "extended conservation"
+        assert!(
+            frozen.settled() <= frozen.admitted_total(),
+            "over-settled: {}",
+            frozen.ledger().render()
         );
+        // The law, as the cluster audit states it after charging the
+        // residue to `evacuation_lost`.
+        let residue = frozen.ledger().in_flight();
+        assert!(frozen.ledger().conserved_with(residue), "conservation");
         assert_eq!(frozen.fault_lost, 0, "no device faults were injected");
     });
     report_and_check("kill-vs-submit", report, 1000);
@@ -513,10 +515,11 @@ fn evacuate_vs_seal_lands_the_displaced_tenant_exactly_once() {
         assert_eq!(te.admitted, 1);
         assert_eq!(tn.admitted + te.admitted, m.admitted_total());
         assert_eq!(m.hedges_won, m.hedges_cancelled);
-        assert_eq!(
-            m.served + m.fault_lost + m.hedges_cancelled,
-            m.admitted_total(),
-            "survivor conservation"
+        assert!(
+            m.ledger().conserved(),
+            "{}: {}",
+            "survivor conservation",
+            m.ledger().render()
         );
         assert_eq!(m.fault_lost, 0, "no faults were injected");
         assert_eq!(m.guaranteed_violations, 0, "deadline audit");
@@ -575,10 +578,11 @@ fn write_fanout_vs_seal_settles_each_group_once() {
         let m = server.finish();
         assert_eq!(ta.admitted + tb.admitted, m.admitted_total());
         assert_eq!(m.admitted_total() + m.rejected, 3);
-        assert_eq!(
-            m.served + m.write_settled + m.fault_lost + m.hedges_cancelled + m.write_lost,
-            m.admitted_total(),
-            "extended conservation"
+        assert!(
+            m.ledger().conserved(),
+            "{}: {}",
+            "extended conservation",
+            m.ledger().render()
         );
         assert!(
             m.write_settled <= 2,
@@ -646,10 +650,11 @@ fn gc_stall_vs_hedge_never_duplicates_a_write() {
         let m = server.finish();
         assert_eq!(ts.admitted, m.admitted_total());
         assert_eq!(m.admitted_total() + m.rejected, 3);
-        assert_eq!(
-            m.served + m.write_settled + m.fault_lost + m.hedges_cancelled + m.write_lost,
-            m.admitted_total(),
-            "extended conservation"
+        assert!(
+            m.ledger().conserved(),
+            "{}: {}",
+            "extended conservation",
+            m.ledger().render()
         );
         assert_eq!(m.hedges_won, m.hedges_cancelled, "exactly-once hedging");
         assert!(

@@ -263,10 +263,11 @@ fn fail_slow_under_concurrent_submitters_conserves() {
     injector.join().unwrap();
     let m = Arc::into_inner(server).unwrap().finish();
     assert_eq!(m.hedges_won, m.hedges_cancelled);
-    assert_eq!(
-        m.served + m.fault_lost + m.hedges_cancelled,
-        m.admitted_total(),
-        "conservation under racing degradations"
+    assert!(
+        m.ledger().conserved(),
+        "{}: {}",
+        "conservation under racing degradations",
+        m.ledger().render()
     );
     assert_eq!(m.fault_lost, 0, "slow devices stay live; nothing is lost");
     assert_eq!(m.admitted_total() + m.rejected, submitted);

@@ -116,7 +116,7 @@ fn depth_delta(text: &str) -> i32 {
 
 /// Find the index of the brace that closes `toks[open]` (which must be
 /// `{`/`(`/`[`). Returns `toks.len()` when unbalanced.
-fn matching(toks: &[Tok], open: usize) -> usize {
+pub fn matching(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0i32;
     for (k, t) in toks.iter().enumerate().skip(open) {
         depth += depth_delta(&t.text);

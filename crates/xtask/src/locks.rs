@@ -139,6 +139,12 @@ const RECEIVER_HINTS: &[(&str, &[&str])] = &[
     ("srv", &["QosServer"]),
     ("handle", &["ClusterHandle", "SubmitterHandle"]),
     ("inner", &["PlaneInner", "WalInner"]),
+    // `admit`/`settle` are one vocabulary across the ledger, the WAL's
+    // materialized state, a dispatched item and the engine; only the
+    // engine's take locks.
+    ("ledger", &["Ledger", "AtomicLedger"]),
+    ("state", &["WalState"]),
+    ("item", &["WorkItem"]),
 ];
 
 /// Names never resolved through bare/unhinted forms: merging them

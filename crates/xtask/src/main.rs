@@ -20,9 +20,11 @@
 //! - **guard-blocking**: exclusive guards live across blocking
 //!   operations (fsync, channel send/recv, join, sleep, condvar wait,
 //!   subprocess I/O), directly or through calls;
-//! - **ledger-balance**: path-sensitive conservation-law accounting —
-//!   every path that increments an admission counter must settle
-//!   exactly once or carry a `// ledger: defer(…)` annotation;
+//! - **ledger-balance**: path-sensitive conservation-law accounting over
+//!   the `admit(`/`settle(SettleKind::K` vocabulary of
+//!   `crates/server/src/ledger.rs` — no path settles twice, every path
+//!   that admits settles or carries a `// ledger: defer(…)` annotation,
+//!   and no law term is mutated outside that module;
 //! - **atomic-ordering**: classifies every `Ordering::*` site and flags
 //!   `Relaxed` on cross-thread control flags;
 //! - forbidden-pattern lints: `unwrap`/`expect` on lock results, panic
@@ -90,6 +92,8 @@ struct Outcome {
     functions_analyzed: usize,
     distinct_edges: usize,
     ledger_sites: BTreeMap<String, usize>,
+    ledger_kinds: Vec<String>,
+    ledger_defers: usize,
     ordering_counts: BTreeMap<String, usize>,
     ledger_truncated: Vec<String>,
 }
@@ -160,6 +164,7 @@ fn analyze(root: &Path, allowlist_path: Option<&Path>) -> Result<Outcome, String
     let mut suppressed = Vec::new();
     let mut files_scanned = 0;
     let mut units: Vec<(PathBuf, Vec<cfg::FnDef>, Vec<source::Annotation>)> = Vec::new();
+    let mut vocab = ledger::Vocabulary::default();
     let mut originals: BTreeMap<String, Vec<String>> = BTreeMap::new();
 
     let src_files = {
@@ -201,6 +206,7 @@ fn analyze(root: &Path, allowlist_path: Option<&Path>) -> Result<Outcome, String
             );
         }
         let (toks, anns) = source::lex(&src);
+        vocab.learn(&toks);
         units.push((path.clone(), cfg::functions(&toks), anns));
         originals.insert(path.to_string_lossy().to_string(), original);
     }
@@ -241,7 +247,7 @@ fn analyze(root: &Path, allowlist_path: Option<&Path>) -> Result<Outcome, String
         .collect();
 
     let lock_report = locks::analyze(&pairs);
-    let ledger_report = ledger::analyze(&units);
+    let ledger_report = ledger::analyze(&units, &vocab);
     let atomics_report = atomics::analyze(&pairs);
 
     let distinct_edges = {
@@ -291,6 +297,8 @@ fn analyze(root: &Path, allowlist_path: Option<&Path>) -> Result<Outcome, String
         functions_analyzed: lock_report.functions_analyzed,
         distinct_edges,
         ledger_sites: ledger_report.sites,
+        ledger_kinds: vocab.kinds,
+        ledger_defers: ledger_report.defers,
         ordering_counts: atomics_report.counts,
         ledger_truncated: ledger_report.truncated,
     })
@@ -338,29 +346,28 @@ fn render_json(outcome: &Outcome) -> String {
             )
         })
         .collect();
-    let suppressed: Vec<String> = outcome
-        .suppressed
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
-    let truncated: Vec<String> = outcome
-        .ledger_truncated
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
+    let quoted = |items: &[String]| -> String {
+        let items: Vec<String> = items
+            .iter()
+            .map(|s| format!("\"{}\"", json_escape(s)))
+            .collect();
+        items.join(",")
+    };
     format!(
         "{{\"findings\":[{}],\"suppressed\":[{}],\"summary\":{{\
          \"files_scanned\":{},\"functions_analyzed\":{},\
-         \"distinct_lock_edges\":{},\"ledger_sites\":{},\
+         \"distinct_lock_edges\":{},\"ledger_sites\":{},\"ledger_kinds\":[{}],\"ledger_defers\":{},\
          \"ordering_counts\":{},\"ledger_paths_truncated\":[{}]}}}}",
         findings.join(","),
-        suppressed.join(","),
+        quoted(&outcome.suppressed),
         outcome.files_scanned,
         outcome.functions_analyzed,
         outcome.distinct_edges,
         json_str_map(&outcome.ledger_sites),
+        quoted(&outcome.ledger_kinds),
+        outcome.ledger_defers,
         json_str_map(&outcome.ordering_counts),
-        truncated.join(","),
+        quoted(&outcome.ledger_truncated),
     )
 }
 
@@ -402,11 +409,12 @@ fn render_text(outcome: &Outcome) {
         .collect();
     eprintln!(
         "analyze: {} file(s), {} function(s), {} distinct lock-order edge(s), \
-         {} ledger counter(s) tracked, orderings {{{}}}, {} finding(s), {} allowlisted",
+         {} ledger site(s) ({} deferred), orderings {{{}}}, {} finding(s), {} allowlisted",
         outcome.files_scanned,
         outcome.functions_analyzed,
         outcome.distinct_edges,
-        outcome.ledger_sites.len(),
+        outcome.ledger_sites.values().sum::<usize>(),
+        outcome.ledger_defers,
         orderings.join(", "),
         outcome.findings.len(),
         outcome.suppressed.len()
@@ -505,23 +513,32 @@ mod tests {
             outcome.distinct_edges
         );
         assert!(outcome.functions_analyzed > 50);
-        // Every conservation-law counter must be seen mutating somewhere,
-        // or the ledger pass went blind. (`lost` is the mutating name of
-        // the fault-loss counter; `fault_lost` only exists in snapshots.)
-        for counter in [
-            "admitted",
-            "served",
-            "lost",
-            "evacuation_lost",
-            "write_settled",
-            "write_lost",
-        ] {
+        // The pass reads its kinds from `enum SettleKind`; an admission
+        // and every kind must be seen at some site, or it went blind.
+        assert_eq!(outcome.ledger_kinds.len(), 5, "{:?}", outcome.ledger_kinds);
+        let mut expected = vec!["admit".to_string(), "settle:evacuation_lost".to_string()];
+        expected.extend(outcome.ledger_kinds.iter().map(|k| format!("settle:{k}")));
+        for event in expected {
             assert!(
-                outcome.ledger_sites.get(counter).copied().unwrap_or(0) > 0,
-                "ledger pass saw no `{counter}` mutations: {:?}",
+                outcome.ledger_sites.get(&event).copied().unwrap_or(0) > 0,
+                "ledger pass saw no `{event}` site: {:?}",
                 outcome.ledger_sites
             );
         }
+        // One settle path: the census stays small, nothing is enumerated
+        // blind, and deferrals do not creep back.
+        assert!(
+            outcome.ledger_truncated.is_empty(),
+            "{:?}",
+            outcome.ledger_truncated
+        );
+        assert!(outcome.ledger_defers <= 6, "{}", outcome.ledger_defers);
+        let sites: usize = outcome.ledger_sites.values().sum();
+        assert!(
+            sites <= 25,
+            "{sites} ledger sites: {:?}",
+            outcome.ledger_sites
+        );
         // Same for the ordering census.
         assert!(
             outcome.ordering_counts.get("Acquire").copied().unwrap_or(0) > 0
@@ -571,18 +588,25 @@ mod tests {
     }
 
     #[test]
-    fn the_ledger_fixture_is_caught_at_the_admit_site() {
+    fn the_ledger_fixture_is_caught_at_both_seeded_sites() {
         let root = manifest_dir().join("fixtures/ledger_unbalanced");
         let outcome = analyze(&root, None).unwrap();
-        let f = outcome
-            .findings
-            .iter()
-            .find(|f| f.pass == "ledger-balance")
-            .unwrap_or_else(|| panic!("ledger fixture not caught: {:#?}", outcome.findings));
-        assert_eq!(f.severity, Severity::Error);
-        assert!(f.message.contains("no settling counter"), "{f:?}");
-        // Span check: the finding anchors to the fetch_add on `admitted`.
-        assert!(f.text.contains("admitted.fetch_add"), "{f:?}");
+        let find = |needle: &str| {
+            outcome
+                .findings
+                .iter()
+                .find(|f| f.pass == "ledger-balance" && f.message.contains(needle))
+                .unwrap_or_else(|| panic!("`{needle}` not caught: {:#?}", outcome.findings))
+        };
+        let leak = find("reaches no settle");
+        assert_eq!(leak.severity, Severity::Error);
+        // Span check: the finding anchors to the `.admit(` call.
+        assert!(leak.text.contains("ledger.admit(true)"), "{leak:?}");
+        let double = find("more than once");
+        assert!(
+            double.text.contains("settle(SettleKind::Served)"),
+            "{double:?}"
+        );
     }
 
     #[test]

@@ -589,7 +589,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             "{:<8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11}",
             t.tenant,
             t.reserved,
-            t.admitted + t.overflow,
+            t.ledger().admitted_total(),
             t.delayed,
             t.rejected,
             t.served,
@@ -636,7 +636,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             m.retries,
         );
     }
-    if write_ratio > 0.0 || m.write_settled + m.write_lost > 0 {
+    if write_ratio > 0.0 || m.write_settled > 0 || m.write_lost > 0 {
         println!(
             "write audit: {} writes settled on all replicas, {} lost a replica past retries {}",
             m.write_settled,
@@ -671,16 +671,10 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             "✗"
         },
     );
-    let conserved = m.hedges_won == m.hedges_cancelled && m.settled() == m.admitted_total();
+    let conserved = m.conserved();
     println!(
-        "conservation: served {} + write_settled {} + lost {} + cancelled primaries {} \
-         + write_lost {} = admitted {} {}",
-        m.served,
-        m.write_settled,
-        m.fault_lost,
-        m.hedges_cancelled,
-        m.write_lost,
-        m.admitted_total(),
+        "conservation: {} {}",
+        m.ledger().render(),
         if conserved {
             "✓"
         } else {
