@@ -118,8 +118,11 @@ pub struct ServerConfig {
     /// Worker threads driving device service loops. Devices are owned
     /// `device % workers`, so at most `devices()` workers are useful.
     pub workers: usize,
-    /// Bound of each worker's request queue; submitters block once the
-    /// backlog from sealed windows reaches this depth (backpressure).
+    /// Bound of each worker's backlog from sealed windows, in requests,
+    /// rounded down to whole per-worker window shares, at least one: the
+    /// queue holds one message per window and worker, so it is built with
+    /// `max(1, queue_depth · workers / S(M))` slots. Submitters block once
+    /// it is full (backpressure).
     pub queue_depth: usize,
     /// Tenant-registry shard count (lock striping for the hot lookup path).
     pub shards: usize,
@@ -191,7 +194,9 @@ impl ServerConfig {
         self
     }
 
-    /// Set the per-worker queue bound.
+    /// Set the per-worker backlog bound: requests, rounded down to whole
+    /// per-worker window shares, at least one (see
+    /// [`ServerConfig::queue_depth`]).
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self

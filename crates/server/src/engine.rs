@@ -40,7 +40,7 @@
 //! past a handle it has not yet seen.
 
 use crate::config::ServerConfig;
-use crate::fault::{FaultKind, FaultPlane};
+use crate::fault::{FaultKind, FaultPlane, MAX_FAULT_DEVICES};
 use crate::ledger::{AtomicLedger, SettleKind};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, TenantSnapshot};
 use crate::registry::{RegisterError, Tenant, TenantRegistry};
@@ -49,7 +49,7 @@ use crate::sync::channel::{bounded, Receiver, Sender};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{Arc, Mutex, RwLock};
 use crate::wal::{crash_point, Wal};
-use crate::window::{AdmitResult, WindowRing};
+use crate::window::{AdmitResult, SealedItem, WindowRing};
 use fqos_core::{OverloadPolicy, StatisticalCounters};
 use fqos_decluster::sampling::{optimal_retrieval_probabilities, OptimalRetrievalProbabilities};
 use fqos_decluster::AllocationScheme;
@@ -234,8 +234,26 @@ impl WorkItem {
 }
 
 enum WorkMsg {
-    Item(Box<WorkItem>),
+    /// One worker's share of one sealed window, in seal order. Boxed so
+    /// that a queue slot stays one word, as it was when it held one boxed
+    /// item: the queue's ring is a long-lived allocation, and with a
+    /// three-word slot its first growth alone (for `Stop`, on the thread
+    /// that calls `finish`) took the benchmark's `stat_overflow` peak RSS
+    /// from 19.6 to 31.1 MiB — heap layout, not live bytes (DESIGN.md,
+    /// "One message per window and worker").
+    #[allow(clippy::box_collection)]
+    Batch(Box<Vec<WorkItem>>),
     Stop,
+}
+
+/// Messages a worker's channel holds so that its backlog stays near
+/// `queue_depth` *requests*: a message is one worker's share of one window,
+/// on average `S(M) / workers` requests, so `queue_depth` requests are
+/// `queue_depth · workers / S(M)` messages — rounded down, at least one.
+/// The bound is on the average share: a window skewed onto one worker's
+/// devices can carry up to `M · ⌈N / workers⌉` requests in one message.
+fn channel_messages(queue_depth: usize, workers: usize, limit: usize) -> usize {
+    (queue_depth.saturating_mul(workers) / limit).max(1)
 }
 
 /// The shared per-device busy frontiers workers hedge across. Worker `w`
@@ -388,7 +406,7 @@ impl QosServer {
             }
         });
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..workers)
-            .map(|_| bounded::<WorkMsg>(cfg.queue_depth))
+            .map(|_| bounded::<WorkMsg>(channel_messages(cfg.queue_depth, workers, limit)))
             .unzip();
         let fault = Arc::new(FaultPlane::with_health(
             devices,
@@ -638,15 +656,13 @@ impl Engine {
         }
         let mut ds = self.dispatch.lock();
         let target = self.seal_target();
-        let t_ns = self.cfg.qos.interval_ns;
-        let workers = self.txs.len();
         while ds.sealed_through < target {
             let w = ds.sealed_through;
             let sealed = self.ring.seal(w);
             self.stats.windows_sealed.fetch_add(1, Ordering::Relaxed);
             if let Some(wal) = &self.wal {
                 // The seal record is force-synced BEFORE any of the
-                // window's items are dispatched: after a crash, every
+                // window's batches is sent: after a crash, every
                 // durable admission of a sealed window whose settle record
                 // is missing is deterministically crash-lost.
                 wal.log_seal(w);
@@ -671,42 +687,15 @@ impl Engine {
                 self.stats
                     .max_window_total
                     .fetch_max(sealed.total, Ordering::Relaxed);
-                let exec_start = (w + 1) * t_ns;
-                let stopping = self.shutdown.load(Ordering::Acquire);
-                // One settlement sink per logical write in this window,
-                // shared by its replica copies (group ids are
-                // window-local).
-                let mut sinks: std::collections::HashMap<u32, Arc<WriteSink>> =
-                    std::collections::HashMap::new();
-                for item in sealed.items {
-                    if stopping {
-                        continue; // workers are gone; drop on the floor
+                // Past shutdown the workers are gone; drop on the floor.
+                if !self.shutdown.load(Ordering::Acquire) {
+                    for (tx, batch) in self.txs.iter().zip(self.partition(w, sealed.items)) {
+                        if !batch.is_empty() {
+                            // Blocking send = backpressure: submitters stall
+                            // here once a worker's backlog hits queue_depth.
+                            let _ = tx.send(WorkMsg::Batch(Box::new(batch)));
+                        }
                     }
-                    let write = item.write_group.map(|(group, fanout)| {
-                        Arc::clone(sinks.entry(group).or_insert_with(|| {
-                            Arc::new(WriteSink {
-                                remaining: AtomicU64::new(u64::from(fanout)),
-                                lost: AtomicBool::new(false),
-                                latest_finish: AtomicU64::new(0),
-                            })
-                        }))
-                    });
-                    // `lookup_any`: a tenant that deregistered after this
-                    // request was admitted (migration drain) must still
-                    // settle against its counters, not vanish from them.
-                    let msg = WorkMsg::Item(Box::new(WorkItem {
-                        tenant: self.registry.lookup_any(item.tenant),
-                        tenant_id: item.tenant,
-                        req: item.req,
-                        window: w,
-                        exec_start,
-                        guaranteed: item.guaranteed,
-                        replica_mask: item.replica_mask,
-                        write,
-                    }));
-                    // Blocking send = backpressure: submitters stall here
-                    // once a worker's backlog hits queue_depth.
-                    let _ = self.txs[item.req.device % workers].send(msg);
                 }
             }
             // Probe tick: a condemned device that no longer receives work
@@ -715,6 +704,63 @@ impl Engine {
             ds.sealed_through = w + 1;
             self.sealed_floor.store(w + 1, Ordering::Release);
         }
+    }
+
+    /// Split window `w`'s sealed items into one batch per worker (index =
+    /// worker; empty = nothing to send), keeping seal order inside each.
+    /// Every replica copy of a logical write shares one [`WriteSink`],
+    /// whichever batches the copies land in.
+    fn partition(&self, w: u64, items: Vec<SealedItem>) -> Vec<Vec<WorkItem>> {
+        let workers = self.txs.len();
+        let exec_start = (w + 1) * self.cfg.qos.interval_ns;
+        let mut share = [0usize; MAX_FAULT_DEVICES];
+        for item in &items {
+            share[item.req.device % workers] += 1;
+        }
+        let mut batches: Vec<Vec<WorkItem>> = share[..workers]
+            .iter()
+            .map(|&n| Vec::with_capacity(n))
+            .collect();
+        // One registry lookup per distinct tenant of the window (a window
+        // holds at most a few dozen items, so a scan beats a map).
+        // `lookup_any`: a tenant that deregistered after its request was
+        // admitted (migration drain) must still settle against its
+        // counters, not vanish from them.
+        let mut tenants: Vec<(u64, Option<Arc<Tenant>>)> = Vec::new();
+        // One settlement sink per logical write in this window, shared by
+        // its replica copies (group ids are window-local).
+        let mut sinks: std::collections::HashMap<u32, Arc<WriteSink>> =
+            std::collections::HashMap::new();
+        for item in items {
+            let tenant = match tenants.iter().find(|(id, _)| *id == item.tenant) {
+                Some((_, rec)) => rec.clone(),
+                None => {
+                    let rec = self.registry.lookup_any(item.tenant);
+                    tenants.push((item.tenant, rec.clone()));
+                    rec
+                }
+            };
+            let write = item.write_group.map(|(group, fanout)| {
+                Arc::clone(sinks.entry(group).or_insert_with(|| {
+                    Arc::new(WriteSink {
+                        remaining: AtomicU64::new(u64::from(fanout)),
+                        lost: AtomicBool::new(false),
+                        latest_finish: AtomicU64::new(0),
+                    })
+                }))
+            });
+            batches[item.req.device % workers].push(WorkItem {
+                tenant,
+                tenant_id: item.tenant,
+                req: item.req,
+                window: w,
+                exec_start,
+                guaranteed: item.guaranteed,
+                replica_mask: item.replica_mask,
+                write,
+            });
+        }
+        batches
     }
 
     fn snapshot(&self) -> MetricsSnapshot {
@@ -992,12 +1038,19 @@ impl SubmitterHandle {
         let t_ns = engine.cfg.qos.interval_ns;
         // Publish the watermark BEFORE attempting admission: from here on
         // the dispatcher will not seal `window` or anything after it.
-        let window = (arrival_ns / t_ns).max(self.shared.watermark.load(Ordering::Relaxed));
+        let watermark = self.shared.watermark.load(Ordering::Relaxed);
+        let window = (arrival_ns / t_ns).max(watermark);
         self.shared.watermark.store(window, Ordering::Release);
+        // The seal target is a function of the open handles' watermarks
+        // alone: a submit that stays in its window cannot move it, so only
+        // one that advanced this handle's watermark pumps.
+        let advanced = window > watermark;
 
         let Some(tenant_rec) = engine.registry.get(tenant) else {
             engine.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            engine.pump();
+            if advanced {
+                engine.pump();
+            }
             return SubmitOutcome::Rejected(RejectReason::UnknownTenant);
         };
         let scheme = &engine.cfg.qos.scheme;
@@ -1084,7 +1137,9 @@ impl SubmitterHandle {
                 SubmitOutcome::Rejected(reason)
             }
         };
-        engine.pump();
+        if advanced {
+            engine.pump();
+        }
         outcome
     }
 
@@ -1183,8 +1238,9 @@ impl Drop for SubmitterHandle {
 }
 
 /// Worker `w` owns every device `d` with `d % workers == w` (local slot
-/// `d / workers`) and serves dispatched items FCFS — which is window order,
-/// because the dispatcher is serialized.
+/// `d / workers`) and serves its batches FCFS, each in seal order — which
+/// per device is window order, then seal order, because the dispatcher is
+/// serialized and sends a window's batches before it seals the next.
 ///
 /// # Hedged reads (fail-slow tolerance)
 ///
@@ -1228,46 +1284,48 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
             }
         })
         .collect();
-    while let Ok(WorkMsg::Item(item)) = rx.recv() {
-        let d = item.req.device;
-        // Admitted into window `t`, the item executes during `t + 1`.
-        let exec_window = item.window + 1;
-        if let Some(sink) = item.write.clone() {
-            serve_write_copy(&engine, &mut devs[d / workers], &item, &sink, exec_window);
-            continue;
-        }
-        // Every fault-plane lookup happens BEFORE the hedge lock:
-        // `fault.inner` and `fault.health` are peers of `engine.hedge` in
-        // the lock hierarchy, never nested inside it.
-        let factor = engine.fault.slow_factor_at(d, exec_window);
-        let threshold = engine.fault.hedge_threshold(d);
-        let completion = {
-            let mut hs = engine.hedge.lock();
-            devs[d / workers].set_degradation(factor);
-            devs[d / workers].advance_busy(hs.busy[d]);
-            let c = devs[d / workers].submit(&item.req, item.exec_start);
-            hs.busy[d] = c.finish;
-            c
-        };
-        // The scorer samples the *service* component only: queueing delay
-        // is the scheduler's doing, not evidence about device health. The
-        // threshold above was read first so an outlier cannot vouch for
-        // itself.
-        engine
-            .fault
-            .observe(d, completion.finish - completion.service_start, exec_window);
-        // Exactly one settlement per read: the winning hedge cancels the
-        // primary, otherwise the primary stood.
-        match hedge(
-            &engine,
-            &mut devs[d / workers],
-            &item,
-            exec_window,
-            threshold,
-            completion,
-        ) {
-            Some(finish) => item.settle(&engine, SettleKind::HedgeWin, Some(finish)),
-            None => item.settle(&engine, SettleKind::Served, Some(completion.finish)),
+    while let Ok(WorkMsg::Batch(batch)) = rx.recv() {
+        for item in batch.iter() {
+            let d = item.req.device;
+            // Admitted into window `t`, the item executes during `t + 1`.
+            let exec_window = item.window + 1;
+            if let Some(sink) = &item.write {
+                serve_write_copy(&engine, &mut devs[d / workers], item, sink, exec_window);
+                continue;
+            }
+            // Every fault-plane lookup happens BEFORE the hedge lock:
+            // `fault.inner` and `fault.health` are peers of `engine.hedge`
+            // in the lock hierarchy, never nested inside it.
+            let factor = engine.fault.slow_factor_at(d, exec_window);
+            let threshold = engine.fault.hedge_threshold(d);
+            let completion = {
+                let mut hs = engine.hedge.lock();
+                devs[d / workers].set_degradation(factor);
+                devs[d / workers].advance_busy(hs.busy[d]);
+                let c = devs[d / workers].submit(&item.req, item.exec_start);
+                hs.busy[d] = c.finish;
+                c
+            };
+            // The scorer samples the *service* component only: queueing
+            // delay is the scheduler's doing, not evidence about device
+            // health. The threshold above was read first so an outlier
+            // cannot vouch for itself.
+            engine
+                .fault
+                .observe(d, completion.finish - completion.service_start, exec_window);
+            // Exactly one settlement per read: the winning hedge cancels
+            // the primary, otherwise the primary stood.
+            match hedge(
+                &engine,
+                &mut devs[d / workers],
+                item,
+                exec_window,
+                threshold,
+                completion,
+            ) {
+                Some(finish) => item.settle(&engine, SettleKind::HedgeWin, Some(finish)),
+                None => item.settle(&engine, SettleKind::Served, Some(completion.finish)),
+            }
         }
     }
 }
@@ -1947,6 +2005,119 @@ mod tests {
         let m = s.finish();
         assert_eq!(m.served, 2);
         assert_eq!(m.guaranteed_violations, 0);
+    }
+
+    fn sealed(id: u64, tenant: u64, device: usize, write_group: Option<(u32, u32)>) -> SealedItem {
+        let req = match write_group {
+            Some(_) => IoRequest::write_block(id, 0, device, id),
+            None => IoRequest::read_block(id, 0, device, id),
+        };
+        SealedItem {
+            tenant,
+            req,
+            guaranteed: true,
+            replica_mask: 1 << device,
+            write_group,
+        }
+    }
+
+    #[test]
+    fn partition_makes_one_batch_per_worker_with_work() {
+        let s =
+            QosServer::new(ServerConfig::new(QosConfig::paper_9_3_1()).with_workers(4)).unwrap();
+        let live = s.register(1, 2, OverloadPolicy::Delay).unwrap();
+        // Devices 0, 4, 8 are worker 0's, 1 and 5 worker 1's, 2 worker 2's;
+        // nothing names a device of worker 3 (3 and 7). Tenant 2 is not
+        // registered. Write group 0 has a copy on each of three workers.
+        let items = vec![
+            sealed(10, 1, 4, None),
+            sealed(11, 2, 1, None),
+            sealed(12, 1, 0, Some((0, 3))),
+            sealed(12, 1, 1, Some((0, 3))),
+            sealed(12, 1, 2, Some((0, 3))),
+            sealed(13, 1, 8, None),
+            sealed(14, 1, 5, Some((1, 1))),
+        ];
+        let batches = s.engine.partition(6, items);
+        let ids = |w: usize| -> Vec<(u64, usize)> {
+            batches[w]
+                .iter()
+                .map(|i| (i.req.id, i.req.device))
+                .collect()
+        };
+        assert_eq!(batches.len(), 4);
+        assert_eq!(ids(0), [(10, 4), (12, 0), (13, 8)], "seal order kept");
+        assert_eq!(ids(1), [(11, 1), (12, 1), (14, 5)]);
+        assert_eq!(ids(2), [(12, 2)]);
+        assert!(batches[3].is_empty(), "an idle worker gets no message");
+        for item in batches.iter().flatten() {
+            assert_eq!((item.window, item.exec_start), (6, 7 * BASE_T));
+            match item.tenant_id {
+                1 => assert!(Arc::ptr_eq(item.tenant.as_ref().unwrap(), &live)),
+                _ => assert!(item.tenant.is_none(), "tenant 2 was never registered"),
+            }
+        }
+        let sink = |w: usize, at: usize| batches[w][at].write.as_ref().unwrap();
+        assert!(Arc::ptr_eq(sink(0, 1), sink(1, 1)) && Arc::ptr_eq(sink(0, 1), sink(2, 0)));
+        assert_eq!(sink(0, 1).remaining.load(Ordering::Relaxed), 3);
+        assert!(!Arc::ptr_eq(sink(0, 1), sink(1, 2)), "one sink per group");
+        assert!(batches[0][0].write.is_none());
+        s.finish();
+    }
+
+    #[test]
+    fn channel_bound_counts_window_shares_not_requests() {
+        for queue_depth in [1usize, 8, 64, 4096] {
+            for workers in [1usize, 3, 4] {
+                for limit in [14usize, 27] {
+                    let messages = channel_messages(queue_depth, workers, limit);
+                    if queue_depth * workers >= limit {
+                        assert!(messages * limit <= queue_depth * workers);
+                        assert!(
+                            (messages + 1) * limit > queue_depth * workers,
+                            "rounded down"
+                        );
+                    } else {
+                        assert_eq!(messages, 1, "a channel holds at least one message");
+                    }
+                }
+            }
+        }
+        assert_eq!(channel_messages(4096, 1, 14), 292);
+    }
+
+    #[test]
+    fn sealing_follows_the_watermark_not_the_submit_count() {
+        let s = server();
+        s.register(1, 3, OverloadPolicy::Delay).unwrap();
+        let mut h = s.handle();
+        for lbn in 0..3 {
+            assert!(h.submit(1, lbn, lbn).is_admitted());
+        }
+        assert_eq!(s.metrics().windows_sealed, 0, "window 0 is still open");
+        assert!(h.submit(1, 3, 5 * BASE_T).is_admitted());
+        assert_eq!(s.metrics().windows_sealed, 5);
+        // An unknown tenant's submit moves the watermark like any other.
+        assert!(!h.submit(9, 0, 7 * BASE_T).is_admitted());
+        assert_eq!(s.metrics().windows_sealed, 7);
+        drop(h);
+        assert_eq!(s.finish().served, 4);
+    }
+
+    #[test]
+    fn the_slowest_open_handle_gates_the_seal() {
+        let s = server();
+        s.register(1, 1, OverloadPolicy::Delay).unwrap();
+        let mut a = s.handle();
+        let mut b = s.handle();
+        assert!(a.submit(1, 0, 9 * BASE_T).is_admitted());
+        assert_eq!(s.metrics().windows_sealed, 0, "B still sits at window 0");
+        b.advance_to(4 * BASE_T);
+        assert_eq!(s.metrics().windows_sealed, 4);
+        drop(b);
+        assert_eq!(s.metrics().windows_sealed, 9, "only A's watermark is left");
+        drop(a);
+        assert_eq!(s.finish().served, 1);
     }
 
     #[test]

@@ -63,9 +63,10 @@ impl LatencyHistogram {
         self.max_ns.load(Ordering::Relaxed)
     }
 
-    /// Upper bucket edge at or below which at least `q` (0..=1) of the
-    /// recorded values fall. Resolution is the power-of-two bucket width;
-    /// the exact maximum is reported separately.
+    /// A value at or below which at least `q` (0..=1) of the recorded values
+    /// fall: the upper edge of the bucket that reaches `q`, clamped to the
+    /// recorded maximum so that no quantile reads above [`Self::max_ns`].
+    /// Resolution is the power-of-two bucket width.
     pub fn quantile_ns(&self, q: f64) -> u64 {
         let n = self.count();
         if n == 0 {
@@ -76,7 +77,8 @@ impl LatencyHistogram {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << i }; // upper edge
+                let edge = if i == 0 { 0 } else { 1u64 << i };
+                return edge.min(self.max_ns());
             }
         }
         self.max_ns()
@@ -376,7 +378,7 @@ mod tests {
         assert!(p50 >= 49_000, "{p50}");
         assert!(p99 >= 98_000, "{p99}");
         assert!(p50 <= p99);
-        assert_eq!(h.quantile_ns(1.0), h.max_ns().next_power_of_two());
+        assert_eq!(h.quantile_ns(1.0), h.max_ns());
         assert!((h.mean_ns() - 49_500.0).abs() < 1.0);
     }
 
@@ -403,8 +405,14 @@ mod tests {
         let h = LatencyHistogram::new();
         h.record(700); // bucket (512, 1024]
         h.record(100_000);
-        // q = 0 still needs one observation: the smallest bucket's edge.
+        // q = 0 still needs one observation: the smallest bucket's edge,
+        // which the maximum (two buckets up) does not clamp.
         assert_eq!(h.quantile_ns(0.0), 1024);
+        assert_eq!(
+            h.quantile_ns(1.0),
+            100_000,
+            "the top bucket's edge is clamped"
+        );
     }
 
     #[test]
@@ -414,8 +422,8 @@ mod tests {
             h.record(v);
         }
         let p100 = h.quantile_ns(1.0);
-        assert!(p100 >= h.max_ns(), "{p100} < {}", h.max_ns());
-        assert_eq!(p100, 65_536, "upper edge of max's bucket");
+        assert_eq!(p100, 40_000, "max's bucket edge (65 536) clamps to max");
+        assert_eq!(p100, h.max_ns());
         // Out-of-range q clamps rather than panicking.
         assert_eq!(h.quantile_ns(7.5), p100);
         assert_eq!(h.quantile_ns(-1.0), h.quantile_ns(0.0));
@@ -427,11 +435,33 @@ mod tests {
         for _ in 0..10 {
             h.record(1500); // all in (1024, 2048]
         }
+        // The bucket's edge is 2048; nothing above 1500 was recorded.
         for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile_ns(q), 2048, "q = {q}");
+            assert_eq!(h.quantile_ns(q), 1500, "q = {q}");
         }
         assert_eq!(h.max_ns(), 1500);
         assert_eq!(h.nonzero_buckets(), vec![(2048, 10)]);
+    }
+
+    #[test]
+    fn no_quantile_exceeds_the_recorded_maximum() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        for _ in 0..20 {
+            let h = LatencyHistogram::new();
+            let top = rng.gen_range(1..=2_000_000u64);
+            for _ in 0..rng.gen_range(1..=300) {
+                h.record(rng.gen_range(0..=top));
+            }
+            let mut prev = 0;
+            for q in [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                let v = h.quantile_ns(q);
+                assert!(v <= h.max_ns(), "q = {q}: {v} > {}", h.max_ns());
+                assert!(v >= prev, "q = {q}: quantiles must not decrease");
+                prev = v;
+            }
+            assert_eq!(h.quantile_ns(1.0), h.max_ns());
+        }
     }
 
     #[test]

@@ -172,7 +172,10 @@ impl SlotState {
     /// Open the slot for `window`: capture the health view and the
     /// per-device GC-pressure reserve (capacity withheld from admission on
     /// devices under write amplification) and clear the previous window's
-    /// state, keeping every buffer.
+    /// state. The feasibility state and `per_tenant` keep their buffers;
+    /// `guaranteed` and `overflow` arrive empty and unallocated, because
+    /// `seal` takes them with `mem::take` on purpose — kept, 1 024 slots ×
+    /// `S(M)` parked entries would stay resident for the engine's life.
     fn reset_for(&mut self, window: u64, accesses: usize, fault: &FaultPlane) {
         // Fail-stop devices are excluded outright; detected-slow devices
         // are steered around too (they are live — blocks with no other

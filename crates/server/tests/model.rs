@@ -540,7 +540,9 @@ fn evacuate_vs_seal_lands_the_displaced_tenant_exactly_once() {
 /// close — `served + write_settled + fault_lost + hedges_cancelled +
 /// write_lost == admitted_total` — each logical write settles exactly
 /// once (never once per replica), and no write is lost with every device
-/// healthy.
+/// healthy. A write's three copies land on two workers, so one worker
+/// always gets two items of one window in one batch: this is the schedule
+/// that walks the worker's batch loop.
 #[test]
 fn write_fanout_vs_seal_settles_each_group_once() {
     let bounds = Config {

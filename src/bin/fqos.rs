@@ -126,7 +126,11 @@ fn print_help() {
     println!("                                              speculative re-dispatch. --wal-dir");
     println!("                                              logs admissions durably before the");
     println!("                                              ack; --recover replays that log");
-    println!("                                              after a crash and resumes the run");
+    println!("                                              after a crash and resumes the run.");
+    println!("                                              --queue-depth bounds each worker's");
+    println!("                                              backlog: requests, rounded down to");
+    println!("                                              whole per-worker window shares, at");
+    println!("                                              least one (also for cluster)");
     println!("  cluster  --arrays N [--devices D] [--copies C] [--accesses M] [--workers W]");
     println!("           [--submitters S] [--windows K] [--epsilon E] [--queue-depth Q]");
     println!("           [--mode flow|eft] [--seed S] [--reserve R]");
