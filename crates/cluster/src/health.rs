@@ -218,7 +218,10 @@ impl ClusterFaultSchedule {
             reason: reason.to_string(),
         };
         let mut schedule = ClusterFaultSchedule::new();
-        for token in spec.split([',', ' ']).filter(|t| !t.trim().is_empty()) {
+        for token in spec
+            .split([',', ' ', '\n', '\t'])
+            .filter(|t| !t.trim().is_empty())
+        {
             let token = token.trim();
             let (event, rest) = token
                 .split_once(':')
@@ -491,6 +494,15 @@ mod tests {
                 arrays: 2
             })
         ));
+    }
+
+    #[test]
+    fn parse_splits_on_every_separator_the_device_grammar_does() {
+        let s = ClusterFaultSchedule::new().kill(1, 6).restore(1, 14);
+        for sep in [",", " ", "\n", "\t", ", ", "\n\t", " ,\n"] {
+            let spec = format!("kill:1@6{sep}restore:1@14{sep}");
+            assert_eq!(ClusterFaultSchedule::parse(&spec).unwrap(), s, "{spec:?}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! failed devices' load.
 
 use fqos_designs::DeviceId;
-use fqos_maxflow::{IncrementalRetrieval, RetrievalNetwork, RetrievalSchedule};
+use fqos_maxflow::{IncrementalRetrieval, RetrievalSchedule};
 
 /// Outcome of a degraded-mode schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,23 +31,34 @@ pub fn degraded_retrieval(
     devices: usize,
     failed: &[bool],
 ) -> DegradedSchedule {
-    assert_eq!(failed.len(), devices);
-    let mut served_replicas: Vec<Vec<DeviceId>> = Vec::with_capacity(requests.len());
+    // Start from a zero budget and raise it whenever a request does not
+    // fit: every raise is forced by a prefix of the served set, so the
+    // final budget is the minimum for all of it.
+    let mut kernel = IncrementalRetrieval::with_failed(devices, 0, failed_mask(devices, failed));
     let mut lost = Vec::new();
     for (i, replicas) in requests.iter().enumerate() {
-        let live: Vec<DeviceId> = replicas.iter().copied().filter(|&d| !failed[d]).collect();
-        if live.is_empty() {
+        if replicas.iter().all(|&d| failed[d]) {
             lost.push(i);
-        } else {
-            served_replicas.push(live);
+            continue;
+        }
+        while !kernel.try_add(replicas) {
+            kernel.grow_accesses(kernel.accesses() + 1);
         }
     }
-    let refs: Vec<&[DeviceId]> = served_replicas
-        .iter()
-        .map(std::vec::Vec::as_slice)
-        .collect();
-    let schedule = RetrievalNetwork::new(devices).optimal_schedule(&refs);
+    let schedule = RetrievalSchedule {
+        accesses: kernel.accesses(),
+        assignment: kernel.assignments(),
+    };
     DegradedSchedule { schedule, lost }
+}
+
+/// The failed set as the device bitmap the kernel takes.
+fn failed_mask(devices: usize, failed: &[bool]) -> u64 {
+    assert_eq!(failed.len(), devices);
+    failed
+        .iter()
+        .enumerate()
+        .fold(0u64, |m, (d, &f)| m | u64::from(f) << d)
 }
 
 /// Outcome of one [`DegradedWindow::try_add`].
@@ -82,12 +93,7 @@ impl DegradedWindow {
     /// Feasibility state for one window over `devices` devices with a
     /// per-device budget of `accesses`, with `failed` devices down.
     pub fn new(devices: usize, accesses: usize, failed: &[bool]) -> Self {
-        assert_eq!(failed.len(), devices);
-        let mask = failed
-            .iter()
-            .enumerate()
-            .fold(0u64, |m, (d, &f)| m | u64::from(f) << d);
-        Self::with_failed_mask(devices, accesses, mask)
+        Self::with_failed_mask(devices, accesses, failed_mask(devices, failed))
     }
 
     /// As [`Self::new`], with the failed set given as a device bitmap.
@@ -259,6 +265,18 @@ mod tests {
             vec![0, 1, 2],
             "the three rotations of block (0,1,2)"
         );
+    }
+
+    #[test]
+    fn lost_requests_are_skipped_and_the_rest_keep_their_order() {
+        // Devices 0 and 1 down: `[0, 1]` and the empty tuple have no live
+        // replica; every other request has exactly one.
+        let failed = [true, true, false, false];
+        let reqs: Vec<&[usize]> = vec![&[2], &[0, 1], &[1, 3], &[], &[0, 2], &[3]];
+        let d = degraded_retrieval(&reqs, 4, &failed);
+        assert_eq!(d.lost, vec![1, 3]);
+        assert_eq!(d.schedule.assignment, vec![2, 3, 2, 3]);
+        assert_eq!(d.schedule.accesses, 2);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! coalesced alternative where the `S(M)` guarantees hold exactly.
 
 use crate::scheme::AllocationScheme;
-use fqos_maxflow::RetrievalNetwork;
+use fqos_maxflow::IncrementalRetrieval;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,14 +84,26 @@ pub fn optimal_retrieval_probabilities_with<S: AllocationScheme + Sync + ?Sized>
             "cannot draw more distinct buckets than the scheme supports"
         );
     }
-    let net = RetrievalNetwork::new(scheme.devices());
+    let devices = scheme.devices();
     let n = scheme.num_buckets();
+    // One kernel, one pool and one sample buffer for the whole table: no
+    // allocation per `k` or per trial.
+    //
+    // `reqs` has room for 512 requests, several times any `k_max` in use,
+    // on purpose. The engine builds this table during set-up, and what the
+    // build leaves on the heap decides where the process's later buffers
+    // land: with no buffer, or one small enough for the allocator's
+    // per-thread cache (≤ 64 requests), the benchmark's `stat_overflow`
+    // peaks at 25–33 MiB instead of 19.5 (DESIGN.md, "One matcher").
+    let mut kernel = IncrementalRetrieval::new(devices, 0);
+    let mut pool: Vec<usize> = Vec::with_capacity(n);
+    let mut reqs: Vec<&[usize]> = Vec::with_capacity(512);
     let p: Vec<f64> = (1..=k_max)
         .map(|k| {
             let mut rng = StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E3779B97F4A7C15));
             let mut optimal = 0usize;
-            let mut pool: Vec<usize> = (0..n).collect();
-            let mut reqs: Vec<&[usize]> = Vec::with_capacity(k);
+            pool.clear();
+            pool.extend(0..n);
             for _ in 0..trials {
                 reqs.clear();
                 match sampling {
@@ -109,7 +121,8 @@ pub fn optimal_retrieval_probabilities_with<S: AllocationScheme + Sync + ?Sized>
                         }
                     }
                 }
-                if net.is_optimal_retrievable(&reqs) {
+                kernel.reset(k.div_ceil(devices), 0);
+                if reqs.iter().all(|replicas| kernel.try_add(replicas)) {
                     optimal += 1;
                 }
             }

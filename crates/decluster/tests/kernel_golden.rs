@@ -5,8 +5,13 @@
 //! matching kernel. They pin not only every admit/refuse decision but the
 //! *augmenting path* taken — the full `assignments()` vector is hashed after
 //! every call — so the server's simulated metrics cannot drift.
+//!
+//! The `P_k` table and optimal-access fingerprints at the end were captured
+//! the same way from the Dinic-backed batch `RetrievalNetwork`, before it
+//! became a loop over the kernel.
 
-use fqos_decluster::retrieval::{DegradedAdmit, DegradedWindow};
+use fqos_decluster::retrieval::{max_flow_retrieval, DegradedAdmit, DegradedWindow};
+use fqos_decluster::sampling::optimal_retrieval_probabilities;
 use fqos_decluster::{AllocationScheme, DesignTheoretic};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -103,4 +108,59 @@ fn golden_13_3_1_m3() {
     let s = DesignTheoretic::paper_13_3_1();
     assert_eq!(fingerprint(&s, 3, &[2, 11], 7), 0xd832_6e3f_b161_32ff);
     assert_eq!(fingerprint(&s, 3, &[0, 1, 4], 13), 0x044d_317a_ceb3_ca5c);
+}
+
+/// FNV over the bit patterns of the `P_k` table the serving engine builds
+/// for an ε > 0 deployment (`k_max = 2·S(M) + 8`, 1500 trials, its seed).
+fn p_table_fingerprint(scheme: &DesignTheoretic, accesses: usize) -> u64 {
+    let k_max = 2 * scheme.guarantee().buckets_in(accesses) + 8;
+    let table = optimal_retrieval_probabilities(scheme, k_max, 1500, 0x5eed_cafe);
+    assert_eq!(table.p.len(), k_max);
+    let mut h = FNV_OFFSET;
+    for p in table.p {
+        fnv(&mut h, p.to_bits());
+    }
+    h
+}
+
+/// FNV over the optimal access count of 300 Zipf-skewed request sets of
+/// 1 to `4N` buckets. The count is pinned and the assignment is not: the
+/// minimum is unique, the schedule reaching it is one among equals.
+fn accesses_fingerprint(scheme: &DesignTheoretic, seed: u64) -> u64 {
+    let devices = scheme.devices();
+    let zipf = Zipf::new(scheme.num_buckets());
+    let mut rng = seed;
+    let mut h = FNV_OFFSET;
+    let mut above_bound = 0u32;
+    for _ in 0..300 {
+        let b = 1 + (splitmix(&mut rng) % (4 * devices as u64)) as usize;
+        let reqs: Vec<&[usize]> = (0..b)
+            .map(|_| scheme.replicas(zipf.sample(&mut rng)))
+            .collect();
+        let accesses = max_flow_retrieval(&reqs, devices).accesses;
+        above_bound += u32::from(accesses > b.div_ceil(devices));
+        fnv(&mut h, accesses as u64);
+    }
+    assert!(
+        above_bound > 30,
+        "sets must exercise the raise: {above_bound}"
+    );
+    h
+}
+
+#[test]
+fn golden_p_k_tables() {
+    // (9,3,1) at M = 2, and the `stat_overflow` deployment: (13,3,1), M = 3.
+    let s = DesignTheoretic::paper_9_3_1();
+    assert_eq!(p_table_fingerprint(&s, 2), 0x1b40_ab1d_db6e_7eef);
+    let s = DesignTheoretic::paper_13_3_1();
+    assert_eq!(p_table_fingerprint(&s, 3), 0x77f0_ac3f_7880_b17d);
+}
+
+#[test]
+fn golden_optimal_accesses() {
+    let s = DesignTheoretic::paper_9_3_1();
+    assert_eq!(accesses_fingerprint(&s, 7), 0xe6b3_0740_76ce_dc6b);
+    let s = DesignTheoretic::paper_13_3_1();
+    assert_eq!(accesses_fingerprint(&s, 11), 0x5f59_43a9_d7db_55a9);
 }

@@ -1,7 +1,8 @@
 //! Edmonds–Karp max-flow: repeated BFS shortest augmenting paths.
 //!
-//! Slower than Dinic (`O(V·E²)`) but independent enough to serve as a
-//! cross-check oracle in property tests.
+//! `O(V·E²)` and written for clarity, not speed: it shares no code with the
+//! matching kernel ([`crate::incremental`]) and is the oracle the property
+//! tests compare the kernel against. Nothing outside tests calls it.
 
 use crate::graph::FlowNetwork;
 

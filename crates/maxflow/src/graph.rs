@@ -1,4 +1,5 @@
-//! Residual flow-network representation shared by all max-flow algorithms.
+//! Residual flow-network representation for the reference max-flow
+//! ([`crate::edmonds_karp`]).
 
 /// A directed edge with residual capacity. Edges are stored in pairs: edge
 /// `2i` is the forward edge and `2i + 1` its residual twin, so the reverse of
@@ -100,15 +101,6 @@ impl FlowNetwork {
         self.edges[edge ^ 1].cap += amount;
     }
 
-    /// Set the capacity of a forward edge, preserving already-pushed flow.
-    /// Panics if the new capacity is below the current flow.
-    pub fn set_capacity(&mut self, edge: usize, cap: u64) {
-        debug_assert_eq!(edge % 2, 0);
-        let flow = self.flow(edge);
-        assert!(cap >= flow, "cannot set capacity below current flow");
-        self.edges[edge].cap = cap - flow;
-    }
-
     /// Total flow out of the source (equals flow into the sink by
     /// conservation).
     pub fn total_flow(&self) -> u64 {
@@ -176,24 +168,5 @@ mod tests {
         g.reset_flow();
         assert_eq!(g.capacity(e), 5);
         assert_eq!(g.flow(e), 0);
-    }
-
-    #[test]
-    fn set_capacity_preserves_flow() {
-        let mut g = FlowNetwork::new(2, 0, 1);
-        let e = g.add_edge(0, 1, 5);
-        g.push(e, 2);
-        g.set_capacity(e, 10);
-        assert_eq!(g.flow(e), 2);
-        assert_eq!(g.capacity(e), 8);
-    }
-
-    #[test]
-    #[should_panic]
-    fn set_capacity_below_flow_panics() {
-        let mut g = FlowNetwork::new(2, 0, 1);
-        let e = g.add_edge(0, 1, 5);
-        g.push(e, 4);
-        g.set_capacity(e, 3);
     }
 }

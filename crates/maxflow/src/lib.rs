@@ -1,26 +1,25 @@
-//! Max-flow algorithms and the optimal-retrieval network of the QoS
-//! framework.
+//! The optimal-retrieval matcher of the QoS framework, and a reference
+//! max-flow to check it against.
 //!
 //! When the design-theoretic retrieval heuristic is non-optimal, the paper
 //! (§III-C, and its refs [14,15]) finds the optimal retrieval schedule by
 //! solving a maximum-flow problem over the bipartite graph
 //! `source → blocks → devices → sink`, where each device edge has capacity
 //! `M` (the number of accesses). A request set of `b` blocks is retrievable
-//! in `M` accesses iff the max flow equals `b`.
+//! in `M` accesses iff the max flow equals `b`. On that network max flow is
+//! a bipartite b-matching, and one matcher answers it everywhere.
 //!
 //! # Contents
 //!
-//! * [`graph::FlowNetwork`] — residual-graph representation.
-//! * [`dinic`] — Dinic's algorithm, `O(E·√V)` on unit-capacity bipartite
-//!   networks (the batch production path).
-//! * [`edmonds_karp`] — Edmonds–Karp BFS augmentation (cross-check baseline).
-//! * [`push_relabel`] — Goldberg–Tarjan push–relabel with the gap
-//!   heuristic (third independent implementation, dense-network option).
-//! * [`retrieval`] — the block→device retrieval network, feasibility test,
-//!   minimal-`M` search and schedule extraction.
-//! * [`incremental`] — one-request-at-a-time augmentation for online use: a
-//!   flat-array matching kernel that takes the path Dinic would, without a
-//!   residual graph or heap allocation.
+//! * [`incremental`] — the matcher: a flat-array kernel that admits one
+//!   request at a time along a shortest augmenting path, without a residual
+//!   graph or heap allocation per call.
+//! * [`retrieval`] — the batch questions (feasibility in `M` accesses, the
+//!   minimal `M`, the schedule) as a loop over the kernel.
+//! * [`graph::FlowNetwork`] + [`edmonds_karp`] — a textbook residual graph
+//!   and BFS augmentation that share no code with the kernel. Nothing
+//!   outside tests calls them: they are the oracle the kernel is compared
+//!   against.
 //!
 //! # Example
 //!
@@ -33,11 +32,9 @@
 //! assert_eq!(schedule.accesses, 1); // one access: a perfect matching exists
 //! ```
 
-pub mod dinic;
 pub mod edmonds_karp;
 pub mod graph;
 pub mod incremental;
-pub mod push_relabel;
 pub mod retrieval;
 
 pub use graph::FlowNetwork;

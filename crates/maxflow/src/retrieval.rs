@@ -1,14 +1,16 @@
-//! The optimal-retrieval network: is a set of replicated block requests
+//! The optimal-retrieval question: is a set of replicated block requests
 //! retrievable in `M` parallel accesses, and from which replica should each
 //! block be fetched?
 //!
 //! Model (paper §III-C, refs [14,15]): `source → block_i → device_d → sink`
 //! with unit capacity on the source and replica edges and capacity `M` on
 //! each device→sink edge. The request set is retrievable in `M` accesses iff
-//! the maximum flow saturates all `b` source edges.
+//! the maximum flow saturates all `b` source edges. That flow is a bipartite
+//! b-matching, and the batch solver here finds it by feeding the requests
+//! one at a time to the same [`IncrementalRetrieval`] kernel the online path
+//! uses.
 
-use crate::dinic;
-use crate::graph::FlowNetwork;
+use crate::incremental::{IncrementalRetrieval, MAX_DEVICES};
 
 /// Device index type (re-exported from the designs crate for convenience).
 pub use fqos_designs::DeviceId;
@@ -41,9 +43,13 @@ pub struct RetrievalNetwork {
 }
 
 impl RetrievalNetwork {
-    /// Create a scheduler for an array of `devices` flash modules.
+    /// Create a scheduler for an array of `devices` flash modules (at most
+    /// [`MAX_DEVICES`], the fault plane's bound).
     pub fn new(devices: usize) -> Self {
-        assert!(devices > 0);
+        assert!(
+            (1..=MAX_DEVICES).contains(&devices),
+            "1..={MAX_DEVICES} devices supported, got {devices}"
+        );
         RetrievalNetwork { devices }
     }
 
@@ -52,98 +58,49 @@ impl RetrievalNetwork {
         self.devices
     }
 
-    /// Build the flow network for `requests` (each a replica device tuple)
-    /// with per-device capacity `m`. Returns `(network, device_edges)` where
-    /// `device_edges[d]` is the id of the `device_d → sink` edge.
-    fn build(&self, requests: &[&[DeviceId]], m: usize) -> (FlowNetwork, Vec<usize>) {
-        let b = requests.len();
-        // Layout: 0 = source, 1..=b = blocks, b+1..=b+N = devices, b+N+1 = sink.
-        let sink = b + self.devices + 1;
-        let mut net = FlowNetwork::new(sink + 1, 0, sink);
+    /// An empty kernel with budget `m`, once every request is seen to name
+    /// a replica: one that names none fits no budget, and raising the budget
+    /// for it would never end.
+    fn kernel(&self, requests: &[&[DeviceId]], m: usize) -> IncrementalRetrieval {
         for (i, replicas) in requests.iter().enumerate() {
-            net.add_edge(0, 1 + i, 1);
-            for &d in replicas.iter() {
-                debug_assert!(d < self.devices, "replica device out of range");
-                net.add_edge(1 + i, 1 + b + d, 1);
-            }
+            assert!(!replicas.is_empty(), "request {i} names no replica");
         }
-        let mut device_edges = Vec::with_capacity(self.devices);
-        for d in 0..self.devices {
-            device_edges.push(net.add_edge(1 + b + d, sink, m as u64));
-        }
-        (net, device_edges)
-    }
-
-    /// Extract the per-request device assignment from a saturated network.
-    fn extract(&self, net: &FlowNetwork, requests: &[&[DeviceId]]) -> Vec<DeviceId> {
-        let b = requests.len();
-        let mut assignment = vec![0usize; b];
-        for (i, slot) in assignment.iter_mut().enumerate() {
-            let block = 1 + i;
-            let mut assigned = None;
-            for &e in net.adjacent(block) {
-                // Forward replica edges leave the block vertex; flow 1 marks
-                // the chosen replica.
-                if e % 2 == 0 && net.flow(e) == 1 {
-                    assigned = Some(net.edge_to(e) - 1 - b);
-                    break;
-                }
-            }
-            *slot = assigned.expect("saturated network must assign every block");
-        }
-        assignment
+        IncrementalRetrieval::new(self.devices, m)
     }
 
     /// Test whether `requests` can be retrieved in `m` accesses; on success
-    /// returns the device assignment.
+    /// returns the device assignment. Panics if a request names no replica.
     pub fn feasible(&self, requests: &[&[DeviceId]], m: usize) -> Option<Vec<DeviceId>> {
-        if requests.is_empty() {
-            return Some(Vec::new());
-        }
-        let (mut net, _) = self.build(requests, m);
-        let flow = dinic::max_flow(&mut net);
-        if flow == requests.len() as u64 {
-            Some(self.extract(&net, requests))
-        } else {
-            None
-        }
+        let mut kernel = self.kernel(requests, m);
+        requests
+            .iter()
+            .all(|replicas| kernel.try_add(replicas))
+            .then(|| kernel.assignments())
     }
 
-    /// Find the optimal (minimal-access) retrieval schedule.
+    /// Find the optimal (minimal-access) retrieval schedule. Panics if a
+    /// request names no replica.
     ///
-    /// Starts at the lower bound `⌈b/N⌉` and raises the device capacity one
-    /// access at a time, resuming the flow computation on the residual
-    /// network rather than recomputing from scratch.
+    /// Starts at the lower bound `⌈b/N⌉` and raises the budget by one access
+    /// whenever a request finds no augmenting path, keeping the matching
+    /// built so far. The result is still minimal: the prefix that did not
+    /// fit is part of the whole set, so the budget it failed under is ruled
+    /// out for the whole set too.
     pub fn optimal_schedule(&self, requests: &[&[DeviceId]]) -> RetrievalSchedule {
-        let b = requests.len();
-        if b == 0 {
-            return RetrievalSchedule {
-                accesses: 0,
-                assignment: Vec::new(),
-            };
-        }
-        let mut m = b.div_ceil(self.devices);
-        let (mut net, device_edges) = self.build(requests, m);
-        let mut flow = dinic::max_flow(&mut net);
-        while flow < b as u64 {
-            m += 1;
-            for &e in &device_edges {
-                net.set_capacity(e, m as u64);
+        let mut kernel = self.kernel(requests, requests.len().div_ceil(self.devices));
+        for replicas in requests {
+            while !kernel.try_add(replicas) {
+                kernel.grow_accesses(kernel.accesses() + 1);
             }
-            flow += dinic::max_flow(&mut net);
-            // Every block with at least one replica is routable once m >= b,
-            // so this loop always terminates.
-            debug_assert!(m <= b);
         }
         RetrievalSchedule {
-            accesses: m,
-            assignment: self.extract(&net, requests),
+            accesses: kernel.accesses(),
+            assignment: kernel.assignments(),
         }
     }
 
     /// True iff the request set is retrievable in the optimal `⌈b/N⌉`
-    /// accesses — the test used by the Fig. 4 sampler and the statistical
-    /// admission controller.
+    /// accesses, the event whose probability Fig. 4 plots.
     pub fn is_optimal_retrievable(&self, requests: &[&[DeviceId]]) -> bool {
         let lb = requests.len().div_ceil(self.devices);
         self.feasible(requests, lb).is_some()
@@ -163,6 +120,25 @@ mod tests {
         let s = nets().optimal_schedule(&[]);
         assert_eq!(s.accesses, 0);
         assert!(s.assignment.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "request 1 names no replica")]
+    fn empty_replica_tuple_is_rejected() {
+        // Before the check this raised `m` without end in release builds.
+        nets().optimal_schedule(&[&[0, 1], &[]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "request 0 names no replica")]
+    fn feasible_rejects_an_empty_replica_tuple() {
+        nets().feasible(&[&[]], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "devices supported")]
+    fn more_devices_than_the_kernel_bitmap_is_rejected() {
+        RetrievalNetwork::new(MAX_DEVICES + 1);
     }
 
     #[test]

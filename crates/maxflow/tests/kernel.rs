@@ -1,7 +1,8 @@
 //! Oracle tests for the incremental matching kernel behind
 //! [`IncrementalRetrieval`]: a golden fingerprint captured from the
-//! `FlowNetwork` + Dinic implementation it replaced, the batch solver as a
-//! feasibility oracle, and the refusal / reset / rollback contracts.
+//! `FlowNetwork` + Dinic implementation it replaced, and the refusal / reset
+//! / rollback contracts. The feasibility oracle (Edmonds–Karp) is in
+//! `properties.rs`.
 
 use fqos_maxflow::IncrementalRetrieval;
 

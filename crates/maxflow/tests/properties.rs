@@ -1,77 +1,79 @@
-//! Property-based cross-checks of the max-flow implementations.
+//! Property-based checks of the matching kernel and the batch solver built
+//! on it, against an oracle that shares no code with either: Edmonds–Karp
+//! over an explicitly built `source → requests → devices → sink` network.
 
-use fqos_maxflow::{dinic, edmonds_karp, FlowNetwork, IncrementalRetrieval, RetrievalNetwork};
+use fqos_maxflow::{edmonds_karp, FlowNetwork, IncrementalRetrieval, RetrievalNetwork};
 use proptest::prelude::*;
 
-/// Build a random directed network from a proptest-generated edge list.
-fn build(n: usize, edges: &[(usize, usize, u64)]) -> (FlowNetwork, FlowNetwork) {
-    let a = {
-        let mut g = FlowNetwork::new(n, 0, n - 1);
-        for &(u, v, c) in edges {
-            if u != v {
-                g.add_edge(u % n, v % n, c % 32);
-            }
+/// The oracle: does the max flow saturate every request when each device
+/// takes `m` of them?
+fn ek_saturates(devices: usize, requests: &[Vec<usize>], m: usize) -> bool {
+    let b = requests.len();
+    // Layout: 0 = source, 1..=b = requests, b+1..=b+N = devices, b+N+1 = sink.
+    let sink = b + devices + 1;
+    let mut net = FlowNetwork::new(sink + 1, 0, sink);
+    for (i, replicas) in requests.iter().enumerate() {
+        net.add_edge(0, 1 + i, 1);
+        for &d in replicas {
+            net.add_edge(1 + i, 1 + b + d, 1);
         }
-        g
-    };
-    (a.clone(), a)
+    }
+    for d in 0..devices {
+        net.add_edge(1 + b + d, sink, m as u64);
+    }
+    let flow = edmonds_karp::max_flow(&mut net);
+    assert!(net.check_conservation());
+    flow == b as u64
+}
+
+/// Map uniform draws from `0..4096` to devices; higher powers of the draw
+/// crowd the low devices.
+fn skewed(draws: &[usize], devices: usize, skew: usize) -> Vec<usize> {
+    let mut r: Vec<usize> = draws
+        .iter()
+        .map(|&u| (0..skew).fold(devices, |d, _| d * u / 4096))
+        .collect();
+    r.dedup();
+    r
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn dinic_equals_edmonds_karp(
-        n in 2usize..12,
-        edges in prop::collection::vec((0usize..12, 0usize..12, 0u64..32), 0..40),
+    fn optimal_schedule_matches_edmonds_karp(
+        devices in 2usize..=64,
+        skew in 1usize..4,
+        reqs in prop::collection::vec(prop::collection::vec(0usize..4096, 1..4), 1..201),
     ) {
-        let (mut g1, mut g2) = build(n, &edges);
-        let f1 = dinic::max_flow(&mut g1);
-        let f2 = edmonds_karp::max_flow(&mut g2);
-        prop_assert_eq!(f1, f2);
-        prop_assert!(g1.check_conservation());
-        prop_assert!(g2.check_conservation());
-        prop_assert_eq!(g1.total_flow(), f1);
-    }
-
-    #[test]
-    fn schedule_is_feasible_and_minimal(
-        devices in 2usize..10,
-        reqs in prop::collection::vec(prop::collection::vec(0usize..10, 1..4), 1..25),
-    ) {
-        let reqs: Vec<Vec<usize>> = reqs
-            .into_iter()
-            .map(|r| {
-                let mut r: Vec<usize> = r.into_iter().map(|d| d % devices).collect();
-                r.sort_unstable();
-                r.dedup();
-                r
-            })
-            .collect();
-        let refs: Vec<&[usize]> = reqs.iter().map(std::vec::Vec::as_slice).collect();
+        let reqs: Vec<Vec<usize>> = reqs.iter().map(|r| skewed(r, devices, skew)).collect();
+        let refs: Vec<&[usize]> = reqs.iter().map(Vec::as_slice).collect();
         let net = RetrievalNetwork::new(devices);
         let s = net.optimal_schedule(&refs);
 
-        // Every assignment uses a true replica.
-        for (i, r) in reqs.iter().enumerate() {
-            prop_assert!(r.contains(&s.assignment[i]));
+        // `accesses` is the least budget the oracle saturates (saturation is
+        // monotone in the budget, so two points pin it), from `⌈b/N⌉` up.
+        let lb = reqs.len().div_ceil(devices);
+        prop_assert!(s.accesses >= lb);
+        prop_assert!(ek_saturates(devices, &reqs, s.accesses));
+        prop_assert!(!ek_saturates(devices, &reqs, s.accesses - 1));
+        // The fixed-budget tests draw the same line.
+        prop_assert!(net.feasible(&refs, s.accesses).is_some());
+        prop_assert!(net.feasible(&refs, s.accesses - 1).is_none());
+        prop_assert_eq!(net.is_optimal_retrievable(&refs), s.accesses == lb);
+        // Every assignment uses a listed replica, within the access bound.
+        prop_assert_eq!(s.assignment.len(), reqs.len());
+        for (d, r) in s.assignment.iter().zip(&reqs) {
+            prop_assert!(r.contains(d), "{} not a replica of {:?}", d, r);
         }
-        // The schedule respects its own access bound.
-        let loads = s.device_loads(devices);
-        prop_assert!(loads.iter().all(|&l| l <= s.accesses));
-        // Minimality: one fewer access must be infeasible.
-        if s.accesses > reqs.len().div_ceil(devices) {
-            prop_assert!(net.feasible(&refs, s.accesses - 1).is_none());
-        }
-        // Never better than the information-theoretic lower bound.
-        prop_assert!(s.accesses >= reqs.len().div_ceil(devices));
+        prop_assert!(s.device_loads(devices).iter().all(|&l| l <= s.accesses));
     }
 
-    /// The batch solver is the oracle for the incremental kernel: same
-    /// admit/refuse decision on every prefix, with devices failed, a skewed
-    /// replica choice and a budget raise part-way through.
+    /// Same admit/refuse decision as the oracle on every prefix, with
+    /// devices failed, a skewed replica choice and a budget raise part-way
+    /// through.
     #[test]
-    fn incremental_agrees_with_batch(
+    fn incremental_agrees_with_edmonds_karp(
         devices in 2usize..14,
         m in 1usize..4,
         failed in any::<u64>(),
@@ -84,11 +86,6 @@ proptest! {
         let live = |r: &[usize]| -> Vec<usize> {
             r.iter().copied().filter(|&d| failed >> d & 1 == 0).collect()
         };
-        let net = RetrievalNetwork::new(devices);
-        let feasible = |set: &[Vec<usize>], m: usize| {
-            let refs: Vec<&[usize]> = set.iter().map(Vec::as_slice).collect();
-            net.feasible(&refs, m).is_some()
-        };
         let mut inc = IncrementalRetrieval::with_failed(devices, m, failed);
         let mut m = m;
         // Live replica tuples of the admitted requests, in admission order.
@@ -98,26 +95,21 @@ proptest! {
             if i == grow_at {
                 m += 1;
                 inc.grow_accesses(m);
-                // The raise unlocks exactly what the batch solver says.
+                // The raise unlocks exactly what the oracle says.
                 for r in std::mem::take(&mut refused) {
                     let mut probe = admitted.clone();
                     probe.push(live(&r));
-                    let ok = !probe.last().unwrap().is_empty() && feasible(&probe, m);
+                    let ok = ek_saturates(devices, &probe, m);
                     prop_assert_eq!(inc.try_add(&r), ok);
                     if ok {
                         admitted = probe;
                     }
                 }
             }
-            // Skew: higher powers of a uniform draw crowd the low devices.
-            let mut r: Vec<usize> = r
-                .iter()
-                .map(|&u| (0..skew).fold(devices, |d, _| d * u / 4096))
-                .collect();
-            r.dedup();
+            let r = skewed(r, devices, skew);
             let mut probe = admitted.clone();
             probe.push(live(&r));
-            let ok = !probe.last().unwrap().is_empty() && feasible(&probe, m);
+            let ok = ek_saturates(devices, &probe, m);
             prop_assert_eq!(inc.try_add(&r), ok, "request {:?} on {:?}", r, admitted);
             if ok {
                 admitted = probe;

@@ -1001,6 +1001,15 @@ mod tests {
     }
 
     #[test]
+    fn schedule_parse_splits_on_every_separator() {
+        let s = FaultSchedule::new().fail(1, 6).recover(1, 14);
+        for sep in [",", " ", "\n", "\t", ", ", "\n\t", " ,\n"] {
+            let spec = format!("fail:1@6{sep}recover:1@14{sep}");
+            assert_eq!(FaultSchedule::parse(&spec).unwrap(), s, "{spec:?}");
+        }
+    }
+
+    #[test]
     fn schedule_parse_slow_and_restore() {
         let s = FaultSchedule::parse("slow:2@10 restore:2@30, slow:1@5x4").unwrap();
         assert_eq!(

@@ -15,7 +15,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`designs`] | `fqos-designs` | `(N, c, 1)` block designs, Steiner constructions, rotations, the `S(M)` guarantee algebra |
-//! | [`maxflow`] | `fqos-maxflow` | Dinic/Edmonds–Karp, the optimal-retrieval network, incremental augmentation |
+//! | [`maxflow`] | `fqos-maxflow` | the incremental matching kernel, the batch optimal-retrieval solver built on it, an Edmonds–Karp reference for tests |
 //! | [`flashsim`] | `fqos-flashsim` | event-driven flash array simulator (calibrated + page-level models, FTL, GC) |
 //! | [`traces`] | `fqos-traces` | DiskSim ASCII traces, the synthetic generator, Exchange/TPC-E workload models |
 //! | [`decluster`] | `fqos-decluster` | allocation schemes (design-theoretic, RAID-1 × 2, RDA, partitioned, periodic, orthogonal) and retrieval algorithms |
