@@ -1,34 +1,47 @@
 //! Offline stand-in for the `crossbeam` crate (0.8 API subset): what
 //! `fqos-server` calls.
 //!
-//! Provides [`channel::bounded`] (and [`channel::unbounded`]) multi-producer
-//! channels with crossbeam's disconnect semantics: cloning a `Sender`
-//! tracks the endpoint count, dropping the last `Sender` wakes a blocked
-//! receiver with [`channel::RecvError`], and dropping the `Receiver` fails
-//! sends. Built on a `Mutex<VecDeque>` plus two condvars — correct and fair
-//! enough for queue depths in the hundreds; not a lock-free performance
-//! shim.
-//!
-//! `unbounded` has no caller. It stays because the `Option` it puts in the
-//! channel's shared block is 8 bytes of a long-lived allocation, and the
-//! benchmark's `hotspot_burst` peak RSS moves 19.5 → 25.4 MiB when that
-//! block changes malloc size class (measured, PR 14). Remove it together
-//! with that sensitivity, not before.
+//! Provides [`channel::bounded`] multi-producer channels with crossbeam's
+//! disconnect semantics: cloning a `Sender` tracks the endpoint count,
+//! dropping the last `Sender` wakes a blocked receiver with
+//! [`channel::RecvError`], and dropping the `Receiver` fails sends. Built
+//! on a `Mutex<VecDeque>` plus two condvars — correct and fair enough for
+//! queue depths in the hundreds. The queue is not lock-free; the blocking
+//! strategy is what real crossbeam's is, back off and only then park: a
+//! receiver that finds the queue empty lingers for about one park/unpark
+//! cycle, yielding and polling a lock-free length mirror, before it waits
+//! on the condvar. Under steady load the receiver never parks, so no send
+//! pays for waking it and the hand-off has one speed.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, PoisonError};
+    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+    use std::time::{Duration, Instant};
 
-    struct Shared<T> {
+    /// How long an idle receiver polls before it parks: about what one
+    /// park/unpark cycle costs on the hosts this runs on (≈ 10 µs of
+    /// `futex_wake` on the waker plus the 20–50 µs a halted vCPU takes to
+    /// run again). Lingering for as long as a park costs is at most twice
+    /// the best offline choice (ski rental), and throughput measured flat
+    /// from there up to 1 ms (DESIGN.md, "The hand-off has one speed"): a
+    /// constant, not a knob.
+    const LINGER: Duration = Duration::from_micros(50);
+
+    /// The layout is budgeted — see `shared_block_keeps_its_malloc_size_class`
+    /// before adding or widening a field.
+    pub(super) struct Shared<T> {
         queue: Mutex<VecDeque<T>>,
-        /// None = unbounded.
-        capacity: Option<usize>,
+        capacity: usize,
         not_empty: Condvar,
         not_full: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
+        /// Mirror of `queue.len()` (saturating), written under the mutex,
+        /// read without it by a lingering receiver. A hint only (hence
+        /// `Relaxed`): the receiver re-checks the queue under the mutex.
+        len: AtomicU32,
     }
 
     /// Sending half; clonable for multi-producer use.
@@ -64,22 +77,14 @@ pub mod channel {
     /// Channel buffering at most `cap` messages; sends block when full.
     /// `cap = 0` is rounded up to 1 (true rendezvous is not needed here).
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        with_capacity(Some(cap.max(1)))
-    }
-
-    /// Channel with no capacity bound; sends never block.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_capacity(None)
-    }
-
-    fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
-            capacity,
+            capacity: cap.max(1),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
+            len: AtomicU32::new(0),
         });
         (
             Sender {
@@ -97,6 +102,29 @@ pub mod channel {
         fn no_senders(&self) -> bool {
             self.senders.load(Ordering::Acquire) == 0
         }
+
+        fn lock(&self) -> MutexGuard<'_, VecDeque<T>> {
+            self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        fn mirror_len(&self, q: &VecDeque<T>) {
+            let len = u32::try_from(q.len()).unwrap_or(u32::MAX);
+            self.len.store(len, Ordering::Relaxed);
+        }
+
+        /// Poll, without the mutex and without allocating, until a message
+        /// is queued, the last sender is gone or `LINGER` has passed.
+        /// Yields rather than spins: with more runnable threads than cores
+        /// a spinning receiver holds the core its sender needs.
+        fn linger(&self) {
+            let start = Instant::now();
+            while self.len.load(Ordering::Relaxed) == 0
+                && !self.no_senders()
+                && start.elapsed() < LINGER
+            {
+                std::thread::yield_now();
+            }
+        }
     }
 
     impl<T> Sender<T> {
@@ -104,22 +132,21 @@ pub mod channel {
         /// gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let shared = &*self.shared;
-            let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut q = shared.lock();
             loop {
                 if shared.no_receivers() {
                     return Err(SendError(value));
                 }
-                match shared.capacity {
-                    Some(cap) if q.len() >= cap => {
-                        q = shared
-                            .not_full
-                            .wait(q)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    _ => break,
+                if q.len() < shared.capacity {
+                    break;
                 }
+                q = shared
+                    .not_full
+                    .wait(q)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
             q.push_back(value);
+            shared.mirror_len(&q);
             drop(q);
             shared.not_empty.notify_one();
             Ok(())
@@ -131,9 +158,10 @@ pub mod channel {
         /// with all senders gone.
         pub fn recv(&self) -> Result<T, RecvError> {
             let shared = &*self.shared;
-            let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut q = shared.lock();
             loop {
                 if let Some(v) = q.pop_front() {
+                    shared.mirror_len(&q);
                     drop(q);
                     shared.not_full.notify_one();
                     return Ok(v);
@@ -141,10 +169,15 @@ pub mod channel {
                 if shared.no_senders() {
                     return Err(RecvError);
                 }
-                q = shared
-                    .not_empty
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
+                drop(q);
+                shared.linger();
+                q = shared.lock();
+                if q.is_empty() && !shared.no_senders() {
+                    q = shared
+                        .not_empty
+                        .wait(q)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
             }
         }
     }
@@ -181,9 +214,27 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{self, RecvError};
+    use super::channel::{self, RecvError, Shared};
+    use std::sync::{mpsc, Arc, Barrier};
     use std::thread;
     use std::time::Duration;
+
+    /// A lost wake-up must fail the test, not hang it.
+    const PROMPT: Duration = Duration::from_secs(10);
+
+    /// Long enough for a receiver to outlive the 50 µs linger and park.
+    const PARKED: Duration = Duration::from_millis(20);
+
+    /// `recv` on its own thread, its result handed back over a std channel.
+    /// Detached on purpose: joining a receiver whose wake-up was lost would
+    /// hang the test that `PROMPT` is there to fail.
+    fn recv_in_background<T: Send + 'static>(
+        rx: channel::Receiver<T>,
+    ) -> mpsc::Receiver<Result<T, RecvError>> {
+        let (done_tx, done_rx) = mpsc::channel();
+        thread::spawn(move || done_tx.send(rx.recv()));
+        done_rx
+    }
 
     #[test]
     fn fifo_within_capacity() {
@@ -209,6 +260,15 @@ mod tests {
     }
 
     #[test]
+    fn a_parked_receiver_is_woken_by_the_next_send() {
+        let (tx, rx) = channel::bounded(4);
+        let got = recv_in_background(rx);
+        thread::sleep(PARKED);
+        tx.send(7u32).unwrap();
+        assert_eq!(got.recv_timeout(PROMPT), Ok(Ok(7)));
+    }
+
+    #[test]
     fn drop_of_all_senders_disconnects() {
         let (tx, rx) = channel::bounded::<u32>(2);
         let tx2 = tx.clone();
@@ -217,6 +277,38 @@ mod tests {
         drop(tx2);
         assert_eq!(rx.recv(), Ok(7));
         assert_eq!(rx.recv(), Err(RecvError));
+    }
+
+    #[test]
+    fn drop_of_the_last_sender_ends_a_parked_recv() {
+        let (tx, rx) = channel::bounded::<u32>(2);
+        let got = recv_in_background(rx);
+        thread::sleep(PARKED);
+        drop(tx);
+        assert_eq!(got.recv_timeout(PROMPT), Ok(Err(RecvError)));
+    }
+
+    #[test]
+    fn drop_of_the_last_sender_ends_a_lingering_recv() {
+        // The drop follows the barrier at once, so it lands while the
+        // receiver is about to linger, lingering, or (rarely) just parked;
+        // every one of those must see the disconnect.
+        for _ in 0..200 {
+            let (tx, rx) = channel::bounded::<u32>(2);
+            let start = Arc::new(Barrier::new(2));
+            let (done_tx, got) = mpsc::channel();
+            let receiver = {
+                let start = Arc::clone(&start);
+                thread::spawn(move || {
+                    start.wait();
+                    done_tx.send(rx.recv())
+                })
+            };
+            start.wait();
+            drop(tx);
+            assert_eq!(got.recv_timeout(PROMPT), Ok(Err(RecvError)));
+            receiver.join().unwrap().unwrap();
+        }
     }
 
     #[test]
@@ -252,14 +344,53 @@ mod tests {
         assert_eq!(all, (0..2 * n).collect::<Vec<_>>());
     }
 
+    /// Every path at once: senders parked on a full queue and woken by
+    /// `recv`, a receiver that lingers, parks (it outlives the linger while
+    /// the producers sleep off their own wake-ups) and is woken by `send`.
     #[test]
-    fn unbounded_never_blocks_the_sender() {
-        let (tx, rx) = channel::unbounded();
-        for i in 0..5 {
-            tx.send(i).unwrap();
-        }
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "2 × 10⁵ park/unpark cycles: run with --release"
+    )]
+    fn stress_two_producers_through_one_slot() {
+        const N: u32 = 100_000;
+        let (tx, rx) = channel::bounded(1);
+        let producers: Vec<_> = (0..2usize)
+            .map(|p| {
+                let tx = tx.clone();
+                thread::spawn(move || {
+                    for i in 0..N {
+                        tx.send((p, i)).unwrap();
+                    }
+                })
+            })
+            .collect();
         drop(tx);
-        let got: Vec<i32> = std::iter::from_fn(|| rx.recv().ok()).collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        let mut next = [0u32; 2];
+        let mut received = 0u32;
+        while let Ok((p, i)) = rx.recv() {
+            assert_eq!(i, next[p], "producer {p}: lost, repeated or reordered");
+            next[p] += 1;
+            received += 1;
+            if received.is_multiple_of(997) {
+                thread::sleep(Duration::from_micros(100));
+            }
+        }
+        for p in producers {
+            p.join().unwrap();
+        }
+        assert_eq!(next, [N, N]);
+    }
+
+    /// ROADMAP item 3a: the benchmark's `peak_rss_mb` follows the malloc
+    /// size class of long-lived allocations, and `Arc<Shared<T>>` is one.
+    /// 73..=88 bytes keep `ArcInner` (two more words) in the 112-byte chunk
+    /// it has had since PR 14; 96 bytes took `hotspot_burst` from 19.3 to
+    /// 25.4 MiB. Delete this test when item 3a lands (a memory metric that
+    /// heap layout cannot move).
+    #[test]
+    fn shared_block_keeps_its_malloc_size_class() {
+        let size = std::mem::size_of::<Shared<u64>>();
+        assert!((73..=88).contains(&size), "Shared<u64> is {size} bytes");
     }
 }

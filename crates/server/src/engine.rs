@@ -271,11 +271,65 @@ fn channel_messages(queue_depth: usize, workers: usize, limit: usize) -> usize {
 ///   other (and start no earlier than the primary work the device has
 ///   accepted so far); losers roll back off it.
 ///
+/// Workers drift apart by up to a queue of windows, and a hedge issued in
+/// exec window `W` queues behind the primaries its target accepted *up to
+/// `W`* — work of later windows arrives after it in simulated time, however
+/// far ahead the target's owner happens to run in real time. `entered`
+/// keeps what `busy[d]` was when each recent window first reached `d`, so
+/// [`HedgeState::busy_as_of`] can give the hedge that view.
+///
 /// Leaf lock (class `engine.hedge`): nothing else is ever acquired while
 /// it is held.
 struct HedgeState {
     busy: Vec<u64>,
     spec: Vec<u64>,
+    /// Per device, the latest exec window `busy[d]` holds work of.
+    latest: Vec<u64>,
+    /// Per device, `depth` slots indexed by `exec window % depth`:
+    /// `(exec window, busy[d] as its first primary found it)`.
+    entered: Vec<(u64, u64)>,
+    /// Windows a peer can run ahead: a full queue, the batch in service and
+    /// the one the dispatcher is blocked on.
+    depth: usize,
+}
+
+impl HedgeState {
+    fn new(devices: usize, depth: usize) -> Self {
+        HedgeState {
+            busy: vec![0; devices],
+            spec: vec![0; devices],
+            latest: vec![0; devices],
+            entered: vec![(0, 0); devices * depth],
+            depth,
+        }
+    }
+
+    fn slot(&self, d: usize, window: u64) -> usize {
+        d * self.depth + (window % self.depth as u64) as usize
+    }
+
+    /// Owner side: `d` accepted a primary of exec window `window` that
+    /// finishes at `finish`. Windows reach a device in increasing order.
+    fn accept(&mut self, d: usize, window: u64, finish: u64) {
+        if self.latest[d] != window {
+            self.latest[d] = window;
+            let slot = self.slot(d, window);
+            self.entered[slot] = (window, self.busy[d]);
+        }
+        self.busy[d] = finish;
+    }
+
+    /// `d`'s primary frontier as a read issued in exec window `window`
+    /// meets it: what `busy[d]` was before the first later window reached
+    /// `d`. That is `busy[d]` itself when none has — always, on the asking
+    /// worker's own devices — and also when the owner is more than `depth`
+    /// windows ahead and the slot is gone: late, never early.
+    fn busy_as_of(&self, d: usize, window: u64) -> u64 {
+        (window + 1..=self.latest[d].min(window + self.depth as u64))
+            .map(|later| (later, self.entered[self.slot(d, later)]))
+            .find(|&(later, (entered, _))| entered == later)
+            .map_or(self.busy[d], |(_, (_, found))| found)
+    }
 }
 
 struct Engine {
@@ -405,9 +459,9 @@ impl QosServer {
                 k_max,
             }
         });
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..workers)
-            .map(|_| bounded::<WorkMsg>(channel_messages(cfg.queue_depth, workers, limit)))
-            .unzip();
+        let messages = channel_messages(cfg.queue_depth, workers, limit);
+        let (txs, rxs): (Vec<_>, Vec<_>) =
+            (0..workers).map(|_| bounded::<WorkMsg>(messages)).unzip();
         let fault = Arc::new(FaultPlane::with_health(
             devices,
             cfg.fault_schedule.clone(),
@@ -429,10 +483,7 @@ impl QosServer {
             max_target: AtomicU64::new(0),
             handles: Mutex::new(Vec::new()),
             txs,
-            hedge: Mutex::new(HedgeState {
-                busy: vec![0; devices],
-                spec: vec![0; devices],
-            }),
+            hedge: Mutex::new(HedgeState::new(devices, messages + 2)),
             stat,
             ledger: AtomicLedger::default(),
             stats: GlobalStats::default(),
@@ -1303,7 +1354,7 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
                 devs[d / workers].set_degradation(factor);
                 devs[d / workers].advance_busy(hs.busy[d]);
                 let c = devs[d / workers].submit(&item.req, item.exec_start);
-                hs.busy[d] = c.finish;
+                hs.accept(d, exec_window, c.finish);
                 c
             };
             // The scorer samples the *service* component only: queueing
@@ -1373,7 +1424,7 @@ fn serve_write_copy(
             dev.set_degradation(factor);
             dev.advance_busy(hs.busy[d]);
             let c = dev.submit(&item.req, issue);
-            hs.busy[d] = c.finish;
+            hs.accept(d, exec_window, c.finish);
             c
         };
         // Aggregate this write's GC work (the worker owns the device, so
@@ -1514,19 +1565,17 @@ fn hedge(
             // one more backoff period.
             let issue = item.exec_start + (attempt - 1) * RETRY_BACKOFF_NS;
             // A hedge starts after the primary work its target has
-            // accepted so far AND after every speculative read already
-            // parked there.
+            // accepted up to this window AND after every speculative read
+            // already parked there.
+            let free_at = |dev: usize| hs.busy_as_of(dev, exec_window).max(hs.spec[dev]).max(issue);
             let Some(ci) = (0..cands.len())
                 .filter(|&i| !cands[i].tried)
-                .min_by_key(|&i| {
-                    let dev = cands[i].dev;
-                    hs.busy[dev].max(hs.spec[dev]).max(issue) + cands[i].believed_ns
-                })
+                .min_by_key(|&i| free_at(cands[i].dev) + cands[i].believed_ns)
             else {
                 break;
             };
             let dev = cands[ci].dev;
-            let start = hs.busy[dev].max(hs.spec[dev]).max(issue);
+            let start = free_at(dev);
             if start + cands[ci].believed_ns >= winner_finish {
                 // Nothing is believed to beat the current winner; further
                 // speculation only burns replica bandwidth.
@@ -2084,6 +2133,36 @@ mod tests {
             }
         }
         assert_eq!(channel_messages(4096, 1, 14), 292);
+    }
+
+    /// What a hedge is told about a peer's device must not depend on how
+    /// far the peer's owner has run ahead (`faults.rs`'s GC storm missed
+    /// 0–9 deadlines by it, with the thread interleaving).
+    #[test]
+    fn a_hedge_meets_the_frontier_of_its_own_window() {
+        let mut hs = HedgeState::new(2, 4);
+        hs.accept(1, 5, 100);
+        hs.accept(1, 5, 200);
+        assert_eq!(hs.busy_as_of(1, 4), 0, "window 5 found the device idle");
+        assert_eq!(hs.busy_as_of(1, 5), 200, "owner in the same window: live");
+        assert_eq!(hs.busy_as_of(1, 7), 200, "owner behind: live");
+        hs.accept(1, 7, 700); // window 6 had nothing for the device
+        hs.accept(1, 8, 800);
+        for (window, frontier) in [(4, 0), (5, 200), (6, 200), (7, 700), (8, 800)] {
+            assert_eq!(hs.busy_as_of(1, window), frontier, "window {window}");
+        }
+        assert_eq!(hs.busy_as_of(0, 5), 0, "per device");
+        // A hedge win cancels the primary; the entry of its window stands.
+        hs.busy[1] = 750;
+        assert_eq!((hs.busy_as_of(1, 7), hs.busy_as_of(1, 8)), (700, 750));
+        // Owner more than `depth` windows ahead: the slots of 5 and 7 are
+        // reused, and the answer is late, never early.
+        hs.accept(1, 9, 900);
+        hs.accept(1, 11, 1100);
+        assert_eq!(hs.busy_as_of(1, 4), 700, "5, 7 gone; 8 entered at 700");
+        assert_eq!(hs.busy_as_of(1, 5), 700);
+        assert_eq!(hs.busy_as_of(1, 8), 750);
+        assert_eq!(hs.busy_as_of(1, 10), 900);
     }
 
     #[test]

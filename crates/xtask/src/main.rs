@@ -557,8 +557,11 @@ mod tests {
     }
 
     /// Pinned so the allowlist can't silently grow or rot: update this
-    /// count (and the allowlist) together, in review.
-    const SUPPRESSED_IN_WORKSPACE: usize = 23;
+    /// count (and the allowlist) together, in review. PR 17: 23 → 25 — the
+    /// 2 ms sleep in `stress.rs` that lets the workers park between windows,
+    /// and `Wal::log_seal`, whose one hold of the lock now spans the seal's
+    /// fsync as well as the compaction (two sites where it had one).
+    const SUPPRESSED_IN_WORKSPACE: usize = 25;
 
     #[test]
     fn the_seeded_inversion_fixture_is_caught() {
