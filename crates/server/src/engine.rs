@@ -43,11 +43,11 @@ use crate::config::ServerConfig;
 use crate::fault::{FaultKind, FaultPlane, MAX_FAULT_DEVICES};
 use crate::ledger::{AtomicLedger, SettleKind};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, TenantSnapshot};
-use crate::registry::{RegisterError, Tenant, TenantRegistry};
+use crate::registry::{RegisterError, Tenant, TenantRegistry, TenantView};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::channel::{bounded, Receiver, Sender};
 use crate::sync::thread::JoinHandle;
-use crate::sync::{Arc, Mutex, RwLock};
+use crate::sync::{Arc, LineGap, Mutex, RwLock};
 use crate::wal::{crash_point, Wal};
 use crate::window::{AdmitResult, SealedItem, WindowRing};
 use fqos_core::{OverloadPolicy, StatisticalCounters};
@@ -121,11 +121,18 @@ pub enum RejectReason {
     ArrayUnavailable,
 }
 
-/// Per-handle shared state read by the dispatcher.
+/// Per-handle shared state read by the dispatcher. Its owner stores the
+/// watermark on every submit, so the struct is padded until it fills a
+/// cache line together with its `Arc` header: two handles' watermarks,
+/// each at the same offset of its own allocation, are then at least a
+/// line apart.
+#[derive(Default)]
+#[repr(C)]
 struct HandleShared {
     /// Lowest window this handle may still admit into.
     watermark: AtomicU64,
     closed: AtomicBool,
+    _pad: [u64; 4],
 }
 
 struct DispatchState {
@@ -150,17 +157,30 @@ const RETRY_LIMIT: u64 = 2;
 /// attempt of a block starts no earlier than `exec_start + k ×` this.
 const RETRY_BACKOFF_NS: u64 = 8_000;
 
-/// Array-wide telemetry. The conservation-law terms are not here: they
-/// are [`Engine::ledger`].
+/// Array-wide telemetry that submitting threads write (the pump runs on
+/// them). The conservation-law terms are not here: they are
+/// [`Engine::ledger`].
 #[derive(Default)]
-struct GlobalStats {
+struct SubmitStats {
     delayed: AtomicU64,
     rejected: AtomicU64,
-    violations: AtomicU64,
-    guaranteed_violations: AtomicU64,
     max_window_guaranteed: AtomicU64,
     max_window_total: AtomicU64,
     windows_sealed: AtomicU64,
+    // Recovery provenance, set once by `QosServer::recover` after the
+    // engine is built (zero on a fresh start).
+    recovered_admissions: AtomicU64,
+    recovered_lost: AtomicU64,
+    replay_records: AtomicU64,
+    replay_duration_ns: AtomicU64,
+    replay_truncated: AtomicU64,
+}
+
+/// Array-wide telemetry that workers write.
+#[derive(Default)]
+struct WorkerStats {
+    violations: AtomicU64,
+    guaranteed_violations: AtomicU64,
     hedges_issued: AtomicU64,
     hedges_won: AtomicU64,
     // Array-wide GC counters, aggregated from the workers' devices as
@@ -170,13 +190,6 @@ struct GlobalStats {
     gc_pages: AtomicU64,
     gc_relocated: AtomicU64,
     gc_erases: AtomicU64,
-    // Recovery provenance, set once by `QosServer::recover` after the
-    // engine is built (zero on a fresh start).
-    recovered_admissions: AtomicU64,
-    recovered_lost: AtomicU64,
-    replay_records: AtomicU64,
-    replay_duration_ns: AtomicU64,
-    replay_truncated: AtomicU64,
 }
 
 /// Shared settlement state of one logical write's replica fan-out. Every
@@ -198,10 +211,8 @@ struct WriteSink {
 /// One dispatched request on its way to a worker.
 struct WorkItem {
     req: IoRequest,
-    /// Live tenant record at seal time (None if deregistered meanwhile).
-    tenant: Option<Arc<Tenant>>,
-    /// The admitting tenant's id, kept even when the record is gone so the
-    /// WAL settle record always carries it.
+    /// The admitting tenant's id. The worker resolves it to the record,
+    /// live or departed, through its own [`TenantView`] when it settles.
     tenant_id: u64,
     /// The window `t` the request was admitted into.
     window: u64,
@@ -220,16 +231,19 @@ struct WorkItem {
 impl WorkItem {
     /// Settle this dispatch's admission through [`Engine::settle`];
     /// `finish` is the completion time the deadline audit judges (`None`
-    /// when nothing completed).
-    fn settle(&self, engine: &Engine, kind: SettleKind, finish: Option<u64>) {
+    /// when nothing completed). `view` finds the record the seal would
+    /// have found: while this admission is in flight its record cannot be
+    /// replaced ([`RegisterError::DrainPending`]).
+    fn settle(
+        &self,
+        engine: &Engine,
+        view: &mut TenantView,
+        kind: SettleKind,
+        finish: Option<u64>,
+    ) {
+        let tenant = view.resolve(&engine.registry, self.tenant_id);
         let done = finish.map(|f| (self, f));
-        engine.settle(
-            self.window,
-            self.tenant_id,
-            self.tenant.as_deref(),
-            kind,
-            done,
-        );
+        engine.settle(self.window, self.tenant_id, tenant, kind, done);
     }
 }
 
@@ -332,25 +346,29 @@ impl HedgeState {
     }
 }
 
+/// Laid out by writer (`repr(C)` keeps the order): what nobody writes
+/// after construction, a gap, what submitting threads write, what workers
+/// write — the ledger, whose own gap parts its admit cells from its settle
+/// cells, is the second boundary. No cache line holds bytes of two groups
+/// wherever the allocation lands (DESIGN.md, "One writer per line";
+/// `layout_keeps_each_side_on_its_own_lines` below).
+#[repr(C)]
 struct Engine {
     cfg: ServerConfig,
     registry: TenantRegistry,
     ring: WindowRing,
     fault: Arc<FaultPlane>,
+    txs: Vec<Sender<WorkMsg>>,
+    /// Write-ahead log (None = durability off, serving exactly as before).
+    wal: Option<Arc<Wal>>,
+    _gap: LineGap,
+    stat: Option<StatState>,
     dispatch: Mutex<DispatchState>,
     /// Lock-free mirror of `DispatchState::sealed_through` for fast paths.
     sealed_floor: AtomicU64,
     /// Highest window any request was admitted into.
     max_target: AtomicU64,
     handles: Mutex<Vec<Arc<HandleShared>>>,
-    txs: Vec<Sender<WorkMsg>>,
-    /// Cross-worker device busy frontier for hedged reads.
-    hedge: Mutex<HedgeState>,
-    stat: Option<StatState>,
-    /// The array's account of the conservation law.
-    ledger: AtomicLedger,
-    stats: GlobalStats,
-    hist: LatencyHistogram,
     next_id: AtomicU64,
     shutdown: AtomicBool,
     /// Quiesce gate (lock class `engine.quiesce`): every submission holds
@@ -359,8 +377,13 @@ struct Engine {
     /// that raced past the shutdown check still lands in the frozen
     /// snapshot — an admission is either counted or refused, never lost.
     quiesce: RwLock<()>,
-    /// Write-ahead log (None = durability off, serving exactly as before).
-    wal: Option<Arc<Wal>>,
+    submit_stats: SubmitStats,
+    /// The array's account of the conservation law.
+    ledger: AtomicLedger,
+    worker_stats: WorkerStats,
+    /// Cross-worker device busy frontier for hedged reads.
+    hedge: Mutex<HedgeState>,
+    hist: LatencyHistogram,
 }
 
 /// The concurrent multi-tenant serving engine.
@@ -423,7 +446,7 @@ impl QosServer {
         let wal = Arc::new(wal);
         let server = Self::build(cfg, Some(Arc::clone(&wal)))?;
         let restored = server.engine.restore_state(&wal)?;
-        let s = &server.engine.stats;
+        let s = &server.engine.submit_stats;
         s.recovered_admissions.store(restored, Ordering::Relaxed);
         s.recovered_lost.store(crash_lost, Ordering::Relaxed);
         s.replay_records.store(report.records, Ordering::Relaxed);
@@ -478,20 +501,22 @@ impl QosServer {
                 cfg.hedge_enabled,
             ),
             fault,
+            txs,
+            wal,
+            _gap: LineGap::default(),
+            stat,
             dispatch: Mutex::new(DispatchState { sealed_through: 0 }),
             sealed_floor: AtomicU64::new(0),
             max_target: AtomicU64::new(0),
             handles: Mutex::new(Vec::new()),
-            txs,
-            hedge: Mutex::new(HedgeState::new(devices, messages + 2)),
-            stat,
-            ledger: AtomicLedger::default(),
-            stats: GlobalStats::default(),
-            hist: LatencyHistogram::new(),
             next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             quiesce: RwLock::new(()),
-            wal,
+            submit_stats: SubmitStats::default(),
+            ledger: AtomicLedger::default(),
+            worker_stats: WorkerStats::default(),
+            hedge: Mutex::new(HedgeState::new(devices, messages + 2)),
+            hist: LatencyHistogram::new(),
             cfg,
         });
         let threads = rxs
@@ -602,13 +627,17 @@ impl QosServer {
             let ds = engine.dispatch.lock();
             shared = Arc::new(HandleShared {
                 watermark: AtomicU64::new(ds.sealed_through),
-                closed: AtomicBool::new(false),
+                ..HandleShared::default()
             });
             let mut handles = engine.handles.lock();
             handles.retain(|h| !h.closed.load(Ordering::Acquire));
             handles.push(Arc::clone(&shared));
         }
-        SubmitterHandle { engine, shared }
+        SubmitterHandle {
+            engine,
+            shared,
+            view: TenantView::new(),
+        }
     }
 
     /// Live metrics. Taken mid-flight it may lag in-progress requests;
@@ -710,7 +739,9 @@ impl Engine {
         while ds.sealed_through < target {
             let w = ds.sealed_through;
             let sealed = self.ring.seal(w);
-            self.stats.windows_sealed.fetch_add(1, Ordering::Relaxed);
+            self.submit_stats
+                .windows_sealed
+                .fetch_add(1, Ordering::Relaxed);
             if let Some(wal) = &self.wal {
                 // The seal record is force-synced BEFORE any of the
                 // window's batches is sent: after a crash, every
@@ -732,10 +763,10 @@ impl Engine {
                 stat.counters.lock().record_interval(sealed.total as usize);
             }
             if sealed.total > 0 {
-                self.stats
+                self.submit_stats
                     .max_window_guaranteed
                     .fetch_max(sealed.guaranteed, Ordering::Relaxed);
-                self.stats
+                self.submit_stats
                     .max_window_total
                     .fetch_max(sealed.total, Ordering::Relaxed);
                 // Past shutdown the workers are gone; drop on the floor.
@@ -772,25 +803,11 @@ impl Engine {
             .iter()
             .map(|&n| Vec::with_capacity(n))
             .collect();
-        // One registry lookup per distinct tenant of the window (a window
-        // holds at most a few dozen items, so a scan beats a map).
-        // `lookup_any`: a tenant that deregistered after its request was
-        // admitted (migration drain) must still settle against its
-        // counters, not vanish from them.
-        let mut tenants: Vec<(u64, Option<Arc<Tenant>>)> = Vec::new();
         // One settlement sink per logical write in this window, shared by
         // its replica copies (group ids are window-local).
         let mut sinks: std::collections::HashMap<u32, Arc<WriteSink>> =
             std::collections::HashMap::new();
         for item in items {
-            let tenant = match tenants.iter().find(|(id, _)| *id == item.tenant) {
-                Some((_, rec)) => rec.clone(),
-                None => {
-                    let rec = self.registry.lookup_any(item.tenant);
-                    tenants.push((item.tenant, rec.clone()));
-                    rec
-                }
-            };
             let write = item.write_group.map(|(group, fanout)| {
                 Arc::clone(sinks.entry(group).or_insert_with(|| {
                     Arc::new(WriteSink {
@@ -801,7 +818,6 @@ impl Engine {
                 }))
             });
             batches[item.req.device % workers].push(WorkItem {
-                tenant,
                 tenant_id: item.tenant,
                 req: item.req,
                 window: w,
@@ -815,7 +831,7 @@ impl Engine {
     }
 
     fn snapshot(&self) -> MetricsSnapshot {
-        let s = &self.stats;
+        let (s, w) = (&self.submit_stats, &self.worker_stats);
         let l = self.ledger.snapshot();
         let wal = self
             .wal
@@ -830,12 +846,12 @@ impl Engine {
             served: l.served,
             write_settled: l.write_settled,
             write_lost: l.write_lost,
-            gc_host_pages: s.gc_host_pages.load(Ordering::Relaxed),
-            gc_pages: s.gc_pages.load(Ordering::Relaxed),
-            gc_relocated: s.gc_relocated.load(Ordering::Relaxed),
-            gc_erases: s.gc_erases.load(Ordering::Relaxed),
-            deadline_violations: s.violations.load(Ordering::Relaxed),
-            guaranteed_violations: s.guaranteed_violations.load(Ordering::Relaxed),
+            gc_host_pages: w.gc_host_pages.load(Ordering::Relaxed),
+            gc_pages: w.gc_pages.load(Ordering::Relaxed),
+            gc_relocated: w.gc_relocated.load(Ordering::Relaxed),
+            gc_erases: w.gc_erases.load(Ordering::Relaxed),
+            deadline_violations: w.violations.load(Ordering::Relaxed),
+            guaranteed_violations: w.guaranteed_violations.load(Ordering::Relaxed),
             max_window_guaranteed: s.max_window_guaranteed.load(Ordering::Relaxed),
             max_window_total: s.max_window_total.load(Ordering::Relaxed),
             windows_sealed: s.windows_sealed.load(Ordering::Relaxed),
@@ -845,8 +861,8 @@ impl Engine {
             fault_overloads: self.fault.overloads(),
             fault_lost: l.lost,
             fault_rejected: self.fault.unavailable_rejects(),
-            hedges_issued: s.hedges_issued.load(Ordering::Relaxed),
-            hedges_won: s.hedges_won.load(Ordering::Relaxed),
+            hedges_issued: w.hedges_issued.load(Ordering::Relaxed),
+            hedges_won: w.hedges_won.load(Ordering::Relaxed),
             hedges_cancelled: l.hedge_wins,
             retries: self.fault.retries(),
             slow_detected: self.fault.slow_detected(),
@@ -894,6 +910,26 @@ impl Engine {
         }
     }
 
+    /// Statistical overflow (§III-B2): past the deterministic limit, park
+    /// the request best-effort while the projected violation probability
+    /// `Q` stays below `ε`. True when parked; the caller admits it.
+    fn try_overflow(&self, tenant: u64, window: u64, req: IoRequest, replicas: &[usize]) -> bool {
+        let Some(stat) = self.stat.as_ref() else {
+            return false;
+        };
+        let k = self.ring.admitted_total(window) + 1;
+        if k > stat.k_max {
+            return false;
+        }
+        // The guard is released before the ring is touched.
+        let within_epsilon =
+            stat.counters
+                .lock()
+                .would_admit(k, &stat.probabilities, self.cfg.qos.epsilon);
+        // Every replica down: the statistical path refuses too.
+        within_epsilon && self.ring.add_overflow(window, tenant, req, replicas)
+    }
+
     /// Count one admission — array ledger, tenant ledger, delay telemetry —
     /// then log it and hit the post-admit crash point. Runs before the
     /// outcome is returned, so with `fsync_batch = 1` the admission is
@@ -915,7 +951,7 @@ impl Engine {
             c.delayed.fetch_add(1, Ordering::Relaxed);
             c.delay_ns
                 .fetch_add(delayed_by * self.cfg.qos.interval_ns, Ordering::Relaxed);
-            self.stats.delayed.fetch_add(1, Ordering::Relaxed);
+            self.submit_stats.delayed.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(wal) = &self.wal {
             wal.log_admit(window, tenant.id, lbn, guaranteed, delayed_by > 0, is_write);
@@ -946,13 +982,13 @@ impl Engine {
         if let Some((item, finish)) = done {
             self.hist.record(finish.saturating_sub(item.req.arrival));
             if finish > item.exec_start + self.cfg.qos.interval_ns {
-                self.stats.violations.fetch_add(1, Ordering::Relaxed);
+                self.worker_stats.violations.fetch_add(1, Ordering::Relaxed);
                 // GC stalls and retry backoff legitimately push writes
                 // late; the deadline promise the engine *keeps* is for
                 // guaranteed reads, so a late write counts in the general
                 // total only.
                 if item.guaranteed && !kind.is_write() {
-                    self.stats
+                    self.worker_stats
                         .guaranteed_violations
                         .fetch_add(1, Ordering::Relaxed);
                 }
@@ -1038,13 +1074,14 @@ impl Engine {
                 .map_err(|e| format!("restoring tenant {id}: {e}"))?;
         }
         self.ledger.restore(&state.ledger);
-        let s = &self.stats;
+        let s = &self.submit_stats;
         s.delayed.store(state.delayed, Ordering::Relaxed);
-        // Every durable hedge win cancelled exactly one primary.
-        s.hedges_won
-            .store(state.ledger.hedge_wins, Ordering::Relaxed);
         s.windows_sealed
             .store(state.sealed_through, Ordering::Relaxed);
+        // Every durable hedge win cancelled exactly one primary.
+        self.worker_stats
+            .hedges_won
+            .store(state.ledger.hedge_wins, Ordering::Relaxed);
         Ok(restored)
     }
 }
@@ -1056,6 +1093,8 @@ impl Engine {
 pub struct SubmitterHandle {
     engine: Arc<Engine>,
     shared: Arc<HandleShared>,
+    /// This thread's cache of the tenant records it submits for.
+    view: TenantView,
 }
 
 impl SubmitterHandle {
@@ -1081,7 +1120,7 @@ impl SubmitterHandle {
     /// Shared admission path behind [`SubmitterHandle::submit`] (reads) and
     /// [`SubmitterHandle::submit_write`] (replica fan-out writes).
     pub fn submit_op(&mut self, tenant: u64, lbn: u64, arrival_ns: u64, op: IoOp) -> SubmitOutcome {
-        let engine = &self.engine;
+        let engine = &*self.engine;
         let _quiesce = engine.quiesce.read();
         if engine.shutdown.load(Ordering::Acquire) {
             return SubmitOutcome::Rejected(RejectReason::ServerStopping);
@@ -1097,8 +1136,11 @@ impl SubmitterHandle {
         // one that advanced this handle's watermark pumps.
         let advanced = window > watermark;
 
-        let Some(tenant_rec) = engine.registry.get(tenant) else {
-            engine.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        // Departed records stay resolvable for settlement; admission must
+        // not see them.
+        let resolved = self.view.resolve(&engine.registry, tenant);
+        let Some(tenant_rec) = resolved.filter(|t| t.is_live()) else {
+            engine.submit_stats.rejected.fetch_add(1, Ordering::Relaxed);
             if advanced {
                 engine.pump();
             }
@@ -1136,7 +1178,7 @@ impl SubmitterHandle {
                     // guarantee for admission — meaningless for a write,
                     // whose fan-out must charge real capacity on every
                     // replica. Writes shed at admission instead.
-                    if k == 0 && !is_write && self.try_overflow(tenant, window, req, replicas) {
+                    if k == 0 && !is_write && engine.try_overflow(tenant, window, req, replicas) {
                         admitted_at = Some((0, false));
                         break;
                     }
@@ -1161,7 +1203,7 @@ impl SubmitterHandle {
                 // Only a guaranteed admission counts as delayed; a
                 // best-effort one parked in a later window promised nothing.
                 let delayed_by = if guaranteed { k } else { 0 };
-                engine.admit(window, &tenant_rec, lbn, guaranteed, delayed_by, is_write); // ledger: defer(Engine::admit — settled by Engine::settle)
+                engine.admit(window, tenant_rec, lbn, guaranteed, delayed_by, is_write); // ledger: defer(Engine::admit — settled by Engine::settle)
                 engine.max_target.fetch_max(window, Ordering::AcqRel);
                 match (guaranteed, k) {
                     (false, _) => SubmitOutcome::Overflow { window },
@@ -1174,7 +1216,7 @@ impl SubmitterHandle {
             }
             None => {
                 tenant_rec.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                engine.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                engine.submit_stats.rejected.fetch_add(1, Ordering::Relaxed);
                 let reason = if any_full {
                     match tenant_rec.policy {
                         OverloadPolicy::Delay => RejectReason::HorizonExhausted,
@@ -1192,27 +1234,6 @@ impl SubmitterHandle {
             engine.pump();
         }
         outcome
-    }
-
-    /// Statistical overflow (§III-B2): past the deterministic limit, park
-    /// the request best-effort while the projected violation probability
-    /// `Q` stays below `ε`. True when parked; the caller admits it.
-    fn try_overflow(&self, tenant: u64, window: u64, req: IoRequest, replicas: &[usize]) -> bool {
-        let engine = &self.engine;
-        let Some(stat) = engine.stat.as_ref() else {
-            return false;
-        };
-        let k = engine.ring.admitted_total(window) + 1;
-        if k > stat.k_max {
-            return false;
-        }
-        // The guard is released before the ring is touched.
-        let within_epsilon =
-            stat.counters
-                .lock()
-                .would_admit(k, &stat.probabilities, engine.cfg.qos.epsilon);
-        // Every replica down: the statistical path refuses too.
-        within_epsilon && engine.ring.add_overflow(window, tenant, req, replicas)
     }
 
     /// Inject a live device failure from this submitter thread (see
@@ -1317,31 +1338,35 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
         .as_ref()
         .and_then(|g| g.write_service_ns)
         .unwrap_or(service);
+    let plain = || CalibratedSsd::with_latencies(service, write_service);
     let mut devs: Vec<CalibratedSsd> = (0..n_local)
-        .map(|_| {
-            let ssd = CalibratedSsd::with_latencies(service, write_service);
-            match &engine.cfg.gc {
-                // Geometry was validated with the server config; should a
-                // mismatch slip through anyway, serve without the GC model
-                // rather than kill the worker (writes then run at plain
-                // program cost — degraded fidelity, never lost requests).
-                Some(g) => match CalibratedSsd::with_latencies(service, write_service)
-                    .with_gc(g.geometry, g.erase_ns)
-                {
-                    Ok(s) => s,
-                    Err(_) => ssd,
-                },
-                None => ssd,
-            }
+        .map(|_| match &engine.cfg.gc {
+            // Geometry was validated with the server config; should a
+            // mismatch slip through anyway, serve without the GC model
+            // rather than kill the worker (writes then run at plain
+            // program cost — degraded fidelity, never lost requests).
+            Some(g) => plain()
+                .with_gc(g.geometry, g.erase_ns)
+                .unwrap_or_else(|_| plain()),
+            None => plain(),
         })
         .collect();
+    let mut view = TenantView::new();
+    // A batch is freed when the next one arrives, not when its last item
+    // is served: freeing it takes the malloc arena lock of the submitting
+    // thread that allocated it, which right after a send is admitting and
+    // by the end of service is sealing, in malloc (DESIGN.md, "One writer
+    // per line": 4.0 or 5.0 M req/s, run by run, when the two met).
+    let mut in_service: Option<Box<Vec<WorkItem>>> = None;
     while let Ok(WorkMsg::Batch(batch)) = rx.recv() {
+        let batch = in_service.insert(batch);
         for item in batch.iter() {
             let d = item.req.device;
             // Admitted into window `t`, the item executes during `t + 1`.
             let exec_window = item.window + 1;
             if let Some(sink) = &item.write {
-                serve_write_copy(&engine, &mut devs[d / workers], item, sink, exec_window);
+                let dev = &mut devs[d / workers];
+                serve_write_copy(&engine, &mut view, dev, item, sink, exec_window);
                 continue;
             }
             // Every fault-plane lookup happens BEFORE the hedge lock:
@@ -1374,8 +1399,11 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
                 threshold,
                 completion,
             ) {
-                Some(finish) => item.settle(&engine, SettleKind::HedgeWin, Some(finish)),
-                None => item.settle(&engine, SettleKind::Served, Some(completion.finish)),
+                Some(finish) => item.settle(&engine, &mut view, SettleKind::HedgeWin, Some(finish)),
+                None => {
+                    let finish = Some(completion.finish);
+                    item.settle(&engine, &mut view, SettleKind::Served, finish);
+                }
             }
         }
     }
@@ -1396,6 +1424,7 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
 /// redundancy mechanism.
 fn serve_write_copy(
     engine: &Engine,
+    view: &mut TenantView,
     dev: &mut CalibratedSsd,
     item: &WorkItem,
     sink: &WriteSink,
@@ -1432,7 +1461,7 @@ fn serve_write_copy(
         let after = dev.gc_stats();
         let host = after.host_pages - before.host_pages;
         let gc_pages = after.gc_pages - before.gc_pages;
-        let s = &engine.stats;
+        let s = &engine.worker_stats;
         s.gc_host_pages.fetch_add(host, Ordering::Relaxed);
         s.gc_pages.fetch_add(gc_pages, Ordering::Relaxed);
         s.gc_relocated
@@ -1456,13 +1485,14 @@ fn serve_write_copy(
     for _ in 0..retries {
         engine.fault.note_retry();
     }
-    settle_write_copy(engine, item, sink, outcome);
+    settle_write_copy(engine, view, item, sink, outcome);
 }
 
 /// Fold one copy's outcome into the logical write's sink; the last copy to
 /// land settles the write exactly once.
 fn settle_write_copy(
     engine: &Engine,
+    view: &mut TenantView,
     item: &WorkItem,
     sink: &WriteSink,
     outcome: Option<Completion>,
@@ -1481,10 +1511,10 @@ fn settle_write_copy(
     // Last copy: settle the logical write. It is only as done as its
     // slowest replica, so that finish is what the deadline audit sees.
     if sink.lost.load(Ordering::Relaxed) {
-        item.settle(engine, SettleKind::WriteLost, None);
+        item.settle(engine, view, SettleKind::WriteLost, None);
     } else {
         let finish = sink.latest_finish.load(Ordering::Relaxed);
-        item.settle(engine, SettleKind::WriteSettled, Some(finish));
+        item.settle(engine, view, SettleKind::WriteSettled, Some(finish));
     }
 }
 
@@ -1615,7 +1645,7 @@ fn hedge(
     }
     if hedges_issued > 0 {
         engine
-            .stats
+            .worker_stats
             .hedges_issued
             .fetch_add(hedges_issued, Ordering::Relaxed);
     }
@@ -1626,7 +1656,10 @@ fn hedge(
     // The hedge's service latency is a health sample for the replica that
     // absorbed it.
     engine.fault.observe(wdev, fin - start, exec_window);
-    engine.stats.hedges_won.fetch_add(1, Ordering::Relaxed);
+    engine
+        .worker_stats
+        .hedges_won
+        .fetch_add(1, Ordering::Relaxed);
     Some(fin)
 }
 
@@ -1634,6 +1667,7 @@ fn hedge(
 mod tests {
     use super::*;
     use crate::config::AssignmentMode;
+    use crate::layout::{assert_one_side_per_line, span, Side};
     use fqos_core::QosConfig;
 
     fn server() -> QosServer {
@@ -1892,11 +1926,9 @@ mod tests {
         drop(h);
         s.finish();
         let mut late = SubmitterHandle {
-            shared: Arc::new(HandleShared {
-                watermark: AtomicU64::new(0),
-                closed: AtomicBool::new(false),
-            }),
+            shared: Arc::default(),
             engine,
+            view: TenantView::new(),
         };
         assert_eq!(
             late.submit(1, 0, 0),
@@ -2037,6 +2069,46 @@ mod tests {
     }
 
     #[test]
+    fn a_long_lived_handle_follows_its_tenant_across_reregistration() {
+        use crate::ledger::Ledger;
+        let s = server();
+        let first = s.register(1, 2, OverloadPolicy::Delay).unwrap();
+        let mut h = s.handle();
+        assert!(h.submit(1, 0, 0).is_admitted()); // warms the handle's view
+        assert!(s.deregister(1).is_some());
+        assert_eq!(
+            h.submit(1, 1, 0),
+            SubmitOutcome::Rejected(RejectReason::UnknownTenant),
+            "the view reads `live` through its borrow"
+        );
+        // The id cannot start a fresh epoch before the departed record has
+        // drained: seal window 0 and wait for the worker to settle it. The
+        // worker found the record through its own view, by id.
+        h.advance_to(2 * BASE_T);
+        while first.counters.in_flight() > 0 {
+            std::thread::yield_now();
+        }
+        let second = s.register(1, 2, OverloadPolicy::Delay).unwrap();
+        assert!(h.submit(1, 2, 2 * BASE_T).is_admitted());
+        drop(h);
+        let m = s.finish();
+        let of = |t: &Tenant| t.counters.ledger.snapshot();
+        let one_served = Ledger {
+            admitted: 1,
+            served: 1,
+            ..Ledger::default()
+        };
+        assert_eq!(of(&first), one_served, "settled on the departed record");
+        assert_eq!(of(&second), one_served, "admitted on the fresh one");
+        let mut both = of(&first);
+        both.merge(&of(&second));
+        assert_eq!(m.ledger(), both);
+        assert_eq!(first.counters.rejected.load(Ordering::Relaxed), 0);
+        assert_eq!(m.rejected, 1);
+        assert!(m.conserved());
+    }
+
+    #[test]
     fn advance_to_seals_windows_without_traffic() {
         // A router keeps time moving on idle arrays via `advance_to`; the
         // watermark advance alone must let the dispatcher seal.
@@ -2074,10 +2146,10 @@ mod tests {
     fn partition_makes_one_batch_per_worker_with_work() {
         let s =
             QosServer::new(ServerConfig::new(QosConfig::paper_9_3_1()).with_workers(4)).unwrap();
-        let live = s.register(1, 2, OverloadPolicy::Delay).unwrap();
         // Devices 0, 4, 8 are worker 0's, 1 and 5 worker 1's, 2 worker 2's;
-        // nothing names a device of worker 3 (3 and 7). Tenant 2 is not
-        // registered. Write group 0 has a copy on each of three workers.
+        // nothing names a device of worker 3 (3 and 7). Write group 0 has a
+        // copy on each of three workers. Tenants travel as ids: the worker
+        // resolves them when it settles.
         let items = vec![
             sealed(10, 1, 4, None),
             sealed(11, 2, 1, None),
@@ -2101,16 +2173,81 @@ mod tests {
         assert!(batches[3].is_empty(), "an idle worker gets no message");
         for item in batches.iter().flatten() {
             assert_eq!((item.window, item.exec_start), (6, 7 * BASE_T));
-            match item.tenant_id {
-                1 => assert!(Arc::ptr_eq(item.tenant.as_ref().unwrap(), &live)),
-                _ => assert!(item.tenant.is_none(), "tenant 2 was never registered"),
-            }
         }
+        let tenants = |w: usize| -> Vec<u64> { batches[w].iter().map(|i| i.tenant_id).collect() };
+        assert_eq!(tenants(1), [2, 1, 1]);
         let sink = |w: usize, at: usize| batches[w][at].write.as_ref().unwrap();
         assert!(Arc::ptr_eq(sink(0, 1), sink(1, 1)) && Arc::ptr_eq(sink(0, 1), sink(2, 0)));
         assert_eq!(sink(0, 1).remaining.load(Ordering::Relaxed), 3);
         assert!(!Arc::ptr_eq(sink(0, 1), sink(1, 2)), "one sink per group");
         assert!(batches[0][0].write.is_none());
+        s.finish();
+    }
+
+    #[test]
+    fn layout_keeps_each_side_on_its_own_lines() {
+        let s = server();
+        let Engine {
+            cfg,
+            registry,
+            ring,
+            fault,
+            txs,
+            wal,
+            _gap,
+            stat,
+            dispatch,
+            sealed_floor,
+            max_target,
+            handles,
+            next_id,
+            shutdown,
+            quiesce,
+            submit_stats,
+            ledger,
+            worker_stats,
+            hedge,
+            hist,
+        } = &*s.engine;
+        let mut spans = vec![
+            // Set at construction; read by submits, seals and workers.
+            span("cfg", cfg, Side::ReadMostly),
+            span("registry", registry, Side::ReadMostly),
+            span("ring", ring, Side::ReadMostly),
+            span("fault", fault, Side::ReadMostly),
+            span("txs", txs, Side::ReadMostly),
+            span("wal", wal, Side::ReadMostly),
+            span("_gap", _gap, Side::Gap),
+            // Written by submits and by the pump, which runs on them.
+            span("stat", stat, Side::Submitter),
+            span("dispatch", dispatch, Side::Submitter),
+            span("sealed_floor", sealed_floor, Side::Submitter),
+            span("max_target", max_target, Side::Submitter),
+            span("handles", handles, Side::Submitter),
+            span("next_id", next_id, Side::Submitter),
+            span("shutdown", shutdown, Side::Submitter),
+            span("quiesce", quiesce, Side::Submitter),
+            span("submit_stats", submit_stats, Side::Submitter),
+            // Written by workers as they serve and settle.
+            span("worker_stats", worker_stats, Side::Worker),
+            span("hedge", hedge, Side::Worker),
+            span("hist", hist, Side::Worker),
+        ];
+        spans.extend(ledger.layout());
+        assert_one_side_per_line(&*s.engine, spans);
+        // Measured (1 680 with the production primitives): the engine is
+        // one long-lived allocation, and growing it is a decision — run the
+        // RSS pre-check of the verify skill when this moves.
+        if cfg!(not(feature = "model-check")) {
+            assert!(
+                std::mem::size_of::<Engine>() <= 1680,
+                "{}",
+                std::mem::size_of::<Engine>()
+            );
+        }
+        // A handle's watermark shares no line with another handle's: each
+        // allocation (two reference counts, then the struct) spans a line.
+        assert!(2 * std::mem::size_of::<usize>() + std::mem::size_of::<HandleShared>() >= 64);
         s.finish();
     }
 

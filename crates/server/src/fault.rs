@@ -52,7 +52,7 @@
 //! the dispatcher under `engine.dispatch`.
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::Mutex;
+use crate::sync::{LineGap, Mutex};
 
 /// Largest device count the health bitmap covers.
 pub const MAX_FAULT_DEVICES: usize = 64;
@@ -427,6 +427,17 @@ const HEDGE_PERCENTILE: f64 = 0.9;
 /// the percentile latency (guards against jitter).
 const HEDGE_SLACK: f64 = 2.0;
 
+/// The [`HEDGE_PERCENTILE`] quantile of a device's recent-latency ring
+/// (`1..=HEALTH_WINDOW` samples, any order). Runs under the `fault.health`
+/// leaf lock once per served read, so it sorts a copy on the stack.
+fn hedge_base(samples: &[u64]) -> u64 {
+    let mut ring = [0u64; HEALTH_WINDOW];
+    let v = &mut ring[..samples.len()];
+    v.copy_from_slice(samples);
+    v.sort_unstable();
+    v[((v.len() as f64 * HEDGE_PERCENTILE).ceil() as usize).clamp(1, v.len()) - 1]
+}
+
 /// Scorer tuning, derived from `ServerConfig` health/hedge knobs.
 #[derive(Debug, Clone)]
 pub struct HealthParams {
@@ -502,7 +513,13 @@ struct HealthBoard {
 /// scripted or injected, and the scorer behind another (`fault.health`).
 /// The scorer's verdict is published lock-free in `live_slow`, so the
 /// admission hot path never touches the scorer lock.
+///
+/// Laid out by writer (DESIGN.md, "One writer per line"): what admission
+/// and seal read per window and nobody writes while the array is healthy,
+/// a gap, the audit counters the submitting side bumps, a gap, then the
+/// scorer lock workers take per completion and the counters they bump.
 #[derive(Debug)]
+#[repr(C)]
 pub struct FaultPlane {
     devices: usize,
     inner: Mutex<PlaneInner>,
@@ -512,27 +529,30 @@ pub struct FaultPlane {
     /// False until a fail-slow event exists: lets workers skip the
     /// per-completion factor lookup on healthy arrays.
     any_slow: AtomicBool,
+    /// False until the first GC observation: keeps the per-seal decay a
+    /// no-op on read-only workloads.
+    any_gc: AtomicBool,
     /// Bitmap of devices the scorer currently classifies `Slow`. Excluded
     /// from new window schedules like failed devices, but their in-flight
     /// work drains.
     live_slow: AtomicU64,
-    health: Mutex<HealthBoard>,
+    /// Per-device write-amplification EWMA, fixed-point `×256`
+    /// (`256` = WA 1.0). Written only by the device's owning worker;
+    /// read by window admission to size the GC-pressure reserve.
+    gc_pressure: Vec<AtomicU64>,
+    _gap: LineGap,
     degraded_windows: AtomicU64,
     reroutes: AtomicU64,
     redispatches: AtomicU64,
     overloads: AtomicU64,
     unavailable_rejects: AtomicU64,
+    _gap_workers: LineGap,
+    health: Mutex<HealthBoard>,
     slow_detected: AtomicU64,
     suspects: AtomicU64,
     recoveries: AtomicU64,
+    /// Workers' backoff hops; the seal's drains off a slow device too.
     retries: AtomicU64,
-    /// Per-device write-amplification EWMA, fixed-point `×256`
-    /// (`256` = WA 1.0). Written only by the device's owning worker;
-    /// read by window admission to size the GC-pressure reserve.
-    gc_pressure: Vec<AtomicU64>,
-    /// False until the first GC observation: keeps the per-seal decay a
-    /// no-op on read-only workloads.
-    any_gc: AtomicBool,
 }
 
 /// Fixed-point unit of the GC-pressure EWMA (`256` = write amplification 1.0).
@@ -567,22 +587,24 @@ impl FaultPlane {
             inner: Mutex::new(inner),
             any: AtomicBool::new(any),
             any_slow: AtomicBool::new(any_slow),
+            any_gc: AtomicBool::new(false),
             live_slow: AtomicU64::new(0),
-            health: Mutex::new(HealthBoard {
-                params,
-                devices: (0..devices).map(|_| DeviceHealthState::new()).collect(),
-            }),
+            gc_pressure: (0..devices).map(|_| AtomicU64::new(GC_FP_ONE)).collect(),
+            _gap: LineGap::default(),
             degraded_windows: AtomicU64::new(0),
             reroutes: AtomicU64::new(0),
             redispatches: AtomicU64::new(0),
             overloads: AtomicU64::new(0),
             unavailable_rejects: AtomicU64::new(0),
+            _gap_workers: LineGap::default(),
+            health: Mutex::new(HealthBoard {
+                params,
+                devices: (0..devices).map(|_| DeviceHealthState::new()).collect(),
+            }),
             slow_detected: AtomicU64::new(0),
             suspects: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            gc_pressure: (0..devices).map(|_| AtomicU64::new(GC_FP_ONE)).collect(),
-            any_gc: AtomicBool::new(false),
         })
     }
 
@@ -772,10 +794,7 @@ impl FaultPlane {
         if st.samples.len() < p.hedge_min_samples.max(1) {
             return None;
         }
-        let mut v = st.samples.clone();
-        v.sort_unstable();
-        let idx = ((v.len() as f64 * HEDGE_PERCENTILE).ceil() as usize).clamp(1, v.len()) - 1;
-        Some((v[idx] as f64 * HEDGE_SLACK) as u64)
+        Some((hedge_base(&st.samples) as f64 * HEDGE_SLACK) as u64)
     }
 
     /// Best current estimate of a single-block service latency on
@@ -985,6 +1004,7 @@ impl FaultPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::{assert_one_side_per_line, span, Side};
 
     #[test]
     fn schedule_parse_round_trips() {
@@ -1224,6 +1244,82 @@ mod tests {
         assert_eq!(plane.hedge_threshold(0), Some(2 * BASE));
         assert_eq!(plane.service_estimate(0, 7), BASE);
         assert_eq!(plane.service_estimate(1, 7), 7, "no samples yet");
+    }
+
+    /// What `hedge_threshold` ran under the scorer's lock before it
+    /// sorted on the stack: clone the ring to the heap, sort, index.
+    fn hedge_base_by_clone_and_sort(samples: &[u64]) -> u64 {
+        let mut v = samples.to_vec();
+        v.sort_unstable();
+        v[((v.len() as f64 * HEDGE_PERCENTILE).ceil() as usize).clamp(1, v.len()) - 1]
+    }
+
+    #[test]
+    fn hedge_base_on_the_stack_equals_clone_and_sort() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        for _ in 0..1000 {
+            let ring: Vec<u64> = (0..rng.gen_range(1..=HEALTH_WINDOW))
+                .map(|_| rng.gen_range(0..=20 * BASE))
+                .collect();
+            assert_eq!(
+                hedge_base(&ring),
+                hedge_base_by_clone_and_sort(&ring),
+                "{ring:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn layout_keeps_the_admission_view_off_the_lines_workers_write() {
+        let plane = FaultPlane::new(9, FaultSchedule::new()).unwrap();
+        let FaultPlane {
+            devices,
+            inner,
+            any,
+            any_slow,
+            any_gc,
+            live_slow,
+            gc_pressure,
+            _gap,
+            degraded_windows,
+            reroutes,
+            redispatches,
+            overloads,
+            unavailable_rejects,
+            _gap_workers,
+            health,
+            slow_detected,
+            suspects,
+            recoveries,
+            retries,
+        } = &plane;
+        let spans = vec![
+            // Read per window by admission and seal, per item by workers;
+            // written by an injection or a scorer verdict.
+            span("devices", devices, Side::ReadMostly),
+            span("inner", inner, Side::ReadMostly),
+            span("any", any, Side::ReadMostly),
+            span("any_slow", any_slow, Side::ReadMostly),
+            span("any_gc", any_gc, Side::ReadMostly),
+            span("live_slow", live_slow, Side::ReadMostly),
+            span("gc_pressure", gc_pressure, Side::ReadMostly),
+            span("_gap", _gap, Side::Gap),
+            // Bumped by admission and seal while a fault is in force.
+            span("degraded_windows", degraded_windows, Side::Submitter),
+            span("reroutes", reroutes, Side::Submitter),
+            span("redispatches", redispatches, Side::Submitter),
+            span("overloads", overloads, Side::Submitter),
+            span("unavailable_rejects", unavailable_rejects, Side::Submitter),
+            span("_gap_workers", _gap_workers, Side::Gap),
+            // Locked by workers around every completion.
+            span("health", health, Side::Worker),
+            span("slow_detected", slow_detected, Side::Worker),
+            span("suspects", suspects, Side::Worker),
+            span("recoveries", recoveries, Side::Worker),
+            span("retries", retries, Side::Worker),
+        ];
+        assert_one_side_per_line(&plane, spans);
     }
 
     #[test]

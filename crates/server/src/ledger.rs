@@ -22,6 +22,7 @@
 //! `settle(` elsewhere are the events its path check balances.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::LineGap;
 
 /// How an admission left the system — the single list of settling terms.
 /// The discriminant is the kind's byte in a WAL settle record.
@@ -65,6 +66,9 @@ impl SettleKind {
 
 /// Number of law terms; also the `u64` count of the binary encoding.
 const TERMS: usize = 7;
+
+/// How many of them admit (they lead [`Ledger::terms`]); the rest settle.
+const ADMIT_TERMS: usize = 2;
 
 /// One account of the law: two admitting terms, five settling terms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -213,33 +217,48 @@ impl Ledger {
 /// The concurrent twin of [`Ledger`]: same terms, relaxed atomics. Each
 /// term is exact; a [`AtomicLedger::snapshot`] taken mid-flight may be torn
 /// *across* terms, which reports tolerate.
+///
+/// Submitters count admissions and workers count settlements, so the two
+/// groups of cells sit a cache line apart (DESIGN.md, "One writer per
+/// line"): whatever struct embeds a ledger, no line holds a cell of each.
 #[derive(Debug, Default)]
+#[repr(C)]
 pub struct AtomicLedger {
-    /// [`Ledger::terms`] order.
-    terms: [AtomicU64; TERMS],
+    /// `admitted`, `overflow`.
+    admit: [AtomicU64; ADMIT_TERMS],
+    _gap: LineGap,
+    /// The settling terms, in [`SettleKind`] order.
+    settle: [AtomicU64; TERMS - ADMIT_TERMS],
 }
 
 impl AtomicLedger {
     /// Count one admission.
     pub fn admit(&self, guaranteed: bool) {
-        self.terms[usize::from(!guaranteed)].fetch_add(1, Ordering::Relaxed);
+        self.admit[usize::from(!guaranteed)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Settle one admission as `kind`.
     pub fn settle(&self, kind: SettleKind) {
-        self.terms[2 + kind as usize].fetch_add(1, Ordering::Relaxed);
+        self.settle[kind as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The cells in [`Ledger::terms`] order.
+    fn cells(&self) -> impl Iterator<Item = &AtomicU64> {
+        self.admit.iter().chain(&self.settle)
     }
 
     /// Read every term.
     pub fn snapshot(&self) -> Ledger {
-        Ledger::from_terms(std::array::from_fn(|i| {
-            self.terms[i].load(Ordering::Relaxed)
-        }))
+        let mut terms = [0u64; TERMS];
+        for (t, cell) in terms.iter_mut().zip(self.cells()) {
+            *t = cell.load(Ordering::Relaxed);
+        }
+        Ledger::from_terms(terms)
     }
 
     /// Overwrite every term (recovery seeds the books from the WAL).
     pub fn restore(&self, ledger: &Ledger) {
-        for (cell, t) in self.terms.iter().zip(ledger.terms()) {
+        for (cell, t) in self.cells().zip(ledger.terms()) {
             cell.store(t, Ordering::Relaxed);
         }
     }
@@ -248,7 +267,31 @@ impl AtomicLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::{assert_one_side_per_line, span, Side, Span};
     use proptest::prelude::*;
+
+    impl AtomicLedger {
+        /// Who writes which cells (every embedding struct's layout test
+        /// includes these).
+        pub(crate) fn layout(&self) -> Vec<Span> {
+            let AtomicLedger {
+                admit,
+                _gap,
+                settle,
+            } = self;
+            vec![
+                span("ledger.admit", admit, Side::Submitter),
+                span("ledger._gap", _gap, Side::Gap),
+                span("ledger.settle", settle, Side::Worker),
+            ]
+        }
+    }
+
+    #[test]
+    fn layout_keeps_admit_and_settle_cells_on_separate_lines() {
+        let ledger = AtomicLedger::default();
+        assert_one_side_per_line(&ledger, ledger.layout());
+    }
 
     /// One ledger event: an admission or a settlement.
     #[derive(Debug, Clone, Copy)]

@@ -37,6 +37,8 @@
 pub mod config;
 mod engine;
 pub mod fault;
+#[cfg(test)]
+mod layout;
 pub mod ledger;
 pub mod metrics;
 pub mod registry;

@@ -99,19 +99,21 @@ impl LatencyHistogram {
 
 /// Per-tenant serving counters (shared via `Arc` between the registry and
 /// the worker pool): the tenant's share of the conservation law plus its
-/// admission telemetry.
+/// admission telemetry. Laid out by writer — what submitters count, then
+/// the ledger (whose gap is the boundary), then what workers count.
 #[derive(Debug, Default)]
+#[repr(C)]
 pub struct TenantCounters {
-    /// Admissions and settlements (see [`crate::ledger`]).
-    pub ledger: AtomicLedger,
     /// Requests pushed to a later window than their arrival window.
     pub delayed: AtomicU64,
-    /// Requests refused.
-    pub rejected: AtomicU64,
-    /// Requests whose service finished past their interval deadline.
-    pub violations: AtomicU64,
     /// Total admission delay (arrival window → admitted window) in ns.
     pub delay_ns: AtomicU64,
+    /// Requests refused.
+    pub rejected: AtomicU64,
+    /// Admissions and settlements (see [`crate::ledger`]).
+    pub ledger: AtomicLedger,
+    /// Requests whose service finished past their interval deadline.
+    pub violations: AtomicU64,
 }
 
 impl TenantCounters {
@@ -351,6 +353,35 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::{assert_one_side_per_line, span, Side, Span};
+
+    impl TenantCounters {
+        /// Who writes which counters ([`crate::Tenant`]'s layout test
+        /// includes these).
+        pub(crate) fn layout(&self) -> Vec<Span> {
+            let TenantCounters {
+                delayed,
+                delay_ns,
+                rejected,
+                ledger,
+                violations,
+            } = self;
+            let mut spans = vec![
+                span("counters.delayed", delayed, Side::Submitter),
+                span("counters.delay_ns", delay_ns, Side::Submitter),
+                span("counters.rejected", rejected, Side::Submitter),
+                span("counters.violations", violations, Side::Worker),
+            ];
+            spans.extend(ledger.layout());
+            spans
+        }
+    }
+
+    #[test]
+    fn layout_keeps_submitter_and_worker_counters_on_separate_lines() {
+        let counters = TenantCounters::default();
+        assert_one_side_per_line(&counters, counters.layout());
+    }
 
     #[test]
     fn histogram_buckets_by_powers_of_two() {

@@ -3,18 +3,23 @@
 //! registration and a lock-striped hot lookup path.
 //!
 //! Registration (cold path) serializes on one mutex so the aggregate
-//! reservation check against `S(M)` is atomic; per-request lookups (hot
-//! path) only take a read lock on the tenant's shard.
+//! reservation check against `S(M)` is atomic; lookups take a read lock on
+//! the tenant's shard. The request path does not even do that: each
+//! submitter and worker thread resolves ids through its own [`TenantView`],
+//! which goes to the shards only when the registry's `epoch` has moved.
 
 use crate::metrics::TenantCounters;
-use crate::sync::atomic::{AtomicBool, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex, RwLock};
 use crate::wal::Wal;
 use fqos_core::{AppAdmission, OverloadPolicy};
 use std::collections::HashMap;
 
-/// Immutable per-tenant record handed out by lookups.
+/// Immutable per-tenant record handed out by lookups. Laid out by writer:
+/// what a submit reads, then the counters, whose submitter-written part
+/// comes first (DESIGN.md, "One writer per line").
 #[derive(Debug)]
+#[repr(C)]
 pub struct Tenant {
     /// Tenant id.
     pub id: u64,
@@ -22,12 +27,12 @@ pub struct Tenant {
     pub reserved: usize,
     /// What happens to this tenant's requests when a window is full.
     pub policy: OverloadPolicy,
-    /// Serving counters, shared with the worker pool.
-    pub counters: TenantCounters,
     /// Cleared on deregistration. The record itself stays in its shard so
     /// seal-time settlement can still credit in-flight admissions — a
     /// mid-window deregistration must not strand window-ring accounting.
     live: AtomicBool,
+    /// Serving counters, shared with the worker pool.
+    pub counters: TenantCounters,
 }
 
 impl Tenant {
@@ -91,6 +96,11 @@ pub struct TenantRegistry {
     shards: Vec<RwLock<HashMap<u64, Arc<Tenant>>>>,
     /// Write-ahead log for register/deregister durability (None = off).
     wal: Option<Arc<Wal>>,
+    /// Counts shard inserts; what a [`TenantView`] cached under an older
+    /// value may have been replaced. Bumped after the insert and before the
+    /// shard lock is released: whoever has seen the new record, or heard
+    /// from someone who has, loads the new epoch.
+    epoch: AtomicU64,
 }
 
 impl TenantRegistry {
@@ -110,13 +120,21 @@ impl TenantRegistry {
             admission: Mutex::new(AppAdmission::new(limit)),
             shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             wal,
+            epoch: AtomicU64::new(0),
         }
     }
 
     fn shard(&self, tenant: u64) -> &RwLock<HashMap<u64, Arc<Tenant>>> {
         // Multiplicative hash so consecutive tenant ids spread across shards.
-        let h = tenant.wrapping_mul(0x9E3779B97F4A7C15);
-        &self.shards[(h >> 32) as usize % self.shards.len()]
+        &self.shards[(spread(tenant) >> 32) as usize % self.shards.len()]
+    }
+
+    /// Put `record` in its shard — replacing a departed record of the same
+    /// id, if any — and tell the views.
+    fn publish(&self, record: Arc<Tenant>) {
+        let mut shard = self.shard(record.id).write();
+        shard.insert(record.id, record);
+        self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Register (or re-register with a new size) a tenant. The reservation
@@ -163,12 +181,10 @@ impl TenantRegistry {
             counters: TenantCounters::default(),
             live: AtomicBool::new(true),
         });
-        // Replaces a departed record of the same id, if any. Counters start
-        // fresh: a re-registered id is a new serving epoch (the old record's
-        // already-sealed admissions settled against the old counters).
-        self.shard(tenant)
-            .write()
-            .insert(tenant, Arc::clone(&record));
+        // Counters start fresh: a re-registered id is a new serving epoch
+        // (the old record's already-sealed admissions settled against the
+        // old counters).
+        self.publish(Arc::clone(&record));
         Ok(record)
     }
 
@@ -221,12 +237,12 @@ impl TenantRegistry {
             .counters
             .delayed
             .store(state.delayed, Ordering::Relaxed);
-        self.shard(tenant).write().insert(tenant, record);
+        self.publish(record);
         Ok(())
     }
 
-    /// Hot-path lookup: live tenants only (the admission path must not see
-    /// departed records).
+    /// Live tenants only (the admission path must not see departed
+    /// records). A submit asks its handle's [`TenantView`] instead.
     pub fn get(&self, tenant: u64) -> Option<Arc<Tenant>> {
         self.shard(tenant)
             .read()
@@ -235,9 +251,9 @@ impl TenantRegistry {
             .filter(|t| t.is_live())
     }
 
-    /// Seal-path lookup: resolves departed records too, so a request
+    /// Settlement lookup: resolves departed records too, so a request
     /// admitted before its tenant deregistered still settles against the
-    /// tenant's counters.
+    /// tenant's counters. What a [`TenantView`] falls back to.
     pub fn lookup_any(&self, tenant: u64) -> Option<Arc<Tenant>> {
         self.shard(tenant).read().get(&tenant).cloned()
     }
@@ -290,11 +306,64 @@ impl TenantRegistry {
     }
 }
 
+/// Multiplicative hash so consecutive tenant ids spread out.
+fn spread(tenant: u64) -> u64 {
+    tenant.wrapping_mul(0x9E3779B97F4A7C15)
+}
+
+/// Slots of a [`TenantView`]: a power of two, one bit each in `filled`.
+const VIEW_SLOTS: usize = 64;
+
+/// The slot of a [`TenantView`] that `tenant` maps to.
+fn slot_of(tenant: u64) -> usize {
+    (spread(tenant) >> (64 - VIEW_SLOTS.trailing_zeros())) as usize
+}
+
+/// One thread's cache of the registry: a direct-mapped table of what
+/// [`TenantRegistry::lookup_any`] found (`None` = no such id) and the epoch
+/// it was filled under. A hit is a plain borrow — no shard lock, no SipHash,
+/// no reference count. With more ids than slots a conflicting one goes back
+/// to the shards; the table never grows.
+pub(crate) struct TenantView {
+    epoch: u64,
+    /// Bit `i` set = `slots[i]` was filled under `epoch`.
+    filled: u64,
+    slots: Box<[(u64, Option<Arc<Tenant>>)]>,
+}
+
+impl TenantView {
+    pub(crate) fn new() -> Self {
+        TenantView {
+            epoch: 0,
+            filled: 0,
+            slots: (0..VIEW_SLOTS).map(|_| (0, None)).collect(),
+        }
+    }
+
+    /// The record `id` names in `registry`. Deregistration only clears the
+    /// record's `live` flag, which callers read through the borrow; a
+    /// replaced record is noticed by the epoch. The `Acquire` load pairs
+    /// with the bump in [`TenantRegistry::publish`].
+    pub(crate) fn resolve(&mut self, registry: &TenantRegistry, id: u64) -> Option<&Tenant> {
+        let epoch = registry.epoch.load(Ordering::Acquire);
+        if epoch != self.epoch {
+            self.epoch = epoch;
+            self.filled = 0;
+        }
+        let at = slot_of(id);
+        if self.filled >> at & 1 == 0 || self.slots[at].0 != id {
+            self.slots[at] = (id, registry.lookup_any(id));
+            self.filled |= 1 << at;
+        }
+        self.slots[at].1.as_deref()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::{assert_one_side_per_line, span, Side};
     use crate::ledger::{Ledger, SettleKind};
-    use std::sync::atomic::Ordering;
 
     #[test]
     fn table1_walkthrough_through_the_registry() {
@@ -404,6 +473,115 @@ mod tests {
         let fresh = reg.register(1, 1, OverloadPolicy::Reject).unwrap();
         assert!(fresh.is_live());
         assert_eq!(fresh.counters.ledger.snapshot(), Ledger::default());
+    }
+
+    #[test]
+    fn a_view_hit_borrows_the_record_without_touching_its_refcount() {
+        let reg = TenantRegistry::new(5, 2);
+        let record = reg.register(1, 2, OverloadPolicy::Delay).unwrap();
+        let mut view = TenantView::new();
+        let first = view.resolve(&reg, 1).unwrap() as *const Tenant;
+        assert_eq!(first, Arc::as_ptr(&record), "the registry's own record");
+        let held = Arc::strong_count(&record); // shard + view + ours
+        for _ in 0..3 {
+            let hit = view.resolve(&reg, 1).unwrap() as *const Tenant;
+            assert_eq!(hit, first);
+            assert_eq!(Arc::strong_count(&record), held, "a hit clones nothing");
+        }
+    }
+
+    #[test]
+    fn a_view_sees_registrations_made_after_it_was_filled() {
+        let reg = TenantRegistry::new(5, 2);
+        let mut view = TenantView::new();
+        assert!(view.resolve(&reg, 1).is_none());
+        assert!(view.resolve(&reg, 1).is_none(), "the miss is cached too");
+        let first = reg.register(1, 2, OverloadPolicy::Delay).unwrap();
+        assert!(view.resolve(&reg, 1).is_some_and(Tenant::is_live));
+        // Deregistration moves no epoch: the flag is read through the borrow.
+        let epoch = reg.epoch.load(Ordering::Acquire);
+        reg.deregister(1).unwrap();
+        assert_eq!(reg.epoch.load(Ordering::Acquire), epoch);
+        let departed = view.resolve(&reg, 1).unwrap();
+        assert!(!departed.is_live());
+        assert!(std::ptr::eq(departed, Arc::as_ptr(&first)));
+        // Re-registration replaces the record; the warm view follows.
+        let second = reg.register(1, 3, OverloadPolicy::Reject).unwrap();
+        let seen = view.resolve(&reg, 1).unwrap();
+        assert!(std::ptr::eq(seen, Arc::as_ptr(&second)));
+        assert!(seen.is_live());
+        assert_eq!(seen.reserved, 3);
+    }
+
+    #[test]
+    fn a_view_never_grows_past_its_table() {
+        let reg = TenantRegistry::new(10_000, 4);
+        for id in 0..10_000u64 {
+            reg.register(id, 1, OverloadPolicy::Delay).unwrap();
+        }
+        let mut view = TenantView::new();
+        for round in 0..2 {
+            for id in 0..10_000u64 {
+                assert_eq!(view.resolve(&reg, id).unwrap().id, id, "round {round}");
+            }
+            assert!(view.resolve(&reg, 10_000).is_none());
+        }
+        assert_eq!(view.slots.len(), VIEW_SLOTS);
+        // A handful of consecutive ids — every workload we run — share no
+        // slot, so none of them ever evicts another.
+        let mut slots: Vec<usize> = (1..=8).map(slot_of).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len(), 8);
+    }
+
+    #[test]
+    fn restoring_a_record_moves_the_epoch() {
+        let reg = TenantRegistry::new(5, 2);
+        let mut view = TenantView::new();
+        assert!(view.resolve(&reg, 9).is_none());
+        let epoch = reg.epoch.load(Ordering::Acquire);
+        let state = crate::wal::TenantState {
+            reserved: 2,
+            policy: 0,
+            live: true,
+            ledger: Ledger {
+                admitted: 4,
+                served: 4,
+                ..Ledger::default()
+            },
+            delayed: 1,
+        };
+        reg.restore_record(9, &state).unwrap();
+        assert!(reg.epoch.load(Ordering::Acquire) > epoch);
+        let restored = view.resolve(&reg, 9).expect("the cached miss was dropped");
+        assert_eq!(restored.counters.ledger.snapshot().served, 4);
+    }
+
+    #[test]
+    fn layout_keeps_what_a_submit_touches_off_the_lines_workers_write() {
+        let reg = TenantRegistry::new(5, 1);
+        let record = reg.register(1, 1, OverloadPolicy::Delay).unwrap();
+        let Tenant {
+            id,
+            reserved,
+            policy,
+            live,
+            counters,
+        } = &*record;
+        // Read on every submit, written never (`live`: once).
+        let mut spans = vec![
+            span("id", id, Side::Submitter),
+            span("reserved", reserved, Side::Submitter),
+            span("policy", policy, Side::Submitter),
+            span("live", live, Side::Submitter),
+        ];
+        spans.extend(counters.layout());
+        assert_one_side_per_line(&*record, spans);
+        // Measured; a tenant is one small allocation behind an `Arc`, and
+        // growing it is a decision (run the RSS pre-check of the verify
+        // skill when this moves).
+        assert!(std::mem::size_of::<Tenant>() <= 168);
     }
 
     #[test]

@@ -30,3 +30,12 @@ pub(crate) use parking_lot::{Mutex, MutexGuard, RwLock};
 pub(crate) use std::sync::{atomic, Arc};
 #[cfg(not(feature = "model-check"))]
 pub(crate) use std::thread;
+
+/// Dead space between two groups of fields that different threads write.
+/// Every field on the request path is made of 8-byte-aligned words, so
+/// seven words between the last word of one group and the first of the
+/// next put them 64 bytes apart: on different cache lines wherever the
+/// allocator places the struct. By distance, not `repr(align)` — an
+/// over-aligned type inside an `Arc` goes through `memalign` and moves the
+/// heap (DESIGN.md, "One writer per line").
+pub(crate) type LineGap = [u64; 7];

@@ -32,7 +32,6 @@ use crate::fault::{FaultPlane, MAX_FAULT_DEVICES};
 use crate::sync::{Arc, Mutex, MutexGuard};
 use fqos_decluster::retrieval::{DegradedAdmit, DegradedWindow};
 use fqos_flashsim::{IoOp, IoRequest};
-use std::collections::HashMap;
 
 /// Most replicas a block can have: an `(N, c, 1)` design needs
 /// `N ≥ c² − c + 1` devices, so `c ≤ 8` under the 64-device fault plane.
@@ -162,8 +161,10 @@ struct SlotState {
     /// (reject `Unavailable`) from "data slow" (serve best-effort).
     fail_mask: u64,
     feas: Feasibility,
-    /// Per-tenant admitted count, enforcing each tenant's reservation.
-    per_tenant: HashMap<u64, u32>,
+    /// Per-tenant admitted count, enforcing each tenant's reservation. A
+    /// window holds at most `S(M)` tenants — a few dozen — so a scan beats
+    /// a map's two hashes per admission.
+    per_tenant: Vec<(u64, u32)>,
     guaranteed: Vec<Parked>,
     overflow: Vec<Parked>,
 }
@@ -284,7 +285,7 @@ impl WindowRing {
                                 reserve: Vec::new(),
                             },
                         },
-                        per_tenant: HashMap::new(),
+                        per_tenant: Vec::new(),
                         guaranteed: Vec::new(),
                         overflow: Vec::new(),
                     })
@@ -327,6 +328,23 @@ impl WindowRing {
         s
     }
 
+    /// Park one guaranteed admission in `s` and count it against its
+    /// tenant. A window's first one sizes the buffer for `N·M` entries, all
+    /// a window can hold: grown by doubling it went through two `realloc`s
+    /// per window under the submitting thread's malloc arena lock, where
+    /// it met the worker freeing that thread's batch (DESIGN.md, "One
+    /// writer per line"; `worker_loop` holds the other half).
+    fn park(&self, s: &mut SlotState, parked: Parked) {
+        match s.per_tenant.iter_mut().find(|(t, _)| *t == parked.tenant) {
+            Some((_, n)) => *n += 1,
+            None => s.per_tenant.push((parked.tenant, 1)),
+        }
+        if s.guaranteed.capacity() == 0 {
+            s.guaranteed.reserve_exact(self.devices * self.accesses);
+        }
+        s.guaranteed.push(parked);
+    }
+
     /// Try to admit one guaranteed request for `tenant` (with per-interval
     /// reservation `reserved`) into `window`. Admits iff the tenant has
     /// reservation left in this window **and** the request fits the
@@ -341,8 +359,8 @@ impl WindowRing {
     ) -> AdmitResult {
         let mut guard = self.locked(window);
         let s = &mut *guard;
-        let used = s.per_tenant.get(&tenant).copied().unwrap_or(0);
-        if used as usize >= reserved {
+        let held = s.per_tenant.iter().find(|&&(t, _)| t == tenant);
+        if held.map_or(0, |&(_, n)| n) as usize >= reserved {
             return AdmitResult::Full;
         }
         if req.op == IoOp::Write {
@@ -378,13 +396,13 @@ impl WindowRing {
         if mask != 0 && replicas.iter().any(|&d| mask >> d & 1 == 1) {
             self.fault.note_reroute();
         }
-        *s.per_tenant.entry(tenant).or_insert(0) += 1;
-        s.guaranteed.push(Parked {
+        let parked = Parked {
             tenant,
             req,
             replicas: ReplicaTuple::new(replicas),
             assigned,
-        });
+        };
+        self.park(s, parked);
         AdmitResult::Admitted
     }
 
@@ -447,13 +465,13 @@ impl WindowRing {
         if mask & tuple.mask() != 0 {
             self.fault.note_reroute();
         }
-        *s.per_tenant.entry(tenant).or_insert(0) += 1;
-        s.guaranteed.push(Parked {
+        let parked = Parked {
             tenant,
             req,
             replicas: tuple,
             assigned: None,
-        });
+        };
+        self.park(s, parked);
         AdmitResult::Admitted
     }
 

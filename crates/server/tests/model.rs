@@ -675,3 +675,91 @@ fn gc_stall_vs_hedge_never_duplicates_a_write() {
     });
     report_and_check("gc-stall-vs-hedge", report, 1000);
 }
+
+/// A submitter whose handle has resolved its tenant before — the record
+/// sits in the handle's view — races a controller that deregisters the
+/// tenant and registers it afresh. A view follows the registry by its
+/// epoch, bumped *after* the new record is in its shard: bumped before, a
+/// submit could cache the departed record under the new epoch and answer
+/// `UnknownTenant` for ever. On every schedule a submit that starts after
+/// `register` returned `Ok` finds the tenant; whichever record each
+/// admission and each settlement landed on (the worker resolves ids
+/// through a view of its own), the array's ledger is conserved and is the
+/// sum of the ledgers of every record the id ever had. Registration is
+/// refused `DrainPending` on the schedules where the worker has not yet
+/// settled the warm-up request; the tenant then stays departed.
+#[test]
+fn cached_view_vs_reregister_never_hides_the_new_record() {
+    use fqos_server::RejectReason;
+    use interleave::sync::atomic::{AtomicBool, Ordering};
+    use interleave::sync::Arc;
+    let bounds = Config {
+        preemptions: 2,
+        max_schedules: 4096,
+        ..Config::default()
+    };
+    let report = model_with(bounds, || {
+        let server = QosServer::new(model_cfg().with_workers(1)).unwrap();
+        let t_ns = server.config().qos.interval_ns;
+        let first = server.register(1, 2, OverloadPolicy::Delay).unwrap();
+        let mut hs = server.handle();
+        // Warm the view, then seal the warm-up's window so that the worker
+        // — a third party to the race — can settle it and let the id start
+        // a fresh epoch.
+        assert!(hs.submit(1, 0, 0).is_admitted());
+        hs.advance_to(2 * t_ns);
+        let hc = server.handle(); // the controller's endpoint
+        let registered = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&registered);
+        // The controller is spawned first: the explorer's first schedule
+        // runs threads in spawn order, so its baseline has the worker
+        // settle, the registration succeed and both submits follow it, and
+        // the schedule budget goes to the submits that race it.
+        let controller = interleave::thread::spawn(move || {
+            hc.deregister(1).expect("tenant 1 was live");
+            let fresh = hc.register(1, 2, OverloadPolicy::Delay).ok();
+            if fresh.is_some() {
+                registered.store(true, Ordering::Release);
+            }
+            fresh
+            // Dropping hc closes its watermark so sealing can proceed.
+        });
+        let submitter = interleave::thread::spawn(move || {
+            let mut tally = Tally::default();
+            for lbn in [1, 2] {
+                let after_register = seen.load(Ordering::Acquire);
+                match hs.submit(1, lbn, 2 * t_ns) {
+                    SubmitOutcome::Rejected(reason) => {
+                        assert!(
+                            !(after_register && reason == RejectReason::UnknownTenant),
+                            "a view kept the departed record past its replacement"
+                        );
+                        tally.rejected += 1;
+                    }
+                    _ => tally.admitted += 1,
+                }
+            }
+            tally
+        });
+        let ts = submitter.join().unwrap();
+        let fresh = controller.join().unwrap();
+        let m = server.finish();
+        assert_eq!(ts.admitted + ts.rejected, 2);
+        assert_eq!(1 + ts.admitted, m.admitted_total());
+        assert_eq!(ts.rejected, m.rejected);
+        assert!(
+            m.ledger().conserved(),
+            "{}: {}",
+            "conservation",
+            m.ledger().render()
+        );
+        assert_eq!(m.served, m.admitted_total(), "no faults were injected");
+        assert_eq!(m.guaranteed_violations, 0, "deadline audit");
+        let mut records = first.counters.ledger.snapshot();
+        if let Some(second) = &fresh {
+            records.merge(&second.counters.ledger.snapshot());
+        }
+        assert_eq!(m.ledger(), records, "an event landed on no record");
+    });
+    report_and_check("cached-view-vs-reregister", report, 1000);
+}
