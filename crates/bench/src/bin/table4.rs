@@ -5,10 +5,10 @@
 //! wall time and peak memory at supports 1 and 3. Absolute numbers depend
 //! on trace scale and hardware; the reproduction targets are the *scaling*
 //! relationships: time/memory grow with request count, and raising the
-//! support cuts both. All three miners are reported for cross-checking.
+//! support cuts both.
 
 use fqos_bench::{banner, exchange_trace, tpce_trace, TableBuilder};
-use fqos_fim::{Apriori, Eclat, FpGrowth, PairMiner, TransactionDb};
+use fqos_fim::{Apriori, PairMiner, TransactionDb};
 use fqos_traces::Trace;
 
 fn interval_db(trace: &Trace, which: &str) -> (String, TransactionDb) {
@@ -59,22 +59,18 @@ fn main() {
         interval_db(&tpce, "largest"),
     ];
 
-    let miners: Vec<Box<dyn PairMiner>> =
-        vec![Box::new(Apriori), Box::new(Eclat), Box::new(FpGrowth)];
     for (name, db) in cases.iter_mut() {
         for &support in &[1u32, 3] {
-            for miner in &miners {
-                let (_, report) = miner.mine_pairs_with_report(db, support);
-                table.row(&[
-                    name.clone(),
-                    db.total_occurrences().to_string(),
-                    support.to_string(),
-                    miner.name().to_string(),
-                    report.pairs_found.to_string(),
-                    format!("{:.2}", report.seconds * 1e3),
-                    human_bytes(report.peak_bytes),
-                ]);
-            }
+            let (_, report) = Apriori.mine_pairs_with_report(db, support);
+            table.row(&[
+                name.clone(),
+                db.total_occurrences().to_string(),
+                support.to_string(),
+                Apriori.name().to_string(),
+                report.pairs_found.to_string(),
+                format!("{:.2}", report.seconds * 1e3),
+                human_bytes(report.peak_bytes),
+            ]);
         }
     }
     table.print();

@@ -85,15 +85,6 @@ pub fn exchange_trace() -> Trace {
     fqos_traces::models::exchange(ExchangeConfig::default()).generate()
 }
 
-/// A reduced Exchange trace for quick runs (16 intervals).
-pub fn exchange_trace_quick() -> Trace {
-    let cfg = ExchangeConfig {
-        intervals: 16,
-        ..Default::default()
-    };
-    fqos_traces::models::exchange(cfg).generate()
-}
-
 /// The TPC-E workload at experiment scale (6 parts).
 pub fn tpce_trace() -> Trace {
     fqos_traces::models::tpce(TpceConfig::default()).generate()

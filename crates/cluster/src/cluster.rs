@@ -58,6 +58,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Ring points per array for the consistent-hash router.
+const VNODES_PER_ARRAY: usize = 64;
+
+/// Per-tick pressure (rejections + delays + over-budget overflow) at which
+/// an array counts as saturated.
+const MIN_PRESSURE: u64 = 1;
+
 /// What occupies an array slot. Slots are never removed — indices stay
 /// stable for the router, the health plane and the audit — they change
 /// state instead.
@@ -227,7 +234,7 @@ impl QosCluster {
             .collect();
         let shared = Arc::new(Shared {
             ctrl: Mutex::new(CtrlState::default()),
-            router: Mutex::new(Router::new(&capacities, cfg.vnodes_per_array)),
+            router: Mutex::new(Router::new(&capacities, VNODES_PER_ARRAY)),
             liveness: Mutex::new(HealthPlane::new(slots.len(), cfg.health)),
             arrays: RwLock::new(slots),
             epoch: AtomicU64::new(0),
@@ -408,26 +415,6 @@ impl QosCluster {
     pub fn restore_array(&self, array: usize) -> Result<bool, ClusterError> {
         let mut ctrl = self.shared.ctrl.lock();
         self.restore_slot(&mut ctrl, array)
-    }
-
-    /// Degrade every device of a live `array` to `factor`× calibrated
-    /// service time — the silent whole-array fail-slow case. Detection is
-    /// the health plane's job.
-    pub fn degrade_array(&self, array: usize, factor: u32) -> Result<(), ClusterError> {
-        let arrays = self.shared.arrays.read();
-        let slot = arrays.get(array).ok_or(ClusterError::UnknownArray {
-            array,
-            arrays: arrays.len(),
-        })?;
-        match &slot.state {
-            ArrayState::Live(server) if !slot.retired => {
-                for d in 0..server.fault_plane().devices() {
-                    let _ = server.degrade_device(d, factor);
-                }
-                Ok(())
-            }
-            _ => Err(ClusterError::ArrayNotLive { array }),
-        }
     }
 
     /// Grow the fleet: build a new array at runtime and add it to the
@@ -937,7 +924,7 @@ impl QosCluster {
             }
         }
         let (from, &hot) = pressures.iter().enumerate().max_by_key(|&(_, &p)| p)?;
-        if hot < self.cfg.min_pressure {
+        if hot < MIN_PRESSURE {
             return None;
         }
         let snap = snaps[from].as_ref()?;
@@ -976,7 +963,7 @@ impl QosCluster {
                 i != from
                     && !retired[i]
                     && snaps[i].is_some()
-                    && pressures[i] < self.cfg.min_pressure
+                    && pressures[i] < MIN_PRESSURE
                     && matches!(healths[i], ArrayHealth::Healthy | ArrayHealth::Suspect)
             })
             .map(|i| (i, headrooms[i]))

@@ -11,16 +11,11 @@ pub struct ClusterConfig {
     /// One entry per array; each array runs the paper's §III-A controller
     /// unchanged over its own geometry.
     pub arrays: Vec<ServerConfig>,
-    /// Ring points per array for the consistent-hash router.
-    pub vnodes_per_array: usize,
     /// Whether the global control loop may migrate tenants.
     pub rebalance: bool,
     /// Minimum control ticks between two rebalances (hysteresis: a
     /// migration must see its effect before the next one is considered).
     pub cooldown_ticks: u64,
-    /// Per-tick pressure (rejections + delays + over-budget overflow) at
-    /// which an array counts as saturated.
-    pub min_pressure: u64,
     /// Array-level liveness scoring thresholds.
     pub health: ClusterHealthParams,
     /// Scripted whole-array faults, applied by the control loop at the
@@ -33,10 +28,8 @@ impl ClusterConfig {
     pub fn new(arrays: Vec<ServerConfig>) -> Self {
         ClusterConfig {
             arrays,
-            vnodes_per_array: 64,
             rebalance: true,
             cooldown_ticks: 2,
-            min_pressure: 1,
             health: ClusterHealthParams::default(),
             chaos: ClusterFaultSchedule::new(),
         }
@@ -45,12 +38,6 @@ impl ClusterConfig {
     /// `n` identical arrays.
     pub fn uniform(n: usize, array: &ServerConfig) -> Self {
         ClusterConfig::new(vec![array.clone(); n])
-    }
-
-    /// Builder: ring points per array.
-    pub fn with_vnodes(mut self, vnodes_per_array: usize) -> Self {
-        self.vnodes_per_array = vnodes_per_array;
-        self
     }
 
     /// Builder: enable/disable the rebalancing control loop.
@@ -62,12 +49,6 @@ impl ClusterConfig {
     /// Builder: rebalance hysteresis in control ticks.
     pub fn with_cooldown(mut self, cooldown_ticks: u64) -> Self {
         self.cooldown_ticks = cooldown_ticks;
-        self
-    }
-
-    /// Builder: saturation threshold in pressure units per tick.
-    pub fn with_min_pressure(mut self, min_pressure: u64) -> Self {
-        self.min_pressure = min_pressure;
         self
     }
 
@@ -89,11 +70,6 @@ impl ClusterConfig {
         if self.arrays.is_empty() {
             return Err(ClusterError::Config(
                 "cluster needs at least one array".into(),
-            ));
-        }
-        if self.vnodes_per_array == 0 {
-            return Err(ClusterError::Config(
-                "vnodes_per_array must be positive".into(),
             ));
         }
         if self.health.dead_after == 0 || self.health.slow_after == 0 {

@@ -20,7 +20,6 @@ pub const DEFAULT_MIN_SUPPORT: u32 = 1;
 pub struct QosPipeline {
     config: QosConfig,
     strategy: MappingStrategy,
-    min_support: u32,
 }
 
 impl QosPipeline {
@@ -31,19 +30,12 @@ impl QosPipeline {
         QosPipeline {
             config,
             strategy: MappingStrategy::Fim,
-            min_support: DEFAULT_MIN_SUPPORT,
         }
     }
 
     /// Override the block-mapping strategy (ablations: Modulo, RoundRobin).
     pub fn with_mapping(mut self, strategy: MappingStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Override the FIM minimum support.
-    pub fn with_min_support(mut self, min_support: u32) -> Self {
-        self.min_support = min_support.max(1);
         self
     }
 
@@ -57,7 +49,7 @@ impl QosPipeline {
             self.strategy,
             self.config.scheme.num_buckets(),
             self.config.interval_ns,
-            self.min_support,
+            DEFAULT_MIN_SUPPORT,
         )
     }
 
@@ -101,34 +93,13 @@ impl IntervalRunner<'_> {
             MappingStrategy::Modulo,
             scheme.num_buckets(),
             self.pipeline.config.interval_ns,
-            self.pipeline.min_support,
+            DEFAULT_MIN_SUPPORT,
         );
         crate::baseline::run_scheme_greedy(
             trace,
             scheme,
             &mut mapping,
             self.pipeline.config.service_ns,
-        )
-    }
-
-    /// A baseline that still batches at interval boundaries with exact
-    /// max-flow retrieval but has no admission control — the strongest
-    /// possible version of a baseline scheme (ablation).
-    pub fn run_baseline_batched<S: AllocationScheme>(
-        &self,
-        trace: &Trace,
-        scheme: &S,
-    ) -> QosReport {
-        let mut mapping = BlockMapping::new(
-            MappingStrategy::Modulo,
-            scheme.num_buckets(),
-            self.pipeline.config.interval_ns,
-            self.pipeline.min_support,
-        );
-        IntervalQos::without_admission(self.pipeline.config.clone()).run_scheme(
-            trace,
-            scheme,
-            &mut mapping,
         )
     }
 }

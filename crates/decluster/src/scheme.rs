@@ -60,9 +60,6 @@ pub trait AllocationScheme {
     }
 }
 
-/// A boxed scheme, handy for heterogeneous comparisons in the benches.
-pub type DynScheme = Box<dyn AllocationScheme + Send + Sync>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,11 +72,6 @@ impl RotatedDesign {
         self.buckets[bucket][0]
     }
 
-    /// All bucket tuples.
-    pub fn bucket_table(&self) -> &[Vec<DeviceId>] {
-        &self.buckets
-    }
-
     /// The worst-case retrieval guarantee of this declustering.
     pub fn guarantee(&self) -> RetrievalGuarantee {
         RetrievalGuarantee::of(&self.design)

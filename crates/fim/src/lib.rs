@@ -13,12 +13,10 @@
 //! * [`transaction`] — time-window transaction extraction from traces.
 //! * [`apriori`] — Apriori with low-memory pair counting (the paper uses
 //!   the `fim apriori-lowmem` implementation of Rácz et al.).
-//! * [`eclat`] — vertical tid-list mining (Zaki).
-//! * [`fpgrowth`] — FP-tree mining (Han et al.).
 //! * [`matcher`] — frequent pairs → design-block assignment.
 //!
-//! All three miners produce identical frequent-pair sets (tested against
-//! each other and against a brute-force oracle).
+//! Apriori is the one miner, as in the paper; the tests check it against
+//! the brute-force oracle [`transaction::brute_force_pairs`].
 //!
 //! # Example
 //!
@@ -37,15 +35,9 @@
 //! ```
 
 pub mod apriori;
-pub mod eclat;
-pub mod fpgrowth;
-pub mod itemsets;
 pub mod matcher;
 pub mod transaction;
 
 pub use apriori::Apriori;
-pub use eclat::Eclat;
-pub use fpgrowth::FpGrowth;
-pub use itemsets::{apriori_itemsets, association_rules, AssociationRule, FrequentItemset};
 pub use matcher::{match_design_blocks, BlockMatcher};
 pub use transaction::{FrequentPair, MiningReport, PairMiner, TransactionDb};

@@ -5,13 +5,6 @@ use crate::request::{Completion, IoRequest};
 use crate::stats::ResponseStats;
 use crate::time::SimTime;
 
-/// Array configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ArrayConfig {
-    /// Number of flash modules (devices).
-    pub num_devices: usize,
-}
-
 /// An array of `N` flash modules. The controller forwards each request to
 /// its target device; replica selection happens *above* this layer (in the
 /// declustering/QoS crates), matching the paper's architecture where the

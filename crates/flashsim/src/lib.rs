@@ -1,4 +1,4 @@
-//! Event-driven flash array simulator — the repo's substitute for
+//! Flash array simulator — the repo's substitute for
 //! DiskSim 4.0 + the Microsoft Research SSD extension used by the paper.
 //!
 //! The paper's experiments depend on exactly one calibrated fact: *"a single
@@ -21,7 +21,6 @@
 //! * [`hdd`] — a mechanical disk model (seek + rotation), demonstrating
 //!   §II-A's point that HDD arrays cannot hold deterministic guarantees.
 //! * [`array`] — an array of `N` devices behind a controller.
-//! * [`engine`] — a small generic discrete-event queue.
 //! * [`stats`] — streaming response-time statistics (avg/std/max, exactly
 //!   the columns of Table III) and per-interval aggregation.
 //!
@@ -43,7 +42,6 @@
 
 pub mod array;
 pub mod device;
-pub mod engine;
 pub mod flash;
 pub mod ftl;
 pub mod hdd;
@@ -51,7 +49,7 @@ pub mod request;
 pub mod stats;
 pub mod time;
 
-pub use array::{ArrayConfig, FlashArray, SimulationResult};
+pub use array::{FlashArray, SimulationResult};
 pub use device::{CalibratedSsd, Device, GcStats};
 pub use flash::{FlashConfig, FlashModule};
 pub use ftl::{FtlGeometry, GeometryError, PageMappedFtl, WriteOutcome};

@@ -40,11 +40,6 @@ impl FlowNetwork {
         self.adj.len()
     }
 
-    /// Number of forward edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len() / 2
-    }
-
     /// Source vertex.
     pub fn source(&self) -> usize {
         self.source
@@ -64,12 +59,6 @@ impl FlowNetwork {
         self.adj[from].push(id);
         self.adj[to].push(id + 1);
         id
-    }
-
-    /// Add a vertex, returning its id.
-    pub fn add_vertex(&mut self) -> usize {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
     }
 
     /// Residual capacity of an edge (forward or twin).
@@ -99,16 +88,6 @@ impl FlowNetwork {
         debug_assert!(self.edges[edge].cap >= amount);
         self.edges[edge].cap -= amount;
         self.edges[edge ^ 1].cap += amount;
-    }
-
-    /// Total flow out of the source (equals flow into the sink by
-    /// conservation).
-    pub fn total_flow(&self) -> u64 {
-        self.adj[self.source]
-            .iter()
-            .filter(|&&e| e % 2 == 0)
-            .map(|&e| self.flow(e))
-            .sum()
     }
 
     /// Verify flow conservation at every vertex except source and sink.

@@ -1,11 +1,14 @@
 //! Serving-engine configuration.
 
-use crate::fault::{FaultSchedule, HEALTH_WINDOW};
+use crate::fault::{FaultSchedule, HealthParams};
 use fqos_core::QosConfig;
 use fqos_flashsim::{FtlGeometry, BLOCK_READ_NS};
 use std::path::PathBuf;
 
 /// Write/GC device model knobs (see [`fqos_flashsim::CalibratedSsd::with_gc`]).
+/// A program costs the calibrated read service time, and window admission
+/// reserves per-device headroom proportional to the device's recent
+/// write-amplification EWMA.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcConfig {
     /// Per-device FTL geometry; low over-provisioning makes GC storms easy
@@ -13,35 +16,21 @@ pub struct GcConfig {
     pub geometry: FtlGeometry,
     /// Block erase latency charged per GC erase.
     pub erase_ns: u64,
-    /// Per-block program latency. `None` uses the calibrated read service
-    /// time, which keeps the `M · service ≤ T` window math exact for
-    /// writes too; setting it higher models real program cost, covered by
-    /// the GC-pressure reserve rather than the deterministic bound.
-    pub write_service_ns: Option<u64>,
-    /// Whether window admission reserves per-device headroom proportional
-    /// to the device's recent write-amplification EWMA.
-    pub reserve: bool,
 }
 
 impl GcConfig {
     /// GC model over `geometry` with an erase costing one calibrated block
-    /// read and the reserve enabled.
+    /// read.
     pub fn new(geometry: FtlGeometry) -> Self {
         GcConfig {
             geometry,
             erase_ns: BLOCK_READ_NS,
-            write_service_ns: None,
-            reserve: true,
         }
     }
 
     /// Validate the model knobs.
     pub fn validate(&self) -> Result<(), String> {
-        self.geometry.validate().map_err(|e| e.to_string())?;
-        if self.write_service_ns == Some(0) {
-            return Err("gc write_service_ns must be positive when set".into());
-        }
-        Ok(())
+        self.geometry.validate().map_err(|e| e.to_string())
     }
 }
 
@@ -145,16 +134,9 @@ pub struct ServerConfig {
     /// and otherwise serves as PR 2 did — the configuration used to
     /// demonstrate what fail-slow costs without mitigation.
     pub hedge_enabled: bool,
-    /// Samples the scorer needs on a device before the percentile
-    /// threshold exists; below this only a projected deadline miss hedges.
-    pub hedge_min_samples: usize,
-    /// Consecutive anomalies promoting `Suspect → Slow`.
-    pub health_promote_streak: u32,
-    /// Consecutive normal completions demoting `Slow → Healthy`.
-    pub health_recover_streak: u32,
-    /// Sealed windows without a sample after which a `Slow` device is
-    /// re-probed (put back on probation and made schedulable).
-    pub health_probe_windows: u64,
+    /// Health-scorer tuning: promote / recover streaks, the probe TTL and
+    /// the sample floor of the hedge threshold.
+    pub health: HealthParams,
     /// Write-ahead durability. `None` (the default) serves exactly as
     /// before this knob existed: nothing is logged and a crash loses all
     /// serving state.
@@ -179,10 +161,7 @@ impl ServerConfig {
             fault_schedule: FaultSchedule::new(),
             ring_slots: WINDOW_RING,
             hedge_enabled: true,
-            hedge_min_samples: 4,
-            health_promote_streak: 3,
-            health_recover_streak: 8,
-            health_probe_windows: 8,
+            health: HealthParams::default(),
             wal: None,
             gc: None,
         }
@@ -235,27 +214,6 @@ impl ServerConfig {
         self
     }
 
-    /// Set the sample floor below which no percentile threshold exists.
-    pub fn with_hedge_min_samples(mut self, samples: usize) -> Self {
-        self.hedge_min_samples = samples;
-        self
-    }
-
-    /// Set the promote (`Suspect → Slow`) and recover (`Slow → Healthy`)
-    /// streak lengths.
-    pub fn with_health_streaks(mut self, promote: u32, recover: u32) -> Self {
-        self.health_promote_streak = promote;
-        self.health_recover_streak = recover;
-        self
-    }
-
-    /// Set the probe TTL (sealed windows without a sample) after which a
-    /// `Slow` device is made schedulable again.
-    pub fn with_health_probe_windows(mut self, windows: u64) -> Self {
-        self.health_probe_windows = windows;
-        self
-    }
-
     /// Enable write-ahead durability in `dir` with default batch and
     /// snapshot cadence.
     pub fn with_wal(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -294,17 +252,6 @@ impl ServerConfig {
         self
     }
 
-    /// The scorer tuning derived from this configuration, in the form the
-    /// fault plane consumes.
-    pub fn health_params(&self) -> crate::fault::HealthParams {
-        crate::fault::HealthParams {
-            promote_streak: self.health_promote_streak,
-            recover_streak: self.health_recover_streak,
-            probe_windows: self.health_probe_windows,
-            hedge_min_samples: self.hedge_min_samples,
-        }
-    }
-
     /// Validate the composite configuration.
     pub fn validate(&self) -> Result<(), String> {
         self.qos.validate()?;
@@ -327,18 +274,7 @@ impl ServerConfig {
                 self.ring_slots / 2
             ));
         }
-        if self.hedge_min_samples == 0 || self.hedge_min_samples > HEALTH_WINDOW {
-            return Err(format!(
-                "hedge_min_samples {} must lie in 1..={HEALTH_WINDOW} (the scorer's sample ring)",
-                self.hedge_min_samples
-            ));
-        }
-        if self.health_promote_streak == 0 || self.health_recover_streak == 0 {
-            return Err("health promote/recover streaks must be positive".into());
-        }
-        if self.health_probe_windows == 0 {
-            return Err("health_probe_windows must be positive".into());
-        }
+        self.health.validate()?;
         if let Some(wal) = &self.wal {
             wal.validate()?;
         }
@@ -478,32 +414,30 @@ mod tests {
     }
 
     #[test]
-    fn hedge_and_health_builders_round_trip() {
-        let cfg = ServerConfig::new(QosConfig::paper_9_3_1())
-            .with_hedging(false)
-            .with_hedge_min_samples(2)
-            .with_health_streaks(2, 4)
-            .with_health_probe_windows(6);
-        assert!(!cfg.hedge_enabled);
-        cfg.validate().unwrap();
-        let p = cfg.health_params();
-        assert_eq!(p.hedge_min_samples, 2);
-        assert_eq!(p.promote_streak, 2);
-        assert_eq!(p.probe_windows, 6);
-    }
-
-    #[test]
     fn validate_bounds_hedge_and_health_knobs() {
-        let base = || ServerConfig::new(QosConfig::paper_9_3_1());
-        for (cfg, needle) in [
-            (base().with_hedge_min_samples(0), "hedge_min_samples"),
-            (base().with_hedge_min_samples(17), "hedge_min_samples"),
-            (base().with_health_streaks(0, 8), "streak"),
-            (base().with_health_probe_windows(0), "health_probe_windows"),
-        ] {
+        let mut cfg = ServerConfig::new(QosConfig::paper_9_3_1()).with_hedging(false);
+        assert!(!cfg.hedge_enabled);
+        cfg.health = HealthParams {
+            promote_streak: 2,
+            recover_streak: 4,
+            probe_windows: 6,
+            hedge_min_samples: 2,
+        };
+        cfg.validate().unwrap();
+        let rejects = |cfg: &ServerConfig, needle: &str| {
             let err = cfg.validate().unwrap_err();
             assert!(err.contains(needle), "expected '{needle}' in '{err}'");
-        }
+        };
+        cfg.health.hedge_min_samples = 0;
+        rejects(&cfg, "hedge_min_samples");
+        cfg.health.hedge_min_samples = 17;
+        rejects(&cfg, "hedge_min_samples");
+        cfg.health.hedge_min_samples = 2;
+        cfg.health.promote_streak = 0;
+        rejects(&cfg, "streak");
+        cfg.health.promote_streak = 2;
+        cfg.health.probe_windows = 0;
+        rejects(&cfg, "probe_windows");
     }
 
     #[test]
@@ -569,10 +503,6 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(err.contains("over-provisioning"), "{err}");
-
-        let mut zero = GcConfig::new(FtlGeometry::default());
-        zero.write_service_ns = Some(0);
-        assert!(zero.validate().is_err());
     }
 
     #[test]

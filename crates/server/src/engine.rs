@@ -488,7 +488,8 @@ impl QosServer {
         let fault = Arc::new(FaultPlane::with_health(
             devices,
             cfg.fault_schedule.clone(),
-            cfg.health_params(),
+            cfg.health.clone(),
+            cfg.qos.service_ns,
         )?);
         let engine = Arc::new(Engine {
             registry: TenantRegistry::new_with_wal(limit, cfg.shards, wal.clone()),
@@ -1329,16 +1330,12 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
     let devices = engine.cfg.qos.devices();
     let service = engine.cfg.qos.service_ns;
     let n_local = (devices + workers - 1 - worker) / workers;
-    // With a GC model attached, writes run at their configured program
-    // latency through a per-device page-mapped FTL whose relocation work
-    // stalls the device in-line (see `fqos_flashsim::CalibratedSsd`).
-    let write_service = engine
-        .cfg
-        .gc
-        .as_ref()
-        .and_then(|g| g.write_service_ns)
-        .unwrap_or(service);
-    let plain = || CalibratedSsd::with_latencies(service, write_service);
+    // With a GC model attached, writes go through a per-device
+    // page-mapped FTL whose relocation work stalls the device in-line (see
+    // `fqos_flashsim::CalibratedSsd`). A program costs the calibrated read
+    // service time, which keeps the `M · service ≤ T` window math exact
+    // for writes too.
+    let plain = || CalibratedSsd::with_latencies(service, service);
     let mut devs: Vec<CalibratedSsd> = (0..n_local)
         .map(|_| match &engine.cfg.gc {
             // Geometry was validated with the server config; should a
@@ -1474,9 +1471,9 @@ fn serve_write_copy(
         engine
             .fault
             .observe(d, completion.finish - completion.service_start, exec_window);
-        // Feed the admission-side GC-pressure reserve only when the config
-        // asks for it; the EWMA otherwise stays at 1.0 and reserves 0.
-        if host > 0 && cfg.gc.as_ref().is_some_and(|g| g.reserve) {
+        // Feed the admission-side GC-pressure reserve. Without a GC model
+        // the device counts no host pages and the reserve stays 0.
+        if host > 0 {
             engine.fault.observe_gc(d, host, host + gc_pages);
         }
         outcome = Some(completion);
@@ -1565,7 +1562,7 @@ fn hedge(
         .filter(|&a| candidate_mask >> a & 1 == 1 && fail_mask >> a & 1 == 0)
         .map(|a| HedgeCandidate {
             dev: a,
-            believed_ns: engine.fault.service_estimate(a, service),
+            believed_ns: engine.fault.service_estimate(a),
             actual_ns: service * u64::from(engine.fault.slow_factor_at(a, exec_window)),
             tried: false,
         })

@@ -53,6 +53,7 @@
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{LineGap, Mutex};
+use fqos_flashsim::BLOCK_READ_NS;
 
 /// Largest device count the health bitmap covers.
 pub const MAX_FAULT_DEVICES: usize = 64;
@@ -414,7 +415,7 @@ pub enum DeviceHealth {
 }
 
 /// Scorer recent-latency ring size per device (the quantile window).
-pub(crate) const HEALTH_WINDOW: usize = 16;
+const HEALTH_WINDOW: usize = 16;
 
 /// A completion is anomalous when its service latency exceeds this
 /// multiple of the device's EWMA baseline.
@@ -438,7 +439,7 @@ fn hedge_base(samples: &[u64]) -> u64 {
     v[((v.len() as f64 * HEDGE_PERCENTILE).ceil() as usize).clamp(1, v.len()) - 1]
 }
 
-/// Scorer tuning, derived from `ServerConfig` health/hedge knobs.
+/// Scorer tuning ([`crate::ServerConfig::health`]).
 #[derive(Debug, Clone)]
 pub struct HealthParams {
     /// Consecutive anomalous completions that promote `Suspect → Slow`.
@@ -463,33 +464,52 @@ impl Default for HealthParams {
     }
 }
 
+impl HealthParams {
+    /// Validate the scorer tuning.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.hedge_min_samples == 0 || self.hedge_min_samples > HEALTH_WINDOW {
+            return Err(format!(
+                "hedge_min_samples {} must lie in 1..={HEALTH_WINDOW} (the scorer's sample ring)",
+                self.hedge_min_samples
+            ));
+        }
+        if self.promote_streak == 0 || self.recover_streak == 0 {
+            return Err("health promote/recover streaks must be positive".into());
+        }
+        if self.probe_windows == 0 {
+            return Err("health probe_windows must be positive".into());
+        }
+        Ok(())
+    }
+}
+
 /// Per-device scorer state. Latencies recorded are the *service*
 /// component (finish − service start): queueing delay behind co-scheduled
 /// work says nothing about the device's own speed.
 #[derive(Debug, Clone)]
 struct DeviceHealthState {
     state: DeviceHealth,
-    /// Integer EWMA of normal-looking service latencies (α = 1/8). Not
-    /// updated by anomalous samples: the baseline must not chase the
+    /// Integer EWMA of normal-looking service latencies (α = 1/8),
+    /// starting from the calibrated service time: a device that is already
+    /// slow at its first sample is judged against what it should deliver.
+    /// Not updated by anomalous samples: the baseline must not chase the
     /// degraded tail it is trying to detect.
     ewma_ns: u64,
     /// Ring of recent service latencies (anomalous or not) for quantiles.
     samples: Vec<u64>,
     next: usize,
-    seen: u64,
     bad_streak: u32,
     good_streak: u32,
     last_sample_window: u64,
 }
 
 impl DeviceHealthState {
-    fn new() -> Self {
+    fn new(calibrated_ns: u64) -> Self {
         DeviceHealthState {
             state: DeviceHealth::Healthy,
-            ewma_ns: 0,
+            ewma_ns: calibrated_ns.max(1),
             samples: Vec::new(),
             next: 0,
-            seen: 0,
             bad_streak: 0,
             good_streak: 0,
             last_sample_window: 0,
@@ -559,17 +579,20 @@ pub struct FaultPlane {
 const GC_FP_ONE: u64 = 256;
 
 impl FaultPlane {
-    /// Build the plane for `devices` devices from a scripted schedule,
-    /// with default scorer tuning.
+    /// Build the plane for `devices` paper-calibrated devices from a
+    /// scripted schedule, with default scorer tuning.
     pub fn new(devices: usize, schedule: FaultSchedule) -> Result<Self, String> {
-        FaultPlane::with_health(devices, schedule, HealthParams::default())
+        FaultPlane::with_health(devices, schedule, HealthParams::default(), BLOCK_READ_NS)
     }
 
-    /// Build the plane with explicit scorer tuning.
+    /// Build the plane with explicit scorer tuning for devices whose
+    /// calibrated single-block service time is `service_ns` (the scorer's
+    /// starting baseline).
     pub fn with_health(
         devices: usize,
         schedule: FaultSchedule,
         params: HealthParams,
+        service_ns: u64,
     ) -> Result<Self, String> {
         schedule.validate(devices).map_err(|e| e.to_string())?;
         let any_slow = schedule
@@ -599,7 +622,9 @@ impl FaultPlane {
             _gap_workers: LineGap::default(),
             health: Mutex::new(HealthBoard {
                 params,
-                devices: (0..devices).map(|_| DeviceHealthState::new()).collect(),
+                devices: (0..devices)
+                    .map(|_| DeviceHealthState::new(service_ns))
+                    .collect(),
             }),
             slow_detected: AtomicU64::new(0),
             suspects: AtomicU64::new(0),
@@ -692,17 +717,14 @@ impl FaultPlane {
             return;
         };
         st.last_sample_window = window;
-        let anomalous = st.seen > 0 && service_ns as f64 > SUSPECT_FACTOR * st.ewma_ns as f64;
+        let anomalous = service_ns as f64 > SUSPECT_FACTOR * st.ewma_ns as f64;
         if st.samples.len() < HEALTH_WINDOW {
             st.samples.push(service_ns);
         } else {
             st.samples[st.next] = service_ns;
             st.next = (st.next + 1) % HEALTH_WINDOW;
         }
-        st.seen += 1;
-        if st.seen == 1 {
-            st.ewma_ns = service_ns.max(1);
-        } else if !anomalous {
+        if !anomalous {
             let delta = service_ns as i64 - st.ewma_ns as i64;
             st.ewma_ns = (st.ewma_ns as i64 + (delta >> 3)).max(1) as u64;
         }
@@ -798,16 +820,11 @@ impl FaultPlane {
     }
 
     /// Best current estimate of a single-block service latency on
-    /// `device`: the scorer's EWMA baseline, or `default_ns` before any
-    /// sample exists. Used for earliest-finish-time hedge target choice.
-    pub fn service_estimate(&self, device: usize, default_ns: u64) -> u64 {
-        self.health
-            .lock()
-            .devices
-            .get(device)
-            .filter(|s| s.seen > 0)
-            .map(|s| s.ewma_ns)
-            .unwrap_or(default_ns)
+    /// `device`: the scorer's EWMA baseline (the calibrated service time
+    /// before any sample exists). Used for earliest-finish-time hedge
+    /// target choice.
+    pub fn service_estimate(&self, device: usize) -> u64 {
+        self.health.lock().devices[device].ewma_ns
     }
 
     /// Dispatcher probe tick, called as each window seals: a `Slow` device
@@ -1183,7 +1200,7 @@ mod tests {
         assert!(plane.inject(1, FaultKind::Slow(1), 20).is_err());
     }
 
-    const BASE: u64 = 132_507;
+    const BASE: u64 = BLOCK_READ_NS;
 
     #[test]
     fn scorer_single_outlier_does_not_flap() {
@@ -1232,6 +1249,20 @@ mod tests {
     }
 
     #[test]
+    fn a_device_slow_from_its_first_sample_is_condemned() {
+        // No healthy history to compare against: the calibrated service
+        // time is the baseline, so the first sample already counts.
+        let plane = FaultPlane::new(2, FaultSchedule::new()).unwrap();
+        for w in 0..3 {
+            plane.observe(0, 10 * BASE, w);
+        }
+        assert_eq!(plane.health_state(0), DeviceHealth::Slow);
+        assert_eq!(plane.live_slow_mask(), 0b01);
+        assert_eq!(plane.slow_detected(), 1);
+        assert_eq!(plane.service_estimate(0), BASE, "baseline did not chase");
+    }
+
+    #[test]
     fn hedge_threshold_needs_samples_then_tracks_the_tail() {
         let plane = FaultPlane::new(2, FaultSchedule::new()).unwrap();
         assert_eq!(plane.hedge_threshold(0), None);
@@ -1242,8 +1273,8 @@ mod tests {
         plane.observe(0, BASE, 3);
         // Defaults: p90 of a flat ring is BASE, slack 2.0.
         assert_eq!(plane.hedge_threshold(0), Some(2 * BASE));
-        assert_eq!(plane.service_estimate(0, 7), BASE);
-        assert_eq!(plane.service_estimate(1, 7), 7, "no samples yet");
+        assert_eq!(plane.service_estimate(0), BASE);
+        assert_eq!(plane.service_estimate(1), BASE, "no samples yet");
     }
 
     /// What `hedge_threshold` ran under the scorer's lock before it

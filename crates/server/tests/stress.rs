@@ -219,13 +219,9 @@ fn registration_churn_during_service() {
 #[test]
 fn fail_slow_under_concurrent_submitters_conserves() {
     let qos = QosConfig::paper_9_3_1(); // M = 1, S = 5
-    let server = QosServer::new(
-        ServerConfig::new(qos)
-            .with_workers(4)
-            .with_queue_depth(8)
-            .with_hedge_min_samples(3),
-    )
-    .unwrap();
+    let mut cfg = ServerConfig::new(qos).with_workers(4).with_queue_depth(8);
+    cfg.health.hedge_min_samples = 3;
+    let server = QosServer::new(cfg).unwrap();
     server.register(1, 3, OverloadPolicy::Delay).unwrap();
     server.register(2, 2, OverloadPolicy::Delay).unwrap();
     let server = Arc::new(server);

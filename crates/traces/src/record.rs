@@ -91,11 +91,6 @@ impl Trace {
         self.records.is_empty()
     }
 
-    /// Duration from time zero to the last arrival.
-    pub fn duration_ns(&self) -> SimTime {
-        self.records.last().map_or(0, |r| r.arrival_ns)
-    }
-
     /// Merge two traces into one time-ordered stream (e.g. multiple
     /// applications sharing an array). Device/interval metadata comes from
     /// `self`; the other trace must use compatible device numbering.

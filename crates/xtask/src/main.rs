@@ -562,8 +562,9 @@ mod tests {
     /// count (and the allowlist) together, in review. PR 17: 23 → 25 — the
     /// 2 ms sleep in `stress.rs` that lets the workers park between windows,
     /// and `Wal::log_seal`, whose one hold of the lock now spans the seal's
-    /// fsync as well as the compaction (two sites where it had one).
-    const SUPPRESSED_IN_WORKSPACE: usize = 25;
+    /// fsync as well as the compaction (two sites where it had one). PR 19:
+    /// 25 → 24 — `chaos.rs` waits on a settled count instead of sleeping.
+    const SUPPRESSED_IN_WORKSPACE: usize = 24;
 
     #[test]
     fn the_seeded_inversion_fixture_is_caught() {

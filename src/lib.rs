@@ -16,10 +16,10 @@
 //! |--------|-------|----------|
 //! | [`designs`] | `fqos-designs` | `(N, c, 1)` block designs, Steiner constructions, rotations, the `S(M)` guarantee algebra |
 //! | [`maxflow`] | `fqos-maxflow` | the incremental matching kernel, the batch optimal-retrieval solver built on it, an Edmonds–Karp reference for tests |
-//! | [`flashsim`] | `fqos-flashsim` | event-driven flash array simulator (calibrated + page-level models, FTL, GC) |
+//! | [`flashsim`] | `fqos-flashsim` | flash array simulator, FCFS per device (calibrated + page-level models, FTL, GC) |
 //! | [`traces`] | `fqos-traces` | DiskSim ASCII traces, the synthetic generator, Exchange/TPC-E workload models |
 //! | [`decluster`] | `fqos-decluster` | allocation schemes (design-theoretic, RAID-1 × 2, RDA, partitioned, periodic, orthogonal) and retrieval algorithms |
-//! | [`fim`] | `fqos-fim` | Apriori / Eclat / FP-Growth miners and the design-block matcher |
+//! | [`fim`] | `fqos-fim` | Apriori pair miner and the design-block matcher |
 //! | [`qos`] | `fqos-core` | admission control, online + interval schedulers, the end-to-end pipeline |
 //! | [`server`] | `fqos-server` | concurrent multi-tenant serving engine: thread-safe admission, interval-aligned dispatch, worker pool, metrics |
 //! | [`cluster`] | `fqos-cluster` | multi-array fleet tier: consistent-hash tenant routing, ε-budget rebalancing, cluster conservation audit, Prometheus export |
