@@ -16,7 +16,7 @@
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
     use std::time::{Duration, Instant};
 
@@ -42,6 +42,12 @@ pub mod channel {
         /// read without it by a lingering receiver. A hint only (hence
         /// `Relaxed`): the receiver re-checks the queue under the mutex.
         len: AtomicU32,
+        /// Set by the receiver, under the mutex, as the last thing before
+        /// it waits on `not_empty`, and cleared when it wakes. Nothing in
+        /// the channel reads it: it is how a test reaches the parked state
+        /// without a clock ([`Sender::receiver_is_parked`]). Fits the
+        /// padding behind `len`.
+        parked: AtomicBool,
     }
 
     /// Sending half; clonable for multi-producer use.
@@ -85,6 +91,7 @@ pub mod channel {
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
             len: AtomicU32::new(0),
+            parked: AtomicBool::new(false),
         });
         (
             Sender {
@@ -151,6 +158,15 @@ pub mod channel {
             shared.not_empty.notify_one();
             Ok(())
         }
+
+        /// True from the moment the receiver, out of messages and done
+        /// lingering, commits to waiting on its condvar until it wakes. It
+        /// commits under the queue's mutex and lets go of that only by
+        /// waiting, so a `send` that follows a `true` finds the receiver
+        /// parked and has to wake it. For tests of the blocking strategy.
+        pub fn receiver_is_parked(&self) -> bool {
+            self.shared.parked.load(Ordering::Relaxed)
+        }
     }
 
     impl<T> Receiver<T> {
@@ -173,10 +189,12 @@ pub mod channel {
                 shared.linger();
                 q = shared.lock();
                 if q.is_empty() && !shared.no_senders() {
+                    shared.parked.store(true, Ordering::Relaxed);
                     q = shared
                         .not_empty
                         .wait(q)
                         .unwrap_or_else(PoisonError::into_inner);
+                    shared.parked.store(false, Ordering::Relaxed);
                 }
             }
         }
@@ -222,9 +240,6 @@ mod tests {
     /// A lost wake-up must fail the test, not hang it.
     const PROMPT: Duration = Duration::from_secs(10);
 
-    /// Long enough for a receiver to outlive the 50 µs linger and park.
-    const PARKED: Duration = Duration::from_millis(20);
-
     /// `recv` on its own thread, its result handed back over a std channel.
     /// Detached on purpose: joining a receiver whose wake-up was lost would
     /// hang the test that `PROMPT` is there to fail.
@@ -262,10 +277,14 @@ mod tests {
     #[test]
     fn a_parked_receiver_is_woken_by_the_next_send() {
         let (tx, rx) = channel::bounded(4);
+        assert!(!tx.receiver_is_parked());
         let got = recv_in_background(rx);
-        thread::sleep(PARKED);
+        while !tx.receiver_is_parked() {
+            thread::yield_now();
+        }
         tx.send(7u32).unwrap();
         assert_eq!(got.recv_timeout(PROMPT), Ok(Ok(7)));
+        assert!(!tx.receiver_is_parked(), "cleared on the way out");
     }
 
     #[test]
@@ -283,7 +302,9 @@ mod tests {
     fn drop_of_the_last_sender_ends_a_parked_recv() {
         let (tx, rx) = channel::bounded::<u32>(2);
         let got = recv_in_background(rx);
-        thread::sleep(PARKED);
+        while !tx.receiver_is_parked() {
+            thread::yield_now();
+        }
         drop(tx);
         assert_eq!(got.recv_timeout(PROMPT), Ok(Err(RecvError)));
     }

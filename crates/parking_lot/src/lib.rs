@@ -4,11 +4,13 @@
 //! Wraps `std::sync` primitives behind parking_lot's panic-free signatures:
 //! `lock()`/`read()`/`write()` return guards directly, and a lock poisoned
 //! by a panicking holder is recovered rather than propagated (parking_lot
-//! has no poisoning at all, so recovery matches its semantics). Not a
-//! performance shim — fairness is out of scope.
+//! has no poisoning at all, so recovery matches its semantics). Fairness
+//! is out of scope; of parking_lot's speed the one thing kept is that a
+//! contended [`Mutex::lock`] backs off before it parks.
 
 use std::ops::{Deref, DerefMut};
 use std::sync;
+use std::time::{Duration, Instant};
 
 /// Mutual exclusion lock; `lock` never returns an error.
 #[derive(Debug, Default)]
@@ -31,15 +33,44 @@ impl<T> Mutex<T> {
     }
 }
 
+/// How long a thread that finds a mutex held polls before it parks: about
+/// what one park/unpark cycle costs on the hosts this runs on (the same
+/// figure, for the same reason, as the `crossbeam` stand-in's `LINGER`).
+const LINGER: Duration = Duration::from_micros(50);
+
 impl<T: ?Sized> Mutex<T> {
-    /// Acquire the lock, blocking; recovers from poisoning.
+    /// Acquire the lock, blocking; recovers from poisoning. Backs off
+    /// before it parks, as parking_lot does: a holder is expected to be
+    /// gone within microseconds, a parked waiter takes tens of them to run
+    /// again — and the holder pays the wake-up. Yields rather than spins:
+    /// with more runnable threads than cores a spinning waiter holds the
+    /// core the holder needs.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            inner: self
-                .inner
-                .lock()
-                .unwrap_or_else(sync::PoisonError::into_inner),
+        let inner = self.try_lock().unwrap_or_else(|| self.lock_contended());
+        MutexGuard { inner }
+    }
+
+    /// The guard if the lock is free, poisoned or not.
+    fn try_lock(&self) -> Option<sync::MutexGuard<'_, T>> {
+        match self.inner.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(sync::TryLockError::WouldBlock) => None,
         }
+    }
+
+    #[cold]
+    fn lock_contended(&self) -> sync::MutexGuard<'_, T> {
+        let start = Instant::now();
+        while start.elapsed() < LINGER {
+            std::thread::yield_now();
+            if let Some(guard) = self.try_lock() {
+                return guard;
+            }
+        }
+        self.inner
+            .lock()
+            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 }
 

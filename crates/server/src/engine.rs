@@ -31,13 +31,17 @@
 //! # The watermark protocol
 //!
 //! Sealing window `w` is only safe once no submitter can still admit into
-//! it. Each [`SubmitterHandle`] publishes a *watermark* — the lowest window
-//! it may still touch — which it advances (monotonically) **before** each
-//! admission attempt. The dispatcher seals every window below the minimum
-//! watermark over open handles; once all handles are closed it seals
-//! through the highest admitted window. Handle creation initializes the
-//! watermark under the dispatch lock, so an in-flight pump can never seal
-//! past a handle it has not yet seen.
+//! it. Each [`SubmitterHandle`] publishes a *watermark* — a lower bound on
+//! the windows it may still touch — and admits only at or above it; a
+//! request whose arrival lies past the watermark is admitted first and the
+//! watermark raised (monotonically) after, which releases the windows in
+//! between. The dispatcher seals every window below the minimum watermark
+//! over open handles; once all handles are closed it seals through the
+//! highest admitted window. Handle creation initializes the watermark under
+//! the dispatch lock, so an in-flight pump can never seal past a handle it
+//! has not yet seen. With a write-ahead log the raise is also where the
+//! handle's staged admissions reach the log, ahead of the seals it allows
+//! ([`SubmitterHandle::release`]).
 
 use crate::config::ServerConfig;
 use crate::fault::{FaultKind, FaultPlane, MAX_FAULT_DEVICES};
@@ -48,7 +52,7 @@ use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::channel::{bounded, Receiver, Sender};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{Arc, LineGap, Mutex, RwLock};
-use crate::wal::{crash_point, Wal};
+use crate::wal::{crash_point, OpenEntry, Stage, Wal};
 use crate::window::{AdmitResult, SealedItem, WindowRing};
 use fqos_core::{OverloadPolicy, StatisticalCounters};
 use fqos_decluster::sampling::{optimal_retrieval_probabilities, OptimalRetrievalProbabilities};
@@ -228,22 +232,30 @@ struct WorkItem {
     write: Option<Arc<WriteSink>>,
 }
 
+/// What a worker thread settles through and shares with no one: its cache
+/// of the tenant records and its stage of the log (`None` without a WAL).
+struct WorkerLocal {
+    view: TenantView,
+    stage: Option<Arc<Stage>>,
+}
+
 impl WorkItem {
     /// Settle this dispatch's admission through [`Engine::settle`];
     /// `finish` is the completion time the deadline audit judges (`None`
-    /// when nothing completed). `view` finds the record the seal would
-    /// have found: while this admission is in flight its record cannot be
-    /// replaced ([`RegisterError::DrainPending`]).
+    /// when nothing completed). The worker's view finds the record the
+    /// seal would have found: while this admission is in flight its record
+    /// cannot be replaced ([`RegisterError::DrainPending`]).
     fn settle(
         &self,
         engine: &Engine,
-        view: &mut TenantView,
+        local: &mut WorkerLocal,
         kind: SettleKind,
         finish: Option<u64>,
     ) {
-        let tenant = view.resolve(&engine.registry, self.tenant_id);
+        let tenant = local.view.resolve(&engine.registry, self.tenant_id);
         let done = finish.map(|f| (self, f));
-        engine.settle(self.window, self.tenant_id, tenant, kind, done);
+        let stage = local.stage.as_deref();
+        engine.settle(self.window, self.tenant_id, tenant, kind, done, stage);
     }
 }
 
@@ -620,6 +632,7 @@ impl QosServer {
     /// closed (or dropped) for the engine to seal past their watermark.
     pub fn handle(&self) -> SubmitterHandle {
         let engine = Arc::clone(&self.engine);
+        let stage = engine.wal.as_ref().map(Wal::stage);
         // Initialize under the dispatch lock: an in-flight pump recomputes
         // its seal target under this lock, so it cannot seal past a
         // watermark it has not seen.
@@ -638,6 +651,7 @@ impl QosServer {
             engine,
             shared,
             view: TenantView::new(),
+            stage,
         }
     }
 
@@ -651,6 +665,11 @@ impl QosServer {
     /// metrics. Outstanding handles are force-closed; submitter threads
     /// must be done with them before this is called.
     pub fn finish(self) -> MetricsSnapshot {
+        // A handle drains its stage before it closes; one closed from here
+        // is drained from here, before the pump below may seal its windows.
+        if let Some(wal) = &self.engine.wal {
+            wal.drain_stages();
+        }
         for h in self.engine.handles.lock().iter() {
             h.closed.store(true, Ordering::Release);
         }
@@ -693,6 +712,9 @@ impl QosServer {
         for t in self.workers {
             let _ = t.join();
         }
+        // Past the barrier nothing is staged any more, so this also drains
+        // what open handles had staged: the log holds every admission the
+        // snapshot counts.
         if let Some(wal) = &self.engine.wal {
             wal.sync_now();
         }
@@ -735,7 +757,13 @@ impl Engine {
         if self.seal_target() <= self.sealed_floor.load(Ordering::Acquire) {
             return;
         }
-        let mut ds = self.dispatch.lock();
+        self.seal_ready(&mut self.dispatch.lock(), None);
+    }
+
+    /// The pump proper, under the caller's hold of the dispatch lock.
+    /// `riding` is the stage of the handle that pumps, if it has one: the
+    /// first `Seal` takes it into the log in its own hold of the WAL lock.
+    fn seal_ready(&self, ds: &mut DispatchState, mut riding: Option<&Stage>) {
         let target = self.seal_target();
         while ds.sealed_through < target {
             let w = ds.sealed_through;
@@ -748,12 +776,12 @@ impl Engine {
                 // window's batches is sent: after a crash, every
                 // durable admission of a sealed window whose settle record
                 // is missing is deterministically crash-lost.
-                wal.log_seal(w);
+                wal.log_seal_behind(w, riding.take());
             }
             // Admissions whose every replica was down at seal.
             for &t in &sealed.lost {
                 let rec = self.registry.lookup_any(t);
-                self.settle(w, t, rec.as_deref(), SettleKind::Lost, None);
+                self.settle(w, t, rec.as_deref(), SettleKind::Lost, None, None);
             }
             if self.wal.is_some() {
                 crash_point("seal-mid-batch");
@@ -932,19 +960,20 @@ impl Engine {
     }
 
     /// Count one admission — array ledger, tenant ledger, delay telemetry —
-    /// then log it and hit the post-admit crash point. Runs before the
-    /// outcome is returned, so with `fsync_batch = 1` the admission is
-    /// durable strictly before its ack. `delayed_by` is the number of
-    /// windows a guaranteed admission was pushed past its arrival.
+    /// then stage its record on the submitting handle's `stage` and hit
+    /// the post-admit crash point. Runs before the outcome is returned, so
+    /// with `fsync_batch = 1` the admission is durable strictly before its
+    /// ack. `delayed_by` is the number of windows a guaranteed admission
+    /// was pushed past its arrival.
     fn admit(
         &self,
+        stage: Option<&Stage>,
         window: u64,
         tenant: &Tenant,
-        lbn: u64,
-        guaranteed: bool,
+        entry: OpenEntry,
         delayed_by: u64,
-        is_write: bool,
     ) {
+        let guaranteed = entry.guaranteed;
         self.ledger.admit(guaranteed); // ledger: defer(settled by Engine::settle — at seal if lost, else by the worker)
         tenant.counters.ledger.admit(guaranteed); // ledger: defer(settled by Engine::settle — at seal if lost, else by the worker)
         if delayed_by > 0 {
@@ -954,20 +983,25 @@ impl Engine {
                 .fetch_add(delayed_by * self.cfg.qos.interval_ns, Ordering::Relaxed);
             self.submit_stats.delayed.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(wal) = &self.wal {
-            wal.log_admit(window, tenant.id, lbn, guaranteed, delayed_by > 0, is_write);
-            // The record is durable (or at least appended); the submitter
+        if let Some(stage) = stage {
+            stage.log_admit(window, entry);
+            // The record is durable (or at least staged); the submitter
             // has not seen the ack yet — the durable-unacked crash window.
             crash_point("post-admit-pre-ack");
         }
     }
 
     /// The one settle path: every admission leaves the system through
-    /// here, exactly once, in this fixed order — array ledger, tenant
-    /// ledger, latency histogram and deadline audit (`done`: the dispatch
-    /// and its finish time, for kinds that completed service), WAL
-    /// record. `tenant` is the admitting record if it still resolves;
-    /// `tenant_id` always reaches the log.
+    /// here, exactly once, in this fixed order — WAL record (on the
+    /// settling worker's `stage`; straight into the log from the seal,
+    /// which has none), array ledger, tenant ledger, latency histogram and
+    /// deadline audit (`done`: the dispatch and its finish time, for kinds
+    /// that completed service). The record comes before the books it
+    /// releases: `register` starts an id's next epoch once the tenant
+    /// ledger shows nothing in flight, and its `Register` record drains
+    /// every stage first, so this settle is in the log ahead of it.
+    /// `tenant` is the admitting record if it still resolves; `tenant_id`
+    /// always reaches the log.
     fn settle(
         &self,
         window: u64,
@@ -975,7 +1009,13 @@ impl Engine {
         tenant: Option<&Tenant>,
         kind: SettleKind,
         done: Option<(&WorkItem, u64)>,
+        stage: Option<&Stage>,
     ) {
+        match (stage, &self.wal) {
+            (Some(stage), _) => stage.log_settle(window, tenant_id, kind),
+            (None, Some(wal)) => wal.log_settle(window, tenant_id, kind),
+            (None, None) => {}
+        }
         self.ledger.settle(kind);
         if let Some(t) = tenant {
             t.counters.ledger.settle(kind);
@@ -997,9 +1037,6 @@ impl Engine {
                     t.counters.violations.fetch_add(1, Ordering::Relaxed);
                 }
             }
-        }
-        if let Some(wal) = &self.wal {
-            wal.log_settle(window, tenant_id, kind);
         }
     }
 
@@ -1096,9 +1133,40 @@ pub struct SubmitterHandle {
     shared: Arc<HandleShared>,
     /// This thread's cache of the tenant records it submits for.
     view: TenantView,
+    /// This handle's admissions on their way to the log (`None` without a
+    /// WAL); see [`SubmitterHandle::release`].
+    stage: Option<Arc<Stage>>,
 }
 
 impl SubmitterHandle {
+    /// Let the dispatcher past this handle: `store` raises the watermark or
+    /// closes the handle, and the pump seals what that released.
+    ///
+    /// Without a log that is all. With one, every `Admit(w)` this handle
+    /// staged has to be in the log before any thread's pump logs
+    /// `Seal(w)`, and the store is what allows that pump. So store, pump
+    /// and drain share one hold of the dispatch lock — no other pump fits
+    /// between them — and the stage rides the first `Seal`'s hold of the
+    /// WAL lock, or is drained on its own when a slower handle still holds
+    /// the frontier back.
+    fn release(&self, store: impl FnOnce(&HandleShared)) {
+        let engine = &*self.engine;
+        let Some(stage) = &self.stage else {
+            store(&self.shared);
+            return engine.pump();
+        };
+        let mut ds = engine.dispatch.lock();
+        store(&self.shared);
+        engine.seal_ready(&mut ds, Some(stage));
+        stage.drain();
+    }
+
+    /// Publish `window`, higher than the current watermark, and seal what
+    /// that releases.
+    fn raise_watermark(&self, window: u64) {
+        self.release(|shared| shared.watermark.store(window, Ordering::Release));
+    }
+
     /// Submit one 8 KiB block read for `tenant` at simulated time
     /// `arrival_ns`. Admission, replica assignment, dispatch and
     /// backpressure all happen inside this call.
@@ -1127,14 +1195,16 @@ impl SubmitterHandle {
             return SubmitOutcome::Rejected(RejectReason::ServerStopping);
         }
         let t_ns = engine.cfg.qos.interval_ns;
-        // Publish the watermark BEFORE attempting admission: from here on
-        // the dispatcher will not seal `window` or anything after it.
+        // The published watermark is at or below `window`, so the
+        // dispatcher will not seal `window` or anything after it while this
+        // request looks for a place there.
         let watermark = self.shared.watermark.load(Ordering::Relaxed);
         let window = (arrival_ns / t_ns).max(watermark);
-        self.shared.watermark.store(window, Ordering::Release);
         // The seal target is a function of the open handles' watermarks
         // alone: a submit that stays in its window cannot move it, so only
-        // one that advanced this handle's watermark pumps.
+        // one that moved past this handle's watermark publishes the new one
+        // and pumps — once the request is in, which keeps the handle's
+        // release of the earlier windows and their sealing together.
         let advanced = window > watermark;
 
         // Departed records stay resolvable for settlement; admission must
@@ -1143,7 +1213,7 @@ impl SubmitterHandle {
         let Some(tenant_rec) = resolved.filter(|t| t.is_live()) else {
             engine.submit_stats.rejected.fetch_add(1, Ordering::Relaxed);
             if advanced {
-                engine.pump();
+                self.raise_watermark(window);
             }
             return SubmitOutcome::Rejected(RejectReason::UnknownTenant);
         };
@@ -1204,7 +1274,14 @@ impl SubmitterHandle {
                 // Only a guaranteed admission counts as delayed; a
                 // best-effort one parked in a later window promised nothing.
                 let delayed_by = if guaranteed { k } else { 0 };
-                engine.admit(window, tenant_rec, lbn, guaranteed, delayed_by, is_write); // ledger: defer(Engine::admit — settled by Engine::settle)
+                let entry = OpenEntry {
+                    tenant,
+                    lbn,
+                    guaranteed,
+                    delayed: delayed_by > 0,
+                    is_write,
+                };
+                engine.admit(self.stage.as_deref(), window, tenant_rec, entry, delayed_by); // ledger: defer(Engine::admit — settled by Engine::settle)
                 engine.max_target.fetch_max(window, Ordering::AcqRel);
                 match (guaranteed, k) {
                     (false, _) => SubmitOutcome::Overflow { window },
@@ -1232,7 +1309,7 @@ impl SubmitterHandle {
             }
         };
         if advanced {
-            engine.pump();
+            self.raise_watermark(window);
         }
         outcome
     }
@@ -1274,8 +1351,7 @@ impl SubmitterHandle {
         }
         let window = arrival_ns / engine.cfg.qos.interval_ns;
         if window > self.shared.watermark.load(Ordering::Relaxed) {
-            self.shared.watermark.store(window, Ordering::Release);
-            engine.pump();
+            self.raise_watermark(window);
         }
     }
 
@@ -1305,8 +1381,7 @@ impl SubmitterHandle {
 
 impl Drop for SubmitterHandle {
     fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::Release);
-        self.engine.pump();
+        self.release(|shared| shared.closed.store(true, Ordering::Release));
     }
 }
 
@@ -1348,7 +1423,10 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
             None => plain(),
         })
         .collect();
-    let mut view = TenantView::new();
+    let mut local = WorkerLocal {
+        view: TenantView::new(),
+        stage: engine.wal.as_ref().map(Wal::stage),
+    };
     // A batch is freed when the next one arrives, not when its last item
     // is served: freeing it takes the malloc arena lock of the submitting
     // thread that allocated it, which right after a send is admitting and
@@ -1363,7 +1441,7 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
             let exec_window = item.window + 1;
             if let Some(sink) = &item.write {
                 let dev = &mut devs[d / workers];
-                serve_write_copy(&engine, &mut view, dev, item, sink, exec_window);
+                serve_write_copy(&engine, &mut local, dev, item, sink, exec_window);
                 continue;
             }
             // Every fault-plane lookup happens BEFORE the hedge lock:
@@ -1396,12 +1474,20 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
                 threshold,
                 completion,
             ) {
-                Some(finish) => item.settle(&engine, &mut view, SettleKind::HedgeWin, Some(finish)),
+                Some(finish) => {
+                    item.settle(&engine, &mut local, SettleKind::HedgeWin, Some(finish));
+                }
                 None => {
                     let finish = Some(completion.finish);
-                    item.settle(&engine, &mut view, SettleKind::Served, finish);
+                    item.settle(&engine, &mut local, SettleKind::Served, finish);
                 }
             }
+        }
+        // One hold of the WAL lock per batch, and nothing left staged when
+        // the loop ends: `finish` and `halt` join this thread before they
+        // read the log.
+        if let Some(stage) = &local.stage {
+            stage.drain();
         }
     }
 }
@@ -1421,7 +1507,7 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
 /// redundancy mechanism.
 fn serve_write_copy(
     engine: &Engine,
-    view: &mut TenantView,
+    local: &mut WorkerLocal,
     dev: &mut CalibratedSsd,
     item: &WorkItem,
     sink: &WriteSink,
@@ -1482,14 +1568,14 @@ fn serve_write_copy(
     for _ in 0..retries {
         engine.fault.note_retry();
     }
-    settle_write_copy(engine, view, item, sink, outcome);
+    settle_write_copy(engine, local, item, sink, outcome);
 }
 
 /// Fold one copy's outcome into the logical write's sink; the last copy to
 /// land settles the write exactly once.
 fn settle_write_copy(
     engine: &Engine,
-    view: &mut TenantView,
+    local: &mut WorkerLocal,
     item: &WorkItem,
     sink: &WriteSink,
     outcome: Option<Completion>,
@@ -1508,10 +1594,10 @@ fn settle_write_copy(
     // Last copy: settle the logical write. It is only as done as its
     // slowest replica, so that finish is what the deadline audit sees.
     if sink.lost.load(Ordering::Relaxed) {
-        item.settle(engine, view, SettleKind::WriteLost, None);
+        item.settle(engine, local, SettleKind::WriteLost, None);
     } else {
         let finish = sink.latest_finish.load(Ordering::Relaxed);
-        item.settle(engine, view, SettleKind::WriteSettled, Some(finish));
+        item.settle(engine, local, SettleKind::WriteSettled, Some(finish));
     }
 }
 
@@ -1926,6 +2012,7 @@ mod tests {
             shared: Arc::default(),
             engine,
             view: TenantView::new(),
+            stage: None,
         };
         assert_eq!(
             late.submit(1, 0, 0),
@@ -2333,6 +2420,57 @@ mod tests {
         assert_eq!(s.finish().served, 1);
     }
 
+    /// An idle engine between bursts: each sealed window finds its workers
+    /// parked, wakes them, and they linger and park again before the next —
+    /// the whole cycle of the hand-off's blocking strategy, through the
+    /// engine, with no window lost between a linger giving up and the next
+    /// send. The channel says when its receiver has parked, so the test
+    /// waits for that and not for time to pass; bounded by passes, each of
+    /// which yields the core to the workers it waits for. (The model
+    /// checker's channel has a queue and no linger: nothing to reach.)
+    #[cfg(not(feature = "model-check"))]
+    #[test]
+    fn parked_workers_are_woken_by_every_sealed_window() {
+        const PARK_PASSES: u32 = 1_000_000;
+        let qos = QosConfig::paper_9_3_1().with_accesses(2); // S(2) = 14
+        let (limit, t2) = (qos.request_limit() as u64, qos.interval_ns);
+        let server =
+            QosServer::new(ServerConfig::new(qos).with_workers(2).with_queue_depth(64)).unwrap();
+        server
+            .register(1, limit as usize, OverloadPolicy::Delay)
+            .unwrap();
+        let mut h = server.handle();
+        let rounds = 50u64;
+        for w in 0..rounds {
+            for i in 0..limit {
+                // Consecutive blocks fall in distinct buckets, and any S(M)
+                // distinct buckets are retrievable in M accesses.
+                assert!(h.submit(1, w * limit + i, w * t2 + i).is_admitted());
+            }
+            let mut passes = 0;
+            while !server.engine.txs.iter().all(Sender::receiver_is_parked) {
+                passes += 1;
+                assert!(
+                    passes < PARK_PASSES,
+                    "window {w}: the workers have not parked after {PARK_PASSES} passes\n{}",
+                    server.metrics().ledger().render()
+                );
+                std::thread::yield_now();
+            }
+            h.advance_to((w + 1) * t2);
+        }
+        drop(h);
+        let m = server.finish();
+        assert_eq!(m.served, rounds * limit, "every request served");
+        assert_eq!(
+            m.delayed, 0,
+            "full windows of distinct buckets are feasible"
+        );
+        assert!(m.ledger().conserved(), "{}", m.ledger().render());
+        assert_eq!(m.guaranteed_violations, 0);
+        assert_eq!(m.deadline_violations, 0);
+    }
+
     #[test]
     fn eft_mode_serves_with_the_same_guarantee() {
         let cfg = ServerConfig::new(QosConfig::paper_9_3_1()).with_assignment(AssignmentMode::Eft);
@@ -2429,6 +2567,67 @@ mod tests {
                 t.tenant
             );
         }
+    }
+
+    /// A log directory of this test's own.
+    fn wal_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("fqos-engine-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Stop a server whose one handle is still open and holds staged admits
+    /// (a batch of 64 drains nothing on its own): the log must hold every
+    /// admission the returned snapshot counts, whichever way it stops.
+    fn stopping_leaves_every_counted_admission_in_the_log(
+        tag: &str,
+        stop: fn(QosServer) -> MetricsSnapshot,
+    ) {
+        let dir = wal_dir(tag);
+        let cfg = || {
+            ServerConfig::new(QosConfig::paper_9_3_1())
+                .with_wal(&dir)
+                .with_wal_fsync_batch(64)
+        };
+        let s = QosServer::new(cfg()).unwrap();
+        s.register(1, 3, OverloadPolicy::Delay).unwrap();
+        let mut h = s.handle();
+        for w in 0..4u64 {
+            for i in 0..3u64 {
+                assert!(h.submit(1, w * 3 + i, w * BASE_T + i).is_admitted());
+            }
+        }
+        let wal = Arc::clone(s.engine.wal.as_ref().unwrap());
+        let staged = |h: &SubmitterHandle| h.stage.as_ref().unwrap().staged_records();
+        assert_eq!(
+            staged(&h),
+            2,
+            "window 3's, behind the one that rode the seal"
+        );
+        let stopped = stop(s);
+        assert_eq!(stopped.admitted_total(), 12);
+        assert_eq!(staged(&h), 0);
+        assert_eq!(wal.state_snapshot().ledger.admitted_total(), 12);
+        drop((h, wal));
+        let recovered = QosServer::recover(cfg()).unwrap();
+        assert_eq!(
+            recovered.metrics().admitted_total(),
+            stopped.admitted_total()
+        );
+        let m = recovered.finish();
+        assert_eq!(m.admitted_total(), stopped.admitted_total());
+        assert!(m.conserved(), "{}", m.ledger().render());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn halt_drains_the_stage_of_an_open_handle() {
+        stopping_leaves_every_counted_admission_in_the_log("halt", QosServer::halt);
+    }
+
+    #[test]
+    fn finish_drains_the_stage_of_an_open_handle() {
+        stopping_leaves_every_counted_admission_in_the_log("finish", QosServer::finish);
     }
 
     #[test]

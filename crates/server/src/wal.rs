@@ -22,14 +22,40 @@
 //!
 //! # Fsync contract
 //!
-//! Records accumulate in a userspace buffer and reach the file (followed
-//! by one `fdatasync`) every `fsync_batch` records, or immediately for
-//! the cold-path records (register/deregister/seal) and on
-//! [`Wal::sync_now`]. With `fsync_batch = 1` every admission is durable
-//! before `submit` returns; larger batches amortize the fsync at the cost
-//! of losing at most `fsync_batch − 1` *unacknowledged-durability*
-//! admissions on a crash — recovery still never resurrects a record that
-//! did not reach the log.
+//! The userspace buffer has two levels. Every [`crate::SubmitterHandle`]
+//! and every worker owns a [`Stage`] of its own `Admit` / `Settle` records
+//! that have no place in the log yet; a *drain* takes the WAL lock once
+//! and appends the whole stage — LSN, state, frame, CRC, crash point and
+//! flush per record, exactly as one record at a time would have been — to
+//! the shared buffer, which reaches the file (followed by one `fdatasync`)
+//! every `fsync_batch` records, or immediately for the cold-path records
+//! (register/deregister/seal) and on [`Wal::sync_now`]. The two sides of
+//! the worker hand-off thus meet at the log once per window, not once per
+//! record.
+//!
+//! A stage drains
+//! * when it holds `fsync_batch` records, so with `fsync_batch = 1` it is
+//!   a pass-through: nothing is ever staged when `submit` returns, and
+//!   every admission is durable before its ack, as before;
+//! * on a submitter, when the handle raises its watermark or closes,
+//!   under the same hold of the dispatch lock as the store that says so:
+//!   that store is what lets a pump log `Seal(w)`, and every `Admit(w)`
+//!   has to be in the log ahead of it. The stage rides the first such
+//!   seal's hold of the WAL lock ([`Wal::log_seal_behind`]);
+//! * on a worker, after the last item of each batch and so before it
+//!   exits;
+//! * before every cold-path record and read (`Register`, `Deregister`,
+//!   [`Wal::sync_now`], [`Wal::compact`], [`Wal::state_snapshot`]), which
+//!   drain all stages: a record staged before such a call started is in
+//!   the log before anything the call appends. `finish` and `halt` end
+//!   with `sync_now`, so the log of a stopped server holds every
+//!   admission its snapshot counts. [`Wal::wal_counters`] does not drain:
+//!   a live `metrics()` counts a record when it is drained.
+//!
+//! Larger batches amortize the fsync at the cost of losing, on a crash,
+//! what was unsynced: at most `fsync_batch − 1` records *per stage* and
+//! as many in the shared buffer, none of them durable when acknowledged —
+//! recovery still never resurrects a record that did not reach the log.
 //!
 //! # Snapshot + compaction state machine
 //!
@@ -51,19 +77,22 @@
 //! compaction swap.
 //!
 //! Lock class `engine.wal` (leaf): the internal mutex is acquired under
-//! `engine.dispatch` (seal/compaction) and `registry.admission`
-//! (register/deregister) and never holds anything else.
+//! `engine.dispatch` (seal/compaction), `registry.admission`
+//! (register/deregister) and `engine.stage` (a drain) and never holds
+//! anything else. Lock class `engine.stage`: each stage's own mutex, taken
+//! by its owner per record and by the cold paths above; only `engine.wal`
+//! is acquired under it.
 
 use crate::config::WalConfig;
 use crate::ledger::{Ledger, SettleKind};
-use crate::sync::Mutex;
+use crate::sync::{Arc, Mutex};
 use fqos_core::OverloadPolicy;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{OnceLock, Weak};
 
 /// Largest payload a frame may carry; anything bigger is corruption.
 const MAX_PAYLOAD: usize = 256;
@@ -377,10 +406,11 @@ pub(crate) fn decode_policy(p: u8) -> OverloadPolicy {
     }
 }
 
-/// CRC-32 remainders of every byte value (IEEE 802.3, reflected, poly
-/// 0xEDB88320).
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) look-up tables for
+/// slice-by-8: `CRC_TABLES[0]` holds the remainder of every byte value,
+/// `CRC_TABLES[k]` that of the same byte followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -389,21 +419,48 @@ const CRC_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE 802.3, reflected), one table look-up per byte. A durable
-/// log is fsync-bound, but a frame is checksummed under the WAL mutex the
-/// submitter and the workers share, and on a memory or batched backing
-/// the bitwise loop was most of that critical section. 256 entries, not
-/// slice-by-8: the 8 KiB table measured no end-to-end gain over this one.
+/// CRC-32 (IEEE 802.3, reflected), eight bytes per step. A durable log is
+/// fsync-bound, but a frame is checksummed under the WAL mutex the
+/// submitter and the workers share, and on a memory or batched backing the
+/// checksum is the largest part of that hold: one look-up per byte was 46
+/// of the ≈ 100 ns a record costs single-threaded, this is ≈ 10. (Under
+/// the per-record hand-off the 8 KiB of tables measured no end-to-end gain
+/// — the hold was not what the two sides waited for; DESIGN.md, "Group
+/// commit on both sides".)
 fn crc32(seed: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !seed;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[usize::from(crc as u8 ^ b)];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
     }
     !crc
 }
@@ -642,6 +699,61 @@ struct WalInner {
     /// durability degraded rather than unwinding under a lock; the audit
     /// surfaces the count.
     io_errors: u64,
+    /// Every stage handed out and not yet dropped, so that a cold-path
+    /// append can drain them first.
+    stages: Vec<Weak<Stage>>,
+}
+
+/// One thread's not-yet-logged `Admit` / `Settle` records: every
+/// [`crate::SubmitterHandle`] and every worker owns one, appends to it per
+/// record and drains it into the log under one hold of the WAL lock (see
+/// "Fsync contract" in the module docs). The mutex (lock class
+/// `engine.stage`, ordered just before `engine.wal`) is there for the cold
+/// paths that drain every stage; on the request path only the owner takes
+/// it, and it is held across the drain so that those paths find a record
+/// either staged or logged, never in between.
+pub(crate) struct Stage {
+    wal: Arc<Wal>,
+    staged: Mutex<Vec<WalRecord>>,
+}
+
+impl Stage {
+    /// Stage one admission.
+    pub fn log_admit(&self, window: u64, entry: OpenEntry) {
+        self.hold(WalRecord::Admit { window, entry });
+    }
+
+    /// Stage one settlement; [`Wal::log_settle`] is the unstaged twin.
+    pub fn log_settle(&self, window: u64, tenant: u64, kind: SettleKind) {
+        settle_crash_point(kind);
+        self.hold(WalRecord::Settle {
+            window,
+            tenant,
+            kind,
+        });
+    }
+
+    /// A stage never holds `fsync_batch` records, so with `fsync_batch = 1`
+    /// it never holds any: the record is in the log, and flushed, when
+    /// this returns.
+    fn hold(&self, rec: WalRecord) {
+        let mut staged = self.staged.lock();
+        staged.push(rec);
+        if staged.len() as u64 >= self.wal.batch {
+            self.wal.append_staged(&mut staged);
+        }
+    }
+
+    /// Records staged and not yet in the log.
+    #[cfg(test)]
+    pub fn staged_records(&self) -> usize {
+        self.staged.lock().len()
+    }
+
+    /// Append everything staged to the log, in staging order.
+    pub fn drain(&self) {
+        self.wal.append_staged(&mut self.staged.lock());
+    }
 }
 
 /// Live counter view for [`crate::MetricsSnapshot`].
@@ -802,6 +914,7 @@ impl Wal {
                 compactions: 0,
                 seals_since_compact: 0,
                 io_errors: 0,
+                stages: Vec::new(),
             }),
             batch: cfg.fsync_batch.max(1),
             snapshot_every: cfg.snapshot_interval.max(1),
@@ -852,9 +965,55 @@ impl Wal {
         }
     }
 
+    /// A new, empty stage for one submitter handle or worker.
+    pub fn stage(self: &Arc<Self>) -> Arc<Stage> {
+        let stage = Arc::new(Stage {
+            wal: Arc::clone(self),
+            staged: Mutex::default(),
+        });
+        let mut g = self.wal.lock();
+        g.stages.retain(|s| s.strong_count() > 0);
+        g.stages.push(Arc::downgrade(&stage));
+        stage
+    }
+
+    /// Append `staged` under one hold of the WAL lock, each record exactly
+    /// as [`Wal::push_record`] would have appended it.
+    fn append_staged(&self, staged: &mut Vec<WalRecord>) {
+        if !staged.is_empty() {
+            self.append_staged_locked(&mut self.wal.lock(), staged);
+        }
+    }
+
+    fn append_staged_locked(&self, g: &mut WalInner, staged: &mut Vec<WalRecord>) {
+        for rec in staged.iter() {
+            let is_admit = matches!(rec, WalRecord::Admit { .. });
+            self.push_locked(g, rec, false, is_admit);
+        }
+        staged.clear();
+    }
+
+    /// Drain every stage. What the cold paths do before they append or
+    /// read: a record staged before the call started is in the log before
+    /// anything the caller appends.
+    pub fn drain_stages(&self) {
+        let stages: Vec<Arc<Stage>> = {
+            let g = self.wal.lock();
+            g.stages.iter().filter_map(Weak::upgrade).collect()
+        };
+        for stage in stages {
+            stage.drain();
+        }
+    }
+
     /// Log a tenant registration (durable before the registry publishes
     /// the record, so a durable admit can never precede its register).
+    /// Every stage is drained first: `register` has seen the departed
+    /// record's ledger settled, so each of those settles is staged, and
+    /// must reach the log before the `Register` that restarts the id's
+    /// durable ledger.
     pub fn log_register(&self, tenant: u64, reserved: usize, policy: OverloadPolicy) {
+        self.drain_stages();
         self.push_record(
             &WalRecord::Register {
                 tenant,
@@ -868,12 +1027,13 @@ impl Wal {
 
     /// Log a tenant departure (reservation freed; record drains).
     pub fn log_deregister(&self, tenant: u64) {
+        self.drain_stages();
         self.push_record(&WalRecord::Deregister { tenant }, true, false);
     }
 
-    /// Log one admission. Durability follows the fsync contract: with
-    /// `fsync_batch = 1` the record is on stable storage when this
-    /// returns.
+    /// Log one admission without staging it (the engine stages:
+    /// [`Stage::log_admit`]).
+    #[cfg(test)]
     pub fn log_admit(
         &self,
         window: u64,
@@ -893,11 +1053,23 @@ impl Wal {
         self.push_record(&WalRecord::Admit { window, entry }, false, true);
     }
 
+    /// Log a window seal with no stage riding it.
+    #[cfg(test)]
+    pub fn log_seal(&self, window: u64) {
+        self.log_seal_behind(window, None);
+    }
+
     /// Log a window seal (force-synced: the seal is the boundary after
     /// which an unsettled admission becomes crash-lost) and run the
-    /// compaction cadence, under one hold of the lock.
-    pub fn log_seal(&self, window: u64) {
+    /// compaction cadence, under one hold of the lock. The sealing
+    /// handle's stage, if it is `riding`, goes into the log ahead of the
+    /// seal in the same hold.
+    pub fn log_seal_behind(&self, window: u64, riding: Option<&Stage>) {
+        let mut staged = riding.map(|stage| stage.staged.lock());
         let mut g = self.wal.lock();
+        if let Some(staged) = &mut staged {
+            self.append_staged_locked(&mut g, staged);
+        }
         self.push_locked(&mut g, &WalRecord::Seal { window }, true, false);
         g.seals_since_compact += 1;
         if g.seals_since_compact >= self.snapshot_every {
@@ -908,11 +1080,7 @@ impl Wal {
     /// Log one settlement (batched; a settle is re-derivable as
     /// crash-lost, so it does not need per-record durability).
     pub fn log_settle(&self, window: u64, tenant: u64, kind: SettleKind) {
-        if kind.is_write() {
-            // Kill site between the last copy landing and the settle
-            // record: recovery must resolve the write as crash-lost.
-            crash_point("wal-write-settle");
-        }
+        settle_crash_point(kind);
         self.push_record(
             &WalRecord::Settle {
                 window,
@@ -924,8 +1092,9 @@ impl Wal {
         );
     }
 
-    /// Flush and fsync everything buffered.
+    /// Drain every stage, then flush and fsync everything buffered.
     pub fn sync_now(&self) {
+        self.drain_stages();
         let mut g = self.wal.lock();
         if flush_inner(&mut g).is_err() {
             g.io_errors += 1;
@@ -935,6 +1104,7 @@ impl Wal {
     /// Force a snapshot + log truncation now (recovery calls this so the
     /// next restart replays only post-recovery records).
     pub fn compact(&self) {
+        self.drain_stages();
         let mut g = self.wal.lock();
         compact_counted(&mut g);
     }
@@ -995,8 +1165,10 @@ impl Wal {
         }
     }
 
-    /// Clone of the materialized state (recovery seed; tests).
+    /// Clone of the materialized state, staged records included (recovery
+    /// seed; tests).
     pub fn state_snapshot(&self) -> WalState {
+        self.drain_stages();
         self.wal.lock().state.clone()
     }
 
@@ -1010,6 +1182,14 @@ impl Wal {
             misordered: g.state.misordered,
             io_errors: g.io_errors,
         }
+    }
+}
+
+/// Kill site between the last copy of a write landing and its settle
+/// record: recovery must resolve the write as crash-lost.
+fn settle_crash_point(kind: SettleKind) {
+    if kind.is_write() {
+        crash_point("wal-write-settle");
     }
 }
 
@@ -1053,7 +1233,6 @@ fn compact_counted(inner: &mut WalInner) {
 
 fn compact_inner(inner: &mut WalInner) -> std::io::Result<()> {
     flush_inner(inner)?;
-    let body = encode_state(&inner.state);
     match &mut inner.backing {
         Backing::Memory { log } => {
             // The materialized state *is* the snapshot; the log bytes are
@@ -1066,7 +1245,7 @@ fn compact_inner(inner: &mut WalInner) -> std::io::Result<()> {
             let snap = dir.join("wal.snapshot");
             {
                 let mut f = File::create(&tmp)?;
-                f.write_all(&body)?;
+                f.write_all(&encode_state(&inner.state))?;
                 f.sync_data()?;
             }
             // The rename is the commit point: before it the old snapshot
@@ -1189,6 +1368,160 @@ mod tests {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
         assert_eq!((log.len(), fnv), (1308, 0xc2e8_9a5d_658c_9e93));
+    }
+
+    fn staging_cfg(fsync_batch: u64) -> WalConfig {
+        WalConfig {
+            dir: None,
+            fsync_batch,
+            snapshot_interval: 1 << 20, // compaction would clear the log
+        }
+    }
+
+    fn admit_of(tenant: u64, lbn: u64) -> OpenEntry {
+        OpenEntry {
+            tenant,
+            lbn,
+            guaranteed: true,
+            delayed: false,
+            is_write: false,
+        }
+    }
+
+    /// Everything flushed, then the log's bytes and its replayed state.
+    fn flushed(wal: &Wal) -> (Vec<u8>, WalState) {
+        wal.sync_now();
+        let state = wal.state_snapshot();
+        let g = wal.wal.lock();
+        let Backing::Memory { log } = &g.backing else {
+            unreachable!("memory config")
+        };
+        (log.clone(), state)
+    }
+
+    #[test]
+    fn staged_records_reach_the_log_as_the_same_records_logged_directly() {
+        // A submitter's stage and a worker's, drained where the engine
+        // drains them: the submitter's rides the seal, the worker's goes
+        // in after its batch, and a cold-path record drains both.
+        let staged = Arc::new(Wal::create(&staging_cfg(64)).unwrap());
+        let (submitter, worker) = (staged.stage(), staged.stage());
+        staged.log_register(1, 2, OverloadPolicy::Delay);
+        staged.log_register(2, 2, OverloadPolicy::Delay);
+        submitter.log_admit(0, admit_of(1, 10));
+        submitter.log_admit(0, admit_of(2, 11));
+        submitter.log_admit(1, admit_of(1, 12)); // delayed past its window
+        assert_eq!(staged.wal_counters().records, 2, "three records staged");
+        staged.log_seal_behind(0, Some(&submitter));
+        assert_eq!(staged.wal_counters().records, 6, "admits, then the seal");
+        worker.log_settle(0, 1, SettleKind::Served);
+        submitter.log_admit(1, admit_of(2, 13));
+        worker.log_settle(0, 2, SettleKind::HedgeWin);
+        worker.drain();
+        submitter.drain(); // a slower handle holds window 1 back
+        staged.log_seal(1);
+        worker.log_settle(1, 1, SettleKind::Served);
+        staged.log_deregister(1); // drains the worker's stage first
+        worker.log_settle(1, 2, SettleKind::Lost);
+
+        // The same records, unstaged, in the order the drains gave them.
+        let direct = Wal::create(&staging_cfg(64)).unwrap();
+        direct.log_register(1, 2, OverloadPolicy::Delay);
+        direct.log_register(2, 2, OverloadPolicy::Delay);
+        direct.log_admit(0, 1, 10, true, false, false);
+        direct.log_admit(0, 2, 11, true, false, false);
+        direct.log_admit(1, 1, 12, true, false, false);
+        direct.log_seal(0);
+        direct.log_settle(0, 1, SettleKind::Served);
+        direct.log_settle(0, 2, SettleKind::HedgeWin);
+        direct.log_admit(1, 2, 13, true, false, false);
+        direct.log_seal(1);
+        direct.log_settle(1, 1, SettleKind::Served);
+        direct.log_deregister(1);
+        direct.log_settle(1, 2, SettleKind::Lost);
+
+        let (staged_log, staged_state) = flushed(&staged);
+        let (direct_log, direct_state) = flushed(&direct);
+        assert_eq!(staged_state, direct_state);
+        assert_eq!(staged_state.misordered, 0);
+        assert!(staged_state.ledger.conserved());
+        assert_eq!(staged_log, direct_log, "same frames, same LSNs");
+    }
+
+    #[test]
+    fn a_stage_drains_itself_when_it_holds_a_batch() {
+        let wal = Arc::new(Wal::create(&staging_cfg(4)).unwrap());
+        wal.log_register(1, 4, OverloadPolicy::Delay);
+        let stage = wal.stage();
+        for lbn in 0..3 {
+            stage.log_admit(0, admit_of(1, lbn));
+            assert_eq!(wal.wal_counters().records, 1, "staged, not logged");
+        }
+        stage.log_admit(0, admit_of(1, 3));
+        assert_eq!(wal.wal_counters().records, 5);
+        assert_eq!(stage.staged_records(), 0);
+        // The shared buffer flushed on the same count, as it did unstaged.
+        let g = wal.wal.lock();
+        assert!(g.buf.is_empty() && g.pending_records == 0);
+    }
+
+    #[test]
+    fn with_a_batch_of_one_nothing_is_ever_left_staged() {
+        let wal = Arc::new(Wal::create(&staging_cfg(1)).unwrap());
+        wal.log_register(1, 2, OverloadPolicy::Delay);
+        let stage = wal.stage();
+        let logged_and_flushed = |records: u64| {
+            assert_eq!(stage.staged_records(), 0);
+            let g = wal.wal.lock();
+            assert_eq!((g.records, g.buf.len()), (records, 0));
+        };
+        stage.log_admit(0, admit_of(1, 7));
+        logged_and_flushed(2);
+        stage.log_admit(0, admit_of(1, 8));
+        logged_and_flushed(3);
+        wal.log_seal(0);
+        stage.log_settle(0, 1, SettleKind::Served);
+        logged_and_flushed(5);
+        stage.log_settle(0, 1, SettleKind::Served);
+        logged_and_flushed(6);
+        assert_eq!(wal.wal_counters().misordered, 0);
+    }
+
+    #[test]
+    fn a_register_is_logged_behind_every_settle_staged_before_it() {
+        // The order `TenantRegistry::register` relies on: it has seen the
+        // departed record's ledger settled, so that settle is staged; the
+        // `Register` that restarts the id's durable ledger must not
+        // overtake it.
+        let wal = Arc::new(Wal::create(&staging_cfg(64)).unwrap());
+        let worker = wal.stage();
+        wal.log_register(1, 2, OverloadPolicy::Delay);
+        wal.log_admit(0, 1, 5, true, false, false);
+        wal.log_admit(0, 1, 6, true, false, false);
+        wal.log_seal(0);
+        worker.log_settle(0, 1, SettleKind::Served);
+        wal.log_deregister(1);
+        assert_eq!(wal.wal_counters().records, 6, "the settle went in first");
+        worker.log_settle(0, 1, SettleKind::HedgeWin); // the id's last admission
+        wal.log_register(1, 3, OverloadPolicy::Reject);
+        assert_eq!(wal.wal_counters().records, 8);
+        let s = wal.state_snapshot();
+        assert_eq!(s.misordered, 0);
+        assert!(s.ledger.conserved() && s.ledger.hedge_wins == 1);
+        assert_eq!(s.tenants[&1].ledger, Ledger::default(), "fresh epoch");
+    }
+
+    #[test]
+    fn stages_nobody_holds_are_forgotten() {
+        let wal = Arc::new(Wal::create(&staging_cfg(8)).unwrap());
+        let kept = wal.stage();
+        for _ in 0..100 {
+            drop(wal.stage());
+        }
+        assert!(wal.wal.lock().stages.len() <= 2, "pruned as new ones come");
+        wal.log_register(1, 1, OverloadPolicy::Delay);
+        kept.log_admit(0, admit_of(1, 1));
+        assert_eq!(wal.state_snapshot().ledger.admitted, 1, "still drained");
     }
 
     #[test]

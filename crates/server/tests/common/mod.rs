@@ -102,6 +102,10 @@ pub struct Scenario {
     /// Speculative re-dispatch of late reads (on by default, matching the
     /// server default); GC-storm scenarios compare both settings.
     pub hedging: bool,
+    /// Crash suites only: the log's `fsync_batch`. 1 makes every admission
+    /// durable before its ack; more leaves up to `fsync_batch − 1` records
+    /// unsynced in each stage and in the shared buffer.
+    pub fsync_batch: u64,
     /// Crash-child only: after the trace, deregister this tenant (while
     /// its tail windows are still unsealed) and abort — the recipe for a
     /// durable `DrainPending` state.
@@ -127,6 +131,7 @@ impl Scenario {
             write_fraction: 0.0,
             gc: None,
             hedging: true,
+            fsync_batch: 1,
             deregister_after: None,
             design: (0, 0, 0),
         }
@@ -147,6 +152,12 @@ impl Scenario {
     /// Enable or disable hedged reads.
     pub fn hedging(mut self, on: bool) -> Self {
         self.hedging = on;
+        self
+    }
+
+    /// See [`Scenario::fsync_batch`].
+    pub fn fsync_batch(mut self, batch: u64) -> Self {
+        self.fsync_batch = batch;
         self
     }
 
@@ -333,19 +344,20 @@ impl Scenario {
     }
 
     /// Serialize for `FQOS_CRASH_SCENARIO`:
-    /// `n,c,m,windows,stream,workers,queue_depth,writepct;tenant:rate:policy;...`
+    /// `n,c,m,windows,stream,workers,queue_depth,writepct,fsync_batch;tenant:rate:policy;...`
     /// (policy `d`elay / `r`eject; `writepct` is the write fraction in
     /// percent). Requires [`Scenario::sized`].
     pub fn to_spec(&self) -> String {
         let (n, c, m) = self.design;
         assert!(n != 0, "to_spec needs a Scenario::sized scenario");
         let mut spec = format!(
-            "{n},{c},{m},{},{},{},{},{}",
+            "{n},{c},{m},{},{},{},{},{},{}",
             self.windows,
             self.stream,
             self.workers,
             self.queue_depth,
-            (self.write_fraction * 100.0).round() as u64
+            (self.write_fraction * 100.0).round() as u64,
+            self.fsync_batch
         );
         for &(t, r, p) in &self.tenants {
             let p = match p {
@@ -367,8 +379,8 @@ impl Scenario {
             .collect();
         assert_eq!(
             nums.len(),
-            8,
-            "spec head: n,c,m,windows,stream,workers,depth,writepct"
+            9,
+            "spec head: n,c,m,windows,stream,workers,depth,writepct,fsync_batch"
         );
         let mut s = Scenario::sized(nums[0] as usize, nums[1] as usize, nums[2] as usize);
         s.windows = nums[3];
@@ -376,6 +388,7 @@ impl Scenario {
         s.workers = nums[5] as usize;
         s.queue_depth = nums[6] as usize;
         s.write_fraction = nums[7] as f64 / 100.0;
+        s.fsync_batch = nums[8];
         for t in parts {
             let f: Vec<&str> = t.split(':').collect();
             assert_eq!(f.len(), 3, "tenant spec: id:rate:policy");
@@ -403,7 +416,7 @@ impl Scenario {
             .with_queue_depth(self.queue_depth)
             .with_assignment(self.mode)
             .with_wal(wal_dir)
-            .with_wal_fsync_batch(1)
+            .with_wal_fsync_batch(self.fsync_batch)
             .with_wal_snapshot_interval(4)
     }
 
@@ -529,7 +542,7 @@ pub fn crash_child_entry() {
         if !matches!(outcome, SubmitOutcome::Rejected(_)) {
             // The ack line is the durability promise made to the caller:
             // with fsync_batch = 1 the admit record hit stable storage
-            // before `submit` returned.
+            // before `submit` returned (with more, it may still be staged).
             writeln!(acks, "{tenant} {lbn} {at}").expect("ack write");
             acks.flush().expect("ack flush");
         }

@@ -3,7 +3,8 @@
 //!
 //! Each test replays a seeded trace in a subprocess (the `crash_child`
 //! test below, re-exec'd via [`common::crash_child_entry`]) with a
-//! write-ahead log at `fsync_batch = 1`, arms one `FQOS_CRASH_POINT`, lets
+//! write-ahead log at `fsync_batch = 1` (one row runs at 8, with the
+//! weaker contract a batched log has), arms one `FQOS_CRASH_POINT`, lets
 //! the child abort mid-run, then recovers the log in-process and audits
 //! the durability contract:
 //!
@@ -158,6 +159,48 @@ fn recovery_after_a_mid_write_settle_crash_resolves_the_group_once() {
          residues) must survive recovery"
     );
     let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
+/// The same kills over a log that batches (`fsync_batch = 8`): an ack is
+/// no longer a durability promise, so recovery may come back short of the
+/// acked set — by what was unsynced when the process died, at most
+/// `fsync_batch − 1` records in the submitting handle's stage and as many
+/// in the shared buffer — but it resurrects nothing that was not logged
+/// (at most the one admission in flight at the kill), and every ledger
+/// balances (`recover_and_verify`).
+#[test]
+fn a_batched_log_loses_only_its_unsynced_tail_and_resurrects_nothing() {
+    const BATCH: u64 = 8;
+    // Four admissions a window, the first of which rides its window's
+    // seal: the 32nd is a window's last, and the two before it were acked
+    // out of the stage — that kill must lose acks, not merely may.
+    for (stream, point, loses_acks) in [
+        (18, "post-admit-pre-ack:32", true),
+        (19, "seal-mid-batch:10", false),
+    ] {
+        let scenario = crash_scenario(stream).fsync_batch(BATCH);
+        let wal_dir = scratch_path(&format!("wal-batched-{stream}"));
+        let run = scenario.spawn_with_crash_point("crash_child", &wal_dir, Some(point));
+        assert!(run.aborted, "{point} lands inside the trace");
+        let m = scenario.recover_and_verify(&wal_dir);
+        let restored = m.admitted_total();
+        assert!(
+            restored <= run.acked + 1,
+            "{point}: resurrected more than the submit in flight: {restored} restored, {} acked",
+            run.acked
+        );
+        assert!(
+            restored + 2 * (BATCH - 1) >= run.acked,
+            "{point}: lost more than the unsynced tail: {restored} restored, {} acked",
+            run.acked
+        );
+        assert!(restored > 0, "{point}: the synced prefix must survive");
+        assert!(
+            !loses_acks || restored < run.acked,
+            "{point}: nothing was staged"
+        );
+        let _ = std::fs::remove_dir_all(&wal_dir);
+    }
 }
 
 /// Without a crash the WAL round-trips losslessly: recovery finds every

@@ -422,6 +422,49 @@ fn wal_append_vs_settle_orders_every_schedule() {
         assert_eq!(m.guaranteed_violations, 0, "deadline audit");
     });
     report_and_check("wal-append-vs-settle", report, 1000);
+
+    // The one edge staging adds, narrowed until the explorer reaches it: a
+    // handle drains its stage *before* the store that raises its watermark,
+    // because that store is what lets a peer's pump log `Seal(w)`. The
+    // peer is parked on a channel until the handle is about to advance, and
+    // closes (pumping) wherever the explorer lets it; with the drain after
+    // the store, the schedule that runs the peer between the two logs
+    // `Seal(0)` ahead of the staged `Admit(0)`. The scenario above never
+    // gets there — depth-first from the end of a 250-step schedule, it did
+    // not within 400 000 schedules — so this one keeps everything after the
+    // store short and needs one preemption.
+    let bounds = Config {
+        preemptions: 1,
+        max_schedules: 4096,
+        ..Config::default()
+    };
+    let report = model_with(bounds, || {
+        let server = QosServer::new(model_cfg().with_workers(1).with_wal_memory()).unwrap();
+        let t_ns = server.config().qos.interval_ns;
+        server.register(1, 2, OverloadPolicy::Delay).unwrap();
+        let mut ha = server.handle();
+        let hb = server.handle();
+        assert!(ha.submit(1, 0, 0).is_admitted()); // staged: the batch is 8
+        let (go, parked) = interleave::channel::bounded::<()>(1);
+        let peer = interleave::thread::spawn(move || {
+            parked.recv().unwrap();
+            drop(hb);
+        });
+        let advancing = interleave::thread::spawn(move || {
+            go.send(()).unwrap();
+            ha.advance_to(t_ns);
+            ha // closed by the root, not here: nothing follows the pump
+        });
+        peer.join().unwrap();
+        drop(advancing.join().unwrap());
+        let m = server.finish();
+        assert_eq!(
+            m.wal_misordered, 0,
+            "Seal(0) reached the log before Admit(0)"
+        );
+        assert_eq!((m.admitted_total(), m.served), (1, 1));
+    });
+    report_and_check("wal-append-vs-settle/drain-before-watermark", report, 100);
 }
 
 /// A whole-array fail-stop (`halt`, the cluster tier's `kill_array`
@@ -762,4 +805,71 @@ fn cached_view_vs_reregister_never_hides_the_new_record() {
         assert_eq!(m.ledger(), records, "an event landed on no record");
     });
     report_and_check("cached-view-vs-reregister", report, 1000);
+}
+
+/// A worker settling a departed tenant's last admission races a controller
+/// that deregisters the tenant and registers it afresh, over a log that
+/// stages records (`fsync_batch = 8`). `register` lifts `DrainPending` once
+/// the old record's ledger shows nothing in flight, and its force-synced
+/// `Register` restarts the id's durable ledger — so the `Settle` record has
+/// to be staged before the ledger it releases is settled, and `Register`
+/// has to drain every stage before it appends; otherwise the old epoch's
+/// settle replays into the new one and recovery installs a tenant that
+/// settled more than it admitted. The retry is bounded (a spin would never
+/// yield under the explorer); on the schedules where every attempt is
+/// refused the tenant stays departed. On every schedule the log is in
+/// order, and the tenant ledger a restart installs — read back through
+/// `recover`, the only public way to it — is conserved.
+#[test]
+fn staged_settle_vs_reregister_keeps_each_epochs_settles_apart() {
+    let bounds = Config {
+        preemptions: 2,
+        max_schedules: 4096,
+        ..Config::default()
+    };
+    let dir = common::scratch_path("model-reregister");
+    let wal_dir = dir.clone();
+    let report = model_with(bounds, move || {
+        // `new` starts a fresh log epoch over the previous schedule's files.
+        let cfg = || model_cfg().with_workers(1).with_wal(&wal_dir);
+        let server = QosServer::new(cfg()).unwrap();
+        let t_ns = server.config().qos.interval_ns;
+        server.register(1, 2, OverloadPolicy::Delay).unwrap();
+        let mut hs = server.handle();
+        assert!(hs.submit(1, 0, 0).is_admitted());
+        // Sealed and sent: from here the worker settles it whenever the
+        // explorer lets it run.
+        hs.advance_to(2 * t_ns);
+        let hc = server.handle();
+        let controller = interleave::thread::spawn(move || {
+            hc.deregister(1).expect("tenant 1 was live");
+            (0..3).find_map(|_| hc.register(1, 2, OverloadPolicy::Delay).ok())
+            // Dropping hc closes its watermark so sealing can proceed.
+        });
+        let fresh = controller.join().unwrap();
+        drop(hs);
+        let m = server.finish();
+        assert_eq!(m.wal_misordered, 0, "a record outran the one it depends on");
+        assert_eq!((m.admitted_total(), m.served), (1, 1));
+        assert!(m.ledger().conserved(), "{}", m.ledger().render());
+        let restarted = QosServer::recover(cfg()).unwrap().finish();
+        assert_eq!(restarted.wal_misordered, 0);
+        assert_eq!(
+            restarted.ledger(),
+            m.ledger(),
+            "the log replays to the account"
+        );
+        let t1 = restarted.tenants.iter().find(|t| t.tenant == 1).unwrap();
+        assert_eq!(t1.live, fresh.is_some());
+        // The old epoch's ledger if the id stayed departed, the fresh one's
+        // (nothing admitted, so nothing settled) if it did not.
+        assert!(
+            t1.ledger().conserved(),
+            "a settle of the departed epoch replayed into the fresh one: {}",
+            t1.ledger().render()
+        );
+        assert_eq!(t1.admitted, u64::from(fresh.is_none()));
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    report_and_check("staged-settle-vs-reregister", report, 1000);
 }

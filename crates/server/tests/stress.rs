@@ -310,40 +310,3 @@ fn statistical_overflow_is_audited_separately() {
     // construction; here we only require the audit split to be consistent.
     assert!(m.deadline_violations >= m.guaranteed_violations);
 }
-
-/// An idle engine between bursts: each sealed window finds its workers
-/// parked (2 ms is forty times the channel's linger), wakes them, and they
-/// linger and park again before the next — the whole cycle of the
-/// hand-off's blocking strategy, through the engine, with no window lost
-/// between a linger giving up and the next send.
-#[test]
-fn parked_workers_are_woken_by_every_sealed_window() {
-    let qos = QosConfig::paper_9_3_1().with_accesses(2); // S(2) = 14
-    let limit = qos.request_limit() as u64;
-    let server =
-        QosServer::new(ServerConfig::new(qos).with_workers(2).with_queue_depth(64)).unwrap();
-    server
-        .register(1, limit as usize, OverloadPolicy::Delay)
-        .unwrap();
-    let mut h = server.handle();
-    let rounds = 50u64;
-    for w in 0..rounds {
-        for i in 0..limit {
-            // Consecutive blocks fall in distinct buckets, and any S(M)
-            // distinct buckets are retrievable in M accesses.
-            assert!(h.submit(1, w * limit + i, w * T2 + i).is_admitted());
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        h.advance_to((w + 1) * T2);
-    }
-    drop(h);
-    let m = server.finish();
-    assert_eq!(m.served, rounds * limit, "every request served");
-    assert_eq!(
-        m.delayed, 0,
-        "full windows of distinct buckets are feasible"
-    );
-    assert!(m.ledger().conserved(), "{}", m.ledger().render());
-    assert_eq!(m.guaranteed_violations, 0);
-    assert_eq!(m.deadline_violations, 0);
-}

@@ -101,7 +101,13 @@ pub const HIERARCHY: &[(&str, &str)] = &[
     (
         "engine.hedge",
         "hedge frontiers (engine.rs Engine::hedge) — no lock other than \
-         `engine.wal` may be acquired under it",
+         `engine.stage` and `engine.wal` may be acquired under it",
+    ),
+    (
+        "engine.stage",
+        "one thread's staged WAL records (wal.rs Stage::staged) — taken by \
+         its owner per record and by cold paths that drain every stage; \
+         only `engine.wal` may be acquired under it",
     ),
     (
         "engine.wal",
@@ -129,6 +135,7 @@ const RECEIVER_HINTS: &[(&str, &[&str])] = &[
     ("router", &["Router"]),
     ("registry", &["TenantRegistry"]),
     ("wal", &["Wal", "WalInner", "WalState"]),
+    ("stage", &["Stage"]),
     ("fault", &["FaultPlane"]),
     ("engine", &["Engine"]),
     ("liveness", &["HealthPlane"]),
@@ -205,6 +212,7 @@ pub fn acquisitions(file_name: &str, toks: &[Tok]) -> Vec<Acq> {
         ("inner", "lock", "fault.inner", true),
         ("health", "lock", "fault.health", true),
         ("hedge", "lock", "engine.hedge", true),
+        ("staged", "lock", "engine.stage", true),
         ("wal", "lock", "engine.wal", true),
     ];
     let mut out: Vec<Acq> = Vec::new();

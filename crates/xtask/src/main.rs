@@ -507,8 +507,11 @@ mod tests {
         );
         // The engine's documented lock nesting must actually be observed —
         // an empty graph would mean the extractor went blind — and a new
-        // edge is a reviewed decision.
-        assert_eq!(outcome.distinct_edges, 46, "lock-order edges");
+        // edge is a reviewed decision. PR 20: 46 → 53 — `engine.stage`
+        // under each of the six classes `engine.wal` was already taken
+        // under (the three cluster classes, quiesce, dispatch, admission),
+        // and `engine.wal` under it.
+        assert_eq!(outcome.distinct_edges, 53, "lock-order edges");
         assert!(outcome.functions_analyzed > 50);
         // The pass reads its kinds from `enum SettleKind`; an admission
         // and every kind must be seen at some site, or it went blind.
@@ -541,10 +544,12 @@ mod tests {
         // for, so one more or one fewer is a reviewed decision. PR 18:
         // AcqRel 13 → 14, Acquire 22 → 23 — the registry's `epoch`, bumped
         // by `publish` and loaded by every `TenantView::resolve`.
+        // PR 20: Release 13 → 12 — `submit_op` and `advance_to` raise the
+        // watermark through one `raise_watermark`, one store.
         let census = |ordering: &str| outcome.ordering_counts.get(ordering).copied();
         assert_eq!(
             (census("AcqRel"), census("Acquire"), census("Release")),
-            (Some(14), Some(23), Some(13)),
+            (Some(14), Some(23), Some(12)),
             "{:?}",
             outcome.ordering_counts
         );
@@ -564,6 +569,9 @@ mod tests {
     /// and `Wal::log_seal`, whose one hold of the lock now spans the seal's
     /// fsync as well as the compaction (two sites where it had one). PR 19:
     /// 25 → 24 — `chaos.rs` waits on a settled count instead of sleeping.
+    /// PR 20: 24 → 23 — `stress.rs`'s sleep went with its test, which now
+    /// waits on the channel's parked flag — and back to 24: a stage is
+    /// drained, flush included, under its own lock (`engine.stage`).
     const SUPPRESSED_IN_WORKSPACE: usize = 24;
 
     #[test]
