@@ -1,4 +1,5 @@
-//! Table IV — performance of FIM: mining time and peak memory.
+//! Table IV — performance of FIM: mining time and peak memory (the bytes
+//! the miner's working buffers held).
 //!
 //! The paper mines the largest and smallest intervals of both traces with
 //! `fim apriori-lowmem`, window `T = 0.133 ms`, set size 2, and reports
@@ -47,7 +48,7 @@ fn main() {
         "miner",
         "pairs",
         "time (ms)",
-        "peak mem (est.)",
+        "miner buffers",
     ]);
 
     let exchange = exchange_trace();

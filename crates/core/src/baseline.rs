@@ -15,10 +15,10 @@ pub fn run_original(trace: &Trace, service_ns: Duration) -> QosReport {
             .map(|_| CalibratedSsd::with_latencies(service_ns, service_ns))
             .collect::<Vec<_>>(),
     );
-    let mut report = QosReport::new("original");
+    let mut report = QosReport::new("original", trace.num_intervals());
     for (interval_idx, records) in trace.intervals().enumerate() {
         for r in records {
-            let req = IoRequest::read_block(r.lbn, r.arrival_ns, r.device, r.lbn);
+            let req = IoRequest::read_block(r.lbn, r.arrival_ns, usize::from(r.device), r.lbn);
             let c = array.submit(&req, r.arrival_ns);
             report.record(interval_idx, c.response_time(), 0);
         }
@@ -42,7 +42,7 @@ pub fn run_scheme_greedy<S: fqos_decluster::AllocationScheme>(
             .map(|_| CalibratedSsd::with_latencies(service_ns, service_ns))
             .collect::<Vec<_>>(),
     );
-    let mut report = QosReport::new(format!("greedy {}", scheme.name()));
+    let mut report = QosReport::new(format!("greedy {}", scheme.name()), trace.num_intervals());
     let mut free = vec![0u64; scheme.devices()];
     for (interval_idx, records) in trace.intervals().enumerate() {
         for r in records {
@@ -71,7 +71,7 @@ mod tests {
     use fqos_flashsim::{IoOp, BLOCK_READ_NS, BLOCK_SIZE_BYTES};
     use fqos_traces::TraceRecord;
 
-    fn rec(t: u64, device: usize) -> TraceRecord {
+    fn rec(t: u64, device: u16) -> TraceRecord {
         TraceRecord {
             arrival_ns: t,
             device,

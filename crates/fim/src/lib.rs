@@ -15,8 +15,13 @@
 //!   the `fim apriori-lowmem` implementation of Rácz et al.).
 //! * [`matcher`] — frequent pairs → design-block assignment.
 //!
-//! Apriori is the one miner, as in the paper; the tests check it against
-//! the brute-force oracle [`transaction::brute_force_pairs`].
+//! Every structure here is a flat array: transactions are one `Vec<u32>`
+//! of item ids numbered in ascending block order, co-occurrences are
+//! counted by sorting packed keys, the pair graph is compressed adjacency
+//! rows and the finished matcher is two sorted arrays searched by
+//! bisection. Apriori is the one miner, as in the paper; `tests/oracle`
+//! keeps a brute-force pair count and the hashed matcher to check both
+//! against.
 //!
 //! # Example
 //!

@@ -13,12 +13,14 @@
 //! color so buckets stay balanced).
 
 use crate::transaction::FrequentPair;
-use std::collections::HashMap;
 
 /// A data-block → design-block assignment with modulo fallback.
 #[derive(Debug, Clone)]
 pub struct BlockMatcher {
-    assignment: HashMap<u64, usize>,
+    /// The matched blocks, ascending.
+    blocks: Vec<u64>,
+    /// `color[i]` is the design block of `blocks[i]`.
+    color: Vec<u32>,
     num_design_blocks: usize,
 }
 
@@ -28,7 +30,8 @@ impl BlockMatcher {
     pub fn empty(num_design_blocks: usize) -> Self {
         assert!(num_design_blocks > 0);
         BlockMatcher {
-            assignment: HashMap::new(),
+            blocks: Vec::new(),
+            color: Vec::new(),
             num_design_blocks,
         }
     }
@@ -41,20 +44,20 @@ impl BlockMatcher {
     /// The design block (bucket) for a data block: the mined assignment if
     /// present, else `lbn % D`.
     pub fn bucket_for(&self, lbn: u64) -> usize {
-        match self.assignment.get(&lbn) {
-            Some(&d) => d,
-            None => (lbn % self.num_design_blocks as u64) as usize,
+        match self.blocks.binary_search(&lbn) {
+            Ok(i) => self.color[i] as usize,
+            Err(_) => (lbn % self.num_design_blocks as u64) as usize,
         }
     }
 
     /// Whether this block was matched by mining (vs. modulo fallback).
     pub fn is_matched(&self, lbn: u64) -> bool {
-        self.assignment.contains_key(&lbn)
+        self.blocks.binary_search(&lbn).is_ok()
     }
 
     /// Number of explicitly matched blocks.
     pub fn matched_blocks(&self) -> usize {
-        self.assignment.len()
+        self.blocks.len()
     }
 
     /// Fraction of the given requests whose block was matched by mining —
@@ -92,39 +95,64 @@ impl BlockMatcher {
 /// Build a matcher from mined pairs by weighted greedy coloring.
 pub fn match_design_blocks(pairs: &[FrequentPair], num_design_blocks: usize) -> BlockMatcher {
     assert!(num_design_blocks > 0);
-    if pairs.is_empty() {
-        return BlockMatcher::empty(num_design_blocks);
+    let uncolored = u32::try_from(num_design_blocks).expect("design blocks fit 32 bits");
+
+    // Vertices: the distinct blocks, ascending, so a vertex index orders
+    // like its LBN.
+    let mut blocks: Vec<u64> = pairs.iter().flat_map(|p| [p.a, p.b]).collect();
+    blocks.sort_unstable();
+    blocks.dedup();
+    let vertex = |lbn: u64| blocks.binary_search(&lbn).expect("an endpoint is a vertex");
+
+    // Adjacency in compressed rows: the neighbours of `v`, with the pair's
+    // support, are `adj[row[v]..row[v + 1]]`; `weight[v]` sums the supports.
+    let edges: Vec<(usize, usize, u32)> = pairs
+        .iter()
+        .map(|p| (vertex(p.a), vertex(p.b), p.support))
+        .collect();
+    let mut row = vec![0usize; blocks.len() + 1];
+    for &(a, b, _) in &edges {
+        row[a + 1] += 1;
+        row[b + 1] += 1;
+    }
+    for v in 0..blocks.len() {
+        row[v + 1] += row[v];
+    }
+    let mut fill = row.clone();
+    let mut adj = vec![(0usize, 0u32); 2 * edges.len()];
+    let mut weight = vec![0u64; blocks.len()];
+    for &(a, b, support) in &edges {
+        for (v, nbr) in [(a, b), (b, a)] {
+            adj[fill[v]] = (nbr, support);
+            fill[v] += 1;
+            weight[v] += u64::from(support);
+        }
     }
 
-    // Adjacency with support weights, plus total incident weight per block.
-    let mut adj: HashMap<u64, Vec<(u64, u32)>> = HashMap::new();
-    for p in pairs {
-        adj.entry(p.a).or_default().push((p.b, p.support));
-        adj.entry(p.b).or_default().push((p.a, p.support));
-    }
-    let mut order: Vec<u64> = adj.keys().copied().collect();
-    let weight = |lbn: &u64| -> u64 { adj[lbn].iter().map(|&(_, s)| s as u64).sum() };
-    order.sort_by_key(|lbn| (std::cmp::Reverse(weight(lbn)), *lbn));
+    // Heaviest vertex first, ties toward the smaller block.
+    let mut order: Vec<usize> = (0..blocks.len()).collect();
+    order.sort_unstable_by_key(|&v| (std::cmp::Reverse(weight[v]), v));
 
-    let mut assignment: HashMap<u64, usize> = HashMap::new();
+    let mut color = vec![uncolored; blocks.len()];
     let mut color_use = vec![0usize; num_design_blocks];
     let mut conflict = vec![0u64; num_design_blocks];
-    for lbn in order {
+    for v in order {
         // Conflict weight per color from already-colored neighbours.
-        conflict.iter_mut().for_each(|c| *c = 0);
-        for &(nbr, support) in &adj[&lbn] {
-            if let Some(&c) = assignment.get(&nbr) {
-                conflict[c] += support as u64;
+        conflict.fill(0);
+        for &(nbr, support) in &adj[row[v]..row[v + 1]] {
+            if color[nbr] != uncolored {
+                conflict[color[nbr] as usize] += u64::from(support);
             }
         }
         let best = (0..num_design_blocks)
             .min_by_key(|&c| (conflict[c], color_use[c], c))
             .expect("at least one design block");
         color_use[best] += 1;
-        assignment.insert(lbn, best);
+        color[v] = best as u32;
     }
     BlockMatcher {
-        assignment,
+        blocks,
+        color,
         num_design_blocks,
     }
 }

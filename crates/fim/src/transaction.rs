@@ -1,19 +1,22 @@
 //! Transactions, frequent pairs and the miner interface.
 
-use std::collections::HashMap;
-use std::time::Instant;
-
 /// A transaction database: each transaction is the set of distinct blocks
 /// requested within one time window `T` ("we first investigate the trace of
 /// the storage system and determine the data blocks that are requested
 /// within a short time interval T", §IV-A).
 ///
-/// Block numbers (LBNs) are dictionary-compressed to dense item ids.
-#[derive(Debug, Clone, Default)]
+/// Block numbers (LBNs) are dictionary-compressed to dense item ids, and
+/// the ids ascend with the LBNs: `a < b` as ids means `a < b` as blocks,
+/// which is what lets a miner emit `(a, b)`-ordered pairs without a sort
+/// in LBN space.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransactionDb {
-    /// Transactions; items are dense ids, sorted and deduplicated.
-    transactions: Vec<Vec<u32>>,
-    /// Item id → original LBN.
+    /// Every transaction's items back to back; within one transaction the
+    /// ids are ascending and distinct.
+    items: Vec<u32>,
+    /// Transaction `t` is `items[ends[t - 1]..ends[t]]` (from 0 for `t = 0`).
+    ends: Vec<usize>,
+    /// Item id → original LBN, strictly ascending.
     item_to_lbn: Vec<u64>,
 }
 
@@ -23,55 +26,73 @@ impl TransactionDb {
     /// (`time / window_ns`).
     pub fn from_timed_events(events: impl IntoIterator<Item = (u64, u64)>, window_ns: u64) -> Self {
         assert!(window_ns > 0);
-        let mut lbn_to_item: HashMap<u64, u32> = HashMap::new();
-        let mut item_to_lbn = Vec::new();
-        let mut windows: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (t, lbn) in events {
-            let item = *lbn_to_item.entry(lbn).or_insert_with(|| {
-                item_to_lbn.push(lbn);
-                (item_to_lbn.len() - 1) as u32
-            });
-            windows.entry(t / window_ns).or_default().push(item);
-        }
-        let mut keys: Vec<u64> = windows.keys().copied().collect();
-        keys.sort_unstable();
-        let transactions = keys
+        let mut events: Vec<(u64, u64)> = events
             .into_iter()
-            .map(|k| {
-                let mut items = windows.remove(&k).unwrap();
-                items.sort_unstable();
-                items.dedup();
-                items
-            })
+            .map(|(t, lbn)| (t / window_ns, lbn))
             .collect();
-        TransactionDb {
-            transactions,
-            item_to_lbn,
+        // A trace interval arrives in time order; anything else is sorted.
+        if !events.windows(2).all(|e| e[0].0 <= e[1].0) {
+            events.sort_unstable();
         }
+
+        let mut item_to_lbn: Vec<u64> = events.iter().map(|&(_, lbn)| lbn).collect();
+        item_to_lbn.sort_unstable();
+        item_to_lbn.dedup();
+        assert!(
+            u32::try_from(item_to_lbn.len()).is_ok(),
+            "item ids are 32 bits wide"
+        );
+
+        let mut db = TransactionDb {
+            items: Vec::with_capacity(events.len()),
+            ends: Vec::new(),
+            item_to_lbn,
+        };
+        let mut ids: Vec<u32> = Vec::new();
+        let mut rest = &events[..];
+        while let Some(&(window, _)) = rest.first() {
+            let (run, later) = rest.split_at(rest.iter().take_while(|e| e.0 == window).count());
+            ids.clear();
+            ids.extend(run.iter().map(|(_, lbn)| {
+                let id = db.item_to_lbn.binary_search(lbn);
+                id.expect("every event's block is in the dictionary") as u32
+            }));
+            db.push_transaction(&mut ids);
+            rest = later;
+        }
+        db
     }
 
     /// Build directly from item-id transactions (tests, benchmarks).
     pub fn from_transactions(transactions: Vec<Vec<u32>>, num_items: u32) -> Self {
-        let mut txs = transactions;
-        for t in &mut txs {
-            t.sort_unstable();
-            t.dedup();
+        let mut db = TransactionDb {
+            item_to_lbn: (0..u64::from(num_items)).collect(),
+            ..TransactionDb::default()
+        };
+        for mut t in transactions {
             assert!(t.iter().all(|&i| i < num_items));
+            db.push_transaction(&mut t);
         }
-        TransactionDb {
-            transactions: txs,
-            item_to_lbn: (0..num_items as u64).collect(),
-        }
+        db
+    }
+
+    /// Append one transaction: `ids` sorted and deduplicated, then copied to
+    /// the tail of `items`.
+    fn push_transaction(&mut self, ids: &mut Vec<u32>) {
+        ids.sort_unstable();
+        ids.dedup();
+        self.items.extend_from_slice(ids);
+        self.ends.push(self.items.len());
     }
 
     /// Number of transactions.
     pub fn len(&self) -> usize {
-        self.transactions.len()
+        self.ends.len()
     }
 
     /// True if there are no transactions.
     pub fn is_empty(&self) -> bool {
-        self.transactions.is_empty()
+        self.ends.is_empty()
     }
 
     /// Number of distinct items (blocks).
@@ -79,9 +100,11 @@ impl TransactionDb {
         self.item_to_lbn.len()
     }
 
-    /// The transactions (dense item ids, each sorted + deduplicated).
-    pub fn transactions(&self) -> &[Vec<u32>] {
-        &self.transactions
+    /// The transactions in window order (dense item ids, each ascending and
+    /// deduplicated).
+    pub fn transactions(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(s, &e)| &self.items[s..e])
     }
 
     /// Original LBN of a dense item id.
@@ -92,7 +115,7 @@ impl TransactionDb {
     /// Total item occurrences (Σ transaction sizes) — the "request size"
     /// column of Table IV.
     pub fn total_occurrences(&self) -> usize {
-        self.transactions.iter().map(std::vec::Vec::len).sum()
+        self.items.len()
     }
 }
 
@@ -112,7 +135,7 @@ pub struct FrequentPair {
 pub struct MiningReport {
     /// Wall-clock mining time in seconds.
     pub seconds: f64,
-    /// Estimated peak working-set bytes of the miner's data structures.
+    /// Bytes held by the miner's working buffers at their largest.
     pub peak_bytes: usize,
     /// Number of frequent pairs found.
     pub pairs_found: usize,
@@ -127,57 +150,12 @@ pub trait PairMiner {
     /// sorted by `(a, b)`.
     fn mine_pairs(&self, db: &TransactionDb, min_support: u32) -> Vec<FrequentPair>;
 
-    /// Mine and report wall time plus an estimate of peak memory.
+    /// Mine and report wall time plus the miner's peak buffer bytes.
     fn mine_pairs_with_report(
         &self,
         db: &TransactionDb,
         min_support: u32,
-    ) -> (Vec<FrequentPair>, MiningReport) {
-        let start = Instant::now();
-        let pairs = self.mine_pairs(db, min_support);
-        let seconds = start.elapsed().as_secs_f64();
-        let report = MiningReport {
-            seconds,
-            peak_bytes: self.peak_bytes_estimate(db, pairs.len()),
-            pairs_found: pairs.len(),
-        };
-        (pairs, report)
-    }
-
-    /// Estimated peak bytes for mining `db` (algorithm-specific).
-    fn peak_bytes_estimate(&self, db: &TransactionDb, pairs_found: usize) -> usize;
-}
-
-/// Brute-force oracle used by tests: count all pairs per transaction.
-pub fn brute_force_pairs(db: &TransactionDb, min_support: u32) -> Vec<FrequentPair> {
-    let mut counts: HashMap<(u32, u32), u32> = HashMap::new();
-    for t in db.transactions() {
-        for i in 0..t.len() {
-            for j in (i + 1)..t.len() {
-                *counts.entry((t[i], t[j])).or_insert(0) += 1;
-            }
-        }
-    }
-    let mut out: Vec<FrequentPair> = counts
-        .into_iter()
-        .filter(|&(_, c)| c >= min_support)
-        .map(|((x, y), support)| {
-            let (a, b) = lbn_pair(db, x, y);
-            FrequentPair { a, b, support }
-        })
-        .collect();
-    out.sort_unstable();
-    out
-}
-
-/// Map an item pair to an ordered LBN pair.
-pub(crate) fn lbn_pair(db: &TransactionDb, x: u32, y: u32) -> (u64, u64) {
-    let (la, lb) = (db.lbn_of(x), db.lbn_of(y));
-    if la < lb {
-        (la, lb)
-    } else {
-        (lb, la)
-    }
+    ) -> (Vec<FrequentPair>, MiningReport);
 }
 
 #[cfg(test)]
@@ -189,43 +167,18 @@ mod tests {
         let events = vec![(0u64, 100u64), (10, 200), (15, 100), (120, 300), (130, 300)];
         let db = TransactionDb::from_timed_events(events, 100);
         assert_eq!(db.len(), 2);
-        assert_eq!(db.transactions()[0].len(), 2); // {100, 200}, dedup of 100
-        assert_eq!(db.transactions()[1].len(), 1); // {300}
+        let sizes: Vec<usize> = db.transactions().map(<[u32]>::len).collect();
+        assert_eq!(sizes, vec![2, 1]); // {100, 200} (100 once), then {300}
         assert_eq!(db.num_items(), 3);
     }
 
     #[test]
-    fn item_dictionary_roundtrip() {
-        let db = TransactionDb::from_timed_events(vec![(0, 42), (1, 7)], 10);
+    fn item_ids_ascend_with_lbn() {
+        let db = TransactionDb::from_timed_events(vec![(0, 42), (1, 7), (25, 9)], 10);
         let items: Vec<u64> = (0..db.num_items() as u32).map(|i| db.lbn_of(i)).collect();
-        assert!(items.contains(&42) && items.contains(&7));
-    }
-
-    #[test]
-    fn brute_force_counts_supports() {
-        let db = TransactionDb::from_transactions(
-            vec![
-                vec![0, 1, 2],
-                vec![0, 1],
-                vec![0, 2],
-                vec![1, 2],
-                vec![0, 1],
-            ],
-            3,
-        );
-        let pairs = brute_force_pairs(&db, 2);
-        // (0,1): 3, (0,2): 2, (1,2): 2.
-        assert_eq!(pairs.len(), 3);
-        assert_eq!(
-            pairs[0],
-            FrequentPair {
-                a: 0,
-                b: 1,
-                support: 3
-            }
-        );
-        let high = brute_force_pairs(&db, 3);
-        assert_eq!(high.len(), 1);
+        assert_eq!(items, vec![7, 9, 42]);
+        let txs: Vec<&[u32]> = db.transactions().collect();
+        assert_eq!(txs, vec![&[0u32, 2][..], &[1][..]]);
     }
 
     #[test]

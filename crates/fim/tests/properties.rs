@@ -1,16 +1,43 @@
 //! Property-based tests: Apriori agrees with a brute-force oracle on random
-//! transaction databases, and the matcher always produces legal assignments.
+//! transaction databases, and the matcher agrees with the hashed matcher it
+//! replaced and always produces legal assignments.
 
-use fqos_fim::transaction::brute_force_pairs;
-use fqos_fim::{match_design_blocks, Apriori, PairMiner, TransactionDb};
+mod oracle;
+
+use fqos_fim::{match_design_blocks, Apriori, FrequentPair, PairMiner, TransactionDb};
+use oracle::{brute_force_pairs, match_design_blocks_hashed};
 use proptest::prelude::*;
 
+/// Twenty far-apart blocks: sparse, yet few enough to co-occur and form
+/// pairs. Strictly increasing in `k < 20`.
+fn sparse_lbn(k: u64) -> u64 {
+    k * (u64::MAX / 20) + k * k * 7_919
+}
+
+/// Timed events over 20 sparse blocks, in the order the strategy drew them
+/// (arrival times are arbitrary, so the order is unsorted).
+fn events_strategy() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    prop::collection::vec((0u64..4_000, 0u64..20), 0..160).prop_map(|events| {
+        events
+            .into_iter()
+            .map(|(t, k)| (t, sparse_lbn(k)))
+            .collect()
+    })
+}
+
+/// Databases from both constructors: dense ids handed over directly, and
+/// ids assigned by `from_timed_events` to unsorted events on sparse LBNs.
 fn db_strategy() -> impl Strategy<Value = TransactionDb> {
     (
         2u32..20,
         prop::collection::vec(prop::collection::vec(0u32..20, 0..8), 0..40),
+        events_strategy(),
+        any::<bool>(),
     )
-        .prop_map(|(num_items, txs)| {
+        .prop_map(|(num_items, txs, events, timed)| {
+            if timed {
+                return TransactionDb::from_timed_events(events, 100);
+            }
             let txs: Vec<Vec<u32>> = txs
                 .into_iter()
                 .map(|t| t.into_iter().map(|i| i % num_items).collect())
@@ -19,12 +46,112 @@ fn db_strategy() -> impl Strategy<Value = TransactionDb> {
         })
 }
 
+/// Pair lists as no miner would hand them over: unsorted, repeated, over a
+/// handful of blocks spread up to `u64::MAX`, supports from a set of three
+/// so weights tie.
+fn pairs_strategy() -> impl Strategy<Value = Vec<FrequentPair>> {
+    let block = |k: u64| u64::MAX - sparse_lbn(k);
+    prop::collection::vec((0u64..12, 0u64..12, 1u32..4), 0..60).prop_map(move |raw| {
+        raw.into_iter()
+            .filter(|&(x, y, _)| x != y)
+            .map(|(x, y, support)| FrequentPair {
+                a: block(x).min(block(y)),
+                b: block(x).max(block(y)),
+                support,
+            })
+            .collect()
+    })
+}
+
+#[test]
+fn brute_force_counts_supports() {
+    let db = TransactionDb::from_transactions(
+        vec![
+            vec![0, 1, 2],
+            vec![0, 1],
+            vec![0, 2],
+            vec![1, 2],
+            vec![0, 1],
+        ],
+        3,
+    );
+    let pairs = brute_force_pairs(&db, 2);
+    // (0,1): 3, (0,2): 2, (1,2): 2.
+    assert_eq!(pairs.len(), 3);
+    assert_eq!(
+        pairs[0],
+        FrequentPair {
+            a: 0,
+            b: 1,
+            support: 3
+        }
+    );
+    assert_eq!(brute_force_pairs(&db, 3).len(), 1);
+}
+
+#[test]
+fn matches_brute_force_on_small_db() {
+    let db = TransactionDb::from_transactions(
+        vec![
+            vec![0, 1, 2, 3],
+            vec![0, 1, 2],
+            vec![0, 1],
+            vec![2, 3],
+            vec![0, 3],
+            vec![1, 2, 3],
+        ],
+        4,
+    );
+    for support in 1..=4 {
+        assert_eq!(
+            Apriori.mine_pairs(&db, support),
+            brute_force_pairs(&db, support),
+            "support {support}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     #[test]
     fn miners_agree_with_oracle(db in db_strategy(), support in 1u32..5) {
         prop_assert_eq!(Apriori.mine_pairs(&db, support), brute_force_pairs(&db, support));
+    }
+
+    #[test]
+    fn event_order_does_not_change_the_database(events in events_strategy()) {
+        let mut sorted = events.clone();
+        sorted.sort_unstable();
+        let (shuffled, sorted) = (
+            TransactionDb::from_timed_events(events, 100),
+            TransactionDb::from_timed_events(sorted, 100),
+        );
+        prop_assert_eq!(shuffled.len(), sorted.len());
+        for (a, b) in shuffled.transactions().zip(sorted.transactions()) {
+            prop_assert_eq!(a, b);
+        }
+        prop_assert_eq!(shuffled, sorted);
+    }
+
+    #[test]
+    fn matcher_agrees_with_hashed_oracle(pairs in pairs_strategy(), d in 1usize..40) {
+        let m = match_design_blocks(&pairs, d);
+        let oracle = match_design_blocks_hashed(&pairs, d);
+        prop_assert_eq!(m.matched_blocks(), oracle.len());
+        for p in &pairs {
+            for lbn in [p.a, p.b] {
+                prop_assert!(m.is_matched(lbn));
+                prop_assert_eq!(m.bucket_for(lbn), oracle[&lbn]);
+            }
+            // A block next to a matched one is not matched by accident.
+            for lbn in [p.a.wrapping_sub(1), p.b.wrapping_add(1)] {
+                prop_assert_eq!(m.is_matched(lbn), oracle.contains_key(&lbn));
+                if !oracle.contains_key(&lbn) {
+                    prop_assert_eq!(m.bucket_for(lbn), (lbn % d as u64) as usize);
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,10 @@ pub struct ResponseStats {
     m2: f64,
     max: Duration,
     min: Duration,
-    samples: Option<Vec<Duration>>,
+    /// Boxed: an [`IntervalStats`] holds one of these per interval and never
+    /// retains samples, so the empty case is one word, not a `Vec`'s three.
+    #[allow(clippy::box_collection)]
+    samples: Option<Box<Vec<Duration>>>,
 }
 
 impl Default for ResponseStats {
@@ -42,7 +45,7 @@ impl ResponseStats {
     /// be queried.
     pub fn with_samples() -> Self {
         ResponseStats {
-            samples: Some(Vec::new()),
+            samples: Some(Box::default()),
             ..Self::new()
         }
     }

@@ -57,7 +57,7 @@ pub fn parse(
             line: line_no,
             message: format!("arrival: {e}"),
         })?;
-        let device: usize = fields[1].parse().map_err(|e| ParseError {
+        let device: u16 = fields[1].parse().map_err(|e| ParseError {
             line: line_no,
             message: format!("device: {e}"),
         })?;
@@ -141,6 +141,17 @@ mod tests {
         assert!(parse("-1.0 0 1 1 1", "t", 1, 100).is_err());
         let err = parse("0.0 0 1 1 1\nbroken line here", "t", 1, 100).unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn a_device_that_does_not_fit_is_an_error_on_its_line() {
+        let err = parse("0.0 8 1 1 1\n0.1 70000 1 1 1\n", "t", 9, 100).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.starts_with("device: "), "{}", err.message);
+        assert_eq!(
+            parse("0.0 65535 1 1 1", "t", 9, 100).unwrap().records[0].device,
+            65_535
+        );
     }
 
     #[test]

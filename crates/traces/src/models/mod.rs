@@ -119,7 +119,8 @@ impl ServerModel {
     fn record(&self, arrival_ns: SimTime, lbn: u64, weights: &[f64]) -> TraceRecord {
         TraceRecord {
             arrival_ns,
-            device: device_of(lbn, weights),
+            device: u16::try_from(device_of(lbn, weights))
+                .expect("a model names at most 65 536 devices"),
             lbn,
             size_bytes: BLOCK_SIZE_BYTES,
             op: IoOp::Read,

@@ -11,8 +11,9 @@ use fqos_flashsim::{IoOp, SimTime};
 pub struct TraceRecord {
     /// Arrival time, nanoseconds since trace start.
     pub arrival_ns: SimTime,
-    /// Device (volume) the original trace directs this request to.
-    pub device: usize,
+    /// Device (volume) the original trace directs this request to. Sixteen
+    /// bits keep the record at 24 bytes; a trace is millions of them.
+    pub device: u16,
     /// Logical block number (already aligned to 8 KiB blocks).
     pub lbn: u64,
     /// Request size in bytes.

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 fn record_strategy() -> impl Strategy<Value = TraceRecord> {
     (
         0u64..10_000_000,
-        0usize..9,
+        0u16..9,
         0u64..100_000,
         1u32..5,
         any::<bool>(),
@@ -117,7 +117,7 @@ fn tpce_volume_skew_creates_hotspots() {
     .generate();
     let mut per_device = vec![0usize; t.num_devices];
     for r in &t.records {
-        per_device[r.device] += 1;
+        per_device[usize::from(r.device)] += 1;
     }
     let max = *per_device.iter().max().unwrap();
     let min = *per_device.iter().min().unwrap();
