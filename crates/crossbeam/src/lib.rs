@@ -7,20 +7,24 @@
 //! [`channel::RecvError`], and dropping the `Receiver` fails sends. Built
 //! on a `Mutex<VecDeque>` plus two condvars — correct and fair enough for
 //! queue depths in the hundreds. The queue is not lock-free; the blocking
-//! strategy is what real crossbeam's is, back off and only then park: a
-//! receiver that finds the queue empty lingers for about one park/unpark
-//! cycle, yielding and polling a lock-free length mirror, before it waits
-//! on the condvar. Under steady load the receiver never parks, so no send
-//! pays for waking it and the hand-off has one speed.
+//! strategy is what real crossbeam's is, back off and only then park, and
+//! it is the same on both sides: a receiver that finds the queue empty and
+//! a sender that finds it full linger for about one park/unpark cycle,
+//! yielding and polling a lock-free length mirror, before they wait on
+//! their condvar. Whoever parks says so under the queue's mutex (`parked`,
+//! `parked_senders`), and the other side issues a wake-up only when it
+//! reads, under the same mutex, that somebody is parked. Under steady load
+//! neither side parks, so no `send` or `recv` pays for a `futex_wake` and
+//! the hand-off has one speed, in both directions.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
     use std::time::{Duration, Instant};
 
-    /// How long an idle receiver polls before it parks: about what one
+    /// How long a blocked side polls before it parks: about what one
     /// park/unpark cycle costs on the hosts this runs on (≈ 10 µs of
     /// `futex_wake` on the waker plus the 20–50 µs a halted vCPU takes to
     /// run again). Lingering for as long as a park costs is at most twice
@@ -39,15 +43,33 @@ pub mod channel {
         senders: AtomicUsize,
         receivers: AtomicUsize,
         /// Mirror of `queue.len()` (saturating), written under the mutex,
-        /// read without it by a lingering receiver. A hint only (hence
-        /// `Relaxed`): the receiver re-checks the queue under the mutex.
+        /// read without it by whoever lingers. A hint only (hence
+        /// `Relaxed`): the lingerer re-checks the queue under the mutex.
         len: AtomicU32,
-        /// Set by the receiver, under the mutex, as the last thing before
-        /// it waits on `not_empty`, and cleared when it wakes. Nothing in
-        /// the channel reads it: it is how a test reaches the parked state
-        /// without a clock ([`Sender::receiver_is_parked`]). Fits the
-        /// padding behind `len`.
+        /// Senders waiting on `not_full`: each counts itself in, under the
+        /// mutex, as the last thing before it waits, and out when it wakes.
+        /// `recv` reads it under the same mutex and skips the wake-up at
+        /// zero. No wake-up can be lost: a sender that parks after that
+        /// read took the mutex after the pop, found room and did not park.
+        /// A count, not a flag — the first of two parked senders to wake
+        /// must not clear what the second still needs. Atomic for
+        /// [`Receiver::sender_is_parked`]; fits the padding behind `len`.
+        parked_senders: AtomicU16,
+        /// The same for the one receiver and `not_empty`, read by `send`
+        /// under the mutex (and by [`Sender::receiver_is_parked`] without).
         parked: AtomicBool,
+    }
+
+    #[cfg(test)]
+    thread_local! {
+        /// Wake-ups `send` and `recv` issued from this thread.
+        pub(super) static WAKES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn wake_one(waiters: &Condvar) {
+        #[cfg(test)]
+        WAKES.with(|w| w.set(w.get() + 1));
+        waiters.notify_one();
     }
 
     /// Sending half; clonable for multi-producer use.
@@ -91,6 +113,7 @@ pub mod channel {
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
             len: AtomicU32::new(0),
+            parked_senders: AtomicU16::new(0),
             parked: AtomicBool::new(false),
         });
         (
@@ -119,14 +142,15 @@ pub mod channel {
             self.len.store(len, Ordering::Relaxed);
         }
 
-        /// Poll, without the mutex and without allocating, until a message
-        /// is queued, the last sender is gone or `LINGER` has passed.
-        /// Yields rather than spins: with more runnable threads than cores
-        /// a spinning receiver holds the core its sender needs.
-        fn linger(&self) {
+        /// Poll, without the mutex and without allocating, while the
+        /// length mirror says `blocked`, the other side is still there and
+        /// `LINGER` has not passed. Yields rather than spins: with more
+        /// runnable threads than cores a spinning thread holds the core
+        /// the one it waits for needs.
+        fn linger(&self, blocked: impl Fn(usize) -> bool, peer_gone: impl Fn() -> bool) {
             let start = Instant::now();
-            while self.len.load(Ordering::Relaxed) == 0
-                && !self.no_senders()
+            while blocked(self.len.load(Ordering::Relaxed) as usize)
+                && !peer_gone()
                 && start.elapsed() < LINGER
             {
                 std::thread::yield_now();
@@ -147,15 +171,25 @@ pub mod channel {
                 if q.len() < shared.capacity {
                     break;
                 }
-                q = shared
-                    .not_full
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
+                drop(q);
+                shared.linger(|len| len >= shared.capacity, || shared.no_receivers());
+                q = shared.lock();
+                if q.len() >= shared.capacity && !shared.no_receivers() {
+                    shared.parked_senders.fetch_add(1, Ordering::Relaxed);
+                    q = shared
+                        .not_full
+                        .wait(q)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    shared.parked_senders.fetch_sub(1, Ordering::Relaxed);
+                }
             }
             q.push_back(value);
             shared.mirror_len(&q);
+            let receiver_parked = shared.parked.load(Ordering::Relaxed);
             drop(q);
-            shared.not_empty.notify_one();
+            if receiver_parked {
+                wake_one(&shared.not_empty);
+            }
             Ok(())
         }
 
@@ -170,6 +204,13 @@ pub mod channel {
     }
 
     impl<T> Receiver<T> {
+        /// [`Sender::receiver_is_parked`] for the other half: true while
+        /// some sender, the queue full and done lingering, waits on its
+        /// condvar — the next `recv` has to wake it.
+        pub fn sender_is_parked(&self) -> bool {
+            self.shared.parked_senders.load(Ordering::Relaxed) > 0
+        }
+
         /// Block until a value arrives, or fail once the channel is empty
         /// with all senders gone.
         pub fn recv(&self) -> Result<T, RecvError> {
@@ -178,15 +219,18 @@ pub mod channel {
             loop {
                 if let Some(v) = q.pop_front() {
                     shared.mirror_len(&q);
+                    let sender_parked = shared.parked_senders.load(Ordering::Relaxed) > 0;
                     drop(q);
-                    shared.not_full.notify_one();
+                    if sender_parked {
+                        wake_one(&shared.not_full);
+                    }
                     return Ok(v);
                 }
                 if shared.no_senders() {
                     return Err(RecvError);
                 }
                 drop(q);
-                shared.linger();
+                shared.linger(|len| len == 0, || shared.no_senders());
                 q = shared.lock();
                 if q.is_empty() && !shared.no_senders() {
                     shared.parked.store(true, Ordering::Relaxed);
@@ -232,7 +276,7 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{self, RecvError, Shared};
+    use super::channel::{self, RecvError, SendError, Shared, WAKES};
     use std::sync::{mpsc, Arc, Barrier};
     use std::thread;
     use std::time::Duration;
@@ -249,6 +293,21 @@ mod tests {
         let (done_tx, done_rx) = mpsc::channel();
         thread::spawn(move || done_tx.send(rx.recv()));
         done_rx
+    }
+
+    /// `send` on its own thread, detached for the same reason.
+    fn send_in_background<T: Send + 'static>(
+        tx: channel::Sender<T>,
+        value: T,
+    ) -> mpsc::Receiver<Result<(), SendError<T>>> {
+        let (done_tx, done_rx) = mpsc::channel();
+        thread::spawn(move || done_tx.send(tx.send(value)));
+        done_rx
+    }
+
+    /// Wake-ups this thread's `send`s and `recv`s have issued so far.
+    fn wakes() -> usize {
+        WAKES.with(std::cell::Cell::get)
     }
 
     #[test]
@@ -285,6 +344,112 @@ mod tests {
         tx.send(7u32).unwrap();
         assert_eq!(got.recv_timeout(PROMPT), Ok(Ok(7)));
         assert!(!tx.receiver_is_parked(), "cleared on the way out");
+    }
+
+    #[test]
+    fn a_parked_sender_is_woken_by_the_next_recv() {
+        let (tx, rx) = channel::bounded(1);
+        tx.send(1u32).unwrap();
+        assert!(!rx.sender_is_parked());
+        let sent = send_in_background(tx, 2);
+        while !rx.sender_is_parked() {
+            thread::yield_now();
+        }
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(sent.recv_timeout(PROMPT), Ok(Ok(())));
+        assert!(!rx.sender_is_parked(), "counted out on the way out");
+        assert_eq!(rx.recv(), Ok(2));
+    }
+
+    #[test]
+    fn a_full_send_relieved_within_linger_never_parks() {
+        // Every send but the first finds the one slot taken and is relieved
+        // a yield later. A receiver the host preempts for longer than
+        // `LINGER` lets the sender park honestly, so a round that saw a park
+        // is run again; a sender that parks without lingering parks in
+        // every round.
+        const N: u32 = 2_000;
+        let parked_in_round = || {
+            let (tx, rx) = channel::bounded(1);
+            let sender = thread::spawn(move || (0..N).for_each(|i| tx.send(i).unwrap()));
+            let mut parked = false;
+            for i in 0..N {
+                assert_eq!(rx.recv(), Ok(i));
+                parked |= rx.sender_is_parked();
+                thread::yield_now();
+            }
+            sender.join().unwrap();
+            parked
+        };
+        assert!((0..5).any(|_| !parked_in_round()), "parked in all 5 rounds");
+    }
+
+    #[test]
+    fn no_wake_is_issued_when_nobody_is_parked() {
+        let (tx, rx) = channel::bounded(4);
+        let before = wakes();
+        for round in 0..3u32 {
+            for i in 0..4 {
+                tx.send(round * 4 + i).unwrap();
+            }
+            for i in 0..4 {
+                assert_eq!(rx.recv(), Ok(round * 4 + i));
+            }
+        }
+        assert_eq!(wakes(), before, "24 operations, nobody to wake");
+        // A parked receiver costs the next send one wake-up …
+        let got = recv_in_background(rx);
+        while !tx.receiver_is_parked() {
+            thread::yield_now();
+        }
+        tx.send(99).unwrap();
+        assert_eq!(wakes(), before + 1);
+        assert_eq!(got.recv_timeout(PROMPT), Ok(Ok(99)));
+        // … and a parked sender the next recv.
+        let (tx, rx) = channel::bounded(1);
+        tx.send(1u32).unwrap();
+        let sent = send_in_background(tx, 2);
+        while !rx.sender_is_parked() {
+            thread::yield_now();
+        }
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(wakes(), before + 2);
+        assert_eq!(sent.recv_timeout(PROMPT), Ok(Ok(())));
+    }
+
+    #[test]
+    fn drop_of_the_receiver_ends_a_parked_send() {
+        let (tx, rx) = channel::bounded(1);
+        tx.send(1u32).unwrap();
+        let sent = send_in_background(tx, 2);
+        while !rx.sender_is_parked() {
+            thread::yield_now();
+        }
+        drop(rx);
+        assert_eq!(sent.recv_timeout(PROMPT), Ok(Err(SendError(2))));
+    }
+
+    #[test]
+    fn drop_of_the_receiver_ends_a_lingering_send() {
+        // As for the receiver below: the drop lands while the sender is
+        // about to linger, lingering or just parked.
+        for _ in 0..200 {
+            let (tx, rx) = channel::bounded(1);
+            tx.send(1u32).unwrap();
+            let start = Arc::new(Barrier::new(2));
+            let (done_tx, sent) = mpsc::channel();
+            let sender = {
+                let start = Arc::clone(&start);
+                thread::spawn(move || {
+                    start.wait();
+                    done_tx.send(tx.send(2))
+                })
+            };
+            start.wait();
+            drop(rx);
+            assert_eq!(sent.recv_timeout(PROMPT), Ok(Err(SendError(2))));
+            sender.join().unwrap().unwrap();
+        }
     }
 
     #[test]
@@ -401,6 +566,52 @@ mod tests {
             p.join().unwrap();
         }
         assert_eq!(next, [N, N]);
+    }
+
+    /// What the parked-sender *count* is for: with four senders on one slot
+    /// several are parked at once, and the first to wake must leave the
+    /// next `recv` a reason to wake the second. The receiver reports every
+    /// 10 000 messages, so a sender left asleep fails the test after
+    /// `PROMPT` instead of hanging it.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "10⁵ messages through one slot: run with --release"
+    )]
+    fn stress_four_producers_against_a_slow_receiver() {
+        const SENDERS: usize = 4;
+        const PER_SENDER: u32 = 25_000;
+        let (tx, rx) = channel::bounded(1);
+        let mut threads: Vec<_> = (0..SENDERS)
+            .map(|p| {
+                let tx = tx.clone();
+                thread::spawn(move || (0..PER_SENDER).for_each(|i| tx.send((p, i)).unwrap()))
+            })
+            .collect();
+        drop(tx);
+        let (progress_tx, progress) = mpsc::channel();
+        threads.push(thread::spawn(move || {
+            let mut next = [0u32; SENDERS];
+            let mut received = 0u32;
+            while let Ok((p, i)) = rx.recv() {
+                assert_eq!(i, next[p], "producer {p}: lost, repeated or reordered");
+                next[p] += 1;
+                received += 1;
+                if received.is_multiple_of(64) {
+                    thread::sleep(Duration::from_micros(200)); // outlast the linger
+                }
+                if received.is_multiple_of(10_000) {
+                    progress_tx.send(received).unwrap();
+                }
+            }
+            progress_tx.send(next.iter().sum()).unwrap();
+        }));
+        let total = SENDERS as u32 * PER_SENDER;
+        for step in (1..=total / 10_000).map(|s| s * 10_000).chain([total]) {
+            assert_eq!(progress.recv_timeout(PROMPT), Ok(step), "somebody hangs");
+        }
+        // Joined only now that nobody can be left asleep.
+        threads.into_iter().for_each(|t| t.join().unwrap());
     }
 
     /// ROADMAP item 3a: the benchmark's `peak_rss_mb` follows the malloc

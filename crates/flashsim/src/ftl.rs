@@ -5,6 +5,9 @@
 //! logical→physical page map; the write/GC path exists so the richer model
 //! can run mixed workloads in sensitivity studies.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// Physical location of a flash page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhysPage {
@@ -151,13 +154,43 @@ impl std::fmt::Display for DeviceFull {
 
 impl std::error::Error for DeviceFull {}
 
+/// Hasher of the page map: one multiply by the 64-bit golden ratio, the
+/// high half folded onto the low so that both the bucket index and the
+/// control byte see every key bit. The map is looked up and inserted into
+/// but never iterated, so no result can depend on the hash, and it never
+/// holds more entries than the device has physical pages, which bounds
+/// what keys chosen to collide could cost — the flood SipHash guards
+/// against needs a map that grows with its input.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Page-mapped FTL over a multi-die module.
 #[derive(Debug, Clone)]
 pub struct PageMappedFtl {
     geometry: FtlGeometry,
     dies: Vec<Die>,
     /// Logical page → physical page.
-    map: std::collections::HashMap<u64, PhysPage>,
+    map: HashMap<u64, PhysPage, BuildHasherDefault<PageHasher>>,
+    /// The victim's valid pages `(page index, logical page)` during a
+    /// collection; kept between collections so that GC allocates nothing.
+    relocating: Vec<(usize, u64)>,
     next_die: usize,
     host_writes: u64,
     gc_writes: u64,
@@ -194,7 +227,8 @@ impl PageMappedFtl {
         Ok(PageMappedFtl {
             geometry,
             dies,
-            map: std::collections::HashMap::new(),
+            map: HashMap::default(),
+            relocating: Vec::with_capacity(geometry.pages_per_block),
             next_die: 0,
             host_writes: 0,
             gc_writes: 0,
@@ -311,34 +345,41 @@ impl PageMappedFtl {
         };
 
         // Relocate valid pages.
-        let to_move: Vec<(usize, u64)> = self.dies[die_idx].blocks[victim]
-            .pages
-            .iter()
-            .enumerate()
-            .filter_map(|(pi, s)| match s {
-                PageState::Valid(lp) => Some((pi, *lp)),
-                _ => None,
-            })
-            .collect();
-        for (pi, lp) in &to_move {
-            let Some(new) = self.append(die_idx, *lp) else {
+        let mut to_move = std::mem::take(&mut self.relocating);
+        to_move.clear();
+        let pages = self.dies[die_idx].blocks[victim].pages.iter().enumerate();
+        to_move.extend(pages.filter_map(|(pi, s)| match s {
+            PageState::Valid(lp) => Some((pi, *lp)),
+            _ => None,
+        }));
+        let mut aborted = false;
+        for &(pi, lp) in &to_move {
+            let Some(new) = self.append(die_idx, lp) else {
                 // No room to relocate: abort the collection, leaving the
                 // remaining valid pages (and the victim) untouched. The
                 // already-moved pages stay at their new locations.
-                return outcome;
+                aborted = true;
+                break;
             };
             // The old slot is now superseded.
-            self.dies[die_idx].blocks[victim].pages[*pi] = PageState::Invalid;
+            self.dies[die_idx].blocks[victim].pages[pi] = PageState::Invalid;
             self.dies[die_idx].blocks[victim].valid -= 1;
-            self.map.insert(*lp, new);
+            self.map.insert(lp, new);
             self.gc_writes += 1;
             outcome.pages_relocated += 1;
             outcome.pages_programmed += 1;
         }
+        self.relocating = to_move;
+        if aborted {
+            return outcome;
+        }
 
-        // Erase the victim.
+        // Erase the victim, in place.
         let die = &mut self.dies[die_idx];
-        die.blocks[victim] = EraseBlock::new(self.geometry.pages_per_block);
+        let eb = &mut die.blocks[victim];
+        eb.pages.fill(PageState::Free);
+        eb.write_ptr = 0;
+        eb.valid = 0;
         die.free_blocks.push(victim);
         die.erases += 1;
         outcome.erases += 1;

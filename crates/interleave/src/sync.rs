@@ -386,6 +386,19 @@ pub mod atomic {
                     self.cell.fetch_and(v, order)
                 }
 
+                /// Atomic read-modify-write by `f`, as `std`'s; one
+                /// scheduling point under a model (the model runs one
+                /// thread at a time, so `f` is never retried there).
+                pub fn fetch_update(
+                    &self,
+                    set_order: Ordering,
+                    fetch_order: Ordering,
+                    f: impl FnMut($prim) -> Option<$prim>,
+                ) -> Result<$prim, $prim> {
+                    interleave_here(concat!(stringify!($name), ".fetch_update"));
+                    self.cell.fetch_update(set_order, fetch_order, f)
+                }
+
                 /// Atomic compare-exchange; scheduling point under a model.
                 pub fn compare_exchange(
                     &self,

@@ -53,11 +53,11 @@ use crate::sync::channel::{bounded, Receiver, Sender};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{Arc, LineGap, Mutex, RwLock};
 use crate::wal::{crash_point, OpenEntry, Stage, Wal};
-use crate::window::{AdmitResult, SealedItem, WindowRing};
+use crate::window::{AdmitResult, SealedItem, WindowRing, MAX_COPIES};
 use fqos_core::{OverloadPolicy, StatisticalCounters};
 use fqos_decluster::sampling::{optimal_retrieval_probabilities, OptimalRetrievalProbabilities};
 use fqos_decluster::AllocationScheme;
-use fqos_flashsim::{CalibratedSsd, Completion, Device, IoOp, IoRequest};
+use fqos_flashsim::{CalibratedSsd, Completion, Device, GcStats, IoOp, IoRequest};
 
 /// Outcome of one [`SubmitterHandle::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,10 +233,13 @@ struct WorkItem {
 }
 
 /// What a worker thread settles through and shares with no one: its cache
-/// of the tenant records and its stage of the log (`None` without a WAL).
+/// of the tenant records, its stage of the log (`None` without a WAL) and
+/// the GC work of the batch in service, which reaches
+/// [`Engine::worker_stats`] once per batch.
 struct WorkerLocal {
     view: TenantView,
     stage: Option<Arc<Stage>>,
+    gc: GcStats,
 }
 
 impl WorkItem {
@@ -1426,6 +1429,7 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
     let mut local = WorkerLocal {
         view: TenantView::new(),
         stage: engine.wal.as_ref().map(Wal::stage),
+        gc: GcStats::default(),
     };
     // A batch is freed when the next one arrives, not when its last item
     // is served: freeing it takes the malloc arena lock of the submitting
@@ -1483,6 +1487,14 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
                 }
             }
         }
+        let gc = std::mem::take(&mut local.gc);
+        if gc.host_pages > 0 {
+            let s = &engine.worker_stats;
+            s.gc_host_pages.fetch_add(gc.host_pages, Ordering::Relaxed);
+            s.gc_pages.fetch_add(gc.gc_pages, Ordering::Relaxed);
+            s.gc_relocated.fetch_add(gc.relocated, Ordering::Relaxed);
+            s.gc_erases.fetch_add(gc.erases, Ordering::Relaxed);
+        }
         // One hold of the WAL lock per batch, and nothing left staged when
         // the loop ends: `finish` and `halt` join this thread before they
         // read the log.
@@ -1530,7 +1542,6 @@ fn serve_write_copy(
             continue;
         }
         let factor = engine.fault.slow_factor_at(d, issue_window);
-        let before = dev.gc_stats();
         let completion = {
             let mut hs = engine.hedge.lock();
             dev.set_degradation(factor);
@@ -1539,18 +1550,15 @@ fn serve_write_copy(
             hs.accept(d, exec_window, c.finish);
             c
         };
-        // Aggregate this write's GC work (the worker owns the device, so
-        // the stats delta is exactly this submission's).
-        let after = dev.gc_stats();
-        let host = after.host_pages - before.host_pages;
-        let gc_pages = after.gc_pages - before.gc_pages;
-        let s = &engine.worker_stats;
-        s.gc_host_pages.fetch_add(host, Ordering::Relaxed);
-        s.gc_pages.fetch_add(gc_pages, Ordering::Relaxed);
-        s.gc_relocated
-            .fetch_add(after.relocated - before.relocated, Ordering::Relaxed);
-        s.gc_erases
-            .fetch_add(after.erases - before.erases, Ordering::Relaxed);
+        // This write's GC work. Every relocation is one read and one
+        // program, so the programs that are left are the host's (none
+        // without a GC model, or when the FTL refused the write).
+        let gc = dev.last_gc_outcome();
+        let host = gc.pages_programmed - gc.pages_relocated;
+        local.gc.host_pages += host;
+        local.gc.gc_pages += gc.pages_relocated;
+        local.gc.relocated += gc.pages_relocated;
+        local.gc.erases += gc.erases;
         // The service sample (program + in-line GC stall) feeds the health
         // scorer — a GC storm looks exactly like a fail-slow episode from
         // the outside, which is the point: hedged reads route around it.
@@ -1560,7 +1568,7 @@ fn serve_write_copy(
         // Feed the admission-side GC-pressure reserve. Without a GC model
         // the device counts no host pages and the reserve stays 0.
         if host > 0 {
-            engine.fault.observe_gc(d, host, host + gc_pages);
+            engine.fault.observe_gc(d, host, gc.pages_programmed);
         }
         outcome = Some(completion);
         break;
@@ -1602,6 +1610,7 @@ fn settle_write_copy(
 }
 
 /// A hedge candidate: an alternate replica of the dispatched block.
+#[derive(Clone, Copy, Default)]
 struct HedgeCandidate {
     dev: usize,
     /// What the scheduler *believes* one block costs there (scorer EWMA).
@@ -1642,20 +1651,26 @@ fn hedge(
     // Candidate replicas: not the primary, not fail-stop dead this
     // interval. A silently slow replica *is* a candidate — the scorer's
     // belief, not ground truth, drives the earliest-finish choice.
-    let fail_mask = engine.fault.mask_at(exec_window);
+    // On the stack, as `placed` below: a hedge allocates nothing.
+    let mut live = candidate_mask & !engine.fault.mask_at(exec_window);
+    if live == 0 {
+        return None;
+    }
     let service = cfg.qos.service_ns;
-    let mut cands: Vec<HedgeCandidate> = (0..cfg.qos.devices())
-        .filter(|&a| candidate_mask >> a & 1 == 1 && fail_mask >> a & 1 == 0)
-        .map(|a| HedgeCandidate {
+    let mut cands = [HedgeCandidate::default(); MAX_COPIES - 1];
+    let mut n_cands = 0;
+    while live != 0 {
+        let a = live.trailing_zeros() as usize;
+        live &= live - 1;
+        cands[n_cands] = HedgeCandidate {
             dev: a,
             believed_ns: engine.fault.service_estimate(a),
             actual_ns: service * u64::from(engine.fault.slow_factor_at(a, exec_window)),
             tried: false,
-        })
-        .collect();
-    if cands.is_empty() {
-        return None;
+        };
+        n_cands += 1;
     }
+    let cands = &mut cands[..n_cands];
 
     let mut hedges_issued = 0u64;
     let mut retries = 0u64;
@@ -1666,7 +1681,8 @@ fn hedge(
         // One hedge-lock hold covers place → compare → rollback, so the
         // frontier restore is exact (nothing else moves in between).
         let mut hs = engine.hedge.lock();
-        let mut placed: Vec<(usize, u64, u64)> = Vec::new(); // (dev, prev_busy, finish)
+        let mut placed = [(0usize, 0u64, 0u64); RETRY_LIMIT as usize]; // (dev, prev_busy, finish)
+        let mut n_placed = 0;
         for attempt in 1..=RETRY_LIMIT {
             if winner_finish <= deadline {
                 break;
@@ -1696,7 +1712,8 @@ fn hedge(
             }
             cands[ci].tried = true;
             let fin = start + cands[ci].actual_ns;
-            placed.push((dev, hs.spec[dev], fin));
+            placed[n_placed] = (dev, hs.spec[dev], fin);
+            n_placed += 1;
             hs.spec[dev] = fin;
             if attempt == 1 {
                 hedges_issued += 1;
@@ -1710,7 +1727,7 @@ fn hedge(
         }
         // First-completion-wins: roll every losing attempt back off the
         // speculative frontier (reverse order restores prior values).
-        for &(dev, prev, fin) in placed.iter().rev() {
+        for &(dev, prev, fin) in placed[..n_placed].iter().rev() {
             if winner.is_some_and(|(wd, _, wf)| wd == dev && wf == fin) {
                 continue;
             }

@@ -430,13 +430,25 @@ const HEDGE_SLACK: f64 = 2.0;
 
 /// The [`HEDGE_PERCENTILE`] quantile of a device's recent-latency ring
 /// (`1..=HEALTH_WINDOW` samples, any order). Runs under the `fault.health`
-/// leaf lock once per served read, so it sorts a copy on the stack.
+/// leaf lock once per served read, so it neither copies nor sorts: the
+/// quantile is the `k`-th largest sample, `k = n − index` (1 or 2 at 0.9
+/// of at most 16), and one pass keeps the `k` largest seen, ascending.
 fn hedge_base(samples: &[u64]) -> u64 {
-    let mut ring = [0u64; HEALTH_WINDOW];
-    let v = &mut ring[..samples.len()];
-    v.copy_from_slice(samples);
-    v.sort_unstable();
-    v[((v.len() as f64 * HEDGE_PERCENTILE).ceil() as usize).clamp(1, v.len()) - 1]
+    let n = samples.len();
+    let k = n - (((n as f64 * HEDGE_PERCENTILE).ceil() as usize).clamp(1, n) - 1);
+    let mut largest = [0u64; HEALTH_WINDOW];
+    let largest = &mut largest[..k];
+    for &s in samples {
+        if s > largest[0] {
+            let mut i = 0;
+            while i + 1 < k && largest[i + 1] < s {
+                largest[i] = largest[i + 1];
+                i += 1;
+            }
+            largest[i] = s;
+        }
+    }
+    largest[0]
 }
 
 /// Scorer tuning ([`crate::ServerConfig::health`]).
@@ -557,8 +569,10 @@ pub struct FaultPlane {
     /// work drains.
     live_slow: AtomicU64,
     /// Per-device write-amplification EWMA, fixed-point `×256`
-    /// (`256` = WA 1.0). Written only by the device's owning worker;
-    /// read by window admission to size the GC-pressure reserve.
+    /// (`256` = WA 1.0). Two writers: the device's owning worker raises it
+    /// per write copy ([`FaultPlane::observe_gc`]) and the sealing thread
+    /// decays it per window, so both go through `fetch_update`. Read by
+    /// window admission to size the GC-pressure reserve.
     gc_pressure: Vec<AtomicU64>,
     _gap: LineGap,
     degraded_windows: AtomicU64,
@@ -568,6 +582,10 @@ pub struct FaultPlane {
     unavailable_rejects: AtomicU64,
     _gap_workers: LineGap,
     health: Mutex<HealthBoard>,
+    /// Per device, the scorer's EWMA baseline as [`FaultPlane::observe`]
+    /// last left it, published under the scorer's lock so that
+    /// [`FaultPlane::service_estimate`] is a load.
+    service_ewma: Vec<AtomicU64>,
     slow_detected: AtomicU64,
     suspects: AtomicU64,
     recoveries: AtomicU64,
@@ -577,6 +595,12 @@ pub struct FaultPlane {
 
 /// Fixed-point unit of the GC-pressure EWMA (`256` = write amplification 1.0).
 const GC_FP_ONE: u64 = 256;
+
+#[cfg(test)]
+thread_local! {
+    /// Stores to `any_gc` made from this thread (`observe_gc`).
+    static ANY_GC_STORES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 impl FaultPlane {
     /// Build the plane for `devices` paper-calibrated devices from a
@@ -626,6 +650,9 @@ impl FaultPlane {
                     .map(|_| DeviceHealthState::new(service_ns))
                     .collect(),
             }),
+            service_ewma: (0..devices)
+                .map(|_| AtomicU64::new(service_ns.max(1)))
+                .collect(),
             slow_detected: AtomicU64::new(0),
             suspects: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
@@ -727,6 +754,7 @@ impl FaultPlane {
         if !anomalous {
             let delta = service_ns as i64 - st.ewma_ns as i64;
             st.ewma_ns = (st.ewma_ns as i64 + (delta >> 3)).max(1) as u64;
+            self.service_ewma[device].store(st.ewma_ns, Ordering::Release);
         }
         let prev = st.state;
         let next = match prev {
@@ -824,7 +852,7 @@ impl FaultPlane {
     /// before any sample exists). Used for earliest-finish-time hedge
     /// target choice.
     pub fn service_estimate(&self, device: usize) -> u64 {
-        self.health.lock().devices[device].ewma_ns
+        self.service_ewma[device].load(Ordering::Acquire)
     }
 
     /// Dispatcher probe tick, called as each window seals: a `Slow` device
@@ -863,8 +891,8 @@ impl FaultPlane {
     /// Record the FTL outcome of one host write on `device`: `programmed`
     /// total page programs (host + GC relocations) for `host` host pages.
     /// Feeds the write-amplification EWMA (α = 1/8) behind the GC-pressure
-    /// admission reserve. Each device is written by exactly one worker, so
-    /// plain load/store suffices.
+    /// admission reserve. The sealing thread's per-window decay writes the
+    /// same cell, so the step is a `fetch_update`: neither is lost.
     pub fn observe_gc(&self, device: usize, host: u64, programmed: u64) {
         let Some(cell) = self.gc_pressure.get(device) else {
             return;
@@ -873,13 +901,17 @@ impl FaultPlane {
             return;
         }
         let sample = programmed * GC_FP_ONE / host;
-        let ewma = cell.load(Ordering::Relaxed);
-        let delta = sample as i64 - ewma as i64;
-        cell.store(
-            (ewma as i64 + (delta >> 3)).max(GC_FP_ONE as i64) as u64,
-            Ordering::Relaxed,
-        );
-        self.any_gc.store(true, Ordering::Release);
+        let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |ewma| {
+            let delta = sample as i64 - ewma as i64;
+            Some((ewma as i64 + (delta >> 3)).max(GC_FP_ONE as i64) as u64)
+        });
+        // Admission reads this flag every window: write the line once in
+        // the plane's life (once per racing worker), not once per copy.
+        if !self.any_gc.load(Ordering::Relaxed) {
+            #[cfg(test)]
+            ANY_GC_STORES.with(|n| n.set(n.get() + 1));
+            self.any_gc.store(true, Ordering::Release);
+        }
     }
 
     /// Decay every device's GC-pressure EWMA toward 1.0 (one step per
@@ -890,10 +922,9 @@ impl FaultPlane {
             return;
         }
         for cell in &self.gc_pressure {
-            let ewma = cell.load(Ordering::Relaxed);
-            if ewma > GC_FP_ONE {
-                cell.store(ewma - ((ewma - GC_FP_ONE) >> 4).max(1), Ordering::Relaxed);
-            }
+            let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |ewma| {
+                (ewma > GC_FP_ONE).then(|| ewma - ((ewma - GC_FP_ONE) >> 4).max(1))
+            });
         }
     }
 
@@ -1302,6 +1333,71 @@ mod tests {
     }
 
     #[test]
+    fn hedge_base_equals_clone_and_sort_at_every_length_with_ties() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x71e5);
+        for len in 1..=HEALTH_WINDOW {
+            // Few distinct values, so most rings repeat their largest.
+            for distinct in [1u64, 2, 3, 5] {
+                for _ in 0..200 {
+                    let ring: Vec<u64> = (0..len)
+                        .map(|_| rng.gen_range(0..distinct) * BASE)
+                        .collect();
+                    assert_eq!(
+                        hedge_base(&ring),
+                        hedge_base_by_clone_and_sort(&ring),
+                        "{ring:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn service_estimate_is_the_ewma_under_the_lock_after_every_sample() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xe57);
+        let plane = FaultPlane::new(9, FaultSchedule::new()).unwrap();
+        // Samples reach a device from its owner (primaries, write copies)
+        // and from any worker whose hedge it won: any device, any order,
+        // normal, GC-stalled (baseline untouched) and in between.
+        for step in 0..20_000u64 {
+            let d = rng.gen_range(0..9usize);
+            let ns = match rng.gen_range(0..4u32) {
+                0 => rng.gen_range(1..=BASE / 2),
+                1 => 10 * BASE,
+                _ => rng.gen_range(BASE..3 * BASE),
+            };
+            plane.observe(d, ns, step / 14);
+            for dev in 0..9 {
+                let under_the_lock = plane.health.lock().devices[dev].ewma_ns;
+                assert_eq!(plane.service_estimate(dev), under_the_lock, "step {step}");
+            }
+        }
+        assert!(
+            (0..9).any(|d| plane.service_estimate(d) != BASE),
+            "it moved"
+        );
+    }
+
+    #[test]
+    fn service_estimate_does_not_take_the_scorer_lock() {
+        // A hedge asks once per candidate; the scorer's lock is for the
+        // two holds a read cannot avoid (threshold, sample).
+        let plane = std::sync::Arc::new(FaultPlane::new(3, FaultSchedule::new()).unwrap());
+        let held = plane.health.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let asker = {
+            let plane = std::sync::Arc::clone(&plane);
+            std::thread::spawn(move || tx.send(plane.service_estimate(1)))
+        };
+        let answered = rx.recv_timeout(std::time::Duration::from_secs(10));
+        drop(held);
+        asker.join().unwrap().unwrap();
+        assert_eq!(answered, Ok(BASE));
+    }
+
+    #[test]
     fn layout_keeps_the_admission_view_off_the_lines_workers_write() {
         let plane = FaultPlane::new(9, FaultSchedule::new()).unwrap();
         let FaultPlane {
@@ -1320,6 +1416,7 @@ mod tests {
             unavailable_rejects,
             _gap_workers,
             health,
+            service_ewma,
             slow_detected,
             suspects,
             recoveries,
@@ -1345,6 +1442,7 @@ mod tests {
             span("_gap_workers", _gap_workers, Side::Gap),
             // Locked by workers around every completion.
             span("health", health, Side::Worker),
+            span("service_ewma", service_ewma, Side::Worker),
             span("slow_detected", slow_detected, Side::Worker),
             span("suspects", suspects, Side::Worker),
             span("recoveries", recoveries, Side::Worker),
@@ -1394,6 +1492,63 @@ mod tests {
         }
         assert_eq!(plane.gc_reserve(0, 8), 0, "pressure decayed away");
         assert!(plane.write_amp_estimate(0) < 1.1);
+    }
+
+    #[test]
+    fn gc_pressure_steps_are_the_load_store_formulas() {
+        // What `observe_gc` and `gc_decay` computed when each was a plain
+        // load → store; one thread at a time the `fetch_update`s must give
+        // the same cell values.
+        fn observed(ewma: u64, host: u64, programmed: u64) -> u64 {
+            let delta = (programmed * GC_FP_ONE / host) as i64 - ewma as i64;
+            (ewma as i64 + (delta >> 3)).max(GC_FP_ONE as i64) as u64
+        }
+        fn decayed(ewma: u64) -> u64 {
+            if ewma > GC_FP_ONE {
+                ewma - ((ewma - GC_FP_ONE) >> 4).max(1)
+            } else {
+                ewma
+            }
+        }
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x6c);
+        let plane = FaultPlane::new(3, FaultSchedule::new()).unwrap();
+        let mut expected = [GC_FP_ONE; 3];
+        for step in 0..50_000u64 {
+            if rng.gen_range(0..3u32) == 0 {
+                plane.health_tick(step);
+                expected = expected.map(decayed);
+            } else {
+                let d = rng.gen_range(0..3usize);
+                let host = rng.gen_range(1..=4u64);
+                let programmed = host + rng.gen_range(0..=8u64) * rng.gen_range(0..=1u64);
+                plane.observe_gc(d, host, programmed);
+                expected[d] = observed(expected[d], host, programmed);
+            }
+            let cells: Vec<u64> = plane
+                .gc_pressure
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect();
+            assert_eq!(cells, expected, "step {step}");
+        }
+    }
+
+    #[test]
+    fn any_gc_is_stored_once_in_a_planes_life() {
+        // The layout test lists `any_gc` with what nobody writes per
+        // request; a store per write copy would make that a lie again.
+        let stores = || ANY_GC_STORES.with(std::cell::Cell::get);
+        let before = stores();
+        let plane = FaultPlane::new(2, FaultSchedule::new()).unwrap();
+        plane.observe_gc(0, 0, 0);
+        assert_eq!(stores(), before, "no host page, no observation");
+        for i in 0..1_000u64 {
+            plane.observe_gc((i % 2) as usize, 1, 1 + i % 3);
+            plane.health_tick(i);
+        }
+        assert_eq!(stores(), before + 1);
+        assert!(plane.gc_reserve(0, 8) > 0, "and the flag is up");
     }
 
     #[test]

@@ -546,10 +546,13 @@ mod tests {
         // by `publish` and loaded by every `TenantView::resolve`.
         // PR 20: Release 13 → 12 — `submit_op` and `advance_to` raise the
         // watermark through one `raise_watermark`, one store.
+        // PR 22: Acquire 23 → 24, Release 12 → 13 — the scorer's EWMA,
+        // published per device by `FaultPlane::observe` and loaded by
+        // `service_estimate` instead of a hold of `fault.health`.
         let census = |ordering: &str| outcome.ordering_counts.get(ordering).copied();
         assert_eq!(
             (census("AcqRel"), census("Acquire"), census("Release")),
-            (Some(14), Some(23), Some(12)),
+            (Some(14), Some(24), Some(13)),
             "{:?}",
             outcome.ordering_counts
         );
