@@ -15,7 +15,10 @@
 //! `parked_senders`), and the other side issues a wake-up only when it
 //! reads, under the same mutex, that somebody is parked. Under steady load
 //! neither side parks, so no `send` or `recv` pays for a `futex_wake` and
-//! the hand-off has one speed, in both directions.
+//! the hand-off has one speed, in both directions. The end of the linger is
+//! also the one moment a receiver knows that nothing is on its way, so
+//! `recv_idle` hands it to the caller: the engine's workers use it to log
+//! what they would otherwise leave for the next window's seal.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -214,7 +217,18 @@ pub mod channel {
         /// Block until a value arrives, or fail once the channel is empty
         /// with all senders gone.
         pub fn recv(&self) -> Result<T, RecvError> {
+            self.recv_idle(|| {})
+        }
+
+        /// [`Receiver::recv`], telling the caller when it is about to park:
+        /// `idle` runs at most once, without the queue's mutex, after
+        /// `LINGER` ran out on a queue still empty and before the wait on
+        /// the condvar — the place to hand on what the receiver has been
+        /// holding back while messages kept coming. Not called while they
+        /// do.
+        pub fn recv_idle(&self, idle: impl FnOnce()) -> Result<T, RecvError> {
             let shared = &*self.shared;
+            let mut idle = Some(idle);
             let mut q = shared.lock();
             loop {
                 if let Some(v) = q.pop_front() {
@@ -231,6 +245,11 @@ pub mod channel {
                 }
                 drop(q);
                 shared.linger(|len| len == 0, || shared.no_senders());
+                if shared.len.load(Ordering::Relaxed) == 0 {
+                    if let Some(idle) = idle.take() {
+                        idle();
+                    }
+                }
                 q = shared.lock();
                 if q.is_empty() && !shared.no_senders() {
                     shared.parked.store(true, Ordering::Relaxed);
@@ -277,6 +296,7 @@ pub mod channel {
 #[cfg(test)]
 mod tests {
     use super::channel::{self, RecvError, SendError, Shared, WAKES};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Arc, Barrier};
     use std::thread;
     use std::time::Duration;
@@ -344,6 +364,44 @@ mod tests {
         tx.send(7u32).unwrap();
         assert_eq!(got.recv_timeout(PROMPT), Ok(Ok(7)));
         assert!(!tx.receiver_is_parked(), "cleared on the way out");
+    }
+
+    #[test]
+    fn the_idle_hook_runs_once_before_the_park_and_never_while_messages_come() {
+        let (tx, rx) = channel::bounded(4);
+        let idle = Arc::new(AtomicUsize::new(0));
+        for i in 0..4u32 {
+            tx.send(i).unwrap();
+        }
+        for i in 0..4 {
+            let hook = || {
+                idle.fetch_add(1, Ordering::Relaxed);
+            };
+            assert_eq!(rx.recv_idle(hook), Ok(i));
+        }
+        assert_eq!(idle.load(Ordering::Relaxed), 0, "never out of messages");
+        // Out of messages: the hook has run by the time the receiver says
+        // it is parked, and what it did is visible to the sender that reads
+        // that (the flag is raised under the queue's mutex).
+        let (done_tx, got) = mpsc::channel();
+        let receiver = {
+            let (idle, tx) = (Arc::clone(&idle), tx.clone());
+            thread::spawn(move || {
+                let hook = || {
+                    assert!(!tx.receiver_is_parked(), "before the park, not after");
+                    idle.fetch_add(1, Ordering::Relaxed);
+                };
+                done_tx.send(rx.recv_idle(hook))
+            })
+        };
+        while !tx.receiver_is_parked() {
+            thread::yield_now();
+        }
+        assert_eq!(idle.load(Ordering::Relaxed), 1);
+        tx.send(7).unwrap();
+        assert_eq!(got.recv_timeout(PROMPT), Ok(Ok(7)));
+        receiver.join().unwrap().unwrap();
+        assert_eq!(idle.load(Ordering::Relaxed), 1, "once per call");
     }
 
     #[test]

@@ -167,9 +167,25 @@ impl<T> Receiver<T> {
     /// Block until a value arrives, or fail once the channel is empty with
     /// all senders gone.
     pub fn recv(&self) -> Result<T, RecvError> {
+        self.recv_idle(|| {})
+    }
+
+    /// The `crossbeam` shim's `recv_idle`: `idle` runs, at most once, when
+    /// the receiver is about to block. Under a model that is a receiver
+    /// that finds nothing queued where the explorer let it arrive — there
+    /// is no linger to outlast — and whatever `idle` does (its locks are
+    /// scheduling points) comes before the blocking point.
+    pub fn recv_idle(&self, idle: impl FnOnce()) -> Result<T, RecvError> {
         let shared = &*self.shared;
         if let Some((rt, me)) = ctx() {
             let id = shared.ensure(&rt);
+            let about_to_block = rt.read_resource(id, |r| match r {
+                Resource::Channel { len, senders, .. } => *len == 0 && *senders > 0,
+                other => unreachable!("channel slot holds {other:?}"),
+            });
+            if about_to_block {
+                idle();
+            }
             rt.yield_point(me, Condition::ChanRecv(id), "chan.recv");
             match shared.lock_queue().pop_front() {
                 Some(v) => {
@@ -184,6 +200,7 @@ impl<T> Receiver<T> {
                 None => return Err(RecvError),
             }
         }
+        let mut idle = Some(idle);
         let mut q = shared.lock_queue();
         loop {
             if let Some(v) = q.pop_front() {
@@ -193,6 +210,12 @@ impl<T> Receiver<T> {
             }
             if shared.no_senders() {
                 return Err(RecvError);
+            }
+            if let Some(idle) = idle.take() {
+                drop(q);
+                idle();
+                q = shared.lock_queue();
+                continue;
             }
             q = shared
                 .not_empty

@@ -176,6 +176,37 @@ mod tests {
     }
 
     #[test]
+    fn recv_idle_runs_its_hook_exactly_when_it_would_block() {
+        // One message, sent wherever the explorer likes: the receiver's
+        // hook runs on the schedules where it arrives first and finds
+        // nothing queued, and on no other; both kinds are explored.
+        let idled = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let report = model({
+            let idled = std::sync::Arc::clone(&idled);
+            move || {
+                let (tx, rx) = channel::bounded(1);
+                let producer = thread::spawn(move || tx.send(7u32).unwrap());
+                // The emptiness check is not a scheduling point of its own:
+                // what is queued was decided at the receiver's last one.
+                AtomicU64::new(0).load(Ordering::SeqCst);
+                let mut ran = false;
+                assert_eq!(rx.recv_idle(|| ran = true), Ok(7));
+                producer.join().unwrap();
+                let disconnected = rx.recv_idle(|| panic!("nobody is left to wait for"));
+                assert_eq!(disconnected, Err(channel::RecvError));
+                idled.fetch_add(u64::from(ran), std::sync::atomic::Ordering::SeqCst);
+            }
+        });
+        assert!(report.exhausted);
+        let idled = idled.load(std::sync::atomic::Ordering::SeqCst);
+        assert!(
+            0 < idled && idled < report.schedules,
+            "the hook ran on {idled} of {} schedules",
+            report.schedules
+        );
+    }
+
+    #[test]
     fn send_to_dropped_receiver_errors() {
         let report = model(|| {
             let (tx, rx) = channel::bounded(1);

@@ -238,7 +238,7 @@ struct WorkItem {
 /// [`Engine::worker_stats`] once per batch.
 struct WorkerLocal {
     view: TenantView,
-    stage: Option<Arc<Stage>>,
+    stage: Option<Stage>,
     gc: GcStats,
 }
 
@@ -257,7 +257,7 @@ impl WorkItem {
     ) {
         let tenant = local.view.resolve(&engine.registry, self.tenant_id);
         let done = finish.map(|f| (self, f));
-        let stage = local.stage.as_deref();
+        let stage = local.stage.as_ref();
         engine.settle(self.window, self.tenant_id, tenant, kind, done, stage);
     }
 }
@@ -433,7 +433,7 @@ impl QosServer {
     pub fn new(cfg: ServerConfig) -> Result<Self, String> {
         cfg.validate()?;
         let wal = match &cfg.wal {
-            Some(wal_cfg) => Some(Arc::new(Wal::create(wal_cfg)?)),
+            Some(wal_cfg) => Some(Wal::create(wal_cfg)?),
             None => None,
         };
         Self::build(cfg, wal)
@@ -458,9 +458,8 @@ impl QosServer {
         // Every sealed-but-unsettled admission's dispatch died with the
         // old process: the durable outcome is Lost.
         let crash_lost = wal.resolve_crash_losses();
-        let wal = Arc::new(wal);
-        let server = Self::build(cfg, Some(Arc::clone(&wal)))?;
-        let restored = server.engine.restore_state(&wal)?;
+        let server = Self::build(cfg, Some(wal))?;
+        let restored = server.engine.restore_state()?;
         let s = &server.engine.submit_stats;
         s.recovered_admissions.store(restored, Ordering::Relaxed);
         s.recovered_lost.store(crash_lost, Ordering::Relaxed);
@@ -474,14 +473,17 @@ impl QosServer {
             .store(u64::from(report.torn), Ordering::Relaxed);
         // Fold the recovered state into a fresh snapshot so the *next*
         // restart replays only post-recovery records.
-        wal.compact();
+        if let Some(wal) = &server.engine.wal {
+            wal.compact();
+        }
         Ok(server)
     }
 
-    fn build(cfg: ServerConfig, wal: Option<Arc<Wal>>) -> Result<Self, String> {
+    fn build(cfg: ServerConfig, wal: Option<Wal>) -> Result<Self, String> {
         let limit = cfg.qos.request_limit();
         let devices = cfg.qos.devices();
         let workers = cfg.workers.min(devices);
+        let wal = wal.map(|wal| Arc::new(wal.with_worker_stages(workers)));
         let stat = (cfg.qos.epsilon > 0.0).then(|| {
             // One-time table build; 1500 trials puts the P_k sampling error
             // well under typical ε resolution.
@@ -540,9 +542,10 @@ impl QosServer {
             .enumerate()
             .map(|(w, rx)| {
                 let engine = Arc::clone(&engine);
+                let stage = engine.wal.as_ref().map(|wal| wal.worker_stage(w));
                 crate::sync::thread::Builder::new()
                     .name(format!("fqos-worker-{w}"))
-                    .spawn(move || worker_loop(w, workers, rx, engine))
+                    .spawn(move || worker_loop(w, workers, rx, engine, stage))
                     .map_err(|e| format!("spawning worker {w}: {e}"))
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -1050,7 +1053,10 @@ impl Engine {
     /// *in the WAL's state* first, and the books are restored from that
     /// state afterwards, so engine and log agree by construction. Returns
     /// how many admissions were re-parked.
-    fn restore_state(&self, wal: &Wal) -> Result<u64, String> {
+    fn restore_state(&self) -> Result<u64, String> {
+        let Some(wal) = &self.wal else {
+            return Ok(0);
+        };
         let state = wal.state_snapshot();
         {
             let mut ds = self.dispatch.lock();
@@ -1138,7 +1144,7 @@ pub struct SubmitterHandle {
     view: TenantView,
     /// This handle's admissions on their way to the log (`None` without a
     /// WAL); see [`SubmitterHandle::release`].
-    stage: Option<Arc<Stage>>,
+    stage: Option<Stage>,
 }
 
 impl SubmitterHandle {
@@ -1150,8 +1156,8 @@ impl SubmitterHandle {
     /// `Seal(w)`, and the store is what allows that pump. So store, pump
     /// and drain share one hold of the dispatch lock — no other pump fits
     /// between them — and the stage rides the first `Seal`'s hold of the
-    /// WAL lock, or is drained on its own when a slower handle still holds
-    /// the frontier back.
+    /// WAL lock — the workers' stages with it — or is drained on its own
+    /// when a slower handle still holds the frontier back.
     fn release(&self, store: impl FnOnce(&HandleShared)) {
         let engine = &*self.engine;
         let Some(stage) = &self.stage else {
@@ -1284,7 +1290,7 @@ impl SubmitterHandle {
                     delayed: delayed_by > 0,
                     is_write,
                 };
-                engine.admit(self.stage.as_deref(), window, tenant_rec, entry, delayed_by); // ledger: defer(Engine::admit — settled by Engine::settle)
+                engine.admit(self.stage.as_ref(), window, tenant_rec, entry, delayed_by); // ledger: defer(Engine::admit — settled by Engine::settle)
                 engine.max_target.fetch_max(window, Ordering::AcqRel);
                 match (guaranteed, k) {
                     (false, _) => SubmitOutcome::Overflow { window },
@@ -1404,7 +1410,13 @@ impl Drop for SubmitterHandle {
 /// rolled back off the frontier and a winning hedge cancels the primary's
 /// reservation, so speculative capacity is reclaimed exactly.
 #[allow(clippy::needless_pass_by_value)] // thread entry: owns its receiver + engine handle
-fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc<Engine>) {
+fn worker_loop(
+    worker: usize,
+    workers: usize,
+    rx: Receiver<WorkMsg>,
+    engine: Arc<Engine>,
+    stage: Option<Stage>,
+) {
     let devices = engine.cfg.qos.devices();
     let service = engine.cfg.qos.service_ns;
     let n_local = (devices + workers - 1 - worker) / workers;
@@ -1428,7 +1440,7 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
         .collect();
     let mut local = WorkerLocal {
         view: TenantView::new(),
-        stage: engine.wal.as_ref().map(Wal::stage),
+        stage,
         gc: GcStats::default(),
     };
     // A batch is freed when the next one arrives, not when its last item
@@ -1437,7 +1449,15 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
     // by the end of service is sealing, in malloc (DESIGN.md, "One writer
     // per line": 4.0 or 5.0 M req/s, run by run, when the two met).
     let mut in_service: Option<Box<Vec<WorkItem>>> = None;
-    while let Ok(WorkMsg::Batch(batch)) = rx.recv() {
+    // The settles this worker stages ride the next seal's hold of the log
+    // (`Wal::log_seal_behind` collects them), so while batches keep coming
+    // the worker never takes the WAL lock. With no seal in sight — about to
+    // park, or done — it takes them there itself: an idle server's log is
+    // whole one linger after its last batch, and `finish` / `halt`, which
+    // join this thread, read a whole log.
+    while let Ok(WorkMsg::Batch(batch)) =
+        rx.recv_idle(|| local.stage.iter().for_each(Stage::drain_idle))
+    {
         let batch = in_service.insert(batch);
         for item in batch.iter() {
             let d = item.req.device;
@@ -1495,13 +1515,8 @@ fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc
             s.gc_relocated.fetch_add(gc.relocated, Ordering::Relaxed);
             s.gc_erases.fetch_add(gc.erases, Ordering::Relaxed);
         }
-        // One hold of the WAL lock per batch, and nothing left staged when
-        // the loop ends: `finish` and `halt` join this thread before they
-        // read the log.
-        if let Some(stage) = &local.stage {
-            stage.drain();
-        }
     }
+    local.stage.iter().for_each(Stage::drain);
 }
 
 /// Serve one replica copy of a fan-out write on its assigned device, then
@@ -2645,6 +2660,115 @@ mod tests {
     #[test]
     fn finish_drains_the_stage_of_an_open_handle() {
         stopping_leaves_every_counted_admission_in_the_log("finish", QosServer::finish);
+    }
+
+    /// Who takes the WAL lock, by count ([`Wal::tally`]). Not under the
+    /// model checker, whose channel has no linger and so no parked flag.
+    #[cfg(not(feature = "model-check"))]
+    mod log_holds {
+        use super::*;
+        use crate::wal::tests::{IDLE_DRAIN, THRESHOLD_DRAIN};
+
+        /// `steady_read`'s shape behind a memory log with the benchmark's batch
+        /// of 64: four tenants reserving `S(2) = 14` between them, one worker.
+        fn durable_steady() -> QosServer {
+            let cfg = ServerConfig::new(QosConfig::paper_9_3_1().with_accesses(2))
+                .with_workers(1)
+                .with_queue_depth(4096)
+                .with_wal_memory()
+                .with_wal_fsync_batch(64);
+            let s = QosServer::new(cfg).unwrap();
+            for (tenant, reserved) in [(1, 4), (2, 4), (3, 3), (4, 3)] {
+                s.register(tenant, reserved, OverloadPolicy::Delay).unwrap();
+            }
+            s
+        }
+
+        /// One full window of [`durable_steady`]: every tenant's reservation,
+        /// on 14 distinct buckets.
+        fn submit_steady_window(h: &mut SubmitterHandle, w: u64) {
+            const TENANT: [u64; 14] = [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 4];
+            let t_ns = h.engine.cfg.qos.interval_ns;
+            for (i, tenant) in (0..).zip(TENANT) {
+                let outcome = h.submit(tenant, (w * 14 + i) % 36, w * t_ns + i);
+                assert_eq!(outcome, SubmitOutcome::Admitted { window: w });
+            }
+        }
+
+        /// A worker that has served `served` reads and found nothing more has,
+        /// one linger later, said that it parks; a lost wake-up or a worker
+        /// that never parks fails the test instead of hanging it.
+        fn wait_until_served_and_parked(engine: &Engine, served: u64) {
+            let start = std::time::Instant::now();
+            while engine.ledger.snapshot().served < served || !engine.txs[0].receiver_is_parked() {
+                assert!(start.elapsed().as_secs() < 10, "the worker never parked");
+                std::thread::yield_now();
+            }
+        }
+
+        const WORKER: &str = "fqos-worker-0";
+
+        #[test]
+        fn under_load_the_log_is_held_once_per_window_and_by_the_sealing_thread() {
+            const WINDOWS: u64 = 2_000;
+            let s = durable_steady();
+            let engine = Arc::clone(&s.engine);
+            let wal = engine.wal.as_ref().unwrap();
+            let mut h = s.handle();
+            submit_steady_window(&mut h, 0);
+            let before = wal.tallied_here();
+            for w in 1..=WINDOWS {
+                submit_steady_window(&mut h, w); // its first request seals w − 1
+            }
+            assert_eq!(
+                wal.tallied_here() - before,
+                WINDOWS,
+                "admits, the worker's settles and the seal share one hold"
+            );
+            // The worker took the lock only where a seal could not do it for
+            // it: about to park with records staged (a preempted submitter lets
+            // it linger out) or, left behind for five windows, at the batch of
+            // 64. Never once per batch, which would read `WINDOWS`.
+            wait_until_served_and_parked(&engine, WINDOWS * 14);
+            assert_eq!(
+                wal.tallied(WORKER),
+                wal.tallied(IDLE_DRAIN) + wal.tallied(THRESHOLD_DRAIN)
+            );
+            drop(h);
+            let m = s.finish();
+            assert_eq!((m.served, m.wal_misordered), ((WINDOWS + 1) * 14, 0));
+            assert_eq!(wal.state_snapshot().ledger, m.ledger());
+        }
+
+        #[test]
+        fn a_parked_worker_has_nothing_staged() {
+            let s = durable_steady();
+            let engine = Arc::clone(&s.engine);
+            let wal = engine.wal.as_ref().unwrap();
+            let mut h = s.handle();
+            // Four batches queued behind a worker held at its first read, so
+            // that it serves them back to back: 56 settles, under the batch.
+            let held_at_its_first_read = engine.hedge.lock();
+            for w in 0..4 {
+                submit_steady_window(&mut h, w);
+            }
+            let t_ns = engine.cfg.qos.interval_ns;
+            assert!(h.submit(1, 0, 4 * t_ns).is_admitted()); // seals 0..=3
+            assert_eq!(wal.tallied(WORKER), 0);
+            drop(held_at_its_first_read);
+            wait_until_served_and_parked(&engine, 56);
+            assert_eq!(
+                (wal.tallied(WORKER), wal.tallied(IDLE_DRAIN)),
+                (1, 1),
+                "one hold, on the way to park: none after a batch"
+            );
+            assert_eq!(wal.worker_stage(0).staged_records(), 0);
+            // Without a drain (that would be a cold path emptying the stages):
+            // four registers, 57 admits, four seals and the 56 settles.
+            assert_eq!(wal.wal_counters().records, 4 + 57 + 4 + 56);
+            drop(h);
+            assert!(s.finish().conserved());
+        }
     }
 
     #[test]

@@ -29,28 +29,37 @@
 //! flush per record, exactly as one record at a time would have been — to
 //! the shared buffer, which reaches the file (followed by one `fdatasync`)
 //! every `fsync_batch` records, or immediately for the cold-path records
-//! (register/deregister/seal) and on [`Wal::sync_now`]. The two sides of
-//! the worker hand-off thus meet at the log once per window, not once per
-//! record.
+//! (register/deregister/seal) and on [`Wal::sync_now`].
 //!
-//! A stage drains
+//! Under load the log has one writer, the thread that seals: in the hold
+//! of the WAL lock that logs `Seal(w)` it first appends its own handle's
+//! stage and whatever every worker has staged ([`Wal::log_seal_behind`]) —
+//! one hold a window, on one thread. Any stage also drains
 //! * when it holds `fsync_batch` records, so with `fsync_batch = 1` it is
-//!   a pass-through: nothing is ever staged when `submit` returns, and
-//!   every admission is durable before its ack, as before;
-//! * on a submitter, when the handle raises its watermark or closes,
-//!   under the same hold of the dispatch lock as the store that says so:
-//!   that store is what lets a pump log `Seal(w)`, and every `Admit(w)`
-//!   has to be in the log ahead of it. The stage rides the first such
-//!   seal's hold of the WAL lock ([`Wal::log_seal_behind`]);
-//! * on a worker, after the last item of each batch and so before it
-//!   exits;
+//!   a pass-through: nothing is ever staged when `submit` or a settle
+//!   returns, and every admission is durable before its ack, as before;
 //! * before every cold-path record and read (`Register`, `Deregister`,
 //!   [`Wal::sync_now`], [`Wal::compact`], [`Wal::state_snapshot`]), which
 //!   drain all stages: a record staged before such a call started is in
 //!   the log before anything the call appends. `finish` and `halt` end
 //!   with `sync_now`, so the log of a stopped server holds every
 //!   admission its snapshot counts. [`Wal::wal_counters`] does not drain:
-//!   a live `metrics()` counts a record when it is drained.
+//!   a live `metrics()` counts a record when it reaches the log.
+//!
+//! A submitter's stage reaches the log when the handle raises its
+//! watermark or closes, under the same hold of the dispatch lock as the
+//! store that says so: that store is what lets a pump log `Seal(w)`, and
+//! every `Admit(w)` has to be in the log ahead of it. It rides the first
+//! such seal, or is drained on its own when a slower handle holds the
+//! frontier back.
+//!
+//! A worker's stage reaches the log when the next seal collects it
+//! (`Settle(w)` was staged after the batch that `Seal(w)` released
+//! arrived, so it follows that seal whoever appends it); when the worker,
+//! its queue empty for a whole linger and so no seal in sight, is about
+//! to park ([`Stage::drain_idle`]: an idle server's log is complete one
+//! linger after its last batch); and when the worker stops. Never per
+//! batch.
 //!
 //! Larger batches amortize the fsync at the cost of losing, on a crash,
 //! what was unsynced: at most `fsync_batch − 1` records *per stage* and
@@ -80,12 +89,15 @@
 //! `engine.dispatch` (seal/compaction), `registry.admission`
 //! (register/deregister) and `engine.stage` (a drain) and never holds
 //! anything else. Lock class `engine.stage`: each stage's own mutex, taken
-//! by its owner per record and by the cold paths above; only `engine.wal`
-//! is acquired under it.
+//! by its owner per record, by the cold paths above one stage at a time,
+//! and by the sealing thread, which under `engine.dispatch` — so one
+//! thread at a time — holds its handle's and then every worker's, in
+//! index order, until it has the WAL lock; only `engine.wal` is acquired
+//! under it.
 
 use crate::config::WalConfig;
 use crate::ledger::{Ledger, SettleKind};
-use crate::sync::{Arc, Mutex};
+use crate::sync::{Arc, LineGap, Mutex, MutexGuard};
 use fqos_core::OverloadPolicy;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -699,22 +711,32 @@ struct WalInner {
     /// durability degraded rather than unwinding under a lock; the audit
     /// surfaces the count.
     io_errors: u64,
-    /// Every stage handed out and not yet dropped, so that a cold-path
-    /// append can drain them first.
-    stages: Vec<Weak<Stage>>,
+    /// Every handle's stage handed out and not yet dropped, so that a
+    /// cold-path append can drain them first (the workers' are in
+    /// [`Wal::workers`]).
+    stages: Vec<Weak<StageBuf>>,
+    /// One empty buffer per worker stage, `fsync_batch` records each: a
+    /// seal swaps it for what the worker has staged
+    /// ([`Wal::lock_behind_workers`]).
+    spares: Vec<Vec<WalRecord>>,
 }
 
+/// The records of one [`Stage`], shared with the log that drains it.
+type StageBuf = Mutex<Vec<WalRecord>>;
+
 /// One thread's not-yet-logged `Admit` / `Settle` records: every
-/// [`crate::SubmitterHandle`] and every worker owns one, appends to it per
-/// record and drains it into the log under one hold of the WAL lock (see
+/// [`crate::SubmitterHandle`] and every worker owns one and appends to it
+/// per record; they reach the log under one hold of the WAL lock (see
 /// "Fsync contract" in the module docs). The mutex (lock class
-/// `engine.stage`, ordered just before `engine.wal`) is there for the cold
-/// paths that drain every stage; on the request path only the owner takes
-/// it, and it is held across the drain so that those paths find a record
-/// either staged or logged, never in between.
+/// `engine.stage`, ordered just before `engine.wal`) is there for whoever
+/// else drains the stage — the cold paths, and for a worker's the thread
+/// that seals — and is held until the draining thread holds the log: a
+/// record is found staged or, once the finder has the WAL lock, logged.
 pub(crate) struct Stage {
     wal: Arc<Wal>,
-    staged: Mutex<Vec<WalRecord>>,
+    /// [`Wal::batch`], copied: a record staged touches the stage alone.
+    batch: u64,
+    staged: Arc<StageBuf>,
 }
 
 impl Stage {
@@ -739,7 +761,9 @@ impl Stage {
     fn hold(&self, rec: WalRecord) {
         let mut staged = self.staged.lock();
         staged.push(rec);
-        if staged.len() as u64 >= self.wal.batch {
+        if staged.len() as u64 >= self.batch {
+            #[cfg(test)]
+            self.wal.tally(tests::THRESHOLD_DRAIN);
             self.wal.append_staged(&mut staged);
         }
     }
@@ -753,6 +777,18 @@ impl Stage {
     /// Append everything staged to the log, in staging order.
     pub fn drain(&self) {
         self.wal.append_staged(&mut self.staged.lock());
+    }
+
+    /// [`Stage::drain`] for a worker about to park: no seal is in sight to
+    /// collect what it staged.
+    pub fn drain_idle(&self) {
+        #[cfg(test)]
+        let holds = self.wal.tallied_here();
+        self.drain();
+        #[cfg(test)]
+        if self.wal.tallied_here() > holds {
+            self.wal.tally(tests::IDLE_DRAIN);
+        }
     }
 }
 
@@ -780,10 +816,20 @@ pub(crate) struct ReplayReport {
 
 /// The write-ahead log: a mutex-serialized appender over a file (or
 /// in-memory) backing plus the continuously materialized [`WalState`].
+/// What is fixed at construction lies a gap ahead of the mutex, whose
+/// words the sealing thread writes for the length of every hold
+/// (`layout_keeps_the_fixed_words_off_the_lines_a_hold_writes`).
+#[repr(C)]
 pub(crate) struct Wal {
-    wal: Mutex<WalInner>,
     batch: u64,
     snapshot_every: u64,
+    /// The workers' stages by worker index, fixed before the first
+    /// request ([`Wal::with_worker_stages`]) and so read without a lock.
+    workers: Vec<Arc<StageBuf>>,
+    _gap: LineGap,
+    wal: Mutex<WalInner>,
+    #[cfg(test)]
+    tally: Mutex<BTreeMap<String, u64>>,
 }
 
 impl Wal {
@@ -915,14 +961,38 @@ impl Wal {
                 seals_since_compact: 0,
                 io_errors: 0,
                 stages: Vec::new(),
+                spares: Vec::new(),
             }),
             batch: cfg.fsync_batch.max(1),
             snapshot_every: cfg.snapshot_interval.max(1),
+            workers: Vec::new(),
+            _gap: LineGap::default(),
+            #[cfg(test)]
+            tally: Mutex::default(),
         }
     }
 
+    /// Give the log its `workers` worker stages ([`Wal::worker_stage`])
+    /// and a spare for each. Both sides of a swap hold `fsync_batch`
+    /// records, which no stage reaches: no worker allocates to stage one.
+    pub fn with_worker_stages(mut self, workers: usize) -> Self {
+        let batch = self.batch as usize;
+        let buffers = || (0..workers).map(|_| Vec::with_capacity(batch));
+        self.workers = buffers().map(|b| Arc::new(Mutex::new(b))).collect();
+        self.wal.lock().spares = buffers().collect();
+        self
+    }
+
+    /// The WAL lock. Every hold starts here, which is where the tests
+    /// count them (`tests::tally`).
+    fn locked(&self) -> MutexGuard<'_, WalInner> {
+        #[cfg(test)]
+        self.tally(std::thread::current().name().unwrap_or("unnamed"));
+        self.wal.lock()
+    }
+
     fn push_record(&self, rec: &WalRecord, force_sync: bool, pre_fsync_point: bool) {
-        let mut g = self.wal.lock();
+        let mut g = self.locked();
         self.push_locked(&mut g, rec, force_sync, pre_fsync_point);
     }
 
@@ -965,23 +1035,34 @@ impl Wal {
         }
     }
 
-    /// A new, empty stage for one submitter handle or worker.
-    pub fn stage(self: &Arc<Self>) -> Arc<Stage> {
-        let stage = Arc::new(Stage {
-            wal: Arc::clone(self),
-            staged: Mutex::default(),
-        });
-        let mut g = self.wal.lock();
+    /// A new, empty stage for one submitter handle.
+    pub fn stage(self: &Arc<Self>) -> Stage {
+        let staged = Arc::default();
+        let mut g = self.locked();
         g.stages.retain(|s| s.strong_count() > 0);
-        g.stages.push(Arc::downgrade(&stage));
-        stage
+        g.stages.push(Arc::downgrade(&staged));
+        drop(g);
+        Stage {
+            wal: Arc::clone(self),
+            batch: self.batch,
+            staged,
+        }
+    }
+
+    /// The stage of worker `worker`, which every seal collects.
+    pub fn worker_stage(self: &Arc<Self>, worker: usize) -> Stage {
+        Stage {
+            wal: Arc::clone(self),
+            batch: self.batch,
+            staged: Arc::clone(&self.workers[worker]),
+        }
     }
 
     /// Append `staged` under one hold of the WAL lock, each record exactly
     /// as [`Wal::push_record`] would have appended it.
     fn append_staged(&self, staged: &mut Vec<WalRecord>) {
         if !staged.is_empty() {
-            self.append_staged_locked(&mut self.wal.lock(), staged);
+            self.append_staged_locked(&mut self.locked(), staged);
         }
     }
 
@@ -997,12 +1078,12 @@ impl Wal {
     /// read: a record staged before the call started is in the log before
     /// anything the caller appends.
     pub fn drain_stages(&self) {
-        let stages: Vec<Arc<Stage>> = {
-            let g = self.wal.lock();
+        let handles: Vec<Arc<StageBuf>> = {
+            let g = self.locked();
             g.stages.iter().filter_map(Weak::upgrade).collect()
         };
-        for stage in stages {
-            stage.drain();
+        for staged in self.workers.iter().chain(&handles) {
+            self.append_staged(&mut staged.lock());
         }
     }
 
@@ -1031,49 +1112,49 @@ impl Wal {
         self.push_record(&WalRecord::Deregister { tenant }, true, false);
     }
 
-    /// Log one admission without staging it (the engine stages:
-    /// [`Stage::log_admit`]).
-    #[cfg(test)]
-    pub fn log_admit(
-        &self,
-        window: u64,
-        tenant: u64,
-        lbn: u64,
-        guaranteed: bool,
-        delayed: bool,
-        is_write: bool,
-    ) {
-        let entry = OpenEntry {
-            tenant,
-            lbn,
-            guaranteed,
-            delayed,
-            is_write,
-        };
-        self.push_record(&WalRecord::Admit { window, entry }, false, true);
-    }
-
-    /// Log a window seal with no stage riding it.
-    #[cfg(test)]
-    pub fn log_seal(&self, window: u64) {
-        self.log_seal_behind(window, None);
-    }
-
     /// Log a window seal (force-synced: the seal is the boundary after
     /// which an unsettled admission becomes crash-lost) and run the
-    /// compaction cadence, under one hold of the lock. The sealing
-    /// handle's stage, if it is `riding`, goes into the log ahead of the
-    /// seal in the same hold.
+    /// compaction cadence, under one hold of the lock — the one hold of a
+    /// window: ahead of the seal go the sealing handle's stage, if it is
+    /// `riding`, and whatever the workers have staged. Only ever called
+    /// under `engine.dispatch`, which is what makes the sealing thread the
+    /// one thread that holds several stages at once.
     pub fn log_seal_behind(&self, window: u64, riding: Option<&Stage>) {
         let mut staged = riding.map(|stage| stage.staged.lock());
-        let mut g = self.wal.lock();
-        if let Some(staged) = &mut staged {
-            self.append_staged_locked(&mut g, staged);
-        }
+        let mut g = self.lock_behind_workers(0);
+        self.append_collected(&mut g, staged.as_deref_mut());
         self.push_locked(&mut g, &WalRecord::Seal { window }, true, false);
         g.seals_since_compact += 1;
         if g.seals_since_compact >= self.snapshot_every {
             compact_counted(&mut g);
+        }
+    }
+
+    /// Take the WAL lock with the stages of workers `from..` locked, in
+    /// index order, until it is held, and leave what each had staged in its
+    /// spare: a worker waits for a swap, not for the append. One frame per
+    /// worker holds that worker's guard.
+    fn lock_behind_workers(&self, from: usize) -> MutexGuard<'_, WalInner> {
+        if from == self.workers.len() {
+            return self.locked();
+        }
+        let staged = &self.workers[from];
+        let mut records = staged.lock();
+        let mut g = self.lock_behind_workers(from + 1);
+        std::mem::swap(&mut *records, &mut g.spares[from]);
+        g
+    }
+
+    /// Append the `riding` stage, then what [`Wal::lock_behind_workers`]
+    /// left in the spares, by worker.
+    fn append_collected(&self, g: &mut WalInner, riding: Option<&mut Vec<WalRecord>>) {
+        if let Some(staged) = riding {
+            self.append_staged_locked(g, staged);
+        }
+        for worker in 0..g.spares.len() {
+            let mut collected = std::mem::take(&mut g.spares[worker]);
+            self.append_staged_locked(g, &mut collected);
+            g.spares[worker] = collected;
         }
     }
 
@@ -1095,7 +1176,7 @@ impl Wal {
     /// Drain every stage, then flush and fsync everything buffered.
     pub fn sync_now(&self) {
         self.drain_stages();
-        let mut g = self.wal.lock();
+        let mut g = self.locked();
         if flush_inner(&mut g).is_err() {
             g.io_errors += 1;
         }
@@ -1105,7 +1186,7 @@ impl Wal {
     /// next restart replays only post-recovery records).
     pub fn compact(&self) {
         self.drain_stages();
-        let mut g = self.wal.lock();
+        let mut g = self.locked();
         compact_counted(&mut g);
     }
 
@@ -1115,7 +1196,7 @@ impl Wal {
     /// idempotent across repeated recoveries because the resolution
     /// re-derives from the same pending set.
     pub fn resolve_crash_losses(&self) -> u64 {
-        let mut g = self.wal.lock();
+        let mut g = self.locked();
         let state = &mut g.state;
         let mut stranded = 0u64;
         for per_tenant in std::mem::take(&mut state.pending).into_values() {
@@ -1138,7 +1219,7 @@ impl Wal {
     /// recovery and account it lost (a write to `write_lost`), keeping the
     /// materialized state in step with the engine's books.
     pub fn forfeit_open(&self, window: u64, tenant: u64, is_write: bool) {
-        let mut g = self.wal.lock();
+        let mut g = self.locked();
         let state = &mut g.state;
         let mut hit = false;
         let mut emptied = false;
@@ -1169,12 +1250,12 @@ impl Wal {
     /// seed; tests).
     pub fn state_snapshot(&self) -> WalState {
         self.drain_stages();
-        self.wal.lock().state.clone()
+        self.locked().state.clone()
     }
 
     /// Live counters for the metrics snapshot.
     pub fn wal_counters(&self) -> WalCounters {
-        let g = self.wal.lock();
+        let g = self.locked();
         WalCounters {
             records: g.records,
             fsyncs: g.fsyncs,
@@ -1264,8 +1345,33 @@ fn compact_inner(inner: &mut WalInner) -> std::io::Result<()> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// [`Wal::tally`] events: the two ways a stage's owner takes the WAL
+    /// lock between seals (a third, [`Stage::drain`], is for when it stops).
+    pub(crate) const THRESHOLD_DRAIN: &str = "a stage reached fsync_batch";
+    pub(crate) const IDLE_DRAIN: &str = "a parking worker had records staged";
+
+    /// Who takes the WAL lock, by count: the shape of the channel's
+    /// `WAKES`, kept per log and by thread *name* because the thread that
+    /// asks is the test's, not the worker the engine spawned.
+    impl Wal {
+        /// Count one `event`: a hold of the lock, under the name of the
+        /// thread that took it, or one of the events above.
+        pub(crate) fn tally(&self, event: &str) {
+            *self.tally.lock().entry(event.into()).or_default() += 1;
+        }
+
+        pub(crate) fn tallied(&self, event: &str) -> u64 {
+            self.tally.lock().get(event).copied().unwrap_or(0)
+        }
+
+        /// Holds of the lock the calling thread has taken.
+        pub(crate) fn tallied_here(&self) -> u64 {
+            self.tallied(std::thread::current().name().unwrap_or("unnamed"))
+        }
+    }
 
     fn mem_cfg() -> WalConfig {
         WalConfig {
@@ -1283,6 +1389,35 @@ mod tests {
         }
     }
 
+    /// A fresh log over `cfg` and a submitter handle's stage on it. At
+    /// `fsync_batch = 1` the stage is a pass-through: every record staged
+    /// is in the log, flushed, when the call returns.
+    fn log_and_stage(cfg: &WalConfig) -> (Arc<Wal>, Stage) {
+        let wal = Arc::new(Wal::create(cfg).unwrap());
+        let stage = wal.stage();
+        (wal, stage)
+    }
+
+    /// Stage one admission, field by field.
+    fn admit(
+        stage: &Stage,
+        window: u64,
+        tenant: u64,
+        lbn: u64,
+        guaranteed: bool,
+        delayed: bool,
+        is_write: bool,
+    ) {
+        let entry = OpenEntry {
+            tenant,
+            lbn,
+            guaranteed,
+            delayed,
+            is_write,
+        };
+        stage.log_admit(window, entry);
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
             "fqos-wal-{tag}-{}-{}",
@@ -1292,6 +1427,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    #[test]
+    fn layout_keeps_the_fixed_words_off_the_lines_a_hold_writes() {
+        use crate::layout::{assert_one_side_per_line, span, Side};
+        let log = Wal::create(&mem_cfg()).unwrap().with_worker_stages(2);
+        let Wal {
+            batch,
+            snapshot_every,
+            workers,
+            _gap,
+            wal,
+            tally,
+        } = &log;
+        let spans = vec![
+            span("batch", batch, Side::ReadMostly),
+            span("snapshot_every", snapshot_every, Side::ReadMostly),
+            span("workers", workers, Side::ReadMostly),
+            span("_gap", _gap, Side::Gap),
+            // The lock word and everything behind it: the sealing thread
+            // writes them for the length of every hold.
+            span("wal", wal, Side::Submitter),
+            span("tally", tally, Side::Gap), // tests only
+        ];
+        assert_one_side_per_line(&log, spans);
     }
 
     #[test]
@@ -1333,23 +1493,22 @@ mod tests {
     fn log_frames_are_byte_identical_to_pr_16() {
         // A fixed sequence that uses every record type, every flag and
         // every settle kind.
-        let wal = Wal::create(&WalConfig {
+        let (wal, stage) = log_and_stage(&WalConfig {
             dir: None,
             fsync_batch: 4,
             snapshot_interval: 1 << 20, // compaction would clear the log
-        })
-        .unwrap();
+        });
         let (a, b) = (1, u64::MAX - 1);
         wal.log_register(a, 3, OverloadPolicy::Delay);
         wal.log_register(b, 2, OverloadPolicy::Reject);
         for w in 0..3u64 {
             let lbn = 1000 * w + 0xABCD_EF01_2345;
-            wal.log_admit(w, a, lbn, true, false, false);
-            wal.log_admit(w, a, lbn + 1, true, true, false);
-            wal.log_admit(w, b, lbn + 2, false, false, false);
-            wal.log_admit(w, a, lbn + 3, true, false, true);
-            wal.log_admit(w, b, lbn + 4, true, true, true);
-            wal.log_seal(w);
+            admit(&stage, w, a, lbn, true, false, false);
+            admit(&stage, w, a, lbn + 1, true, true, false);
+            admit(&stage, w, b, lbn + 2, false, false, false);
+            admit(&stage, w, a, lbn + 3, true, false, true);
+            admit(&stage, w, b, lbn + 4, true, true, true);
+            wal.log_seal_behind(w, Some(&stage));
             for (kind, tenant) in SettleKind::ALL.into_iter().zip([a, a, b, a, b]) {
                 wal.log_settle(w, tenant, kind);
             }
@@ -1402,10 +1561,11 @@ mod tests {
     #[test]
     fn staged_records_reach_the_log_as_the_same_records_logged_directly() {
         // A submitter's stage and a worker's, drained where the engine
-        // drains them: the submitter's rides the seal, the worker's goes
-        // in after its batch, and a cold-path record drains both.
-        let staged = Arc::new(Wal::create(&staging_cfg(64)).unwrap());
-        let (submitter, worker) = (staged.stage(), staged.stage());
+        // drains them: the submitter's rides the seal and the seal collects
+        // the worker's behind it; a worker about to park drains its own,
+        // and a cold-path record drains both.
+        let staged = Arc::new(Wal::create(&staging_cfg(64)).unwrap().with_worker_stages(1));
+        let (submitter, worker) = (staged.stage(), staged.worker_stage(0));
         staged.log_register(1, 2, OverloadPolicy::Delay);
         staged.log_register(2, 2, OverloadPolicy::Delay);
         submitter.log_admit(0, admit_of(1, 10));
@@ -1417,28 +1577,41 @@ mod tests {
         worker.log_settle(0, 1, SettleKind::Served);
         submitter.log_admit(1, admit_of(2, 13));
         worker.log_settle(0, 2, SettleKind::HedgeWin);
-        worker.drain();
-        submitter.drain(); // a slower handle holds window 1 back
-        staged.log_seal(1);
+        staged.log_seal_behind(1, Some(&submitter));
+        assert_eq!(
+            (staged.wal_counters().records, worker.staged_records()),
+            (10, 0),
+            "the admit, the worker's two settles, then the seal"
+        );
+        submitter.log_admit(2, admit_of(1, 14));
         worker.log_settle(1, 1, SettleKind::Served);
-        staged.log_deregister(1); // drains the worker's stage first
+        worker.drain_idle(); // nothing to serve, no seal in sight
+        assert_eq!(staged.wal_counters().records, 11);
+        submitter.drain(); // a slower handle holds window 2 back
         worker.log_settle(1, 2, SettleKind::Lost);
+        staged.log_deregister(1); // drains the worker's stage first
+        staged.log_seal_behind(2, None); // somebody else's pump
+        worker.log_settle(2, 1, SettleKind::Served);
 
-        // The same records, unstaged, in the order the drains gave them.
-        let direct = Wal::create(&staging_cfg(64)).unwrap();
+        // The same records through a batch of one, which stages nothing,
+        // in the order the drains gave them.
+        let (direct, stage) = log_and_stage(&staging_cfg(1));
         direct.log_register(1, 2, OverloadPolicy::Delay);
         direct.log_register(2, 2, OverloadPolicy::Delay);
-        direct.log_admit(0, 1, 10, true, false, false);
-        direct.log_admit(0, 2, 11, true, false, false);
-        direct.log_admit(1, 1, 12, true, false, false);
-        direct.log_seal(0);
+        stage.log_admit(0, admit_of(1, 10));
+        stage.log_admit(0, admit_of(2, 11));
+        stage.log_admit(1, admit_of(1, 12));
+        direct.log_seal_behind(0, Some(&stage));
+        stage.log_admit(1, admit_of(2, 13));
         direct.log_settle(0, 1, SettleKind::Served);
         direct.log_settle(0, 2, SettleKind::HedgeWin);
-        direct.log_admit(1, 2, 13, true, false, false);
-        direct.log_seal(1);
+        direct.log_seal_behind(1, Some(&stage));
         direct.log_settle(1, 1, SettleKind::Served);
-        direct.log_deregister(1);
+        stage.log_admit(2, admit_of(1, 14));
         direct.log_settle(1, 2, SettleKind::Lost);
+        direct.log_deregister(1);
+        direct.log_seal_behind(2, Some(&stage));
+        direct.log_settle(2, 1, SettleKind::Served);
 
         let (staged_log, staged_state) = flushed(&staged);
         let (direct_log, direct_state) = flushed(&direct);
@@ -1479,7 +1652,7 @@ mod tests {
         logged_and_flushed(2);
         stage.log_admit(0, admit_of(1, 8));
         logged_and_flushed(3);
-        wal.log_seal(0);
+        wal.log_seal_behind(0, Some(&stage));
         stage.log_settle(0, 1, SettleKind::Served);
         logged_and_flushed(5);
         stage.log_settle(0, 1, SettleKind::Served);
@@ -1493,12 +1666,12 @@ mod tests {
         // departed record's ledger settled, so that settle is staged; the
         // `Register` that restarts the id's durable ledger must not
         // overtake it.
-        let wal = Arc::new(Wal::create(&staging_cfg(64)).unwrap());
-        let worker = wal.stage();
+        let wal = Arc::new(Wal::create(&staging_cfg(64)).unwrap().with_worker_stages(1));
+        let (stage, worker) = (wal.stage(), wal.worker_stage(0));
         wal.log_register(1, 2, OverloadPolicy::Delay);
-        wal.log_admit(0, 1, 5, true, false, false);
-        wal.log_admit(0, 1, 6, true, false, false);
-        wal.log_seal(0);
+        admit(&stage, 0, 1, 5, true, false, false);
+        admit(&stage, 0, 1, 6, true, false, false);
+        wal.log_seal_behind(0, Some(&stage));
         worker.log_settle(0, 1, SettleKind::Served);
         wal.log_deregister(1);
         assert_eq!(wal.wal_counters().records, 6, "the settle went in first");
@@ -1584,13 +1757,13 @@ mod tests {
     #[test]
     fn state_snapshot_round_trips() {
         let cfg = mem_cfg();
-        let wal = Wal::create(&cfg).unwrap();
+        let (wal, stage) = log_and_stage(&cfg);
         wal.log_register(1, 2, OverloadPolicy::Delay);
         wal.log_register(2, 1, OverloadPolicy::Reject);
-        wal.log_admit(0, 1, 5, true, false, false);
-        wal.log_admit(0, 2, 9, false, false, false);
-        wal.log_admit(1, 1, 6, true, true, false);
-        wal.log_seal(0);
+        admit(&stage, 0, 1, 5, true, false, false);
+        admit(&stage, 0, 2, 9, false, false, false);
+        admit(&stage, 1, 1, 6, true, true, false);
+        wal.log_seal_behind(0, Some(&stage));
         wal.log_settle(0, 1, SettleKind::Served);
         wal.log_deregister(2);
         let state = wal.state_snapshot();
@@ -1645,12 +1818,12 @@ mod tests {
 
     #[test]
     fn settle_without_durable_admission_is_misordered() {
-        let wal = Wal::create(&mem_cfg()).unwrap();
+        let (wal, stage) = log_and_stage(&mem_cfg());
         wal.log_register(1, 2, OverloadPolicy::Delay);
         wal.log_settle(0, 1, SettleKind::Served); // nothing sealed
         assert_eq!(wal.wal_counters().misordered, 1);
-        wal.log_admit(0, 1, 5, true, false, false);
-        wal.log_seal(0);
+        admit(&stage, 0, 1, 5, true, false, false);
+        wal.log_seal_behind(0, Some(&stage));
         wal.log_settle(0, 1, SettleKind::Served);
         wal.log_settle(0, 1, SettleKind::Served); // double settle
         assert_eq!(wal.wal_counters().misordered, 2);
@@ -1663,10 +1836,10 @@ mod tests {
         let dir = tmpdir("torn");
         let cfg = dir_cfg(&dir, 1);
         {
-            let wal = Wal::create(&cfg).unwrap();
+            let (wal, stage) = log_and_stage(&cfg);
             wal.log_register(1, 2, OverloadPolicy::Delay);
-            wal.log_admit(0, 1, 11, true, false, false);
-            wal.log_admit(0, 1, 12, true, false, false);
+            admit(&stage, 0, 1, 11, true, false, false);
+            admit(&stage, 0, 1, 12, true, false, false);
             wal.sync_now();
         }
         // Tear the final record: chop 5 bytes off the file.
@@ -1679,6 +1852,7 @@ mod tests {
             .set_len(len - 5)
             .unwrap();
         let (wal, report) = Wal::resume(&cfg).unwrap();
+        let wal = Arc::new(wal);
         assert!(report.torn);
         assert!(!report.snapshot);
         assert_eq!(report.records, 2, "register + first admit survive");
@@ -1687,7 +1861,7 @@ mod tests {
         assert_eq!(s.open[&0].len(), 1);
         assert_eq!(s.misordered, 0);
         // The truncated log accepts new appends and replays cleanly.
-        wal.log_admit(0, 1, 13, true, false, false);
+        admit(&wal.stage(), 0, 1, 13, true, false, false);
         wal.sync_now();
         drop(wal);
         let (wal, report) = Wal::resume(&cfg).unwrap();
@@ -1702,9 +1876,9 @@ mod tests {
         let dir = tmpdir("batch");
         let cfg = dir_cfg(&dir, 64); // large batch: nothing auto-flushes
         {
-            let wal = Wal::create(&cfg).unwrap();
+            let (wal, stage) = log_and_stage(&cfg);
             wal.log_register(1, 2, OverloadPolicy::Delay); // force-synced
-            wal.log_admit(0, 1, 11, true, false, false); // buffered only
+            admit(&stage, 0, 1, 11, true, false, false); // buffered only
                                                          // Dropped without sync_now: the admit never reached the file,
                                                          // exactly what an abort in the pre-fsync window loses.
         }
@@ -1721,16 +1895,16 @@ mod tests {
         let dir = tmpdir("compact");
         let cfg = dir_cfg(&dir, 1);
         {
-            let wal = Wal::create(&cfg).unwrap();
+            let (wal, stage) = log_and_stage(&cfg);
             wal.log_register(1, 2, OverloadPolicy::Delay);
             for w in 0..4u64 {
-                wal.log_admit(w, 1, w, true, false, false);
-                wal.log_seal(w);
+                admit(&stage, w, 1, w, true, false, false);
+                wal.log_seal_behind(w, Some(&stage));
                 wal.log_settle(w, 1, SettleKind::Served);
             }
             wal.compact();
             assert_eq!(std::fs::metadata(dir.join("wal.log")).unwrap().len(), 0);
-            wal.log_admit(4, 1, 99, true, false, false);
+            admit(&stage, 4, 1, 99, true, false, false);
             wal.sync_now();
         }
         let (wal, report) = Wal::resume(&cfg).unwrap();
@@ -1746,11 +1920,11 @@ mod tests {
 
     #[test]
     fn resolve_crash_losses_charges_sealed_unsettled_residue() {
-        let wal = Wal::create(&mem_cfg()).unwrap();
+        let (wal, stage) = log_and_stage(&mem_cfg());
         wal.log_register(1, 2, OverloadPolicy::Delay);
-        wal.log_admit(0, 1, 1, true, false, false);
-        wal.log_admit(0, 1, 2, true, false, false);
-        wal.log_seal(0);
+        admit(&stage, 0, 1, 1, true, false, false);
+        admit(&stage, 0, 1, 2, true, false, false);
+        wal.log_seal_behind(0, Some(&stage));
         wal.log_settle(0, 1, SettleKind::Served);
         assert_eq!(wal.resolve_crash_losses(), 1);
         let s = wal.state_snapshot();
@@ -1764,9 +1938,9 @@ mod tests {
 
     #[test]
     fn forfeit_open_keeps_the_ledger_balanced() {
-        let wal = Wal::create(&mem_cfg()).unwrap();
+        let (wal, stage) = log_and_stage(&mem_cfg());
         wal.log_register(1, 2, OverloadPolicy::Delay);
-        wal.log_admit(3, 1, 1, true, false, false);
+        admit(&stage, 3, 1, 1, true, false, false);
         wal.forfeit_open(3, 1, false);
         let s = wal.state_snapshot();
         assert!(s.open.is_empty());
@@ -1777,7 +1951,7 @@ mod tests {
         assert_eq!(wal.state_snapshot().ledger.lost, 1);
         // A forfeited write charges write_lost, and only a write entry
         // satisfies a write forfeit.
-        wal.log_admit(4, 1, 2, true, false, true);
+        admit(&stage, 4, 1, 2, true, false, true);
         wal.forfeit_open(4, 1, false);
         assert_eq!(wal.state_snapshot().ledger.lost, 1, "class mismatch: no-op");
         wal.forfeit_open(4, 1, true);
@@ -1789,13 +1963,13 @@ mod tests {
 
     #[test]
     fn write_settlement_and_crash_resolution_use_the_write_ledger() {
-        let wal = Wal::create(&mem_cfg()).unwrap();
+        let (wal, stage) = log_and_stage(&mem_cfg());
         wal.log_register(1, 4, OverloadPolicy::Delay);
-        wal.log_admit(0, 1, 1, true, false, true); // settles WriteSettled
-        wal.log_admit(0, 1, 2, true, false, true); // settles WriteLost
-        wal.log_admit(0, 1, 3, true, false, true); // stranded by "crash"
-        wal.log_admit(0, 1, 4, true, false, false); // read, settles Served
-        wal.log_seal(0);
+        admit(&stage, 0, 1, 1, true, false, true); // settles WriteSettled
+        admit(&stage, 0, 1, 2, true, false, true); // settles WriteLost
+        admit(&stage, 0, 1, 3, true, false, true); // stranded by "crash"
+        admit(&stage, 0, 1, 4, true, false, false); // read, settles Served
+        wal.log_seal_behind(0, Some(&stage));
         // A read settle must not consume a pending write admission.
         wal.log_settle(0, 1, SettleKind::WriteSettled);
         wal.log_settle(0, 1, SettleKind::WriteLost);
@@ -1820,10 +1994,10 @@ mod tests {
 
     #[test]
     fn reregistration_starts_a_fresh_epoch_in_state() {
-        let wal = Wal::create(&mem_cfg()).unwrap();
+        let (wal, stage) = log_and_stage(&mem_cfg());
         wal.log_register(1, 2, OverloadPolicy::Delay);
-        wal.log_admit(0, 1, 1, true, false, false);
-        wal.log_seal(0);
+        admit(&stage, 0, 1, 1, true, false, false);
+        wal.log_seal_behind(0, Some(&stage));
         wal.log_settle(0, 1, SettleKind::Served);
         wal.log_deregister(1);
         wal.log_register(1, 3, OverloadPolicy::Reject);
@@ -1833,5 +2007,122 @@ mod tests {
         assert_eq!(t.reserved, 3);
         assert_eq!(t.ledger.admitted, 0, "fresh epoch");
         assert_eq!(s.ledger.admitted, 1, "global history is kept");
+    }
+
+    /// `seal-collects-worker-stage`, narrowed to the log (tests/model.rs
+    /// runs it through the engine): a worker stages the `Settle` of tenant
+    /// 1's only admission, says so the way `Engine::settle` does — the
+    /// tenant's books show nothing in flight — and, about to park, drains
+    /// its stage; a seal nobody's stage rides collects that stage; a
+    /// controller logs `Deregister` and, once the books let it, the
+    /// `Register` that restarts the id's durable ledger. `seal` is the seal
+    /// under test. Fails — a settle of the departed epoch replayed into the
+    /// fresh one — on any schedule that lets `Register` into the log while
+    /// the settle is in neither the stage nor the log.
+    #[cfg(feature = "model-check")]
+    fn seal_races_a_settling_worker_and_a_reregistration(seal: fn(&Wal, u64)) {
+        use crate::sync::atomic::{AtomicBool, Ordering};
+        let wal = Arc::new(Wal::create(&staging_cfg(8)).unwrap().with_worker_stages(1));
+        let (stage, worker) = (wal.stage(), wal.worker_stage(0));
+        wal.log_register(1, 2, OverloadPolicy::Delay);
+        stage.log_admit(0, admit_of(1, 7));
+        wal.log_seal_behind(0, Some(&stage));
+        let settled = Arc::new(AtomicBool::new(false));
+        let serving = {
+            let settled = Arc::clone(&settled);
+            interleave::thread::spawn(move || {
+                worker.log_settle(0, 1, SettleKind::Served);
+                settled.store(true, Ordering::Release);
+                worker.drain_idle();
+            })
+        };
+        let sealing = {
+            let wal = Arc::clone(&wal);
+            interleave::thread::spawn(move || seal(&wal, 1))
+        };
+        let controlling = {
+            let wal = Arc::clone(&wal);
+            interleave::thread::spawn(move || {
+                wal.log_deregister(1);
+                let fresh = settled.load(Ordering::Acquire);
+                if fresh {
+                    wal.log_register(1, 2, OverloadPolicy::Delay);
+                }
+                fresh
+            })
+        };
+        serving.join().unwrap();
+        sealing.join().unwrap();
+        let fresh = controlling.join().unwrap();
+        let state = wal.state_snapshot();
+        assert_eq!(state.misordered, 0);
+        assert!(state.ledger.conserved() && state.ledger.served == 1);
+        let durable = &state.tenants[&1];
+        assert_eq!(durable.live, fresh);
+        assert!(
+            durable.ledger.conserved(),
+            "a settle of the departed epoch replayed into the fresh one"
+        );
+        assert_eq!(durable.ledger.admitted, u64::from(!fresh));
+    }
+
+    /// The seeded mutant of `seal-collects-worker-stage` (ROADMAP 1(d)): a
+    /// seal that takes the worker's records out and lets go of the stage
+    /// *before* it holds the WAL lock.
+    #[cfg(feature = "model-check")]
+    fn seal_that_lets_go_of_the_stage_first(wal: &Wal, window: u64) {
+        let taken = std::mem::take(&mut *wal.workers[0].lock());
+        let mut g = wal.locked();
+        g.spares[0] = taken;
+        wal.append_collected(&mut g, None);
+        wal.push_locked(&mut g, &WalRecord::Seal { window }, true, false);
+    }
+
+    /// Through the engine the mutant needs two preemptions early in a
+    /// 250-step schedule — the worker's between its settle and the drain it
+    /// does before it parks, the sealing thread's between the stage and the
+    /// log — and the first seal of a release hides it altogether (a cold
+    /// path drains the handle's stage too, which rides that seal's whole
+    /// hold): the engine schedule did not reach it in 40 000 schedules. Here
+    /// the explorer exhausts the space, and has to find the mutant.
+    #[cfg(feature = "model-check")]
+    #[test]
+    fn seal_collects_worker_stage_holding_it_until_the_log_is_held() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let bounds = || interleave::Config {
+            preemptions: 2,
+            max_schedules: 1 << 16,
+            ..interleave::Config::default()
+        };
+        let report = interleave::model_with(bounds(), || {
+            seal_races_a_settling_worker_and_a_reregistration(|wal, w| {
+                wal.log_seal_behind(w, None);
+            });
+        });
+        println!(
+            "seal-collects-worker-stage/stage-held-until-the-log: explored {} schedules \
+             (exhausted: {}, max depth: {} ops)",
+            report.schedules, report.exhausted, report.max_depth
+        );
+        assert!(report.exhausted && report.schedules >= 100);
+        static RAN: AtomicU64 = AtomicU64::new(0);
+        let mutant = std::panic::catch_unwind(|| {
+            interleave::model_with(bounds(), || {
+                RAN.fetch_add(1, Ordering::Relaxed);
+                seal_races_a_settling_worker_and_a_reregistration(
+                    seal_that_lets_go_of_the_stage_first,
+                );
+            })
+        });
+        let failure = mutant.expect_err("the explorer accepted the seeded mutant");
+        let failure = failure
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(failure.contains("replayed into the fresh one"), "{failure}");
+        println!(
+            "seal-collects-worker-stage/mutant: fails after {} schedules",
+            RAN.load(Ordering::Relaxed)
+        );
     }
 }

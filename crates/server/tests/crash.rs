@@ -3,8 +3,8 @@
 //!
 //! Each test replays a seeded trace in a subprocess (the `crash_child`
 //! test below, re-exec'd via [`common::crash_child_entry`]) with a
-//! write-ahead log at `fsync_batch = 1` (one row runs at 8, with the
-//! weaker contract a batched log has), arms one `FQOS_CRASH_POINT`, lets
+//! write-ahead log at `fsync_batch = 1` (one row runs at 8 and one at 64,
+//! with the weaker contract a batched log has), arms one `FQOS_CRASH_POINT`, lets
 //! the child abort mid-run, then recovers the log in-process and audits
 //! the durability contract:
 //!
@@ -201,6 +201,44 @@ fn a_batched_log_loses_only_its_unsynced_tail_and_resurrects_nothing() {
         );
         let _ = std::fs::remove_dir_all(&wal_dir);
     }
+}
+
+/// The log has one writer, so a worker's settles wait on its stage for the
+/// next seal: a kill right behind a seal (`seal-mid-batch`, a batch of 64
+/// that no stage ever fills here, one worker) loses whatever the worker
+/// staged after that seal collected it. Recovery charges exactly the
+/// sealed admissions the log holds no settle for to `fault_lost` — the
+/// killed window's, never dispatched, and at most `fsync_batch − 1` the
+/// stage held — every ledger closes (`recover_and_verify`), and nothing is
+/// settled twice.
+#[test]
+fn a_kill_behind_a_seal_loses_at_most_the_settles_on_the_workers_stage() {
+    const BATCH: u64 = 64;
+    let mut scenario = crash_scenario(20).fsync_batch(BATCH);
+    scenario.workers = 1;
+    let wal_dir = scratch_path("wal-one-writer");
+    let run = scenario.spawn_with_crash_point("crash_child", &wal_dir, Some("seal-mid-batch:10"));
+    assert!(run.aborted, "the tenth seal lands inside the trace");
+    let m = scenario.recover_and_verify(&wal_dir);
+    assert_eq!(m.wal_misordered, 0);
+    assert!(
+        m.admitted_total() <= run.acked + 1,
+        "resurrected more than the submit in flight"
+    );
+    // A seal is force-synced with the handle's stage ahead of it: every
+    // admission of the ten sealed windows is durable.
+    assert!(m.admitted_total() >= 10 * 4 - 4, "{}", m.admitted_total());
+    assert_eq!(
+        m.fault_lost, m.recovered_lost,
+        "lost at recovery and nowhere else: no fault was injected"
+    );
+    let killed_window = 4; // two tenants reserving two each
+    assert!(
+        (1..=killed_window + BATCH - 1).contains(&m.recovered_lost),
+        "{} sealed admissions had no settle in the log",
+        m.recovered_lost
+    );
+    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 /// Without a crash the WAL round-trips losslessly: recovery finds every

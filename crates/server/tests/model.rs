@@ -873,3 +873,107 @@ fn staged_settle_vs_reregister_keeps_each_epochs_settles_apart() {
     let _ = std::fs::remove_dir_all(&dir);
     report_and_check("staged-settle-vs-reregister", report, 1000);
 }
+
+/// The log has one writer: a worker's `Settle` records reach the log in the
+/// hold of the next `Seal`, appended by the thread that seals. Here the
+/// worker staging `Settle(0)` of tenant 1's only admission races a handle
+/// whose release logs `Seal(1)` and `Seal(2)` — each collects the worker's
+/// stage — and a controller that deregisters the tenant and registers it
+/// afresh, whose `Register` drains every stage first. Whoever gets there
+/// first logs the settle (a seal, the cold path, or the worker itself when
+/// it finds nothing queued and is about to park); none of them may let
+/// `Register` into the log between the settle leaving the stage and
+/// reaching the log, which is why the sealing thread lets go of a worker's
+/// stage only once it holds the WAL lock (`Wal::lock_behind_workers`). On
+/// every schedule the log is in order, the law closes over every record the
+/// id ever had, and what the log's bytes replay to — read back through
+/// `recover` — is the account the engine kept, with tenant 1's durable
+/// ledger conserved.
+///
+/// Seeded mutant (ROADMAP 1(d)): a seal that takes the worker's records out
+/// and releases its stage *before* the WAL lock is taken. Through the
+/// engine it needs two preemptions early in a 250-step schedule and a seal
+/// the handle's own stage does not ride, and this exploration does not
+/// reach it (40 000 schedules tried); the same three threads narrowed to
+/// the log, where the explorer exhausts the space, do and must:
+/// `wal.rs::seal_collects_worker_stage_holding_it_until_the_log_is_held`
+/// runs the mutant on every CI run and fails if it is *not* caught.
+#[test]
+fn seal_collects_worker_stage_behind_every_cold_path() {
+    let bounds = Config {
+        preemptions: 2,
+        max_schedules: 4096,
+        ..Config::default()
+    };
+    let dir = common::scratch_path("model-seal-collects");
+    let wal_dir = dir.clone();
+    let report = model_with(bounds, move || {
+        // `new` starts a fresh log epoch over the previous schedule's files.
+        let cfg = || model_cfg().with_workers(1).with_wal(&wal_dir);
+        let server = QosServer::new(cfg()).unwrap();
+        let t_ns = server.config().qos.interval_ns;
+        let first = server.register(1, 2, OverloadPolicy::Delay).unwrap();
+        let other = server.register(2, 2, OverloadPolicy::Delay).unwrap();
+        // The controller's handle is past window 2 from the start, so that
+        // the other handle's releases are what seal.
+        let mut hc = server.handle();
+        hc.advance_to(3 * t_ns);
+        let mut hs = server.handle();
+        assert!(hs.submit(1, 0, 0).is_admitted());
+        let (go, parked) = interleave::channel::bounded::<()>(1);
+        let sealing = interleave::thread::spawn(move || {
+            go.send(()).unwrap();
+            // Seals window 0 and sends tenant 1's read: from here the
+            // worker stages its settle whenever the explorer lets it run.
+            assert!(hs.submit(2, 1, t_ns).is_admitted());
+            // `Seal(1)`, whose batch finds the worker's one-message queue
+            // full unless the worker ran, then `Seal(2)`: two seals in one
+            // release, and only the first has the handle's own stage riding
+            // it. (A cold path drains that stage too, so it waits out a seal
+            // the stage rides whatever the seal does with the workers'.)
+            hs.advance_to(3 * t_ns);
+            hs
+        });
+        let controller = interleave::thread::spawn(move || {
+            parked.recv().unwrap();
+            hc.deregister(1).expect("tenant 1 was live");
+            hc.register(1, 2, OverloadPolicy::Delay).ok()
+        });
+        let fresh = controller.join().unwrap();
+        drop(sealing.join().unwrap());
+        let m = server.finish();
+        assert_eq!(m.wal_misordered, 0, "a record outran the one it depends on");
+        assert_eq!((m.admitted_total(), m.served), (2, 2));
+        assert!(m.ledger().conserved(), "{}", m.ledger().render());
+        let mut records = first.counters.ledger.snapshot();
+        records.merge(&other.counters.ledger.snapshot());
+        if let Some(second) = &fresh {
+            records.merge(&second.counters.ledger.snapshot());
+        }
+        assert_eq!(m.ledger(), records, "an event landed on no record");
+        // Nothing of this execution is left running, so the replay needs no
+        // exploring: on a plain thread the restarted server's locks and
+        // channel are no scheduling points, which keeps the schedule space
+        // to the race itself.
+        let restart = cfg();
+        let restarted = std::thread::spawn(move || QosServer::recover(restart).unwrap().finish())
+            .join()
+            .unwrap();
+        assert_eq!(restarted.wal_misordered, 0);
+        assert_eq!(
+            restarted.ledger(),
+            m.ledger(),
+            "the log replays to the account"
+        );
+        let t1 = restarted.tenants.iter().find(|t| t.tenant == 1).unwrap();
+        assert_eq!(t1.live, fresh.is_some());
+        assert!(
+            t1.ledger().conserved(),
+            "a settle of the departed epoch replayed into the fresh one: {}",
+            t1.ledger().render()
+        );
+        assert_eq!(t1.admitted, u64::from(fresh.is_none()));
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    report_and_check("seal-collects-worker-stage", report, 1000);
+}

@@ -180,14 +180,16 @@ pub fn functions(toks: &[Tok]) -> Vec<FnDef> {
                 continue;
             }
         }
-        // A cfg(test)-gated item: skip it wholesale (to `;` or through
-        // its balanced braces).
+        // A cfg(test)-gated item: skip it wholesale — to `;`, to the `,`
+        // that ends a struct field, through its balanced braces, or up to
+        // the close of the item it is the last member of.
         if skip_next_item && !t.is("#") {
             skip_next_item = false;
             let mut d = 0i32;
             while i < toks.len() {
                 match toks[i].text.as_str() {
                     "{" | "(" | "[" => d += 1,
+                    "}" | ")" | "]" if d == 0 => break,
                     "}" | ")" | "]" => {
                         d -= 1;
                         if d == 0 && toks[i].is("}") {
@@ -195,7 +197,7 @@ pub fn functions(toks: &[Tok]) -> Vec<FnDef> {
                             break;
                         }
                     }
-                    ";" if d == 0 => {
+                    ";" | "," if d == 0 => {
                         i += 1;
                         break;
                     }
@@ -764,6 +766,25 @@ mod tests {
         assert_eq!(f[0].name, "seal");
         assert_eq!(f[1].owner, None);
         assert_eq!(f[1].name, "free");
+    }
+
+    #[test]
+    fn a_cfg_test_field_hides_itself_and_not_the_impl_that_follows() {
+        let f = fns(
+            "struct W { wal: Mutex<I>, #[cfg(test)] tally: Mutex<Map<String, u64>>, }\n\
+             struct V { #[cfg(test)] last: u8 }\n\
+             impl W { fn locked(&self) { self.wal.lock(); } #[cfg(test)] fn t(&self, a: A) { x(); } }",
+        );
+        assert_eq!(
+            f.len(),
+            1,
+            "{:?}",
+            f.iter().map(|f| &f.name).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            (f[0].owner.as_deref(), f[0].name.as_str()),
+            (Some("W"), "locked")
+        );
     }
 
     #[test]

@@ -106,8 +106,12 @@ pub const HIERARCHY: &[(&str, &str)] = &[
     (
         "engine.stage",
         "one thread's staged WAL records (wal.rs Stage::staged) — taken by \
-         its owner per record and by cold paths that drain every stage; \
-         only `engine.wal` may be acquired under it",
+         its owner per record and by cold paths that drain every stage, \
+         one at a time; the thread that seals holds several at once (its \
+         handle's, then every worker's in index order), only ever under \
+         `engine.dispatch`, so no two threads do — same-class nesting is \
+         not an edge of this graph, the order is wal.rs's to keep; only \
+         `engine.wal` may be acquired under it",
     ),
     (
         "engine.wal",
@@ -307,7 +311,7 @@ fn blocking_ops(toks: &[Tok]) -> Vec<BlockingOp> {
         let bare_call = toks.get(k + 1).is_some_and(|n| n.is("("));
         let what: Option<&str> = match t.text.as_str() {
             "sync_all" | "sync_data" if method_call => Some("fsync"),
-            "send" | "recv" | "recv_timeout" | "recv_deadline" if method_call => {
+            "send" | "recv" | "recv_idle" | "recv_timeout" | "recv_deadline" if method_call => {
                 Some("channel send/recv")
             }
             "join" if method_call && toks.get(k + 2).is_some_and(|n| n.is(")")) => {
@@ -490,13 +494,16 @@ pub fn analyze(files: &[(std::path::PathBuf, Vec<FnDef>)]) -> LockReport {
             let entry = facts.entry(key).or_default();
             let mut stmts = Vec::new();
             all_stmts(&f.nodes, &mut stmts);
-            if returns_guard_sig(&f.sig).is_some() {
-                for s in &stmts {
-                    if let Some(a) = acquisitions(&file_name, &s.toks).first() {
-                        entry.returns_guard = Some((a.class, a.exclusive));
-                        break;
-                    }
-                }
+            if let Some(exclusive) = returns_guard_sig(&f.sig) {
+                let by_payload = GUARD_PAYLOADS
+                    .iter()
+                    .find(|(ty, _)| f.sig.iter().any(|t| t.is_ident(ty)))
+                    .map(|(_, class)| (class_index(class), exclusive));
+                let first_acquired = || {
+                    let first = |s: &&Stmt| acquisitions(&file_name, &s.toks).first().copied();
+                    stmts.iter().find_map(first).map(|a| (a.class, a.exclusive))
+                };
+                entry.returns_guard = by_payload.or_else(first_acquired);
             }
             for s in &stmts {
                 let acqs = acquisitions(&file_name, &s.toks);
@@ -637,6 +644,13 @@ pub fn analyze(files: &[(std::path::PathBuf, Vec<FnDef>)]) -> LockReport {
         functions_analyzed: sim.functions_analyzed,
     }
 }
+
+/// Guard payload types that name their lock class. A function that returns
+/// a guard is otherwise taken to return the first class it acquires, which
+/// is wrong for one that locks something else on the way (wal.rs
+/// `Wal::lock_behind_workers`: worker stages first, then the log it
+/// returns).
+const GUARD_PAYLOADS: &[(&str, &str)] = &[("WalInner", "engine.wal")];
 
 fn returns_guard_sig(sig: &[Tok]) -> Option<bool> {
     let arrow = sig.iter().position(|t| t.is("->"))?;

@@ -170,29 +170,41 @@ fn prev_is_ident_char(chars: &[char], i: usize) -> bool {
     i > 0 && (chars[i - 1].is_ascii_alphanumeric() || chars[i - 1] == '_')
 }
 
-/// Blank out every `#[cfg(test)] mod … { … }` block in stripped lines.
+/// Blank out every `#[cfg(test)]` item in stripped lines: a `mod … { … }`
+/// or `fn … { … }` through its matching close, a statement, field or
+/// `const` without a body of its own through the `;` or `,` that ends it.
 pub fn blank_test_mods(lines: &mut [String]) {
     let mut i = 0;
     while i < lines.len() {
         if lines[i].contains("#[cfg(test)]") {
-            // Find the opening brace of the item that follows, then blank
-            // through its matching close.
-            let mut depth = 0i32;
-            let mut opened = false;
+            // Blank through the close of the first brace the item opens,
+            // or through a `;` / `,` outside every bracket before it opens
+            // one (`fn f(a: A, b: B) {` has its commas inside).
+            let mut braces = 0i32;
+            let mut nested = 0i32;
+            let mut done = false;
             let mut j = i;
             while j < lines.len() {
-                for c in lines[j].clone().chars() {
+                let line = std::mem::take(&mut lines[j]);
+                let item = if j == i {
+                    line.split_once("#[cfg(test)]").map_or("", |(_, rest)| rest)
+                } else {
+                    &line
+                };
+                for c in item.chars() {
                     match c {
-                        '{' => {
-                            depth += 1;
-                            opened = true;
+                        '{' => braces += 1,
+                        '}' => {
+                            braces -= 1;
+                            done |= braces <= 0;
                         }
-                        '}' => depth -= 1,
+                        '(' | '[' => nested += 1,
+                        ')' | ']' => nested -= 1,
+                        ';' | ',' => done |= braces == 0 && nested == 0,
                         _ => {}
                     }
                 }
-                lines[j].clear();
-                if opened && depth <= 0 {
+                if done {
                     break;
                 }
                 j += 1;
@@ -634,6 +646,29 @@ mod tests {
         assert!(!joined.contains("x.lock()"));
         assert!(joined.contains("fn live()"));
         assert!(joined.contains("fn after()"));
+    }
+
+    #[test]
+    fn blanks_cfg_test_statements_and_fields_and_nothing_after_them() {
+        let mut lines = strip(
+            "struct S {\n    #[cfg(test)]\n    tally: Map<String, u64>,\n    wal: Mutex<Inner>,\n}\n\
+             fn locked(&self) -> G {\n    #[cfg(test)]\n    self.tally(name(a, b));\n    \
+             self.wal.lock()\n}\n#[cfg(test)]\nconst T: &str = \"t\";\nfn after(a: A, b: B) {}\n\
+             #[cfg(test)]\nfn probe(&self, a: A) -> u64 {\n    x.lock()\n}\nfn last() {}",
+        );
+        blank_test_mods(&mut lines);
+        let joined = lines.join("\n");
+        for gone in ["tally", "const T", "x.lock()", "probe"] {
+            assert!(!joined.contains(gone), "`{gone}` survived:\n{joined}");
+        }
+        for kept in [
+            "wal: Mutex<Inner>",
+            "self.wal.lock()",
+            "fn after(",
+            "fn last()",
+        ] {
+            assert!(joined.contains(kept), "`{kept}` was blanked:\n{joined}");
+        }
     }
 
     // --- regression tests: raw strings and generics (historic gaps) ---
