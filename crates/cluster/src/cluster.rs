@@ -53,7 +53,7 @@ use fqos_server::{
     MetricsSnapshot, OverloadPolicy, QosServer, RejectReason, ServerConfig, SubmitOutcome,
     SubmitterHandle,
 };
-use parking_lot::{Mutex, RwLock};
+use fqos_sync::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

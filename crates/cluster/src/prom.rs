@@ -9,7 +9,7 @@
 
 use crate::health::ArrayHealth;
 use crate::metrics::ClusterMetrics;
-use parking_lot::Mutex;
+use fqos_sync::Mutex;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

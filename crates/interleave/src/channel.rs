@@ -1,15 +1,13 @@
-//! Instrumented channel matching the `crossbeam` shim's API subset
-//! (`bounded`, `send`/`recv`, disconnect-on-last-endpoint-drop semantics).
+//! Instrumented twin of `fqos-sync`'s channel (`bounded`, `send`/`recv`,
+//! disconnect-on-last-endpoint-drop semantics).
 //!
 //! Under a [`crate::model`] execution, send/recv park on scheduler
 //! conditions evaluated against a mirror of the queue state — a blocked
 //! send is runnable once there is room *or* every receiver is gone (so the
 //! disconnect error is itself an explorable outcome). Outside a model the
-//! channel degrades to the same mutex-plus-condvars implementation as the
-//! crossbeam shim.
+//! channel degrades to a mutex plus two condvars, without the linger.
 
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
@@ -18,8 +16,7 @@ use crate::rt::{ctx, Condition, Resource, ResourceId, Rt};
 struct Shared<T> {
     id: ResourceId,
     queue: Mutex<VecDeque<T>>,
-    /// None = unbounded.
-    capacity: Option<usize>,
+    capacity: usize,
     not_empty: Condvar,
     not_full: Condvar,
     senders: AtomicUsize,
@@ -31,7 +28,7 @@ pub struct Sender<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// Receiving half; clonable for multi-consumer use.
+/// Receiving half.
 pub struct Receiver<T> {
     shared: Arc<Shared<T>>,
 }
@@ -44,29 +41,13 @@ pub struct SendError<T>(pub T);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
 
-impl<T> fmt::Display for SendError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("sending on a disconnected channel")
-    }
-}
-
-impl fmt::Display for RecvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("receiving on an empty, disconnected channel")
-    }
-}
-
 /// Channel buffering at most `cap` messages; sends block when full.
 /// `cap = 0` is rounded up to 1 (true rendezvous is not needed here).
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-    with_capacity(Some(cap.max(1)))
-}
-
-fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
         id: ResourceId::new(),
         queue: Mutex::new(VecDeque::new()),
-        capacity,
+        capacity: cap.max(1),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
         senders: AtomicUsize::new(1),
@@ -98,7 +79,7 @@ impl<T> Shared<T> {
     fn ensure(&self, rt: &Rt) -> usize {
         self.id.get(rt, || Resource::Channel {
             len: self.lock_queue().len(),
-            cap: self.capacity.unwrap_or(usize::MAX),
+            cap: self.capacity,
             senders: self.senders.load(Ordering::Acquire),
             receivers: self.receivers.load(Ordering::Acquire),
         })
@@ -146,15 +127,13 @@ impl<T> Sender<T> {
             if shared.no_receivers() {
                 return Err(SendError(value));
             }
-            match shared.capacity {
-                Some(cap) if q.len() >= cap => {
-                    q = shared
-                        .not_full
-                        .wait(q)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                _ => break,
+            if q.len() < shared.capacity {
+                break;
             }
+            q = shared
+                .not_full
+                .wait(q)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         q.push_back(value);
         drop(q);
@@ -170,7 +149,7 @@ impl<T> Receiver<T> {
         self.recv_idle(|| {})
     }
 
-    /// The `crossbeam` shim's `recv_idle`: `idle` runs, at most once, when
+    /// `fqos-sync`'s `recv_idle`: `idle` runs, at most once, when
     /// the receiver is about to block. Under a model that is a receiver
     /// that finds nothing queued where the explorer let it arrive — there
     /// is no linger to outlast — and whatever `idle` does (its locks are

@@ -4,9 +4,9 @@
 //! with vanishing probability. This crate explores them systematically:
 //! wrap a concurrent scenario in [`model`] and build it from the
 //! instrumented primitives in [`sync`], [`channel`] and [`thread`] — the
-//! same signatures as the repo's `parking_lot`/`crossbeam` shims and
-//! `std::thread`, so production code runs unmodified behind an import
-//! swap. The runner executes the closure once per distinct thread
+//! same signatures as `fqos-sync`'s primitives and `std::thread`, so
+//! production code runs unmodified behind `fqos-sync`'s `model-check`
+//! switch. The runner executes the closure once per distinct thread
 //! schedule, enumerating schedules by DFS with a preemption bound and
 //! replaying each deterministically; any panic, failed assertion, or
 //! deadlock is reported with the schedule trace that produced it.
@@ -247,8 +247,8 @@ mod tests {
 
     #[test]
     fn fallback_primitives_work_outside_model() {
-        // No model context here: everything must behave like the plain
-        // blocking shims.
+        // No model context here: everything must behave like plain
+        // blocking primitives.
         let m = Arc::new(Mutex::new(0u64));
         let (tx, rx) = channel::bounded(2);
         let handles: Vec<_> = (0..4)

@@ -48,16 +48,16 @@ use crate::fault::{FaultKind, FaultPlane, MAX_FAULT_DEVICES};
 use crate::ledger::{AtomicLedger, SettleKind};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, TenantSnapshot};
 use crate::registry::{RegisterError, Tenant, TenantRegistry, TenantView};
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::channel::{bounded, Receiver, Sender};
-use crate::sync::thread::JoinHandle;
-use crate::sync::{Arc, LineGap, Mutex, RwLock};
 use crate::wal::{crash_point, OpenEntry, Stage, Wal};
 use crate::window::{AdmitResult, SealedItem, WindowRing, MAX_COPIES};
 use fqos_core::{OverloadPolicy, StatisticalCounters};
 use fqos_decluster::sampling::{optimal_retrieval_probabilities, OptimalRetrievalProbabilities};
 use fqos_decluster::AllocationScheme;
 use fqos_flashsim::{CalibratedSsd, Completion, Device, GcStats, IoOp, IoRequest};
+use fqos_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use fqos_sync::channel::{bounded, Receiver, Sender};
+use fqos_sync::thread::JoinHandle;
+use fqos_sync::{Arc, LineGap, Mutex, RwLock};
 
 /// Outcome of one [`SubmitterHandle::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -543,7 +543,7 @@ impl QosServer {
             .map(|(w, rx)| {
                 let engine = Arc::clone(&engine);
                 let stage = engine.wal.as_ref().map(|wal| wal.worker_stage(w));
-                crate::sync::thread::Builder::new()
+                fqos_sync::thread::Builder::new()
                     .name(format!("fqos-worker-{w}"))
                     .spawn(move || worker_loop(w, workers, rx, engine, stage))
                     .map_err(|e| format!("spawning worker {w}: {e}"))

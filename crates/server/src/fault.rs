@@ -51,9 +51,9 @@
 //! state) — both leaves, acquired by workers holding no other lock and by
 //! the dispatcher under `engine.dispatch`.
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::{LineGap, Mutex};
 use fqos_flashsim::BLOCK_READ_NS;
+use fqos_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use fqos_sync::{LineGap, Mutex};
 
 /// Largest device count the health bitmap covers.
 pub const MAX_FAULT_DEVICES: usize = 64;

@@ -21,8 +21,8 @@
 //! variants of [`SettleKind`] its settle kinds, and calls to `admit(` /
 //! `settle(` elsewhere are the events its path check balances.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::LineGap;
+use fqos_sync::atomic::{AtomicU64, Ordering};
+use fqos_sync::LineGap;
 
 /// How an admission left the system — the single list of settling terms.
 /// The discriminant is the kind's byte in a WAL settle record.

@@ -42,7 +42,6 @@ mod layout;
 pub mod ledger;
 pub mod metrics;
 pub mod registry;
-mod sync;
 pub mod wal;
 mod window;
 

@@ -9,10 +9,10 @@
 //! which goes to the shards only when the registry's `epoch` has moved.
 
 use crate::metrics::TenantCounters;
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex, RwLock};
 use crate::wal::Wal;
 use fqos_core::{AppAdmission, OverloadPolicy};
+use fqos_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use fqos_sync::{Arc, Mutex, RwLock};
 use std::collections::HashMap;
 
 /// Immutable per-tenant record handed out by lookups. Laid out by writer:

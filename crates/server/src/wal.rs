@@ -97,8 +97,8 @@
 
 use crate::config::WalConfig;
 use crate::ledger::{Ledger, SettleKind};
-use crate::sync::{Arc, LineGap, Mutex, MutexGuard};
 use fqos_core::OverloadPolicy;
+use fqos_sync::{Arc, LineGap, Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -2021,7 +2021,7 @@ pub(crate) mod tests {
     /// the settle is in neither the stage nor the log.
     #[cfg(feature = "model-check")]
     fn seal_races_a_settling_worker_and_a_reregistration(seal: fn(&Wal, u64)) {
-        use crate::sync::atomic::{AtomicBool, Ordering};
+        use fqos_sync::atomic::{AtomicBool, Ordering};
         let wal = Arc::new(Wal::create(&staging_cfg(8)).unwrap().with_worker_stages(1));
         let (stage, worker) = (wal.stage(), wal.worker_stage(0));
         wal.log_register(1, 2, OverloadPolicy::Delay);
@@ -2030,7 +2030,7 @@ pub(crate) mod tests {
         let settled = Arc::new(AtomicBool::new(false));
         let serving = {
             let settled = Arc::clone(&settled);
-            interleave::thread::spawn(move || {
+            fqos_sync::thread::spawn(move || {
                 worker.log_settle(0, 1, SettleKind::Served);
                 settled.store(true, Ordering::Release);
                 worker.drain_idle();
@@ -2038,11 +2038,11 @@ pub(crate) mod tests {
         };
         let sealing = {
             let wal = Arc::clone(&wal);
-            interleave::thread::spawn(move || seal(&wal, 1))
+            fqos_sync::thread::spawn(move || seal(&wal, 1))
         };
         let controlling = {
             let wal = Arc::clone(&wal);
-            interleave::thread::spawn(move || {
+            fqos_sync::thread::spawn(move || {
                 wal.log_deregister(1);
                 let fresh = settled.load(Ordering::Acquire);
                 if fresh {
@@ -2089,12 +2089,12 @@ pub(crate) mod tests {
     #[test]
     fn seal_collects_worker_stage_holding_it_until_the_log_is_held() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        let bounds = || interleave::Config {
+        let bounds = || fqos_sync::Config {
             preemptions: 2,
             max_schedules: 1 << 16,
-            ..interleave::Config::default()
+            ..fqos_sync::Config::default()
         };
-        let report = interleave::model_with(bounds(), || {
+        let report = fqos_sync::model_with(bounds(), || {
             seal_races_a_settling_worker_and_a_reregistration(|wal, w| {
                 wal.log_seal_behind(w, None);
             });
@@ -2107,7 +2107,7 @@ pub(crate) mod tests {
         assert!(report.exhausted && report.schedules >= 100);
         static RAN: AtomicU64 = AtomicU64::new(0);
         let mutant = std::panic::catch_unwind(|| {
-            interleave::model_with(bounds(), || {
+            fqos_sync::model_with(bounds(), || {
                 RAN.fetch_add(1, Ordering::Relaxed);
                 seal_races_a_settling_worker_and_a_reregistration(
                     seal_that_lets_go_of_the_stage_first,

@@ -29,9 +29,9 @@
 
 use crate::config::AssignmentMode;
 use crate::fault::{FaultPlane, MAX_FAULT_DEVICES};
-use crate::sync::{Arc, Mutex, MutexGuard};
 use fqos_decluster::retrieval::{DegradedAdmit, DegradedWindow};
 use fqos_flashsim::{IoOp, IoRequest};
+use fqos_sync::{Arc, Mutex, MutexGuard};
 
 /// Most replicas a block can have: an `(N, c, 1)` design needs
 /// `N ≥ c² − c + 1` devices, so `c ≤ 8` under the 64-device fault plane.

@@ -1,9 +1,9 @@
 //! Bounded exhaustive model checking of the engine's concurrency protocol.
 //!
-//! Only built with `--features model-check`: the facade in `src/sync.rs`
-//! swaps every lock, channel, atomic and thread the engine uses for the
-//! [`interleave`] crate's instrumented twins, and each test below runs a
-//! small end-to-end scenario under [`interleave::model_with`], which
+//! Only built with `--features model-check`, which turns on `fqos-sync`'s
+//! own: every lock, channel, atomic and thread the engine uses becomes the
+//! `interleave` crate's instrumented twin, and each test below runs a
+//! small end-to-end scenario under [`fqos_sync::model_with`], which
 //! re-executes the closure once per distinct thread schedule (DFS over
 //! context switches, preemption-bounded). Any assertion failure, panic in
 //! engine code (e.g. the window ring's sealed-admission checks), or
@@ -35,7 +35,7 @@ mod common;
 
 use fqos_core::{OverloadPolicy, QosConfig};
 use fqos_server::{FtlGeometry, GcConfig, IoOp, QosServer, ServerConfig, SubmitOutcome};
-use interleave::{model_with, Config, Report};
+use fqos_sync::{model_with, Config, Report};
 
 /// A 2-worker, 8-slot-ring configuration small enough for exhaustive
 /// schedule exploration: single registry shard, depth-2 worker queues,
@@ -106,8 +106,8 @@ fn admission_vs_seal_conserves_requests() {
         server.register(2, 2, OverloadPolicy::Delay).unwrap();
         let mut ha = server.handle();
         let mut hb = server.handle();
-        let a = interleave::thread::spawn(move || submit_all(&mut ha, 1, &[(0, 0), (1, t_ns)]));
-        let b = interleave::thread::spawn(move || submit_all(&mut hb, 2, &[(2, 0), (3, t_ns)]));
+        let a = fqos_sync::thread::spawn(move || submit_all(&mut ha, 1, &[(0, 0), (1, t_ns)]));
+        let b = fqos_sync::thread::spawn(move || submit_all(&mut hb, 2, &[(2, 0), (3, t_ns)]));
         let ta = a.join().unwrap();
         let tb = b.join().unwrap();
         let m = server.finish();
@@ -146,12 +146,12 @@ fn inject_fault_vs_seal_conserves_requests() {
         server.register(1, 2, OverloadPolicy::Delay).unwrap();
         let mut hs = server.handle();
         let hf = server.handle();
-        let submitter = interleave::thread::spawn(move || {
+        let submitter = fqos_sync::thread::spawn(move || {
             // Same bucket, same arrival window: under M = 1 the two
             // requests need two distinct live replicas.
             submit_all(&mut hs, 1, &[(0, 0), (0, 0)])
         });
-        let injector = interleave::thread::spawn(move || {
+        let injector = fqos_sync::thread::spawn(move || {
             hf.inject_fault(f0).unwrap();
             hf.inject_fault(f1).unwrap();
             // Dropping hf closes its watermark so sealing can proceed.
@@ -199,12 +199,12 @@ fn shutdown_drain_loses_nothing() {
         server.register(2, 2, OverloadPolicy::Delay).unwrap();
         let mut ha = server.handle();
         let mut hb = server.handle();
-        let a = interleave::thread::spawn(move || {
+        let a = fqos_sync::thread::spawn(move || {
             // One request, then the handle drops mid-window: its
             // watermark must stop gating the seal.
             submit_all(&mut ha, 1, &[(0, 0)])
         });
-        let b = interleave::thread::spawn(move || submit_all(&mut hb, 2, &[(2, 0), (3, 2 * t_ns)]));
+        let b = fqos_sync::thread::spawn(move || submit_all(&mut hb, 2, &[(2, 0), (3, 2 * t_ns)]));
         let ta = a.join().unwrap();
         let tb = b.join().unwrap();
         let m = server.finish();
@@ -234,12 +234,12 @@ fn handle_drop_mid_window_conserves_requests() {
         server.register(1, 2, OverloadPolicy::Delay).unwrap();
         let mut ha = server.handle();
         let mut hb = server.handle();
-        let a = interleave::thread::spawn(move || {
+        let a = fqos_sync::thread::spawn(move || {
             let tally = submit_all(&mut ha, 1, &[(0, 0)]);
             drop(ha); // explicit: drop races hb's admissions below
             tally
         });
-        let b = interleave::thread::spawn(move || submit_all(&mut hb, 1, &[(1, 0), (1, t_ns)]));
+        let b = fqos_sync::thread::spawn(move || submit_all(&mut hb, 1, &[(1, 0), (1, t_ns)]));
         let ta = a.join().unwrap();
         let tb = b.join().unwrap();
         let m = server.finish();
@@ -284,9 +284,8 @@ fn rebalance_vs_seal_conserves_the_cluster_law() {
         let mut hs = src.handle();
         let hm = src.handle(); // migrator's drain endpoint on the source
         let hd = dst.handle(); // migrator's endpoint on the target
-        let submitter =
-            interleave::thread::spawn(move || submit_all(&mut hs, 1, &[(0, 0), (1, 0)]));
-        let migrator = interleave::thread::spawn(move || {
+        let submitter = fqos_sync::thread::spawn(move || submit_all(&mut hs, 1, &[(0, 0), (1, 0)]));
+        let migrator = fqos_sync::thread::spawn(move || {
             // Target first (the controller's order): registration there
             // cannot fail, so the drain never leaves the tenant homeless.
             hd.register(1, 2, OverloadPolicy::Delay).unwrap();
@@ -352,12 +351,12 @@ fn hedge_vs_seal_conserves_requests() {
         server.register(1, 2, OverloadPolicy::Delay).unwrap();
         let mut hs = server.handle();
         let hf = server.handle();
-        let submitter = interleave::thread::spawn(move || {
+        let submitter = fqos_sync::thread::spawn(move || {
             // Same bucket: both requests' replica sets contain the
             // degraded device, so each dispatch may race the slowdown.
             submit_all(&mut hs, 1, &[(0, 0), (0, 0)])
         });
-        let injector = interleave::thread::spawn(move || {
+        let injector = fqos_sync::thread::spawn(move || {
             hf.degrade_device(slow, 10).unwrap();
             hf.restore_device(slow).unwrap();
             // Dropping hf closes its watermark so sealing can proceed.
@@ -402,8 +401,8 @@ fn wal_append_vs_settle_orders_every_schedule() {
         server.register(2, 2, OverloadPolicy::Delay).unwrap();
         let mut ha = server.handle();
         let mut hb = server.handle();
-        let a = interleave::thread::spawn(move || submit_all(&mut ha, 1, &[(0, 0), (1, t_ns)]));
-        let b = interleave::thread::spawn(move || submit_all(&mut hb, 2, &[(2, 0)]));
+        let a = fqos_sync::thread::spawn(move || submit_all(&mut ha, 1, &[(0, 0), (1, t_ns)]));
+        let b = fqos_sync::thread::spawn(move || submit_all(&mut hb, 2, &[(2, 0)]));
         let ta = a.join().unwrap();
         let tb = b.join().unwrap();
         let m = server.finish();
@@ -445,12 +444,12 @@ fn wal_append_vs_settle_orders_every_schedule() {
         let mut ha = server.handle();
         let hb = server.handle();
         assert!(ha.submit(1, 0, 0).is_admitted()); // staged: the batch is 8
-        let (go, parked) = interleave::channel::bounded::<()>(1);
-        let peer = interleave::thread::spawn(move || {
+        let (go, parked) = fqos_sync::channel::bounded::<()>(1);
+        let peer = fqos_sync::thread::spawn(move || {
             parked.recv().unwrap();
             drop(hb);
         });
-        let advancing = interleave::thread::spawn(move || {
+        let advancing = fqos_sync::thread::spawn(move || {
             go.send(()).unwrap();
             ha.advance_to(t_ns);
             ha // closed by the root, not here: nothing follows the pump
@@ -488,7 +487,7 @@ fn kill_vs_submit_freezes_every_ack_into_the_ledger() {
         let server = QosServer::new(model_cfg().with_workers(1)).unwrap();
         server.register(1, 2, OverloadPolicy::Delay).unwrap();
         let mut h = server.handle();
-        let submitter = interleave::thread::spawn(move || submit_all(&mut h, 1, &[(0, 0), (1, 0)]));
+        let submitter = fqos_sync::thread::spawn(move || submit_all(&mut h, 1, &[(0, 0), (1, 0)]));
         // Root plays the failure injector: halt without draining while
         // the submitter is (possibly) mid-call.
         let frozen = server.halt();
@@ -538,9 +537,8 @@ fn evacuate_vs_seal_lands_the_displaced_tenant_exactly_once() {
         survivor.register(1, 2, OverloadPolicy::Delay).unwrap();
         let mut hn = survivor.handle();
         let he = survivor.handle(); // evacuator's endpoint
-        let native =
-            interleave::thread::spawn(move || submit_all(&mut hn, 1, &[(0, 0), (1, t_ns)]));
-        let evacuator = interleave::thread::spawn(move || {
+        let native = fqos_sync::thread::spawn(move || submit_all(&mut hn, 1, &[(0, 0), (1, t_ns)]));
+        let evacuator = fqos_sync::thread::spawn(move || {
             // The controller's evacuation order: register on the target,
             // then replay the displaced tenant's traffic. Registration
             // happens-before the submit in program order, so no schedule
@@ -600,7 +598,7 @@ fn write_fanout_vs_seal_settles_each_group_once() {
         server.register(2, 2, OverloadPolicy::Delay).unwrap();
         let mut ha = server.handle();
         let mut hb = server.handle();
-        let a = interleave::thread::spawn(move || {
+        let a = fqos_sync::thread::spawn(move || {
             let mut tally = Tally::default();
             for &(lbn, at, op) in &[(0, 0, IoOp::Write), (1, t_ns, IoOp::Read)] {
                 match ha.submit_op(1, lbn, at, op) {
@@ -610,7 +608,7 @@ fn write_fanout_vs_seal_settles_each_group_once() {
             }
             tally
         });
-        let b = interleave::thread::spawn(move || {
+        let b = fqos_sync::thread::spawn(move || {
             let mut tally = Tally::default();
             match hb.submit_op(2, 2, 0, IoOp::Write) {
                 SubmitOutcome::Rejected(_) => tally.rejected += 1,
@@ -674,7 +672,7 @@ fn gc_stall_vs_hedge_never_duplicates_a_write() {
         server.register(1, 2, OverloadPolicy::Delay).unwrap();
         let mut hs = server.handle();
         let hf = server.handle();
-        let submitter = interleave::thread::spawn(move || {
+        let submitter = fqos_sync::thread::spawn(move || {
             // Same bucket throughout: the writes program (and GC) exactly
             // the replica set the read dispatches against.
             let mut tally = Tally::default();
@@ -686,7 +684,7 @@ fn gc_stall_vs_hedge_never_duplicates_a_write() {
             }
             tally
         });
-        let injector = interleave::thread::spawn(move || {
+        let injector = fqos_sync::thread::spawn(move || {
             hf.degrade_device(slow, 10).unwrap();
             hf.restore_device(slow).unwrap();
         });
@@ -734,8 +732,8 @@ fn gc_stall_vs_hedge_never_duplicates_a_write() {
 #[test]
 fn cached_view_vs_reregister_never_hides_the_new_record() {
     use fqos_server::RejectReason;
-    use interleave::sync::atomic::{AtomicBool, Ordering};
-    use interleave::sync::Arc;
+    use fqos_sync::atomic::{AtomicBool, Ordering};
+    use fqos_sync::Arc;
     let bounds = Config {
         preemptions: 2,
         max_schedules: 4096,
@@ -758,7 +756,7 @@ fn cached_view_vs_reregister_never_hides_the_new_record() {
         // runs threads in spawn order, so its baseline has the worker
         // settle, the registration succeed and both submits follow it, and
         // the schedule budget goes to the submits that race it.
-        let controller = interleave::thread::spawn(move || {
+        let controller = fqos_sync::thread::spawn(move || {
             hc.deregister(1).expect("tenant 1 was live");
             let fresh = hc.register(1, 2, OverloadPolicy::Delay).ok();
             if fresh.is_some() {
@@ -767,7 +765,7 @@ fn cached_view_vs_reregister_never_hides_the_new_record() {
             fresh
             // Dropping hc closes its watermark so sealing can proceed.
         });
-        let submitter = interleave::thread::spawn(move || {
+        let submitter = fqos_sync::thread::spawn(move || {
             let mut tally = Tally::default();
             for lbn in [1, 2] {
                 let after_register = seen.load(Ordering::Acquire);
@@ -841,7 +839,7 @@ fn staged_settle_vs_reregister_keeps_each_epochs_settles_apart() {
         // explorer lets it run.
         hs.advance_to(2 * t_ns);
         let hc = server.handle();
-        let controller = interleave::thread::spawn(move || {
+        let controller = fqos_sync::thread::spawn(move || {
             hc.deregister(1).expect("tenant 1 was live");
             (0..3).find_map(|_| hc.register(1, 2, OverloadPolicy::Delay).ok())
             // Dropping hc closes its watermark so sealing can proceed.
@@ -920,8 +918,8 @@ fn seal_collects_worker_stage_behind_every_cold_path() {
         hc.advance_to(3 * t_ns);
         let mut hs = server.handle();
         assert!(hs.submit(1, 0, 0).is_admitted());
-        let (go, parked) = interleave::channel::bounded::<()>(1);
-        let sealing = interleave::thread::spawn(move || {
+        let (go, parked) = fqos_sync::channel::bounded::<()>(1);
+        let sealing = fqos_sync::thread::spawn(move || {
             go.send(()).unwrap();
             // Seals window 0 and sends tenant 1's read: from here the
             // worker stages its settle whenever the explorer lets it run.
@@ -934,7 +932,7 @@ fn seal_collects_worker_stage_behind_every_cold_path() {
             hs.advance_to(3 * t_ns);
             hs
         });
-        let controller = interleave::thread::spawn(move || {
+        let controller = fqos_sync::thread::spawn(move || {
             parked.recv().unwrap();
             hc.deregister(1).expect("tenant 1 was live");
             hc.register(1, 2, OverloadPolicy::Delay).ok()

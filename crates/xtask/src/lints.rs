@@ -2,8 +2,8 @@
 //! documented-invariant exceptions. Three rule sets:
 //!
 //! 1. **lock-unwrap** (src): `unwrap()`/`expect()` chained onto a lock
-//!    acquisition. The repo's lock facade (parking_lot-style, and the
-//!    `interleave` twins under `model-check`) returns guards directly
+//!    acquisition. The repo's locks (`fqos-sync`'s, and the `interleave`
+//!    twins under `model-check`) return guards directly
 //!    with poison recovery, so a lock result unwrap is always a
 //!    reintroduced std-style call that will panic-poison under contention.
 //! 2. **panic-path** (src): `unwrap()`, `expect(…)`, `panic!`, `todo!`,
