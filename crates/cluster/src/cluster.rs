@@ -53,7 +53,7 @@ use fqos_server::{
     MetricsSnapshot, OverloadPolicy, QosServer, RejectReason, ServerConfig, SubmitOutcome,
     SubmitterHandle,
 };
-use fqos_sync::{Mutex, RwLock};
+use fqos_sync::{Class, Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,9 +111,8 @@ struct Shared {
     /// refreshing their engine views and the control loop's probe pass;
     /// writers are membership changes (kill/restore/add/remove).
     arrays: RwLock<Vec<ArraySlot>>,
-    /// The array health plane (lock class `cluster.health`). Named
-    /// `liveness` — see the lock table in DESIGN.md.
-    liveness: Mutex<HealthPlane>,
+    /// The array health plane (lock class `cluster.health`).
+    health: Mutex<HealthPlane>,
     /// Bumped on every placement or membership change; handles
     /// compare-and-refresh their route caches and engine views against it.
     epoch: AtomicU64,
@@ -233,10 +232,16 @@ impl QosCluster {
             })
             .collect();
         let shared = Arc::new(Shared {
-            ctrl: Mutex::new(CtrlState::default()),
-            router: Mutex::new(Router::new(&capacities, VNODES_PER_ARRAY)),
-            liveness: Mutex::new(HealthPlane::new(slots.len(), cfg.health)),
-            arrays: RwLock::new(slots),
+            ctrl: Mutex::new(Class::ClusterCtrl, CtrlState::default()),
+            router: Mutex::new(
+                Class::ClusterRouter,
+                Router::new(&capacities, VNODES_PER_ARRAY),
+            ),
+            health: Mutex::new(
+                Class::ClusterHealth,
+                HealthPlane::new(slots.len(), cfg.health),
+            ),
+            arrays: RwLock::new(Class::ClusterArrays, slots),
             epoch: AtomicU64::new(0),
             unrouted: AtomicU64::new(0),
             rebalances: AtomicU64::new(0),
@@ -265,7 +270,7 @@ impl QosCluster {
 
     /// Current health verdict per slot.
     pub fn health(&self) -> Vec<ArrayHealth> {
-        self.shared.liveness.lock().states()
+        self.shared.health.lock().states()
     }
 
     /// Current `evacuation_lost` ledger balance.
@@ -440,7 +445,7 @@ impl QosCluster {
         });
         drop(arrays);
         drop(router);
-        self.shared.liveness.lock().push_array();
+        self.shared.health.lock().push_array();
         self.shared.epoch.fetch_add(1, Ordering::AcqRel);
         Ok(array)
     }
@@ -620,7 +625,7 @@ impl QosCluster {
                 router.revive_array(array);
                 drop(arrays);
                 drop(router);
-                self.shared.liveness.lock().reset(array);
+                self.shared.health.lock().reset(array);
                 self.shared.epoch.fetch_add(1, Ordering::AcqRel);
                 Ok(recovered)
             }
@@ -733,7 +738,7 @@ impl QosCluster {
         // set, all under one consistent read of the slot table.
         let arrays = self.shared.arrays.read();
         let mut verdicts = Vec::new();
-        let mut liveness = self.shared.liveness.lock();
+        let mut liveness = self.shared.health.lock();
         for (i, slot) in arrays.iter().enumerate() {
             if slot.retired {
                 continue;
@@ -998,7 +1003,7 @@ impl QosCluster {
             }
         }
         drop(arrays);
-        let liveness = self.shared.liveness.lock();
+        let liveness = self.shared.health.lock();
         fleet_metrics(
             &self.shared,
             &ctrl,
@@ -1041,7 +1046,7 @@ impl QosCluster {
         }
         drop(arrays);
         let ctrl = shared.ctrl.lock();
-        let liveness = shared.liveness.lock();
+        let liveness = shared.health.lock();
         let metrics = fleet_metrics(
             &shared, &ctrl, &liveness, finals, frozen, retired, past, routed,
         );
@@ -1165,7 +1170,7 @@ impl ClusterHandle {
                 self.shared
                     .refused_unavailable
                     .fetch_add(1, Ordering::Relaxed);
-                self.shared.liveness.lock().note_refusal(array);
+                self.shared.health.lock().note_refusal(array);
                 self.cache.remove(&tenant);
                 if attempt == Self::SUBMIT_RETRIES {
                     break;
@@ -1191,7 +1196,7 @@ impl ClusterHandle {
                     // The engine halted between our refresh and the
                     // submit; same treatment as a missing handle.
                     saw_dead = true;
-                    self.shared.liveness.lock().note_refusal(array);
+                    self.shared.health.lock().note_refusal(array);
                     self.cache.remove(&tenant);
                     if attempt == Self::SUBMIT_RETRIES {
                         break;

@@ -27,7 +27,7 @@
 //! script, only the symptoms.
 //!
 //! The plane is plain data; `QosCluster` wraps it in a mutex (lock class
-//! `cluster.health`, field `liveness`).
+//! `cluster.health`, field `health`).
 
 /// Service-time multiplier applied by `slow:A@T` tokens without an
 /// explicit `x<factor>` suffix (mirrors the device-level default).

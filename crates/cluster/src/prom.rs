@@ -9,7 +9,7 @@
 
 use crate::health::ArrayHealth;
 use crate::metrics::ClusterMetrics;
-use fqos_sync::Mutex;
+use fqos_sync::{Class, Mutex};
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -26,7 +26,7 @@ type SnapshotRead = fn(&fqos_server::MetricsSnapshot) -> u64;
 
 /// A fresh, empty [`MetricsPage`].
 pub fn new_page() -> MetricsPage {
-    Arc::new(Mutex::new(String::new()))
+    Arc::new(Mutex::new(Class::ClusterPage, String::new()))
 }
 
 /// A bound, serving metrics endpoint. Dropping it stops the thread.
@@ -407,7 +407,7 @@ mod tests {
 
     #[test]
     fn serves_the_current_page_over_http() {
-        let page: MetricsPage = Arc::new(Mutex::new(String::new()));
+        let page = new_page();
         *page.lock() = "fqos_cluster_rebalances_total 3\n".to_string();
         let exporter = MetricsExporter::bind("127.0.0.1:0", Arc::clone(&page)).unwrap();
         let mut conn = TcpStream::connect(exporter.local_addr()).unwrap();
@@ -436,7 +436,7 @@ mod tests {
 
     #[test]
     fn a_stalled_client_cannot_wedge_the_exporter() {
-        let page: MetricsPage = Arc::new(Mutex::new(String::new()));
+        let page = new_page();
         *page.lock() = "fqos_cluster_unrouted_total 0\n".to_string();
         let exporter = MetricsExporter::bind("127.0.0.1:0", Arc::clone(&page)).unwrap();
         // A client that connects and never sends a byte: the read timeout
@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     fn an_oversized_request_head_is_truncated_not_buffered() {
-        let page: MetricsPage = Arc::new(Mutex::new(String::new()));
+        let page = new_page();
         *page.lock() = "fqos_cluster_router_epoch 7\n".to_string();
         let exporter = MetricsExporter::bind("127.0.0.1:0", Arc::clone(&page)).unwrap();
         let mut conn = TcpStream::connect(exporter.local_addr()).unwrap();

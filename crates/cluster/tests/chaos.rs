@@ -451,3 +451,89 @@ fn killing_the_migration_target_mid_drain_conserves() {
         "frozen source skipped, live drained"
     );
 }
+
+/// The lock-order census, taken at run time, cluster side: tenants
+/// registered through the router, a control loop that kills a WAL-backed
+/// array with admissions parked in its open window and slows the other, a
+/// restore that re-parks those admissions under the router (through a
+/// fault plane with a schedule), a departure, and the finish take every
+/// edge the fleet's hierarchy keeps (DESIGN.md, "Lock hierarchy"); a path
+/// that stops taking one fails here.
+#[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "the order check compiles out of release"
+)]
+fn the_fleet_takes_every_lock_order_edge_it_keeps() {
+    use fqos_server::FaultSchedule;
+    use fqos_sync::Class::{self, *};
+    let wal = [scratch_path("census0"), scratch_path("census1")];
+    let array = |dir| {
+        ServerConfig::new(QosConfig::paper_9_3_1())
+            .with_wal(dir)
+            .with_wal_fsync_batch(1)
+            .with_fault_schedule(FaultSchedule::new().fail(8, 1 << 20))
+    };
+    let chaos = ClusterFaultSchedule::new().kill(0, 2).slow(1, 3, 4);
+    let cluster = QosCluster::new(
+        ClusterConfig::new(vec![array(&wal[0]), array(&wal[1])])
+            .with_rebalance(false)
+            .with_chaos(chaos),
+    )
+    .unwrap();
+    for (array, tenant) in [(0, 1), (0, 2), (1, 3)] {
+        cluster
+            .register_pinned(array, tenant, 1, OverloadPolicy::Delay)
+            .unwrap();
+    }
+    let mut handle = cluster.handle();
+    for w in 0..8u64 {
+        for t in 1..=3 {
+            handle.submit(t, splitmix64(w << 8 | t) % 512, w * BASE_T + t * 500);
+        }
+        cluster.control_tick();
+        if w == 1 {
+            // Before the handle sees the kill and closes its view of the
+            // corpse, which would seal the window the restore re-parks.
+            assert_eq!(cluster.restore_array(0), Ok(true));
+        }
+    }
+    assert!(cluster.deregister_tenant(3));
+    drop(handle);
+    let m = cluster.finish();
+    assert!(m.conserved(), "{}", m.render_audit());
+    let engine = [
+        EngineDispatch,
+        RegistryAdmission,
+        WindowSlot,
+        RegistryShard,
+        FaultInner,
+        EngineStage,
+        EngineWal,
+    ];
+    let kept: [(Class, &[Class]); 3] = [
+        (
+            ClusterCtrl,
+            &[ClusterRouter, ClusterArrays, ClusterHealth, EngineQuiesce],
+        ),
+        (ClusterRouter, &[ClusterArrays]),
+        (
+            ClusterArrays,
+            &[ClusterHealth, EngineQuiesce, EngineHandles],
+        ),
+    ];
+    let edges = kept
+        .iter()
+        .flat_map(|&(held, taken)| taken.iter().chain(&engine).map(move |&t| (held, t)));
+    for (held, taken) in edges {
+        assert!(
+            fqos_sync::seen(held, taken),
+            "{} → {} never taken",
+            held.name(),
+            taken.name()
+        );
+    }
+    for dir in &wal {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}

@@ -4,12 +4,13 @@
 //! with vanishing probability. This crate explores them systematically:
 //! wrap a concurrent scenario in [`model`] and build it from the
 //! instrumented primitives in [`sync`], [`channel`] and [`thread`] — the
-//! same signatures as `fqos-sync`'s primitives and `std::thread`, so
-//! production code runs unmodified behind `fqos-sync`'s `model-check`
-//! switch. The runner executes the closure once per distinct thread
-//! schedule, enumerating schedules by DFS with a preemption bound and
-//! replaying each deterministically; any panic, failed assertion, or
-//! deadlock is reported with the schedule trace that produced it.
+//! same signatures as the shipped backends under `fqos-sync`'s primitives
+//! and `std::thread`, so production code runs unmodified behind
+//! `fqos-sync`'s `model-check` switch. The runner executes the closure
+//! once per distinct thread schedule, enumerating schedules by DFS with a
+//! preemption bound and replaying each deterministically; any panic,
+//! failed assertion, or deadlock is reported with the schedule trace that
+//! produced it.
 //!
 //! ```
 //! use interleave::sync::Arc;

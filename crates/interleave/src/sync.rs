@@ -1,6 +1,7 @@
-//! Instrumented drop-in replacements for `fqos-sync`'s `Mutex`/`RwLock`
-//! (same signatures: panic-free guards, poison recovery) plus model-aware
-//! `atomic` wrappers and a re-exported `Arc`.
+//! Instrumented twins of the `std`-based locks `fqos-sync` puts its
+//! classed `Mutex`/`RwLock` over (same signatures: panic-free guards,
+//! poison recovery) plus model-aware `atomic` wrappers and a re-exported
+//! `Arc`.
 //!
 //! Inside a [`crate::model`] execution every acquisition and every atomic
 //! access is a scheduling point; blocking is expressed as a condition the

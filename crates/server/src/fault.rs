@@ -53,7 +53,7 @@
 
 use fqos_flashsim::BLOCK_READ_NS;
 use fqos_sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use fqos_sync::{LineGap, Mutex};
+use fqos_sync::{Class, LineGap, Mutex};
 
 /// Largest device count the health bitmap covers.
 pub const MAX_FAULT_DEVICES: usize = 64;
@@ -631,7 +631,7 @@ impl FaultPlane {
         let any = !inner.events.is_empty();
         Ok(FaultPlane {
             devices,
-            inner: Mutex::new(inner),
+            inner: Mutex::new(Class::FaultInner, inner),
             any: AtomicBool::new(any),
             any_slow: AtomicBool::new(any_slow),
             any_gc: AtomicBool::new(false),
@@ -644,12 +644,15 @@ impl FaultPlane {
             overloads: AtomicU64::new(0),
             unavailable_rejects: AtomicU64::new(0),
             _gap_workers: LineGap::default(),
-            health: Mutex::new(HealthBoard {
-                params,
-                devices: (0..devices)
-                    .map(|_| DeviceHealthState::new(service_ns))
-                    .collect(),
-            }),
+            health: Mutex::new(
+                Class::FaultHealth,
+                HealthBoard {
+                    params,
+                    devices: (0..devices)
+                        .map(|_| DeviceHealthState::new(service_ns))
+                        .collect(),
+                },
+            ),
             service_ewma: (0..devices)
                 .map(|_| AtomicU64::new(service_ns.max(1)))
                 .collect(),

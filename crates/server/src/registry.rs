@@ -12,7 +12,7 @@ use crate::metrics::TenantCounters;
 use crate::wal::Wal;
 use fqos_core::{AppAdmission, OverloadPolicy};
 use fqos_sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use fqos_sync::{Arc, Mutex, RwLock};
+use fqos_sync::{Arc, Class, Mutex, RwLock};
 use std::collections::HashMap;
 
 /// Immutable per-tenant record handed out by lookups. Laid out by writer:
@@ -117,8 +117,10 @@ impl TenantRegistry {
     pub(crate) fn new_with_wal(limit: usize, shards: usize, wal: Option<Arc<Wal>>) -> Self {
         assert!(shards > 0);
         TenantRegistry {
-            admission: Mutex::new(AppAdmission::new(limit)),
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            admission: Mutex::new(Class::RegistryAdmission, AppAdmission::new(limit)),
+            shards: (0..shards)
+                .map(|_| RwLock::new(Class::RegistryShard, HashMap::new()))
+                .collect(),
             wal,
             epoch: AtomicU64::new(0),
         }

@@ -98,7 +98,7 @@
 use crate::config::WalConfig;
 use crate::ledger::{Ledger, SettleKind};
 use fqos_core::OverloadPolicy;
-use fqos_sync::{Arc, LineGap, Mutex, MutexGuard};
+use fqos_sync::{Arc, Class, LineGap, Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -949,26 +949,29 @@ impl Wal {
 
     fn with_backing(cfg: &WalConfig, backing: Backing, state: WalState, next_lsn: u64) -> Self {
         Wal {
-            wal: Mutex::new(WalInner {
-                backing,
-                buf: Vec::new(),
-                pending_records: 0,
-                next_lsn,
-                state,
-                records: 0,
-                fsyncs: 0,
-                compactions: 0,
-                seals_since_compact: 0,
-                io_errors: 0,
-                stages: Vec::new(),
-                spares: Vec::new(),
-            }),
+            wal: Mutex::new(
+                Class::EngineWal,
+                WalInner {
+                    backing,
+                    buf: Vec::new(),
+                    pending_records: 0,
+                    next_lsn,
+                    state,
+                    records: 0,
+                    fsyncs: 0,
+                    compactions: 0,
+                    seals_since_compact: 0,
+                    io_errors: 0,
+                    stages: Vec::new(),
+                    spares: Vec::new(),
+                },
+            ),
             batch: cfg.fsync_batch.max(1),
             snapshot_every: cfg.snapshot_interval.max(1),
             workers: Vec::new(),
             _gap: LineGap::default(),
             #[cfg(test)]
-            tally: Mutex::default(),
+            tally: Mutex::new(Class::WalTally, BTreeMap::new()),
         }
     }
 
@@ -978,7 +981,9 @@ impl Wal {
     pub fn with_worker_stages(mut self, workers: usize) -> Self {
         let batch = self.batch as usize;
         let buffers = || (0..workers).map(|_| Vec::with_capacity(batch));
-        self.workers = buffers().map(|b| Arc::new(Mutex::new(b))).collect();
+        self.workers = buffers()
+            .map(|b| Arc::new(Mutex::new(Class::EngineStage, b)))
+            .collect();
         self.wal.lock().spares = buffers().collect();
         self
     }
@@ -1037,7 +1042,7 @@ impl Wal {
 
     /// A new, empty stage for one submitter handle.
     pub fn stage(self: &Arc<Self>) -> Stage {
-        let staged = Arc::default();
+        let staged = Arc::new(Mutex::new(Class::EngineStage, Vec::new()));
         let mut g = self.locked();
         g.stages.retain(|s| s.strong_count() > 0);
         g.stages.push(Arc::downgrade(&staged));
@@ -1116,13 +1121,21 @@ impl Wal {
     /// which an unsettled admission becomes crash-lost) and run the
     /// compaction cadence, under one hold of the lock — the one hold of a
     /// window: ahead of the seal go the sealing handle's stage, if it is
-    /// `riding`, and whatever the workers have staged. Only ever called
-    /// under `engine.dispatch`, which is what makes the sealing thread the
-    /// one thread that holds several stages at once.
+    /// `riding`, and then, by worker, what [`Wal::lock_behind_workers`]
+    /// left in the spares. Only ever called under `engine.dispatch`, which
+    /// is what makes the sealing thread the one thread that holds several
+    /// stages at once.
     pub fn log_seal_behind(&self, window: u64, riding: Option<&Stage>) {
         let mut staged = riding.map(|stage| stage.staged.lock());
         let mut g = self.lock_behind_workers(0);
-        self.append_collected(&mut g, staged.as_deref_mut());
+        if let Some(staged) = staged.as_deref_mut() {
+            self.append_staged_locked(&mut g, staged);
+        }
+        for worker in 0..g.spares.len() {
+            let mut collected = std::mem::take(&mut g.spares[worker]);
+            self.append_staged_locked(&mut g, &mut collected);
+            g.spares[worker] = collected;
+        }
         self.push_locked(&mut g, &WalRecord::Seal { window }, true, false);
         g.seals_since_compact += 1;
         if g.seals_since_compact >= self.snapshot_every {
@@ -1143,19 +1156,6 @@ impl Wal {
         let mut g = self.lock_behind_workers(from + 1);
         std::mem::swap(&mut *records, &mut g.spares[from]);
         g
-    }
-
-    /// Append the `riding` stage, then what [`Wal::lock_behind_workers`]
-    /// left in the spares, by worker.
-    fn append_collected(&self, g: &mut WalInner, riding: Option<&mut Vec<WalRecord>>) {
-        if let Some(staged) = riding {
-            self.append_staged_locked(g, staged);
-        }
-        for worker in 0..g.spares.len() {
-            let mut collected = std::mem::take(&mut g.spares[worker]);
-            self.append_staged_locked(g, &mut collected);
-            g.spares[worker] = collected;
-        }
     }
 
     /// Log one settlement (batched; a settle is re-derivable as
@@ -1285,6 +1285,7 @@ fn flush_inner(inner: &mut WalInner) -> std::io::Result<()> {
         let cut = inner.buf.len().saturating_sub(6);
         if let Backing::File { log, .. } = &mut inner.backing {
             let _ = log.write_all(&inner.buf[..cut]);
+            fqos_sync::blocking("fsync");
             let _ = log.sync_data();
         }
         std::process::abort();
@@ -1292,6 +1293,7 @@ fn flush_inner(inner: &mut WalInner) -> std::io::Result<()> {
     match &mut inner.backing {
         Backing::File { log, .. } => {
             log.write_all(&inner.buf)?;
+            fqos_sync::blocking("fsync");
             log.sync_data()?;
         }
         Backing::Memory { log } => log.extend_from_slice(&inner.buf),
@@ -1327,6 +1329,7 @@ fn compact_inner(inner: &mut WalInner) -> std::io::Result<()> {
             {
                 let mut f = File::create(&tmp)?;
                 f.write_all(&encode_state(&inner.state))?;
+                fqos_sync::blocking("fsync");
                 f.sync_data()?;
             }
             // The rename is the commit point: before it the old snapshot
@@ -1334,6 +1337,7 @@ fn compact_inner(inner: &mut WalInner) -> std::io::Result<()> {
             // it the new snapshot subsumes the log by LSN.
             std::fs::rename(&tmp, &snap)?;
             if let Ok(d) = File::open(dir.as_path()) {
+                fqos_sync::blocking("fsync");
                 let _ = d.sync_all();
             }
             crash_point("compact-mid-swap");
@@ -2071,10 +2075,9 @@ pub(crate) mod tests {
     /// *before* it holds the WAL lock.
     #[cfg(feature = "model-check")]
     fn seal_that_lets_go_of_the_stage_first(wal: &Wal, window: u64) {
-        let taken = std::mem::take(&mut *wal.workers[0].lock());
+        let mut taken = std::mem::take(&mut *wal.workers[0].lock());
         let mut g = wal.locked();
-        g.spares[0] = taken;
-        wal.append_collected(&mut g, None);
+        wal.append_staged_locked(&mut g, &mut taken);
         wal.push_locked(&mut g, &WalRecord::Seal { window }, true, false);
     }
 

@@ -31,7 +31,7 @@ use crate::config::AssignmentMode;
 use crate::fault::{FaultPlane, MAX_FAULT_DEVICES};
 use fqos_decluster::retrieval::{DegradedAdmit, DegradedWindow};
 use fqos_flashsim::{IoOp, IoRequest};
-use fqos_sync::{Arc, Mutex, MutexGuard};
+use fqos_sync::{Arc, Class, Mutex, MutexGuard};
 
 /// Most replicas a block can have: an `(N, c, 1)` design needs
 /// `N ≥ c² − c + 1` devices, so `c ≤ 8` under the 64-device fault plane.
@@ -270,25 +270,28 @@ impl WindowRing {
         WindowRing {
             slots: (0..ring_slots)
                 .map(|_| {
-                    Mutex::new(SlotState {
-                        window: 0,
-                        active: false,
-                        admit_mask: 0,
-                        fail_mask: 0,
-                        feas: match mode {
-                            AssignmentMode::OptimalFlow => Feasibility::Flow {
-                                kernel: DegradedWindow::with_failed_mask(devices, accesses, 0),
-                                phantom: 0,
+                    Mutex::new(
+                        Class::WindowSlot,
+                        SlotState {
+                            window: 0,
+                            active: false,
+                            admit_mask: 0,
+                            fail_mask: 0,
+                            feas: match mode {
+                                AssignmentMode::OptimalFlow => Feasibility::Flow {
+                                    kernel: DegradedWindow::with_failed_mask(devices, accesses, 0),
+                                    phantom: 0,
+                                },
+                                AssignmentMode::Eft => Feasibility::Eft {
+                                    loads: Vec::new(),
+                                    reserve: Vec::new(),
+                                },
                             },
-                            AssignmentMode::Eft => Feasibility::Eft {
-                                loads: Vec::new(),
-                                reserve: Vec::new(),
-                            },
+                            per_tenant: Vec::new(),
+                            guaranteed: Vec::new(),
+                            overflow: Vec::new(),
                         },
-                        per_tenant: Vec::new(),
-                        guaranteed: Vec::new(),
-                        overflow: Vec::new(),
-                    })
+                    )
                 })
                 .collect(),
             devices,

@@ -1,5 +1,5 @@
-//! Positive fixture: hierarchy-respecting nesting and no forbidden
-//! patterns — `analyze --root` on this directory must exit 0.
+//! Positive fixture: nested locks and no forbidden patterns —
+//! `analyze --root` on this directory must exit 0.
 
 struct Clean {
     dispatch: Mutex<DispatchState>,

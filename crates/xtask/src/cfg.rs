@@ -4,9 +4,8 @@
 //! Two views are built for every function:
 //!
 //! - a **statement tree** (`Node`): statements plus structured
-//!   `if`/`else`, `match` arms, loops and bare blocks. Lock passes walk
-//!   this tree because lexical guard lifetimes (a `let`-bound guard dies
-//!   when its enclosing block closes) map onto it directly.
+//!   `if`/`else`, `match` arms, loops and bare blocks, which the
+//!   whole-function passes flatten (`all_stmts`).
 //! - a **basic-block CFG** (`Cfg`): the tree flattened into blocks with
 //!   successor edges — `if` forks, every `match` arm forks, loop bodies
 //!   run zero-or-once, `?` and `return` edge to the exit block. The
@@ -16,10 +15,7 @@
 //!   mutations).
 //!
 //! The parser is defensive: it never panics on unbalanced or exotic
-//! input, it just degrades to flat statements. Spawn-closure bodies
-//! (`spawn(move || …)`) are cut out into detached synthetic functions —
-//! they run on another thread, so guards held at the spawn site are
-//! *not* held inside them.
+//! input, it just degrades to flat statements.
 
 use crate::source::{Tok, TokKind};
 
@@ -96,13 +92,8 @@ pub enum Node {
 /// One segmented function.
 #[derive(Debug, Clone)]
 pub struct FnDef {
-    /// `impl`/`trait` owner type, if any.
-    pub owner: Option<String>,
     pub name: String,
     pub line: usize,
-    /// Signature tokens between the name and the body `{` (params,
-    /// return type, where clause).
-    pub sig: Vec<Tok>,
     pub nodes: Vec<Node>,
 }
 
@@ -127,37 +118,13 @@ pub fn matching(toks: &[Tok], open: usize) -> usize {
     toks.len()
 }
 
-/// Extract the owner type name from the tokens between `impl`/`trait`
-/// and the opening `{`: the last path-segment identifier at angle depth
-/// zero, taken after `for` when present, stopping at `where`.
-fn owner_from_header(header: &[Tok]) -> Option<String> {
-    let start = header
-        .iter()
-        .position(|t| t.is_ident("for"))
-        .map_or(0, |p| p + 1);
-    let mut angle = 0i32;
-    let mut owner = None;
-    for t in &header[start..] {
-        match t.text.as_str() {
-            "<" => angle += 1,
-            ">" => angle -= 1,
-            "where" if t.kind == TokKind::Ident && angle == 0 => break,
-            _ if t.kind == TokKind::Ident && angle == 0 => owner = Some(t.text.clone()),
-            _ => {}
-        }
-    }
-    owner
-}
-
-/// Segment a lexed file into functions. Handles `impl`/`trait` owner
-/// scopes, skips `#[cfg(test)]` items, and terminates signatures only
-/// at a *bracket-balanced* `{` or `;` — a multi-line signature
-/// containing `[u8; 32]` is a function definition, not a trait method
-/// declaration (the historical line-based scanner dropped those).
+/// Segment a lexed file into functions. Skips `#[cfg(test)]` items, and
+/// terminates signatures only at a *bracket-balanced* `{` or `;` — a
+/// multi-line signature containing `[u8; 32]` is a function definition,
+/// not a trait method declaration (the historical line-based scanner
+/// dropped those).
 pub fn functions(toks: &[Tok]) -> Vec<FnDef> {
     let mut out = Vec::new();
-    let mut scopes: Vec<(i32, String)> = Vec::new(); // (depth at open, owner)
-    let mut depth = 0i32;
     let mut skip_next_item = false;
     let mut i = 0;
     while i < toks.len() {
@@ -207,153 +174,44 @@ pub fn functions(toks: &[Tok]) -> Vec<FnDef> {
             }
             continue;
         }
-        match t.text.as_str() {
-            "impl" | "trait" if t.kind == TokKind::Ident => {
-                // Header runs to the opening `{` at bracket depth 0.
-                let mut j = i + 1;
-                let mut d = 0i32;
-                while j < toks.len() {
-                    match toks[j].text.as_str() {
-                        "(" | "[" => d += 1,
-                        ")" | "]" => d -= 1,
-                        "{" if d == 0 => break,
-                        ";" if d == 0 => break, // e.g. `trait Alias = …;`
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                if j < toks.len() && toks[j].is("{") {
-                    if let Some(owner) = owner_from_header(&toks[i + 1..j]) {
-                        scopes.push((depth + 1, owner));
-                    }
-                    depth += 1;
-                }
-                i = j + 1;
-            }
-            "fn" if t.kind == TokKind::Ident => {
-                let name_tok = toks.get(i + 1);
-                let Some(name_tok) = name_tok.filter(|n| n.kind == TokKind::Ident) else {
-                    i += 1;
-                    continue;
-                };
-                let name = name_tok.text.clone();
-                let line = name_tok.line;
-                // Scan the signature for `{` or `;` at bracket depth 0.
-                let mut j = i + 2;
-                let mut d = 0i32;
-                let mut body_open = None;
-                while j < toks.len() {
-                    match toks[j].text.as_str() {
-                        "(" | "[" => d += 1,
-                        ")" | "]" => d -= 1,
-                        "{" if d == 0 => {
-                            body_open = Some(j);
-                            break;
-                        }
-                        ";" if d == 0 => break,
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                let Some(open) = body_open else {
-                    i = j + 1; // declaration only (trait method)
-                    continue;
-                };
-                let close = matching(toks, open);
-                let owner = scopes.last().map(|(_, o)| o.clone());
-                let sig = toks[i + 2..open].to_vec();
-                let body = &toks[open + 1..close.min(toks.len())];
-                segment_body(owner, name, line, sig, body, &mut out);
-                i = close + 1;
-            }
-            "{" => {
-                depth += 1;
-                i += 1;
-            }
-            "}" => {
-                depth -= 1;
-                while scopes.last().is_some_and(|(d, _)| *d > depth) {
-                    scopes.pop();
-                }
-                i += 1;
-            }
-            _ => {
-                i += 1;
-            }
+        if !t.is_ident("fn") {
+            i += 1;
+            continue;
         }
+        let Some(name_tok) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) else {
+            i += 1;
+            continue;
+        };
+        // Scan the signature for `{` or `;` at bracket depth 0.
+        let mut j = i + 2;
+        let mut d = 0i32;
+        let mut body_open = None;
+        while j < toks.len() {
+            match toks[j].text.as_str() {
+                "(" | "[" => d += 1,
+                ")" | "]" => d -= 1,
+                "{" if d == 0 => {
+                    body_open = Some(j);
+                    break;
+                }
+                ";" if d == 0 => break,
+                _ => {}
+            }
+            j += 1;
+        }
+        let Some(open) = body_open else {
+            i = j + 1; // declaration only (trait method)
+            continue;
+        };
+        let close = matching(toks, open);
+        out.push(FnDef {
+            name: name_tok.text.clone(),
+            line: name_tok.line,
+            nodes: parse_nodes(&toks[open + 1..close.min(toks.len())]),
+        });
+        i = close + 1;
     }
     out
-}
-
-/// Build the FnDef for one body, cutting spawn-closures out into
-/// detached synthetic functions first.
-fn segment_body(
-    owner: Option<String>,
-    name: String,
-    line: usize,
-    sig: Vec<Tok>,
-    body: &[Tok],
-    out: &mut Vec<FnDef>,
-) {
-    let mut kept: Vec<Tok> = Vec::with_capacity(body.len());
-    let mut i = 0;
-    while i < body.len() {
-        let t = &body[i];
-        if t.is_ident("spawn") && body.get(i + 1).is_some_and(|n| n.is("(")) {
-            let close = matching(body, i + 1);
-            let args = &body[i + 2..close.min(body.len())];
-            // Only closure arguments detach (`spawn(move || …)`);
-            // `Command::spawn()` takes none and stays inline.
-            if args
-                .first()
-                .is_some_and(|a| a.is_ident("move") || a.is("|") || a.is("||"))
-            {
-                let mut inner = args;
-                if inner.first().is_some_and(|a| a.is_ident("move")) {
-                    inner = &inner[1..];
-                }
-                if inner.first().is_some_and(|a| a.is("|") || a.is("||")) {
-                    // Closure params end at the next `|` (or `||`).
-                    let rest = if inner[0].is("||") {
-                        &inner[1..]
-                    } else {
-                        match inner[1..].iter().position(|t| t.is("|")) {
-                            Some(p) => &inner[p + 2..],
-                            None => &inner[1..],
-                        }
-                    };
-                    let spawn_line = t.line;
-                    segment_body(
-                        owner.clone(),
-                        format!("{name}::spawned@{spawn_line}"),
-                        spawn_line,
-                        Vec::new(),
-                        rest,
-                        out,
-                    );
-                    // Keep the call shape (`spawn()`) so the walker still
-                    // sees a statement here, minus the detached body.
-                    kept.push(t.clone());
-                    kept.push(body[i + 1].clone());
-                    if close < body.len() {
-                        kept.push(body[close].clone());
-                    }
-                    i = close + 1;
-                    continue;
-                }
-            }
-        }
-        kept.push(t.clone());
-        i += 1;
-    }
-    let nodes = parse_nodes(&kept);
-    out.push(FnDef {
-        owner,
-        name,
-        line,
-        sig,
-        nodes,
-    });
 }
 
 /// Keywords that open a control construct usable in expression
@@ -759,12 +617,10 @@ mod tests {
     }
 
     #[test]
-    fn segments_impl_methods_with_owners() {
+    fn segments_impl_methods_and_free_functions() {
         let f = fns("impl Engine { fn seal(&self) { x(); } }\nfn free() { y(); }");
         assert_eq!(f.len(), 2);
-        assert_eq!(f[0].owner.as_deref(), Some("Engine"));
         assert_eq!(f[0].name, "seal");
-        assert_eq!(f[1].owner, None);
         assert_eq!(f[1].name, "free");
     }
 
@@ -781,22 +637,13 @@ mod tests {
             "{:?}",
             f.iter().map(|f| &f.name).collect::<Vec<_>>()
         );
-        assert_eq!(
-            (f[0].owner.as_deref(), f[0].name.as_str()),
-            (Some("W"), "locked")
-        );
-    }
-
-    #[test]
-    fn trait_impls_attribute_owner_to_the_implementing_type() {
-        let f = fns("impl Drop for ClusterHandle { fn drop(&mut self) { a(); } }");
-        assert_eq!(f[0].owner.as_deref(), Some("ClusterHandle"));
+        assert_eq!(f[0].name, "locked");
     }
 
     #[test]
     fn multiline_signature_with_array_semicolon_is_not_dropped() {
         // Regression: `[u8; 32]` used to terminate the signature scan and
-        // the whole function vanished from the lock pass.
+        // the whole function vanished from every pass.
         let f = fns("impl W {\n fn digest(\n  &self,\n  buf: [u8; 32],\n ) -> u64 {\n  let g = self.wal.lock();\n  g.sum()\n }\n}");
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].name, "digest");
@@ -810,7 +657,6 @@ mod tests {
         let f = fns("trait T { fn decl(&self) -> u64; fn with_default(&self) { d(); } }");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].name, "with_default");
-        assert_eq!(f[0].owner.as_deref(), Some("T"));
     }
 
     #[test]
@@ -818,22 +664,6 @@ mod tests {
         let f = fns("fn live() { a(); }\n#[cfg(test)]\nmod tests { fn t() { x.lock(); } }");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].name, "live");
-    }
-
-    #[test]
-    fn spawn_closures_detach_into_synthetic_functions() {
-        let f = fns("impl E { fn start(&self) { let g = self.handles.lock(); thread::spawn(move || { self.dispatch.lock(); }); } }");
-        assert_eq!(f.len(), 2, "{f:?}");
-        let spawned = f.iter().find(|d| d.name.contains("::spawned@")).unwrap();
-        assert!(spawned.name.starts_with("start::spawned@"));
-        let mut stmts = Vec::new();
-        all_stmts(&spawned.nodes, &mut stmts);
-        assert!(stmts.iter().any(|s| s.text().contains("dispatch.lock(")));
-        // The parent body must no longer contain the closure's acquisitions.
-        let parent = f.iter().find(|d| !d.name.contains("::spawned@")).unwrap();
-        let mut stmts = Vec::new();
-        all_stmts(&parent.nodes, &mut stmts);
-        assert!(!stmts.iter().any(|s| s.text().contains("dispatch.lock(")));
     }
 
     #[test]

@@ -9,17 +9,9 @@
 //! model-check`, see DESIGN.md "Concurrency invariants" → "Static
 //! analysis passes"). It lexes every source file into spanned tokens
 //! (`source::lex`), segments them into per-function statement trees and
-//! basic-block CFGs (`cfg`), and runs the pass suite:
+//! basic-block CFGs (`cfg`), and runs the pass suite over
+//! `crates/server/src` and `crates/cluster/src`:
 //!
-//! - **lock-order**: extracts every lock-acquisition site in
-//!   `crates/server/src` and `crates/cluster/src`, builds the
-//!   may-hold-while-acquiring graph (including acquisitions reached
-//!   through calls and guard-returning helpers, with receiver-hint call
-//!   resolution) and fails on any edge violating the documented
-//!   hierarchy, or on any cycle;
-//! - **guard-blocking**: exclusive guards live across blocking
-//!   operations (fsync, channel send/recv, join, sleep, condvar wait,
-//!   subprocess I/O), directly or through calls;
 //! - **ledger-balance**: path-sensitive conservation-law accounting over
 //!   the `admit(`/`settle(SettleKind::K` vocabulary of
 //!   `crates/server/src/ledger.rs` — no path settles twice, every path
@@ -30,6 +22,10 @@
 //! - forbidden-pattern lints: `unwrap`/`expect` on lock results, panic
 //!   paths in non-test server code, wall-clock reads in deterministic
 //!   test code outside `tests/common`.
+//!
+//! Lock order and blocking under a lock are not checked here: `fqos-sync`
+//! checks them where locks are taken, on every acquisition of a debug or
+//! `model-check` build (DESIGN.md, "Lock hierarchy").
 //!
 //! Suppressions come from `crates/xtask/allowlist.txt`, where every
 //! entry carries a mandatory reason and an optional `expires: PR<N>`
@@ -46,7 +42,6 @@ mod atomics;
 mod cfg;
 mod ledger;
 mod lints;
-mod locks;
 mod source;
 
 use std::collections::BTreeMap;
@@ -89,8 +84,6 @@ struct Outcome {
     findings: Vec<Finding>,
     suppressed: Vec<String>,
     files_scanned: usize,
-    functions_analyzed: usize,
-    distinct_edges: usize,
     ledger_sites: BTreeMap<String, usize>,
     ledger_kinds: Vec<String>,
     ledger_defers: usize,
@@ -246,22 +239,14 @@ fn analyze(root: &Path, allowlist_path: Option<&Path>) -> Result<Outcome, String
         .map(|(p, f, _)| (p.clone(), f.clone()))
         .collect();
 
-    let lock_report = locks::analyze(&pairs);
     let ledger_report = ledger::analyze(&units, &vocab);
     let atomics_report = atomics::analyze(&pairs);
 
-    let distinct_edges = {
-        let set: std::collections::BTreeSet<(usize, usize)> =
-            lock_report.edges.iter().map(|e| (e.from, e.to)).collect();
-        set.len()
-    };
-
     // Pass findings go through the same allowlist as the lints: the
     // needle matches against the offending source line or the message.
-    for mut f in lock_report
+    for mut f in ledger_report
         .findings
         .into_iter()
-        .chain(ledger_report.findings)
         .chain(atomics_report.findings)
     {
         let src_line = originals
@@ -294,8 +279,6 @@ fn analyze(root: &Path, allowlist_path: Option<&Path>) -> Result<Outcome, String
         findings,
         suppressed,
         files_scanned,
-        functions_analyzed: lock_report.functions_analyzed,
-        distinct_edges,
         ledger_sites: ledger_report.sites,
         ledger_kinds: vocab.kinds,
         ledger_defers: ledger_report.defers,
@@ -355,14 +338,11 @@ fn render_json(outcome: &Outcome) -> String {
     };
     format!(
         "{{\"findings\":[{}],\"suppressed\":[{}],\"summary\":{{\
-         \"files_scanned\":{},\"functions_analyzed\":{},\
-         \"distinct_lock_edges\":{},\"ledger_sites\":{},\"ledger_kinds\":[{}],\"ledger_defers\":{},\
+         \"files_scanned\":{},\"ledger_sites\":{},\"ledger_kinds\":[{}],\"ledger_defers\":{},\
          \"ordering_counts\":{},\"ledger_paths_truncated\":[{}]}}}}",
         findings.join(","),
         quoted(&outcome.suppressed),
         outcome.files_scanned,
-        outcome.functions_analyzed,
-        outcome.distinct_edges,
         json_str_map(&outcome.ledger_sites),
         quoted(&outcome.ledger_kinds),
         outcome.ledger_defers,
@@ -408,11 +388,9 @@ fn render_text(outcome: &Outcome) {
         .map(|(k, v)| format!("{k}:{v}"))
         .collect();
     eprintln!(
-        "analyze: {} file(s), {} function(s), {} distinct lock-order edge(s), \
-         {} ledger site(s) ({} deferred), orderings {{{}}}, {} finding(s), {} allowlisted",
+        "analyze: {} file(s), {} ledger site(s) ({} deferred), orderings {{{}}}, \
+         {} finding(s), {} allowlisted",
         outcome.files_scanned,
-        outcome.functions_analyzed,
-        outcome.distinct_edges,
         outcome.ledger_sites.values().sum::<usize>(),
         outcome.ledger_defers,
         orderings.join(", "),
@@ -505,14 +483,6 @@ mod tests {
             "expected a clean tree, got: {:#?}",
             outcome.findings
         );
-        // The engine's documented lock nesting must actually be observed —
-        // an empty graph would mean the extractor went blind — and a new
-        // edge is a reviewed decision. PR 20: 46 → 53 — `engine.stage`
-        // under each of the six classes `engine.wal` was already taken
-        // under (the three cluster classes, quiesce, dispatch, admission),
-        // and `engine.wal` under it.
-        assert_eq!(outcome.distinct_edges, 53, "lock-order edges");
-        assert!(outcome.functions_analyzed > 50);
         // The pass reads its kinds from `enum SettleKind`; an admission
         // and every kind must be seen at some site, or it went blind.
         assert_eq!(outcome.ledger_kinds.len(), 5, "{:?}", outcome.ledger_kinds);
@@ -575,21 +545,10 @@ mod tests {
     /// PR 20: 24 → 23 — `stress.rs`'s sleep went with its test, which now
     /// waits on the channel's parked flag — and back to 24: a stage is
     /// drained, flush included, under its own lock (`engine.stage`).
-    const SUPPRESSED_IN_WORKSPACE: usize = 24;
-
-    #[test]
-    fn the_seeded_inversion_fixture_is_caught() {
-        let root = manifest_dir().join("fixtures/inversion");
-        let outcome = analyze(&root, None).unwrap();
-        assert!(
-            outcome
-                .findings
-                .iter()
-                .any(|f| f.message.contains("lock-order inversion")),
-            "fixture inversion not caught: {:#?}",
-            outcome.findings
-        );
-    }
+    /// Then 24 → 5: the guard-blocking pass went, and with it the 19 sites
+    /// its seven entries matched — which class may block, and why, is
+    /// `fqos_sync::Class::may_block` now, checked where the wait happens.
+    const SUPPRESSED_IN_WORKSPACE: usize = 5;
 
     #[test]
     fn the_panic_path_fixture_is_caught() {
@@ -624,19 +583,6 @@ mod tests {
             double.text.contains("settle(SettleKind::Served)"),
             "{double:?}"
         );
-    }
-
-    #[test]
-    fn the_guard_blocking_fixture_is_caught_at_the_fsync() {
-        let root = manifest_dir().join("fixtures/guard_blocking");
-        let outcome = analyze(&root, None).unwrap();
-        let f = outcome
-            .findings
-            .iter()
-            .find(|f| f.pass == "guard-blocking")
-            .unwrap_or_else(|| panic!("blocking fixture not caught: {:#?}", outcome.findings));
-        assert!(f.message.contains("fsync"), "{f:?}");
-        assert!(f.text.contains("sync_all"), "{f:?}");
     }
 
     #[test]
