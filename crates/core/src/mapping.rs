@@ -1,6 +1,6 @@
 //! Data-block → bucket mapping strategies (§IV-A).
 
-use fqos_fim::{match_design_blocks, Apriori, BlockMatcher, PairMiner, TransactionDb};
+use fqos_fim::{mine_and_match, BlockMatcher, TransactionDb};
 use fqos_traces::TraceRecord;
 
 /// How data blocks are mapped to design-block buckets.
@@ -92,8 +92,8 @@ impl BlockMapping {
                 finished_interval.iter().map(|r| (r.arrival_ns, r.lbn)),
                 self.window_ns,
             );
-            let (pairs, report) = Apriori.mine_pairs_with_report(&db, self.min_support);
-            self.matcher = match_design_blocks(&pairs, self.num_buckets);
+            let (matcher, report) = mine_and_match(&db, self.min_support, self.num_buckets);
+            self.matcher = matcher;
             Some(report)
         } else {
             None

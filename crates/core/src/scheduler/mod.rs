@@ -95,10 +95,9 @@ impl WindowBudgets {
         self.row(window).map_or(0, |row| self.admitted[row])
     }
 
-    /// Drop state for windows `< keep_from`, returning the request counts
-    /// of the closed non-empty windows (feeds the statistical counters).
-    pub(crate) fn close_before(&mut self, keep_from: u64) -> Vec<usize> {
-        let mut closed = Vec::new();
+    /// Drop state for windows `< keep_from`, handing `closed` the request count
+    /// of each closed non-empty window in order (for the statistical counters).
+    pub(crate) fn close_before(&mut self, keep_from: u64, mut closed: impl FnMut(usize)) {
         while self.base < keep_from {
             let Some(n) = self.admitted.pop_front() else {
                 // Nothing open: an idle gap of any length closes at once.
@@ -108,10 +107,9 @@ impl WindowBudgets {
             self.starts.drain(..self.devices);
             self.base += 1;
             if n > 0 {
-                closed.push(n);
+                closed(n);
             }
         }
-        closed
     }
 }
 
@@ -124,6 +122,14 @@ pub(crate) fn window_of(t: SimTime, interval_ns: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl WindowBudgets {
+        fn closed_before(&mut self, keep_from: u64) -> Vec<usize> {
+            let mut closed = Vec::new();
+            self.close_before(keep_from, |n| closed.push(n));
+            closed
+        }
+    }
 
     #[test]
     fn budget_tracking() {
@@ -143,9 +149,9 @@ mod tests {
         b.record_start(1, 0);
         b.record_start(3, 1);
         b.record_start(3, 0);
-        assert_eq!(b.close_before(3), vec![1]);
-        assert_eq!(b.close_before(10), vec![2]);
-        assert!(b.close_before(10).is_empty());
+        assert_eq!(b.closed_before(3), vec![1]);
+        assert_eq!(b.closed_before(10), vec![2]);
+        assert!(b.closed_before(10).is_empty());
     }
 
     #[test]
@@ -153,23 +159,23 @@ mod tests {
         let mut b = WindowBudgets::new(2, 1);
         b.record_start(7, 1);
         // Windows 0..7 were never touched; a billion more follow.
-        assert_eq!(b.close_before(1_000_000_007), vec![1]);
+        assert_eq!(b.closed_before(1_000_000_007), vec![1]);
         assert!(b.admitted.is_empty() && b.starts.is_empty());
         assert_eq!(b.base, 1_000_000_007);
         assert_eq!(b.remaining(1_000_000_007, 1), 1);
-        assert!(b.close_before(u64::MAX).is_empty());
+        assert!(b.closed_before(u64::MAX).is_empty());
     }
 
     #[test]
     fn a_delayed_start_in_the_next_window_does_not_hide_this_one() {
         let mut b = WindowBudgets::new(2, 1);
-        assert!(b.close_before(40).is_empty());
+        assert!(b.closed_before(40).is_empty());
         // A delayed request lands in window 41 while the ring is empty;
         // window 40 itself is still open.
         b.record_start(41, 0);
         b.record_start(40, 0);
         assert_eq!((b.remaining(40, 0), b.remaining(41, 0)), (0, 0));
         assert_eq!((b.admitted(40), b.admitted(41)), (1, 1));
-        assert_eq!(b.close_before(42), vec![1, 1]);
+        assert_eq!(b.closed_before(42), vec![1, 1]);
     }
 }

@@ -99,9 +99,7 @@ impl OnlineQos {
 
                 let w = window_of(t, t_ival);
                 // Close finished windows into the statistical history.
-                for closed in budgets.close_before(w) {
-                    counters.record_interval(closed);
-                }
+                budgets.close_before(w, |closed| counters.record_interval(closed));
 
                 buckets.clear();
                 buckets.extend(group.iter().map(|r| mapping.bucket_for(r.lbn)));

@@ -4,10 +4,15 @@
 //! The rewrite's contract is a bit-identical `QosReport`; these cases walk
 //! every branch of `OnlineQos::run`: immediate, delayed, rejected,
 //! statistically over-admitted, joint (same-timestamp) and write.
+//! `exchange_interval_aligned_fim` and `tpce_on_13_3_1` were recorded
+//! later, before the matcher was fused into the miner's item space and
+//! began choosing colors from per-use-level bitsets.
 
 use fqos_core::{OverloadPolicy, QosConfig, QosPipeline, QosReport};
+use fqos_decluster::AllocationScheme;
 use fqos_flashsim::time::BASE_INTERVAL_NS;
 use fqos_traces::models::exchange::{exchange, ExchangeConfig};
+use fqos_traces::models::tpce::{tpce, TpceConfig};
 use fqos_traces::rw::with_write_fraction;
 use fqos_traces::{SyntheticConfig, Trace};
 
@@ -105,6 +110,33 @@ fn exchange_statistical() {
         "an over-admitted request must have queued"
     );
     assert_eq!(digest(&report), "88d1a52ad3729d91");
+}
+
+/// The interval-aligned scheduler under FIM mapping: the Table III /
+/// Fig. 12 path, which mines and matches at every reporting interval too.
+#[test]
+fn exchange_interval_aligned_fim() {
+    let report = QosPipeline::new(QosConfig::paper_9_3_1())
+        .run_interval()
+        .run(&exchange_16());
+    assert!(report.mining.iter().any(|m| m.pairs_found > 0));
+    assert_eq!(digest(&report), "5059ce3d6a020609");
+}
+
+/// `(13,3,1)`: 78 design blocks, so the matcher's color sets span two
+/// 64-bit words.
+#[test]
+fn tpce_on_13_3_1() {
+    let config = QosConfig::paper_13_3_1();
+    assert_eq!(config.scheme.num_buckets(), 78);
+    let trace = tpce(TpceConfig {
+        part_ns: 50_000_000,
+        ..TpceConfig::default()
+    })
+    .generate();
+    let report = run(config, &trace);
+    assert!(report.mining.iter().any(|m| m.pairs_found > 0));
+    assert_eq!(digest(&report), "3b6bbf05e9425d92");
 }
 
 #[test]

@@ -19,8 +19,13 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Apriori;
 
-/// The frequent pairs of `db`, and the bytes the working buffers held.
-fn mine(db: &TransactionDb, min_support: u32) -> (Vec<FrequentPair>, usize) {
+/// The frequent pairs of `db` in item space, `(a, b, support)` with `a < b`
+/// and ascending by `(a, b)`, and the report of mining them.
+pub(crate) fn mine_items(
+    db: &TransactionDb,
+    min_support: u32,
+) -> (Vec<(u32, u32, u32)>, MiningReport) {
+    let start = Instant::now();
     let min_support = min_support.max(1);
 
     // Pass 1: item supports.
@@ -54,17 +59,18 @@ fn mine(db: &TransactionDb, min_support: u32) -> (Vec<FrequentPair>, usize) {
         let run = rest.iter().take_while(|&&k| k == key).count();
         rest = &rest[run..];
         if run >= min_support as usize {
-            out.push(FrequentPair {
-                a: db.lbn_of((key >> 32) as u32),
-                b: db.lbn_of(key as u32),
-                support: u32::try_from(run).unwrap_or(u32::MAX),
-            });
+            let support = u32::try_from(run).unwrap_or(u32::MAX);
+            out.push(((key >> 32) as u32, key as u32, support));
         }
     }
-    let bytes = keys.capacity() * size_of::<u64>()
-        + (item_support.capacity() + kept.capacity()) * size_of::<u32>()
-        + frequent.capacity() * size_of::<bool>();
-    (out, bytes)
+    let report = MiningReport {
+        seconds: start.elapsed().as_secs_f64(),
+        peak_bytes: keys.capacity() * size_of::<u64>()
+            + (item_support.capacity() + kept.capacity()) * size_of::<u32>()
+            + frequent.capacity() * size_of::<bool>(),
+        pairs_found: out.len(),
+    };
+    (out, report)
 }
 
 impl PairMiner for Apriori {
@@ -73,7 +79,7 @@ impl PairMiner for Apriori {
     }
 
     fn mine_pairs(&self, db: &TransactionDb, min_support: u32) -> Vec<FrequentPair> {
-        mine(db, min_support).0
+        self.mine_pairs_with_report(db, min_support).0
     }
 
     fn mine_pairs_with_report(
@@ -81,14 +87,13 @@ impl PairMiner for Apriori {
         db: &TransactionDb,
         min_support: u32,
     ) -> (Vec<FrequentPair>, MiningReport) {
-        let start = Instant::now();
-        let (pairs, peak_bytes) = mine(db, min_support);
-        let report = MiningReport {
-            seconds: start.elapsed().as_secs_f64(),
-            peak_bytes,
-            pairs_found: pairs.len(),
+        let (items, report) = mine_items(db, min_support);
+        let pair = |(a, b, support)| FrequentPair {
+            a: db.lbn_of(a),
+            b: db.lbn_of(b),
+            support,
         };
-        (pairs, report)
+        (items.into_iter().map(pair).collect(), report)
     }
 }
 

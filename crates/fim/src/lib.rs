@@ -18,10 +18,10 @@
 //! Every structure here is a flat array: transactions are one `Vec<u32>`
 //! of item ids numbered in ascending block order, co-occurrences are
 //! counted by sorting packed keys, the pair graph is compressed adjacency
-//! rows and the finished matcher is two sorted arrays searched by
-//! bisection. Apriori is the one miner, as in the paper; `tests/oracle`
-//! keeps a brute-force pair count and the hashed matcher to check both
-//! against.
+//! rows ([`mine_and_match`] builds it from the miner's item ids directly)
+//! and the finished matcher is two sorted arrays searched by bisection.
+//! Apriori is the one miner, as in the paper; `tests/oracle` keeps a
+//! brute-force pair count and the hashed matcher to check both against.
 //!
 //! # Example
 //!
@@ -44,5 +44,5 @@ pub mod matcher;
 pub mod transaction;
 
 pub use apriori::Apriori;
-pub use matcher::{match_design_blocks, BlockMatcher};
+pub use matcher::{match_design_blocks, mine_and_match, BlockMatcher};
 pub use transaction::{FrequentPair, MiningReport, PairMiner, TransactionDb};

@@ -10,12 +10,14 @@
 //! vertices, frequent pairs are edges weighted by support, and we greedily
 //! color in descending order of incident support, picking the color that
 //! minimizes conflict weight (breaking ties toward the globally least-used
-//! color so buckets stay balanced).
+//! color so buckets stay balanced). The colors are kept in sets by use
+//! count, so a vertex with a conflict-free color costs its degree, not `D`.
 
-use crate::transaction::FrequentPair;
+use crate::apriori::mine_items;
+use crate::transaction::{FrequentPair, MiningReport, TransactionDb};
 
 /// A data-block → design-block assignment with modulo fallback.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockMatcher {
     /// The matched blocks, ascending.
     blocks: Vec<u64>,
@@ -94,67 +96,144 @@ impl BlockMatcher {
 
 /// Build a matcher from mined pairs by weighted greedy coloring.
 pub fn match_design_blocks(pairs: &[FrequentPair], num_design_blocks: usize) -> BlockMatcher {
-    assert!(num_design_blocks > 0);
-    let uncolored = u32::try_from(num_design_blocks).expect("design blocks fit 32 bits");
-
     // Vertices: the distinct blocks, ascending, so a vertex index orders
     // like its LBN.
     let mut blocks: Vec<u64> = pairs.iter().flat_map(|p| [p.a, p.b]).collect();
     blocks.sort_unstable();
     blocks.dedup();
-    let vertex = |lbn: u64| blocks.binary_search(&lbn).expect("an endpoint is a vertex");
-
-    // Adjacency in compressed rows: the neighbours of `v`, with the pair's
-    // support, are `adj[row[v]..row[v + 1]]`; `weight[v]` sums the supports.
-    let edges: Vec<(usize, usize, u32)> = pairs
+    let vertex = |lbn: u64| {
+        let v = blocks.binary_search(&lbn).expect("an endpoint is a vertex");
+        u32::try_from(v).expect("vertices fit 32 bits")
+    };
+    let edges: Vec<(u32, u32, u32)> = pairs
         .iter()
         .map(|p| (vertex(p.a), vertex(p.b), p.support))
         .collect();
-    let mut row = vec![0usize; blocks.len() + 1];
-    for &(a, b, _) in &edges {
-        row[a + 1] += 1;
-        row[b + 1] += 1;
+    BlockMatcher {
+        color: color(blocks.len(), &edges, num_design_blocks),
+        blocks,
+        num_design_blocks,
     }
-    for v in 0..blocks.len() {
+}
+
+/// [`match_design_blocks`] of [`Apriori`](crate::Apriori)'s pairs without
+/// leaving the miner's item space: the graph's vertices are item ids, which
+/// ascend with the blocks, so every vertex, edge, weight and tie-break is
+/// the same and so is the matcher. The report covers the miner alone.
+pub fn mine_and_match(
+    db: &TransactionDb,
+    min_support: u32,
+    num_design_blocks: usize,
+) -> (BlockMatcher, MiningReport) {
+    let (edges, report) = mine_items(db, min_support);
+    // An item in no pair is left uncolored, and is no matched block.
+    let mut color = color(db.num_items(), &edges, num_design_blocks);
+    let colored = |&c: &u32| (c as usize) < num_design_blocks;
+    let mut blocks = Vec::with_capacity(color.len());
+    for (item, _) in (0..).zip(&color).filter(|(_, c)| colored(c)) {
+        blocks.push(db.lbn_of(item));
+    }
+    color.retain(colored);
+    let matcher = BlockMatcher {
+        blocks,
+        color,
+        num_design_blocks,
+    };
+    (matcher, report)
+}
+
+/// Greedy weighted coloring with `d` colors of the graph on `0..n` with
+/// `edges` `(u, v, support)`: vertices with an edge by descending incident
+/// support, ties toward the smaller; each takes the color minimizing
+/// `(conflict, use, color)`, conflict being the support to neighbours of
+/// that color. A vertex without an edge is left `d`.
+fn color(n: usize, edges: &[(u32, u32, u32)], d: usize) -> Vec<u32> {
+    assert!(d > 0);
+    let uncolored = u32::try_from(d).expect("design blocks fit 32 bits");
+
+    // Adjacency in compressed rows: the neighbours of `v`, with the pair's
+    // support, are `adj[row[v]..row[v + 1]]`; `weight[v]` sums the supports.
+    let mut row = vec![0usize; n + 1];
+    for &(a, b, _) in edges {
+        row[a as usize + 1] += 1;
+        row[b as usize + 1] += 1;
+    }
+    for v in 0..n {
         row[v + 1] += row[v];
     }
     let mut fill = row.clone();
-    let mut adj = vec![(0usize, 0u32); 2 * edges.len()];
-    let mut weight = vec![0u64; blocks.len()];
-    for &(a, b, support) in &edges {
-        for (v, nbr) in [(a, b), (b, a)] {
+    let mut adj = vec![(0u32, 0u32); 2 * edges.len()];
+    let mut weight = vec![0u64; n];
+    for &(a, b, support) in edges {
+        for (v, nbr) in [(a as usize, b), (b as usize, a)] {
             adj[fill[v]] = (nbr, support);
             fill[v] += 1;
             weight[v] += u64::from(support);
         }
     }
 
-    // Heaviest vertex first, ties toward the smaller block.
-    let mut order: Vec<usize> = (0..blocks.len()).collect();
+    // Heaviest vertex first, ties toward the smaller one.
+    let mut order = Vec::with_capacity(n);
+    order.extend((0..n).filter(|&v| row[v] < row[v + 1]));
     order.sort_unstable_by_key(|&v| (std::cmp::Reverse(weight[v]), v));
 
-    let mut color = vec![uncolored; blocks.len()];
-    let mut color_use = vec![0usize; num_design_blocks];
-    let mut conflict = vec![0u64; num_design_blocks];
+    // `levels[u * words..][..words]` is the set of colors used `u` times;
+    // the levels below `low` are empty.
+    let words = d.div_ceil(64);
+    let mut levels = vec![u64::MAX; words];
+    levels[words - 1] >>= words * 64 - d;
+    let mut low = 0;
+    let mut color_use = vec![0usize; d];
+    // The colors some neighbour of the vertex holds by a pair of support > 0,
+    // and for the fallback their weights (slot `d` takes uncolored ones).
+    let mut held = vec![0u64; words];
+    let mut conflict = vec![0u64; d + 1];
+    let mut color = vec![uncolored; n];
     for v in order {
-        // Conflict weight per color from already-colored neighbours.
-        conflict.fill(0);
-        for &(nbr, support) in &adj[row[v]..row[v + 1]] {
-            if color[nbr] != uncolored {
-                conflict[color[nbr] as usize] += u64::from(support);
+        let neighbours = &adj[row[v]..row[v + 1]];
+        for &(nbr, support) in neighbours {
+            let c = color[nbr as usize] as usize;
+            if c < d && support > 0 {
+                held[c / 64] |= 1 << (c % 64);
             }
         }
-        let best = (0..num_design_blocks)
-            .min_by_key(|&c| (conflict[c], color_use[c], c))
-            .expect("at least one design block");
+        let best = if held.iter().map(|h| h.count_ones() as usize).sum::<usize>() < d {
+            // A color without conflict exists: the least used one, lowest
+            // first, is the argmin.
+            levels[low * words..]
+                .chunks_exact(words)
+                .find_map(|level| {
+                    let free = level.iter().zip(&held).map(|(&l, &h)| l & !h);
+                    let (w, bits) = free.enumerate().find(|&(_, bits)| bits != 0)?;
+                    Some(w * 64 + bits.trailing_zeros() as usize)
+                })
+                .expect("a color no neighbour holds is in some level")
+        } else {
+            // Every color conflicts: weigh them all.
+            conflict.fill(0);
+            for &(nbr, support) in neighbours {
+                conflict[color[nbr as usize] as usize] += u64::from(support);
+            }
+            (0..d)
+                .min_by_key(|&c| (conflict[c], color_use[c], c))
+                .expect("at least one design block")
+        };
+        held.fill(0);
+
+        // `best` moves up one level.
+        let (u, bit) = (color_use[best], 1u64 << (best % 64));
         color_use[best] += 1;
+        if levels.len() < (u + 2) * words {
+            levels.resize((u + 2) * words, 0);
+        }
+        levels[u * words + best / 64] &= !bit;
+        levels[(u + 1) * words + best / 64] |= bit;
+        if u == low && levels[u * words..][..words].iter().all(|&l| l == 0) {
+            low += 1;
+        }
         color[v] = best as u32;
     }
-    BlockMatcher {
-        blocks,
-        color,
-        num_design_blocks,
-    }
+    color
 }
 
 #[cfg(test)]

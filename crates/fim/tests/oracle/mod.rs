@@ -34,7 +34,9 @@ pub fn brute_force_pairs(db: &TransactionDb, min_support: u32) -> Vec<FrequentPa
 }
 
 /// Weighted greedy coloring over hashed adjacency lists: vertices by
-/// `(Reverse(weight), lbn)`, colors by `(conflict, color_use, c)`.
+/// `(Reverse(weight), lbn)`, colors by a scan of all `D` for the least
+/// `(conflict, color_use, c)` — the choice the flat matcher makes from its
+/// per-use color sets, and falls back to when every color conflicts.
 pub fn match_design_blocks_hashed(
     pairs: &[FrequentPair],
     num_design_blocks: usize,

@@ -1,12 +1,48 @@
 //! Property-based tests: Apriori agrees with a brute-force oracle on random
-//! transaction databases, and the matcher agrees with the hashed matcher it
-//! replaced and always produces legal assignments.
+//! transaction databases, the matcher agrees with the hashed matcher it
+//! replaced (whose color choice is the plain scan over every color) and
+//! always produces legal assignments, and mining straight into the pair
+//! graph matches the pairs the long way round.
 
 mod oracle;
 
-use fqos_fim::{match_design_blocks, Apriori, FrequentPair, PairMiner, TransactionDb};
+use fqos_fim::{
+    match_design_blocks, mine_and_match, Apriori, FrequentPair, PairMiner, TransactionDb,
+};
 use oracle::{brute_force_pairs, match_design_blocks_hashed};
 use proptest::prelude::*;
+
+/// Design-block counts for the coloring: one and two colors, the paper's 36
+/// and 78, and either side of one, two and three 64-bit words of colors.
+const DESIGN_BLOCKS: [usize; 10] = [1, 2, 36, 63, 64, 65, 78, 128, 129, 200];
+
+fn design_blocks() -> impl Strategy<Value = usize> {
+    (0..DESIGN_BLOCKS.len()).prop_map(|i| DESIGN_BLOCKS[i])
+}
+
+/// A random graph on `n` blocks as a pair list: each pair kept with
+/// probability `keep / 8` (all of them at 8), supports in
+/// `1..=max_support` so weights and color uses tie often.
+fn random_graph(n: u64, keep: u64, max_support: u64, seed: u64) -> Vec<FrequentPair> {
+    let mut pairs = Vec::new();
+    for a in 0..n {
+        for b in a + 1..n {
+            // SplitMix64 of the pair's index.
+            let mut h = seed.wrapping_add((a * n + b).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            h ^= h >> 31;
+            if h % 8 < keep {
+                pairs.push(FrequentPair {
+                    a: 1_000 + 3 * a,
+                    b: 1_000 + 3 * b,
+                    support: 1 + ((h >> 8) % max_support) as u32,
+                });
+            }
+        }
+    }
+    pairs
+}
 
 /// Twenty far-apart blocks: sparse, yet few enough to co-occur and form
 /// pairs. Strictly increasing in `k < 20`.
@@ -47,11 +83,11 @@ fn db_strategy() -> impl Strategy<Value = TransactionDb> {
 }
 
 /// Pair lists as no miner would hand them over: unsorted, repeated, over a
-/// handful of blocks spread up to `u64::MAX`, supports from a set of three
-/// so weights tie.
+/// handful of blocks spread up to `u64::MAX`, supports from a set of four
+/// so weights tie, 0 among them: a pair of support 0 is no conflict.
 fn pairs_strategy() -> impl Strategy<Value = Vec<FrequentPair>> {
     let block = |k: u64| u64::MAX - sparse_lbn(k);
-    prop::collection::vec((0u64..12, 0u64..12, 1u32..4), 0..60).prop_map(move |raw| {
+    prop::collection::vec((0u64..12, 0u64..12, 0u32..4), 0..60).prop_map(move |raw| {
         raw.into_iter()
             .filter(|&(x, y, _)| x != y)
             .map(|(x, y, support)| FrequentPair {
@@ -135,7 +171,7 @@ proptest! {
     }
 
     #[test]
-    fn matcher_agrees_with_hashed_oracle(pairs in pairs_strategy(), d in 1usize..40) {
+    fn matcher_agrees_with_hashed_oracle(pairs in pairs_strategy(), d in 1usize..200) {
         let m = match_design_blocks(&pairs, d);
         let oracle = match_design_blocks_hashed(&pairs, d);
         prop_assert_eq!(m.matched_blocks(), oracle.len());
@@ -152,6 +188,42 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn coloring_agrees_with_the_scan_on_dense_and_tied_graphs(
+        d in design_blocks(),
+        extra in 0u64..12,
+        keep in 1u64..=8,
+        max_support in 1u64..=3,
+        seed in any::<u64>(),
+    ) {
+        // Up to eleven blocks more than colors: in a complete graph the
+        // later blocks find every color taken and fall back to the scan.
+        let n = (d as u64).saturating_sub(3) + extra;
+        let pairs = random_graph(n, keep, max_support, seed);
+        let m = match_design_blocks(&pairs, d);
+        let oracle = match_design_blocks_hashed(&pairs, d);
+        prop_assert_eq!(m.matched_blocks(), oracle.len());
+        for (&lbn, &bucket) in &oracle {
+            prop_assert_eq!(m.bucket_for(lbn), bucket);
+        }
+        if keep == 8 && n > d as u64 {
+            // Two blocks of one pair share a color: the fallback ran.
+            prop_assert!(m.separation_quality(&pairs) < 1.0);
+        }
+    }
+
+    #[test]
+    fn mining_into_the_graph_agrees_with_matching_mined_pairs(
+        db in db_strategy(),
+        support in 1u32..4,
+        d in design_blocks(),
+    ) {
+        let pairs = Apriori.mine_pairs(&db, support);
+        let (fused, report) = mine_and_match(&db, support, d);
+        prop_assert_eq!(report.pairs_found, pairs.len());
+        prop_assert_eq!(fused, match_design_blocks(&pairs, d));
     }
 
     #[test]

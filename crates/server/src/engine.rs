@@ -1946,10 +1946,17 @@ mod tests {
             s.register(t, r, OverloadPolicy::Delay).unwrap();
         }
         let server = std::sync::Arc::new(s);
-        let threads: Vec<_> = [(1u64, 2u64), (2, 2), (3, 1)]
+        // Every handle exists before the first submitter runs: a handle
+        // made later starts at the windows already sealed, and its window-0
+        // arrivals land there instead, one window further each, until the
+        // delay horizon runs out.
+        let handles: Vec<_> = [(1u64, 2u64), (2, 2), (3, 1)]
             .into_iter()
-            .map(|(tenant, per_window)| {
-                let mut h = server.handle();
+            .map(|(tenant, per_window)| (tenant, per_window, server.handle()))
+            .collect();
+        let threads: Vec<_> = handles
+            .into_iter()
+            .map(|(tenant, per_window, mut h)| {
                 std::thread::spawn(move || {
                     let mut admitted = 0u64;
                     for w in 0..200u64 {
