@@ -1,5 +1,5 @@
 //! Instrumented twin of `fqos-sync`'s channel (`bounded`, `send`/`recv`,
-//! disconnect-on-last-endpoint-drop semantics).
+//! `try_recv`, disconnect-on-last-endpoint-drop semantics).
 //!
 //! Under a [`crate::model`] execution, send/recv park on scheduler
 //! conditions evaluated against a mirror of the queue state — a blocked
@@ -201,6 +201,21 @@ impl<T> Receiver<T> {
                 .wait(q)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// `fqos-sync`'s `try_recv`; under a model a scheduling point that never blocks.
+    pub fn try_recv(&self) -> Option<T> {
+        let model = ctx();
+        if let Some((rt, me)) = &model {
+            self.shared.ensure(rt);
+            rt.yield_point(*me, Condition::Always, "chan.try_recv");
+        }
+        let v = self.shared.lock_queue().pop_front()?;
+        match model {
+            Some((rt, _)) => self.shared.mirror(&rt, |len, _, _, _| *len -= 1),
+            None => self.shared.not_full.notify_one(),
+        }
+        Some(v)
     }
 }
 

@@ -139,9 +139,36 @@ struct HandleShared {
     _pad: [u64; 4],
 }
 
+#[derive(Default)]
 struct DispatchState {
     /// All windows `< sealed_through` are sealed and dispatched.
     sealed_through: u64,
+    /// Per worker, its served batches on their way back: `messages + 2` at
+    /// most (queued, in service, being filled or here), so no `send` blocks.
+    served: Vec<Receiver<Batch>>,
+    /// Every [`WriteSink`] handed out, oldest first. The pool keeps one
+    /// reference, so a worker only ever drops a clone and never frees one.
+    sinks: std::collections::VecDeque<Arc<WriteSink>>,
+}
+
+impl DispatchState {
+    /// A sink for a write of `fanout` copies, moved to the back: the oldest
+    /// one if nobody holds it any more, else a new one.
+    fn next_sink(&mut self, fanout: u32) -> Arc<WriteSink> {
+        let mut sink = self.sinks.pop_front().unwrap_or_default();
+        match Arc::get_mut(&mut sink) {
+            Some(unheld) => *unheld = WriteSink::default(),
+            // Seeded mutant: reused although a worker may still hold it.
+            None if cfg!(feature = "model-mutant-sink-reuse") => {}
+            None => {
+                self.sinks.push_front(sink);
+                sink = Arc::default();
+            }
+        }
+        sink.remaining.store(u64::from(fanout), Ordering::Relaxed);
+        self.sinks.push_back(Arc::clone(&sink));
+        sink
+    }
 }
 
 /// Statistical admission state (`ε > 0` only).
@@ -202,6 +229,7 @@ struct WorkerStats {
 /// once — [`SettleKind::WriteSettled`] if every copy landed,
 /// [`SettleKind::WriteLost`] if any copy died on a fail-stopped replica
 /// past the retry budget.
+#[derive(Default)]
 struct WriteSink {
     /// Copies still outstanding.
     remaining: AtomicU64,
@@ -262,16 +290,15 @@ impl WorkItem {
     }
 }
 
+/// One worker's share of one sealed window, in seal order, handed back
+/// empty once served. Boxed so that a queue slot stays one word (DESIGN.md,
+/// "One message per window and worker").
+#[allow(clippy::box_collection)]
+type Batch = Box<Vec<WorkItem>>;
+type Batches = [Option<Batch>; MAX_FAULT_DEVICES];
+
 enum WorkMsg {
-    /// One worker's share of one sealed window, in seal order. Boxed so
-    /// that a queue slot stays one word, as it was when it held one boxed
-    /// item: the queue's ring is a long-lived allocation, and with a
-    /// three-word slot its first growth alone (for `Stop`, on the thread
-    /// that calls `finish`) took the benchmark's `stat_overflow` peak RSS
-    /// from 19.6 to 31.1 MiB — heap layout, not live bytes (DESIGN.md,
-    /// "One message per window and worker").
-    #[allow(clippy::box_collection)]
-    Batch(Box<Vec<WorkItem>>),
+    Batch(Batch),
     Stop,
 }
 
@@ -502,6 +529,11 @@ impl QosServer {
         let messages = channel_messages(cfg.queue_depth, workers, limit);
         let (txs, rxs): (Vec<_>, Vec<_>) =
             (0..workers).map(|_| bounded::<WorkMsg>(messages)).unzip();
+        let (homes, served): (Vec<_>, Vec<_>) = (0..workers).map(|_| bounded(messages + 2)).unzip();
+        let dispatch = DispatchState {
+            served,
+            ..DispatchState::default()
+        };
         let fault = Arc::new(FaultPlane::with_health(
             devices,
             cfg.fault_schedule.clone(),
@@ -523,7 +555,7 @@ impl QosServer {
             wal,
             _gap: LineGap::default(),
             stat,
-            dispatch: Mutex::new(Class::EngineDispatch, DispatchState { sealed_through: 0 }),
+            dispatch: Mutex::new(Class::EngineDispatch, dispatch),
             sealed_floor: AtomicU64::new(0),
             max_target: AtomicU64::new(0),
             handles: Mutex::new(Class::EngineHandles, Vec::new()),
@@ -539,13 +571,14 @@ impl QosServer {
         });
         let threads = rxs
             .into_iter()
+            .zip(homes)
             .enumerate()
-            .map(|(w, rx)| {
+            .map(|(w, (rx, home))| {
                 let engine = Arc::clone(&engine);
                 let stage = engine.wal.as_ref().map(|wal| wal.worker_stage(w));
                 fqos_sync::thread::Builder::new()
                     .name(format!("fqos-worker-{w}"))
-                    .spawn(move || worker_loop(w, workers, rx, engine, stage))
+                    .spawn(move || worker_loop(w, workers, rx, home, engine, stage))
                     .map_err(|e| format!("spawning worker {w}: {e}"))
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -808,11 +841,11 @@ impl Engine {
                     .fetch_max(sealed.total, Ordering::Relaxed);
                 // Past shutdown the workers are gone; drop on the floor.
                 if !self.shutdown.load(Ordering::Acquire) {
-                    for (tx, batch) in self.txs.iter().zip(self.partition(w, sealed.items)) {
-                        if !batch.is_empty() {
+                    for (tx, batch) in self.txs.iter().zip(self.partition(ds, w, sealed.items)) {
+                        if let Some(batch) = batch {
                             // Blocking send = backpressure: submitters stall
                             // here once a worker's backlog hits queue_depth.
-                            let _ = tx.send(WorkMsg::Batch(Box::new(batch)));
+                            let _ = tx.send(WorkMsg::Batch(batch));
                         }
                     }
                 }
@@ -826,35 +859,28 @@ impl Engine {
     }
 
     /// Split window `w`'s sealed items into one batch per worker (index =
-    /// worker; empty = nothing to send), keeping seal order inside each.
-    /// Every replica copy of a logical write shares one [`WriteSink`],
-    /// whichever batches the copies land in.
-    fn partition(&self, w: u64, items: Vec<SealedItem>) -> Vec<Vec<WorkItem>> {
+    /// worker; `None` = nothing to send), keeping seal order inside each.
+    /// A batch is one its worker handed back if there is one. Every replica
+    /// copy of a logical write shares one [`WriteSink`], whichever batches
+    /// the copies land in; the seal emits a write's copies back to back.
+    fn partition(&self, ds: &mut DispatchState, w: u64, items: Vec<SealedItem>) -> Batches {
         let workers = self.txs.len();
         let exec_start = (w + 1) * self.cfg.qos.interval_ns;
-        let mut share = [0usize; MAX_FAULT_DEVICES];
-        for item in &items {
-            share[item.req.device % workers] += 1;
-        }
-        let mut batches: Vec<Vec<WorkItem>> = share[..workers]
-            .iter()
-            .map(|&n| Vec::with_capacity(n))
-            .collect();
-        // One settlement sink per logical write in this window, shared by
-        // its replica copies (group ids are window-local).
-        let mut sinks: std::collections::HashMap<u32, Arc<WriteSink>> =
-            std::collections::HashMap::new();
+        let mut batches = [const { None }; MAX_FAULT_DEVICES];
+        // The write whose copies are being emitted, and its sink.
+        let mut current: Option<(u32, Arc<WriteSink>)> = None;
         for item in items {
             let write = item.write_group.map(|(group, fanout)| {
-                Arc::clone(sinks.entry(group).or_insert_with(|| {
-                    Arc::new(WriteSink {
-                        remaining: AtomicU64::new(u64::from(fanout)),
-                        lost: AtomicBool::new(false),
-                        latest_finish: AtomicU64::new(0),
-                    })
-                }))
+                let sink = match current.take() {
+                    Some((g, sink)) if g == group => sink,
+                    _ => ds.next_sink(fanout),
+                };
+                Arc::clone(&current.insert((group, sink)).1)
             });
-            batches[item.req.device % workers].push(WorkItem {
+            let worker = item.req.device % workers;
+            let batch = batches[worker]
+                .get_or_insert_with(|| ds.served[worker].try_recv().unwrap_or_default());
+            batch.push(WorkItem {
                 tenant_id: item.tenant,
                 req: item.req,
                 window: w,
@@ -1411,11 +1437,12 @@ impl Drop for SubmitterHandle {
 /// [`RETRY_BACKOFF_NS`] apart. First completion wins: losing attempts are
 /// rolled back off the frontier and a winning hedge cancels the primary's
 /// reservation, so speculative capacity is reclaimed exactly.
-#[allow(clippy::needless_pass_by_value)] // thread entry: owns its receiver + engine handle
+#[allow(clippy::needless_pass_by_value)] // thread entry: owns its channels + engine handle
 fn worker_loop(
     worker: usize,
     workers: usize,
     rx: Receiver<WorkMsg>,
+    home: Sender<Batch>,
     engine: Arc<Engine>,
     stage: Option<Stage>,
 ) {
@@ -1445,22 +1472,15 @@ fn worker_loop(
         stage,
         gc: GcStats::default(),
     };
-    // A batch is freed when the next one arrives, not when its last item
-    // is served: freeing it takes the malloc arena lock of the submitting
-    // thread that allocated it, which right after a send is admitting and
-    // by the end of service is sealing, in malloc (DESIGN.md, "One writer
-    // per line": 4.0 or 5.0 M req/s, run by run, when the two met).
-    let mut in_service: Option<Box<Vec<WorkItem>>> = None;
     // The settles this worker stages ride the next seal's hold of the log
     // (`Wal::log_seal_behind` collects them), so while batches keep coming
     // the worker never takes the WAL lock. With no seal in sight — about to
     // park, or done — it takes them there itself: an idle server's log is
     // whole one linger after its last batch, and `finish` / `halt`, which
     // join this thread, read a whole log.
-    while let Ok(WorkMsg::Batch(batch)) =
+    while let Ok(WorkMsg::Batch(mut batch)) =
         rx.recv_idle(|| local.stage.iter().for_each(Stage::drain_idle))
     {
-        let batch = in_service.insert(batch);
         for item in batch.iter() {
             let d = item.req.device;
             // Admitted into window `t`, the item executes during `t + 1`.
@@ -1517,6 +1537,9 @@ fn worker_loop(
             s.gc_relocated.fetch_add(gc.relocated, Ordering::Relaxed);
             s.gc_erases.fetch_add(gc.erases, Ordering::Relaxed);
         }
+        // Home to the seal; clearing drops only clones of the sinks it keeps.
+        batch.clear();
+        let _ = home.send(batch);
     }
     local.stage.iter().for_each(Stage::drain);
 }
@@ -2284,28 +2307,37 @@ mod tests {
             sealed(13, 1, 8, None),
             sealed(14, 1, 5, Some((1, 1))),
         ];
-        let batches = s.engine.partition(6, items);
+        let mut ds = s.engine.dispatch.lock();
+        let batches = s.engine.partition(&mut ds, 6, items);
         let ids = |w: usize| -> Vec<(u64, usize)> {
-            batches[w]
-                .iter()
-                .map(|i| (i.req.id, i.req.device))
-                .collect()
+            let batch = batches[w].as_ref().unwrap();
+            batch.iter().map(|i| (i.req.id, i.req.device)).collect()
         };
-        assert_eq!(batches.len(), 4);
         assert_eq!(ids(0), [(10, 4), (12, 0), (13, 8)], "seal order kept");
         assert_eq!(ids(1), [(11, 1), (12, 1), (14, 5)]);
         assert_eq!(ids(2), [(12, 2)]);
-        assert!(batches[3].is_empty(), "an idle worker gets no message");
-        for item in batches.iter().flatten() {
+        assert!(batches[3].is_none(), "an idle worker gets no message");
+        for item in batches.iter().flatten().flat_map(|b| b.iter()) {
             assert_eq!((item.window, item.exec_start), (6, 7 * BASE_T));
         }
-        let tenants = |w: usize| -> Vec<u64> { batches[w].iter().map(|i| i.tenant_id).collect() };
-        assert_eq!(tenants(1), [2, 1, 1]);
-        let sink = |w: usize, at: usize| batches[w][at].write.as_ref().unwrap();
+        let batch = |w: usize| batches[w].as_ref().unwrap();
+        let tenants: Vec<u64> = batch(1).iter().map(|i| i.tenant_id).collect();
+        assert_eq!(tenants, [2, 1, 1]);
+        let sink = |w: usize, at: usize| batch(w)[at].write.as_ref().unwrap();
         assert!(Arc::ptr_eq(sink(0, 1), sink(1, 1)) && Arc::ptr_eq(sink(0, 1), sink(2, 0)));
         assert_eq!(sink(0, 1).remaining.load(Ordering::Relaxed), 3);
         assert!(!Arc::ptr_eq(sink(0, 1), sink(1, 2)), "one sink per group");
-        assert!(batches[0][0].write.is_none());
+        assert!(batch(0)[0].write.is_none());
+        // Both sinks are held by the batches, so the next window's write
+        // gets a third; once the batches are gone, the oldest comes back.
+        let oldest = Arc::as_ptr(&ds.sinks[0]);
+        drop(ds.next_sink(2));
+        assert_eq!(ds.sinks.len(), 3);
+        drop(batches);
+        let reused = ds.next_sink(2);
+        assert_eq!((ds.sinks.len(), Arc::as_ptr(&reused)), (3, oldest));
+        assert_eq!(reused.remaining.load(Ordering::Relaxed), 2, "reset");
+        drop(ds);
         s.finish();
     }
 
@@ -2360,13 +2392,15 @@ mod tests {
         ];
         spans.extend(ledger.layout());
         assert_one_side_per_line(&*s.engine, spans);
-        // Measured (1 680 with the production primitives, whose lock classes
-        // compile out of release builds): the engine is one long-lived
-        // allocation, and growing it is a decision — run the RSS pre-check
-        // of the verify skill when this moves.
+        // Measured (1 720 with the production primitives, whose lock classes
+        // compile out of release builds; 1 680 before the return queues and
+        // the sink pool): the engine is one long-lived allocation, and
+        // growing it is a decision — run the RSS pre-check of the verify
+        // skill when this moves (one 1 720-byte layout of this same engine
+        // took `fleet_route` from 10.0 to 11.5 MiB, and this one does not).
         if cfg!(not(any(debug_assertions, feature = "model-check"))) {
             assert!(
-                std::mem::size_of::<Engine>() <= 1680,
+                std::mem::size_of::<Engine>() <= 1720,
                 "{}",
                 std::mem::size_of::<Engine>()
             );

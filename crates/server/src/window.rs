@@ -333,10 +333,9 @@ impl WindowRing {
 
     /// Park one guaranteed admission in `s` and count it against its
     /// tenant. A window's first one sizes the buffer for `N·M` entries, all
-    /// a window can hold: grown by doubling it went through two `realloc`s
-    /// per window under the submitting thread's malloc arena lock, where
-    /// it met the worker freeing that thread's batch (DESIGN.md, "One
-    /// writer per line"; `worker_loop` holds the other half).
+    /// a window can hold: one allocation per window where growth by
+    /// doubling takes four, and doubling measured no faster (DESIGN.md,
+    /// "One writer per line").
     fn park(&self, s: &mut SlotState, parked: Parked) {
         match s.per_tenant.iter_mut().find(|(t, _)| *t == parked.tenant) {
             Some((_, n)) => *n += 1,

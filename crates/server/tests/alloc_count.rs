@@ -1,12 +1,15 @@
-//! Heap allocations on the write / GC service path — a count, not a timing,
-//! so it reads the same on any host. In steady state a worker serves reads,
+//! Heap traffic on the write / GC service path — counts, not timings, so
+//! they read the same on any host. In steady state a worker serves reads,
 //! hedges them behind GC stalls, programs write copies through the FTL and
-//! settles all of it without going to the allocator: a `Vec` per hedge or
-//! per erase coming back shows here long before it shows on a clock.
+//! settles all of it without going to the allocator, in either direction:
+//! it hands each batch back to the sealing thread that allocated it, and
+//! drops only clones of the write sinks the seal keeps. A `Vec` per hedge
+//! or per erase, or a batch freed by the worker, shows here long before it
+//! shows on a clock.
 //!
-//! The allocator keeps one tally per thread, so the submitting side (which
-//! allocates a batch per window and worker, by design) does not drown the
-//! workers' figure.
+//! The allocator keeps its tallies per thread, so the submitting side,
+//! which seals and so allocates on the worker's behalf, does not drown
+//! the workers' figures.
 
 use fqos_core::{OverloadPolicy, QosConfig};
 use fqos_flashsim::PageMappedFtl;
@@ -18,8 +21,23 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 const THREADS: usize = 64;
 
-/// Allocations per thread, in the order the threads first allocated.
-static TALLIES: [AtomicU64; THREADS] = [const { AtomicU64::new(0) }; THREADS];
+/// One thread's heap traffic.
+struct Tally {
+    allocations: AtomicU64,
+    frees: AtomicU64,
+    /// Allocations the size of a `Vec` header: a batch's box. The submitting
+    /// thread makes no other allocation of that size per window.
+    vec_boxes: AtomicU64,
+}
+
+/// Per thread, in the order the threads first allocated.
+static TALLIES: [Tally; THREADS] = [const {
+    Tally {
+        allocations: AtomicU64::new(0),
+        frees: AtomicU64::new(0),
+        vec_boxes: AtomicU64::new(0),
+    }
+}; THREADS];
 static THREADS_SEEN: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
@@ -40,6 +58,14 @@ fn my_slot() -> usize {
     .min(THREADS - 1)
 }
 
+fn tally_allocation(layout: Layout) {
+    let tally = &TALLIES[my_slot()];
+    tally.allocations.fetch_add(1, Ordering::Relaxed);
+    if layout == Layout::new::<Vec<u8>>() {
+        tally.vec_boxes.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -47,18 +73,19 @@ struct Counting;
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        TALLIES[my_slot()].fetch_add(1, Ordering::Relaxed);
+        tally_allocation(layout);
         // SAFETY: the caller's `layout` obligations pass through to `System`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        TALLIES[my_slot()].frees.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        TALLIES[my_slot()].fetch_add(1, Ordering::Relaxed);
+        tally_allocation(layout);
         // SAFETY: as for `alloc` and `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -88,12 +115,12 @@ const WINDOWS: u64 = 2_000;
 /// horizon is 64) out of the ring and through the workers.
 const FLUSH: u64 = 80;
 
-/// Allocations so far by the threads that first allocated after `seen`
+/// Heap traffic so far of the threads that first allocated after `seen`
 /// threads had: the ones the server spawned.
-fn allocations_of_threads_after(seen: usize) -> u64 {
+fn of_threads_after(seen: usize, field: fn(&Tally) -> &AtomicU64) -> u64 {
     TALLIES[seen..]
         .iter()
-        .map(|t| t.load(Ordering::Relaxed))
+        .map(|t| field(t).load(Ordering::Relaxed))
         .sum()
 }
 
@@ -114,8 +141,7 @@ fn drain(server: &QosServer, handle: &mut SubmitterHandle, through_window: u64) 
 }
 
 fn ftl_write_allocates_nothing_once_the_map_is_full() {
-    let me = my_slot();
-    let mine = || TALLIES[me].load(Ordering::Relaxed);
+    let mine = &TALLIES[my_slot()].allocations;
     let mut rng = StdRng::seed_from_u64(22);
     let mut ftl = PageMappedFtl::new(GEOMETRY);
     // Three quarters of the 512 pages live, so that victims hold valid
@@ -124,11 +150,11 @@ fn ftl_write_allocates_nothing_once_the_map_is_full() {
     for lp in 0..pages {
         ftl.write(lp).unwrap();
     }
-    let before = mine();
+    let before = mine.load(Ordering::Relaxed);
     for _ in 0..100_000 {
         ftl.write(rng.gen_range(0..pages)).unwrap();
     }
-    let allocations = mine() - before;
+    let allocations = mine.load(Ordering::Relaxed) - before;
     println!(
         "{allocations} allocations over 100000 FTL writes ({} erases, {} relocations)",
         ftl.total_erases(),
@@ -141,11 +167,13 @@ fn ftl_write_allocates_nothing_once_the_map_is_full() {
     );
 }
 
-fn workers_allocate_nothing_in_steady_state() {
+fn workers_neither_allocate_nor_free_in_steady_state() {
     let spawned_before = THREADS_SEEN.load(Ordering::Relaxed);
     let cfg = ServerConfig::new(QosConfig::paper_9_3_1().with_accesses(2))
         .with_workers(2)
         .with_gc_model(GcConfig::new(GEOMETRY));
+    // `Engine`'s sizing of a worker's queue (`channel_messages`).
+    let messages = (cfg.queue_depth * cfg.workers / cfg.qos.request_limit()).max(1) as u64;
     let server = QosServer::new(cfg).unwrap();
     let interval = server.config().qos.interval_ns;
     for (tenant, reserved) in [(1, 4), (2, 4), (3, 3), (4, 3)] {
@@ -155,6 +183,8 @@ fn workers_allocate_nothing_in_steady_state() {
     }
     let mut rng = StdRng::seed_from_u64(22);
     let mut handle = server.handle();
+    let vec_boxes = &TALLIES[my_slot()].vec_boxes;
+    let vec_boxes_before = vec_boxes.load(Ordering::Relaxed);
     for w in 0..WARM_UP {
         for i in 0..6 {
             let (tenant, at) = (1 + i % 4, w * interval + i);
@@ -167,7 +197,9 @@ fn workers_allocate_nothing_in_steady_state() {
     }
     let start = WARM_UP + FLUSH;
     let warm_items = drain(&server, &mut handle, start);
-    let before = allocations_of_threads_after(spawned_before);
+    let workers = |field| of_threads_after(spawned_before, field);
+    let allocations_before = workers(|t| &t.allocations);
+    let frees_before = workers(|t| &t.frees);
     // Eight requests a window of which a quarter write: six reads and two
     // writes of three copies, as `mixed_rw_gc` offers.
     for w in start..start + WINDOWS {
@@ -181,22 +213,30 @@ fn workers_allocate_nothing_in_steady_state() {
         }
     }
     let items = drain(&server, &mut handle, start + WINDOWS + FLUSH) - warm_items;
-    let allocations = allocations_of_threads_after(spawned_before) - before;
+    let allocations = workers(|t| &t.allocations) - allocations_before;
+    let frees = workers(|t| &t.frees) - frees_before;
+    let batches = vec_boxes.load(Ordering::Relaxed) - vec_boxes_before;
     drop(handle);
     let m = server.finish();
     println!(
-        "{allocations} worker allocations over {items} served items = {:.4} per item \
-         ({} hedges, {} erases in all)",
-        allocations as f64 / items as f64,
-        m.hedges_issued,
-        m.gc_erases,
+        "{allocations} worker allocations and {frees} frees over {items} served items \
+         in {WINDOWS} windows ({} hedges, {} erases in all); {batches} batches \
+         allocated for {} windows sealed",
+        m.hedges_issued, m.gc_erases, m.windows_sealed,
     );
     assert!(m.conserved());
     assert!(m.hedges_issued > 1_000 && m.gc_erases > 1_000, "{m:#?}");
     assert!(items > 15_000, "{items} items");
     assert_eq!(
-        allocations, 0,
+        (allocations, frees),
+        (0, 0),
         "over {items} items after {WARM_UP} windows of warm-up"
+    );
+    // A worker's batches are queued, in service or being filled whenever
+    // the seal allocates one: `messages + 2` each, over the whole run.
+    assert!(
+        batches <= 2 * (messages + 2),
+        "{batches} batches for two workers with {messages}-message queues"
     );
 }
 
@@ -205,5 +245,5 @@ fn workers_allocate_nothing_in_steady_state() {
 #[test]
 fn the_write_and_gc_service_path_allocates_nothing_in_steady_state() {
     ftl_write_allocates_nothing_once_the_map_is_full();
-    workers_allocate_nothing_in_steady_state();
+    workers_neither_allocate_nor_free_in_steady_state();
 }

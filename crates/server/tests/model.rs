@@ -583,15 +583,25 @@ fn evacuate_vs_seal_lands_the_displaced_tenant_exactly_once() {
 /// once (never once per replica), and no write is lost with every device
 /// healthy. A write's three copies land on two workers, so one worker
 /// always gets two items of one window in one batch: this is the schedule
-/// that walks the worker's batch loop.
+/// that walks the worker's batch loop. A later window carries a write as
+/// well, so its seal may meet a write sink that a worker still holds: the
+/// seal reuses a sink only once nobody does.
+///
+/// Seeded mutant (ROADMAP 1(d)): built with `model-mutant-sink-reuse`, the
+/// seal reuses the oldest sink without that check; the explorer has to
+/// find a schedule on which the law breaks, and the test fails if it does
+/// not.
 #[test]
 fn write_fanout_vs_seal_settles_each_group_once() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static RAN: AtomicU64 = AtomicU64::new(0);
     let bounds = Config {
         preemptions: 2,
         max_schedules: 4096,
         ..Config::default()
     };
-    let report = model_with(bounds, || {
+    let scenario = || {
+        RAN.fetch_add(1, Ordering::Relaxed);
         let server = QosServer::new(model_cfg()).unwrap();
         let t_ns = server.config().qos.interval_ns;
         server.register(1, 2, OverloadPolicy::Delay).unwrap();
@@ -600,7 +610,12 @@ fn write_fanout_vs_seal_settles_each_group_once() {
         let mut hb = server.handle();
         let a = fqos_sync::thread::spawn(move || {
             let mut tally = Tally::default();
-            for &(lbn, at, op) in &[(0, 0, IoOp::Write), (1, t_ns, IoOp::Read)] {
+            let ops = [
+                (0, 0, IoOp::Write),
+                (1, t_ns, IoOp::Read),
+                (4, t_ns, IoOp::Write),
+            ];
+            for &(lbn, at, op) in &ops {
                 match ha.submit_op(1, lbn, at, op) {
                     SubmitOutcome::Rejected(_) => tally.rejected += 1,
                     _ => tally.admitted += 1,
@@ -620,7 +635,7 @@ fn write_fanout_vs_seal_settles_each_group_once() {
         let tb = b.join().unwrap();
         let m = server.finish();
         assert_eq!(ta.admitted + tb.admitted, m.admitted_total());
-        assert_eq!(m.admitted_total() + m.rejected, 3);
+        assert_eq!(m.admitted_total() + m.rejected, 4);
         assert!(
             m.ledger().conserved(),
             "{}: {}",
@@ -628,7 +643,7 @@ fn write_fanout_vs_seal_settles_each_group_once() {
             m.ledger().render()
         );
         assert!(
-            m.write_settled <= 2,
+            m.write_settled <= 3,
             "a fan-out group must settle once, not once per replica: {}",
             m.write_settled
         );
@@ -636,8 +651,22 @@ fn write_fanout_vs_seal_settles_each_group_once() {
         assert_eq!(m.fault_lost, 0, "no faults were injected");
         assert_eq!(m.hedges_issued, 0, "healthy devices never speculate");
         assert_eq!(m.guaranteed_violations, 0, "deadline audit");
-    });
-    report_and_check("write-fanout-vs-seal", report, 1000);
+    };
+    if cfg!(feature = "model-mutant-sink-reuse") {
+        let mutant = std::panic::catch_unwind(|| model_with(bounds, scenario));
+        let failure = mutant.expect_err("the explorer accepted the seeded mutant");
+        let failure = failure
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(failure.contains("extended conservation"), "{failure}");
+        println!(
+            "write-fanout-vs-seal/mutant: fails after {} schedules",
+            RAN.load(Ordering::Relaxed)
+        );
+    } else {
+        report_and_check("write-fanout-vs-seal", model_with(bounds, scenario), 1000);
+    }
 }
 
 /// A GC stall races the hedge decision: writes into a four-page FTL force

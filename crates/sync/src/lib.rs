@@ -220,6 +220,47 @@ pub mod channel {
             crate::blocking("recv_idle");
             self.0.recv_idle(idle)
         }
+
+        /// The front message if there is one; never waits, so never [`crate::blocking`].
+        pub fn try_recv(&self) -> Option<T> {
+            self.0.try_recv()
+        }
+    }
+
+    #[cfg(all(test, feature = "model-check"))]
+    mod tests {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// A send blocked on a full queue beside two `try_recv`s: the first
+        /// always finds the message ahead of it, and the second finds the
+        /// blocked one on the schedules where the pop let the sender run in
+        /// between and misses it on the others, where `recv` then waits
+        /// for it. Both kinds are explored.
+        #[test]
+        fn try_recv_beside_a_blocking_send_is_explored_both_ways() {
+            static HITS: AtomicU64 = AtomicU64::new(0);
+            let report = crate::model_with(crate::Config::default(), || {
+                let (tx, rx) = super::bounded(1);
+                tx.send(1u32).unwrap();
+                let sender = crate::thread::spawn(move || tx.send(2).unwrap());
+                assert_eq!(rx.try_recv(), Some(1));
+                match rx.try_recv() {
+                    Some(v) => {
+                        assert_eq!(v, 2);
+                        HITS.fetch_add(1, Ordering::Relaxed);
+                    }
+                    None => assert_eq!(rx.recv(), Ok(2)),
+                }
+                sender.join().unwrap();
+            });
+            assert!(report.exhausted);
+            let hits = HITS.load(Ordering::Relaxed);
+            assert!(
+                0 < hits && hits < report.schedules,
+                "the blocked send was found on {hits} of {} schedules",
+                report.schedules
+            );
+        }
     }
 }
 

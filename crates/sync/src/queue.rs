@@ -46,6 +46,8 @@ struct Shared<T> {
     parked: AtomicBool,
 }
 
+type Guard<'a, T> = MutexGuard<'a, VecDeque<T>>;
+
 #[cfg(test)]
 thread_local! {
     /// Wake-ups `send` and `recv` issued from this thread.
@@ -77,10 +79,10 @@ pub struct SendError<T>(pub T);
 pub struct RecvError;
 
 /// Channel buffering at most `cap` messages; sends block when full.
-/// `cap = 0` is rounded up to 1 (true rendezvous is not needed here).
+/// `cap = 0` is rounded up to 1; the ring is allocated here, not by `send`.
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(VecDeque::with_capacity(cap.max(1))),
         capacity: cap.max(1),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -107,7 +109,7 @@ impl<T> Shared<T> {
         self.senders.load(Ordering::Acquire) == 0
     }
 
-    fn lock(&self) -> MutexGuard<'_, VecDeque<T>> {
+    fn lock(&self) -> Guard<'_, T> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -119,6 +121,21 @@ impl<T> Shared<T> {
     /// The length mirror, read without the mutex.
     fn len_hint(&self) -> usize {
         self.len.load(Ordering::Relaxed) as usize
+    }
+
+    /// Pop the front and let go of the mutex, then wake a sender if one
+    /// said, under it, that it parked. An empty queue hands `q` back.
+    fn pop<'a>(&'a self, mut q: Guard<'a, T>) -> Result<T, Guard<'a, T>> {
+        let Some(v) = q.pop_front() else {
+            return Err(q);
+        };
+        self.mirror_len(&q);
+        let sender_parked = self.parked_senders.load(Ordering::Relaxed) > 0;
+        drop(q);
+        if sender_parked {
+            wake_one(&self.not_full);
+        }
+        Ok(v)
     }
 }
 
@@ -193,15 +210,10 @@ impl<T> Receiver<T> {
         let mut idle = Some(idle);
         let mut q = shared.lock();
         loop {
-            if let Some(v) = q.pop_front() {
-                shared.mirror_len(&q);
-                let sender_parked = shared.parked_senders.load(Ordering::Relaxed) > 0;
-                drop(q);
-                if sender_parked {
-                    wake_one(&shared.not_full);
-                }
-                return Ok(v);
-            }
+            q = match shared.pop(q) {
+                Ok(v) => return Ok(v),
+                Err(q) => q,
+            };
             if shared.no_senders() {
                 return Err(RecvError);
             }
@@ -221,6 +233,11 @@ impl<T> Receiver<T> {
                 shared.parked.store(false, Ordering::Relaxed);
             }
         }
+    }
+
+    /// The front message if there is one; never lingers or waits.
+    pub fn try_recv(&self) -> Option<T> {
+        self.shared.pop(self.shared.lock()).ok()
     }
 }
 
@@ -411,6 +428,45 @@ mod tests {
         assert_eq!(sent.recv_timeout(PROMPT), Ok(Ok(())));
         assert!(!rx.sender_is_parked(), "counted out on the way out");
         assert_eq!(rx.recv(), Ok(2));
+    }
+
+    #[test]
+    fn try_recv_takes_in_fifo_order_with_recv_and_never_lingers() {
+        let (tx, rx) = channel::bounded(4);
+        for i in 0..4u32 {
+            tx.send(i).unwrap();
+        }
+        assert_eq!(rx.try_recv(), Some(0));
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(rx.try_recv(), Some(2));
+        assert_eq!(rx.recv(), Ok(3));
+        // A thousand misses in less time than 500 lingers: a miss that
+        // lingered even once would take the whole budget on its own.
+        let start = std::time::Instant::now();
+        for _ in 0..1_000 {
+            assert_eq!(rx.try_recv(), None);
+        }
+        assert!(
+            start.elapsed() < crate::LINGER * 500,
+            "{:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn a_parked_sender_is_woken_by_the_next_try_recv() {
+        let (tx, rx) = channel::bounded(1);
+        tx.send(1u32).unwrap();
+        let sent = send_in_background(tx, 2);
+        while !rx.sender_is_parked() {
+            thread::yield_now();
+        }
+        let before = wakes();
+        assert_eq!(rx.try_recv(), Some(1));
+        assert_eq!(wakes(), before + 1, "one wake-up, for the parked sender");
+        assert_eq!(sent.recv_timeout(PROMPT), Ok(Ok(())));
+        assert_eq!(rx.try_recv(), Some(2));
+        assert_eq!(wakes(), before + 1, "nobody parked the second time");
     }
 
     #[test]
@@ -663,6 +719,50 @@ mod tests {
             assert_eq!(progress.recv_timeout(PROMPT), Ok(step), "somebody hangs");
         }
         // Joined only now that nobody can be left asleep.
+        threads.into_iter().for_each(|t| t.join().unwrap());
+    }
+
+    /// The same four senders on one slot, drained by a receiver that takes
+    /// with `try_recv` and falls back to `recv` only on a miss: a sender
+    /// parked behind the slot has to be woken by whichever of the two
+    /// emptied it, or the progress reports stop.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "10⁵ messages through one slot: run with --release"
+    )]
+    fn stress_four_producers_against_a_try_recv_receiver() {
+        const SENDERS: usize = 4;
+        const PER_SENDER: u32 = 25_000;
+        let (tx, rx) = channel::bounded(1);
+        let mut threads: Vec<_> = (0..SENDERS)
+            .map(|p| {
+                let tx = tx.clone();
+                thread::spawn(move || (0..PER_SENDER).for_each(|i| tx.send((p, i)).unwrap()))
+            })
+            .collect();
+        drop(tx);
+        let (progress_tx, progress) = mpsc::channel();
+        threads.push(thread::spawn(move || {
+            let mut next = [0u32; SENDERS];
+            let mut received = 0u32;
+            while let Some((p, i)) = rx.try_recv().or_else(|| rx.recv().ok()) {
+                assert_eq!(i, next[p], "producer {p}: lost, repeated or reordered");
+                next[p] += 1;
+                received += 1;
+                if received.is_multiple_of(64) {
+                    thread::sleep(Duration::from_micros(200)); // outlast the linger
+                }
+                if received.is_multiple_of(10_000) {
+                    progress_tx.send(received).unwrap();
+                }
+            }
+            progress_tx.send(next.iter().sum()).unwrap();
+        }));
+        let total = SENDERS as u32 * PER_SENDER;
+        for step in (1..=total / 10_000).map(|s| s * 10_000).chain([total]) {
+            assert_eq!(progress.recv_timeout(PROMPT), Ok(step), "somebody hangs");
+        }
         threads.into_iter().for_each(|t| t.join().unwrap());
     }
 
