@@ -702,7 +702,9 @@ impl QosServer {
 
     /// Seal all remaining windows, drain the workers and return the final
     /// metrics. Outstanding handles are force-closed; submitter threads
-    /// must be done with them before this is called.
+    /// must be done with them before this is called. Debug and
+    /// `model-check` builds panic if the final snapshot breaks the
+    /// conservation law ([`crate::ledger::Ledger::conserved`]).
     pub fn finish(self) -> MetricsSnapshot {
         // A handle drains its stage before it closes; one closed from here
         // is drained from here, before the pump below may seal its windows.
@@ -726,7 +728,18 @@ impl QosServer {
         if let Some(wal) = &self.engine.wal {
             wal.sync_now();
         }
-        self.engine.snapshot()
+        let m = self.engine.snapshot();
+        // The books close here: every admission settled exactly once. Checked
+        // in the builds that check lock order; `halt` leaves a residue by design.
+        if cfg!(any(debug_assertions, feature = "model-check")) {
+            let law = m.ledger();
+            assert!(
+                law.conserved(),
+                "conservation broken at finish: {}",
+                law.render()
+            );
+        }
+        m
     }
 
     /// Fail-stop the array **without** draining: no final pump, so open
@@ -1008,8 +1021,8 @@ impl Engine {
         delayed_by: u64,
     ) {
         let guaranteed = entry.guaranteed;
-        self.ledger.admit(guaranteed); // ledger: defer(settled by Engine::settle — at seal if lost, else by the worker)
-        tenant.counters.ledger.admit(guaranteed); // ledger: defer(settled by Engine::settle — at seal if lost, else by the worker)
+        self.ledger.admit(guaranteed);
+        tenant.counters.ledger.admit(guaranteed);
         if delayed_by > 0 {
             let c = &tenant.counters;
             c.delayed.fetch_add(1, Ordering::Relaxed);
@@ -1318,7 +1331,7 @@ impl SubmitterHandle {
                     delayed: delayed_by > 0,
                     is_write,
                 };
-                engine.admit(self.stage.as_ref(), window, tenant_rec, entry, delayed_by); // ledger: defer(Engine::admit — settled by Engine::settle)
+                engine.admit(self.stage.as_ref(), window, tenant_rec, entry, delayed_by);
                 engine.max_target.fetch_max(window, Ordering::AcqRel);
                 match (guaranteed, k) {
                     (false, _) => SubmitOutcome::Overflow { window },
@@ -1522,6 +1535,11 @@ fn worker_loop(
             ) {
                 Some(finish) => {
                     item.settle(&engine, &mut local, SettleKind::HedgeWin, Some(finish));
+                    // Seeded mutant: the cancelled primary settles as well.
+                    if cfg!(feature = "model-mutant-double-settle") {
+                        let primary = Some(completion.finish);
+                        item.settle(&engine, &mut local, SettleKind::Served, primary);
+                    }
                 }
                 None => {
                     let finish = Some(completion.finish);

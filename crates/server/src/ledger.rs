@@ -15,11 +15,6 @@
 //! and the CLI read them through [`crate::MetricsSnapshot::ledger`]. This
 //! module holds nothing else: rejections, delays, deadline violations and
 //! hedge/GC telemetry are not law terms and live with their owners.
-//!
-//! `cargo run -p xtask -- analyze` lexes this file for its vocabulary: the
-//! fields of [`Ledger`] are the law's terms (mutated nowhere else), the
-//! variants of [`SettleKind`] its settle kinds, and calls to `admit(` /
-//! `settle(` elsewhere are the events its path check balances.
 
 use fqos_sync::atomic::{AtomicU64, Ordering};
 use fqos_sync::LineGap;

@@ -311,8 +311,8 @@ impl WalState {
                     self.misordered += 1;
                     return;
                 };
-                self.ledger.admit(guaranteed); // ledger: defer(replay tally; later Settle/Seal records in the log settle it)
-                t.ledger.admit(guaranteed); // ledger: defer(replay tally; later Settle/Seal records in the log settle it)
+                self.ledger.admit(guaranteed);
+                t.ledger.admit(guaranteed);
                 if guaranteed && delayed {
                     t.delayed += 1;
                     self.delayed += 1;

@@ -89,6 +89,42 @@ fn report_and_check(name: &str, report: Report, floor: u64) {
     );
 }
 
+/// [`report_and_check`] for a schedule that races the hedge decision, plus
+/// on how many schedules a read hedged: some and not all of them, so that
+/// both outcomes of the race stay covered.
+fn report_hedged(name: &str, report: Report, hedged: u64) {
+    let explored = report.schedules;
+    report_and_check(name, report, 1000);
+    println!("{name}: hedged on {hedged} of {explored} schedules");
+    assert!(
+        0 < hedged && hedged < explored,
+        "{name} hedged on {hedged} of {explored} schedules: one outcome of \
+         the race is never explored"
+    );
+}
+
+/// Explore a schedule built with its seeded mutant: the explorer has to
+/// reject it on the conservation law (`QosServer::finish` asserts it, and
+/// so do the schedules), and the line says after how many schedules, `ran`
+/// being the scenario's own count of its runs.
+fn expect_mutant_caught(
+    name: &str,
+    ran: &std::sync::atomic::AtomicU64,
+    explore: impl FnOnce() -> Report + std::panic::UnwindSafe,
+) {
+    let failure =
+        std::panic::catch_unwind(explore).expect_err("the explorer accepted the seeded mutant");
+    let failure = failure
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(failure.contains("conservation"), "{failure}");
+    println!(
+        "{name}/mutant: fails after {} schedules",
+        ran.load(std::sync::atomic::Ordering::Relaxed)
+    );
+}
+
 /// Two submitter threads race admission into overlapping windows against
 /// each other's seal-advancing pumps and the worker drain. Checks
 /// conservation and the guaranteed-deadline audit on every schedule.
@@ -327,18 +363,31 @@ fn rebalance_vs_seal_conserves_the_cluster_law() {
 }
 
 /// A live `degrade_device` races admission, dispatch and the hedge
-/// decision: an injector thread silently slows the primary replica 10×
-/// and then restores it while a submitter pushes two same-bucket
-/// requests through. Depending on where the degradation lands, the slow
-/// primary finishes past its deadline and is hedged onto a sibling
-/// replica (first completion wins, the loser is cancelled), the scorer's
-/// verdict reroutes the second request at seal, or the window drains
-/// before the slowdown bites. Whatever the schedule, the extended
-/// conservation law must balance — every admission completes exactly
-/// once, and a hedge win cancels exactly one primary — and nothing may
-/// be lost: a slow device is degraded, not dead.
+/// decision: the root, holding no handle, silently slows the primary
+/// replica 10× while a submitter pushes two same-bucket requests through
+/// and its release seals the window; then an injector restores the device
+/// while the worker serves it. Depending on where the two land, the slow
+/// primary finishes past its deadline and is hedged onto a sibling replica
+/// (first completion wins, the loser is cancelled), or the restore comes
+/// first and nothing hedges — the report line says on how many schedules
+/// a read hedged, which has to be some but not all. (Both issued through
+/// one handle opened at the start, whose watermark held the window
+/// unsealed until after the restore, no schedule ever hedged.) Whatever
+/// the schedule, the extended conservation law must balance — every
+/// admission completes exactly once, and a hedge win cancels exactly one
+/// primary — and nothing may be lost: a slow device is degraded, not dead.
+/// One worker keeps the race near the end of the schedule, where the
+/// depth-first explorer flips it within its budget.
+///
+/// Seeded mutant (ROADMAP 1(d)): built with `model-mutant-double-settle`, a
+/// winning hedge also settles the primary it cancelled; the explorer has to
+/// find a schedule on which the law breaks, and the test fails if it does
+/// not.
 #[test]
 fn hedge_vs_seal_conserves_requests() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static RAN: AtomicU64 = AtomicU64::new(0);
+    static HEDGED: AtomicU64 = AtomicU64::new(0);
     let replicas = common::bucket_replicas(9, 3, 0);
     let slow = replicas[0];
     let bounds = Config {
@@ -346,22 +395,22 @@ fn hedge_vs_seal_conserves_requests() {
         max_schedules: 4096,
         ..Config::default()
     };
-    let report = model_with(bounds, move || {
-        let server = QosServer::new(model_cfg()).unwrap();
+    let scenario = move || {
+        RAN.fetch_add(1, Ordering::Relaxed);
+        let server = QosServer::new(model_cfg().with_workers(1)).unwrap();
         server.register(1, 2, OverloadPolicy::Delay).unwrap();
         let mut hs = server.handle();
-        let hf = server.handle();
         let submitter = fqos_sync::thread::spawn(move || {
             // Same bucket: both requests' replica sets contain the
             // degraded device, so each dispatch may race the slowdown.
             submit_all(&mut hs, 1, &[(0, 0), (0, 0)])
         });
-        let injector = fqos_sync::thread::spawn(move || {
-            hf.degrade_device(slow, 10).unwrap();
-            hf.restore_device(slow).unwrap();
-            // Dropping hf closes its watermark so sealing can proceed.
-        });
+        server.degrade_device(slow, 10).unwrap();
         let ts = submitter.join().unwrap();
+        // The window is sealed and on its way to a worker: a handle made now
+        // holds none of it, and its restore races the worker's service.
+        let hf = server.handle();
+        let injector = fqos_sync::thread::spawn(move || hf.restore_device(slow).unwrap());
         injector.join().unwrap();
         let m = server.finish();
         assert_eq!(ts.admitted, m.admitted_total());
@@ -374,8 +423,16 @@ fn hedge_vs_seal_conserves_requests() {
             m.ledger().render()
         );
         assert_eq!(m.fault_lost, 0, "slow devices stay live; nothing is lost");
-    });
-    report_and_check("hedge-vs-seal", report, 1000);
+        if m.hedges_issued > 0 {
+            HEDGED.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    if cfg!(feature = "model-mutant-double-settle") {
+        expect_mutant_caught("hedge-vs-seal", &RAN, || model_with(bounds, scenario));
+    } else {
+        let report = model_with(bounds, scenario);
+        report_hedged("hedge-vs-seal", report, HEDGED.load(Ordering::Relaxed));
+    }
 }
 
 /// The WAL ordering invariant under every explored schedule: two racing
@@ -653,17 +710,9 @@ fn write_fanout_vs_seal_settles_each_group_once() {
         assert_eq!(m.guaranteed_violations, 0, "deadline audit");
     };
     if cfg!(feature = "model-mutant-sink-reuse") {
-        let mutant = std::panic::catch_unwind(|| model_with(bounds, scenario));
-        let failure = mutant.expect_err("the explorer accepted the seeded mutant");
-        let failure = failure
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(failure.contains("extended conservation"), "{failure}");
-        println!(
-            "write-fanout-vs-seal/mutant: fails after {} schedules",
-            RAN.load(Ordering::Relaxed)
-        );
+        expect_mutant_caught("write-fanout-vs-seal", &RAN, || {
+            model_with(bounds, scenario)
+        });
     } else {
         report_and_check("write-fanout-vs-seal", model_with(bounds, scenario), 1000);
     }
@@ -671,14 +720,19 @@ fn write_fanout_vs_seal_settles_each_group_once() {
 
 /// A GC stall races the hedge decision: writes into a four-page FTL force
 /// garbage collection whose erase stalls land on the same replicas a
-/// racing read's dispatch and hedge logic are timing against, while an
-/// injector degrades and restores one replica to push the scorer toward
-/// speculation. Whatever the schedule: the extended law closes, only the
-/// read may ever be hedged (a write fans out to every replica already —
-/// duplicating one would double-program a page), each write settles
-/// exactly once, and a stalled-but-live device loses nothing.
+/// racing read's dispatch and hedge logic are timing against. Once every
+/// window is sealed the root degrades one replica — from the read's
+/// execution window on, so the writes run at speed — and an injector
+/// restores it while the worker serves: the read hedges on some schedules
+/// and not on others, and the report line says on how many. Whatever the
+/// schedule: the extended law closes, only the read may ever be hedged (a
+/// write fans out to every replica already — duplicating one would
+/// double-program a page), each write settles exactly once, and a
+/// stalled-but-live device loses nothing.
 #[test]
 fn gc_stall_vs_hedge_never_duplicates_a_write() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static HEDGED: AtomicU64 = AtomicU64::new(0);
     let replicas = common::bucket_replicas(9, 3, 0);
     let slow = replicas[0];
     let bounds = Config {
@@ -700,7 +754,6 @@ fn gc_stall_vs_hedge_never_duplicates_a_write() {
         let server = QosServer::new(cfg).unwrap();
         server.register(1, 2, OverloadPolicy::Delay).unwrap();
         let mut hs = server.handle();
-        let hf = server.handle();
         let submitter = fqos_sync::thread::spawn(move || {
             // Same bucket throughout: the writes program (and GC) exactly
             // the replica set the read dispatches against.
@@ -713,11 +766,12 @@ fn gc_stall_vs_hedge_never_duplicates_a_write() {
             }
             tally
         });
-        let injector = fqos_sync::thread::spawn(move || {
-            hf.degrade_device(slow, 10).unwrap();
-            hf.restore_device(slow).unwrap();
-        });
         let ts = submitter.join().unwrap();
+        // Every window is sealed: the slowdown starts with the read's
+        // execution, and a handle made now holds none of the windows.
+        server.degrade_device(slow, 10).unwrap();
+        let hf = server.handle();
+        let injector = fqos_sync::thread::spawn(move || hf.restore_device(slow).unwrap());
         injector.join().unwrap();
         let m = server.finish();
         assert_eq!(ts.admitted, m.admitted_total());
@@ -742,8 +796,11 @@ fn gc_stall_vs_hedge_never_duplicates_a_write() {
         );
         assert_eq!(m.write_lost, 0, "a GC stall delays a write, never loses it");
         assert_eq!(m.fault_lost, 0, "slow devices stay live; nothing is lost");
+        if m.hedges_issued > 0 {
+            HEDGED.fetch_add(1, Ordering::Relaxed);
+        }
     });
-    report_and_check("gc-stall-vs-hedge", report, 1000);
+    report_hedged("gc-stall-vs-hedge", report, HEDGED.load(Ordering::Relaxed));
 }
 
 /// A submitter whose handle has resolved its tenant before — the record
