@@ -36,12 +36,8 @@ fn main() {
             // Enumerate all failure patterns of size f, track the worst.
             let mut worst_avail = 1.0f64;
             let mut worst_cost = 0usize;
-            let patterns = combinations(n, f);
-            for pat in &patterns {
-                let mut failed = vec![false; n];
-                for &d in pat {
-                    failed[d] = true;
-                }
+            for mask in (0u64..1 << n).filter(|m| m.count_ones() as usize == f) {
+                let failed: Vec<bool> = (0..n).map(|d| mask >> d & 1 == 1).collect();
                 let out = degraded_retrieval(&reqs, n, &failed);
                 let avail = 1.0 - out.lost.len() as f64 / reqs.len() as f64;
                 worst_avail = worst_avail.min(avail);
@@ -68,22 +64,4 @@ fn main() {
     println!("\nAll three 3-copy layouts tolerate 2 arbitrary failures. The difference is the");
     println!("third failure: mirrored loses a whole group's 12 buckets when one mirror trio");
     println!("dies, the design loses only the 3 rotations of the one block on those devices.");
-}
-
-fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut cur = Vec::new();
-    fn rec(start: usize, n: usize, k: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == k {
-            out.push(cur.clone());
-            return;
-        }
-        for i in start..n {
-            cur.push(i);
-            rec(i + 1, n, k, cur, out);
-            cur.pop();
-        }
-    }
-    rec(0, n, k, &mut cur, &mut out);
-    out
 }

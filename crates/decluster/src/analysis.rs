@@ -1,139 +1,163 @@
-//! Worst-case retrieval-cost analysis of allocation schemes.
+//! Exact retrieval cost of replicated layouts, from Hall's cuts.
 //!
 //! §II-B2 ranks declustering schemes by their worst-case retrieval cost for
-//! arbitrary queries. This module measures that cost empirically-exactly:
-//! exhaustive enumeration for small request sizes, adversarial local search
-//! plus random probing beyond — always scoring with the *exact* max-flow
-//! scheduler so no heuristic slack leaks into the comparison.
+//! arbitrary queries. For replication Hall's theorem gives that cost in
+//! closed form (the replication case of Ly & Soljanin's service-rate
+//! region): a request multiset is retrievable in `m` accesses iff every
+//! device set `D` satisfies `#{requests whose replicas all lie in D} ≤ m·|D|`.
+//! [`CutTable`] keeps that count for every `D`, so "how many accesses does
+//! this multiset need?" and "what is the worst case over any `b` buckets?"
+//! are each one maximum over the `2^N` device sets. The table shares no code
+//! with the max-flow kernel, which makes it the kernel's independent oracle.
 
-use crate::scheme::AllocationScheme;
-use fqos_maxflow::RetrievalNetwork;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::scheme::{AllocationScheme, DeviceId};
 
-/// Search effort for [`worst_case_accesses`].
-#[derive(Debug, Clone, Copy)]
-pub struct SearchEffort {
-    /// Exhaustive enumeration is used while `C(num_buckets, b)` stays below
-    /// this bound.
-    pub exhaustive_limit: u64,
-    /// Random starting sets for the adversarial search.
-    pub random_starts: usize,
-    /// Hill-climbing steps per start (swap one bucket, keep if cost does
-    /// not decrease).
-    pub climb_steps: usize,
+/// Hall's cut counts of a request multiset: `inside[D]` is the number of
+/// requests whose replicas all lie in the device set `D` (a bitmap).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CutTable {
+    devices: usize,
+    inside: Vec<u32>,
 }
 
-impl Default for SearchEffort {
-    fn default() -> Self {
-        SearchEffort {
-            exhaustive_limit: 200_000,
-            random_starts: 200,
-            climb_steps: 400,
-        }
-    }
-}
-
-/// The worst observed number of accesses to retrieve any `b` distinct
-/// buckets of `scheme`, scored by exact max-flow. Exact (exhaustive) for
-/// small instances, a lower bound on the true worst case otherwise.
-pub fn worst_case_accesses<S: AllocationScheme + ?Sized>(
-    scheme: &S,
-    b: usize,
-    effort: SearchEffort,
-    seed: u64,
-) -> usize {
-    let n = scheme.num_buckets();
-    assert!(b >= 1 && b <= n);
-    let net = RetrievalNetwork::new(scheme.devices());
-    let cost = |set: &[usize]| -> usize {
-        let reqs: Vec<&[usize]> = set.iter().map(|&x| scheme.replicas(x)).collect();
-        net.optimal_schedule(&reqs).accesses
-    };
-
-    if binomial(n, b) <= effort.exhaustive_limit {
-        let mut worst = 0;
-        let mut set: Vec<usize> = (0..b).collect();
-        loop {
-            worst = worst.max(cost(&set));
-            if !next_combination(&mut set, n) {
-                return worst;
-            }
+impl CutTable {
+    /// An empty table over `devices` devices, at most 16: it keeps `2^N`
+    /// counts.
+    pub fn new(devices: usize) -> Self {
+        assert!(
+            (1..=16).contains(&devices),
+            "a cut table covers 1..=16 devices, got {devices}"
+        );
+        CutTable {
+            devices,
+            inside: vec![0; 1 << devices],
         }
     }
 
-    // Adversarial: random restarts + hill climbing on single-bucket swaps.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut worst = 0;
-    for _ in 0..effort.random_starts {
-        let mut pool: Vec<usize> = (0..n).collect();
-        for i in 0..b {
-            let j = rng.gen_range(i..n);
-            pool.swap(i, j);
+    /// The table of every bucket of `scheme`, each added once.
+    fn of<S: AllocationScheme + ?Sized>(scheme: &S) -> Self {
+        let mut table = CutTable::new(scheme.devices());
+        for b in 0..scheme.num_buckets() {
+            table.add(scheme.replicas(b));
         }
-        let mut current = cost(&pool[..b]);
-        for _ in 0..effort.climb_steps {
-            let i = rng.gen_range(0..b);
-            let j = rng.gen_range(b..n);
-            pool.swap(i, j);
-            let new_cost = cost(&pool[..b]);
-            if new_cost >= current {
-                current = new_cost; // accept sideways moves to escape plateaus
-            } else {
-                pool.swap(i, j); // revert
-            }
-        }
-        worst = worst.max(current);
+        table
     }
-    worst
+
+    /// Every device set containing the replicas' support `s`: the
+    /// `2^(N−|s|)` cuts a request on `replicas` lies inside.
+    fn cuts_around(&self, replicas: &[DeviceId]) -> impl Iterator<Item = usize> {
+        let s = replicas.iter().fold(0usize, |s, &d| {
+            assert!(d < self.devices, "replica {d} out of range");
+            s | 1 << d
+        });
+        // The subsets `t` of the other devices, from all of them down to none.
+        let rest = (self.inside.len() - 1) & !s;
+        let mut next = Some(rest);
+        std::iter::from_fn(move || {
+            let t = next?;
+            next = (t != 0).then(|| (t - 1) & rest);
+            Some(s | t)
+        })
+    }
+
+    /// Add one request, served by any device in `replicas`. Panics on an
+    /// empty tuple: a request with no replica fits no budget.
+    pub fn add(&mut self, replicas: &[DeviceId]) {
+        assert!(!replicas.is_empty(), "a request names no replica");
+        for d in self.cuts_around(replicas) {
+            self.inside[d] += 1;
+        }
+    }
+
+    /// Whether one more request on `replicas` keeps the multiset retrievable
+    /// in `m` accesses, given that the requests added so far are. Only the
+    /// cuts the request lies inside change. The empty set's capacity is 0,
+    /// so a request with no replica never fits.
+    pub fn fits(&self, replicas: &[DeviceId], m: usize) -> bool {
+        self.cuts_around(replicas)
+            .all(|d| (self.inside[d] as usize) < m * d.count_ones() as usize)
+    }
+
+    /// The fewest accesses that retrieve the added multiset:
+    /// `max_D ⌈inside[D] / |D|⌉`.
+    pub fn accesses(&self) -> usize {
+        self.worst_case(usize::MAX)
+    }
+
+    /// The most accesses any `b` of the added requests need:
+    /// `max_D ⌈min(b, inside[D]) / |D|⌉`, since `b` requests can all be
+    /// picked inside `D` while it holds that many.
+    fn worst_case(&self, b: usize) -> usize {
+        self.inside
+            .iter()
+            .enumerate()
+            .skip(1)
+            .map(|(d, &n)| (n as usize).min(b).div_ceil(d.count_ones() as usize))
+            .max()
+            .unwrap_or(0)
+    }
 }
 
-/// Worst-case profile: worst accesses for each request size `1..=b_max`.
-pub fn worst_case_profile<S: AllocationScheme + ?Sized>(
-    scheme: &S,
-    b_max: usize,
-    effort: SearchEffort,
-    seed: u64,
-) -> Vec<usize> {
+/// The most accesses any `b` distinct buckets of `scheme` need, exactly.
+pub fn worst_case_accesses<S: AllocationScheme + ?Sized>(scheme: &S, b: usize) -> usize {
+    assert!(b >= 1 && b <= scheme.num_buckets());
+    CutTable::of(scheme).worst_case(b)
+}
+
+/// Worst-case profile: [`worst_case_accesses`] for each request size
+/// `1..=b_max`.
+pub fn worst_case_profile<S: AllocationScheme + ?Sized>(scheme: &S, b_max: usize) -> Vec<usize> {
+    let table = CutTable::of(scheme);
     (1..=b_max.min(scheme.num_buckets()))
-        .map(|b| worst_case_accesses(scheme, b, effort, seed ^ b as u64))
+        .map(|b| table.worst_case(b))
         .collect()
-}
-
-fn binomial(n: usize, k: usize) -> u64 {
-    let k = k.min(n - k);
-    let mut acc: u64 = 1;
-    for i in 0..k {
-        acc = acc.saturating_mul((n - i) as u64) / (i + 1) as u64;
-        if acc > 10_000_000_000 {
-            return u64::MAX;
-        }
-    }
-    acc
-}
-
-/// Advance `set` (sorted combination of `0..n`) to the next combination in
-/// lexicographic order; false when exhausted.
-fn next_combination(set: &mut [usize], n: usize) -> bool {
-    let k = set.len();
-    let mut i = k;
-    while i > 0 {
-        i -= 1;
-        if set[i] < n - k + i {
-            set[i] += 1;
-            for j in (i + 1)..k {
-                set[j] = set[j - 1] + 1;
-            }
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retrieval::max_flow_retrieval;
     use crate::{DesignTheoretic, Raid1Chained, Raid1Mirrored};
+
+    /// Advance `set` (sorted combination of `0..n`) to the next combination
+    /// in lexicographic order; false when exhausted.
+    fn next_combination(set: &mut [usize], n: usize) -> bool {
+        let k = set.len();
+        let mut i = k;
+        while i > 0 {
+            i -= 1;
+            if set[i] < n - k + i {
+                set[i] += 1;
+                for j in (i + 1)..k {
+                    set[j] = set[j - 1] + 1;
+                }
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The oracle: the worst max-flow cost over every `b`-set of buckets.
+    fn exhaustive<S: AllocationScheme + ?Sized>(scheme: &S, b: usize) -> usize {
+        let mut set: Vec<usize> = (0..b).collect();
+        let mut worst = 0;
+        loop {
+            let reqs: Vec<&[usize]> = set.iter().map(|&x| scheme.replicas(x)).collect();
+            worst = worst.max(max_flow_retrieval(&reqs, scheme.devices()).accesses);
+            if !next_combination(&mut set, scheme.num_buckets()) {
+                return worst;
+            }
+        }
+    }
+
+    /// The largest `b` whose worst case stays within `m` accesses, for each
+    /// `m` in `1..=m_max`.
+    fn largest_within<S: AllocationScheme>(scheme: &S, m_max: usize) -> Vec<usize> {
+        let profile = worst_case_profile(scheme, scheme.num_buckets());
+        (1..=m_max)
+            .map(|m| profile.partition_point(|&w| w <= m))
+            .collect()
+    }
 
     #[test]
     fn combination_iterator_is_complete() {
@@ -146,68 +170,95 @@ mod tests {
     }
 
     #[test]
-    fn binomial_basics() {
-        assert_eq!(binomial(36, 2), 630);
-        assert_eq!(binomial(9, 9), 1);
-        assert_eq!(binomial(36, 3), 7140);
+    fn cut_table_counts_every_superset_of_a_support() {
+        let mut t = CutTable::new(4);
+        t.add(&[0, 2]);
+        assert_eq!(t.cuts_around(&[0, 2]).count(), 4);
+        assert_eq!(t.inside.iter().sum::<u32>(), 4);
+        assert_eq!(t.inside[0b0101], 1);
+        assert_eq!(t.inside[0b1111], 1);
+        assert_eq!(t.inside[0b0001], 0);
+    }
+
+    #[test]
+    fn cut_table_answers_the_batch_question() {
+        // Four requests on the same three devices need two accesses; the
+        // fourth does not fit one, and no request without a replica ever fits.
+        let mut t = CutTable::new(3);
+        for _ in 0..3 {
+            assert!(t.fits(&[0, 1, 2], 1));
+            t.add(&[2, 0, 1]);
+        }
+        assert_eq!(t.accesses(), 1);
+        assert!(!t.fits(&[0, 1, 2], 1));
+        assert!(t.fits(&[0, 1, 2], 2));
+        assert!(!t.fits(&[], 5));
+        t.add(&[1]);
+        assert_eq!(t.accesses(), 2);
+        assert_eq!(CutTable::new(3).accesses(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a cut table covers 1..=16 devices")]
+    fn more_than_sixteen_devices_is_rejected() {
+        CutTable::new(17);
     }
 
     #[test]
     fn design_worst_case_matches_guarantee_at_small_sizes() {
-        // Exhaustive: any 1..=5 buckets of (9,3,1) cost exactly 1 access.
+        // Any 1..=5 buckets of (9,3,1) cost exactly 1 access, and the
+        // guarantee is tight: some 6-set costs 2.
         let s = DesignTheoretic::paper_9_3_1();
-        let effort = SearchEffort {
-            exhaustive_limit: 500_000,
-            ..Default::default()
-        };
         for b in 1..=5 {
-            assert_eq!(worst_case_accesses(&s, b, effort, 1), 1, "b = {b}");
+            assert_eq!(worst_case_accesses(&s, b), 1, "b = {b}");
         }
-        // And the guarantee is tight: some 6-set costs 2.
-        assert_eq!(worst_case_accesses(&s, 6, effort, 1), 2);
+        assert_eq!(worst_case_accesses(&s, 6), 2);
     }
 
     #[test]
     fn mirrored_worst_case_is_inferior() {
         // 4 buckets of one mirror group serialize: worst case ⌈4/3⌉ = 2 at
         // b = 4 already, while the design holds 1 until b = 6.
-        let effort = SearchEffort {
-            exhaustive_limit: 500_000,
-            ..Default::default()
-        };
-        let mir = Raid1Mirrored::paper();
-        let design = DesignTheoretic::paper_9_3_1();
-        assert!(worst_case_accesses(&mir, 4, effort, 2) >= 2);
-        assert_eq!(worst_case_accesses(&design, 4, effort, 2), 1);
+        assert_eq!(worst_case_accesses(&Raid1Mirrored::paper(), 4), 2);
+        assert_eq!(worst_case_accesses(&DesignTheoretic::paper_9_3_1(), 4), 1);
     }
 
     #[test]
     fn chained_worst_case_between() {
-        let effort = SearchEffort {
-            exhaustive_limit: 500_000,
-            ..Default::default()
-        };
-        let chained = Raid1Chained::paper();
-        // Chained buckets {i, i+1, i+2}: buckets 0 and 9 share all devices…
         // 4 buckets from one 3-device chain window force 2 accesses.
-        let w4 = worst_case_accesses(&chained, 4, effort, 3);
-        assert!(w4 >= 2, "chained worst case at b=4 was {w4}");
+        assert_eq!(worst_case_accesses(&Raid1Chained::paper(), 4), 2);
     }
 
     #[test]
-    fn adversarial_search_finds_known_bad_sets() {
-        // Beyond the exhaustive limit, the adversarial search must still
-        // discover that 10 buckets need 2 accesses (⌈10/9⌉) and that the
-        // design guarantee S(2) = 14 holds.
-        let s = DesignTheoretic::paper_9_3_1();
-        let effort = SearchEffort {
-            exhaustive_limit: 1, // force the adversarial path
-            random_starts: 40,
-            climb_steps: 120,
-        };
-        let w10 = worst_case_accesses(&s, 10, effort, 4);
-        assert!(w10 == 2, "w10 = {w10}");
-        let w14 = worst_case_accesses(&s, 14, effort, 4);
-        assert!(w14 <= 2, "S(2) = 14 must cost ≤ 2, found {w14}");
+    fn closed_form_equals_exhaustive_enumeration() {
+        // Every `b` whose C(36, b) sets stay within 200 000, on three layouts.
+        let choose = |n: u64, k: u64| (0..k).fold(1u64, |acc, i| acc * (n - i) / (i + 1));
+        let schemes: [&dyn AllocationScheme; 3] = [
+            &DesignTheoretic::paper_9_3_1(),
+            &Raid1Chained::paper(),
+            &Raid1Mirrored::paper(),
+        ];
+        for s in schemes {
+            let n = s.num_buckets();
+            let profile = worst_case_profile(s, n);
+            for b in (1..=n).filter(|&b| choose(n as u64, b as u64) <= 200_000) {
+                assert_eq!(profile[b - 1], exhaustive(s, b), "{} at b = {b}", s.name());
+            }
+        }
+    }
+
+    #[test]
+    fn largest_sets_within_m_accesses_are_pinned() {
+        // (9,3,1) meets the paper's S(M) = 5, 14, 27, 44 exactly (capped at
+        // its 36 buckets); (13,3,1) serves any 30 buckets in 3 accesses where
+        // S(3) promises 27.
+        assert_eq!(
+            largest_within(&DesignTheoretic::paper_9_3_1(), 4),
+            [5, 14, 27, 36]
+        );
+        assert_eq!(
+            largest_within(&DesignTheoretic::paper_13_3_1(), 5),
+            [5, 14, 30, 44, 65]
+        );
     }
 }

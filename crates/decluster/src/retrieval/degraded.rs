@@ -119,26 +119,6 @@ impl DegradedWindow {
         self.inc.is_empty()
     }
 
-    /// Surviving (non-failed) device count.
-    pub fn live_devices(&self) -> usize {
-        self.inc.devices() - self.inc.failed().count_ones() as usize
-    }
-
-    /// The degraded per-window capacity bound: with `f` devices down, no
-    /// window can schedule more than `M · (N − f)` requests. The caller
-    /// tightens its aggregate admission limit to
-    /// `min(S(M), degraded_limit())` while any device is down.
-    pub fn degraded_limit(&self) -> usize {
-        self.inc.accesses() * self.live_devices()
-    }
-
-    /// True iff `replicas` mentions at least one failed device (the request
-    /// would be re-routed onto survivors if admitted).
-    pub fn touches_failed(&self, replicas: &[DeviceId]) -> bool {
-        let failed = self.inc.failed();
-        failed != 0 && replicas.iter().any(|&d| failed >> d & 1 == 1)
-    }
-
     /// Try to admit one request, scheduling it on a surviving replica.
     pub fn try_add(&mut self, replicas: &[DeviceId]) -> DegradedAdmit {
         let failed = self.inc.failed();
@@ -170,11 +150,6 @@ impl DegradedWindow {
     /// Device assignment of every admitted request, in admission order.
     pub fn assignments(&self) -> Vec<DeviceId> {
         self.inc.assignments()
-    }
-
-    /// Per-device load of the current schedule.
-    pub fn device_loads(&self) -> Vec<usize> {
-        self.inc.device_loads()
     }
 }
 
@@ -285,8 +260,6 @@ mod tests {
         let mut failed = [false; 9];
         failed[4] = true;
         let mut win = DegradedWindow::new(9, 1, &failed);
-        assert_eq!(win.live_devices(), 8);
-        assert_eq!(win.degraded_limit(), 8);
         for b in 0..5 {
             assert_eq!(win.try_add(s.replicas(b)), DegradedAdmit::Admitted);
         }
@@ -303,7 +276,6 @@ mod tests {
         // 3 devices, M = 1, one down: only 2 requests fit however they
         // replicate — the third is Infeasible, not lost.
         let mut win = DegradedWindow::new(3, 1, &[false, true, false]);
-        assert_eq!(win.degraded_limit(), 2);
         assert_eq!(win.try_add(&[0, 1]), DegradedAdmit::Admitted);
         assert_eq!(win.try_add(&[1, 2]), DegradedAdmit::Admitted);
         assert_eq!(win.try_add(&[0, 1, 2]), DegradedAdmit::Infeasible);
@@ -315,8 +287,6 @@ mod tests {
         let mut win = DegradedWindow::new(4, 2, &[true, true, false, false]);
         assert_eq!(win.try_add(&[0, 1]), DegradedAdmit::Unavailable);
         assert!(win.is_empty());
-        assert!(win.touches_failed(&[1, 2]));
-        assert!(!win.touches_failed(&[2, 3]));
         assert_eq!(win.try_add(&[1, 2]), DegradedAdmit::Admitted);
         assert_eq!(win.assignments(), vec![2]);
     }

@@ -1,11 +1,15 @@
 //! Property-based tests for allocation schemes and retrieval algorithms.
 
+use fqos_decluster::analysis::CutTable;
 use fqos_decluster::retrieval::{design_theoretic_retrieval, hybrid_retrieval, max_flow_retrieval};
 use fqos_decluster::{
     AllocationScheme, DependentPeriodic, DesignTheoretic, Orthogonal, Partitioned, Raid1Chained,
     Raid1Mirrored, RandomDuplicate,
 };
+use fqos_maxflow::IncrementalRetrieval;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 fn all_schemes() -> Vec<Box<dyn AllocationScheme>> {
     vec![
@@ -18,6 +22,89 @@ fn all_schemes() -> Vec<Box<dyn AllocationScheme>> {
         Box::new(DependentPeriodic::new(9, 3, 2, 36)),
         Box::new(Orthogonal::new(9, 72)),
     ]
+}
+
+/// The layouts the kernel is checked against the cut table on.
+fn cut_schemes() -> [Box<dyn AllocationScheme>; 4] {
+    [
+        Box::new(DesignTheoretic::paper_9_3_1()),
+        Box::new(DesignTheoretic::paper_13_3_1()),
+        Box::new(Raid1Chained::paper()),
+        Box::new(Raid1Mirrored::paper()),
+    ]
+}
+
+/// Offer `buckets` of `scheme` one at a time to `try_add`, an assigner with
+/// budget `m` and the devices in `failed` down, and describe the first
+/// request on which its verdict differs from the cut table's on the live
+/// replicas.
+fn first_disagreement(
+    scheme: &dyn AllocationScheme,
+    buckets: &[usize],
+    failed: u64,
+    m: usize,
+    mut try_add: impl FnMut(&[usize]) -> bool,
+) -> Option<String> {
+    let mut cuts = CutTable::new(scheme.devices());
+    for (i, &b) in buckets.iter().enumerate() {
+        let replicas = scheme.replicas(b % scheme.num_buckets());
+        let live: Vec<usize> = replicas
+            .iter()
+            .copied()
+            .filter(|&d| failed >> d & 1 == 0)
+            .collect();
+        let fits = cuts.fits(&live, m);
+        if try_add(replicas) != fits {
+            return Some(format!(
+                "{}: request {i} on {live:?} at m = {m}, failed {failed:#b}: the cut table says {fits}",
+                scheme.name()
+            ));
+        }
+        if fits {
+            cuts.add(&live);
+        }
+    }
+    None
+}
+
+/// Fail each device with probability 1/4.
+fn failed_mask(bits: u64, devices: usize) -> u64 {
+    bits & (bits >> 32) & ((1 << devices) - 1)
+}
+
+/// First fit: each request takes its first live replica with room and
+/// stays there, so an earlier request is never re-routed. This is the
+/// kernel with every re-augmenting path skipped.
+fn first_fit(devices: usize, m: usize, failed: u64) -> impl FnMut(&[usize]) -> bool {
+    let mut load = vec![0; devices];
+    move |replicas| {
+        let free = replicas
+            .iter()
+            .find(|&&d| failed >> d & 1 == 0 && load[d] < m);
+        free.map(|&d| load[d] += 1).is_some()
+    }
+}
+
+#[test]
+fn first_fit_fails_the_kernel_cut_comparison() {
+    // The comparison has teeth: an assigner that never re-routes disagrees
+    // with the cut table on some multiset.
+    let mut rng = StdRng::seed_from_u64(31);
+    let caught = (0..1000).any(|_| {
+        let m = rng.gen_range(1..4);
+        let failed = failed_mask(rng.next_u64(), 16);
+        let buckets: Vec<usize> = (0..rng.gen_range(1..64))
+            .map(|_| rng.gen_range(0..78))
+            .collect();
+        cut_schemes().iter().any(|s| {
+            let ff = first_fit(s.devices(), m, failed);
+            first_disagreement(s.as_ref(), &buckets, failed, m, ff).is_some()
+        })
+    });
+    assert!(
+        caught,
+        "first fit agreed with the cut table on every multiset"
+    );
 }
 
 #[test]
@@ -54,6 +141,32 @@ fn every_scheme_has_balanced_total_load() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Kernel ≡ cut: on every prefix of a random multiset, with random
+    /// devices failed, the kernel admits exactly what Hall's cuts admit; and
+    /// with nothing failed, the batch solver's least budget is the cut
+    /// table's.
+    #[test]
+    fn kernel_agrees_with_cut_table(
+        m in 1usize..4,
+        bits in any::<u64>(),
+        buckets in prop::collection::vec(0usize..78, 1..64),
+    ) {
+        for s in cut_schemes() {
+            let failed = failed_mask(bits, s.devices());
+            let mut kernel = IncrementalRetrieval::with_failed(s.devices(), m, failed);
+            let miss = first_disagreement(s.as_ref(), &buckets, failed, m, |r| kernel.try_add(r));
+            prop_assert!(miss.is_none(), "{}", miss.unwrap_or_default());
+
+            let reqs: Vec<&[usize]> =
+                buckets.iter().map(|&b| s.replicas(b % s.num_buckets())).collect();
+            let mut cuts = CutTable::new(s.devices());
+            for r in &reqs {
+                cuts.add(r);
+            }
+            prop_assert_eq!(max_flow_retrieval(&reqs, s.devices()).accesses, cuts.accesses());
+        }
+    }
 
     /// The design-theoretic heuristic always produces a valid schedule whose
     /// access count is sandwiched between the information bound and the

@@ -14,8 +14,8 @@
 //! * [`incremental`] — the matcher: a flat-array kernel that admits one
 //!   request at a time along a shortest augmenting path, without a residual
 //!   graph or heap allocation per call.
-//! * [`retrieval`] — the batch questions (feasibility in `M` accesses, the
-//!   minimal `M`, the schedule) as a loop over the kernel.
+//! * [`retrieval`] — the batch question (the minimal `M` and a schedule
+//!   reaching it) as a loop over the kernel.
 //! * [`graph::FlowNetwork`] + [`edmonds_karp`] — a textbook residual graph
 //!   and BFS augmentation that share no code with the kernel. Nothing
 //!   outside tests calls them: they are the oracle the kernel is compared

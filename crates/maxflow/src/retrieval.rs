@@ -58,26 +58,6 @@ impl RetrievalNetwork {
         self.devices
     }
 
-    /// An empty kernel with budget `m`, once every request is seen to name
-    /// a replica: one that names none fits no budget, and raising the budget
-    /// for it would never end.
-    fn kernel(&self, requests: &[&[DeviceId]], m: usize) -> IncrementalRetrieval {
-        for (i, replicas) in requests.iter().enumerate() {
-            assert!(!replicas.is_empty(), "request {i} names no replica");
-        }
-        IncrementalRetrieval::new(self.devices, m)
-    }
-
-    /// Test whether `requests` can be retrieved in `m` accesses; on success
-    /// returns the device assignment. Panics if a request names no replica.
-    pub fn feasible(&self, requests: &[&[DeviceId]], m: usize) -> Option<Vec<DeviceId>> {
-        let mut kernel = self.kernel(requests, m);
-        requests
-            .iter()
-            .all(|replicas| kernel.try_add(replicas))
-            .then(|| kernel.assignments())
-    }
-
     /// Find the optimal (minimal-access) retrieval schedule. Panics if a
     /// request names no replica.
     ///
@@ -87,7 +67,13 @@ impl RetrievalNetwork {
     /// fit is part of the whole set, so the budget it failed under is ruled
     /// out for the whole set too.
     pub fn optimal_schedule(&self, requests: &[&[DeviceId]]) -> RetrievalSchedule {
-        let mut kernel = self.kernel(requests, requests.len().div_ceil(self.devices));
+        // A request that names no replica fits no budget: raising the budget
+        // for it would never end.
+        for (i, replicas) in requests.iter().enumerate() {
+            assert!(!replicas.is_empty(), "request {i} names no replica");
+        }
+        let mut kernel =
+            IncrementalRetrieval::new(self.devices, requests.len().div_ceil(self.devices));
         for replicas in requests {
             while !kernel.try_add(replicas) {
                 kernel.grow_accesses(kernel.accesses() + 1);
@@ -97,13 +83,6 @@ impl RetrievalNetwork {
             accesses: kernel.accesses(),
             assignment: kernel.assignments(),
         }
-    }
-
-    /// True iff the request set is retrievable in the optimal `⌈b/N⌉`
-    /// accesses, the event whose probability Fig. 4 plots.
-    pub fn is_optimal_retrievable(&self, requests: &[&[DeviceId]]) -> bool {
-        let lb = requests.len().div_ceil(self.devices);
-        self.feasible(requests, lb).is_some()
     }
 }
 
@@ -127,12 +106,6 @@ mod tests {
     fn empty_replica_tuple_is_rejected() {
         // Before the check this raised `m` without end in release builds.
         nets().optimal_schedule(&[&[0, 1], &[]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "request 0 names no replica")]
-    fn feasible_rejects_an_empty_replica_tuple() {
-        nets().feasible(&[&[]], 1);
     }
 
     #[test]
@@ -183,22 +156,6 @@ mod tests {
         for (i, req) in reqs.iter().enumerate() {
             assert!(req.contains(&s.assignment[i]));
         }
-    }
-
-    #[test]
-    fn feasibility_monotone_in_m() {
-        let reqs: Vec<Vec<usize>> = vec![
-            vec![0, 1, 2],
-            vec![0, 1, 2],
-            vec![0, 1, 2],
-            vec![0, 1, 2],
-            vec![0, 1, 2],
-        ];
-        let refs: Vec<&[usize]> = reqs.iter().map(std::vec::Vec::as_slice).collect();
-        let net = RetrievalNetwork::new(3);
-        assert!(net.feasible(&refs, 1).is_none());
-        assert!(net.feasible(&refs, 2).is_some());
-        assert!(net.feasible(&refs, 3).is_some());
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Building a QoS deployment for *your* array: pick a design from the
 //! catalog for a target device count or QoS requirement, inspect its
-//! guarantees, and verify them empirically with the exact max-flow
-//! scheduler.
+//! guarantees, and verify them exactly.
 //!
 //! Run with: `cargo run --release --example custom_design`
 
-use flash_qos::decluster::retrieval::max_flow_retrieval;
+use flash_qos::decluster::analysis::worst_case_accesses;
 use flash_qos::decluster::sampling::optimal_retrieval_probabilities;
 use flash_qos::prelude::*;
 
@@ -38,26 +37,15 @@ fn main() {
         design2.v()
     );
 
-    // 3. Verify the guarantee empirically on the (9,3,1) paper design:
-    //    exhaustively schedule random within-limit bucket sets with the
-    //    exact max-flow scheduler.
+    // 3. Verify the guarantee exactly on the (9,3,1) paper design: the
+    //    costliest set of S(2) = 14 distinct buckets, from Hall's cuts.
     let scheme = DesignTheoretic::paper_9_3_1();
-    let gg = scheme.guarantee();
-    let mut worst = 0;
-    let mut state = 7u64;
-    for _ in 0..5_000 {
-        // 14 distinct buckets = S(2).
-        let mut pool: Vec<usize> = (0..scheme.num_buckets()).collect();
-        for i in 0..14 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let j = i + (state >> 33) as usize % (pool.len() - i);
-            pool.swap(i, j);
-        }
-        let reqs: Vec<&[usize]> = pool[..14].iter().map(|&b| scheme.replicas(b)).collect();
-        worst = worst.max(max_flow_retrieval(&reqs, 9).accesses);
-    }
-    println!("\n(9,3,1): worst observed cost for 5 000 random 14-bucket requests: {worst} accesses (guarantee: {})", gg.accesses_for(14));
-    assert!(worst <= gg.accesses_for(14));
+    let worst = worst_case_accesses(&scheme, 14);
+    let promised = scheme.guarantee().accesses_for(14);
+    println!(
+        "\n(9,3,1): worst cost of any 14-bucket request: {worst} accesses (guarantee: {promised})"
+    );
+    assert!(worst <= promised);
 
     // 4. And probabilistically: the P_k table that statistical QoS uses.
     let probs = optimal_retrieval_probabilities(&scheme, 10, 20_000, 1);
