@@ -156,7 +156,10 @@ fn migrated_in_flight(drained: &[Drained], snaps: &[MetricsSnapshot], frozen: &[
 }
 
 /// Assemble the fleet metrics from a consistent view of all planes.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per plane of the caller's consistent view"
+)]
 fn fleet_metrics(
     shared: &Shared,
     ctrl: &CtrlState,

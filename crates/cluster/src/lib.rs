@@ -37,6 +37,19 @@
 //! assert_eq!(m.completed(), 1);
 //! ```
 
+// As in `fqos-server`: no panic path outside tests, a reason on every
+// exception, and (`clippy.toml`) no std lock or wall-clock read.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unimplemented
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 mod cluster;
 mod config;
 mod ctrl;

@@ -73,6 +73,10 @@ impl MetricsExporter {
                             let _ = conn.write_all(response.as_bytes());
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                            #[expect(
+                                clippy::disallowed_methods,
+                                reason = "the accept poll interval of a non-blocking listener"
+                            )]
                             std::thread::sleep(Duration::from_millis(5));
                         }
                         Err(_) => break,

@@ -58,6 +58,7 @@ use fqos_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use fqos_sync::channel::{bounded, Receiver, Sender};
 use fqos_sync::thread::JoinHandle;
 use fqos_sync::{Arc, Class, LineGap, Mutex, RwLock};
+use std::cell::Cell;
 
 /// Outcome of one [`SubmitterHandle::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,7 +294,7 @@ impl WorkItem {
 /// One worker's share of one sealed window, in seal order, handed back
 /// empty once served. Boxed so that a queue slot stays one word (DESIGN.md,
 /// "One message per window and worker").
-#[allow(clippy::box_collection)]
+#[allow(clippy::box_collection, reason = "a queue slot stays one word")]
 type Batch = Box<Vec<WorkItem>>;
 type Batches = [Option<Batch>; MAX_FAULT_DEVICES];
 
@@ -480,6 +481,10 @@ impl QosServer {
         let Some(wal_cfg) = cfg.wal.clone() else {
             return Err("recover requires a WAL configuration (with_wal)".into());
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "replay time is reported, never decided on"
+        )]
         let t0 = std::time::Instant::now();
         let (wal, report) = Wal::resume(&wal_cfg)?;
         // Every sealed-but-unsettled admission's dispatch died with the
@@ -675,11 +680,12 @@ impl QosServer {
         // Initialize under the dispatch lock: an in-flight pump recomputes
         // its seal target under this lock, so it cannot seal past a
         // watermark it has not seen.
-        let shared;
+        let (shared, watermark);
         {
             let ds = engine.dispatch.lock();
+            watermark = ds.sealed_through;
             shared = Arc::new(HandleShared {
-                watermark: AtomicU64::new(ds.sealed_through),
+                watermark: AtomicU64::new(watermark),
                 ..HandleShared::default()
             });
             let mut handles = engine.handles.lock();
@@ -689,6 +695,7 @@ impl QosServer {
         SubmitterHandle {
             engine,
             shared,
+            watermark: Cell::new(watermark),
             view: TenantView::new(),
             stage,
         }
@@ -754,6 +761,9 @@ impl QosServer {
     /// while its log device survives.
     pub fn halt(self) -> MetricsSnapshot {
         self.engine.shutdown.store(true, Ordering::Release);
+        // A seal already under way finishes (its batches reach the workers,
+        // stopped below); every later one sees `shutdown` and seals nothing.
+        drop(self.engine.dispatch.lock());
         // Wait out submissions that passed the shutdown check before the
         // store: the workers are still draining their queues here, so an
         // in-flight submit blocked on dispatch backpressure completes
@@ -817,9 +827,11 @@ impl Engine {
     /// The pump proper, under the caller's hold of the dispatch lock.
     /// `riding` is the stage of the handle that pumps, if it has one: the
     /// first `Seal` takes it into the log in its own hold of the WAL lock.
+    /// A halted engine seals nothing: its workers are gone, and its log
+    /// stays as [`QosServer::halt`] left it.
     fn seal_ready(&self, ds: &mut DispatchState, mut riding: Option<&Stage>) {
         let target = self.seal_target();
-        while ds.sealed_through < target {
+        while ds.sealed_through < target && !self.shutdown.load(Ordering::Acquire) {
             let w = ds.sealed_through;
             let sealed = self.ring.seal(w);
             self.submit_stats
@@ -852,14 +864,11 @@ impl Engine {
                 self.submit_stats
                     .max_window_total
                     .fetch_max(sealed.total, Ordering::Relaxed);
-                // Past shutdown the workers are gone; drop on the floor.
-                if !self.shutdown.load(Ordering::Acquire) {
-                    for (tx, batch) in self.txs.iter().zip(self.partition(ds, w, sealed.items)) {
-                        if let Some(batch) = batch {
-                            // Blocking send = backpressure: submitters stall
-                            // here once a worker's backlog hits queue_depth.
-                            let _ = tx.send(WorkMsg::Batch(batch));
-                        }
+                for (tx, batch) in self.txs.iter().zip(self.partition(ds, w, sealed.items)) {
+                    if let Some(batch) = batch {
+                        // Blocking send = backpressure: submitters stall
+                        // here once a worker's backlog hits queue_depth.
+                        let _ = tx.send(WorkMsg::Batch(batch));
                     }
                 }
             }
@@ -1181,6 +1190,9 @@ impl Engine {
 pub struct SubmitterHandle {
     engine: Arc<Engine>,
     shared: Arc<HandleShared>,
+    /// This handle's own copy of `shared.watermark`, which it alone
+    /// stores: the owner reads this one, the dispatcher the atomic.
+    watermark: Cell<u64>,
     /// This thread's cache of the tenant records it submits for.
     view: TenantView,
     /// This handle's admissions on their way to the log (`None` without a
@@ -1214,6 +1226,7 @@ impl SubmitterHandle {
     /// Publish `window`, higher than the current watermark, and seal what
     /// that releases.
     fn raise_watermark(&self, window: u64) {
+        self.watermark.set(window);
         self.release(|shared| shared.watermark.store(window, Ordering::Release));
     }
 
@@ -1248,7 +1261,7 @@ impl SubmitterHandle {
         // The published watermark is at or below `window`, so the
         // dispatcher will not seal `window` or anything after it while this
         // request looks for a place there.
-        let watermark = self.shared.watermark.load(Ordering::Relaxed);
+        let watermark = self.watermark.get();
         let window = (arrival_ns / t_ns).max(watermark);
         // The seal target is a function of the open handles' watermarks
         // alone: a submit that stays in its window cannot move it, so only
@@ -1400,7 +1413,7 @@ impl SubmitterHandle {
             return;
         }
         let window = arrival_ns / engine.cfg.qos.interval_ns;
-        if window > self.shared.watermark.load(Ordering::Relaxed) {
+        if window > self.watermark.get() {
             self.raise_watermark(window);
         }
     }
@@ -1450,7 +1463,10 @@ impl Drop for SubmitterHandle {
 /// [`RETRY_BACKOFF_NS`] apart. First completion wins: losing attempts are
 /// rolled back off the frontier and a winning hedge cancels the primary's
 /// reservation, so speculative capacity is reclaimed exactly.
-#[allow(clippy::needless_pass_by_value)] // thread entry: owns its channels + engine handle
+#[allow(
+    clippy::needless_pass_by_value,
+    reason = "thread entry: owns its channels and engine handle"
+)]
 fn worker_loop(
     worker: usize,
     workers: usize,
@@ -2092,6 +2108,7 @@ mod tests {
         s.finish();
         let mut late = SubmitterHandle {
             shared: Arc::default(),
+            watermark: Cell::new(0),
             engine,
             view: TenantView::new(),
             stage: None,
@@ -2827,6 +2844,10 @@ mod tests {
         /// one linger later, said that it parks; a lost wake-up or a worker
         /// that never parks fails the test instead of hanging it.
         fn wait_until_served_and_parked(engine: &Engine, served: u64) {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a hang guard: fails the test instead of hanging it"
+            )]
             let start = std::time::Instant::now();
             while engine.ledger.snapshot().served < served || !engine.txs[0].receiver_is_parked() {
                 assert!(start.elapsed().as_secs() < 10, "the worker never parked");

@@ -34,6 +34,21 @@
 //! admission (`ε > 0`, §III-B2) overflow requests ride along without a
 //! guarantee and their violations are accounted separately.
 
+// The serving path degrades (rejects, counts, reroutes) instead of
+// unwinding partway through a window; a documented invariant is an
+// `assert!` or a site-level `#[expect]` with its reason. `clippy.toml`
+// forbids std's locks and wall-clock reads here.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unimplemented
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod config;
 mod engine;
 pub mod fault;

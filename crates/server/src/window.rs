@@ -130,9 +130,10 @@ impl AdmitResult {
 /// [`AssignmentMode`]. Built once with the ring — without allocating: a
 /// thousand small buffers per ring fragment the heap of whoever builds and
 /// drops servers — and reset per window, keeping what the windows grew.
-// Every slot of a ring holds the same variant, and boxing the kernel would
-// bring the per-slot allocation back.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "every slot holds the same variant; boxing the kernel brings back the per-slot allocation"
+)]
 #[derive(Debug)]
 enum Feasibility {
     /// Exact degraded feasibility over the live replica subgraph. The
@@ -323,10 +324,16 @@ impl WindowRing {
             );
             // s.window > window would mean admitting into a sealed past
             // window; the engine's watermark protocol forbids it.
-            panic!(
-                "admission into window {window} after it was sealed and its slot reused by {}",
-                s.window
-            );
+            #[expect(
+                clippy::panic,
+                reason = "unreachable: no seal passes an open handle's watermark"
+            )]
+            {
+                panic!(
+                    "admission into window {window} after it was sealed and its slot reused by {}",
+                    s.window
+                );
+            }
         }
         s
     }
@@ -611,6 +618,10 @@ impl WindowRing {
                     fan_out_write(&mut items, &mut loads, &mut write_groups, &p);
                     continue;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "admission assigns every guaranteed read a replica"
+                )]
                 let d = p.assigned.expect("guaranteed request must be assigned");
                 loads[d] += 1;
                 items.push(p.sealed_on(d, true));
@@ -675,10 +686,16 @@ impl WindowRing {
                         } else {
                             self.fault.note_retry();
                         }
-                        p.replicas
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "Infeasible is reported only when a replica is live"
+                        )]
+                        let d = p
+                            .replicas
                             .outside(exec_mask)
                             .min_by_key(|&d| loads[d])
-                            .expect("Infeasible implies a live replica exists")
+                            .expect("Infeasible implies a live replica exists");
+                        d
                     }
                     DegradedAdmit::Unavailable => {
                         // Every replica failed or condemned slow. A slow

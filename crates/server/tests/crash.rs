@@ -370,6 +370,45 @@ fn recovery_stops_at_a_corrupt_mid_file_frame_and_truncates() {
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
+/// A halted array's log is what `halt` left on disk: a handle dropped
+/// afterwards closes without sealing the window its admission sits in, so
+/// no `Seal` frame lands in the dead engine's log, and recovery replays
+/// the log whole.
+#[test]
+fn a_halted_engine_writes_nothing_more_to_its_log() {
+    let wal_dir = scratch_path("wal-halted");
+    let cfg = || {
+        ServerConfig::new(qos(9, 3, 2))
+            .with_wal(&wal_dir)
+            .with_wal_fsync_batch(1)
+    };
+    let server = QosServer::new(cfg()).expect("server");
+    server
+        .register(1, 2, OverloadPolicy::Delay)
+        .expect("register");
+    let mut h = server.handle();
+    assert!(h.submit(1, 0, 0).is_admitted(), "admitted into window 0");
+    let _frozen = server.halt();
+    let log_len = || {
+        std::fs::metadata(wal_dir.join("wal.log"))
+            .expect("log")
+            .len()
+    };
+    let halted = log_len();
+    drop(h);
+    assert_eq!(
+        log_len(),
+        halted,
+        "the dropped handle wrote to a halted log"
+    );
+    let m = QosServer::recover(cfg()).expect("recover").finish();
+    assert_eq!(
+        m.wal_replay_truncated, 0,
+        "the halted log must replay whole"
+    );
+    let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
 /// The window ring wraps correctly across a recovery boundary: a tiny
 /// 8-slot ring is lapped more than twice before a clean shutdown, then
 /// recovery resumes the window sequence and laps it twice more. Window

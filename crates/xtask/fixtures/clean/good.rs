@@ -1,4 +1,4 @@
-//! Positive fixture: nested locks and no forbidden patterns —
+//! Positive fixture: nested locks and no atomic at all —
 //! `analyze --root` on this directory must exit 0.
 
 struct Clean {

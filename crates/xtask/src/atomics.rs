@@ -12,12 +12,11 @@
 //! Pure statistics counters (the `GlobalStats` tallies, per-tenant
 //! served/lost counts) are deliberately Relaxed — they carry no
 //! ordering obligation, only totals, and the audit leaves them alone.
-//! A `Relaxed` control-flag site that is actually safe (single-writer
-//! same-thread re-read, for example) is allowlisted with the written
-//! happens-before argument rather than silenced in code.
+//! There are no exceptions: a thread that needs its own last store of a
+//! flag keeps a plain copy of it (`SubmitterHandle::watermark`).
 
 use crate::source::{matching, Tok, TokKind};
-use crate::{AllowEntry, Finding, Outcome};
+use crate::{Finding, Outcome};
 
 /// Flags gating cross-thread control decisions.
 const CONTROL_FLAGS: &[&str] = &[
@@ -106,13 +105,7 @@ fn governing_access(toks: &[Tok], at: usize) -> Option<(&str, &str)> {
 
 /// Count every ordering in the file's functions and report each `Relaxed`
 /// access to a control flag.
-pub fn audit(
-    file: &str,
-    toks: &[Tok],
-    original: &[String],
-    allow: &[AllowEntry],
-    out: &mut Outcome,
-) {
+pub fn audit(file: &str, toks: &[Tok], original: &[String], out: &mut Outcome) {
     for (name, body) in functions(toks) {
         for k in 0..body.len() {
             if !body[k].is_ident("Ordering") || !body.get(k + 1).is_some_and(|t| t.is("::")) {
@@ -132,23 +125,19 @@ pub fn audit(
                 continue;
             }
             let src_line = original.get(ord.line - 1).map_or("", |s| s.trim());
-            let message = format!(
-                "Relaxed ordering on control flag `{flag}` ({method}): \
-                 this flag gates a cross-thread control decision and \
-                 must publish with Release / observe with Acquire \
-                 (AcqRel for RMWs), or be allowlisted with a written \
-                 happens-before argument"
-            );
-            let covered = format!("{src_line}\n{message}");
-            let finding = Finding {
+            out.findings.push(Finding {
                 pass: "atomic-ordering",
                 file: file.to_string(),
                 line: ord.line,
                 col: ord.col,
                 text: format!("{src_line} — in fn {name}"),
-                message,
-            };
-            out.report(allow, finding, &covered);
+                message: format!(
+                    "Relaxed ordering on control flag `{flag}` ({method}): \
+                     this flag gates a cross-thread control decision and \
+                     must publish with Release / observe with Acquire \
+                     (AcqRel for RMWs)"
+                ),
+            });
         }
     }
 }
@@ -161,7 +150,7 @@ mod tests {
     fn run(src: &str) -> Outcome {
         let original: Vec<String> = src.lines().map(str::to_string).collect();
         let mut out = Outcome::default();
-        audit("engine.rs", &lex(src), &original, &[], &mut out);
+        audit("engine.rs", &lex(src), &original, &mut out);
         out
     }
 

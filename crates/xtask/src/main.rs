@@ -8,32 +8,23 @@
 //! (DESIGN.md "Concurrency invariants" → "Static analysis passes"). It
 //! lexes every source file of `crates/server/src` and `crates/cluster/src`
 //! into spanned tokens (`source::lex`), drops the `#[cfg(test)]` items, and
-//! runs two passes over what is left:
+//! runs the atomic-ordering audit over what is left: it classifies every
+//! `Ordering::*` site and flags `Relaxed` on cross-thread control flags.
+//! `--format json` emits the findings with their spans for CI artifacts.
 //!
-//! - **atomic-ordering**: classifies every `Ordering::*` site and flags
-//!   `Relaxed` on cross-thread control flags;
-//! - forbidden-pattern lints: `unwrap`/`expect` on lock results, panic
-//!   paths in non-test server code, wall-clock reads in deterministic
-//!   test code outside `tests/common`.
-//!
-//! What the analyzer does not check is checked where it happens, at run
-//! time: lock order and blocking under a lock by `fqos-sync` on every
-//! acquisition, and the conservation law by `QosServer::finish` on its
-//! final snapshot (debug and `model-check` builds; DESIGN.md, "Lock
-//! hierarchy" and "Concurrency invariants").
-//!
-//! Suppressions come from `crates/xtask/allowlist.txt`, where every
-//! entry carries a mandatory reason. `--format json` emits the full
-//! diagnostics with their spans for CI artifacts.
+//! What the analyzer does not check is checked where it happens. Clippy
+//! denies panic paths, std locks and wall-clock reads in the two crates
+//! (their `lib.rs` and `clippy.toml`); `fqos-sync` checks lock order and
+//! blocking under a lock on every acquisition, and `QosServer::finish`
+//! the conservation law on its final snapshot (debug and `model-check`
+//! builds; DESIGN.md, "Lock hierarchy" and "Concurrency invariants").
 //!
 //! With `--root` pointing at a directory that is *not* a workspace (no
-//! `crates/server/src`), every `.rs` file under it is analyzed with all
-//! rule sets — that mode exists for the negative fixtures under
-//! `crates/xtask/fixtures/`, which CI uses to prove each pass still
-//! catches its seeded violation.
+//! `crates/server/src`), every `.rs` file under it is analyzed — that mode
+//! exists for the fixtures under `crates/xtask/fixtures/`, which CI uses
+//! to prove the audit still catches its seeded violation.
 
 mod atomics;
-mod lints;
 mod source;
 
 use std::collections::BTreeMap;
@@ -52,66 +43,12 @@ pub struct Finding {
     pub message: String,
 }
 
-/// One allowlist entry: a finding is suppressed when its file path ends
-/// with `path_suffix` and the source it covers (or, for the atomic pass,
-/// its message) contains `needle`.
-#[derive(Debug)]
-pub struct AllowEntry {
-    pub path_suffix: String,
-    pub needle: String,
-    pub reason: String,
-}
-
-/// Parse the allowlist, one `path-suffix | needle | reason` entry per
-/// line, `#` comments. The reason is mandatory — an exception nobody can
-/// explain is a bug.
-pub fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
-    let mut out = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let parts: Vec<&str> = line.splitn(3, '|').map(str::trim).collect();
-        if parts.len() < 3 || parts.iter().any(|p| p.is_empty()) {
-            return Err(format!(
-                "allowlist line {}: expected `path-suffix | needle | reason`, got `{line}`",
-                i + 1
-            ));
-        }
-        out.push(AllowEntry {
-            path_suffix: parts[0].to_string(),
-            needle: parts[1].to_string(),
-            reason: parts[2].to_string(),
-        });
-    }
-    Ok(out)
-}
-
 #[derive(Default)]
 pub struct Outcome {
     findings: Vec<Finding>,
-    suppressed: Vec<String>,
     files_scanned: usize,
     /// Ordering name → use-site count.
     ordering_counts: BTreeMap<String, usize>,
-}
-
-impl Outcome {
-    /// Record `f`, or its suppression when an allowlist entry for its file
-    /// matches `covered`.
-    pub fn report(&mut self, allow: &[AllowEntry], f: Finding, covered: &str) {
-        let entry = allow
-            .iter()
-            .find(|e| f.file.ends_with(&e.path_suffix) && covered.contains(&e.needle));
-        match entry {
-            Some(e) => self.suppressed.push(format!(
-                "{}:{}: allowed ({}): {}",
-                f.file, f.line, f.pass, e.reason
-            )),
-            None => self.findings.push(f),
-        }
-    }
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -144,58 +81,20 @@ fn rust_files(root: &Path, dirs: &[&str]) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
-fn read(path: &Path) -> Result<(String, Vec<String>), String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let lines = src.lines().map(str::to_string).collect();
-    Ok((src, lines))
-}
-
 fn analyze(root: &Path) -> Result<Outcome, String> {
-    let workspace_mode = root.join("crates/server/src").is_dir();
-    let allow_path = root.join("crates/xtask/allowlist.txt");
-    let allow = if allow_path.is_file() {
-        parse_allowlist(&read(&allow_path)?.0)?
+    let dirs: &[&str] = if root.join("crates/server/src").is_dir() {
+        &["crates/server/src", "crates/cluster/src"]
     } else {
-        Vec::new()
+        &[""]
     };
     let mut out = Outcome::default();
-
-    let src_files = if workspace_mode {
-        rust_files(root, &["crates/server/src", "crates/cluster/src"])?
-    } else {
-        rust_files(root, &[""])?
-    };
-    for path in &src_files {
+    for path in rust_files(root, dirs)? {
         out.files_scanned += 1;
-        let (src, original) = read(path)?;
-        let file = path.to_string_lossy();
+        let src = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let original: Vec<String> = src.lines().map(str::to_string).collect();
         let toks = source::without_test_items(&source::lex(&src));
-        lints::lint(&file, &toks, &original, lints::SRC, &allow, &mut out);
-        if !workspace_mode {
-            lints::lint(&file, &toks, &original, lints::TESTS, &allow, &mut out);
-        }
-        atomics::audit(&file, &toks, &original, &allow, &mut out);
+        atomics::audit(&path.to_string_lossy(), &toks, &original, &mut out);
     }
-
-    if workspace_mode {
-        for path in rust_files(root, &["crates/server/tests", "crates/cluster/tests"])? {
-            if path.components().any(|c| c.as_os_str() == "common") {
-                continue; // tests/common owns the seed/rng plumbing
-            }
-            out.files_scanned += 1;
-            let (src, original) = read(&path)?;
-            let file = path.to_string_lossy();
-            lints::lint(
-                &file,
-                &source::lex(&src),
-                &original,
-                lints::TESTS,
-                &allow,
-                &mut out,
-            );
-        }
-    }
-
     out.findings
         .sort_by(|a, b| (&a.file, a.line, a.pass).cmp(&(&b.file, b.line, b.pass)));
     Ok(out)
@@ -234,21 +133,15 @@ fn render_json(outcome: &Outcome) -> String {
             )
         })
         .collect();
-    let suppressed: Vec<String> = outcome
-        .suppressed
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
     let orderings: Vec<String> = outcome
         .ordering_counts
         .iter()
         .map(|(k, v)| format!("\"{}\":{v}", json_escape(k)))
         .collect();
     format!(
-        "{{\"findings\":[{}],\"suppressed\":[{}],\"summary\":{{\
+        "{{\"findings\":[{}],\"summary\":{{\
          \"files_scanned\":{},\"ordering_counts\":{{{}}}}}}}",
         findings.join(","),
-        suppressed.join(","),
         outcome.files_scanned,
         orderings.join(","),
     )
@@ -262,20 +155,16 @@ fn render_text(outcome: &Outcome) {
         );
         eprintln!("    > {}", f.text);
     }
-    for s in &outcome.suppressed {
-        eprintln!("{s}");
-    }
     let orderings: Vec<String> = outcome
         .ordering_counts
         .iter()
         .map(|(k, v)| format!("{k}:{v}"))
         .collect();
     eprintln!(
-        "analyze: {} file(s), orderings {{{}}}, {} finding(s), {} allowlisted",
+        "analyze: {} file(s), orderings {{{}}}, {} finding(s)",
         outcome.files_scanned,
         orderings.join(", "),
-        outcome.findings.len(),
-        outcome.suppressed.len()
+        outcome.findings.len()
     );
 }
 
@@ -356,47 +245,14 @@ mod tests {
         // PR 22: Acquire 23 → 24, Release 12 → 13 — the scorer's EWMA,
         // published per device by `FaultPlane::observe` and loaded by
         // `service_estimate` instead of a hold of `fault.health`.
+        // Then the panic, lock and wall-clock lints moved to clippy, and a
+        // handle-local watermark took the last allowlisted `Relaxed`.
         let census = |ordering: &str| outcome.ordering_counts.get(ordering).copied();
         assert_eq!(
             (census("AcqRel"), census("Acquire"), census("Release")),
             (Some(14), Some(24), Some(13)),
             "{:?}",
             outcome.ordering_counts
-        );
-        // The documented-invariant sites must be allowlisted, not
-        // invisible: each suppression is reported with its reason.
-        assert_eq!(
-            outcome.suppressed.len(),
-            SUPPRESSED_IN_WORKSPACE,
-            "allowlist drifted from the source: {:#?}",
-            outcome.suppressed
-        );
-    }
-
-    /// Pinned so the allowlist can't silently grow or rot: update this
-    /// count (and the allowlist) together, in review. PR 17: 23 → 25 — the
-    /// 2 ms sleep in `stress.rs` that lets the workers park between windows,
-    /// and `Wal::log_seal`, whose one hold of the lock now spans the seal's
-    /// fsync as well as the compaction (two sites where it had one). PR 19:
-    /// 25 → 24 — `chaos.rs` waits on a settled count instead of sleeping.
-    /// PR 20: 24 → 23 — `stress.rs`'s sleep went with its test, which now
-    /// waits on the channel's parked flag — and back to 24: a stage is
-    /// drained, flush included, under its own lock (`engine.stage`).
-    /// Then 24 → 5: the guard-blocking pass went, and with it the 19 sites
-    /// its seven entries matched — which class may block, and why, is
-    /// `fqos_sync::Class::may_block` now, checked where the wait happens.
-    const SUPPRESSED_IN_WORKSPACE: usize = 5;
-
-    #[test]
-    fn the_panic_path_fixture_is_caught() {
-        let root = manifest_dir().join("fixtures/panic_path");
-        let outcome = analyze(&root).unwrap();
-        let passes: Vec<&str> = outcome.findings.iter().map(|f| f.pass).collect();
-        assert_eq!(
-            passes,
-            ["lint-lock-unwrap", "lint-panic-path", "lint-wall-clock"],
-            "{:#?}",
-            outcome.findings
         );
     }
 
@@ -439,15 +295,5 @@ mod tests {
     fn json_escape_handles_quotes_and_controls() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn allowlist_entries_need_a_reason() {
-        let allow =
-            parse_allowlist("# comment\n\nwindow.rs | needle | reason | with a bar\n").unwrap();
-        assert_eq!(allow.len(), 1);
-        assert_eq!(allow[0].reason, "reason | with a bar");
-        assert!(parse_allowlist("window.rs | expect(\"flow mode\")").is_err());
-        assert!(parse_allowlist("window.rs | | reason").is_err());
     }
 }

@@ -1,14 +1,14 @@
-//! The one source model of the `analyze` passes: a spanned token stream.
+//! The source model of the `analyze` audit: a spanned token stream.
 //!
 //! `lex` is a hand-written scanner: every token carries its 1-based line
 //! and column, string/char/raw-string literals are reduced to empty spans
 //! (their *contents* can never alias code), lifetimes are told apart from
 //! char literals, and nested block comments are skipped.
-//! `without_test_items` then drops every `#[cfg(test)]` item once, for
-//! every pass. It is not a parser; it is robust to the subset of Rust this
-//! repo writes, and the tests below pin the historically sharp edges (raw
-//! strings containing `{` or `//`, multi-line raw strings, idents ending in
-//! `r`, escaped quote chars, a `#[cfg(test)]` field before an `impl`).
+//! `without_test_items` then drops every `#[cfg(test)]` item. It is not a
+//! parser; it is robust to the subset of Rust this repo writes, and the
+//! tests below pin the historically sharp edges (raw strings containing
+//! `{` or `//`, multi-line raw strings, idents ending in `r`, escaped
+//! quote chars, a `#[cfg(test)]` field before an `impl`).
 
 /// Token classes the passes distinguish. Literal contents are dropped, so
 /// `Lit` carries only the delimiter shape (`""`, `''`) or the number.
