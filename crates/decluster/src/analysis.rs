@@ -5,6 +5,8 @@
 //! closed form (the replication case of Ly & Soljanin's service-rate
 //! region): a request multiset is retrievable in `m` accesses iff every
 //! device set `D` satisfies `#{requests whose replicas all lie in D} ≤ m·|D|`.
+//! With a capacity `cap_d` per device the right-hand side is
+//! `Σ_{d ∈ D} cap_d`; a failed device is one with capacity 0.
 //! [`CutTable`] keeps that count for every `D`, so "how many accesses does
 //! this multiset need?" and "what is the worst case over any `b` buckets?"
 //! are each one maximum over the `2^N` device sets. The table shares no code
@@ -70,12 +72,22 @@ impl CutTable {
     }
 
     /// Whether one more request on `replicas` keeps the multiset retrievable
-    /// in `m` accesses, given that the requests added so far are. Only the
-    /// cuts the request lies inside change. The empty set's capacity is 0,
-    /// so a request with no replica never fits.
-    pub fn fits(&self, replicas: &[DeviceId], m: usize) -> bool {
+    /// with device `d` serving at most `caps[d]` requests, given that the
+    /// requests added so far are. Only the cuts the request lies inside
+    /// change, and a cut's capacity is the sum of its devices'. A request
+    /// whose replicas all have capacity 0, or that names none, never fits.
+    pub fn fits(&self, replicas: &[DeviceId], caps: &[u16]) -> bool {
+        assert_eq!(caps.len(), self.devices, "one capacity per device");
+        let capacity = |mut set: usize| {
+            let mut sum = 0;
+            while set != 0 {
+                sum += caps[set.trailing_zeros() as usize] as usize;
+                set &= set - 1;
+            }
+            sum
+        };
         self.cuts_around(replicas)
-            .all(|d| (self.inside[d] as usize) < m * d.count_ones() as usize)
+            .all(|d| (self.inside[d] as usize) < capacity(d))
     }
 
     /// The fewest accesses that retrieve the added multiset:
@@ -186,16 +198,32 @@ mod tests {
         // fourth does not fit one, and no request without a replica ever fits.
         let mut t = CutTable::new(3);
         for _ in 0..3 {
-            assert!(t.fits(&[0, 1, 2], 1));
+            assert!(t.fits(&[0, 1, 2], &[1; 3]));
             t.add(&[2, 0, 1]);
         }
         assert_eq!(t.accesses(), 1);
-        assert!(!t.fits(&[0, 1, 2], 1));
-        assert!(t.fits(&[0, 1, 2], 2));
-        assert!(!t.fits(&[], 5));
+        assert!(!t.fits(&[0, 1, 2], &[1; 3]));
+        assert!(t.fits(&[0, 1, 2], &[2; 3]));
+        assert!(!t.fits(&[], &[5; 3]));
         t.add(&[1]);
         assert_eq!(t.accesses(), 2);
         assert_eq!(CutTable::new(3).accesses(), 0);
+    }
+
+    #[test]
+    fn cut_capacity_is_the_sum_of_its_devices() {
+        // Device 1 is out and device 2 serves one: `{1}` holds nothing, and
+        // `{0, 1}` holds what device 0 alone serves.
+        let caps = [2, 0, 1];
+        let mut t = CutTable::new(3);
+        assert!(!t.fits(&[1], &caps));
+        t.add(&[0, 1]);
+        assert!(t.fits(&[0, 1], &caps));
+        t.add(&[0, 1]);
+        assert!(!t.fits(&[0, 1], &caps));
+        assert!(t.fits(&[1, 2], &caps));
+        t.add(&[1, 2]);
+        assert!(!t.fits(&[0, 1, 2], &caps));
     }
 
     #[test]

@@ -31,10 +31,10 @@ pub fn degraded_retrieval(
     devices: usize,
     failed: &[bool],
 ) -> DegradedSchedule {
-    // Start from a zero budget and raise it whenever a request does not
-    // fit: every raise is forced by a prefix of the served set, so the
-    // final budget is the minimum for all of it.
-    let mut kernel = IncrementalRetrieval::with_failed(devices, 0, failed_mask(devices, failed));
+    // Start from one access and raise the budget whenever a request does
+    // not fit: every raise is forced by a prefix of the served set, so the
+    // final budget is the minimum for all of it (0 if nothing is served).
+    let mut kernel = IncrementalRetrieval::with_failed(devices, 1, failed_mask(devices, failed));
     let mut lost = Vec::new();
     for (i, replicas) in requests.iter().enumerate() {
         if replicas.iter().all(|&d| failed[d]) {
@@ -46,7 +46,11 @@ pub fn degraded_retrieval(
         }
     }
     let schedule = RetrievalSchedule {
-        accesses: kernel.accesses(),
+        accesses: if kernel.is_empty() {
+            0
+        } else {
+            kernel.accesses()
+        },
         assignment: kernel.assignments(),
     };
     DegradedSchedule { schedule, lost }
@@ -59,98 +63,6 @@ fn failed_mask(devices: usize, failed: &[bool]) -> u64 {
         .iter()
         .enumerate()
         .fold(0u64, |m, (d, &f)| m | u64::from(f) << d)
-}
-
-/// Outcome of one [`DegradedWindow::try_add`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradedAdmit {
-    /// Admitted: the whole window remains schedulable within the access
-    /// budget over the surviving devices.
-    Admitted,
-    /// The request has a live replica, but admitting it would push some
-    /// surviving device past the access budget.
-    Infeasible,
-    /// Every replica of the request sits on a failed device — within a
-    /// `c`-copy scheme this can only happen once ≥ `c` co-hosting devices
-    /// are down (beyond the design's `c − 1` tolerance).
-    Unavailable,
-}
-
-/// Incremental degraded-mode feasibility for one serving window.
-///
-/// The online serving path admits requests one at a time and needs the
-/// degraded analogue of [`IncrementalRetrieval`]: the same re-augmenting
-/// schedule, but with failed devices excluded from the bipartite graph,
-/// exactly as [`degraded_retrieval`] excludes them for a batch. Requests
-/// whose every replica is down are refused (`Unavailable`), never silently
-/// dropped — the caller decides whether to delay or reject.
-#[derive(Debug, Clone)]
-pub struct DegradedWindow {
-    inc: IncrementalRetrieval,
-}
-
-impl DegradedWindow {
-    /// Feasibility state for one window over `devices` devices with a
-    /// per-device budget of `accesses`, with `failed` devices down.
-    pub fn new(devices: usize, accesses: usize, failed: &[bool]) -> Self {
-        Self::with_failed_mask(devices, accesses, failed_mask(devices, failed))
-    }
-
-    /// As [`Self::new`], with the failed set given as a device bitmap.
-    pub fn with_failed_mask(devices: usize, accesses: usize, failed: u64) -> Self {
-        DegradedWindow {
-            inc: IncrementalRetrieval::with_failed(devices, accesses, failed),
-        }
-    }
-
-    /// Start a new window in place — same device count, new budget and
-    /// failed set — without allocating.
-    pub fn reset(&mut self, accesses: usize, failed: u64) {
-        self.inc.reset(accesses, failed);
-    }
-
-    /// Number of admitted requests.
-    pub fn len(&self) -> usize {
-        self.inc.len()
-    }
-
-    /// True if no request has been admitted.
-    pub fn is_empty(&self) -> bool {
-        self.inc.is_empty()
-    }
-
-    /// Try to admit one request, scheduling it on a surviving replica.
-    pub fn try_add(&mut self, replicas: &[DeviceId]) -> DegradedAdmit {
-        let failed = self.inc.failed();
-        if !replicas.is_empty() && replicas.iter().all(|&d| failed >> d & 1 == 1) {
-            DegradedAdmit::Unavailable
-        } else if self.inc.try_add(replicas) {
-            DegradedAdmit::Admitted
-        } else {
-            DegradedAdmit::Infeasible
-        }
-    }
-
-    /// See [`IncrementalRetrieval::checkpoint`].
-    pub fn checkpoint(&mut self) {
-        self.inc.checkpoint();
-    }
-
-    /// See [`IncrementalRetrieval::rollback`].
-    pub fn rollback(&mut self) {
-        self.inc.rollback();
-    }
-
-    /// Device of every admitted request, in admission order, as stored.
-    /// Never names a failed device.
-    pub fn assigned(&self) -> &[u8] {
-        self.inc.assigned()
-    }
-
-    /// Device assignment of every admitted request, in admission order.
-    pub fn assignments(&self) -> Vec<DeviceId> {
-        self.inc.assignments()
-    }
 }
 
 /// The fault-tolerance level of an allocation scheme: the largest `f` such
@@ -252,54 +164,6 @@ mod tests {
         assert_eq!(d.lost, vec![1, 3]);
         assert_eq!(d.schedule.assignment, vec![2, 3, 2, 3]);
         assert_eq!(d.schedule.accesses, 2);
-    }
-
-    #[test]
-    fn degraded_window_matches_batch_schedule() {
-        let s = DesignTheoretic::paper_9_3_1();
-        let mut failed = [false; 9];
-        failed[4] = true;
-        let mut win = DegradedWindow::new(9, 1, &failed);
-        for b in 0..5 {
-            assert_eq!(win.try_add(s.replicas(b)), DegradedAdmit::Admitted);
-        }
-        assert_eq!(win.len(), 5);
-        let assign = win.assignments();
-        assert!(assign.iter().all(|&d| d != 4), "never the failed device");
-        for (b, &d) in assign.iter().enumerate() {
-            assert!(s.replicas(b).contains(&d));
-        }
-    }
-
-    #[test]
-    fn degraded_window_refuses_past_the_degraded_budget() {
-        // 3 devices, M = 1, one down: only 2 requests fit however they
-        // replicate — the third is Infeasible, not lost.
-        let mut win = DegradedWindow::new(3, 1, &[false, true, false]);
-        assert_eq!(win.try_add(&[0, 1]), DegradedAdmit::Admitted);
-        assert_eq!(win.try_add(&[1, 2]), DegradedAdmit::Admitted);
-        assert_eq!(win.try_add(&[0, 1, 2]), DegradedAdmit::Infeasible);
-        assert_eq!(win.len(), 2);
-    }
-
-    #[test]
-    fn degraded_window_reports_unavailable_buckets() {
-        let mut win = DegradedWindow::new(4, 2, &[true, true, false, false]);
-        assert_eq!(win.try_add(&[0, 1]), DegradedAdmit::Unavailable);
-        assert!(win.is_empty());
-        assert_eq!(win.try_add(&[1, 2]), DegradedAdmit::Admitted);
-        assert_eq!(win.assignments(), vec![2]);
-    }
-
-    #[test]
-    fn degraded_window_healthy_equals_incremental() {
-        // With nothing failed the fast path is exact incremental retrieval.
-        let mut win = DegradedWindow::new(2, 1, &[false, false]);
-        assert_eq!(win.try_add(&[0, 1]), DegradedAdmit::Admitted);
-        assert_eq!(win.try_add(&[0]), DegradedAdmit::Admitted);
-        // The flow re-routes the first request to device 1.
-        assert_eq!(win.assignments(), vec![1, 0]);
-        assert_eq!(win.try_add(&[0, 1]), DegradedAdmit::Infeasible);
     }
 
     #[test]

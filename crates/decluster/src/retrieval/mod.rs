@@ -6,9 +6,7 @@ pub mod design_theoretic;
 pub mod hybrid;
 pub mod online;
 
-pub use degraded::{
-    degraded_retrieval, fault_tolerance, DegradedAdmit, DegradedSchedule, DegradedWindow,
-};
+pub use degraded::{degraded_retrieval, fault_tolerance, DegradedSchedule};
 pub use design_theoretic::design_theoretic_retrieval;
 pub use fqos_maxflow::RetrievalSchedule;
 pub use hybrid::{hybrid_retrieval, max_flow_retrieval};

@@ -10,9 +10,10 @@
 //! the same way from the Dinic-backed batch `RetrievalNetwork`, before it
 //! became a loop over the kernel.
 
-use fqos_decluster::retrieval::{max_flow_retrieval, DegradedAdmit, DegradedWindow};
+use fqos_decluster::retrieval::max_flow_retrieval;
 use fqos_decluster::sampling::optimal_retrieval_probabilities;
 use fqos_decluster::{AllocationScheme, DesignTheoretic};
+use fqos_maxflow::IncrementalRetrieval;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -54,36 +55,45 @@ impl Zipf {
     }
 }
 
+/// A verdict as the fingerprints hash it: admitted 1, infeasible 2, and 3
+/// for a request whose every replica is in `failed` (unavailable), which
+/// the kernel refuses like an infeasible one.
+fn verdict(win: &mut IncrementalRetrieval, replicas: &[usize], failed: u64) -> u64 {
+    if replicas.iter().all(|&d| failed >> d & 1 == 1) {
+        assert!(!win.try_add(replicas), "no live replica, no admission");
+        3
+    } else if win.try_add(replicas) {
+        1
+    } else {
+        2
+    }
+}
+
 /// 200 windows of Zipf-skewed arrivals at ~1.6× the window's capacity, each
-/// window opened with `failed` devices down and 0–2 pinned phantom units.
+/// window opened with `failed` devices down and 0–2 pinned single-replica
+/// units.
 fn fingerprint(scheme: &DesignTheoretic, accesses: usize, failed_devs: &[usize], seed: u64) -> u64 {
     let devices = scheme.devices();
-    let mut failed = vec![false; devices];
-    for &d in failed_devs {
-        failed[d] = true;
-    }
+    let failed = failed_devs.iter().fold(0u64, |m, &d| m | 1 << d);
     let zipf = Zipf::new(scheme.num_buckets());
     let mut rng = seed;
     let mut h = FNV_OFFSET;
     let mut refused = 0u32;
     let mut unavailable = 0u32;
     for _ in 0..200 {
-        let mut win = DegradedWindow::new(devices, accesses, &failed);
+        let mut win = IncrementalRetrieval::with_failed(devices, accesses, failed);
         for _ in 0..splitmix(&mut rng) % 3 {
             let d = (splitmix(&mut rng) % devices as u64) as usize;
-            let code = win.try_add(&[d]);
-            fnv(&mut h, code as u64 + 1);
+            let code = verdict(&mut win, &[d], failed);
+            fnv(&mut h, code);
         }
         let arrivals = devices * accesses * 8 / 5;
         for _ in 0..arrivals {
             let bucket = zipf.sample(&mut rng);
-            let code = win.try_add(scheme.replicas(bucket));
-            match code {
-                DegradedAdmit::Admitted => {}
-                DegradedAdmit::Infeasible => refused += 1,
-                DegradedAdmit::Unavailable => unavailable += 1,
-            }
-            fnv(&mut h, code as u64 + 1);
+            let code = verdict(&mut win, scheme.replicas(bucket), failed);
+            refused += u32::from(code == 2);
+            unavailable += u32::from(code == 3);
+            fnv(&mut h, code);
             for d in win.assignments() {
                 fnv(&mut h, d as u64);
             }

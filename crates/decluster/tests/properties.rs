@@ -34,53 +34,52 @@ fn cut_schemes() -> [Box<dyn AllocationScheme>; 4] {
     ]
 }
 
-/// Offer `buckets` of `scheme` one at a time to `try_add`, an assigner with
-/// budget `m` and the devices in `failed` down, and describe the first
-/// request on which its verdict differs from the cut table's on the live
-/// replicas.
+/// Offer `buckets` of `scheme` one at a time to `try_add`, an assigner in
+/// which device `d` serves at most `caps[d]` requests, and describe the
+/// first request on which its verdict differs from the cut table's.
 fn first_disagreement(
     scheme: &dyn AllocationScheme,
     buckets: &[usize],
-    failed: u64,
-    m: usize,
+    caps: &[u16],
     mut try_add: impl FnMut(&[usize]) -> bool,
 ) -> Option<String> {
     let mut cuts = CutTable::new(scheme.devices());
     for (i, &b) in buckets.iter().enumerate() {
         let replicas = scheme.replicas(b % scheme.num_buckets());
-        let live: Vec<usize> = replicas
-            .iter()
-            .copied()
-            .filter(|&d| failed >> d & 1 == 0)
-            .collect();
-        let fits = cuts.fits(&live, m);
+        let fits = cuts.fits(replicas, caps);
         if try_add(replicas) != fits {
             return Some(format!(
-                "{}: request {i} on {live:?} at m = {m}, failed {failed:#b}: the cut table says {fits}",
+                "{}: request {i} on {replicas:?} with capacities {caps:?}: the cut table says {fits}",
                 scheme.name()
             ));
         }
         if fits {
-            cuts.add(&live);
+            cuts.add(replicas);
         }
     }
     None
 }
 
-/// Fail each device with probability 1/4.
-fn failed_mask(bits: u64, devices: usize) -> u64 {
-    bits & (bits >> 32) & ((1 << devices) - 1)
+/// Each device's capacity, from two bits of `bits`: 0 (failed) w.p. 1/4,
+/// a reserved `1..m` w.p. 1/4 (its value from four bits of `more`; `m` when
+/// `m = 1`), and `m` otherwise.
+fn capacities(bits: u64, more: u64, devices: usize, m: usize) -> Vec<u16> {
+    (0..devices)
+        .map(|d| match bits >> (2 * d) & 3 {
+            0 => 0,
+            1 => 1 + (more >> (4 * d) & 0xf) as usize % (m - 1).max(1),
+            _ => m,
+        } as u16)
+        .collect()
 }
 
-/// First fit: each request takes its first live replica with room and
-/// stays there, so an earlier request is never re-routed. This is the
-/// kernel with every re-augmenting path skipped.
-fn first_fit(devices: usize, m: usize, failed: u64) -> impl FnMut(&[usize]) -> bool {
-    let mut load = vec![0; devices];
+/// First fit: each request takes its first replica with room and stays
+/// there, so an earlier request is never re-routed. This is the kernel
+/// with every re-augmenting path skipped.
+fn first_fit(caps: &[u16]) -> impl FnMut(&[usize]) -> bool + '_ {
+    let mut load = vec![0; caps.len()];
     move |replicas| {
-        let free = replicas
-            .iter()
-            .find(|&&d| failed >> d & 1 == 0 && load[d] < m);
+        let free = replicas.iter().find(|&&d| load[d] < caps[d]);
         free.map(|&d| load[d] += 1).is_some()
     }
 }
@@ -91,14 +90,14 @@ fn first_fit_fails_the_kernel_cut_comparison() {
     // with the cut table on some multiset.
     let mut rng = StdRng::seed_from_u64(31);
     let caught = (0..1000).any(|_| {
-        let m = rng.gen_range(1..4);
-        let failed = failed_mask(rng.next_u64(), 16);
+        let m = rng.gen_range(1..5);
+        let (bits, more) = (rng.next_u64(), rng.next_u64());
         let buckets: Vec<usize> = (0..rng.gen_range(1..64))
             .map(|_| rng.gen_range(0..78))
             .collect();
         cut_schemes().iter().any(|s| {
-            let ff = first_fit(s.devices(), m, failed);
-            first_disagreement(s.as_ref(), &buckets, failed, m, ff).is_some()
+            let caps = capacities(bits, more, s.devices(), m);
+            first_disagreement(s.as_ref(), &buckets, &caps, first_fit(&caps)).is_some()
         })
     });
     assert!(
@@ -143,19 +142,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Kernel ≡ cut: on every prefix of a random multiset, with random
-    /// devices failed, the kernel admits exactly what Hall's cuts admit; and
-    /// with nothing failed, the batch solver's least budget is the cut
-    /// table's.
+    /// per-device capacities (failed, reserved below `m`, or `m`), the
+    /// kernel admits exactly what Hall's cuts admit; and with every device
+    /// unbounded, the batch solver's least budget is the cut table's.
     #[test]
     fn kernel_agrees_with_cut_table(
-        m in 1usize..4,
+        m in 1usize..5,
         bits in any::<u64>(),
+        more in any::<u64>(),
         buckets in prop::collection::vec(0usize..78, 1..64),
     ) {
         for s in cut_schemes() {
-            let failed = failed_mask(bits, s.devices());
-            let mut kernel = IncrementalRetrieval::with_failed(s.devices(), m, failed);
-            let miss = first_disagreement(s.as_ref(), &buckets, failed, m, |r| kernel.try_add(r));
+            let caps = capacities(bits, more, s.devices(), m);
+            let mut kernel = IncrementalRetrieval::new(s.devices(), m);
+            kernel.reset_caps(&caps);
+            let miss = first_disagreement(s.as_ref(), &buckets, &caps, |r| kernel.try_add(r));
             prop_assert!(miss.is_none(), "{}", miss.unwrap_or_default());
 
             let reqs: Vec<&[usize]> =

@@ -4,7 +4,9 @@
 //!
 //! Used by the online retrieval path and the statistical admission
 //! controller, which probe "would adding this request keep the interval
-//! retrievable in `M` accesses?" many times per interval.
+//! retrievable in `M` accesses?" many times per interval. The budget is a
+//! capacity per device, so a failed device (capacity 0) and one with
+//! capacity withheld (below `M`) are the same question.
 //!
 //! The state is a bipartite b-matching kept in flat arrays — no residual
 //! graph. Every request has exactly one residual in-edge (from the device it
@@ -24,17 +26,22 @@ use fqos_designs::DeviceId;
 /// and device ids are stored as `u8`.
 pub const MAX_DEVICES: usize = 64;
 
-/// Incrementally maintained retrieval schedule with a fixed access budget.
+/// Incrementally maintained retrieval schedule over per-device capacities.
+///
+/// Device `d` serves at most `cap[d]` requests. A zero-capacity device is
+/// out of the window: it is dropped from every replica tuple and never
+/// assigned, which is how a failed device is modelled. Hall's condition
+/// over these capacities (every device set `D` holds at most
+/// `Σ_{d ∈ D} cap[d]` of the requests whose live replicas lie in it) is
+/// what [`Self::try_add`] decides.
 #[derive(Debug, Clone)]
 pub struct IncrementalRetrieval {
     devices: u8,
-    accesses: u16,
-    /// Devices excluded from every request's replica set.
-    failed: u64,
-    /// Live devices with `load < accesses`.
+    /// Devices with `load < cap`.
     free: u64,
-    /// Per-device load of the current schedule. Inline, and the vectors
-    /// below start empty: building a kernel allocates nothing.
+    /// Per-device capacity and load of the current schedule. Inline, and
+    /// the vectors below start empty: building a kernel allocates nothing.
+    cap: [u16; MAX_DEVICES],
     load: [u16; MAX_DEVICES],
     /// Device each admitted request is assigned to, in admission order.
     assigned: Vec<u8>,
@@ -50,6 +57,11 @@ fn bit(d: u8) -> u64 {
     1 << d
 }
 
+/// An access budget as a capacity.
+fn budget(accesses: usize) -> u16 {
+    u16::try_from(accesses).expect("access budget fits u16")
+}
+
 impl IncrementalRetrieval {
     /// Create an empty scheduler over `devices` devices with a per-device
     /// budget of `accesses`.
@@ -58,7 +70,7 @@ impl IncrementalRetrieval {
     }
 
     /// As [`Self::new`], with the devices in the `failed` bitmap down: they
-    /// are dropped from every replica tuple and never assigned.
+    /// get capacity 0.
     pub fn with_failed(devices: usize, accesses: usize, failed: u64) -> Self {
         assert!(
             (1..=MAX_DEVICES).contains(&devices),
@@ -66,9 +78,8 @@ impl IncrementalRetrieval {
         );
         let mut inc = IncrementalRetrieval {
             devices: devices as u8,
-            accesses: 0,
-            failed: 0,
             free: 0,
+            cap: [0; MAX_DEVICES],
             load: [0; MAX_DEVICES],
             assigned: Vec::new(),
             end: Vec::new(),
@@ -83,8 +94,22 @@ impl IncrementalRetrieval {
     /// set, keeping the buffers: equivalent to [`Self::with_failed`] on the
     /// same device count, without allocating.
     pub fn reset(&mut self, accesses: usize, failed: u64) {
-        self.accesses = u16::try_from(accesses).expect("access budget fits u16");
-        self.failed = failed;
+        let (m, n) = (budget(accesses), self.devices());
+        for (d, c) in self.cap[..n].iter_mut().enumerate() {
+            *c = if failed >> d & 1 == 1 { 0 } else { m };
+        }
+        self.clear();
+    }
+
+    /// Forget every request and start over with capacity `caps[d]` on
+    /// device `d`, keeping the buffers. `caps` covers every device.
+    pub fn reset_caps(&mut self, caps: &[u16]) {
+        assert_eq!(caps.len(), self.devices(), "one capacity per device");
+        self.cap[..caps.len()].copy_from_slice(caps);
+        self.clear();
+    }
+
+    fn clear(&mut self) {
         self.load.fill(0);
         self.assigned.clear();
         self.end.clear();
@@ -93,14 +118,14 @@ impl IncrementalRetrieval {
         self.recount_free();
     }
 
-    /// Number of devices (failed ones included).
+    /// Number of devices (zero-capacity ones included).
     pub fn devices(&self) -> usize {
         self.devices as usize
     }
 
-    /// Bitmap of the devices excluded as failed.
-    pub fn failed(&self) -> u64 {
-        self.failed
+    /// Per-device capacity.
+    pub fn caps(&self) -> &[u16] {
+        &self.cap[..self.devices()]
     }
 
     /// Number of admitted requests.
@@ -113,21 +138,22 @@ impl IncrementalRetrieval {
         self.assigned.is_empty()
     }
 
-    /// Current per-device access budget `M`.
+    /// Current access budget `M`: the largest device capacity.
     pub fn accesses(&self) -> usize {
-        self.accesses as usize
+        self.caps().iter().copied().max().unwrap_or(0) as usize
     }
 
     /// Try to admit one more request. Returns `true` (and keeps the request)
-    /// if all admitted requests remain schedulable within `M` accesses;
-    /// returns `false` and leaves the state untouched otherwise.
+    /// if all admitted requests remain schedulable within the devices'
+    /// capacities; returns `false` and leaves the state untouched otherwise.
     pub fn try_add(&mut self, replicas: &[DeviceId]) -> bool {
         let mut live = 0u64;
         for &d in replicas {
             assert!(d < self.devices(), "replica {d} out of range");
-            live |= 1 << d;
+            if self.cap[d] != 0 {
+                live |= 1 << d;
+            }
         }
-        live &= !self.failed;
         let Some(first) = self.augment(replicas, live) else {
             return false;
         };
@@ -195,7 +221,7 @@ impl IncrementalRetrieval {
         if lvl == last {
             if self.free & bit(d) != 0 {
                 self.load[d as usize] += 1;
-                if self.load[d as usize] >= self.accesses {
+                if self.load[d as usize] >= self.cap[d as usize] {
                     self.free &= !bit(d);
                 }
                 return true;
@@ -229,20 +255,25 @@ impl IncrementalRetrieval {
 
     fn recount_free(&mut self) {
         self.free = 0;
-        for (d, &l) in self.load[..self.devices()].iter().enumerate() {
-            if l < self.accesses {
+        for d in 0..self.devices() {
+            if self.load[d] < self.cap[d] {
                 self.free |= 1 << d;
             }
         }
-        self.free &= !self.failed;
     }
 
-    /// Raise the access budget to `accesses` (no-op if not larger).
+    /// Raise the access budget to `accesses` (no-op if not larger): every
+    /// device with a non-zero capacity gets `accesses`. A zero-capacity
+    /// device stays out, so a kernel built with budget 0 admits nothing
+    /// until it is reset.
     pub fn grow_accesses(&mut self, accesses: usize) {
         if accesses <= self.accesses() {
             return;
         }
-        self.accesses = u16::try_from(accesses).expect("access budget fits u16");
+        let m = budget(accesses);
+        for c in self.cap.iter_mut().filter(|c| **c != 0) {
+            *c = m;
+        }
         self.recount_free();
     }
 
@@ -255,7 +286,7 @@ impl IncrementalRetrieval {
 
     /// Undo every `try_add` since the last [`Self::checkpoint`]: requests
     /// admitted since are dropped and every earlier request returns to the
-    /// device it was assigned to then. The budget must not have been
+    /// device it was assigned to then. The capacities must not have been
     /// changed in between.
     pub fn rollback(&mut self) {
         let n = self.saved.len();
@@ -334,6 +365,22 @@ mod tests {
         let assign = inc.assignments();
         assert_eq!(assign[1], 0);
         assert_eq!(assign[0], 1);
+    }
+
+    #[test]
+    fn unequal_capacities_bound_each_device() {
+        // Device 0 serves two, device 1 is out, device 2 serves one.
+        let mut inc = IncrementalRetrieval::new(3, 2);
+        inc.reset_caps(&[2, 0, 1]);
+        assert!(!inc.try_add(&[1]), "a zero-capacity device serves nothing");
+        assert!(inc.try_add(&[1, 2]));
+        assert!(inc.try_add(&[2, 0]));
+        assert!(inc.try_add(&[0]));
+        assert!(!inc.try_add(&[0, 1, 2]));
+        assert_eq!(inc.device_loads(), vec![2, 0, 1]);
+        assert_eq!(inc.assignments(), vec![2, 0, 0]);
+        inc.grow_accesses(3);
+        assert_eq!(inc.caps(), [3, 0, 3]);
     }
 
     #[test]

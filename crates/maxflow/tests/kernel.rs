@@ -135,7 +135,7 @@ fn reset_equals_new() {
     inc.checkpoint();
     inc.reset(3, 0b11);
     let mut fresh = IncrementalRetrieval::with_failed(9, 3, 0b11);
-    assert_eq!(inc.failed(), fresh.failed());
+    assert_eq!(inc.caps(), fresh.caps());
     assert_same_future(&mut inc, &mut fresh, &mut rng);
 }
 

@@ -661,17 +661,6 @@ impl QosServer {
         self.engine.inject(device, FaultKind::Restore)
     }
 
-    /// The per-window guaranteed capacity currently in force: `S(M)` when
-    /// healthy, tightened to the degraded bound `min(S(M), M · live)` while
-    /// any device is down at `window`'s execution interval.
-    pub fn request_limit_at(&self, window: u64) -> usize {
-        let e = &self.engine;
-        let mask = e.fault.admission_mask(window);
-        e.registry
-            .limit()
-            .min(e.fault.degraded_limit(mask, e.cfg.qos.accesses))
-    }
-
     /// Create a submitter handle for one producer thread. Handles must be
     /// closed (or dropped) for the engine to seal past their watermark.
     pub fn handle(&self) -> SubmitterHandle {
@@ -2125,10 +2114,6 @@ mod tests {
         let cfg = ServerConfig::new(QosConfig::paper_9_3_1())
             .with_fault_schedule(FaultSchedule::new().fail(0, 3).recover(0, 6));
         let s = QosServer::new(cfg).unwrap();
-        assert_eq!(s.request_limit_at(0), 5);
-        // paper_9_3_1 has M = 1, so the degraded cap is 8 ≥ S(1) = 5: the
-        // guarantee survives a single failure at full reserved capacity.
-        assert_eq!(s.request_limit_at(4), 5, "degraded bound stays at S(M)");
         s.register(1, 3, OverloadPolicy::Delay).unwrap();
         let mut h = s.handle();
         for w in 0..10u64 {

@@ -688,13 +688,6 @@ impl FaultPlane {
         inner.mask_at(window) | inner.mask_at(window + 1)
     }
 
-    /// Everything admission should steer around for window `window`:
-    /// fail-stop devices ([`FaultPlane::admission_mask`]) plus devices the
-    /// scorer currently classifies `Slow`.
-    pub fn exclusion_mask(&self, window: u64) -> u64 {
-        self.admission_mask(window) | self.live_slow.load(Ordering::Acquire)
-    }
-
     /// Bitmap of devices the scorer currently classifies `Slow`.
     pub fn live_slow_mask(&self) -> u64 {
         self.live_slow.load(Ordering::Acquire)
@@ -956,19 +949,6 @@ impl FaultPlane {
         ((excess as usize * accesses) / (2 * GC_FP_ONE as usize)).min(accesses / 2)
     }
 
-    /// Devices down during `window`, as indices.
-    pub fn failed_devices(&self, window: u64) -> Vec<usize> {
-        let mask = self.mask_at(window);
-        (0..self.devices).filter(|d| mask >> d & 1 == 1).collect()
-    }
-
-    /// The tightened per-window capacity while `mask` is down:
-    /// `M · live_devices` — the degraded analogue of `S(M)` the admission
-    /// path enforces via the degraded feasibility graph.
-    pub fn degraded_limit(&self, mask: u64, accesses: usize) -> usize {
-        accesses * (self.devices - mask.count_ones() as usize)
-    }
-
     pub(crate) fn note_degraded_window(&self) {
         self.degraded_windows.fetch_add(1, Ordering::Relaxed);
     }
@@ -1166,8 +1146,6 @@ mod tests {
         assert_eq!(plane.mask_at(12), 0b1010);
         assert_eq!(plane.mask_at(19), 0b1010);
         assert_eq!(plane.mask_at(20), 0);
-        assert_eq!(plane.failed_devices(13), vec![1, 3]);
-        assert_eq!(plane.degraded_limit(plane.mask_at(13), 2), 4);
     }
 
     #[test]
@@ -1188,9 +1166,8 @@ mod tests {
         let plane = FaultPlane::new(8, FaultSchedule::new()).unwrap();
         assert_eq!(plane.mask_at(123), 0);
         assert_eq!(plane.admission_mask(u64::MAX - 1), 0);
-        assert!(plane.failed_devices(7).is_empty());
         assert_eq!(plane.slow_factor_at(3, 99), 1);
-        assert_eq!(plane.exclusion_mask(9), 0);
+        assert_eq!(plane.live_slow_mask(), 0);
     }
 
     #[test]
@@ -1225,7 +1202,7 @@ mod tests {
         // to it until the scorer says otherwise.
         assert_eq!(plane.mask_at(15), 0);
         assert_eq!(plane.admission_mask(15), 0);
-        assert_eq!(plane.exclusion_mask(15), 0);
+        assert_eq!(plane.live_slow_mask(), 0);
         // Live degradation injections extend the same timeline.
         plane.inject(1, FaultKind::Slow(4), 12).unwrap();
         assert_eq!(plane.slow_factor_at(1, 12), 4);
@@ -1269,7 +1246,7 @@ mod tests {
         plane.observe(1, 10 * BASE, 5);
         assert_eq!(plane.health_state(1), DeviceHealth::Slow);
         assert_eq!(plane.live_slow_mask(), 0b10);
-        assert_eq!(plane.exclusion_mask(5), 0b10);
+        assert_eq!(plane.admission_mask(5), 0, "slow is not fail-stop");
         assert_eq!(plane.slow_detected(), 1);
         // Recovery needs a sustained normal streak, not one good sample.
         for w in 6..13 {

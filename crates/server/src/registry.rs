@@ -266,8 +266,9 @@ impl TenantRegistry {
     }
 
     /// The aggregate reservation ceiling `S(M)` this registry admits up to
-    /// (the healthy bound; per-window capacity tightens below it while
-    /// devices are down — see [`crate::FaultPlane::degraded_limit`]).
+    /// (the healthy bound; while devices are down or withheld for GC, each
+    /// window admits against its per-device capacities instead — see
+    /// `window.rs`).
     pub fn limit(&self) -> usize {
         let admission = self.admission.lock();
         admission.total() + admission.headroom()
