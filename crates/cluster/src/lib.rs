@@ -65,7 +65,7 @@ pub use ctrl::{EvacuationEvent, RebalanceEvent};
 pub use error::ClusterError;
 pub use health::{
     ArrayHealth, ClusterFaultEvent, ClusterFaultKind, ClusterFaultSchedule, ClusterFaultSpecError,
-    ClusterHealthParams, DEFAULT_ARRAY_SLOW_FACTOR,
+    DEFAULT_ARRAY_SLOW_FACTOR,
 };
 pub use metrics::ClusterMetrics;
 pub use prom::{new_page, render, MetricsExporter, MetricsPage};

@@ -34,12 +34,8 @@ fn splitmix64(mut x: u64) -> u64 {
 /// array 0. Tenant 1 submits 4/window against a reservation of 2.
 fn skewed_cluster(rebalance: bool) -> QosCluster {
     let array = ServerConfig::new(QosConfig::paper_9_3_1());
-    let cluster = QosCluster::new(
-        ClusterConfig::uniform(2, &array)
-            .with_rebalance(rebalance)
-            .with_cooldown(2),
-    )
-    .unwrap();
+    let cluster =
+        QosCluster::new(ClusterConfig::uniform(2, &array).with_rebalance(rebalance)).unwrap();
     cluster
         .register_pinned(0, 1, 2, OverloadPolicy::Reject)
         .unwrap();
@@ -149,12 +145,7 @@ fn saturated_epsilon_budget_triggers_a_compliance_restoring_rebalance() {
 #[test]
 fn migration_to_a_lower_index_array_keeps_tenant_deltas_sane() {
     let array = ServerConfig::new(QosConfig::paper_9_3_1());
-    let cluster = QosCluster::new(
-        ClusterConfig::uniform(2, &array)
-            .with_rebalance(true)
-            .with_cooldown(2),
-    )
-    .unwrap();
+    let cluster = QosCluster::new(ClusterConfig::uniform(2, &array).with_rebalance(true)).unwrap();
     // Everyone pinned on array 1, array 0 empty: the rebalance goes 1 → 0.
     cluster
         .register_pinned(1, 1, 2, OverloadPolicy::Reject)

@@ -1,6 +1,6 @@
 //! Serving-engine configuration.
 
-use crate::fault::{FaultSchedule, HealthParams};
+use crate::fault::FaultSchedule;
 use fqos_core::QosConfig;
 use fqos_flashsim::{FtlGeometry, BLOCK_READ_NS};
 use std::path::PathBuf;
@@ -134,9 +134,6 @@ pub struct ServerConfig {
     /// and otherwise serves as PR 2 did — the configuration used to
     /// demonstrate what fail-slow costs without mitigation.
     pub hedge_enabled: bool,
-    /// Health-scorer tuning: promote / recover streaks, the probe TTL and
-    /// the sample floor of the hedge threshold.
-    pub health: HealthParams,
     /// Write-ahead durability. `None` (the default) serves exactly as
     /// before this knob existed: nothing is logged and a crash loses all
     /// serving state.
@@ -161,7 +158,6 @@ impl ServerConfig {
             fault_schedule: FaultSchedule::new(),
             ring_slots: WINDOW_RING,
             hedge_enabled: true,
-            health: HealthParams::default(),
             wal: None,
             gc: None,
         }
@@ -274,7 +270,6 @@ impl ServerConfig {
                 self.ring_slots / 2
             ));
         }
-        self.health.validate()?;
         if let Some(wal) = &self.wal {
             wal.validate()?;
         }
@@ -414,30 +409,10 @@ mod tests {
     }
 
     #[test]
-    fn validate_bounds_hedge_and_health_knobs() {
-        let mut cfg = ServerConfig::new(QosConfig::paper_9_3_1()).with_hedging(false);
+    fn validate_accepts_hedging_off() {
+        let cfg = ServerConfig::new(QosConfig::paper_9_3_1()).with_hedging(false);
         assert!(!cfg.hedge_enabled);
-        cfg.health = HealthParams {
-            promote_streak: 2,
-            recover_streak: 4,
-            probe_windows: 6,
-            hedge_min_samples: 2,
-        };
         cfg.validate().unwrap();
-        let rejects = |cfg: &ServerConfig, needle: &str| {
-            let err = cfg.validate().unwrap_err();
-            assert!(err.contains(needle), "expected '{needle}' in '{err}'");
-        };
-        cfg.health.hedge_min_samples = 0;
-        rejects(&cfg, "hedge_min_samples");
-        cfg.health.hedge_min_samples = 17;
-        rejects(&cfg, "hedge_min_samples");
-        cfg.health.hedge_min_samples = 2;
-        cfg.health.promote_streak = 0;
-        rejects(&cfg, "streak");
-        cfg.health.promote_streak = 2;
-        cfg.health.probe_windows = 0;
-        rejects(&cfg, "probe_windows");
     }
 
     #[test]

@@ -539,10 +539,9 @@ impl QosServer {
             served,
             ..DispatchState::default()
         };
-        let fault = Arc::new(FaultPlane::with_health(
+        let fault = Arc::new(FaultPlane::calibrated(
             devices,
             cfg.fault_schedule.clone(),
-            cfg.health.clone(),
             cfg.qos.service_ns,
         )?);
         let engine = Arc::new(Engine {

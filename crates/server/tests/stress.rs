@@ -219,8 +219,7 @@ fn registration_churn_during_service() {
 #[test]
 fn fail_slow_under_concurrent_submitters_conserves() {
     let qos = QosConfig::paper_9_3_1(); // M = 1, S = 5
-    let mut cfg = ServerConfig::new(qos).with_workers(4).with_queue_depth(8);
-    cfg.health.hedge_min_samples = 3;
+    let cfg = ServerConfig::new(qos).with_workers(4).with_queue_depth(8);
     let server = QosServer::new(cfg).unwrap();
     server.register(1, 3, OverloadPolicy::Delay).unwrap();
     server.register(2, 2, OverloadPolicy::Delay).unwrap();

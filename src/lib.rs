@@ -62,8 +62,7 @@ pub use fqos_cluster as cluster;
 pub mod prelude {
     pub use fqos_cluster::{
         ArrayHealth, ClusterConfig, ClusterError, ClusterFaultSchedule, ClusterHandle,
-        ClusterHealthParams, ClusterMetrics, EvacuationEvent, MetricsExporter, QosCluster,
-        RebalanceEvent,
+        ClusterMetrics, EvacuationEvent, MetricsExporter, QosCluster, RebalanceEvent,
     };
     pub use fqos_core::{
         AppAdmission, BlockMapping, MappingStrategy, OverloadPolicy, QosConfig, QosPipeline,
