@@ -8,9 +8,10 @@
 //! With a capacity `cap_d` per device the right-hand side is
 //! `Σ_{d ∈ D} cap_d`; a failed device is one with capacity 0.
 //! [`CutTable`] keeps that count for every `D`, so "how many accesses does
-//! this multiset need?" and "what is the worst case over any `b` buckets?"
-//! are each one maximum over the `2^N` device sets. The table shares no code
-//! with the max-flow kernel, which makes it the kernel's independent oracle.
+//! this multiset need?", "what is the worst case over any `b` buckets?" and
+//! "how many of these requests fit at once?" are each one extremum over the
+//! `2^N` device sets. The table shares no code with the max-flow kernel,
+//! which makes it the kernel's independent oracle.
 
 use crate::scheme::{AllocationScheme, DeviceId};
 
@@ -78,16 +79,21 @@ impl CutTable {
     /// whose replicas all have capacity 0, or that names none, never fits.
     pub fn fits(&self, replicas: &[DeviceId], caps: &[u16]) -> bool {
         assert_eq!(caps.len(), self.devices, "one capacity per device");
-        let capacity = |mut set: usize| {
-            let mut sum = 0;
-            while set != 0 {
-                sum += caps[set.trailing_zeros() as usize] as usize;
-                set &= set - 1;
-            }
-            sum
-        };
         self.cuts_around(replicas)
-            .all(|d| (self.inside[d] as usize) < capacity(d))
+            .all(|d| (self.inside[d] as usize) < capacity(d, caps))
+    }
+
+    /// How many of the added requests can be served at once with device `d`
+    /// serving at most `caps[d]`: the rank of the transversal matroid they
+    /// form. By Hall and König it is `min_D (Σ_{d ∈ D} cap_d + |R| −
+    /// inside[D])`, a request outside `D` costing the cut one unit.
+    pub fn rank(&self, caps: &[u16]) -> usize {
+        assert_eq!(caps.len(), self.devices, "one capacity per device");
+        let all = self.inside[self.inside.len() - 1] as usize;
+        (0..self.inside.len())
+            .map(|d| capacity(d, caps) + all - self.inside[d] as usize)
+            .min()
+            .unwrap_or(0)
     }
 
     /// The fewest accesses that retrieve the added multiset:
@@ -108,6 +114,16 @@ impl CutTable {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// The capacity of the device set `set`: the sum of its devices'.
+fn capacity(mut set: usize, caps: &[u16]) -> usize {
+    let mut sum = 0;
+    while set != 0 {
+        sum += caps[set.trailing_zeros() as usize] as usize;
+        set &= set - 1;
+    }
+    sum
 }
 
 /// The most accesses any `b` distinct buckets of `scheme` need, exactly.
@@ -224,6 +240,22 @@ mod tests {
         assert!(t.fits(&[1, 2], &caps));
         t.add(&[1, 2]);
         assert!(!t.fits(&[0, 1, 2], &caps));
+    }
+
+    #[test]
+    fn rank_is_the_most_requests_served_at_once() {
+        // Three requests on {0, 1} and one on {2}: device 1 out and device 0
+        // serving two leaves room for two of the three, plus the fourth.
+        let mut t = CutTable::new(3);
+        assert_eq!(t.rank(&[1; 3]), 0);
+        for r in [&[0, 1][..], &[1, 0], &[0, 1], &[2]] {
+            t.add(r);
+        }
+        assert_eq!(t.rank(&[2, 0, 1]), 3);
+        assert_eq!(t.rank(&[1, 1, 1]), 3);
+        assert_eq!(t.rank(&[2, 1, 1]), 4);
+        assert_eq!(t.rank(&[0, 0, 9]), 1);
+        assert_eq!(t.rank(&[0; 3]), 0);
     }
 
     #[test]

@@ -1,13 +1,23 @@
 //! Design-theoretic allocation — the paper's scheme.
 
 use crate::scheme::{AllocationScheme, BucketId, DeviceId};
-use fqos_designs::{Design, RetrievalGuarantee, RotatedDesign};
+use fqos_designs::{known, Design, RetrievalGuarantee, RotatedDesign};
+use std::sync::{Arc, OnceLock};
 
 /// Buckets are assigned to devices by the (rotated) blocks of an
 /// `(N, c, 1)` design, giving the worst-case guarantee
 /// `S(M) = (c−1)M² + cM` buckets in `M` accesses.
+///
+/// The bucket table never changes once built, so the scheme is a handle on
+/// one shared copy: a clone bumps a reference count, and each of the
+/// paper's two layouts is built once per process.
 #[derive(Debug, Clone)]
 pub struct DesignTheoretic {
+    table: Arc<Table>,
+}
+
+#[derive(Debug)]
+struct Table {
     rotated: RotatedDesign,
     name: String,
 }
@@ -21,52 +31,56 @@ impl DesignTheoretic {
             design.k(),
             design.lambda()
         );
-        DesignTheoretic {
-            rotated: RotatedDesign::new(design),
-            name,
-        }
+        let rotated = RotatedDesign::new(design);
+        let table = Arc::new(Table { rotated, name });
+        DesignTheoretic { table }
     }
 
     /// The paper's `(9,3,1)` configuration.
     pub fn paper_9_3_1() -> Self {
-        DesignTheoretic::new(fqos_designs::known::design_9_3_1())
+        static TABLE: OnceLock<DesignTheoretic> = OnceLock::new();
+        TABLE
+            .get_or_init(|| DesignTheoretic::new(known::design_9_3_1()))
+            .clone()
     }
 
     /// The `(13,3,1)` configuration used for TPC-E.
     pub fn paper_13_3_1() -> Self {
-        DesignTheoretic::new(fqos_designs::known::design_13_3_1())
-    }
-
-    /// The underlying rotated design.
-    pub fn rotated(&self) -> &RotatedDesign {
-        &self.rotated
+        static TABLE: OnceLock<DesignTheoretic> = OnceLock::new();
+        TABLE
+            .get_or_init(|| DesignTheoretic::new(known::design_13_3_1()))
+            .clone()
     }
 
     /// The worst-case retrieval guarantee.
     pub fn guarantee(&self) -> RetrievalGuarantee {
-        self.rotated.guarantee()
+        RetrievalGuarantee::of(self.table.rotated.design())
     }
 }
 
 impl AllocationScheme for DesignTheoretic {
     fn name(&self) -> &str {
-        &self.name
+        &self.table.name
     }
 
     fn devices(&self) -> usize {
-        self.rotated.devices()
+        self.table.rotated.devices()
     }
 
     fn copies(&self) -> usize {
-        self.rotated.copies()
+        self.table.rotated.copies()
     }
 
+    // Every submit looks its bucket up through these two: they are inlined
+    // into the engine across the crate boundary.
+    #[inline]
     fn num_buckets(&self) -> usize {
-        self.rotated.num_buckets()
+        self.table.rotated.num_buckets()
     }
 
+    #[inline]
     fn replicas(&self, bucket: BucketId) -> &[DeviceId] {
-        self.rotated.replicas(bucket)
+        self.table.rotated.replicas(bucket)
     }
 }
 
@@ -90,6 +104,37 @@ mod tests {
         s.validate().unwrap();
         assert_eq!(s.devices(), 13);
         assert_eq!(s.num_buckets(), 78);
+    }
+
+    #[test]
+    fn clones_and_paper_configurations_share_one_table() {
+        let table = |s: &DesignTheoretic| s.replicas(0).as_ptr();
+        let paper = DesignTheoretic::paper_13_3_1();
+        assert_eq!(table(&paper), table(&paper.clone()));
+        assert_eq!(table(&paper), table(&DesignTheoretic::paper_13_3_1()));
+        assert_ne!(table(&paper), table(&DesignTheoretic::paper_9_3_1()));
+        let built = DesignTheoretic::new(fqos_designs::known::design_13_3_1());
+        assert_eq!(table(&built), table(&built.clone()));
+        assert_ne!(table(&built), table(&paper));
+    }
+
+    #[test]
+    fn catalog_designs_make_valid_schemes() {
+        // The designs `fqos-designs` checks its rotation rule on.
+        let catalog = fqos_designs::DesignCatalog;
+        for design in (2..=5).flat_map(|k| (3..=45).filter_map(move |v| catalog.find(v, k).ok())) {
+            let s = DesignTheoretic::new(design);
+            assert_eq!(s.validate(), Ok(()), "{}", s.name());
+        }
+    }
+
+    #[test]
+    fn lbn_modulo_mapping() {
+        let s = DesignTheoretic::paper_9_3_1();
+        assert_eq!(s.bucket_for_lbn(0), 0);
+        assert_eq!(s.bucket_for_lbn(36), 0);
+        assert_eq!(s.bucket_for_lbn(37), 1);
+        assert_eq!(s.bucket_for_lbn(u64::MAX), (u64::MAX % 36) as usize);
     }
 
     #[test]

@@ -30,8 +30,7 @@ pub struct Design {
 impl Design {
     /// Build a design from raw blocks without verifying the axioms.
     ///
-    /// Use [`Design::verify`] (or [`Design::new_verified`]) before trusting
-    /// the retrieval guarantees.
+    /// Use [`Design::verify`] before trusting the retrieval guarantees.
     pub fn new_unchecked(v: usize, k: usize, lambda: usize, blocks: Vec<Block>) -> Self {
         Design {
             v,
@@ -39,19 +38,6 @@ impl Design {
             lambda,
             blocks,
         }
-    }
-
-    /// Build a design and verify every axiom; returns the design only if it
-    /// is a genuine `(v, k, λ)` design.
-    pub fn new_verified(
-        v: usize,
-        k: usize,
-        lambda: usize,
-        blocks: Vec<Block>,
-    ) -> Result<Self, DesignError> {
-        let d = Design::new_unchecked(v, k, lambda, blocks);
-        d.verify()?;
-        Ok(d)
     }
 
     /// Number of points (devices).

@@ -7,7 +7,6 @@
 //! `N(N−1)/(c−1)` buckets — 36 for the `(9,3,1)` design.
 
 use crate::design::{Design, DeviceId};
-use crate::guarantee::RetrievalGuarantee;
 
 /// Identifier of a bucket (a design-block slot that data blocks are matched
 /// to; *not* a raw LBN — that mapping is done by the FIM matcher).
@@ -17,28 +16,26 @@ pub type BucketId = usize;
 ///
 /// Bucket `i` corresponds to design block `i / k` rotated by `i % k`
 /// positions; the tuple's first entry is the device storing the primary
-/// copy, the second the secondary, and so on.
+/// copy, the second the secondary, and so on. The tuples sit back to back
+/// in one allocation of stride `k`.
 #[derive(Debug, Clone)]
 pub struct RotatedDesign {
     design: Design,
-    /// `buckets[i]` = ordered device tuple for bucket `i`.
-    buckets: Vec<Vec<DeviceId>>,
+    /// `buckets[i·k .. (i+1)·k]` = ordered device tuple for bucket `i`.
+    buckets: Box<[DeviceId]>,
 }
 
 impl RotatedDesign {
     /// Expand a design into its full rotation table.
     pub fn new(design: Design) -> Self {
         let k = design.k();
-        let mut buckets = Vec::with_capacity(design.num_blocks() * k);
+        let mut buckets = Vec::with_capacity(design.num_blocks() * k * k);
         for block in design.blocks() {
             for rot in 0..k {
-                let mut tuple = Vec::with_capacity(k);
-                for pos in 0..k {
-                    tuple.push(block[(pos + rot) % k]);
-                }
-                buckets.push(tuple);
+                buckets.extend((0..k).map(|pos| block[(pos + rot) % k]));
             }
         }
+        let buckets = buckets.into_boxed_slice();
         RotatedDesign { design, buckets }
     }
 
@@ -58,42 +55,30 @@ impl RotatedDesign {
     }
 
     /// Total number of buckets (`num_blocks · k`).
+    #[inline]
     pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
+        self.design.num_blocks() * self.copies()
     }
 
     /// Ordered replica tuple of a bucket. Panics if out of range.
+    #[inline]
     pub fn replicas(&self, bucket: BucketId) -> &[DeviceId] {
-        &self.buckets[bucket]
-    }
-
-    /// The device storing the primary (first) copy of a bucket.
-    pub fn primary(&self, bucket: BucketId) -> DeviceId {
-        self.buckets[bucket][0]
-    }
-
-    /// The worst-case retrieval guarantee of this declustering.
-    pub fn guarantee(&self) -> RetrievalGuarantee {
-        RetrievalGuarantee::of(&self.design)
-    }
-
-    /// Map an arbitrary data-block number to a bucket by the paper's modulo
-    /// fallback rule (`dataBlockNumber % numberOfDesignBlocks`).
-    pub fn bucket_for_lbn(&self, lbn: u64) -> BucketId {
-        (lbn % self.buckets.len() as u64) as usize
+        let k = self.copies();
+        &self.buckets[bucket * k..][..k]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guarantee::RetrievalGuarantee;
     use crate::known;
 
     #[test]
     fn rotation_of_9_3_1_supports_36_buckets() {
         let rd = RotatedDesign::new(known::design_9_3_1());
         assert_eq!(rd.num_buckets(), 36);
-        assert_eq!(rd.guarantee().supported_buckets(), 36);
+        assert_eq!(RetrievalGuarantee::of(rd.design()).supported_buckets(), 36);
     }
 
     #[test]
@@ -128,18 +113,9 @@ mod tests {
         let rd = RotatedDesign::new(known::design_9_3_1());
         let mut counts = vec![0usize; rd.devices()];
         for b in 0..rd.num_buckets() {
-            counts[rd.primary(b)] += 1;
+            counts[rd.replicas(b)[0]] += 1;
         }
         let r = rd.design().replication_number();
         assert!(counts.iter().all(|&c| c == r), "{counts:?}");
-    }
-
-    #[test]
-    fn lbn_modulo_mapping() {
-        let rd = RotatedDesign::new(known::design_9_3_1());
-        assert_eq!(rd.bucket_for_lbn(0), 0);
-        assert_eq!(rd.bucket_for_lbn(36), 0);
-        assert_eq!(rd.bucket_for_lbn(37), 1);
-        assert_eq!(rd.bucket_for_lbn(u64::MAX), (u64::MAX % 36) as usize);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the design substrate.
 
 use fqos_designs::{
-    design::Design, guarantee::RetrievalGuarantee, rotation::RotatedDesign,
+    design::Design, guarantee::RetrievalGuarantee, known, rotation::RotatedDesign,
     steiner::steiner_triple_system, DesignCatalog,
 };
 use proptest::prelude::*;
@@ -74,13 +74,31 @@ proptest! {
     }
 }
 
+/// Every design the catalog builds on up to 45 devices, and the three
+/// known ones: the flat bucket table holds block `b / k` rotated by `b % k`
+/// at bucket `b`, for every bucket, and nothing else.
 #[test]
-fn catalog_designs_rotation_counts() {
-    let c = DesignCatalog;
-    for v in [7usize, 9, 13, 15, 19, 21, 27] {
-        let d = c.find(v, 3).unwrap();
-        let rd = RotatedDesign::new(d);
-        assert_eq!(rd.num_buckets(), v * (v - 1) / 2, "v = {v}");
+fn bucket_tables_follow_the_rotation_rule() {
+    let catalog =
+        (2..=5usize).flat_map(|k| (3..=45).filter_map(move |v| DesignCatalog.find(v, k).ok()));
+    let designs: Vec<Design> = catalog
+        .chain([
+            known::design_7_3_1(),
+            known::design_9_3_1(),
+            known::design_13_3_1(),
+        ])
+        .collect();
+    assert!(designs.len() > 40, "{} designs", designs.len());
+    for d in designs {
+        d.verify().unwrap();
+        let (v, k) = (d.v(), d.k());
+        let rd = RotatedDesign::new(d.clone());
+        assert_eq!(rd.num_buckets(), v * (v - 1) / (k - 1), "({v},{k},1)");
+        for b in 0..rd.num_buckets() {
+            let block = &d.blocks()[b / k];
+            let rotated: Vec<_> = (0..k).map(|pos| block[(pos + b % k) % k]).collect();
+            assert_eq!(rd.replicas(b), rotated, "({v},{k},1) bucket {b}");
+        }
     }
 }
 

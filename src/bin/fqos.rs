@@ -200,6 +200,31 @@ fn require_num<T: std::str::FromStr>(opts: &Options, key: &str) -> Result<T, Str
         .map_err(|_| format!("--{key}: cannot parse '{v}'"))
 }
 
+/// The validated deployment of every subcommand that runs one: the
+/// catalog's `(devices, copies, 1)` design, `accesses` per interval of
+/// `interval_ns`, Delay on overload.
+fn qos_config(
+    devices: usize,
+    copies: usize,
+    accesses: usize,
+    interval_ns: u64,
+    epsilon: f64,
+) -> Result<QosConfig, String> {
+    let design = DesignCatalog
+        .find(devices, copies)
+        .map_err(|e| e.to_string())?;
+    let qos = QosConfig {
+        scheme: flash_qos::decluster::DesignTheoretic::new(design),
+        accesses,
+        interval_ns,
+        epsilon,
+        policy: OverloadPolicy::Delay,
+        service_ns: BLOCK_READ_NS,
+    };
+    qos.validate()?;
+    Ok(qos)
+}
+
 fn cmd_design(opts: &Options) -> Result<(), String> {
     let devices: usize = require_num(opts, "devices")?;
     let copies: usize = get_num(opts, "copies", 3)?;
@@ -270,18 +295,7 @@ fn cmd_analyze(opts: &Options) -> Result<(), String> {
         trace.num_intervals()
     );
 
-    let design = DesignCatalog
-        .find(devices, copies)
-        .map_err(|e| e.to_string())?;
-    let config = QosConfig {
-        scheme: flash_qos::decluster::DesignTheoretic::new(design),
-        accesses: 1,
-        interval_ns: (interval_ms * 1e6) as u64,
-        epsilon,
-        policy: OverloadPolicy::Delay,
-        service_ns: BLOCK_READ_NS,
-    };
-    config.validate().map_err(|e| e.to_string())?;
+    let config = qos_config(devices, copies, 1, (interval_ms * 1e6) as u64, epsilon)?;
     let limit = config.request_limit();
     let pipeline = QosPipeline::new(config).with_mapping(mapping);
 
@@ -400,18 +414,13 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         .validate_for(devices, Some(windows))
         .map_err(|e| format!("--fault-schedule: {e}"))?;
 
-    let design = DesignCatalog
-        .find(devices, copies)
-        .map_err(|e| e.to_string())?;
-    let qos = QosConfig {
-        scheme: flash_qos::decluster::DesignTheoretic::new(design),
+    let qos = qos_config(
+        devices,
+        copies,
         accesses,
-        interval_ns: accesses as u64 * BASE_INTERVAL_NS,
+        accesses as u64 * BASE_INTERVAL_NS,
         epsilon,
-        policy: OverloadPolicy::Delay,
-        service_ns: BLOCK_READ_NS,
-    };
-    qos.validate().map_err(|e| e.to_string())?;
+    )?;
     let limit = qos.request_limit();
     let pool = AllocationScheme::num_buckets(&qos.scheme) as u64;
     let interval_ns = qos.interval_ns;
@@ -806,18 +815,13 @@ fn cmd_cluster(opts: &Options) -> Result<(), String> {
         }
     }
 
-    let design = DesignCatalog
-        .find(devices, copies)
-        .map_err(|e| e.to_string())?;
-    let qos = QosConfig {
-        scheme: flash_qos::decluster::DesignTheoretic::new(design),
+    let qos = qos_config(
+        devices,
+        copies,
         accesses,
-        interval_ns: accesses as u64 * BASE_INTERVAL_NS,
+        accesses as u64 * BASE_INTERVAL_NS,
         epsilon,
-        policy: OverloadPolicy::Delay,
-        service_ns: BLOCK_READ_NS,
-    };
-    qos.validate().map_err(|e| e.to_string())?;
+    )?;
     let limit = qos.request_limit();
     let pool = AllocationScheme::num_buckets(&qos.scheme) as u64;
     let interval_ns = qos.interval_ns;
