@@ -18,11 +18,12 @@ use crate::config::QosConfig;
 use crate::mapping::BlockMapping;
 use crate::report::QosReport;
 use fqos_decluster::retrieval::hybrid_retrieval;
-use fqos_decluster::sampling::{optimal_retrieval_probabilities, OptimalRetrievalProbabilities};
+use fqos_decluster::sampling::OptimalRetrievalProbabilities;
 use fqos_decluster::AllocationScheme;
 use fqos_flashsim::{CalibratedSsd, FlashArray, IoRequest, SimTime};
 use fqos_traces::Trace;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The interval-aligned scheduler.
 #[derive(Debug, Clone)]
@@ -31,8 +32,9 @@ pub struct IntervalQos {
     /// Enforce the `S(M)` per-interval admission limit (on for the QoS
     /// system, off for the RAID baselines).
     admission: bool,
-    /// `P_k` table for statistical admission (ε > 0), sampled once.
-    p_k: Option<OptimalRetrievalProbabilities>,
+    /// `P_k` table for statistical admission (ε > 0): the scheme's shared
+    /// one, sampled once per process.
+    p_k: Option<Arc<OptimalRetrievalProbabilities>>,
 }
 
 #[derive(Debug, Clone)]
@@ -50,7 +52,9 @@ impl IntervalQos {
         config.validate().expect("invalid QoS configuration");
         let p_k = (config.epsilon > 0.0).then(|| {
             let k_max = config.scheme.num_buckets().min(4 * config.request_limit());
-            optimal_retrieval_probabilities(&config.scheme, k_max, 20_000, 0xF19u64)
+            config
+                .scheme
+                .retrieval_probabilities(k_max, 20_000, 0xF19u64)
         });
         IntervalQos {
             config,

@@ -19,10 +19,11 @@ use crate::config::{OverloadPolicy, QosConfig};
 use crate::mapping::BlockMapping;
 use crate::report::QosReport;
 use crate::scheduler::{window_of, WindowBudgets};
-use fqos_decluster::sampling::{optimal_retrieval_probabilities, OptimalRetrievalProbabilities};
+use fqos_decluster::sampling::OptimalRetrievalProbabilities;
 use fqos_decluster::AllocationScheme;
 use fqos_flashsim::{CalibratedSsd, FlashArray, IoRequest, SimTime};
 use fqos_traces::Trace;
+use std::sync::Arc;
 
 /// Number of Monte-Carlo trials used to build the `P_k` table when the
 /// statistical mode is enabled.
@@ -32,33 +33,32 @@ const P_K_TRIALS: usize = 20_000;
 #[derive(Debug, Clone)]
 pub struct OnlineQos {
     config: QosConfig,
-    p_k: Option<OptimalRetrievalProbabilities>,
+    p_k: Option<Arc<OptimalRetrievalProbabilities>>,
 }
 
 impl OnlineQos {
-    /// Build a scheduler; in statistical mode (`ε > 0`) this samples the
-    /// scheme's `P_k` table once up front (§III-B1).
+    /// Build a scheduler; in statistical mode (`ε > 0`) it reads the
+    /// scheme's `P_k` table, sampled once up front (§III-B1) and shared by
+    /// every scheduler on the same layout, so an ε sweep samples it once.
     pub fn new(config: QosConfig) -> Self {
         config.validate().expect("invalid QoS configuration");
         let p_k = (config.epsilon > 0.0).then(|| {
             let k_max = config.scheme.num_buckets().min(4 * config.request_limit());
-            optimal_retrieval_probabilities(&config.scheme, k_max, P_K_TRIALS, 0xF19u64)
+            config
+                .scheme
+                .retrieval_probabilities(k_max, P_K_TRIALS, 0xF19u64)
         });
         OnlineQos { config, p_k }
-    }
-
-    /// Build with a precomputed `P_k` table (avoids resampling in sweeps).
-    pub fn with_probabilities(config: QosConfig, p_k: OptimalRetrievalProbabilities) -> Self {
-        config.validate().expect("invalid QoS configuration");
-        OnlineQos {
-            config,
-            p_k: Some(p_k),
-        }
     }
 
     /// The configuration.
     pub fn config(&self) -> &QosConfig {
         &self.config
+    }
+
+    /// The `P_k` table statistical admission reads (`ε > 0` only).
+    pub fn probabilities(&self) -> Option<&OptimalRetrievalProbabilities> {
+        self.p_k.as_deref()
     }
 
     /// Run a trace through the scheduler with the given block mapping.

@@ -1,13 +1,15 @@
 //! Heap allocations of a `QosConfig` — a count, not a timing. The paper's
 //! bucket tables are built once per process and shared, so a config costs
 //! a reference count: a rebuild per call or a deep copy per clone shows
-//! here as a hundred allocations where 0 belong.
+//! here as a hundred allocations where 0 belong. The same holds for a
+//! layout's `P_k` table once sampled: resampling shows as allocations.
 
 use fqos_core::QosConfig;
 use fqos_decluster::{AllocationScheme, DesignTheoretic};
 use fqos_designs::DesignCatalog;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -46,8 +48,8 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 /// A custom design's table: the shared handle, the flat bucket table and
-/// the name — measured at 3.
-const BOUND_PER_TABLE: u64 = 4;
+/// the name. Its `P_k` memo starts empty and allocates nothing.
+const PER_TABLE: u64 = 3;
 
 // The only test in this binary: a second one would allocate concurrently.
 #[test]
@@ -63,6 +65,14 @@ fn paper_configs_allocate_once_per_process_and_custom_tables_a_constant() {
     assert_eq!(n, 0, "QosConfig::clone");
     drop((warm, copy));
 
+    // A `P_k` table is sampled once per layout and sampling: a second
+    // request, from any clone, is a reference count.
+    let scheme = DesignTheoretic::paper_9_3_1();
+    let first = scheme.retrieval_probabilities(12, 200, 7);
+    let (n, again) = allocations(|| scheme.clone().retrieval_probabilities(12, 200, 7));
+    assert_eq!(n, 0, "a P_k memo hit");
+    assert!(Arc::ptr_eq(&first, &again));
+
     let mut counts = Vec::new();
     for (devices, buckets) in [(7, 21), (13, 78), (27, 351)] {
         let design = DesignCatalog.find(devices, 3).expect("catalog design");
@@ -71,6 +81,5 @@ fn paper_configs_allocate_once_per_process_and_custom_tables_a_constant() {
         println!("DesignTheoretic::new on {buckets} buckets: {n} allocations");
         counts.push(n);
     }
-    assert!(counts[0] <= BOUND_PER_TABLE, "{counts:?}");
-    assert!(counts.iter().all(|&n| n == counts[0]), "{counts:?}");
+    assert_eq!(counts, [PER_TABLE; 3]);
 }

@@ -111,16 +111,20 @@ fn over_admitted_requests_are_still_served() {
 }
 
 #[test]
-fn precomputed_probability_table_matches_internal_sampling() {
-    // with_probabilities exists so ε sweeps can share one P_k table; it
-    // must behave identically to the internally sampled table when seeded
-    // the same way.
-    let trace = bursty_trace(30);
-    let cfg = QosConfig::paper_9_3_1().with_epsilon(0.02);
+fn schedulers_at_different_epsilon_share_one_probability_table() {
+    // An ε sweep samples the layout's P_k table once: every scheduler on
+    // it reads the same table, bit for bit the one sampled directly.
+    let cfg = QosConfig::paper_9_3_1();
+    let a = OnlineQos::new(cfg.clone().with_epsilon(0.02));
+    let b = OnlineQos::new(cfg.clone().with_epsilon(0.3));
+    let (pa, pb) = (a.probabilities().unwrap(), b.probabilities().unwrap());
+    assert!(std::ptr::eq(pa, pb), "one table per layout and sampling");
     let k_max = cfg.scheme.num_buckets().min(4 * cfg.request_limit());
-    let table = optimal_retrieval_probabilities(&cfg.scheme, k_max, 20_000, 0xF19u64);
-    let a = OnlineQos::new(cfg.clone()).run(&trace, &mut modulo_mapping());
-    let b = OnlineQos::with_probabilities(cfg, table).run(&trace, &mut modulo_mapping());
-    assert_eq!(a.delayed_pct(), b.delayed_pct());
-    assert_eq!(a.total_response.mean_ns(), b.total_response.mean_ns());
+    let cold = optimal_retrieval_probabilities(&cfg.scheme, k_max, 20_000, 0xF19u64);
+    let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&pa.p), bits(&cold.p));
+    assert!(
+        OnlineQos::new(cfg).probabilities().is_none(),
+        "ε = 0 samples nothing"
+    );
 }

@@ -1,8 +1,9 @@
 //! Design-theoretic allocation — the paper's scheme.
 
+use crate::sampling::{optimal_retrieval_probabilities, OptimalRetrievalProbabilities};
 use crate::scheme::{AllocationScheme, BucketId, DeviceId};
 use fqos_designs::{known, Design, RetrievalGuarantee, RotatedDesign};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Buckets are assigned to devices by the (rotated) blocks of an
 /// `(N, c, 1)` design, giving the worst-case guarantee
@@ -10,7 +11,9 @@ use std::sync::{Arc, OnceLock};
 ///
 /// The bucket table never changes once built, so the scheme is a handle on
 /// one shared copy: a clone bumps a reference count, and each of the
-/// paper's two layouts is built once per process.
+/// paper's two layouts is built once per process. The `P_k` tables sampled
+/// on the layout live in the same copy (see
+/// [`retrieval_probabilities`](Self::retrieval_probabilities)).
 #[derive(Debug, Clone)]
 pub struct DesignTheoretic {
     table: Arc<Table>,
@@ -20,7 +23,14 @@ pub struct DesignTheoretic {
 struct Table {
     rotated: RotatedDesign,
     name: String,
+    /// Every `P_k` table sampled on this layout, by `(k_max, trials, seed)`.
+    /// A leaf lock: taken by constructors only, never on a submit path, and
+    /// nothing else is locked while it is held.
+    probabilities: Mutex<Vec<(ProbabilityKey, Arc<OptimalRetrievalProbabilities>)>>,
 }
+
+/// `(k_max, trials, seed)`.
+type ProbabilityKey = (usize, usize, u64);
 
 impl DesignTheoretic {
     /// Build from a verified design.
@@ -32,7 +42,11 @@ impl DesignTheoretic {
             design.lambda()
         );
         let rotated = RotatedDesign::new(design);
-        let table = Arc::new(Table { rotated, name });
+        let table = Arc::new(Table {
+            rotated,
+            name,
+            probabilities: Mutex::new(Vec::new()),
+        });
         DesignTheoretic { table }
     }
 
@@ -50,6 +64,34 @@ impl DesignTheoretic {
         TABLE
             .get_or_init(|| DesignTheoretic::new(known::design_13_3_1()))
             .clone()
+    }
+
+    /// The paper's with-replacement `P_k` table for `k = 1..=k_max`
+    /// ([`optimal_retrieval_probabilities`]), sampled once per layout and
+    /// exact `(k_max, trials, seed)`: later calls, from this handle or any
+    /// clone of it, share the first one's table. A longer table is never
+    /// handed out for a shorter request, because sizes past the table read
+    /// `P_k = 1`.
+    pub fn retrieval_probabilities(
+        &self,
+        k_max: usize,
+        trials: usize,
+        seed: u64,
+    ) -> Arc<OptimalRetrievalProbabilities> {
+        let key = (k_max, trials, seed);
+        // Held across the build, so concurrent set-ups wait for one table
+        // instead of each sampling their own.
+        let mut memo = self
+            .table
+            .probabilities
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, table)) = memo.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(optimal_retrieval_probabilities(self, k_max, trials, seed));
+        memo.push((key, Arc::clone(&table)));
+        table
     }
 
     /// The worst-case retrieval guarantee.

@@ -11,9 +11,11 @@
 //! became a loop over the kernel.
 
 use fqos_decluster::retrieval::max_flow_retrieval;
-use fqos_decluster::sampling::optimal_retrieval_probabilities;
+use fqos_decluster::sampling::{optimal_retrieval_probabilities, OptimalRetrievalProbabilities};
 use fqos_decluster::{AllocationScheme, DesignTheoretic};
+use fqos_designs::known;
 use fqos_maxflow::IncrementalRetrieval;
+use std::sync::Arc;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -120,17 +122,39 @@ fn golden_13_3_1_m3() {
     assert_eq!(fingerprint(&s, 3, &[0, 1, 4], 13), 0x044d_317a_ceb3_ca5c);
 }
 
-/// FNV over the bit patterns of the `P_k` table the serving engine builds
-/// for an ε > 0 deployment (`k_max = 2·S(M) + 8`, 1500 trials, its seed).
-fn p_table_fingerprint(scheme: &DesignTheoretic, accesses: usize) -> u64 {
-    let k_max = 2 * scheme.guarantee().buckets_in(accesses) + 8;
-    let table = optimal_retrieval_probabilities(scheme, k_max, 1500, 0x5eed_cafe);
-    assert_eq!(table.p.len(), k_max);
+/// The `k_max` of the `P_k` table the serving engine builds for an ε > 0
+/// deployment at `M = accesses`: `2·S(M) + 8`.
+fn engine_k_max(scheme: &DesignTheoretic, accesses: usize) -> usize {
+    2 * scheme.guarantee().buckets_in(accesses) + 8
+}
+
+/// FNV over the bit patterns of a `P_k` table.
+fn p_table_fingerprint(table: &OptimalRetrievalProbabilities) -> u64 {
     let mut h = FNV_OFFSET;
-    for p in table.p {
+    for p in &table.p {
         fnv(&mut h, p.to_bits());
     }
     h
+}
+
+/// The engine's table (1500 trials, its seed) sampled directly, then twice
+/// through the design's memo: all three carry the pinned bits, and the
+/// memo hands out one table.
+fn memo_p_table(
+    scheme: &DesignTheoretic,
+    accesses: usize,
+    golden: u64,
+) -> Arc<OptimalRetrievalProbabilities> {
+    let k_max = engine_k_max(scheme, accesses);
+    let cold = optimal_retrieval_probabilities(scheme, k_max, 1500, 0x5eed_cafe);
+    assert_eq!(cold.p.len(), k_max);
+    assert_eq!(p_table_fingerprint(&cold), golden, "cold");
+    let first = scheme.retrieval_probabilities(k_max, 1500, 0x5eed_cafe);
+    assert_eq!(p_table_fingerprint(&first), golden, "first memo call");
+    let second = scheme.retrieval_probabilities(k_max, 1500, 0x5eed_cafe);
+    assert_eq!(p_table_fingerprint(&second), golden, "second memo call");
+    assert!(Arc::ptr_eq(&first, &second), "the memo samples once");
+    first
 }
 
 /// FNV over the optimal access count of 300 Zipf-skewed request sets of
@@ -161,10 +185,29 @@ fn accesses_fingerprint(scheme: &DesignTheoretic, seed: u64) -> u64 {
 #[test]
 fn golden_p_k_tables() {
     // (9,3,1) at M = 2, and the `stat_overflow` deployment: (13,3,1), M = 3.
-    let s = DesignTheoretic::paper_9_3_1();
-    assert_eq!(p_table_fingerprint(&s, 2), 0x1b40_ab1d_db6e_7eef);
-    let s = DesignTheoretic::paper_13_3_1();
-    assert_eq!(p_table_fingerprint(&s, 3), 0x77f0_ac3f_7880_b17d);
+    // No other test here samples on the paper layouts, so the first memo
+    // call is the one that builds.
+    memo_p_table(&DesignTheoretic::paper_9_3_1(), 2, 0x1b40_ab1d_db6e_7eef);
+    let paper = memo_p_table(&DesignTheoretic::paper_13_3_1(), 3, 0x77f0_ac3f_7880_b17d);
+    // The same design built apart from the paper's layout has its own
+    // memo: the same bits, another table.
+    let built = DesignTheoretic::new(known::design_13_3_1());
+    let built = memo_p_table(&built, 3, 0x77f0_ac3f_7880_b17d);
+    assert!(!Arc::ptr_eq(&paper, &built));
+}
+
+#[test]
+fn memo_is_keyed_on_the_exact_size() {
+    // A shorter request after a longer one gets a table of its own size:
+    // sizes past a table read P_k = 1, so handing out the longer one would
+    // change admission.
+    let scheme = DesignTheoretic::new(known::design_13_3_1());
+    let long = scheme.retrieval_probabilities(62, 1500, 0x5eed_cafe);
+    assert!(long.p_k(37) < 1.0);
+    let short = scheme.retrieval_probabilities(36, 1500, 0x5eed_cafe);
+    assert_eq!(short.p.len(), 36);
+    assert_eq!(short.p_k(37), 1.0);
+    assert_eq!(short.p[..], long.p[..36], "each size has its own stream");
 }
 
 #[test]
