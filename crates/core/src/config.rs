@@ -88,9 +88,12 @@ impl QosConfig {
         self.scheme.guarantee().devices
     }
 
-    /// Sanity-check: `M` accesses must fit in the interval, or no guarantee
-    /// can ever be met.
+    /// Sanity-check: `M` must be at least one access, and `M` accesses must
+    /// fit in the interval, or no guarantee can ever be met.
     pub fn validate(&self) -> Result<(), String> {
+        if self.accesses == 0 {
+            return Err("M = 0 accesses: at least one access per interval".into());
+        }
         let needed = self.accesses as u64 * self.service_ns;
         if needed > self.interval_ns {
             return Err(format!(
@@ -125,6 +128,13 @@ mod tests {
         c.accesses = 2; // 2 × 0.1325 ms > 0.133 ms
         assert!(c.validate().is_err());
         assert!(QosConfig::paper_9_3_1().with_accesses(2).validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_zero_accesses() {
+        let mut c = QosConfig::paper_9_3_1();
+        c.accesses = 0;
+        assert!(c.validate().unwrap_err().contains("M = 0"));
     }
 
     #[test]

@@ -1897,6 +1897,14 @@ mod tests {
     }
 
     #[test]
+    fn zero_accesses_is_a_config_error() {
+        let mut qos = QosConfig::paper_9_3_1();
+        qos.accesses = 0;
+        let err = QosServer::new(ServerConfig::new(qos)).err();
+        assert!(err.is_some_and(|e| e.contains("M = 0")));
+    }
+
+    #[test]
     fn delay_policy_spreads_a_burst_over_windows() {
         let s = server();
         // Reservation 2 per interval; a burst of 6 in window 0 spreads over

@@ -39,15 +39,14 @@ use fqos_sync::{model_with, Config, Report};
 
 /// A 2-worker, 8-slot-ring configuration small enough for exhaustive
 /// schedule exploration: single registry shard, depth-2 worker queues,
-/// greedy EFT assignment (replica choice resolved at submit, so seal-time
-/// work is the drain itself).
+/// and the default max-flow assignment, so every schedule explores the
+/// admission and seal path production runs.
 fn model_cfg() -> ServerConfig {
     let mut cfg = ServerConfig::new(QosConfig::paper_9_3_1())
         .with_workers(2)
         .with_queue_depth(2)
         .with_ring_slots(8)
-        .with_delay_horizon(2)
-        .with_assignment(fqos_server::AssignmentMode::Eft);
+        .with_delay_horizon(2);
     cfg.shards = 1;
     cfg
 }

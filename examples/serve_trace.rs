@@ -16,13 +16,8 @@ fn main() {
     let limit = qos.request_limit(); // S(2) = 14
     let interval_ns = qos.interval_ns;
     let pool = qos.scheme.num_buckets() as u64;
-    let server = QosServer::new(
-        ServerConfig::new(qos)
-            .with_workers(4)
-            .with_queue_depth(32)
-            .with_assignment(AssignmentMode::OptimalFlow),
-    )
-    .expect("valid config");
+    let server = QosServer::new(ServerConfig::new(qos).with_workers(4).with_queue_depth(32))
+        .expect("valid config");
 
     // Reservations 7 + 4 + 3 = 14 = S(2): the admission controller is full.
     let plan: &[(u64, usize, usize)] = &[

@@ -1,96 +1,70 @@
 //! `fqos` — command-line front end for the flash-qos library.
 //!
-//! ```text
-//! fqos design   --devices 9 [--copies 3]
-//!     Print the design, its rotation table size and S(M) guarantees.
-//!
-//! fqos generate --blocks 5 --interval-ms 0.133 --total 10000 [--pool 36] [--seed N]
-//!     Emit a synthetic DiskSim-style ASCII trace on stdout (§V-B1).
-//!
-//! fqos analyze  --trace FILE --devices 9 [--copies 3] [--interval-ms 0.133]
-//!               [--epsilon 0.0] [--mapping fim|modulo|roundrobin]
-//!               [--reporting-ms 100]
-//!     Run a trace through the QoS pipeline and print the per-interval
-//!     report plus the original-layout comparison.
-//!
-//! fqos serve    --devices 9 [--copies 3] [--accesses 1] [--workers 4]
-//!               [--submitters 3] [--windows 500] [--epsilon 0.0]
-//!               [--queue-depth 64] [--mode flow|eft] [--seed N]
-//!               [--write-ratio F] [--burst HEIGHT@START+LEN] [--gc OP]
-//!               [--fault-schedule "fail:D@W,recover:D@W,slow:D@W[xF],restore:D@W,..."]
-//!               [--no-hedge] [--wal-dir DIR [--wal-batch N] [--wal-snapshot K]]
-//!               [--recover]
-//!     Replay a synthetic timestamped trace through the concurrent serving
-//!     engine: one submitter thread per tenant against a worker pool, then
-//!     print the serving report and the deadline audit. A fault schedule
-//!     scripts device failures/recoveries and silent fail-slow episodes
-//!     (`slow:D@W` degrades device D 10× from window W, `slow:D@WxF` by
-//!     factor F, `restore:D@W` heals it) at window boundaries; the audit
-//!     then also reports degraded windows, re-routes, losses, and the
-//!     fail-slow counters (detections, hedges, retries). `--no-hedge`
-//!     disables speculative re-dispatch so the two runs can be compared.
-//!     `--write-ratio` converts that share of the workload into writes,
-//!     each fanned out to all `c` replicas; `--burst HEIGHT@START+LEN`
-//!     spikes every tenant's rate to HEIGHT blocks per window for LEN
-//!     windows starting at START (a flash crowd); `--gc OP` turns on the
-//!     FTL write/GC model at over-provisioning OP, so sustained writes
-//!     trigger garbage collection whose relocation and erase stalls show
-//!     up in the gc audit and the read-compliance line.
-//!     `--wal-dir` makes every admission durable in a write-ahead log
-//!     before it is acknowledged (fsynced every `--wal-batch` records,
-//!     compacted every `--wal-snapshot` seals); after a crash — even a
-//!     `kill -9` — `--recover` replays the log, re-parks what was admitted
-//!     but unsettled, charges seal-stranded residue as crash losses, and
-//!     continues the run from the first unsealed window.
-//!
-//! fqos cluster  --arrays 4 [--devices 9] [--copies 3] [--accesses 1]
-//!               [--submitters 8] [--windows 200] [--seed N] [--reserve R]
-//!               [--pin "T:A,..."] [--burst "T:RATE,..."]
-//!               [--fault-schedules "A:SPEC;A:SPEC"]
-//!               [--chaos-schedule "kill:A@T,restore:A@T,slow:A@T[xF]"]
-//!               [--metrics-addr HOST:PORT] [--linger-ms MS]
-//!               [--no-rebalance] [--no-hedge]
-//!     Run N arrays as one fleet behind the consistent-hash routing tier:
-//!     tenants shard across arrays, the ε-budget control loop migrates
-//!     tenants off saturated arrays, a Prometheus endpoint serves per-array
-//!     metrics, and the run fails unless the cluster conservation law
-//!     closes. `--pin` + `--burst` provoke the skew that forces a
-//!     rebalance. `--chaos-schedule` fail-stops, restores or fail-slows
-//!     whole arrays at scripted control ticks; the health plane detects
-//!     the symptom, evacuates dead arrays' tenants onto survivors, and
-//!     the extended law (with `evacuation_lost`) must still close.
-//! ```
+//! The subcommands and their flags are described once, in [`USAGE`]
+//! (`fqos --help`), and declared once, in [`COMMANDS`]: a flag that is
+//! not in its subcommand's table, is given twice, or gives a value to a
+//! bare flag is a usage error (exit 1), never silently ignored.
 
 use flash_qos::prelude::*;
 use flash_qos::qos::config::OverloadPolicy;
 use flash_qos::traces::ascii;
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
+
+/// The one usage text: printed by `fqos --help`, and after a usage error.
+const USAGE: &str = "\
+fqos — replication-based QoS for flash arrays (CLUSTER 2012 reproduction)
+
+fqos design   --devices N [--copies 3]
+    Print a design, its rotation table size and its S(M) guarantees.
+fqos generate --blocks B --interval-ms T --total N [--pool 36] [--seed S]
+    Emit a synthetic DiskSim-style ASCII trace on stdout (§V-B1).
+fqos analyze  --trace FILE --devices N [--copies 3] [--interval-ms 0.133] [--epsilon 0]
+              [--mapping fim|modulo|roundrobin] [--reporting-ms 100]
+    Run a trace through the QoS pipeline; compare with the original layout.
+fqos serve    --devices N [--submitters 3] [--windows 500] ARRAY-FLAGS
+              [--write-ratio F] [--burst HEIGHT@START+LEN] [--gc OP]
+              [--fault-schedule \"fail:D@W,recover:D@W,slow:D@W[xF],restore:D@W\"]
+              [--wal-dir DIR [--wal-batch 1] [--wal-snapshot 64] [--recover]]
+    Replay one synthetic trace per tenant, each from its own thread, through
+    the serving engine, then audit deadlines and conservation. Writes fan out
+    to all c replicas; --burst lifts every tenant to HEIGHT blocks per window;
+    --gc models FTL garbage collection at over-provisioning OP. --wal-dir logs
+    each admission before its ack; --recover replays the log after a crash.
+fqos cluster  [--arrays 2] [--devices 9] [--submitters 2*arrays] [--windows 200]
+              ARRAY-FLAGS [--reserve R] [--pin \"TENANT:ARRAY,...\"]
+              [--burst \"TENANT:RATE,...\"] [--fault-schedules \"ARRAY:SPEC;...\"]
+              [--chaos-schedule \"kill:A@T,restore:A@T,slow:A@T[xF]\"]
+              [--metrics-addr HOST:PORT] [--linger-ms MS] [--no-rebalance]
+    Run a fleet behind the consistent-hash router: the control loop migrates
+    tenants off saturated arrays, chaos kills, restores or slows whole arrays,
+    dead arrays are evacuated, and the run fails unless the fleet's
+    conservation law closes. --metrics-addr serves Prometheus text.
+ARRAY-FLAGS   [--copies 3] [--accesses 1] [--workers 4] [--epsilon 0]
+              [--queue-depth 64] [--seed S] [--no-hedge]
+    Each array is the (devices, copies, 1) design at M = --accesses; a worker
+    queues up to --queue-depth requests; --no-hedge turns off hedged reads.
+";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, rest)) = args.split_first() else {
-        eprintln!("usage: fqos <design|generate|analyze|serve|cluster> [options]  (see --help)");
-        return ExitCode::FAILURE;
-    };
-    if command == "--help" || command == "-h" || command == "help" {
-        print_help();
+    let (command, rest) = args
+        .split_first()
+        .map_or(("", &[][..]), |(c, rest)| (c.as_str(), rest));
+    if matches!(command, "--help" | "-h" | "help") {
+        print!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let opts = match parse_options(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
-        "design" => cmd_design(&opts),
-        "generate" => cmd_generate(&opts),
-        "analyze" => cmd_analyze(&opts),
-        "serve" => cmd_serve(&opts),
-        "cluster" => cmd_cluster(&opts),
-        other => Err(format!("unknown command '{other}'")),
+    let result = match parse_options(command, rest) {
+        Err(e) => Err(format!("{e}\n\n{}", USAGE.trim_end())),
+        Ok(opts) => match opts.command {
+            "design" => cmd_design(&opts),
+            "generate" => cmd_generate(&opts),
+            "analyze" => cmd_analyze(&opts),
+            "serve" => cmd_serve(&opts),
+            _ => cmd_cluster(&opts),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -101,103 +75,130 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_help() {
-    println!("fqos — replication-based QoS for flash arrays (CLUSTER 2012 reproduction)");
-    println!();
-    println!("commands:");
-    println!("  design   --devices N [--copies C]          show a design and its guarantees");
-    println!("  generate --blocks B --interval-ms T --total N [--pool P] [--seed S]");
-    println!("                                              emit a synthetic ASCII trace");
-    println!("  analyze  --trace FILE --devices N [--copies C] [--interval-ms T]");
-    println!("           [--epsilon E] [--mapping fim|modulo|roundrobin] [--reporting-ms R]");
-    println!("                                              run the QoS pipeline on a trace");
-    println!("  serve    --devices N [--copies C] [--accesses M] [--workers W]");
-    println!("           [--submitters S] [--windows K] [--epsilon E] [--queue-depth D]");
-    println!("           [--write-ratio F] [--gc OP]        make F of the trace writes (fanned");
-    println!("           [--burst HEIGHT@START+LEN]         to all replicas), model FTL GC at");
-    println!("                                              over-provisioning OP, and spike the");
-    println!("                                              rate to HEIGHT for LEN windows");
-    println!("           [--mode flow|eft] [--seed S]      replay a synthetic trace through");
-    println!("           [--fault-schedule \"fail:D@W,...\"]  the concurrent serving engine,");
-    println!("           [--no-hedge]                       optionally failing/recovering or");
-    println!("           [--wal-dir DIR] [--wal-batch N]    silently slowing (slow:D@W[xF],");
-    println!("           [--wal-snapshot K] [--recover]     restore:D@W) devices at scripted");
-    println!("                                              windows; --no-hedge disables");
-    println!("                                              speculative re-dispatch. --wal-dir");
-    println!("                                              logs admissions durably before the");
-    println!("                                              ack; --recover replays that log");
-    println!("                                              after a crash and resumes the run.");
-    println!("                                              --queue-depth bounds each worker's");
-    println!("                                              backlog: requests, rounded down to");
-    println!("                                              whole per-worker window shares, at");
-    println!("                                              least one (also for cluster)");
-    println!("  cluster  --arrays N [--devices D] [--copies C] [--accesses M] [--workers W]");
-    println!("           [--submitters S] [--windows K] [--epsilon E] [--queue-depth Q]");
-    println!("           [--mode flow|eft] [--seed S] [--reserve R]");
-    println!("           [--pin \"TENANT:ARRAY,...\"] [--burst \"TENANT:RATE,...\"]");
-    println!("           [--fault-schedules \"ARRAY:SPEC;ARRAY:SPEC\"]");
-    println!("           [--chaos-schedule \"kill:A@T,restore:A@T,slow:A@T[xF]\"]");
-    println!("           [--metrics-addr HOST:PORT] [--linger-ms MS]");
-    println!("           [--no-rebalance] [--no-hedge]");
-    println!("                                              run N arrays as one fleet behind");
-    println!("                                              the consistent-hash routing tier:");
-    println!("                                              tenants shard across arrays, the");
-    println!("                                              control loop migrates them off");
-    println!("                                              saturated arrays (--burst overdrives");
-    println!("                                              a tenant, --pin forces placement to");
-    println!("                                              provoke skew), and the cluster");
-    println!("                                              conservation audit must close.");
-    println!("                                              --chaos-schedule kills/restores/");
-    println!("                                              slows whole arrays at scripted");
-    println!("                                              ticks; dead arrays are detected");
-    println!("                                              and evacuated onto survivors.");
-    println!("                                              --metrics-addr serves Prometheus");
-    println!("                                              text format; --linger-ms keeps it");
-    println!("                                              up after the run for scrapers.");
+/// The flags `serve` and `cluster` share, read by [`ArrayArgs::parse`];
+/// then each one's own.
+const ARRAY_FLAGS: &str =
+    "devices= copies= accesses= workers= submitters= windows= epsilon= queue-depth= seed= no-hedge";
+const SERVE_FLAGS: &str =
+    "write-ratio= burst= gc= fault-schedule= wal-dir= wal-batch= wal-snapshot= recover";
+const CLUSTER_FLAGS: &str =
+    "arrays= reserve= pin= burst= fault-schedules= chaos-schedule= metrics-addr= linger-ms= \
+     no-rebalance";
+
+/// Every subcommand and its flags, the one place a flag is declared:
+/// `name=` takes the next argument as its value, a bare `name` stands
+/// alone.
+const COMMANDS: &[(&str, &[&str])] = &[
+    ("design", &["devices= copies="]),
+    ("generate", &["blocks= interval-ms= total= pool= seed="]),
+    (
+        "analyze",
+        &["trace= devices= copies= interval-ms= epsilon= mapping= reporting-ms="],
+    ),
+    ("serve", &[ARRAY_FLAGS, SERVE_FLAGS]),
+    ("cluster", &[ARRAY_FLAGS, CLUSTER_FLAGS]),
+];
+
+/// A subcommand's flags as `(name, takes a value)`.
+fn flags_of(table: &'static [&'static str]) -> impl Iterator<Item = (&'static str, bool)> {
+    table
+        .iter()
+        .flat_map(|t| t.split_whitespace())
+        .map(|f| f.strip_suffix('=').map_or((f, false), |name| (name, true)))
 }
 
-type Options = HashMap<String, String>;
+/// One subcommand's flags as given on the command line.
+struct Options {
+    command: &'static str,
+    table: &'static [&'static str],
+    given: HashMap<&'static str, String>,
+}
 
-/// Options that are bare flags: present-or-absent, no value.
-const FLAG_KEYS: &[&str] = &["no-hedge", "no-rebalance", "recover"];
-
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
+/// Check `args` against `command`'s table. A flag not in it (another
+/// subcommand's included), a repeated flag and a value after a bare flag
+/// are errors, and the error lists the flags `command` takes.
+fn parse_options(command: &str, args: &[String]) -> Result<Options, String> {
+    let &(command, table) = COMMANDS
+        .iter()
+        .find(|(name, _)| *name == command)
+        .ok_or_else(|| format!("unknown command '{command}'"))?;
+    let mut given = HashMap::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let flag = arg
             .strip_prefix("--")
-            .ok_or_else(|| format!("expected --option, found '{}'", args[i]))?;
-        if FLAG_KEYS.contains(&key) {
-            out.insert(key.to_string(), String::new());
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("--{key} needs a value"))?
-            .clone();
-        out.insert(key.to_string(), value);
-        i += 2;
+            .and_then(|name| flags_of(table).find(|&(n, _)| n == name));
+        let problem = match (flag, rest.as_slice().first()) {
+            (None, _) => format!("{arg} is not a flag of {command}"),
+            (Some((name, false)), Some(v)) if !v.starts_with("--") => {
+                format!("--{name} takes no value, found '{v}'")
+            }
+            (Some((name, true)), None) => format!("--{name} needs a value"),
+            (Some((name, takes_value)), _) => {
+                let value = if takes_value { rest.next() } else { None };
+                match given.insert(name, value.cloned().unwrap_or_default()) {
+                    None => continue,
+                    Some(_) => format!("--{name} is given twice"),
+                }
+            }
+        };
+        let takes: Vec<String> = flags_of(table).map(|(n, _)| format!("--{n}")).collect();
+        return Err(format!("{problem}; {command} takes {}", takes.join(" ")));
     }
-    Ok(out)
+    Ok(Options {
+        command,
+        table,
+        given,
+    })
 }
 
-fn get_num<T: std::str::FromStr>(opts: &Options, key: &str, default: T) -> Result<T, String> {
-    match opts.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key}: cannot parse '{v}'")),
+impl Options {
+    fn get(&self, flag: &str) -> Option<&str> {
+        debug_assert!(
+            flags_of(self.table).any(|(n, _)| n == flag),
+            "--{flag} is read but not declared for {}",
+            self.command
+        );
+        self.given.get(flag).map(String::as_str)
     }
-}
 
-fn require_num<T: std::str::FromStr>(opts: &Options, key: &str) -> Result<T, String> {
-    let v = opts
-        .get(key)
-        .ok_or_else(|| format!("--{key} is required"))?;
-    v.parse()
-        .map_err(|_| format!("--{key}: cannot parse '{v}'"))
+    /// The flag's value, parsed, if it was given.
+    fn opt<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| format!("--{flag}: cannot parse '{v}'"))
+        };
+        self.get(flag).map(parse).transpose()
+    }
+
+    /// The flag's value, else `default`; with no default the flag is
+    /// required.
+    fn value<T: FromStr>(&self, flag: &str, default: Option<T>) -> Result<T, String> {
+        let v = self.opt(flag)?.or(default);
+        v.ok_or_else(|| format!("--{flag} is required"))
+    }
+
+    /// A number that must be above zero.
+    fn positive<T: FromStr + PartialOrd + Default>(
+        &self,
+        flag: &str,
+        default: Option<T>,
+    ) -> Result<T, String> {
+        let v = self.value(flag, default)?;
+        (v > T::default())
+            .then_some(v)
+            .ok_or_else(|| format!("--{flag} must be positive"))
+    }
+
+    /// A duration given in milliseconds, as `(ms, ns)`; it must be at
+    /// least one nanosecond.
+    fn millis(&self, flag: &str, default: Option<f64>) -> Result<(f64, u64), String> {
+        let ms: f64 = self.value(flag, default)?;
+        let ns = (ms * 1e6) as u64;
+        (ns > 0)
+            .then_some((ms, ns))
+            .ok_or_else(|| format!("--{flag} must be positive (at least 1 ns)"))
+    }
 }
 
 /// The validated deployment of every subcommand that runs one: the
@@ -225,9 +226,80 @@ fn qos_config(
     Ok(qos)
 }
 
+/// The options `serve` and `cluster` share ([`ARRAY_FLAGS`]): one array's
+/// deployment, its worker pool, and the run's tenants and length.
+struct ArrayArgs {
+    devices: usize,
+    copies: usize,
+    accesses: usize,
+    workers: usize,
+    submitters: usize,
+    windows: u64,
+    queue_depth: usize,
+    seed: u64,
+    hedging: bool,
+    qos: QosConfig,
+}
+
+impl ArrayArgs {
+    /// `devices`, `submitters` and `windows` are the subcommand's defaults;
+    /// `devices: None` makes `--devices` required.
+    fn parse(
+        opts: &Options,
+        devices: Option<usize>,
+        submitters: usize,
+        windows: u64,
+    ) -> Result<Self, String> {
+        use flash_qos::flashsim::time::BASE_INTERVAL_NS;
+
+        let devices = opts.value("devices", devices)?;
+        let copies = opts.value("copies", Some(3))?;
+        let accesses: usize = opts.positive("accesses", Some(1))?;
+        let epsilon = opts.value("epsilon", Some(0.0))?;
+        Ok(ArrayArgs {
+            devices,
+            copies,
+            accesses,
+            workers: opts.positive("workers", Some(4))?,
+            submitters: opts.positive("submitters", Some(submitters))?,
+            windows: opts.positive("windows", Some(windows))?,
+            queue_depth: opts.value("queue-depth", Some(64))?,
+            seed: opts.value("seed", Some(0x5EED))?,
+            hedging: opts.get("no-hedge").is_none(),
+            qos: qos_config(
+                devices,
+                copies,
+                accesses,
+                accesses as u64 * BASE_INTERVAL_NS,
+                epsilon,
+            )?,
+        })
+    }
+
+    /// The device fault schedule `spec` (empty without one), checked
+    /// against the array's devices and the run's windows before any server
+    /// spins up: device 12 of 9, or window 600 of 500, is an error of
+    /// `--flag`.
+    fn fault_schedule(&self, flag: &str, spec: Option<&str>) -> Result<FaultSchedule, String> {
+        let schedule = spec.map_or_else(|| Ok(FaultSchedule::new()), FaultSchedule::parse);
+        schedule
+            .and_then(|s| s.validate_for(self.devices, Some(self.windows)).map(|()| s))
+            .map_err(|e| format!("--{flag}: {e}"))
+    }
+
+    /// One array's server configuration, with its own fault schedule.
+    fn server_config(&self, schedule: FaultSchedule) -> ServerConfig {
+        ServerConfig::new(self.qos.clone())
+            .with_workers(self.workers)
+            .with_queue_depth(self.queue_depth)
+            .with_fault_schedule(schedule)
+            .with_hedging(self.hedging)
+    }
+}
+
 fn cmd_design(opts: &Options) -> Result<(), String> {
-    let devices: usize = require_num(opts, "devices")?;
-    let copies: usize = get_num(opts, "copies", 3)?;
+    let devices: usize = opts.value("devices", None)?;
+    let copies: usize = opts.value("copies", Some(3))?;
     let design = DesignCatalog
         .find(devices, copies)
         .map_err(|e| e.to_string())?;
@@ -256,14 +328,17 @@ fn cmd_design(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_generate(opts: &Options) -> Result<(), String> {
-    let blocks: usize = require_num(opts, "blocks")?;
-    let interval_ms: f64 = require_num(opts, "interval-ms")?;
-    let total: usize = require_num(opts, "total")?;
-    let pool: u64 = get_num(opts, "pool", 36)?;
-    let seed: u64 = get_num(opts, "seed", 0x5EED)?;
+    let blocks: usize = opts.positive("blocks", None)?;
+    let (_, interval_ns) = opts.millis("interval-ms", None)?;
+    let total: usize = opts.value("total", None)?;
+    let pool: u64 = opts.positive("pool", Some(36))?;
+    let seed: u64 = opts.value("seed", Some(0x5EED))?;
+    if blocks as u64 > pool {
+        return Err(format!("--blocks {blocks} exceeds the --pool of {pool}"));
+    }
     let cfg = SyntheticConfig {
         blocks_per_interval: blocks,
-        interval_ns: (interval_ms * 1e6) as u64,
+        interval_ns,
         total_requests: total,
         block_pool: pool,
         seed,
@@ -273,29 +348,28 @@ fn cmd_generate(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_analyze(opts: &Options) -> Result<(), String> {
-    let path = opts.get("trace").ok_or("--trace is required")?;
-    let devices: usize = require_num(opts, "devices")?;
-    let copies: usize = get_num(opts, "copies", 3)?;
-    let interval_ms: f64 = get_num(opts, "interval-ms", 0.133)?;
-    let epsilon: f64 = get_num(opts, "epsilon", 0.0)?;
-    let reporting_ms: f64 = get_num(opts, "reporting-ms", 100.0)?;
-    let mapping = match opts.get("mapping").map(String::as_str) {
+    let path: String = opts.value("trace", None)?;
+    let devices: usize = opts.value("devices", None)?;
+    let copies: usize = opts.value("copies", Some(3))?;
+    let (interval_ms, interval_ns) = opts.millis("interval-ms", Some(0.133))?;
+    let epsilon: f64 = opts.value("epsilon", Some(0.0))?;
+    let (reporting_ms, reporting_ns) = opts.millis("reporting-ms", Some(100.0))?;
+    let mapping = match opts.get("mapping") {
         None | Some("fim") => MappingStrategy::Fim,
         Some("modulo") => MappingStrategy::Modulo,
         Some("roundrobin") => MappingStrategy::RoundRobin,
         Some(other) => return Err(format!("--mapping: unknown strategy '{other}'")),
     };
 
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let trace = ascii::parse(&text, path.clone(), devices, (reporting_ms * 1e6) as u64)
-        .map_err(|e| e.to_string())?;
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+    let trace = ascii::parse(&text, path, devices, reporting_ns).map_err(|e| e.to_string())?;
     println!(
         "trace: {} requests, {} reporting intervals of {reporting_ms} ms",
         trace.len(),
         trace.num_intervals()
     );
 
-    let config = qos_config(devices, copies, 1, (interval_ms * 1e6) as u64, epsilon)?;
+    let config = qos_config(devices, copies, 1, interval_ns, epsilon)?;
     let limit = config.request_limit();
     let pipeline = QosPipeline::new(config).with_mapping(mapping);
 
@@ -342,36 +416,14 @@ fn cmd_analyze(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_serve(opts: &Options) -> Result<(), String> {
-    use flash_qos::flashsim::time::BASE_INTERVAL_NS;
-
-    let devices: usize = require_num(opts, "devices")?;
-    let copies: usize = get_num(opts, "copies", 3)?;
-    let accesses: usize = get_num(opts, "accesses", 1)?;
-    let workers: usize = get_num(opts, "workers", 4)?;
-    let submitters: usize = get_num(opts, "submitters", 3)?;
-    let windows: u64 = get_num(opts, "windows", 500)?;
-    let epsilon: f64 = get_num(opts, "epsilon", 0.0)?;
-    let queue_depth: usize = get_num(opts, "queue-depth", 64)?;
-    let seed: u64 = get_num(opts, "seed", 0x5EED)?;
-    let mode = match opts.get("mode").map(String::as_str) {
-        None | Some("flow") => AssignmentMode::OptimalFlow,
-        Some("eft") => AssignmentMode::Eft,
-        Some(other) => return Err(format!("--mode: unknown mode '{other}' (flow|eft)")),
-    };
-    let hedging = !opts.contains_key("no-hedge");
-    let write_ratio: f64 = get_num(opts, "write-ratio", 0.0)?;
+    let args = ArrayArgs::parse(opts, None, 3, 500)?;
+    let write_ratio: f64 = opts.value("write-ratio", Some(0.0))?;
     if !(0.0..=1.0).contains(&write_ratio) {
         return Err("--write-ratio must be in 0.0..=1.0".into());
     }
     // `--gc OP` turns on the FTL write/GC model with the default geometry
     // at over-provisioning OP; low OP makes GC storms easy to provoke.
-    let gc_overprovision: Option<f64> = match opts.get("gc") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("--gc: cannot parse over-provisioning '{v}'"))?,
-        ),
-    };
+    let gc_overprovision: Option<f64> = opts.opt("gc")?;
     // `--burst HEIGHT@START+LEN`: every tenant's request rate jumps to
     // HEIGHT blocks per window for LEN windows starting at window START —
     // a flash crowd on top of the reserved baseline.
@@ -394,49 +446,25 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         }
     };
     let wal_dir = opts.get("wal-dir");
-    let recover = opts.contains_key("recover");
-    let wal_batch: u64 = get_num(opts, "wal-batch", 1)?;
-    let wal_snapshot: u64 = get_num(opts, "wal-snapshot", 64)?;
+    let recover = opts.get("recover").is_some();
+    let wal_batch: u64 = opts.value("wal-batch", Some(1))?;
+    let wal_snapshot: u64 = opts.value("wal-snapshot", Some(64))?;
     if recover && wal_dir.is_none() {
         return Err("--recover needs --wal-dir (the log to replay)".into());
     }
-    let fault_schedule = match opts.get("fault-schedule") {
-        None => FaultSchedule::new(),
-        Some(spec) => FaultSchedule::parse(spec).map_err(|e| format!("--fault-schedule: {e}"))?,
-    };
-    if workers == 0 || submitters == 0 || windows == 0 {
-        return Err("--workers, --submitters and --windows must be positive".into());
-    }
-    // Typed parse-time validation against the array geometry and the run
-    // horizon: a schedule naming device 12 of 9 or window 600 of 500 is a
-    // spec error, reported before the server spins up.
-    fault_schedule
-        .validate_for(devices, Some(windows))
-        .map_err(|e| format!("--fault-schedule: {e}"))?;
+    let fault_schedule = args.fault_schedule("fault-schedule", opts.get("fault-schedule"))?;
 
-    let qos = qos_config(
-        devices,
-        copies,
-        accesses,
-        accesses as u64 * BASE_INTERVAL_NS,
-        epsilon,
-    )?;
-    let limit = qos.request_limit();
-    let pool = AllocationScheme::num_buckets(&qos.scheme) as u64;
-    let interval_ns = qos.interval_ns;
-    let submitters = submitters.min(limit);
+    let limit = args.qos.request_limit();
+    let pool = AllocationScheme::num_buckets(&args.qos.scheme) as u64;
+    let interval_ns = args.qos.interval_ns;
+    let submitters = args.submitters.min(limit);
 
     let scripted_faults = !fault_schedule.is_empty();
     let scripted_slow = fault_schedule
         .events()
         .iter()
         .any(|e| matches!(e.kind, FaultKind::Slow(_)));
-    let mut cfg = ServerConfig::new(qos)
-        .with_workers(workers)
-        .with_queue_depth(queue_depth)
-        .with_assignment(mode)
-        .with_fault_schedule(fault_schedule)
-        .with_hedging(hedging);
+    let mut cfg = args.server_config(fault_schedule);
     if let Some(op) = gc_overprovision {
         // A deliberately small per-device FTL (128 pages) so a few hundred
         // windows of sustained writes actually cycle the free-block pool
@@ -504,12 +532,15 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
     }
     println!(
-        "serving {windows} windows of {:.3} ms on a ({devices},{copies},1) array: \
-         S({accesses}) = {limit}, {} tenants, {} workers, {:?} assignment",
+        "serving {} windows of {:.3} ms on a ({},{},1) array: \
+         S({}) = {limit}, {} tenants, {} workers",
+        args.windows,
         interval_ns as f64 / 1e6,
+        args.devices,
+        args.copies,
+        args.accesses,
         plan.len(),
-        workers.min(devices),
-        mode,
+        args.workers.min(args.devices),
     );
 
     let wall = std::time::Instant::now();
@@ -523,24 +554,24 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
                     burst_blocks_per_interval: height,
                     burst_start_interval: start,
                     burst_intervals: len,
-                    total_intervals: windows,
+                    total_intervals: args.windows,
                     interval_ns,
                     block_pool: pool,
                     write_fraction: write_ratio,
-                    seed: seed ^ tenant,
+                    seed: args.seed ^ tenant,
                 }
                 .generate(),
                 None => {
                     let base = SyntheticConfig {
                         blocks_per_interval: reserved,
                         interval_ns,
-                        total_requests: reserved * windows as usize,
+                        total_requests: reserved * args.windows as usize,
                         block_pool: pool,
-                        seed: seed ^ tenant,
+                        seed: args.seed ^ tenant,
                     }
                     .generate();
                     if write_ratio > 0.0 {
-                        rw::with_write_fraction(&base, write_ratio, seed ^ tenant)
+                        rw::with_write_fraction(&base, write_ratio, args.seed ^ tenant)
                     } else {
                         base
                     }
@@ -613,11 +644,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         "\ndeadline audit: {} violations total, {} among guaranteed admissions {}",
         m.deadline_violations,
         m.guaranteed_violations,
-        if m.guaranteed_violations == 0 {
-            "✓"
-        } else {
-            "✗ GUARANTEE BROKEN"
-        },
+        verdict(m.guaranteed_violations == 0, "✗ GUARANTEE BROKEN"),
     );
     if scripted_faults || m.degraded_windows > 0 {
         println!(
@@ -629,11 +656,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             m.fault_overloads,
             m.fault_rejected,
             m.fault_lost,
-            if m.fault_lost == 0 {
-                "✓"
-            } else {
-                "✗ REQUESTS LOST"
-            },
+            verdict(m.fault_lost == 0, "✗ REQUESTS LOST"),
         );
     }
     if scripted_faults || m.slow_detected > 0 || m.hedges_issued > 0 {
@@ -654,11 +677,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             "write audit: {} writes settled on all replicas, {} lost a replica past retries {}",
             m.write_settled,
             m.write_lost,
-            if m.write_lost == 0 {
-                "✓"
-            } else {
-                "✗ COPIES LOST"
-            },
+            verdict(m.write_lost == 0, "✗ COPIES LOST"),
         );
     }
     if gc_overprovision.is_some() || m.gc_host_pages > 0 {
@@ -678,21 +697,13 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     };
     println!(
         "read compliance: {read_compliance:.2}% of guaranteed reads met their deadline {}",
-        if read_compliance >= 99.0 {
-            "✓"
-        } else {
-            "✗"
-        },
+        verdict(read_compliance >= 99.0, "✗"),
     );
     let conserved = m.conserved();
     println!(
         "conservation: {} {}",
         m.ledger().render(),
-        if conserved {
-            "✓"
-        } else {
-            "✗ ACCOUNTING BROKEN"
-        },
+        verdict(conserved, "✗ ACCOUNTING BROKEN"),
     );
     // Fail-stop faults are masked by reroute/re-dispatch, so any guaranteed
     // violation is a bug. A scripted *silent* slowdown is different:
@@ -716,12 +727,23 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse `"KEY:VALUE,KEY:VALUE"` pair lists (`--pin`, `--burst`).
-fn parse_pairs<K, V>(spec: &str, what: &str) -> Result<Vec<(K, V)>, String>
+/// An audit line's verdict: `✓`, or what broke.
+fn verdict(ok: bool, broken: &'static str) -> &'static str {
+    if ok {
+        "✓"
+    } else {
+        broken
+    }
+}
+
+/// Parse a `"KEY:VALUE,KEY:VALUE"` pair list (`--pin`, `--burst`); an
+/// absent flag is an empty list.
+fn parse_pairs<K, V>(opts: &Options, what: &str) -> Result<HashMap<K, V>, String>
 where
-    K: std::str::FromStr,
+    K: std::str::FromStr + Eq + std::hash::Hash,
     V: std::str::FromStr,
 {
+    let spec = opts.get(what).unwrap_or_default();
     spec.split(',')
         .filter(|s| !s.trim().is_empty())
         .map(|pair| {
@@ -751,29 +773,11 @@ fn splitmix64(mut x: u64) -> u64 {
 #[allow(clippy::too_many_lines)]
 fn cmd_cluster(opts: &Options) -> Result<(), String> {
     use flash_qos::cluster::{new_page, render};
-    use flash_qos::flashsim::time::BASE_INTERVAL_NS;
 
-    let arrays: usize = get_num(opts, "arrays", 2)?;
-    let devices: usize = get_num(opts, "devices", 9)?;
-    let copies: usize = get_num(opts, "copies", 3)?;
-    let accesses: usize = get_num(opts, "accesses", 1)?;
-    let workers: usize = get_num(opts, "workers", 4)?;
-    let submitters: usize = get_num(opts, "submitters", 2 * arrays.max(1))?;
-    let windows: u64 = get_num(opts, "windows", 200)?;
-    let epsilon: f64 = get_num(opts, "epsilon", 0.0)?;
-    let queue_depth: usize = get_num(opts, "queue-depth", 64)?;
-    let seed: u64 = get_num(opts, "seed", 0x5EED)?;
-    let linger_ms: u64 = get_num(opts, "linger-ms", 0)?;
-    let mode = match opts.get("mode").map(String::as_str) {
-        None | Some("flow") => AssignmentMode::OptimalFlow,
-        Some("eft") => AssignmentMode::Eft,
-        Some(other) => return Err(format!("--mode: unknown mode '{other}' (flow|eft)")),
-    };
-    let rebalance = !opts.contains_key("no-rebalance");
-    let hedging = !opts.contains_key("no-hedge");
-    if arrays == 0 || workers == 0 || submitters == 0 || windows == 0 {
-        return Err("--arrays, --workers, --submitters and --windows must be positive".into());
-    }
+    let arrays: usize = opts.positive("arrays", Some(2))?;
+    let args = ArrayArgs::parse(opts, Some(9), 2 * arrays, 200)?;
+    let linger_ms: u64 = opts.value("linger-ms", Some(0))?;
+    let rebalance = opts.get("no-rebalance").is_none();
     // Whole-array chaos: `kill:A@T,restore:A@T,slow:A@T[xF]` at control
     // ticks (one tick per window). Validated against the fleet size by
     // `ClusterConfig::validate` inside `QosCluster::new`.
@@ -784,14 +788,8 @@ fn cmd_cluster(opts: &Options) -> Result<(), String> {
         }
     };
 
-    let pins: Vec<(u64, usize)> = match opts.get("pin") {
-        None => Vec::new(),
-        Some(spec) => parse_pairs(spec, "pin")?,
-    };
-    let bursts: HashMap<u64, u64> = match opts.get("burst") {
-        None => HashMap::new(),
-        Some(spec) => parse_pairs(spec, "burst")?.into_iter().collect(),
-    };
+    let pinned: HashMap<u64, usize> = parse_pairs(opts, "pin")?;
+    let bursts: HashMap<u64, u64> = parse_pairs(opts, "burst")?;
     // Per-array fault schedules: `"0:fail:3@10,recover:3@20;1:slow:2@5"`.
     let mut schedules: Vec<FaultSchedule> = vec![FaultSchedule::new(); arrays];
     if let Some(spec) = opts.get("fault-schedules") {
@@ -806,36 +804,17 @@ fn cmd_cluster(opts: &Options) -> Result<(), String> {
             if idx >= arrays {
                 return Err(format!("--fault-schedules: array {idx} of {arrays}"));
             }
-            let schedule =
-                FaultSchedule::parse(rest).map_err(|e| format!("--fault-schedules: {e}"))?;
-            schedule
-                .validate_for(devices, Some(windows))
-                .map_err(|e| format!("--fault-schedules: {e}"))?;
-            schedules[idx] = schedule;
+            schedules[idx] = args.fault_schedule("fault-schedules", Some(rest))?;
         }
     }
 
-    let qos = qos_config(
-        devices,
-        copies,
-        accesses,
-        accesses as u64 * BASE_INTERVAL_NS,
-        epsilon,
-    )?;
-    let limit = qos.request_limit();
-    let pool = AllocationScheme::num_buckets(&qos.scheme) as u64;
-    let interval_ns = qos.interval_ns;
+    let limit = args.qos.request_limit();
+    let pool = AllocationScheme::num_buckets(&args.qos.scheme) as u64;
+    let interval_ns = args.qos.interval_ns;
 
     let array_configs: Vec<ServerConfig> = schedules
         .into_iter()
-        .map(|schedule| {
-            ServerConfig::new(qos.clone())
-                .with_workers(workers)
-                .with_queue_depth(queue_depth)
-                .with_assignment(mode)
-                .with_fault_schedule(schedule)
-                .with_hedging(hedging)
-        })
+        .map(|schedule| args.server_config(schedule))
         .collect();
     let cluster = QosCluster::new(
         ClusterConfig::new(array_configs)
@@ -846,34 +825,30 @@ fn cmd_cluster(opts: &Options) -> Result<(), String> {
 
     // Uniform reservations sized so every tenant fits even in the worst
     // ring placement: ceil(submitters / arrays) tenants per array.
-    let tenants_per_array = submitters.div_ceil(arrays);
-    let reserve: usize = get_num(opts, "reserve", (limit / tenants_per_array).max(1))?;
-    let pinned: HashMap<u64, usize> = pins.iter().copied().collect();
-    for t in 1..=submitters as u64 {
-        match pinned.get(&t) {
-            Some(&array) => {
-                if array >= arrays {
-                    return Err(format!("--pin: array {array} of {arrays}"));
-                }
-                cluster
-                    .register_pinned(array, t, reserve, OverloadPolicy::Delay)
-                    .map_err(|e| e.to_string())?;
-            }
-            None => {
-                cluster
-                    .register_tenant(t, reserve, OverloadPolicy::Delay)
-                    .map_err(|e| e.to_string())?;
-            }
-        }
+    let tenants_per_array = args.submitters.div_ceil(arrays);
+    let reserve: usize = opts.value("reserve", Some((limit / tenants_per_array).max(1)))?;
+    for t in 1..=args.submitters as u64 {
+        let placed = match pinned.get(&t) {
+            Some(&a) if a >= arrays => return Err(format!("--pin: array {a} of {arrays}")),
+            Some(&a) => cluster.register_pinned(a, t, reserve, OverloadPolicy::Delay),
+            None => cluster
+                .register_tenant(t, reserve, OverloadPolicy::Delay)
+                .map(drop),
+        };
+        placed.map_err(|e| e.to_string())?;
     }
     println!(
-        "cluster: {arrays} × ({devices},{copies},1) arrays, S({accesses}) = {limit} each, \
-         {submitters} tenants reserving {reserve}, {windows} windows of {:.3} ms, \
-         rebalance {}",
+        "cluster: {arrays} × ({},{},1) arrays, S({}) = {limit} each, \
+         {} tenants reserving {reserve}, {} windows of {:.3} ms, rebalance {}",
+        args.devices,
+        args.copies,
+        args.accesses,
+        args.submitters,
+        args.windows,
         interval_ns as f64 / 1e6,
         if rebalance { "on" } else { "off" },
     );
-    for t in 1..=submitters as u64 {
+    for t in 1..=args.submitters as u64 {
         let home = cluster.route_of(t).ok_or("tenant lost by the router")?;
         let rate = bursts.get(&t).copied().unwrap_or(reserve as u64);
         println!("  tenant {t}: array {home}, {rate} req/window");
@@ -893,12 +868,12 @@ fn cmd_cluster(opts: &Options) -> Result<(), String> {
 
     let wall = std::time::Instant::now();
     let mut handle = cluster.handle();
-    for w in 0..windows {
+    for w in 0..args.windows {
         let mut i = 0u64;
-        for t in 1..=submitters as u64 {
+        for t in 1..=args.submitters as u64 {
             let rate = bursts.get(&t).copied().unwrap_or(reserve as u64);
             for _ in 0..rate {
-                let lbn = splitmix64(seed ^ (w << 16) ^ (t << 8) ^ i) % pool;
+                let lbn = splitmix64(args.seed ^ (w << 16) ^ (t << 8) ^ i) % pool;
                 handle.submit(t, lbn, w * interval_ns + i * 1_000);
                 i += 1;
             }

@@ -74,9 +74,8 @@ pub mod prelude {
     pub use fqos_designs::{Design, DesignCatalog, RetrievalGuarantee, RotatedDesign};
     pub use fqos_flashsim::{CalibratedSsd, FlashArray, IoRequest, BLOCK_READ_NS};
     pub use fqos_server::{
-        AssignmentMode, DeviceHealth, FaultKind, FaultSchedule, FaultSpecError, FtlGeometry,
-        GcConfig, IoOp, MetricsSnapshot, QosServer, RejectReason, ServerConfig, SubmitOutcome,
-        SubmitterHandle,
+        DeviceHealth, FaultKind, FaultSchedule, FaultSpecError, FtlGeometry, GcConfig, IoOp,
+        MetricsSnapshot, QosServer, RejectReason, ServerConfig, SubmitOutcome, SubmitterHandle,
     };
     pub use fqos_traces::{models, rw, BurstConfig, SyntheticConfig, Trace, TraceRecord};
 }
