@@ -569,10 +569,7 @@ fn the_fleet_takes_every_lock_order_edge_it_keeps() {
             &[ClusterRouter, ClusterArrays, ClusterHealth, EngineQuiesce],
         ),
         (ClusterRouter, &[ClusterArrays]),
-        (
-            ClusterArrays,
-            &[ClusterHealth, EngineQuiesce, EngineHandles],
-        ),
+        (ClusterArrays, &[ClusterHealth, EngineQuiesce]),
     ];
     let edges = kept
         .iter()

@@ -35,13 +35,14 @@
 //! the windows it may still touch — and admits only at or above it; a
 //! request whose arrival lies past the watermark is admitted first and the
 //! watermark raised (monotonically) after, which releases the windows in
-//! between. The dispatcher seals every window below the minimum watermark
-//! over open handles; once all handles are closed it seals through the
-//! highest admitted window. Handle creation initializes the watermark under
-//! the dispatch lock, so an in-flight pump can never seal past a handle it
-//! has not yet seen. With a write-ahead log the raise is also where the
-//! handle's staged admissions reach the log, ahead of the seals it allows
-//! ([`SubmitterHandle::release`]).
+//! between. The watermarks live under the dispatch lock, one entry per
+//! handle, and only a holder of that lock raises one or seals: the
+//! dispatcher seals every window below the minimum watermark over open
+//! handles; once all handles are closed it seals through the highest
+//! admitted window. A new handle enters its watermark under the same lock,
+//! so no seal can pass a handle it has not yet seen. With a write-ahead
+//! log the raise is also where the handle's staged admissions reach the
+//! log, ahead of the seals it allows ([`SubmitterHandle::release`]).
 
 use crate::config::ServerConfig;
 use crate::fault::{FaultKind, FaultPlane, MAX_FAULT_DEVICES};
@@ -126,24 +127,13 @@ pub enum RejectReason {
     ArrayUnavailable,
 }
 
-/// Per-handle shared state read by the dispatcher. Its owner stores the
-/// watermark on every submit, so the struct is padded until it fills a
-/// cache line together with its `Arc` header: two handles' watermarks,
-/// each at the same offset of its own allocation, are then at least a
-/// line apart.
-#[derive(Default)]
-#[repr(C)]
-struct HandleShared {
-    /// Lowest window this handle may still admit into.
-    watermark: AtomicU64,
-    closed: AtomicBool,
-    _pad: [u64; 4],
-}
-
 #[derive(Default)]
 struct DispatchState {
     /// All windows `< sealed_through` are sealed and dispatched.
     sealed_through: u64,
+    /// Per handle, the lowest window it may still admit into; `u64::MAX`
+    /// once it is closed, and the next handle takes that entry over.
+    watermarks: Vec<u64>,
     /// Per worker, its served batches on their way back: `messages + 2` at
     /// most (queued, in service, being filled or here), so no `send` blocks.
     served: Vec<Receiver<Batch>>,
@@ -191,7 +181,7 @@ const RETRY_LIMIT: u64 = 2;
 /// attempt of a block starts no earlier than `exec_start + k ×` this.
 const RETRY_BACKOFF_NS: u64 = 8_000;
 
-/// Array-wide telemetry that submitting threads write (the pump runs on
+/// Array-wide telemetry that submitting threads write (the seal runs on
 /// them). The conservation-law terms are not here: they are
 /// [`Engine::ledger`].
 #[derive(Default)]
@@ -409,11 +399,8 @@ struct Engine {
     _gap: LineGap,
     stat: Option<StatState>,
     dispatch: Mutex<DispatchState>,
-    /// Lock-free mirror of `DispatchState::sealed_through` for fast paths.
-    sealed_floor: AtomicU64,
     /// Highest window any request was admitted into.
     max_target: AtomicU64,
-    handles: Mutex<Vec<Arc<HandleShared>>>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
     /// Quiesce gate (lock class `engine.quiesce`): every submission holds
@@ -562,9 +549,7 @@ impl QosServer {
             _gap: LineGap::default(),
             stat,
             dispatch: Mutex::new(Class::EngineDispatch, dispatch),
-            sealed_floor: AtomicU64::new(0),
             max_target: AtomicU64::new(0),
-            handles: Mutex::new(Class::EngineHandles, Vec::new()),
             next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             quiesce: RwLock::new(Class::EngineQuiesce, ()),
@@ -667,24 +652,25 @@ impl QosServer {
     pub fn handle(&self) -> SubmitterHandle {
         let engine = Arc::clone(&self.engine);
         let stage = engine.wal.as_ref().map(Wal::stage);
-        // Initialize under the dispatch lock: an in-flight pump recomputes
-        // its seal target under this lock, so it cannot seal past a
-        // watermark it has not seen.
-        let (shared, watermark);
-        {
-            let ds = engine.dispatch.lock();
-            watermark = ds.sealed_through;
-            shared = Arc::new(HandleShared {
-                watermark: AtomicU64::new(watermark),
-                ..HandleShared::default()
-            });
-            let mut handles = engine.handles.lock();
-            handles.retain(|h| !h.closed.load(Ordering::Acquire));
-            handles.push(Arc::clone(&shared));
-        }
+        // The seal target is computed under the dispatch lock, so no seal
+        // can pass a watermark entered under it.
+        let (slot, watermark) = {
+            let mut ds = engine.dispatch.lock();
+            let watermark = ds.sealed_through;
+            let marks = &mut ds.watermarks;
+            let slot = match marks.iter().position(|&w| w == u64::MAX) {
+                Some(closed) => closed,
+                None => {
+                    marks.push(u64::MAX);
+                    marks.len() - 1
+                }
+            };
+            marks[slot] = watermark;
+            (slot, watermark)
+        };
         SubmitterHandle {
             engine,
-            shared,
+            slot,
             watermark: Cell::new(watermark),
             view: TenantView::new(),
             stage,
@@ -704,14 +690,15 @@ impl QosServer {
     /// conservation law ([`crate::ledger::Ledger::conserved`]).
     pub fn finish(self) -> MetricsSnapshot {
         // A handle drains its stage before it closes; one closed from here
-        // is drained from here, before the pump below may seal its windows.
+        // is drained from here, before the seal below may log its windows.
         if let Some(wal) = &self.engine.wal {
             wal.drain_stages();
         }
-        for h in self.engine.handles.lock().iter() {
-            h.closed.store(true, Ordering::Release);
+        {
+            let mut ds = self.engine.dispatch.lock();
+            ds.watermarks.fill(u64::MAX);
+            self.engine.seal_ready(&mut ds, None);
         }
-        self.engine.pump();
         self.engine.shutdown.store(true, Ordering::Release);
         for tx in &self.engine.txs {
             let _ = tx.send(WorkMsg::Stop);
@@ -739,7 +726,7 @@ impl QosServer {
         m
     }
 
-    /// Fail-stop the array **without** draining: no final pump, so open
+    /// Fail-stop the array **without** draining: no final seal, so open
     /// windows never seal and their admissions never settle. Workers are
     /// stopped and joined (items already dispatched to their queues still
     /// complete — they left the admission plane before the failure), then
@@ -786,41 +773,24 @@ impl Engine {
         self.fault.inject(device, kind, ds.sealed_through)
     }
 
-    /// Highest window we may seal *up to* (exclusive) right now.
-    fn seal_target(&self) -> u64 {
-        let handles = self.handles.lock();
-        let mut min = u64::MAX;
-        for h in handles.iter() {
-            if !h.closed.load(Ordering::Acquire) {
-                min = min.min(h.watermark.load(Ordering::Acquire));
-            }
-        }
-        drop(handles);
-        if min == u64::MAX {
+    /// Highest window we may seal *up to* (exclusive) right now: the
+    /// lowest open handle's watermark.
+    fn seal_target(&self, ds: &DispatchState) -> u64 {
+        match ds.watermarks.iter().min() {
+            Some(&min) if min != u64::MAX => min,
             // No open handles: everything admitted so far is final.
-            self.max_target.load(Ordering::Acquire).saturating_add(1)
-        } else {
-            min
+            _ => self.max_target.load(Ordering::Acquire).saturating_add(1),
         }
     }
 
-    /// Seal and dispatch every window that can no longer receive requests.
-    fn pump(&self) {
-        // Optimistic skip without the dispatch lock (can only under-seal,
-        // never over-seal — a later pump catches up).
-        if self.seal_target() <= self.sealed_floor.load(Ordering::Acquire) {
-            return;
-        }
-        self.seal_ready(&mut self.dispatch.lock(), None);
-    }
-
-    /// The pump proper, under the caller's hold of the dispatch lock.
-    /// `riding` is the stage of the handle that pumps, if it has one: the
-    /// first `Seal` takes it into the log in its own hold of the WAL lock.
-    /// A halted engine seals nothing: its workers are gone, and its log
-    /// stays as [`QosServer::halt`] left it.
+    /// Seal and dispatch every window that can no longer receive requests,
+    /// under the caller's hold of the dispatch lock. `riding` is the stage
+    /// of the handle that seals, if it has one: the first `Seal` takes it
+    /// into the log in its own hold of the WAL lock. A halted engine seals
+    /// nothing: its workers are gone, and its log stays as
+    /// [`QosServer::halt`] left it.
     fn seal_ready(&self, ds: &mut DispatchState, mut riding: Option<&Stage>) {
-        let target = self.seal_target();
+        let target = self.seal_target(ds);
         while ds.sealed_through < target && !self.shutdown.load(Ordering::Acquire) {
             let w = ds.sealed_through;
             let sealed = self.ring.seal(w);
@@ -866,7 +836,6 @@ impl Engine {
             // would never produce the samples needed to clear it.
             self.fault.health_tick(w);
             ds.sealed_through = w + 1;
-            self.sealed_floor.store(w + 1, Ordering::Release);
         }
     }
 
@@ -1098,12 +1067,7 @@ impl Engine {
             return Ok(0);
         };
         let state = wal.state_snapshot();
-        {
-            let mut ds = self.dispatch.lock();
-            ds.sealed_through = state.sealed_through;
-            self.sealed_floor
-                .store(state.sealed_through, Ordering::Release);
-        }
+        self.dispatch.lock().sealed_through = state.sealed_through;
         let scheme = &self.cfg.qos.scheme;
         let t_ns = self.cfg.qos.interval_ns;
         let mut restored = 0u64;
@@ -1179,9 +1143,10 @@ impl Engine {
 /// handle's watermark window).
 pub struct SubmitterHandle {
     engine: Arc<Engine>,
-    shared: Arc<HandleShared>,
-    /// This handle's own copy of `shared.watermark`, which it alone
-    /// stores: the owner reads this one, the dispatcher the atomic.
+    /// This handle's entry in `DispatchState::watermarks`.
+    slot: usize,
+    /// This handle's own copy of its entry, which it alone writes: a
+    /// submit reads this one and takes no lock.
     watermark: Cell<u64>,
     /// This thread's cache of the tenant records it submits for.
     view: TenantView,
@@ -1191,33 +1156,31 @@ pub struct SubmitterHandle {
 }
 
 impl SubmitterHandle {
-    /// Let the dispatcher past this handle: `store` raises the watermark or
-    /// closes the handle, and the pump seals what that released.
+    /// Let the dispatcher past this handle: enter `watermark` (`u64::MAX`
+    /// closes the handle) and seal what that released.
     ///
-    /// Without a log that is all. With one, every `Admit(w)` this handle
-    /// staged has to be in the log before any thread's pump logs
-    /// `Seal(w)`, and the store is what allows that pump. So store, pump
-    /// and drain share one hold of the dispatch lock — no other pump fits
-    /// between them — and the stage rides the first `Seal`'s hold of the
-    /// WAL lock — the workers' stages with it — or is drained on its own
-    /// when a slower handle still holds the frontier back.
-    fn release(&self, store: impl FnOnce(&HandleShared)) {
+    /// With a log, every `Admit(w)` this handle staged has to be in the log
+    /// before any thread's seal logs `Seal(w)`, and the new watermark is
+    /// what allows that seal. So entry, seal and drain share one hold of
+    /// the dispatch lock — no other seal fits between them — and the stage
+    /// rides the first `Seal`'s hold of the WAL lock — the workers' stages
+    /// with it — or is drained on its own when a slower handle still holds
+    /// the frontier back.
+    fn release(&self, watermark: u64) {
         let engine = &*self.engine;
-        let Some(stage) = &self.stage else {
-            store(&self.shared);
-            return engine.pump();
-        };
         let mut ds = engine.dispatch.lock();
-        store(&self.shared);
-        engine.seal_ready(&mut ds, Some(stage));
-        stage.drain();
+        ds.watermarks[self.slot] = watermark;
+        engine.seal_ready(&mut ds, self.stage.as_ref());
+        if let Some(stage) = &self.stage {
+            stage.drain();
+        }
     }
 
     /// Publish `window`, higher than the current watermark, and seal what
     /// that releases.
     fn raise_watermark(&self, window: u64) {
         self.watermark.set(window);
-        self.release(|shared| shared.watermark.store(window, Ordering::Release));
+        self.release(window);
     }
 
     /// Submit one 8 KiB block read for `tenant` at simulated time
@@ -1256,7 +1219,7 @@ impl SubmitterHandle {
         // The seal target is a function of the open handles' watermarks
         // alone: a submit that stays in its window cannot move it, so only
         // one that moved past this handle's watermark publishes the new one
-        // and pumps — once the request is in, which keeps the handle's
+        // and seals — once the request is in, which keeps the handle's
         // release of the earlier windows and their sealing together.
         let advanced = window > watermark;
 
@@ -1434,7 +1397,7 @@ impl SubmitterHandle {
 
 impl Drop for SubmitterHandle {
     fn drop(&mut self) {
-        self.release(|shared| shared.closed.store(true, Ordering::Release));
+        self.release(u64::MAX);
     }
 }
 
@@ -1873,7 +1836,7 @@ mod tests {
         let mut ha = s.handle();
         let mut hb = s.handle();
         assert!(ha.submit(1, 0, 0).is_admitted());
-        drop(ha); // hb's watermark (0) keeps window 0 open across this pump
+        drop(ha); // hb's watermark (0) keeps window 0 open across this seal
         assert!(hb.submit(1, 1, 0).is_admitted());
         assert!(hb.submit(1, 1, BASE_T).is_admitted());
         drop(hb);
@@ -2105,7 +2068,7 @@ mod tests {
         drop(h);
         s.finish();
         let mut late = SubmitterHandle {
-            shared: Arc::default(),
+            slot: 0,
             watermark: Cell::new(0),
             engine,
             view: TenantView::new(),
@@ -2383,9 +2346,7 @@ mod tests {
             _gap,
             stat,
             dispatch,
-            sealed_floor,
             max_target,
-            handles,
             next_id,
             shutdown,
             quiesce,
@@ -2404,12 +2365,10 @@ mod tests {
             span("txs", txs, Side::ReadMostly),
             span("wal", wal, Side::ReadMostly),
             span("_gap", _gap, Side::Gap),
-            // Written by submits and by the pump, which runs on them.
+            // Written by submits and by the seal, which runs on them.
             span("stat", stat, Side::Submitter),
             span("dispatch", dispatch, Side::Submitter),
-            span("sealed_floor", sealed_floor, Side::Submitter),
             span("max_target", max_target, Side::Submitter),
-            span("handles", handles, Side::Submitter),
             span("next_id", next_id, Side::Submitter),
             span("shutdown", shutdown, Side::Submitter),
             span("quiesce", quiesce, Side::Submitter),
@@ -2434,9 +2393,6 @@ mod tests {
                 std::mem::size_of::<Engine>()
             );
         }
-        // A handle's watermark shares no line with another handle's: each
-        // allocation (two reference counts, then the struct) spans a line.
-        assert!(2 * std::mem::size_of::<usize>() + std::mem::size_of::<HandleShared>() >= 64);
         s.finish();
     }
 
@@ -2491,37 +2447,72 @@ mod tests {
         assert_eq!(hs.busy_as_of(1, 10), 900);
     }
 
+    /// A server without a log and one with a memory log: both release
+    /// windows through the one [`SubmitterHandle::release`], so the seal
+    /// counts below hold for each.
+    fn with_and_without_a_log() -> [QosServer; 2] {
+        let cfg = ServerConfig::new(QosConfig::paper_9_3_1());
+        [cfg.clone(), cfg.with_wal_memory()].map(|cfg| QosServer::new(cfg).unwrap())
+    }
+
     #[test]
     fn sealing_follows_the_watermark_not_the_submit_count() {
-        let s = server();
-        s.register(1, 3, OverloadPolicy::Delay).unwrap();
-        let mut h = s.handle();
-        for lbn in 0..3 {
-            assert!(h.submit(1, lbn, lbn).is_admitted());
+        for s in with_and_without_a_log() {
+            s.register(1, 3, OverloadPolicy::Delay).unwrap();
+            let mut h = s.handle();
+            for lbn in 0..3 {
+                assert!(h.submit(1, lbn, lbn).is_admitted());
+            }
+            assert_eq!(s.metrics().windows_sealed, 0, "window 0 is still open");
+            assert!(h.submit(1, 3, 5 * BASE_T).is_admitted());
+            assert_eq!(s.metrics().windows_sealed, 5);
+            // An unknown tenant's submit moves the watermark like any other.
+            assert!(!h.submit(9, 0, 7 * BASE_T).is_admitted());
+            assert_eq!(s.metrics().windows_sealed, 7);
+            drop(h);
+            assert_eq!(s.finish().served, 4);
         }
-        assert_eq!(s.metrics().windows_sealed, 0, "window 0 is still open");
-        assert!(h.submit(1, 3, 5 * BASE_T).is_admitted());
-        assert_eq!(s.metrics().windows_sealed, 5);
-        // An unknown tenant's submit moves the watermark like any other.
-        assert!(!h.submit(9, 0, 7 * BASE_T).is_admitted());
-        assert_eq!(s.metrics().windows_sealed, 7);
-        drop(h);
-        assert_eq!(s.finish().served, 4);
     }
 
     #[test]
     fn the_slowest_open_handle_gates_the_seal() {
+        for s in with_and_without_a_log() {
+            s.register(1, 1, OverloadPolicy::Delay).unwrap();
+            let mut a = s.handle();
+            let mut b = s.handle();
+            assert!(a.submit(1, 0, 9 * BASE_T).is_admitted());
+            assert_eq!(s.metrics().windows_sealed, 0, "B still sits at window 0");
+            b.advance_to(4 * BASE_T);
+            assert_eq!(s.metrics().windows_sealed, 4);
+            drop(b);
+            assert_eq!(s.metrics().windows_sealed, 9, "only A's watermark is left");
+            drop(a);
+            assert_eq!(s.finish().served, 1);
+        }
+    }
+
+    #[test]
+    fn a_new_handle_takes_over_a_closed_handles_entry() {
         let s = server();
         s.register(1, 1, OverloadPolicy::Delay).unwrap();
+        let marks = || s.engine.dispatch.lock().watermarks.clone();
         let mut a = s.handle();
-        let mut b = s.handle();
+        let b = s.handle();
         assert!(a.submit(1, 0, 9 * BASE_T).is_admitted());
-        assert_eq!(s.metrics().windows_sealed, 0, "B still sits at window 0");
-        b.advance_to(4 * BASE_T);
-        assert_eq!(s.metrics().windows_sealed, 4);
         drop(b);
-        assert_eq!(s.metrics().windows_sealed, 9, "only A's watermark is left");
-        drop(a);
+        assert_eq!(s.metrics().windows_sealed, 9);
+        let mut c = s.handle();
+        assert_eq!((c.slot, c.watermark.get()), (1, 9), "B's entry");
+        assert_eq!(marks(), [9, 9]);
+        a.advance_to(12 * BASE_T);
+        assert_eq!(s.metrics().windows_sealed, 9, "C gates the seal");
+        c.advance_to(11 * BASE_T);
+        assert_eq!(s.metrics().windows_sealed, 11);
+        drop((a, c));
+        for _ in 0..3 {
+            drop((s.handle(), s.handle()));
+        }
+        assert_eq!(marks(), [u64::MAX; 2], "churn does not grow the entries");
         assert_eq!(s.finish().served, 1);
     }
 
@@ -2707,10 +2698,9 @@ mod tests {
         assert!(s.deregister(2).is_some());
         s.register(3, 2, OverloadPolicy::Delay).unwrap();
         assert!(s.finish().conserved());
-        // What a pump takes: under a submit's `engine.quiesce`, and under
+        // What a seal takes: under a submit's `engine.quiesce`, and under
         // `engine.dispatch`.
-        let pump = [
-            EngineHandles,
+        let seal = [
             EngineStatCounters,
             WindowSlot,
             RegistryShard,
@@ -2721,8 +2711,8 @@ mod tests {
         ];
         let kept: [(Class, &[Class]); 6] = [
             (EngineQuiesce, &[EngineDispatch]),
-            (EngineQuiesce, &pump),
-            (EngineDispatch, &pump),
+            (EngineQuiesce, &seal),
+            (EngineDispatch, &seal),
             (RegistryAdmission, &[RegistryShard, EngineStage, EngineWal]),
             (WindowSlot, &[FaultInner]),
             (EngineStage, &[EngineStage, EngineWal]),

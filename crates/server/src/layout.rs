@@ -14,7 +14,7 @@ pub(crate) enum Side {
     /// submitters and workers alike.
     ReadMostly,
     /// Written — or read on every request — by submitting threads only
-    /// (the pump runs on them).
+    /// (the seal runs on them).
     Submitter,
     /// Written by worker threads.
     Worker,

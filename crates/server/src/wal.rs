@@ -48,7 +48,7 @@
 //!
 //! A submitter's stage reaches the log when the handle raises its
 //! watermark or closes, under the same hold of the dispatch lock as the
-//! store that says so: that store is what lets a pump log `Seal(w)`, and
+//! write that says so: that write is what lets a seal log `Seal(w)`, and
 //! every `Admit(w)` has to be in the log ahead of it. It rides the first
 //! such seal, or is drained on its own when a slower handle holds the
 //! frontier back.

@@ -43,8 +43,6 @@ pub enum Class {
     /// under it, so replay rebuilds exactly the admitted tenant set; the
     /// submit path never takes it.
     RegistryAdmission,
-    /// Open submitter handles.
-    EngineHandles,
     /// Statistical admission counters.
     EngineStatCounters,
     /// One window-ring slot.
@@ -85,7 +83,6 @@ impl Class {
             Class::EngineQuiesce => "engine.quiesce",
             Class::EngineDispatch => "engine.dispatch",
             Class::RegistryAdmission => "registry.admission",
-            Class::EngineHandles => "engine.handles",
             Class::EngineStatCounters => "engine.stat_counters",
             Class::WindowSlot => "window.slot",
             Class::RegistryShard => "registry.shard",

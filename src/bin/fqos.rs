@@ -11,6 +11,7 @@ use flash_qos::traces::ascii;
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::{Arc, Barrier};
 
 /// The one usage text: printed by `fqos --help`, and after a usage error.
 const USAGE: &str = "\
@@ -74,6 +75,10 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// Trace windows between two meetings of `serve`'s submitter threads: how
+/// far one may run ahead of another, a quarter of the default window ring.
+const LANE_WINDOWS: u64 = 256;
 
 /// The flags `serve` and `cluster` share, read by [`ArrayArgs::parse`];
 /// then each one's own.
@@ -543,48 +548,69 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         args.workers.min(args.devices),
     );
 
+    // Every trace is built before the first submitter starts, and the
+    // submitters meet at a barrier every `LANE_WINDOWS` trace windows, each
+    // passing it the same number of times: no lane gets further ahead of
+    // another than the window ring holds.
+    let traces: Vec<_> = plan
+        .iter()
+        .map(|&(tenant, reserved)| match burst {
+            Some((height, start, len)) => BurstConfig {
+                base_blocks_per_interval: reserved,
+                burst_blocks_per_interval: height,
+                burst_start_interval: start,
+                burst_intervals: len,
+                total_intervals: args.windows,
+                interval_ns,
+                block_pool: pool,
+                write_fraction: write_ratio,
+                seed: args.seed ^ tenant,
+            }
+            .generate(),
+            None => {
+                let base = SyntheticConfig {
+                    blocks_per_interval: reserved,
+                    interval_ns,
+                    total_requests: reserved * args.windows as usize,
+                    block_pool: pool,
+                    seed: args.seed ^ tenant,
+                }
+                .generate();
+                if write_ratio > 0.0 {
+                    rw::with_write_fraction(&base, write_ratio, args.seed ^ tenant)
+                } else {
+                    base
+                }
+            }
+        })
+        .collect();
+    let lanes = Arc::new(Barrier::new(traces.len()));
+    let meetings = args.windows / LANE_WINDOWS;
     let wall = std::time::Instant::now();
     let threads: Vec<_> = plan
         .iter()
-        .map(|&(tenant, reserved)| {
+        .zip(traces)
+        .map(|(&(tenant, _), trace)| {
             let mut handle = server.handle();
-            let trace = match burst {
-                Some((height, start, len)) => BurstConfig {
-                    base_blocks_per_interval: reserved,
-                    burst_blocks_per_interval: height,
-                    burst_start_interval: start,
-                    burst_intervals: len,
-                    total_intervals: args.windows,
-                    interval_ns,
-                    block_pool: pool,
-                    write_fraction: write_ratio,
-                    seed: args.seed ^ tenant,
-                }
-                .generate(),
-                None => {
-                    let base = SyntheticConfig {
-                        blocks_per_interval: reserved,
-                        interval_ns,
-                        total_requests: reserved * args.windows as usize,
-                        block_pool: pool,
-                        seed: args.seed ^ tenant,
-                    }
-                    .generate();
-                    if write_ratio > 0.0 {
-                        rw::with_write_fraction(&base, write_ratio, args.seed ^ tenant)
-                    } else {
-                        base
-                    }
-                }
-            };
+            let lanes = Arc::clone(&lanes);
             std::thread::spawn(move || {
+                let mut met = 0;
                 for r in &trace.records {
+                    let due = (r.arrival_ns / interval_ns / LANE_WINDOWS).min(meetings);
+                    while met < due {
+                        lanes.wait();
+                        met += 1;
+                    }
                     handle.submit_op(
                         tenant,
                         r.lbn,
                         r.arrival_ns + base_window * interval_ns,
                         r.op,
                     );
+                }
+                while met < meetings {
+                    lanes.wait();
+                    met += 1;
                 }
             })
         })

@@ -1,7 +1,7 @@
 //! The `fqos` command line: a mistyped, foreign, repeated or misused flag
 //! and a zero where a positive number belongs are errors (exit 1, never a
-//! panic's 101), `--help` names every flag, and a short `serve` and
-//! `cluster` run still close their books.
+//! panic's 101), `--help` names every flag, and short `serve` and
+//! `cluster` runs and a long `serve` still close their books.
 
 use std::collections::HashSet;
 use std::process::{Command, Output};
@@ -91,17 +91,30 @@ fn help_names_every_flag_of_every_command() {
     }
 }
 
-#[test]
-fn a_short_serve_conserves() {
-    let out = fqos("serve --devices 9 --windows 20");
+/// `fqos <line>` must exit 0 and print a closed conservation law.
+fn conserves(line: &str) {
+    let out = fqos(line);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{line}: {stdout}{stderr}");
     assert!(
         stdout
             .lines()
             .any(|l| l.starts_with("conservation: ") && l.ends_with(" ✓")),
         "{stdout}"
     );
+}
+
+#[test]
+fn a_short_serve_conserves() {
+    conserves("serve --devices 9 --windows 20");
+}
+
+/// Three submitter threads over many times the window ring: none may run
+/// so far ahead of another that the ring wraps under the slowest.
+#[test]
+fn a_long_serve_keeps_its_submitters_within_the_ring() {
+    conserves("serve --devices 9 --windows 20000");
 }
 
 #[test]
