@@ -44,7 +44,7 @@ pub fn run_scheme_greedy<S: fqos_decluster::AllocationScheme>(
     );
     let mut report = QosReport::new(format!("greedy {}", scheme.name()), trace.num_intervals());
     let mut free = vec![0u64; scheme.devices()];
-    for (interval_idx, records) in trace.intervals().enumerate() {
+    mapping.drive(trace, &mut report, |interval, records, mapping, report| {
         for r in records {
             let bucket = mapping.bucket_for(r.lbn);
             let replicas = scheme.replicas(bucket);
@@ -54,14 +54,9 @@ pub fn run_scheme_greedy<S: fqos_decluster::AllocationScheme>(
                 r.arrival_ns,
             );
             free[d] = c.finish;
-            report.record(interval_idx, c.response_time(), 0);
+            report.record(interval, c.response_time(), 0);
         }
-        let (matched, mining) = mapping.advance_interval(records);
-        report.matched_fraction.push(matched);
-        if let Some(m) = mining {
-            report.mining.push(m);
-        }
-    }
+    });
     report
 }
 

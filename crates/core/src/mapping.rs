@@ -1,7 +1,9 @@
 //! Data-block → bucket mapping strategies (§IV-A).
 
+use crate::report::QosReport;
 use fqos_fim::{mine_and_match, BlockMatcher, TransactionDb};
-use fqos_traces::TraceRecord;
+use fqos_traces::{Trace, TraceRecord};
+use std::sync::mpsc::sync_channel;
 
 /// How data blocks are mapped to design-block buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -21,7 +23,9 @@ pub enum MappingStrategy {
 /// at every reporting-interval boundary with the just-finished interval's
 /// records; the mapping used *within* interval `i` is mined from interval
 /// `i − 1` ("we use the trace one previous than the current interval for
-/// mining", §V-D).
+/// mining", §V-D). The schedulers mine on a helper thread instead, which
+/// that rule makes exact: interval `i + 1`'s matcher depends on interval
+/// `i`'s requests alone, never on how they were scheduled.
 #[derive(Debug, Clone)]
 pub struct BlockMapping {
     strategy: MappingStrategy,
@@ -101,6 +105,54 @@ impl BlockMapping {
         (matched, report)
     }
 
+    /// Serve `trace` one reporting interval at a time: `serve(i, records,
+    /// mapping, report)`, then what [`BlockMapping::advance_interval`] would
+    /// do (matched fraction, pair count, next matcher). A helper thread mines
+    /// interval `i` while `serve` schedules it, and mines into each matcher
+    /// retired. A panic on either side hangs up its channels and surfaces.
+    pub(crate) fn drive<F>(&mut self, trace: &Trace, report: &mut QosReport, mut serve: F)
+    where
+        F: FnMut(usize, &[TraceRecord], &mut BlockMapping, &mut QosReport),
+    {
+        let (fim, buckets) = (self.strategy == MappingStrategy::Fim, self.num_buckets);
+        let (window_ns, min_support) = (self.window_ns, self.min_support);
+        std::thread::scope(|s| {
+            let (next_tx, next_rx) = sync_channel(1);
+            let (home_tx, home_rx) = sync_channel::<BlockMatcher>(1);
+            let helper = s.spawn(move || {
+                for (i, records) in trace.intervals().enumerate() {
+                    // The matchers in the channel and in the making start
+                    // empty, later ones are retired ones (or, when the
+                    // scheduler is gone, empty too: the send fails).
+                    let home = if i > 1 { home_rx.recv().ok() } else { None };
+                    let mut matcher = home.unwrap_or_else(|| BlockMatcher::empty(buckets));
+                    let pairs = fim.then(|| {
+                        let events = records.iter().map(|r| (r.arrival_ns, r.lbn));
+                        let db = TransactionDb::from_timed_events(events, window_ns);
+                        let found = matcher.mine(&db, min_support).pairs_found;
+                        u32::try_from(found).expect("pair counts fit 32 bits")
+                    });
+                    if next_tx.send((matcher, pairs)).is_err() {
+                        return;
+                    }
+                }
+            });
+            for (i, records) in trace.intervals().enumerate() {
+                serve(i, records, self, report);
+                let matched = self.matcher.matched_fraction(records.iter().map(|r| r.lbn));
+                let (matcher, pairs) = next_rx.recv().expect("the mining helper panicked");
+                report.matched_fraction.push(matched);
+                report.mining.extend(pairs);
+                // Fails once the helper returned: done, or panicked, which
+                // the next `recv` reports.
+                let _ = home_tx.send(std::mem::replace(&mut self.matcher, matcher));
+            }
+            // Joined here, not by the scope: only a thread that has exited
+            // hands its malloc arena to the next run's helper.
+            helper.join().expect("the mining helper panicked");
+        });
+    }
+
     /// The active matcher (inspection).
     pub fn matcher(&self) -> &BlockMatcher {
         &self.matcher
@@ -166,5 +218,128 @@ mod tests {
         m.advance_interval(&interval);
         // Block 999 never seen → modulo.
         assert_eq!(m.bucket_for(999), (999 % 36) as usize);
+    }
+}
+
+/// `BlockMapping::drive` against the loop it replaced: every record looked up,
+/// then `advance_interval` at the boundary, all on one thread.
+#[cfg(test)]
+mod drive {
+    use super::*;
+    use crate::baseline::run_scheme_greedy;
+    use crate::config::QosConfig;
+    use crate::scheduler::{IntervalQos, OnlineQos};
+    use fqos_decluster::AllocationScheme;
+    use fqos_traces::models::exchange::ExchangeConfig;
+    use fqos_traces::models::tpce::TpceConfig;
+    use fqos_traces::models::{exchange, tpce};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// What the sequential loop leaves: per-interval matched fractions and
+    /// pair counts, every record's bucket in trace order, and the mapping.
+    struct Sequential {
+        matched: Vec<f64>,
+        pairs: Vec<u32>,
+        buckets: Vec<usize>,
+        mapping: BlockMapping,
+    }
+
+    fn sequential(trace: &Trace, mut mapping: BlockMapping) -> Sequential {
+        let (mut matched, mut pairs, mut buckets) = (Vec::new(), Vec::new(), Vec::new());
+        for records in trace.intervals() {
+            buckets.extend(records.iter().map(|r| mapping.bucket_for(r.lbn)));
+            let (fraction, report) = mapping.advance_interval(records);
+            matched.push(fraction);
+            pairs.extend(report.map(|r| u32::try_from(r.pairs_found).unwrap()));
+        }
+        Sequential {
+            matched,
+            pairs,
+            buckets,
+            mapping,
+        }
+    }
+
+    /// The Exchange model on `(9,3,1)` and the TPC-E model on `(13,3,1)`.
+    fn cases() -> [(Trace, QosConfig); 2] {
+        let exchange = exchange(ExchangeConfig {
+            intervals: 16,
+            seed: 1,
+            ..ExchangeConfig::default()
+        });
+        let tpce = tpce(TpceConfig {
+            part_ns: 50_000_000,
+            ..TpceConfig::default()
+        });
+        [
+            (exchange.generate(), QosConfig::paper_9_3_1()),
+            (tpce.generate(), QosConfig::paper_13_3_1()),
+        ]
+    }
+
+    fn mapping(strategy: MappingStrategy, config: &QosConfig) -> BlockMapping {
+        let buckets = config.scheme.num_buckets();
+        BlockMapping::new(strategy, buckets, config.interval_ns, 1)
+    }
+
+    #[test]
+    fn drive_equals_the_sequential_loop() {
+        for (trace, config) in cases() {
+            for strategy in [
+                MappingStrategy::Fim,
+                MappingStrategy::Modulo,
+                MappingStrategy::RoundRobin,
+            ] {
+                let want = sequential(&trace, mapping(strategy, &config));
+                let mut driven = mapping(strategy, &config);
+                let mut report = QosReport::new("driven", trace.num_intervals());
+                let mut buckets = Vec::new();
+                driven.drive(&trace, &mut report, |_, records, mapping, _| {
+                    buckets.extend(records.iter().map(|r| mapping.bucket_for(r.lbn)));
+                });
+                assert_eq!(report.matched_fraction, want.matched, "{strategy:?}");
+                assert_eq!(report.mining, want.pairs, "{strategy:?}");
+                assert_eq!(buckets, want.buckets, "{strategy:?}");
+                assert_eq!(driven.matcher(), want.mapping.matcher(), "{strategy:?}");
+                if strategy == MappingStrategy::Fim {
+                    assert!(want.pairs.iter().any(|&p| p > 0));
+                    assert!(want.matched[1..].iter().any(|&f| f > 0.0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_scheduler_mines_as_the_sequential_loop_does() {
+        for (trace, config) in cases() {
+            let want = sequential(&trace, mapping(MappingStrategy::Fim, &config));
+            let schedulers: [&dyn Fn(&mut BlockMapping) -> QosReport; 3] = [
+                &|m| OnlineQos::new(config.clone()).run(&trace, m),
+                &|m| IntervalQos::new(config.clone()).run(&trace, m),
+                &|m| run_scheme_greedy(&trace, &config.scheme, m, config.service_ns),
+            ];
+            for run in schedulers {
+                let mut driven = mapping(MappingStrategy::Fim, &config);
+                let report = run(&mut driven);
+                assert_eq!(report.completed(), trace.len() as u64, "{}", report.name);
+                assert_eq!(report.matched_fraction, want.matched, "{}", report.name);
+                assert_eq!(report.mining, want.pairs, "{}", report.name);
+                assert_eq!(driven.matcher(), want.mapping.matcher(), "{}", report.name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_in_serve_surfaces_and_does_not_hang() {
+        let [(trace, config), _] = cases();
+        let mut mapping = mapping(MappingStrategy::Fim, &config);
+        let mut report = QosReport::new("panics", trace.num_intervals());
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            mapping.drive(&trace, &mut report, |i, _, _, _| {
+                assert!(i < 5, "serve fails mid-trace");
+            });
+        }));
+        assert!(run.is_err());
+        assert_eq!(report.matched_fraction.len(), 5);
     }
 }

@@ -1,6 +1,5 @@
 //! Experiment reports: per-interval response/delay series.
 
-use fqos_fim::MiningReport;
 use fqos_flashsim::{IntervalStats, ResponseStats};
 
 /// Outcome of running a workload through a QoS scheduler (or a baseline).
@@ -17,8 +16,9 @@ pub struct QosReport {
     /// Fig. 11 series: fraction of each interval's requests matched by the
     /// previous interval's FIM mining (empty unless FIM mapping was used).
     pub matched_fraction: Vec<f64>,
-    /// Mining reports per interval (Table IV inputs).
-    pub mining: Vec<MiningReport>,
+    /// Frequent pairs mined from each interval (Table IV inputs; empty
+    /// unless FIM mapping was used).
+    pub mining: Vec<u32>,
 }
 
 impl QosReport {
@@ -69,6 +69,8 @@ impl QosReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{QosConfig, QosPipeline};
+    use fqos_traces::models::exchange::{exchange, ExchangeConfig};
 
     #[test]
     fn records_flow_to_both_aggregates() {
@@ -89,5 +91,47 @@ mod tests {
         assert!((r.avg_matched_fraction() - 0.6).abs() < 1e-12);
         r.matched_fraction = vec![0.0];
         assert_eq!(r.avg_matched_fraction(), 0.0);
+    }
+
+    /// A report holds per reporting interval one `ResponseStats` and five
+    /// series: 40 + 8 + 8 + 16 + 8 + 4 = 84 bytes. The benchmark keeps every
+    /// pass's report, so a byte more here is resident memory there.
+    #[test]
+    fn a_pass_holds_at_most_84_bytes_per_interval() {
+        fn heap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let trace = exchange(ExchangeConfig {
+            intervals: 16,
+            seed: 1,
+            ..ExchangeConfig::default()
+        })
+        .generate();
+        let report = QosPipeline::new(QosConfig::paper_9_3_1()).run_online(&trace);
+        // Spelled out field by field: a new one does not compile until it
+        // is counted here.
+        let QosReport {
+            name: _,
+            intervals,
+            total_response: _,
+            rejected: _,
+            matched_fraction,
+            mining,
+        } = &report;
+        let IntervalStats {
+            response,
+            requests,
+            delayed,
+            delay_sum_ns,
+        } = intervals;
+        let bytes = heap(response)
+            + heap(requests)
+            + heap(delayed)
+            + heap(delay_sum_ns)
+            + heap(matched_fraction)
+            + heap(mining);
+        let n = trace.num_intervals();
+        assert_eq!((intervals.num_intervals(), mining.len()), (n, n));
+        assert!(bytes <= 84 * n, "{} bytes per interval", bytes / n);
     }
 }

@@ -182,35 +182,22 @@ impl IntervalQos {
             }
         };
 
-        for (interval_idx, records) in trace.intervals().enumerate() {
+        mapping.drive(trace, &mut report, |interval, records, mapping, report| {
             for r in records {
                 // Flush every boundary strictly before this arrival; an
                 // arrival exactly at a boundary joins that boundary's batch.
                 while boundary < r.arrival_ns {
-                    flush(
-                        boundary,
-                        &mut pending,
-                        &mut array,
-                        &mut report,
-                        &mut counters,
-                    );
+                    flush(boundary, &mut pending, &mut array, report, &mut counters);
                     boundary += t_win;
                 }
                 let bucket = mapping.bucket_for(r.lbn);
                 pending.push_back(Pending {
                     arrival: r.arrival_ns,
-                    interval_idx,
+                    interval_idx: interval,
                     bucket,
                 });
             }
-            // Mining happens at reporting-interval boundaries as in the
-            // online scheduler.
-            let (matched, mining) = mapping.advance_interval(records);
-            report.matched_fraction.push(matched);
-            if let Some(m) = mining {
-                report.mining.push(m);
-            }
-        }
+        });
         // Drain the tail.
         while !pending.is_empty() {
             flush(

@@ -1,5 +1,10 @@
 //! The two QoS schedulers: online (§IV-B) and interval-aligned
 //! design-theoretic (§III-C).
+//!
+//! Both walk the trace through `BlockMapping::drive`, which mines the
+//! interval being scheduled on a second thread. §V-D makes that exact: the
+//! next interval's matcher comes from this interval's *trace*, never from
+//! what the scheduler admitted, delayed or served.
 
 pub mod interval;
 pub mod online;

@@ -82,7 +82,7 @@ impl OnlineQos {
         let mut buckets: Vec<usize> = Vec::new();
         let mut replica_refs: Vec<&[usize]> = Vec::new();
 
-        for (interval_idx, records) in trace.intervals().enumerate() {
+        mapping.drive(trace, &mut report, |interval, records, mapping, report| {
             // §IV-B: "the requests that come exactly at the same time are
             // retrieved together as previously" — process same-timestamp
             // groups as one batch with design-theoretic remapping; all
@@ -134,7 +134,7 @@ impl OnlineQos {
                             array.submit(&req, start);
                             budgets.record_start(window_of(start, t_ival), d);
                         }
-                        report.record(interval_idx, cfg.service_ns, start - t);
+                        report.record(interval, cfg.service_ns, start - t);
                         continue;
                     }
 
@@ -145,7 +145,7 @@ impl OnlineQos {
                         if budgets.remaining(w, d) > 0 && array.next_free(d, t) == t {
                             let c = array.submit(&IoRequest::read_block(r.lbn, t, d, r.lbn), t);
                             budgets.record_start(w, d);
-                            report.record(interval_idx, c.response_time(), 0);
+                            report.record(interval, c.response_time(), 0);
                             continue;
                         }
                     }
@@ -160,7 +160,7 @@ impl OnlineQos {
                     if start == t {
                         let c = array.submit(&IoRequest::read_block(r.lbn, t, device, r.lbn), t);
                         budgets.record_start(w, device);
-                        report.record(interval_idx, c.response_time(), 0);
+                        report.record(interval, c.response_time(), 0);
                         continue;
                     }
 
@@ -181,7 +181,7 @@ impl OnlineQos {
                                 .unwrap();
                             let c = array.submit(&IoRequest::read_block(r.lbn, t, d, r.lbn), t);
                             budgets.record_overload(w);
-                            report.record(interval_idx, c.response_time(), 0);
+                            report.record(interval, c.response_time(), 0);
                             continue;
                         }
                     }
@@ -195,7 +195,7 @@ impl OnlineQos {
                             req.arrival = start;
                             let c = array.submit(&req, start);
                             budgets.record_start(window_of(start, t_ival), device);
-                            report.record(interval_idx, c.finish - start, start - t);
+                            report.record(interval, c.finish - start, start - t);
                         }
                         OverloadPolicy::Reject => {
                             report.rejected += 1;
@@ -203,13 +203,7 @@ impl OnlineQos {
                     }
                 }
             }
-
-            let (matched, mining) = mapping.advance_interval(records);
-            report.matched_fraction.push(matched);
-            if let Some(m) = mining {
-                report.mining.push(m);
-            }
-        }
+        });
         report
     }
 

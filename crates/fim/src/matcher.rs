@@ -109,8 +109,10 @@ pub fn match_design_blocks(pairs: &[FrequentPair], num_design_blocks: usize) -> 
         .iter()
         .map(|p| (vertex(p.a), vertex(p.b), p.support))
         .collect();
+    let mut color = Vec::new();
+    color_into(blocks.len(), &edges, num_design_blocks, &mut color);
     BlockMatcher {
-        color: color(blocks.len(), &edges, num_design_blocks),
+        color,
         blocks,
         num_design_blocks,
     }
@@ -125,29 +127,37 @@ pub fn mine_and_match(
     min_support: u32,
     num_design_blocks: usize,
 ) -> (BlockMatcher, MiningReport) {
-    let (edges, report) = mine_items(db, min_support);
-    // An item in no pair is left uncolored, and is no matched block.
-    let mut color = color(db.num_items(), &edges, num_design_blocks);
-    let colored = |&c: &u32| (c as usize) < num_design_blocks;
-    let mut blocks = Vec::with_capacity(color.len());
-    for (item, _) in (0..).zip(&color).filter(|(_, c)| colored(c)) {
-        blocks.push(db.lbn_of(item));
-    }
-    color.retain(colored);
-    let matcher = BlockMatcher {
-        blocks,
-        color,
-        num_design_blocks,
-    };
+    let mut matcher = BlockMatcher::empty(num_design_blocks);
+    let report = matcher.mine(db, min_support);
     (matcher, report)
+}
+
+impl BlockMatcher {
+    /// Become [`mine_and_match`]'s matcher for `db`, keeping this one's
+    /// buffers: a matcher mined into again allocates nothing once they are
+    /// as large as an interval needs.
+    pub fn mine(&mut self, db: &TransactionDb, min_support: u32) -> MiningReport {
+        let (edges, report) = mine_items(db, min_support);
+        let d = self.num_design_blocks;
+        // An item in no pair is left uncolored, and is no matched block.
+        color_into(db.num_items(), &edges, d, &mut self.color);
+        let colored = |&c: &u32| (c as usize) < d;
+        self.blocks.clear();
+        self.blocks.reserve(self.color.len());
+        for (item, _) in (0..).zip(&self.color).filter(|(_, c)| colored(c)) {
+            self.blocks.push(db.lbn_of(item));
+        }
+        self.color.retain(colored);
+        report
+    }
 }
 
 /// Greedy weighted coloring with `d` colors of the graph on `0..n` with
 /// `edges` `(u, v, support)`: vertices with an edge by descending incident
 /// support, ties toward the smaller; each takes the color minimizing
 /// `(conflict, use, color)`, conflict being the support to neighbours of
-/// that color. A vertex without an edge is left `d`.
-fn color(n: usize, edges: &[(u32, u32, u32)], d: usize) -> Vec<u32> {
+/// that color, written to `color`. A vertex without an edge is left `d`.
+fn color_into(n: usize, edges: &[(u32, u32, u32)], d: usize, color: &mut Vec<u32>) {
     assert!(d > 0);
     let uncolored = u32::try_from(d).expect("design blocks fit 32 bits");
 
@@ -188,7 +198,8 @@ fn color(n: usize, edges: &[(u32, u32, u32)], d: usize) -> Vec<u32> {
     // and for the fallback their weights (slot `d` takes uncolored ones).
     let mut held = vec![0u64; words];
     let mut conflict = vec![0u64; d + 1];
-    let mut color = vec![uncolored; n];
+    color.clear();
+    color.resize(n, uncolored);
     for v in order {
         let neighbours = &adj[row[v]..row[v + 1]];
         for &(nbr, support) in neighbours {
@@ -233,7 +244,6 @@ fn color(n: usize, edges: &[(u32, u32, u32)], d: usize) -> Vec<u32> {
         }
         color[v] = best as u32;
     }
-    color
 }
 
 #[cfg(test)]
@@ -291,6 +301,21 @@ mod tests {
             m.bucket_for(4),
             "second-heaviest pair must separate"
         );
+    }
+
+    #[test]
+    fn a_matcher_mined_again_equals_a_fresh_one() {
+        let wide =
+            TransactionDb::from_timed_events((0..400u64).map(|i| (i * 7 % 90, (i * 31) % 97)), 10);
+        let narrow = TransactionDb::from_timed_events([(0, 5), (1, 9), (20, 5), (21, 9)], 10);
+        let (mut reused, _) = mine_and_match(&wide, 1, 36);
+        assert!(reused.matched_blocks() > 2);
+        for db in [&narrow, &wide, &TransactionDb::default()] {
+            let report = reused.mine(db, 1);
+            let (fresh, fresh_report) = mine_and_match(db, 1, 36);
+            assert_eq!(reused, fresh);
+            assert_eq!(report.pairs_found, fresh_report.pairs_found);
+        }
     }
 
     #[test]

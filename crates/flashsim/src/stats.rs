@@ -1,14 +1,14 @@
 //! Streaming response-time statistics.
 //!
 //! [`ResponseStats`] produces exactly the columns of the paper's Table III
-//! (average, standard deviation, maximum) plus percentiles; [`IntervalStats`]
-//! aggregates per trace interval for the Fig. 8/9 time-series plots.
+//! (average, standard deviation, maximum); [`IntervalStats`] aggregates per
+//! trace interval for the Fig. 8/9 time-series plots.
 
 use crate::time::{ns_to_ms, Duration};
 
 /// Streaming statistics over response times (Welford's online algorithm for
-/// numerically stable mean/variance), with optional sample retention for
-/// percentile queries.
+/// numerically stable mean/variance) in O(1) memory: an [`IntervalStats`]
+/// holds one per interval.
 #[derive(Debug, Clone)]
 pub struct ResponseStats {
     count: u64,
@@ -16,10 +16,6 @@ pub struct ResponseStats {
     m2: f64,
     max: Duration,
     min: Duration,
-    /// Boxed: an [`IntervalStats`] holds one of these per interval and never
-    /// retains samples, so the empty case is one word, not a `Vec`'s three.
-    #[allow(clippy::box_collection)]
-    samples: Option<Box<Vec<Duration>>>,
 }
 
 impl Default for ResponseStats {
@@ -29,7 +25,7 @@ impl Default for ResponseStats {
 }
 
 impl ResponseStats {
-    /// Statistics without sample retention (O(1) memory).
+    /// Empty statistics.
     pub fn new() -> Self {
         ResponseStats {
             count: 0,
@@ -37,16 +33,6 @@ impl ResponseStats {
             m2: 0.0,
             max: 0,
             min: Duration::MAX,
-            samples: None,
-        }
-    }
-
-    /// Statistics that additionally retain every sample so percentiles can
-    /// be queried.
-    pub fn with_samples() -> Self {
-        ResponseStats {
-            samples: Some(Box::default()),
-            ..Self::new()
         }
     }
 
@@ -59,9 +45,6 @@ impl ResponseStats {
         self.m2 += delta * (x - self.mean);
         self.max = self.max.max(ns);
         self.min = self.min.min(ns);
-        if let Some(s) = &mut self.samples {
-            s.push(ns);
-        }
     }
 
     /// Merge another statistics object into this one (parallel reduction).
@@ -82,9 +65,6 @@ impl ResponseStats {
         self.count += other.count;
         self.max = self.max.max(other.max);
         self.min = self.min.min(other.min);
-        if let (Some(a), Some(b)) = (&mut self.samples, &other.samples) {
-            a.extend_from_slice(b);
-        }
     }
 
     /// Number of recorded samples.
@@ -137,19 +117,6 @@ impl ResponseStats {
     /// Maximum in milliseconds.
     pub fn max_ms(&self) -> f64 {
         ns_to_ms(self.max_ns())
-    }
-
-    /// `p`-th percentile (0.0–1.0) in nanoseconds. Requires sample
-    /// retention; returns `None` otherwise.
-    pub fn percentile_ns(&self, p: f64) -> Option<Duration> {
-        let s = self.samples.as_ref()?;
-        if s.is_empty() {
-            return None;
-        }
-        let mut sorted = s.clone();
-        sorted.sort_unstable();
-        let idx = ((p.clamp(0.0, 1.0)) * (sorted.len() - 1) as f64).round() as usize;
-        Some(sorted[idx])
     }
 }
 
@@ -292,20 +259,12 @@ mod tests {
         assert_eq!(a.max_ns(), whole.max_ns());
     }
 
+    /// Five words: count, mean, m2, max and min. A `QosReport` holds one
+    /// per reporting interval, and every pass the benchmark retains holds
+    /// a report, so a sixth word shows as resident memory.
     #[test]
-    fn percentiles_require_samples() {
-        let mut s = ResponseStats::new();
-        s.record(5);
-        assert!(s.percentile_ns(0.5).is_none());
-
-        let mut s = ResponseStats::with_samples();
-        for x in 1..=100u64 {
-            s.record(x);
-        }
-        assert_eq!(s.percentile_ns(0.0), Some(1));
-        assert_eq!(s.percentile_ns(1.0), Some(100));
-        let median = s.percentile_ns(0.5).unwrap();
-        assert!((49..=52).contains(&median));
+    fn response_stats_is_five_words() {
+        assert_eq!(std::mem::size_of::<ResponseStats>(), 40);
     }
 
     #[test]
