@@ -44,9 +44,8 @@ pub fn run_scheme_greedy<S: fqos_decluster::AllocationScheme>(
     );
     let mut report = QosReport::new(format!("greedy {}", scheme.name()), trace.num_intervals());
     let mut free = vec![0u64; scheme.devices()];
-    mapping.drive(trace, &mut report, |interval, records, mapping, report| {
-        for r in records {
-            let bucket = mapping.bucket_for(r.lbn);
+    mapping.drive(trace, &mut report, |interval, records, column, report| {
+        for (r, &bucket) in records.iter().zip(column) {
             let replicas = scheme.replicas(bucket);
             let d = fqos_decluster::retrieval::pick_online_device(replicas, &free, r.arrival_ns);
             let c = array.submit(

@@ -1,7 +1,7 @@
 //! Data-block → bucket mapping strategies (§IV-A).
 
 use crate::report::QosReport;
-use fqos_fim::{mine_and_match, BlockMatcher, TransactionDb};
+use fqos_fim::{BlockMatcher, MiningReport, TransactionDb};
 use fqos_traces::{Trace, TraceRecord};
 use std::sync::mpsc::sync_channel;
 
@@ -23,9 +23,9 @@ pub enum MappingStrategy {
 /// at every reporting-interval boundary with the just-finished interval's
 /// records; the mapping used *within* interval `i` is mined from interval
 /// `i − 1` ("we use the trace one previous than the current interval for
-/// mining", §V-D). The schedulers mine on a helper thread instead, which
-/// that rule makes exact: interval `i + 1`'s matcher depends on interval
-/// `i`'s requests alone, never on how they were scheduled.
+/// mining", §V-D). The schedulers hand the whole mapping to a helper thread
+/// instead, which that rule makes exact: interval `i`'s buckets depend on
+/// the trace alone, never on how it was scheduled.
 #[derive(Debug, Clone)]
 pub struct BlockMapping {
     strategy: MappingStrategy,
@@ -35,6 +35,8 @@ pub struct BlockMapping {
     /// Minimum support for mining.
     min_support: u32,
     matcher: BlockMatcher,
+    /// The interval being mined, refilled in place.
+    db: TransactionDb,
     /// Round-robin state.
     rr_assign: std::collections::HashMap<u64, usize>,
     rr_next: usize,
@@ -55,6 +57,7 @@ impl BlockMapping {
             window_ns,
             min_support,
             matcher: BlockMatcher::empty(num_buckets),
+            db: TransactionDb::default(),
             rr_assign: Default::default(),
             rr_next: 0,
         }
@@ -84,68 +87,75 @@ impl BlockMapping {
     pub fn advance_interval(
         &mut self,
         finished_interval: &[TraceRecord],
-    ) -> (f64, Option<fqos_fim::MiningReport>) {
-        let matched = match self.strategy {
-            MappingStrategy::Fim => self
-                .matcher
-                .matched_fraction(finished_interval.iter().map(|r| r.lbn)),
-            _ => 0.0,
-        };
-        let report = if self.strategy == MappingStrategy::Fim {
-            let db = TransactionDb::from_timed_events(
-                finished_interval.iter().map(|r| (r.arrival_ns, r.lbn)),
-                self.window_ns,
-            );
-            let (matcher, report) = mine_and_match(&db, self.min_support, self.num_buckets);
-            self.matcher = matcher;
-            Some(report)
-        } else {
-            None
-        };
-        (matched, report)
+    ) -> (f64, Option<MiningReport>) {
+        if self.strategy != MappingStrategy::Fim {
+            return (0.0, None);
+        }
+        let (matched, report) = self.mine_interval(finished_interval, &mut Vec::new());
+        (matched, Some(report))
+    }
+
+    /// FIM: `records`' buckets under the outgoing matcher into `column`,
+    /// then mine them into the next one; the matched fraction and report.
+    fn mine_interval(
+        &mut self,
+        records: &[TraceRecord],
+        column: &mut Vec<usize>,
+    ) -> (f64, MiningReport) {
+        let events = records.iter().map(|r| (r.arrival_ns, r.lbn));
+        self.db.refill(events, self.window_ns);
+        let matched = self.matcher.buckets_into(&self.db, column);
+        let report = self.matcher.mine(&self.db, self.min_support);
+        (matched as f64 / records.len().max(1) as f64, report)
     }
 
     /// Serve `trace` one reporting interval at a time: `serve(i, records,
-    /// mapping, report)`, then what [`BlockMapping::advance_interval`] would
-    /// do (matched fraction, pair count, next matcher). A helper thread mines
-    /// interval `i` while `serve` schedules it, and mines into each matcher
-    /// retired. A panic on either side hangs up its channels and surfaces.
+    /// buckets, report)`, `buckets[k]` being `records[k]`'s bucket, then
+    /// record what [`BlockMapping::advance_interval`] returns under FIM. A
+    /// helper thread owns the mapping: it ships each interval's buckets,
+    /// and mines it, while the scheduler serves an earlier one and sends
+    /// served columns home. A panic on either side hangs up its channels
+    /// and surfaces.
     pub(crate) fn drive<F>(&mut self, trace: &Trace, report: &mut QosReport, mut serve: F)
     where
-        F: FnMut(usize, &[TraceRecord], &mut BlockMapping, &mut QosReport),
+        F: FnMut(usize, &[TraceRecord], &[usize], &mut QosReport),
     {
-        let (fim, buckets) = (self.strategy == MappingStrategy::Fim, self.num_buckets);
-        let (window_ns, min_support) = (self.window_ns, self.min_support);
         std::thread::scope(|s| {
             let (next_tx, next_rx) = sync_channel(1);
-            let (home_tx, home_rx) = sync_channel::<BlockMatcher>(1);
+            let (home_tx, home_rx) = sync_channel::<Vec<usize>>(1);
             let helper = s.spawn(move || {
                 for (i, records) in trace.intervals().enumerate() {
-                    // The matchers in the channel and in the making start
-                    // empty, later ones are retired ones (or, when the
-                    // scheduler is gone, empty too: the send fails).
-                    let home = if i > 1 { home_rx.recv().ok() } else { None };
-                    let mut matcher = home.unwrap_or_else(|| BlockMatcher::empty(buckets));
-                    let pairs = fim.then(|| {
-                        let events = records.iter().map(|r| (r.arrival_ns, r.lbn));
-                        let db = TransactionDb::from_timed_events(events, window_ns);
-                        let found = matcher.mine(&db, min_support).pairs_found;
-                        u32::try_from(found).expect("pair counts fit 32 bits")
-                    });
-                    if next_tx.send((matcher, pairs)).is_err() {
+                    // Three columns start empty (one served, one queued, one
+                    // in the making), later ones are served ones; none comes
+                    // once the scheduler is gone.
+                    let home = (i > 2).then(|| home_rx.recv());
+                    let Ok(mut column) = home.unwrap_or(Ok(Vec::new())) else {
+                        return;
+                    };
+                    let mined = if self.strategy == MappingStrategy::Fim {
+                        let (matched, mining) = self.mine_interval(records, &mut column);
+                        let pairs = u32::try_from(mining.pairs_found);
+                        Some((matched, pairs.expect("pair counts fit 32 bits")))
+                    } else {
+                        column.clear();
+                        column.extend(records.iter().map(|r| self.bucket_for(r.lbn)));
+                        None
+                    };
+                    if next_tx.send((column, mined)).is_err() {
                         return;
                     }
                 }
             });
             for (i, records) in trace.intervals().enumerate() {
-                serve(i, records, self, report);
-                let matched = self.matcher.matched_fraction(records.iter().map(|r| r.lbn));
-                let (matcher, pairs) = next_rx.recv().expect("the mining helper panicked");
-                report.matched_fraction.push(matched);
-                report.mining.extend(pairs);
+                let (column, mined) = next_rx.recv().expect("the mining helper panicked");
+                serve(i, records, &column, report);
+                if let Some((matched, pairs)) = mined {
+                    report.matched_fraction.push(matched);
+                    report.mining.push(pairs);
+                }
                 // Fails once the helper returned: done, or panicked, which
                 // the next `recv` reports.
-                let _ = home_tx.send(std::mem::replace(&mut self.matcher, matcher));
+                let _ = home_tx.send(column);
             }
             // Joined here, not by the scope: only a thread that has exited
             // hands its malloc arena to the next run's helper.
@@ -248,9 +258,10 @@ mod drive {
         let (mut matched, mut pairs, mut buckets) = (Vec::new(), Vec::new(), Vec::new());
         for records in trace.intervals() {
             buckets.extend(records.iter().map(|r| mapping.bucket_for(r.lbn)));
-            let (fraction, report) = mapping.advance_interval(records);
-            matched.push(fraction);
-            pairs.extend(report.map(|r| u32::try_from(r.pairs_found).unwrap()));
+            if let (fraction, Some(report)) = mapping.advance_interval(records) {
+                matched.push(fraction);
+                pairs.push(u32::try_from(report.pairs_found).unwrap());
+            }
         }
         Sequential {
             matched,
@@ -294,8 +305,9 @@ mod drive {
                 let mut driven = mapping(strategy, &config);
                 let mut report = QosReport::new("driven", trace.num_intervals());
                 let mut buckets = Vec::new();
-                driven.drive(&trace, &mut report, |_, records, mapping, _| {
-                    buckets.extend(records.iter().map(|r| mapping.bucket_for(r.lbn)));
+                driven.drive(&trace, &mut report, |_, records, column, _| {
+                    assert_eq!(column.len(), records.len());
+                    buckets.extend_from_slice(column);
                 });
                 assert_eq!(report.matched_fraction, want.matched, "{strategy:?}");
                 assert_eq!(report.mining, want.pairs, "{strategy:?}");
@@ -304,6 +316,8 @@ mod drive {
                 if strategy == MappingStrategy::Fim {
                     assert!(want.pairs.iter().any(|&p| p > 0));
                     assert!(want.matched[1..].iter().any(|&f| f > 0.0));
+                } else {
+                    assert!(want.matched.is_empty() && want.pairs.is_empty());
                 }
             }
         }

@@ -93,11 +93,11 @@ mod tests {
         assert_eq!(r.avg_matched_fraction(), 0.0);
     }
 
-    /// A report holds per reporting interval one `ResponseStats` and five
-    /// series: 40 + 8 + 8 + 16 + 8 + 4 = 84 bytes. The benchmark keeps every
+    /// A report holds per reporting interval one `ResponseSummary` and five
+    /// series: 24 + 8 + 8 + 16 + 8 + 4 = 68 bytes. The benchmark keeps every
     /// pass's report, so a byte more here is resident memory there.
     #[test]
-    fn a_pass_holds_at_most_84_bytes_per_interval() {
+    fn a_pass_holds_at_most_68_bytes_per_interval() {
         fn heap<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
@@ -132,6 +132,6 @@ mod tests {
             + heap(mining);
         let n = trace.num_intervals();
         assert_eq!((intervals.num_intervals(), mining.len()), (n, n));
-        assert!(bytes <= 84 * n, "{} bytes per interval", bytes / n);
+        assert!(bytes <= 68 * n, "{} bytes per interval", bytes / n);
     }
 }

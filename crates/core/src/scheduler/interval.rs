@@ -182,15 +182,14 @@ impl IntervalQos {
             }
         };
 
-        mapping.drive(trace, &mut report, |interval, records, mapping, report| {
-            for r in records {
+        mapping.drive(trace, &mut report, |interval, records, column, report| {
+            for (r, &bucket) in records.iter().zip(column) {
                 // Flush every boundary strictly before this arrival; an
                 // arrival exactly at a boundary joins that boundary's batch.
                 while boundary < r.arrival_ns {
                     flush(boundary, &mut pending, &mut array, report, &mut counters);
                     boundary += t_win;
                 }
-                let bucket = mapping.bucket_for(r.lbn);
                 pending.push_back(Pending {
                     arrival: r.arrival_ns,
                     interval_idx: interval,

@@ -1,10 +1,12 @@
 //! The two QoS schedulers: online (§IV-B) and interval-aligned
 //! design-theoretic (§III-C).
 //!
-//! Both walk the trace through `BlockMapping::drive`, which mines the
-//! interval being scheduled on a second thread. §V-D makes that exact: the
-//! next interval's matcher comes from this interval's *trace*, never from
-//! what the scheduler admitted, delayed or served.
+//! Both walk the trace through `BlockMapping::drive`, whose helper thread
+//! owns the block mapping and ships each interval's buckets, one per
+//! record, while it mines the interval for the next one. The schedulers
+//! read those buckets and never touch the mapping. §V-D makes that exact:
+//! an interval's buckets come from the *trace* before it, never from what
+//! the scheduler admitted, delayed or served.
 
 pub mod interval;
 pub mod online;

@@ -77,12 +77,11 @@ impl OnlineQos {
             format!("online {} (ε = {})", cfg.scheme.name(), cfg.epsilon),
             trace.num_intervals(),
         );
-        // Per arrival group, reused: each request's bucket, and for a group
-        // of several their replica tuples.
-        let mut buckets: Vec<usize> = Vec::new();
+        // Per arrival group, reused: for a group of several, their replica
+        // tuples.
         let mut replica_refs: Vec<&[usize]> = Vec::new();
 
-        mapping.drive(trace, &mut report, |interval, records, mapping, report| {
+        mapping.drive(trace, &mut report, |interval, records, column, report| {
             // §IV-B: "the requests that come exactly at the same time are
             // retrieved together as previously" — process same-timestamp
             // groups as one batch with design-theoretic remapping; all
@@ -94,15 +93,12 @@ impl OnlineQos {
                 while j < records.len() && records[j].arrival_ns == t {
                     j += 1;
                 }
-                let group = &records[i..j];
+                let (group, buckets) = (&records[i..j], &column[i..j]);
                 i = j;
 
                 let w = window_of(t, t_ival);
                 // Close finished windows into the statistical history.
                 budgets.close_before(w, |closed| counters.record_interval(closed));
-
-                buckets.clear();
-                buckets.extend(group.iter().map(|r| mapping.bucket_for(r.lbn)));
 
                 // Joint assignment for simultaneous arrivals (remapping).
                 let joint: Option<Vec<usize>> = if group.len() > 1 {

@@ -5,12 +5,13 @@
 //! supports and prune infrequent items (downward closure: a frequent pair
 //! consists of two frequent items), then count only pairs of frequent
 //! items. No candidate list is materialized — the "lowmem" trick: every
-//! co-occurrence of two frequent items is written as one packed `u64` key
-//! `(a << 32) | b`, the keys are sorted, and a run of equal keys is a pair
-//! with its support. Memory is `O(#items + #co-occurrences)`; and because
-//! [`TransactionDb`] numbers items in ascending LBN order, ascending keys
-//! are ascending `(a, b)` block pairs: the output needs no second sort.
+//! co-occurrence of two frequent items `a < b` among `n` items is written
+//! as one key `a·n + b`, the keys are radix-sorted, and a run of equal keys
+//! is a pair with its support. Memory is `O(#items + #co-occurrences)`; and
+//! because [`TransactionDb`] numbers items in ascending LBN order, ascending
+//! keys are ascending `(a, b)` block pairs: the output needs no second sort.
 
+use crate::radix::radix_sort;
 use crate::transaction::{FrequentPair, MiningReport, PairMiner, TransactionDb};
 use std::mem::size_of;
 use std::time::Instant;
@@ -19,58 +20,72 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Apriori;
 
-/// The frequent pairs of `db` in item space, `(a, b, support)` with `a < b`
-/// and ascending by `(a, b)`, and the report of mining them.
-pub(crate) fn mine_items(
-    db: &TransactionDb,
-    min_support: u32,
-) -> (Vec<(u32, u32, u32)>, MiningReport) {
+/// What mining an interval works in, kept by a caller that mines again:
+/// the pair count's buffers, the pairs as graph edges, and the coloring's.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Buffers {
+    support: Vec<u32>,
+    kept: Vec<u32>,
+    keys: Vec<u64>,
+    sorted_keys: Vec<u64>,
+    /// The frequent pairs in item space, `(a, b, support)` with `a < b`,
+    /// ascending by `(a, b)`.
+    pub(crate) edges: Vec<(u32, u32, u32)>,
+    pub(crate) row: Vec<usize>,
+    pub(crate) adj: Vec<(u32, u32)>,
+    pub(crate) weight: Vec<u64>,
+    pub(crate) order: Vec<usize>,
+    pub(crate) sorted: Vec<usize>,
+    pub(crate) levels: Vec<u64>,
+    pub(crate) color_use: Vec<usize>,
+    pub(crate) held: Vec<u64>,
+    pub(crate) conflict: Vec<u64>,
+}
+
+/// The frequent pairs of `db` in item space into `b.edges`, and the report
+/// of mining them.
+pub(crate) fn mine_items(db: &TransactionDb, min_support: u32, b: &mut Buffers) -> MiningReport {
     let start = Instant::now();
     let min_support = min_support.max(1);
 
     // Pass 1: item supports.
-    let mut item_support = vec![0u32; db.num_items()];
-    for t in db.transactions() {
-        for &i in t {
-            item_support[i as usize] += 1;
-        }
+    b.support.clear();
+    b.support.resize(db.num_items(), 0);
+    for &i in &db.items {
+        b.support[i as usize] += 1;
     }
-    let frequent: Vec<bool> = item_support.iter().map(|&s| s >= min_support).collect();
 
     // Pass 2: one key per co-occurrence of two frequent items.
-    let mut keys: Vec<u64> = Vec::new();
-    let mut kept: Vec<u32> = Vec::new();
-    for t in db.transactions() {
-        kept.clear();
-        kept.extend(t.iter().copied().filter(|&i| frequent[i as usize]));
-        for (i, &a) in kept.iter().enumerate() {
-            keys.extend(
-                kept[i + 1..]
-                    .iter()
-                    .map(|&b| u64::from(a) << 32 | u64::from(b)),
-            );
+    let n = db.num_items() as u64;
+    b.keys.clear();
+    for t in db.transactions().filter(|t| t.len() > 1) {
+        b.kept.clear();
+        let frequent = |&i: &u32| b.support[i as usize] >= min_support;
+        b.kept.extend(t.iter().copied().filter(frequent));
+        for (i, &first) in b.kept.iter().enumerate() {
+            let row = u64::from(first) * n;
+            b.keys
+                .extend(b.kept[i + 1..].iter().map(|&j| row + u64::from(j)));
         }
     }
-    keys.sort_unstable();
+    radix_sort(&mut b.keys, &mut b.sorted_keys, |&k| k);
 
-    let mut out = Vec::new();
-    let mut rest = &keys[..];
+    b.edges.clear();
+    let mut rest = &b.keys[..];
     while let Some(&key) = rest.first() {
         let run = rest.iter().take_while(|&&k| k == key).count();
         rest = &rest[run..];
         if run >= min_support as usize {
             let support = u32::try_from(run).unwrap_or(u32::MAX);
-            out.push(((key >> 32) as u32, key as u32, support));
+            b.edges.push(((key / n) as u32, (key % n) as u32, support));
         }
     }
-    let report = MiningReport {
+    MiningReport {
         seconds: start.elapsed().as_secs_f64(),
-        peak_bytes: keys.capacity() * size_of::<u64>()
-            + (item_support.capacity() + kept.capacity()) * size_of::<u32>()
-            + frequent.capacity() * size_of::<bool>(),
-        pairs_found: out.len(),
-    };
-    (out, report)
+        peak_bytes: (b.keys.capacity() + b.sorted_keys.capacity()) * size_of::<u64>()
+            + (b.support.capacity() + b.kept.capacity()) * size_of::<u32>(),
+        pairs_found: b.edges.len(),
+    }
 }
 
 impl PairMiner for Apriori {
@@ -87,13 +102,14 @@ impl PairMiner for Apriori {
         db: &TransactionDb,
         min_support: u32,
     ) -> (Vec<FrequentPair>, MiningReport) {
-        let (items, report) = mine_items(db, min_support);
+        let mut buffers = Buffers::default();
+        let report = mine_items(db, min_support, &mut buffers);
         let pair = |(a, b, support)| FrequentPair {
             a: db.lbn_of(a),
             b: db.lbn_of(b),
             support,
         };
-        (items.into_iter().map(pair).collect(), report)
+        (buffers.edges.into_iter().map(pair).collect(), report)
     }
 }
 
@@ -128,13 +144,14 @@ mod tests {
 
     #[test]
     fn report_counts_the_buffers_it_held() {
-        // 100 transactions of two items: 100 keys, two supports, two flags.
+        // 100 transactions of two items: 100 keys, two supports, and the
+        // two items kept of a transaction.
         let db = TransactionDb::from_transactions(vec![vec![0, 1]; 100], 2);
         let (pairs, report) = Apriori.mine_pairs_with_report(&db, 1);
         assert_eq!(pairs.len(), 1);
         assert_eq!(report.pairs_found, 1);
         assert!(report.seconds >= 0.0);
-        assert!(report.peak_bytes >= 100 * 8 + 2 * 4 + 2);
+        assert!(report.peak_bytes >= 100 * 8 + 2 * 4 + 2 * 4);
         // Pruned items write no key: at support 101 nothing is counted.
         let (none, pruned) = Apriori.mine_pairs_with_report(&db, 101);
         assert!(none.is_empty());

@@ -16,12 +16,15 @@
 //! * [`matcher`] — frequent pairs → design-block assignment.
 //!
 //! Every structure here is a flat array: transactions are one `Vec<u32>`
-//! of item ids numbered in ascending block order, co-occurrences are
-//! counted by sorting packed keys, the pair graph is compressed adjacency
-//! rows ([`mine_and_match`] builds it from the miner's item ids directly)
-//! and the finished matcher is two sorted arrays searched by bisection.
-//! Apriori is the one miner, as in the paper; `tests/oracle` keeps a
-//! brute-force pair count and the hashed matcher to check both against.
+//! of item ids numbered in ascending block order by one radix-sorted
+//! dictionary, co-occurrences are radix-sorted keys `a·n + b`, the pair
+//! graph is compressed adjacency rows ([`mine_and_match`] builds it from
+//! the miner's item ids directly) and the finished matcher is two sorted
+//! arrays, which one merge turns into an interval's buckets
+//! ([`BlockMatcher::buckets_into`]). The buffers are the caller's, and a
+//! warm interval allocates nothing. Apriori is the one miner, as in the
+//! paper; `tests/oracle` keeps a brute-force pair count and the hashed
+//! matcher to check both against.
 //!
 //! # Example
 //!
@@ -41,6 +44,7 @@
 
 pub mod apriori;
 pub mod matcher;
+mod radix;
 pub mod transaction;
 
 pub use apriori::Apriori;

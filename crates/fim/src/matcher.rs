@@ -13,18 +13,31 @@
 //! color so buckets stay balanced). The colors are kept in sets by use
 //! count, so a vertex with a conflict-free color costs its degree, not `D`.
 
-use crate::apriori::mine_items;
+use crate::apriori::{mine_items, Buffers};
+use crate::radix::radix_sort;
 use crate::transaction::{FrequentPair, MiningReport, TransactionDb};
 
-/// A data-block → design-block assignment with modulo fallback.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A data-block → design-block assignment with modulo fallback. Two
+/// matchers are equal when their assignments are; the working buffers
+/// [`BlockMatcher::mine`] keeps are not compared.
+#[derive(Debug, Clone)]
 pub struct BlockMatcher {
     /// The matched blocks, ascending.
     blocks: Vec<u64>,
     /// `color[i]` is the design block of `blocks[i]`.
     color: Vec<u32>,
     num_design_blocks: usize,
+    buffers: Buffers,
 }
+
+impl PartialEq for BlockMatcher {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.blocks, &self.color, self.num_design_blocks)
+            == (&other.blocks, &other.color, other.num_design_blocks)
+    }
+}
+
+impl Eq for BlockMatcher {}
 
 impl BlockMatcher {
     /// An empty matcher: every block falls back to modulo (the paper's
@@ -35,6 +48,7 @@ impl BlockMatcher {
             blocks: Vec::new(),
             color: Vec::new(),
             num_design_blocks,
+            buffers: Buffers::default(),
         }
     }
 
@@ -67,16 +81,40 @@ impl BlockMatcher {
     pub fn matched_fraction(&self, lbns: impl IntoIterator<Item = u64>) -> f64 {
         let (mut matched, mut total) = (0usize, 0usize);
         for lbn in lbns {
-            total += 1;
-            if self.is_matched(lbn) {
-                matched += 1;
+            (matched, total) = (matched + usize::from(self.is_matched(lbn)), total + 1);
+        }
+        matched as f64 / total.max(1) as f64
+    }
+
+    /// The bucket of each of `db`'s events, in the order they were given,
+    /// into `column`: what [`BlockMatcher::bucket_for`] returns for its
+    /// block, found by one merge of `db`'s ascending blocks with this
+    /// matcher's. Returns how many of the events were matched.
+    pub fn buckets_into(&self, db: &TransactionDb, column: &mut Vec<usize>) -> usize {
+        const MATCHED: usize = 1 << (usize::BITS - 1);
+        let events = &db.event_items;
+        // Each block's bucket, flagged if matched, behind the events' slots.
+        column.resize(events.len(), 0);
+        let d = self.num_design_blocks as u64;
+        let mut j = 0;
+        for &lbn in &db.item_to_lbn {
+            while self.blocks.get(j).is_some_and(|&b| b < lbn) {
+                j += 1;
             }
+            column.push(match self.blocks.get(j) {
+                Some(&b) if b == lbn => self.color[j] as usize | MATCHED,
+                _ => (lbn % d) as usize,
+            });
         }
-        if total == 0 {
-            0.0
-        } else {
-            matched as f64 / total as f64
+        let (buckets, of_block) = column.split_at_mut(events.len());
+        let mut matched = 0;
+        for (bucket, &item) in buckets.iter_mut().zip(events) {
+            let b = of_block[item as usize];
+            matched += b >> (usize::BITS - 1);
+            *bucket = b & !MATCHED;
         }
+        column.truncate(events.len());
+        matched
     }
 
     /// Fraction of the supplied pairs whose two blocks map to *different*
@@ -96,26 +134,19 @@ impl BlockMatcher {
 
 /// Build a matcher from mined pairs by weighted greedy coloring.
 pub fn match_design_blocks(pairs: &[FrequentPair], num_design_blocks: usize) -> BlockMatcher {
-    // Vertices: the distinct blocks, ascending, so a vertex index orders
+    // Vertices: the endpoints as one window's events, whose dictionary
+    // numbers the distinct blocks in ascending order, so a vertex orders
     // like its LBN.
-    let mut blocks: Vec<u64> = pairs.iter().flat_map(|p| [p.a, p.b]).collect();
-    blocks.sort_unstable();
-    blocks.dedup();
-    let vertex = |lbn: u64| {
-        let v = blocks.binary_search(&lbn).expect("an endpoint is a vertex");
-        u32::try_from(v).expect("vertices fit 32 bits")
-    };
-    let edges: Vec<(u32, u32, u32)> = pairs
-        .iter()
-        .map(|p| (vertex(p.a), vertex(p.b), p.support))
-        .collect();
-    let mut color = Vec::new();
-    color_into(blocks.len(), &edges, num_design_blocks, &mut color);
-    BlockMatcher {
-        color,
-        blocks,
-        num_design_blocks,
-    }
+    let endpoints = pairs.iter().flat_map(|p| [(0, p.a), (0, p.b)]);
+    let db = TransactionDb::from_timed_events(endpoints, 1);
+    let mut matcher = BlockMatcher::empty(num_design_blocks);
+    let edges = pairs.iter().zip(db.event_items.chunks_exact(2));
+    let edges = edges.map(|(p, ends)| (ends[0], ends[1], p.support));
+    matcher.buffers.edges.extend(edges);
+    let (n, d) = (db.num_items(), num_design_blocks);
+    color_into(n, d, &mut matcher.color, &mut matcher.buffers);
+    matcher.blocks = db.item_to_lbn;
+    matcher
 }
 
 /// [`match_design_blocks`] of [`Apriori`](crate::Apriori)'s pairs without
@@ -137,13 +168,12 @@ impl BlockMatcher {
     /// buffers: a matcher mined into again allocates nothing once they are
     /// as large as an interval needs.
     pub fn mine(&mut self, db: &TransactionDb, min_support: u32) -> MiningReport {
-        let (edges, report) = mine_items(db, min_support);
+        let report = mine_items(db, min_support, &mut self.buffers);
         let d = self.num_design_blocks;
         // An item in no pair is left uncolored, and is no matched block.
-        color_into(db.num_items(), &edges, d, &mut self.color);
+        color_into(db.num_items(), d, &mut self.color, &mut self.buffers);
         let colored = |&c: &u32| (c as usize) < d;
         self.blocks.clear();
-        self.blocks.reserve(self.color.len());
         for (item, _) in (0..).zip(&self.color).filter(|(_, c)| colored(c)) {
             self.blocks.push(db.lbn_of(item));
         }
@@ -153,54 +183,74 @@ impl BlockMatcher {
 }
 
 /// Greedy weighted coloring with `d` colors of the graph on `0..n` with
-/// `edges` `(u, v, support)`: vertices with an edge by descending incident
+/// edges `buffers.edges`: vertices with an edge by descending incident
 /// support, ties toward the smaller; each takes the color minimizing
 /// `(conflict, use, color)`, conflict being the support to neighbours of
 /// that color, written to `color`. A vertex without an edge is left `d`.
-fn color_into(n: usize, edges: &[(u32, u32, u32)], d: usize, color: &mut Vec<u32>) {
+fn color_into(n: usize, d: usize, color: &mut Vec<u32>, buffers: &mut Buffers) {
     assert!(d > 0);
     let uncolored = u32::try_from(d).expect("design blocks fit 32 bits");
+    let Buffers {
+        edges,
+        row,
+        adj,
+        weight,
+        order,
+        sorted,
+        levels,
+        color_use,
+        held,
+        conflict,
+        ..
+    } = buffers;
 
     // Adjacency in compressed rows: the neighbours of `v`, with the pair's
     // support, are `adj[row[v]..row[v + 1]]`; `weight[v]` sums the supports.
-    let mut row = vec![0usize; n + 1];
-    for &(a, b, _) in edges {
-        row[a as usize + 1] += 1;
-        row[b as usize + 1] += 1;
+    // `row[v + 1]` starts as `v`'s first slot and is its cursor while the
+    // rows are filled, which leaves it at `v`'s end.
+    row.clear();
+    row.resize(n + 2, 0);
+    for &(a, b, _) in edges.iter() {
+        row[a as usize + 2] += 1;
+        row[b as usize + 2] += 1;
     }
-    for v in 0..n {
-        row[v + 1] += row[v];
+    for v in 2..row.len() {
+        row[v] += row[v - 1];
     }
-    let mut fill = row.clone();
-    let mut adj = vec![(0u32, 0u32); 2 * edges.len()];
-    let mut weight = vec![0u64; n];
-    for &(a, b, support) in edges {
+    adj.resize(2 * edges.len(), (0, 0));
+    weight.clear();
+    weight.resize(n, 0);
+    for &(a, b, support) in edges.iter() {
         for (v, nbr) in [(a as usize, b), (b as usize, a)] {
-            adj[fill[v]] = (nbr, support);
-            fill[v] += 1;
+            adj[row[v + 1]] = (nbr, support);
+            row[v + 1] += 1;
             weight[v] += u64::from(support);
         }
     }
 
-    // Heaviest vertex first, ties toward the smaller one.
-    let mut order = Vec::with_capacity(n);
+    // Heaviest vertex first, ties toward the smaller one: a stable sort of
+    // the ascending vertices on the complemented weight.
+    order.clear();
     order.extend((0..n).filter(|&v| row[v] < row[v + 1]));
-    order.sort_unstable_by_key(|&v| (std::cmp::Reverse(weight[v]), v));
+    radix_sort(order, sorted, |&v| !weight[v]);
 
     // `levels[u * words..][..words]` is the set of colors used `u` times;
     // the levels below `low` are empty.
     let words = d.div_ceil(64);
-    let mut levels = vec![u64::MAX; words];
+    levels.clear();
+    levels.resize(words, u64::MAX);
     levels[words - 1] >>= words * 64 - d;
     let mut low = 0;
-    let mut color_use = vec![0usize; d];
+    color_use.clear();
+    color_use.resize(d, 0);
     // The colors some neighbour of the vertex holds by a pair of support > 0,
     // and for the fallback their weights (slot `d` takes uncolored ones).
-    let mut held = vec![0u64; words];
-    let mut conflict = vec![0u64; d + 1];
+    held.clear();
+    held.resize(words, 0);
+    conflict.resize(d + 1, 0);
     color.clear();
     color.resize(n, uncolored);
-    for v in order {
+    for &v in order.iter() {
         let neighbours = &adj[row[v]..row[v + 1]];
         for &(nbr, support) in neighbours {
             let c = color[nbr as usize] as usize;
@@ -214,7 +264,7 @@ fn color_into(n: usize, edges: &[(u32, u32, u32)], d: usize, color: &mut Vec<u32
             levels[low * words..]
                 .chunks_exact(words)
                 .find_map(|level| {
-                    let free = level.iter().zip(&held).map(|(&l, &h)| l & !h);
+                    let free = level.iter().zip(&*held).map(|(&l, &h)| l & !h);
                     let (w, bits) = free.enumerate().find(|&(_, bits)| bits != 0)?;
                     Some(w * 64 + bits.trailing_zeros() as usize)
                 })

@@ -1,5 +1,7 @@
 //! Transactions, frequent pairs and the miner interface.
 
+use crate::radix::radix_sort;
+
 /// A transaction database: each transaction is the set of distinct blocks
 /// requested within one time window `T` ("we first investigate the trace of
 /// the storage system and determine the data blocks that are requested
@@ -8,59 +10,93 @@
 /// Block numbers (LBNs) are dictionary-compressed to dense item ids, and
 /// the ids ascend with the LBNs: `a < b` as ids means `a < b` as blocks,
 /// which is what lets a miner emit `(a, b)`-ordered pairs without a sort
-/// in LBN space.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// in LBN space. Two databases are equal when their transactions and
+/// dictionaries are; the events' order and the working buffers are not
+/// compared.
+#[derive(Debug, Clone, Default)]
 pub struct TransactionDb {
     /// Every transaction's items back to back; within one transaction the
     /// ids are ascending and distinct.
-    items: Vec<u32>,
+    pub(crate) items: Vec<u32>,
     /// Transaction `t` is `items[ends[t - 1]..ends[t]]` (from 0 for `t = 0`).
     ends: Vec<usize>,
     /// Item id → original LBN, strictly ascending.
-    item_to_lbn: Vec<u64>,
+    pub(crate) item_to_lbn: Vec<u64>,
+    /// Each event's item id, in the order the events were given (empty for
+    /// a database built from transactions).
+    pub(crate) event_items: Vec<u32>,
+    /// Working buffers: event times, `(key, index)` rows and the radix
+    /// sort's other half.
+    times: Vec<u64>,
+    keyed: Vec<(u64, u32)>,
+    sorted: Vec<(u64, u32)>,
 }
+
+impl PartialEq for TransactionDb {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.items, &self.ends, &self.item_to_lbn)
+            == (&other.items, &other.ends, &other.item_to_lbn)
+    }
+}
+
+impl Eq for TransactionDb {}
 
 impl TransactionDb {
     /// Build from timed block requests `(time_ns, lbn)`, windowing by
     /// `window_ns`. Events need not be sorted; windows are absolute
     /// (`time / window_ns`).
     pub fn from_timed_events(events: impl IntoIterator<Item = (u64, u64)>, window_ns: u64) -> Self {
-        assert!(window_ns > 0);
-        let mut events: Vec<(u64, u64)> = events
-            .into_iter()
-            .map(|(t, lbn)| (t / window_ns, lbn))
-            .collect();
-        // A trace interval arrives in time order; anything else is sorted.
-        if !events.windows(2).all(|e| e[0].0 <= e[1].0) {
-            events.sort_unstable();
-        }
-
-        let mut item_to_lbn: Vec<u64> = events.iter().map(|&(_, lbn)| lbn).collect();
-        item_to_lbn.sort_unstable();
-        item_to_lbn.dedup();
-        assert!(
-            u32::try_from(item_to_lbn.len()).is_ok(),
-            "item ids are 32 bits wide"
-        );
-
-        let mut db = TransactionDb {
-            items: Vec::with_capacity(events.len()),
-            ends: Vec::new(),
-            item_to_lbn,
-        };
-        let mut ids: Vec<u32> = Vec::new();
-        let mut rest = &events[..];
-        while let Some(&(window, _)) = rest.first() {
-            let (run, later) = rest.split_at(rest.iter().take_while(|e| e.0 == window).count());
-            ids.clear();
-            ids.extend(run.iter().map(|(_, lbn)| {
-                let id = db.item_to_lbn.binary_search(lbn);
-                id.expect("every event's block is in the dictionary") as u32
-            }));
-            db.push_transaction(&mut ids);
-            rest = later;
-        }
+        let mut db = TransactionDb::default();
+        db.refill(events, window_ns);
         db
+    }
+
+    /// Become [`TransactionDb::from_timed_events`]`(events, window_ns)` in
+    /// this database's buffers: once they are as large as the events need,
+    /// nothing allocates.
+    pub fn refill(&mut self, events: impl IntoIterator<Item = (u64, u64)>, window_ns: u64) {
+        assert!(window_ns > 0);
+        self.times.clear();
+        self.keyed.clear();
+        for (index, (t, lbn)) in (0..).zip(events) {
+            self.times.push(t);
+            self.keyed.push((lbn, index));
+        }
+        // The dictionary: blocks by LBN, numbered in ascending order.
+        let (keyed, sorted) = (&mut self.keyed, &mut self.sorted);
+        radix_sort(keyed, sorted, |e| e.0);
+        self.item_to_lbn.clear();
+        self.event_items.resize(keyed.len(), 0);
+        for &(lbn, index) in keyed.iter() {
+            if self.item_to_lbn.last() != Some(&lbn) {
+                self.item_to_lbn.push(lbn);
+            }
+            self.event_items[index as usize] = (self.item_to_lbn.len() - 1) as u32;
+        }
+
+        // The events by time as `(time, item)`; a trace interval arrives in
+        // time order, anything else is sorted.
+        let timed = self.times.iter().zip(&self.event_items);
+        keyed.clear();
+        keyed.extend(timed.map(|(&t, &item)| (t, item)));
+        if !keyed.windows(2).all(|e| e[0].0 <= e[1].0) {
+            radix_sort(keyed, sorted, |e| e.0);
+        }
+        self.items.clear();
+        self.ends.clear();
+        let Some(&(first, _)) = keyed.first() else {
+            return;
+        };
+        // One division per transaction: the start of the window it opens.
+        let (mut start, mut window) = (0, first - first % window_ns);
+        for &(t, item) in keyed.iter() {
+            if t - window >= window_ns {
+                close_transaction(&mut self.items, &mut self.ends, start);
+                (start, window) = (self.items.len(), t - t % window_ns);
+            }
+            self.items.push(item);
+        }
+        close_transaction(&mut self.items, &mut self.ends, start);
     }
 
     /// Build directly from item-id transactions (tests, benchmarks).
@@ -69,20 +105,13 @@ impl TransactionDb {
             item_to_lbn: (0..u64::from(num_items)).collect(),
             ..TransactionDb::default()
         };
-        for mut t in transactions {
+        for t in transactions {
             assert!(t.iter().all(|&i| i < num_items));
-            db.push_transaction(&mut t);
+            let start = db.items.len();
+            db.items.extend(t);
+            close_transaction(&mut db.items, &mut db.ends, start);
         }
         db
-    }
-
-    /// Append one transaction: `ids` sorted and deduplicated, then copied to
-    /// the tail of `items`.
-    fn push_transaction(&mut self, ids: &mut Vec<u32>) {
-        ids.sort_unstable();
-        ids.dedup();
-        self.items.extend_from_slice(ids);
-        self.ends.push(self.items.len());
     }
 
     /// Number of transactions.
@@ -117,6 +146,25 @@ impl TransactionDb {
     pub fn total_occurrences(&self) -> usize {
         self.items.len()
     }
+}
+
+/// Close the transaction `items[start..]`: sort it (one or two items need
+/// no sort) and drop repeats, then mark its end.
+fn close_transaction(items: &mut Vec<u32>, ends: &mut Vec<usize>, start: usize) {
+    match &mut items[start..] {
+        [a, b] if *a > *b => std::mem::swap(a, b),
+        tail @ [_, _, _, ..] => tail.sort_unstable(),
+        _ => {}
+    }
+    let mut kept = start;
+    for i in start..items.len() {
+        if kept == start || items[i] != items[kept - 1] {
+            items[kept] = items[i];
+            kept += 1;
+        }
+    }
+    items.truncate(kept);
+    ends.push(kept);
 }
 
 /// A frequent block pair, reported in original LBN space.
@@ -179,6 +227,17 @@ mod tests {
         assert_eq!(items, vec![7, 9, 42]);
         let txs: Vec<&[u32]> = db.transactions().collect();
         assert_eq!(txs, vec![&[0u32, 2][..], &[1][..]]);
+    }
+
+    #[test]
+    fn the_last_window_of_the_clock_is_one_transaction() {
+        // Its end, 18 446 744 073 709 551 620, is past `u64::MAX`.
+        let top = u64::MAX;
+        let db = TransactionDb::from_timed_events([(top - 5, 1), (top - 1, 2), (top, 3)], 10);
+        assert_eq!(
+            db.transactions().collect::<Vec<_>>(),
+            vec![&[0u32, 1, 2][..]]
+        );
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //! transaction databases, the matcher agrees with the hashed matcher it
 //! replaced (whose color choice is the plain scan over every color) and
 //! always produces legal assignments, and mining straight into the pair
-//! graph matches the pairs the long way round.
+//! graph matches the pairs the long way round. The kernel's reused buffers
+//! change nothing: a database refilled in place, a matcher mined into
+//! again and a bucket column built by merging equal their fresh, oracle and
+//! per-block counterparts.
 
 mod oracle;
 
 use fqos_fim::{
-    match_design_blocks, mine_and_match, Apriori, FrequentPair, PairMiner, TransactionDb,
+    match_design_blocks, mine_and_match, Apriori, BlockMatcher, FrequentPair, PairMiner,
+    TransactionDb,
 };
 use oracle::{brute_force_pairs, match_design_blocks_hashed};
 use proptest::prelude::*;
@@ -224,6 +228,63 @@ proptest! {
         let (fused, report) = mine_and_match(&db, support, d);
         prop_assert_eq!(report.pairs_found, pairs.len());
         prop_assert_eq!(fused, match_design_blocks(&pairs, d));
+    }
+
+    #[test]
+    fn a_database_refilled_in_place_equals_a_fresh_one(
+        sets in prop::collection::vec(events_strategy(), 1..6),
+        window in 1u64..300,
+    ) {
+        let mut reused = TransactionDb::default();
+        for events in sets {
+            reused.refill(events.clone(), window);
+            let fresh = TransactionDb::from_timed_events(events, window);
+            prop_assert_eq!(reused.len(), fresh.len());
+            for (a, b) in reused.transactions().zip(fresh.transactions()) {
+                prop_assert_eq!(a, b);
+            }
+            prop_assert_eq!(&reused, &fresh);
+        }
+    }
+
+    #[test]
+    fn mining_through_warm_buffers_equals_the_oracles(
+        warm in db_strategy(),
+        db in db_strategy(),
+        support in 1u32..=3,
+        d in design_blocks(),
+    ) {
+        let mut matcher = BlockMatcher::empty(d);
+        matcher.mine(&warm, 1);
+        let report = matcher.mine(&db, support);
+        let pairs = brute_force_pairs(&db, support);
+        prop_assert_eq!(report.pairs_found, pairs.len());
+        let oracle = match_design_blocks_hashed(&pairs, d);
+        prop_assert_eq!(matcher.matched_blocks(), oracle.len());
+        for (&lbn, &bucket) in &oracle {
+            prop_assert_eq!(matcher.bucket_for(lbn), bucket);
+        }
+    }
+
+    #[test]
+    fn the_merged_column_equals_bucket_for(
+        mined in events_strategy(),
+        before in events_strategy(),
+        events in events_strategy(),
+        d in design_blocks(),
+    ) {
+        let (matcher, _) = mine_and_match(&TransactionDb::from_timed_events(mined, 100), 1, d);
+        // A database and a column that held another interval first.
+        let mut db = TransactionDb::from_timed_events(before, 100);
+        let mut column = vec![usize::MAX; 200];
+        db.refill(events.clone(), 100);
+        let matched = matcher.buckets_into(&db, &mut column);
+        let lbns = events.iter().map(|&(_, lbn)| lbn);
+        let want: Vec<usize> = lbns.clone().map(|lbn| matcher.bucket_for(lbn)).collect();
+        prop_assert_eq!(&column, &want);
+        prop_assert_eq!(matched, lbns.clone().filter(|&lbn| matcher.is_matched(lbn)).count());
+        let fraction = if events.is_empty() { 0.0 } else { matched as f64 / events.len() as f64 };
+        prop_assert_eq!(fraction, matcher.matched_fraction(lbns));
     }
 
     #[test]

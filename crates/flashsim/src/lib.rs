@@ -55,5 +55,5 @@ pub use flash::{FlashConfig, FlashModule};
 pub use ftl::{FtlGeometry, GeometryError, PageMappedFtl, WriteOutcome};
 pub use hdd::{HardDisk, HddConfig};
 pub use request::{Completion, IoOp, IoRequest, RequestId};
-pub use stats::{IntervalStats, ResponseStats};
+pub use stats::{IntervalStats, ResponseStats, ResponseSummary};
 pub use time::{Duration, SimTime, BLOCK_READ_NS, BLOCK_SIZE_BYTES};

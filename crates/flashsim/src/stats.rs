@@ -6,65 +6,22 @@
 
 use crate::time::{ns_to_ms, Duration};
 
-/// Streaming statistics over response times (Welford's online algorithm for
-/// numerically stable mean/variance) in O(1) memory: an [`IntervalStats`]
-/// holds one per interval.
-#[derive(Debug, Clone)]
-pub struct ResponseStats {
+/// Count, mean and maximum of a stream of response times: what a reporting
+/// interval keeps, in three words. The mean is Welford's update, the one
+/// [`ResponseStats`] runs too.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ResponseSummary {
     count: u64,
     mean: f64,
-    m2: f64,
     max: Duration,
-    min: Duration,
 }
 
-impl Default for ResponseStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ResponseStats {
-    /// Empty statistics.
-    pub fn new() -> Self {
-        ResponseStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            max: 0,
-            min: Duration::MAX,
-        }
-    }
-
+impl ResponseSummary {
     /// Record one response time (nanoseconds).
     pub fn record(&mut self, ns: Duration) {
         self.count += 1;
-        let x = ns as f64;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (ns as f64 - self.mean) / self.count as f64;
         self.max = self.max.max(ns);
-        self.min = self.min.min(ns);
-    }
-
-    /// Merge another statistics object into this one (parallel reduction).
-    pub fn merge(&mut self, other: &ResponseStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
     }
 
     /// Number of recorded samples.
@@ -77,31 +34,9 @@ impl ResponseStats {
         self.mean
     }
 
-    /// Population standard deviation in nanoseconds.
-    pub fn std_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
-        }
-    }
-
     /// Maximum in nanoseconds (0 when empty).
     pub fn max_ns(&self) -> Duration {
-        if self.count == 0 {
-            0
-        } else {
-            self.max
-        }
-    }
-
-    /// Minimum in nanoseconds (0 when empty).
-    pub fn min_ns(&self) -> Duration {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
+        self.max
     }
 
     /// Mean in milliseconds — the unit of Table III.
@@ -109,23 +44,107 @@ impl ResponseStats {
         self.mean / 1e6
     }
 
+    /// Maximum in milliseconds.
+    pub fn max_ms(&self) -> f64 {
+        ns_to_ms(self.max)
+    }
+}
+
+/// Streaming statistics over response times (Welford's online algorithm for
+/// numerically stable mean/variance) in O(1) memory: a [`ResponseSummary`]
+/// (count, mean and maximum, read through `Deref`) plus the variance and
+/// minimum.
+#[derive(Debug, Clone)]
+pub struct ResponseStats {
+    summary: ResponseSummary,
+    m2: f64,
+    min: Duration,
+}
+
+impl std::ops::Deref for ResponseStats {
+    type Target = ResponseSummary;
+
+    fn deref(&self) -> &ResponseSummary {
+        &self.summary
+    }
+}
+
+impl Default for ResponseStats {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ResponseStats {
+    /// Empty statistics.
+    pub fn new() -> Self {
+        ResponseStats {
+            summary: ResponseSummary::default(),
+            m2: 0.0,
+            min: Duration::MAX,
+        }
+    }
+
+    /// Record one response time (nanoseconds).
+    pub fn record(&mut self, ns: Duration) {
+        let x = ns as f64;
+        let delta = x - self.summary.mean;
+        self.summary.record(ns);
+        self.m2 += delta * (x - self.summary.mean);
+        self.min = self.min.min(ns);
+    }
+
+    /// Merge another statistics object into this one (parallel reduction).
+    pub fn merge(&mut self, other: &ResponseStats) {
+        let (s, o) = (&mut self.summary, &other.summary);
+        if o.count == 0 {
+            return;
+        }
+        if s.count == 0 {
+            *self = other.clone();
+            return;
+        }
+        let n1 = s.count as f64;
+        let n2 = o.count as f64;
+        let delta = o.mean - s.mean;
+        let total = n1 + n2;
+        s.mean += delta * n2 / total;
+        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        s.count += o.count;
+        s.max = s.max.max(o.max);
+        self.min = self.min.min(other.min);
+    }
+
+    /// Population standard deviation in nanoseconds.
+    pub fn std_ns(&self) -> f64 {
+        if self.count() == 0 {
+            0.0
+        } else {
+            (self.m2 / self.count() as f64).sqrt()
+        }
+    }
+
+    /// Minimum in nanoseconds (0 when empty).
+    pub fn min_ns(&self) -> Duration {
+        if self.count() == 0 {
+            0
+        } else {
+            self.min
+        }
+    }
+
     /// Standard deviation in milliseconds.
     pub fn std_ms(&self) -> f64 {
         self.std_ns() / 1e6
     }
-
-    /// Maximum in milliseconds.
-    pub fn max_ms(&self) -> f64 {
-        ns_to_ms(self.max_ns())
-    }
 }
 
 /// Per-interval aggregation used by the real-workload experiments: each
-/// trace interval gets its own [`ResponseStats`] plus delay accounting.
+/// trace interval gets its own [`ResponseSummary`] plus delay accounting.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalStats {
-    /// Response stats per interval index.
-    pub response: Vec<ResponseStats>,
+    /// Response count, mean and maximum per interval index.
+    pub response: Vec<ResponseSummary>,
     /// Total requests per interval.
     pub requests: Vec<u64>,
     /// Requests delayed by admission control per interval.
@@ -138,7 +157,7 @@ impl IntervalStats {
     /// New aggregation over `intervals` intervals.
     pub fn new(intervals: usize) -> Self {
         IntervalStats {
-            response: (0..intervals).map(|_| ResponseStats::new()).collect(),
+            response: vec![ResponseSummary::default(); intervals],
             requests: vec![0; intervals],
             delayed: vec![0; intervals],
             delay_sum_ns: vec![0; intervals],
@@ -159,7 +178,7 @@ impl IntervalStats {
 
     fn grow_to(&mut self, n: usize) {
         while self.response.len() < n {
-            self.response.push(ResponseStats::new());
+            self.response.push(ResponseSummary::default());
             self.requests.push(0);
             self.delayed.push(0);
             self.delay_sum_ns.push(0);
@@ -259,12 +278,18 @@ mod tests {
         assert_eq!(a.max_ns(), whole.max_ns());
     }
 
-    /// Five words: count, mean, m2, max and min. A `QosReport` holds one
-    /// per reporting interval, and every pass the benchmark retains holds
-    /// a report, so a sixth word shows as resident memory.
+    /// Five words: count, mean, m2, max and min.
     #[test]
     fn response_stats_is_five_words() {
         assert_eq!(std::mem::size_of::<ResponseStats>(), 40);
+    }
+
+    /// Three words: count, mean and max. A `QosReport` holds one per
+    /// reporting interval, and every pass the benchmark retains holds a
+    /// report, so a fourth word shows as resident memory.
+    #[test]
+    fn response_summary_is_three_words() {
+        assert_eq!(std::mem::size_of::<ResponseSummary>(), 24);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The `fqos` command line: a mistyped, foreign, repeated or misused flag
 //! and a zero where a positive number belongs are errors (exit 1, never a
 //! panic's 101), `--help` names every flag, and short `serve` and
-//! `cluster` runs and a long `serve` still close their books.
+//! `cluster` runs and a long `serve` still close their books, and `analyze`
+//! reports FIM re-matching only when it mined.
 
 use std::collections::HashSet;
 use std::process::{Command, Output};
@@ -123,4 +124,28 @@ fn a_short_cluster_closes_its_law() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("law=OK"), "{stdout}");
+}
+
+/// `analyze` prints the FIM re-match average only when the mapping is FIM:
+/// under modulo and round-robin nothing is mined, and no 0.0 % is made up.
+#[test]
+fn analyze_prints_the_fim_line_only_under_fim() {
+    let out = fqos("generate --blocks 5 --interval-ms 0.133 --total 500");
+    assert!(out.status.success());
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-mapping.trace");
+    std::fs::write(&trace, &out.stdout).unwrap();
+    for (mapping, fim) in [("fim", true), ("modulo", false), ("roundrobin", false)] {
+        let line = format!(
+            "analyze --trace {} --devices 9 --mapping {mapping}",
+            trace.display()
+        );
+        let out = fqos(&line);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{line}: {stdout}");
+        assert_eq!(
+            stdout.contains("FIM re-match average"),
+            fim,
+            "{line}: {stdout}"
+        );
+    }
 }
