@@ -8,7 +8,7 @@
 
 use fqos_bench::{banner, pct, TableBuilder};
 use fqos_decluster::retrieval::{degraded_retrieval, fault_tolerance};
-use fqos_decluster::{AllocationScheme, DesignTheoretic, Raid1Chained, Raid1Mirrored};
+use fqos_decluster::AllocationScheme;
 
 fn main() {
     banner(
@@ -16,10 +16,10 @@ fn main() {
         "extension (replication fault tolerance)",
         "Availability and full-scan retrieval cost vs failed devices (worst failure pattern of each size)",
     );
-    let schemes: Vec<Box<dyn AllocationScheme>> = vec![
-        Box::new(DesignTheoretic::paper_9_3_1()),
-        Box::new(Raid1Chained::paper()),
-        Box::new(Raid1Mirrored::paper()),
+    let schemes = [
+        AllocationScheme::paper_9_3_1(),
+        AllocationScheme::chained(9, 3, 36),
+        AllocationScheme::mirrored(9, 3, 36),
     ];
 
     let mut table = TableBuilder::new(&[
@@ -50,7 +50,7 @@ fn main() {
                     String::new()
                 },
                 if f == 0 {
-                    fault_tolerance(s.as_ref()).to_string()
+                    fault_tolerance(s).to_string()
                 } else {
                     String::new()
                 },

@@ -9,13 +9,13 @@
 
 use fqos_bench::{banner, ms, TableBuilder};
 use fqos_decluster::retrieval::hybrid_retrieval;
-use fqos_decluster::{AllocationScheme, DesignTheoretic};
+use fqos_decluster::AllocationScheme;
 use fqos_flashsim::{CalibratedSsd, Device, FlashArray, FlashModule, IoRequest, ResponseStats};
 use fqos_traces::SyntheticConfig;
 
 /// Build the per-device request stream once (interval batches scheduled by
 /// hybrid retrieval), then replay it through any device model.
-fn schedule(trace: &fqos_traces::Trace, scheme: &DesignTheoretic) -> Vec<IoRequest> {
+fn schedule(trace: &fqos_traces::Trace, scheme: &AllocationScheme) -> Vec<IoRequest> {
     let mut out = Vec::with_capacity(trace.len());
     for records in trace.intervals() {
         if records.is_empty() {
@@ -46,7 +46,7 @@ fn main() {
         "ablation (DESIGN.md §5)",
         "Table III design-theoretic row under the calibrated vs the page-level flash model",
     );
-    let scheme = DesignTheoretic::paper_9_3_1();
+    let scheme = AllocationScheme::paper_9_3_1();
     let mut table = TableBuilder::new(&[
         "load",
         "calibrated avg",

@@ -7,7 +7,7 @@
 
 use fqos_bench::{banner, TableBuilder};
 use fqos_decluster::sampling::optimal_retrieval_probabilities;
-use fqos_decluster::DesignTheoretic;
+use fqos_decluster::AllocationScheme;
 
 fn main() {
     banner(
@@ -15,7 +15,7 @@ fn main() {
         "Fig. 4",
         "Optimal retrieval probabilities of the (9,3,1) design (100k trials per k)",
     );
-    let scheme = DesignTheoretic::paper_9_3_1();
+    let scheme = AllocationScheme::paper_9_3_1();
     let trials = std::env::var("FQOS_TRIALS")
         .ok()
         .and_then(|s| s.parse().ok())

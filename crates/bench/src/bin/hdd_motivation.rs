@@ -10,7 +10,7 @@
 
 use fqos_bench::{banner, ms, TableBuilder};
 use fqos_decluster::retrieval::hybrid_retrieval;
-use fqos_decluster::{AllocationScheme, DesignTheoretic};
+use fqos_decluster::AllocationScheme;
 use fqos_flashsim::{CalibratedSsd, FlashArray, HardDisk, IoRequest};
 use fqos_traces::SyntheticConfig;
 
@@ -20,7 +20,7 @@ fn main() {
         "§II-A (extension)",
         "The same design-theoretic schedule on flash vs 15 kRPM disks",
     );
-    let scheme = DesignTheoretic::paper_9_3_1();
+    let scheme = AllocationScheme::paper_9_3_1();
     // Disk-scaled intervals: one 15 kRPM random read ≈ 5–8 ms, so the
     // equivalent guarantee interval would be ~10 ms instead of 0.133 ms.
     let interval_ns = 10_000_000;

@@ -2,10 +2,10 @@
 //! layouts, printed for visual verification against the paper.
 
 use fqos_bench::banner;
-use fqos_decluster::{AllocationScheme, DesignTheoretic, Raid1Chained, Raid1Mirrored};
+use fqos_decluster::AllocationScheme;
 use fqos_designs::known;
 
-fn print_scheme(s: &dyn AllocationScheme, base_only: usize) {
+fn print_scheme(s: &AllocationScheme, base_only: usize) {
     println!("--- {} ---", s.name());
     println!("blocks (bucket → device tuple):");
     for b in 0..base_only {
@@ -43,7 +43,7 @@ fn main() {
     }
     println!("  verification: {:?}\n", d.verify());
 
-    print_scheme(&DesignTheoretic::paper_9_3_1(), 12);
-    print_scheme(&Raid1Mirrored::paper(), 12);
-    print_scheme(&Raid1Chained::paper(), 12);
+    print_scheme(&AllocationScheme::paper_9_3_1(), 12);
+    print_scheme(&AllocationScheme::mirrored(9, 3, 36), 12);
+    print_scheme(&AllocationScheme::chained(9, 3, 36), 12);
 }

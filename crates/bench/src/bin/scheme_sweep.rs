@@ -14,12 +14,9 @@
 //! largest `b` whose every `b`-set retrieves in `M` accesses, beside `S(M)`.
 
 use fqos_bench::{banner, TableBuilder};
-use fqos_decluster::analysis::worst_case_profile;
+use fqos_decluster::analysis::{buckets_within, worst_case_profile};
 use fqos_decluster::sampling::optimal_retrieval_probabilities;
-use fqos_decluster::{
-    AllocationScheme, DependentPeriodic, DesignTheoretic, Orthogonal, Partitioned, Raid1Chained,
-    Raid1Mirrored, RandomDuplicate,
-};
+use fqos_decluster::AllocationScheme;
 
 fn main() {
     banner(
@@ -28,20 +25,20 @@ fn main() {
         "Quantitative ranking of all declustering schemes: P_k and worst-case accesses",
     );
 
-    let schemes: Vec<Box<dyn AllocationScheme + Sync>> = vec![
-        Box::new(DesignTheoretic::paper_9_3_1()),
-        Box::new(Raid1Chained::paper()),
-        Box::new(Raid1Mirrored::paper()),
-        Box::new(RandomDuplicate::new(9, 3, 36, 0xDA)),
-        Box::new(Partitioned::new(9, 3, 36)),
-        Box::new(DependentPeriodic::new(9, 3, 2, 36)),
-        Box::new(Orthogonal::new(9, 36)),
+    let schemes = [
+        AllocationScheme::paper_9_3_1(),
+        AllocationScheme::chained(9, 3, 36),
+        AllocationScheme::mirrored(9, 3, 36),
+        AllocationScheme::random_duplicate(9, 3, 36, 0xDA),
+        AllocationScheme::partitioned(9, 3, 36),
+        AllocationScheme::periodic(9, 3, 2, 36),
+        AllocationScheme::orthogonal(9, 36),
     ];
 
     println!("P_k at and around the (9,3,1) deterministic limit (20k trials, with replacement):\n");
     let mut table = TableBuilder::new(&["scheme", "P_5", "P_7", "P_9", "P_14"]);
     for s in &schemes {
-        let p = optimal_retrieval_probabilities(s.as_ref(), 14, 20_000, 0x5CE);
+        let p = optimal_retrieval_probabilities(s, 14, 20_000, 0x5CE);
         table.row(&[
             s.name().to_string(),
             format!("{:.3}", p.p_k(5)),
@@ -59,7 +56,7 @@ fn main() {
         "scheme", "b=1", "b=2", "b=3", "b=4", "b=5", "b=6", "b=7", "b=8",
     ]);
     for s in &schemes {
-        let profile = worst_case_profile(s.as_ref(), 8);
+        let profile = worst_case_profile(s, 8);
         let mut row = vec![s.name().to_string()];
         row.extend(profile.iter().map(std::string::ToString::to_string));
         table.row(&row);
@@ -74,16 +71,15 @@ fn main() {
     );
     let mut table = TableBuilder::new(&["design", "", "M=1", "M=2", "M=3", "M=4", "M=5"]);
     for s in [
-        DesignTheoretic::paper_9_3_1(),
-        DesignTheoretic::paper_13_3_1(),
+        AllocationScheme::paper_9_3_1(),
+        AllocationScheme::paper_13_3_1(),
     ] {
-        let profile = worst_case_profile(&s, s.num_buckets());
-        let g = s.guarantee();
+        let g = s.guarantee().expect("a design layout");
         let mut paper = vec![s.name().to_string(), "S(M)".to_string()];
         let mut exact = vec![String::new(), "exact".to_string()];
         for m in 1..=5 {
             paper.push(g.buckets_in(m).to_string());
-            exact.push(profile.partition_point(|&w| w <= m).to_string());
+            exact.push(buckets_within(&s, m).to_string());
         }
         table.row(&paper);
         table.row(&exact);

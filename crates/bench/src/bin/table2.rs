@@ -7,7 +7,7 @@
 
 use fqos_bench::{banner, TableBuilder};
 use fqos_decluster::retrieval::{design_theoretic_retrieval, pick_online_device};
-use fqos_decluster::{AllocationScheme, DesignTheoretic};
+use fqos_decluster::AllocationScheme;
 
 /// Greedy online cost: requests arrive one by one (FCFS, no remapping of
 /// already-started requests); each picks its earliest-finishing replica.
@@ -26,7 +26,7 @@ fn main() {
         "Table II",
         "DTR(S) vs OLR(S) for S = 1..6 on the (9,3,1) design (exhaustive-ish sampling over distinct bucket sets)",
     );
-    let scheme = DesignTheoretic::paper_9_3_1();
+    let scheme = AllocationScheme::paper_9_3_1();
     let n = scheme.num_buckets();
 
     let mut table = TableBuilder::new(&["S", "DTR(S)", "OLR(S)", "paper DTR", "paper OLR"]);

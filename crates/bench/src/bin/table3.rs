@@ -10,7 +10,7 @@
 use fqos_bench::{banner, ms, TableBuilder};
 use fqos_core::mapping::MappingStrategy;
 use fqos_core::{QosConfig, QosPipeline};
-use fqos_decluster::{Raid1Chained, Raid1Mirrored};
+use fqos_decluster::AllocationScheme;
 use fqos_flashsim::time::BASE_INTERVAL_NS;
 use fqos_traces::SyntheticConfig;
 
@@ -44,10 +44,10 @@ fn main() {
 
         let mirrored = pipeline
             .run_interval()
-            .run_baseline(&trace, &Raid1Mirrored::paper());
+            .run_baseline(&trace, &AllocationScheme::mirrored(9, 3, 36));
         let chained = pipeline
             .run_interval()
-            .run_baseline(&trace, &Raid1Chained::paper());
+            .run_baseline(&trace, &AllocationScheme::chained(9, 3, 36));
         let design = pipeline.run_interval().run(&trace);
 
         let met = design.total_response.max_ns() <= interval_ns;

@@ -1248,10 +1248,7 @@ mod tests {
         let server = QosServer::new(ServerConfig::new(QosConfig::paper_9_3_1())).unwrap();
         server.register(1, 2, OverloadPolicy::Delay).unwrap();
         let scheme = server.config().qos.scheme.clone();
-        let dead = {
-            use fqos_decluster::AllocationScheme;
-            scheme.replicas(scheme.bucket_for_lbn(7))[0]
-        };
+        let dead = scheme.replicas(scheme.bucket_for_lbn(7))[0];
         let mut h = server.handle();
         for w in 0..3u64 {
             assert!(h.submit_write(1, 100 + w, w * BASE_T).is_admitted());

@@ -132,7 +132,7 @@ impl StatisticalCounters {
 mod tests {
     use super::*;
     use fqos_decluster::sampling::optimal_retrieval_probabilities;
-    use fqos_decluster::DesignTheoretic;
+    use fqos_decluster::AllocationScheme;
 
     #[test]
     fn table1_walkthrough() {
@@ -161,7 +161,7 @@ mod tests {
     }
 
     fn p931() -> OptimalRetrievalProbabilities {
-        optimal_retrieval_probabilities(&DesignTheoretic::paper_9_3_1(), 12, 4000, 3)
+        optimal_retrieval_probabilities(&AllocationScheme::paper_9_3_1(), 12, 4000, 3)
     }
 
     #[test]

@@ -31,9 +31,9 @@ pub fn run_original(trace: &Trace, service_ns: Duration) -> QosReport {
 /// read goes to the replica with the shortest queue (earliest finish) at
 /// arrival. No admission control, no batching — this is how the Table III
 /// RAID-1 baselines are driven.
-pub fn run_scheme_greedy<S: fqos_decluster::AllocationScheme>(
+pub fn run_scheme_greedy(
     trace: &Trace,
-    scheme: &S,
+    scheme: &fqos_decluster::AllocationScheme,
     mapping: &mut crate::mapping::BlockMapping,
     service_ns: Duration,
 ) -> QosReport {

@@ -1,7 +1,7 @@
 //! QoS framework configuration.
 
-use fqos_decluster::DesignTheoretic;
-use fqos_designs::RetrievalGuarantee;
+use fqos_decluster::analysis::{buckets_within, MAX_CUT_DEVICES};
+use fqos_decluster::AllocationScheme;
 use fqos_flashsim::time::{BASE_INTERVAL_NS, BLOCK_READ_NS};
 use fqos_flashsim::Duration;
 
@@ -21,8 +21,9 @@ pub enum OverloadPolicy {
 /// Configuration of one QoS deployment.
 #[derive(Debug, Clone)]
 pub struct QosConfig {
-    /// The design-theoretic allocation in use.
-    pub scheme: DesignTheoretic,
+    /// The allocation in use: the paper's design-theoretic layout, or any
+    /// other whose request limit the cut table can compute.
+    pub scheme: AllocationScheme,
     /// Access budget `M` per device per interval.
     pub accesses: usize,
     /// Interval length `T` in nanoseconds.
@@ -40,7 +41,7 @@ impl QosConfig {
     /// `T = 0.133 ms`, deterministic, delay policy.
     pub fn paper_9_3_1() -> Self {
         QosConfig {
-            scheme: DesignTheoretic::paper_9_3_1(),
+            scheme: AllocationScheme::paper_9_3_1(),
             accesses: 1,
             interval_ns: BASE_INTERVAL_NS,
             epsilon: 0.0,
@@ -52,7 +53,7 @@ impl QosConfig {
     /// The TPC-E configuration: `(13,3,1)` design, otherwise as above.
     pub fn paper_13_3_1() -> Self {
         QosConfig {
-            scheme: DesignTheoretic::paper_13_3_1(),
+            scheme: AllocationScheme::paper_13_3_1(),
             ..Self::paper_9_3_1()
         }
     }
@@ -73,26 +74,35 @@ impl QosConfig {
         self
     }
 
-    /// The per-interval request limit `S(M) = (c−1)M² + cM`.
+    /// The per-interval request limit: `S(M) = (c−1)M² + cM` for a design
+    /// layout; for any other, the exact `b*(M)`, the most buckets of which
+    /// any set fits in `M` accesses ([`buckets_within`]). A design keeps
+    /// `S(M)` even where `b*(M)` is larger (30 against 27 on `(13,3,1)` at
+    /// `M = 3`), so its admissions stay the paper's.
     pub fn request_limit(&self) -> usize {
-        self.guarantee().buckets_in(self.accesses)
-    }
-
-    /// The worst-case guarantee algebra of the scheme.
-    pub fn guarantee(&self) -> RetrievalGuarantee {
-        self.scheme.guarantee()
+        match self.scheme.guarantee() {
+            Some(g) => g.buckets_in(self.accesses),
+            None => buckets_within(&self.scheme, self.accesses),
+        }
     }
 
     /// Number of devices.
     pub fn devices(&self) -> usize {
-        self.scheme.guarantee().devices
+        self.scheme.devices()
     }
 
     /// Sanity-check: `M` must be at least one access, and `M` accesses must
-    /// fit in the interval, or no guarantee can ever be met.
+    /// fit in the interval, or no guarantee can ever be met; a layout
+    /// without a design needs a cut table for its request limit.
     pub fn validate(&self) -> Result<(), String> {
         if self.accesses == 0 {
             return Err("M = 0 accesses: at least one access per interval".into());
+        }
+        if self.scheme.guarantee().is_none() && self.devices() > MAX_CUT_DEVICES {
+            return Err(format!(
+                "{}: a layout without a design serves at most {MAX_CUT_DEVICES} devices",
+                self.scheme.name()
+            ));
         }
         let needed = self.accesses as u64 * self.service_ns;
         if needed > self.interval_ns {
@@ -120,6 +130,37 @@ mod tests {
         assert_eq!(c.clone().with_accesses(2).request_limit(), 14);
         assert_eq!(c.clone().with_accesses(3).request_limit(), 27);
         assert_eq!(c.with_accesses(3).interval_ns, 399_000);
+    }
+
+    /// `QosConfig` on `scheme` at `M = 1..=3`.
+    fn limits(scheme: AllocationScheme) -> Vec<usize> {
+        let c = QosConfig {
+            scheme,
+            ..QosConfig::paper_9_3_1()
+        };
+        (1..=3)
+            .map(|m| c.clone().with_accesses(m).request_limit())
+            .collect()
+    }
+
+    #[test]
+    fn baselines_serve_their_exact_limit() {
+        assert_eq!(limits(AllocationScheme::chained(9, 3, 36)), [3, 10, 27]);
+        assert_eq!(limits(AllocationScheme::mirrored(9, 3, 36)), [3, 6, 9]);
+        // A design keeps S(M): 27 at M = 3 on (13,3,1), not its exact 30.
+        assert_eq!(limits(AllocationScheme::paper_13_3_1())[2], 27);
+    }
+
+    #[test]
+    fn validation_rejects_a_baseline_past_the_cut_table() {
+        let mut c = QosConfig::paper_9_3_1();
+        c.scheme = AllocationScheme::chained(17, 3, 34);
+        assert!(c.validate().unwrap_err().contains("at most 16 devices"));
+        c.scheme = AllocationScheme::chained(16, 3, 32);
+        assert!(c.validate().is_ok());
+        // A design needs no cut table.
+        c.scheme = AllocationScheme::design(&fqos_designs::DesignCatalog.find(19, 3).unwrap());
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -239,7 +239,6 @@ mod drive {
     use crate::baseline::run_scheme_greedy;
     use crate::config::QosConfig;
     use crate::scheduler::{IntervalQos, OnlineQos};
-    use fqos_decluster::AllocationScheme;
     use fqos_traces::models::exchange::ExchangeConfig;
     use fqos_traces::models::tpce::TpceConfig;
     use fqos_traces::models::{exchange, tpce};

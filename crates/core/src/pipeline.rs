@@ -88,7 +88,7 @@ impl IntervalRunner<'_> {
 
     /// A Table III baseline: arbitrary scheme, greedy per-request replica
     /// choice (the RAID-controller policy), no admission control.
-    pub fn run_baseline<S: AllocationScheme>(&self, trace: &Trace, scheme: &S) -> QosReport {
+    pub fn run_baseline(&self, trace: &Trace, scheme: &AllocationScheme) -> QosReport {
         let mut mapping = BlockMapping::new(
             MappingStrategy::Modulo,
             scheme.num_buckets(),
@@ -130,7 +130,7 @@ mod tests {
         let qos = pipeline.run_interval().run(&trace);
         assert!(qos.total_response.max_ns() <= 3 * BASE_INTERVAL_NS);
 
-        let mirrored = fqos_decluster::Raid1Mirrored::paper();
+        let mirrored = AllocationScheme::mirrored(9, 3, 36);
         let base = pipeline.run_interval().run_baseline(&trace, &mirrored);
         assert!(
             base.total_response.max_ns() > qos.total_response.max_ns(),

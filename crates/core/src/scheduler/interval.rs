@@ -8,10 +8,11 @@
 //! retrieval (design-theoretic heuristic, max-flow fallback) and submitted
 //! to the array; per-device FCFS executes the `M` access rounds.
 //!
-//! This scheduler also runs the RAID baselines of Table III: any
-//! [`AllocationScheme`] can be plugged in, with admission control disabled
-//! (the baselines have no QoS machinery — that is exactly why they miss
-//! the guarantees).
+//! Admission caps each batch at the config's
+//! [`request_limit`](QosConfig::request_limit), so a baseline layout in the
+//! config is served within its own exact limit. The Table III baselines
+//! *without* QoS machinery run through
+//! [`run_scheme_greedy`](crate::baseline::run_scheme_greedy).
 
 use crate::admission::StatisticalCounters;
 use crate::config::QosConfig;
@@ -19,7 +20,6 @@ use crate::mapping::BlockMapping;
 use crate::report::QosReport;
 use fqos_decluster::retrieval::hybrid_retrieval;
 use fqos_decluster::sampling::OptimalRetrievalProbabilities;
-use fqos_decluster::AllocationScheme;
 use fqos_flashsim::{CalibratedSsd, FlashArray, IoRequest, SimTime};
 use fqos_traces::Trace;
 use std::collections::VecDeque;
@@ -29,9 +29,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct IntervalQos {
     config: QosConfig,
-    /// Enforce the `S(M)` per-interval admission limit (on for the QoS
-    /// system, off for the RAID baselines).
-    admission: bool,
     /// `P_k` table for statistical admission (ε > 0): the scheme's shared
     /// one, sampled once per process.
     p_k: Option<Arc<OptimalRetrievalProbabilities>>,
@@ -56,36 +53,13 @@ impl IntervalQos {
                 .scheme
                 .retrieval_probabilities(k_max, 20_000, 0xF19u64)
         });
-        IntervalQos {
-            config,
-            admission: true,
-            p_k,
-        }
+        IntervalQos { config, p_k }
     }
 
-    /// Scheduler without admission (baseline mode).
-    pub fn without_admission(config: QosConfig) -> Self {
-        IntervalQos {
-            config,
-            admission: false,
-            p_k: None,
-        }
-    }
-
-    /// Run with the config's own design-theoretic scheme.
+    /// Run a trace through the scheduler with the given block mapping.
     pub fn run(&self, trace: &Trace, mapping: &mut BlockMapping) -> QosReport {
-        let scheme = self.config.scheme.clone();
-        self.run_scheme(trace, &scheme, mapping)
-    }
-
-    /// Run with an arbitrary allocation scheme (Table III baselines).
-    pub fn run_scheme<S: AllocationScheme>(
-        &self,
-        trace: &Trace,
-        scheme: &S,
-        mapping: &mut BlockMapping,
-    ) -> QosReport {
         let cfg = &self.config;
+        let scheme = &cfg.scheme;
         let t_win = cfg.interval_ns;
         let devices = scheme.devices();
         let limit = cfg.request_limit();
@@ -95,15 +69,7 @@ impl IntervalQos {
                 .collect::<Vec<_>>(),
         );
         let mut report = QosReport::new(
-            format!(
-                "interval {} ({})",
-                scheme.name(),
-                if self.admission {
-                    "admission"
-                } else {
-                    "no admission"
-                }
-            ),
+            format!("interval {} (admission)", scheme.name()),
             trace.num_intervals(),
         );
 
@@ -138,8 +104,8 @@ impl IntervalQos {
                 }
                 seen.len()
             };
-            let stat_admit = match (&self.p_k, self.admission) {
-                (Some(p), true) if arrived_distinct > limit => {
+            let stat_admit = match &self.p_k {
+                Some(p) if arrived_distinct > limit => {
                     counters.would_admit(arrived_distinct, p, cfg.epsilon)
                 }
                 _ => false,
@@ -151,7 +117,7 @@ impl IntervalQos {
             let mut take = 0;
             for p in pending.iter().take(arrived) {
                 if !distinct.contains(&p.bucket) {
-                    if self.admission && distinct.len() == cap {
+                    if distinct.len() == cap {
                         break;
                     }
                     distinct.push(p.bucket);
@@ -329,10 +295,12 @@ mod tests {
     }
 
     #[test]
-    fn baseline_without_admission_can_violate() {
-        use fqos_decluster::Raid1Mirrored;
-        // 27 random distinct buckets per window: some windows overload one
-        // mirror group (> 3·M buckets on 3 devices), blowing the deadline.
+    fn mirrored_layout_keeps_its_deadline_within_its_own_limit() {
+        use fqos_decluster::AllocationScheme;
+        // 27 random distinct buckets per window: unchecked, some windows
+        // overload one mirror group (> 3·M buckets on 3 devices), blowing
+        // the deadline. Admission at the layout's exact limit, b*(3) = 9,
+        // keeps every read within the window and delays the rest.
         let mut records = Vec::new();
         let mut state = 0x5EEDu64;
         for w in 0..50u64 {
@@ -345,14 +313,15 @@ mod tests {
             }
         }
         let trace = Trace::new("t", records, 9, 3 * BASE_INTERVAL_NS);
-        let cfg = QosConfig::paper_9_3_1().with_accesses(3);
-        let mirrored = Raid1Mirrored::paper();
-        let q = IntervalQos::without_admission(cfg);
-        let report = q.run_scheme(&trace, &mirrored, &mut modulo_mapping());
+        let cfg = QosConfig {
+            scheme: AllocationScheme::mirrored(9, 3, 36),
+            ..QosConfig::paper_9_3_1().with_accesses(3)
+        };
+        let report = IntervalQos::new(cfg).run(&trace, &mut modulo_mapping());
         assert_eq!(report.completed(), 27 * 50);
-        // The mirrored layout must violate the 0.399 ms interval guarantee.
+        assert!(report.delayed_pct() > 0.0);
         assert!(
-            report.total_response.max_ns() > 3 * BASE_INTERVAL_NS,
+            report.total_response.max_ns() <= 3 * BLOCK_READ_NS,
             "max = {} ns",
             report.total_response.max_ns()
         );

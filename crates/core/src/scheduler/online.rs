@@ -20,7 +20,6 @@ use crate::mapping::BlockMapping;
 use crate::report::QosReport;
 use crate::scheduler::{window_of, WindowBudgets};
 use fqos_decluster::sampling::OptimalRetrievalProbabilities;
-use fqos_decluster::AllocationScheme;
 use fqos_flashsim::{CalibratedSsd, FlashArray, IoRequest, SimTime};
 use fqos_traces::Trace;
 use std::sync::Arc;

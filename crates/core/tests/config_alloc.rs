@@ -5,7 +5,7 @@
 //! layout's `P_k` table once sampled: resampling shows as allocations.
 
 use fqos_core::QosConfig;
-use fqos_decluster::{AllocationScheme, DesignTheoretic};
+use fqos_decluster::AllocationScheme;
 use fqos_designs::DesignCatalog;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,7 +67,7 @@ fn paper_configs_allocate_once_per_process_and_custom_tables_a_constant() {
 
     // A `P_k` table is sampled once per layout and sampling: a second
     // request, from any clone, is a reference count.
-    let scheme = DesignTheoretic::paper_9_3_1();
+    let scheme = AllocationScheme::paper_9_3_1();
     let first = scheme.retrieval_probabilities(12, 200, 7);
     let (n, again) = allocations(|| scheme.clone().retrieval_probabilities(12, 200, 7));
     assert_eq!(n, 0, "a P_k memo hit");
@@ -76,9 +76,9 @@ fn paper_configs_allocate_once_per_process_and_custom_tables_a_constant() {
     let mut counts = Vec::new();
     for (devices, buckets) in [(7, 21), (13, 78), (27, 351)] {
         let design = DesignCatalog.find(devices, 3).expect("catalog design");
-        let (n, scheme) = allocations(|| DesignTheoretic::new(design));
+        let (n, scheme) = allocations(|| AllocationScheme::design(&design));
         assert_eq!(scheme.num_buckets(), buckets);
-        println!("DesignTheoretic::new on {buckets} buckets: {n} allocations");
+        println!("AllocationScheme::design on {buckets} buckets: {n} allocations");
         counts.push(n);
     }
     assert_eq!(counts, [PER_TABLE; 3]);

@@ -9,7 +9,6 @@
 //! began choosing colors from per-use-level bitsets.
 
 use fqos_core::{OverloadPolicy, QosConfig, QosPipeline, QosReport};
-use fqos_decluster::AllocationScheme;
 use fqos_flashsim::time::BASE_INTERVAL_NS;
 use fqos_traces::models::exchange::{exchange, ExchangeConfig};
 use fqos_traces::models::tpce::{tpce, TpceConfig};

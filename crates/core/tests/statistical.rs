@@ -5,7 +5,7 @@ use fqos_core::config::QosConfig;
 use fqos_core::mapping::{BlockMapping, MappingStrategy};
 use fqos_core::scheduler::OnlineQos;
 use fqos_decluster::sampling::optimal_retrieval_probabilities;
-use fqos_decluster::{AllocationScheme, DesignTheoretic};
+use fqos_decluster::AllocationScheme;
 use fqos_flashsim::time::BASE_INTERVAL_NS;
 use fqos_flashsim::{IoOp, BLOCK_SIZE_BYTES};
 use fqos_traces::{Trace, TraceRecord};
@@ -38,7 +38,7 @@ fn bursty_trace(windows: u64) -> Trace {
 #[test]
 fn q_converges_to_the_empirical_violation_rate() {
     // Feed counters a fixed size mix and check Q equals the closed form.
-    let scheme = DesignTheoretic::paper_9_3_1();
+    let scheme = AllocationScheme::paper_9_3_1();
     let p = optimal_retrieval_probabilities(&scheme, 12, 30_000, 9);
     let mut c = StatisticalCounters::new();
     for _ in 0..60 {

@@ -15,6 +15,9 @@
 
 use crate::scheme::{AllocationScheme, DeviceId};
 
+/// The most devices a [`CutTable`] covers: it keeps `2^N` counts.
+pub const MAX_CUT_DEVICES: usize = 16;
+
 /// Hall's cut counts of a request multiset: `inside[D]` is the number of
 /// requests whose replicas all lie in the device set `D` (a bitmap).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,12 +27,12 @@ pub struct CutTable {
 }
 
 impl CutTable {
-    /// An empty table over `devices` devices, at most 16: it keeps `2^N`
-    /// counts.
+    /// An empty table over `devices` devices, at most
+    /// [`MAX_CUT_DEVICES`].
     pub fn new(devices: usize) -> Self {
         assert!(
-            (1..=16).contains(&devices),
-            "a cut table covers 1..=16 devices, got {devices}"
+            (1..=MAX_CUT_DEVICES).contains(&devices),
+            "a cut table covers 1..={MAX_CUT_DEVICES} devices, got {devices}"
         );
         CutTable {
             devices,
@@ -38,7 +41,7 @@ impl CutTable {
     }
 
     /// The table of every bucket of `scheme`, each added once.
-    fn of<S: AllocationScheme + ?Sized>(scheme: &S) -> Self {
+    fn of(scheme: &AllocationScheme) -> Self {
         let mut table = CutTable::new(scheme.devices());
         for b in 0..scheme.num_buckets() {
             table.add(scheme.replicas(b));
@@ -127,25 +130,42 @@ fn capacity(mut set: usize, caps: &[u16]) -> usize {
 }
 
 /// The most accesses any `b` distinct buckets of `scheme` need, exactly.
-pub fn worst_case_accesses<S: AllocationScheme + ?Sized>(scheme: &S, b: usize) -> usize {
+pub fn worst_case_accesses(scheme: &AllocationScheme, b: usize) -> usize {
     assert!(b >= 1 && b <= scheme.num_buckets());
     CutTable::of(scheme).worst_case(b)
 }
 
 /// Worst-case profile: [`worst_case_accesses`] for each request size
 /// `1..=b_max`.
-pub fn worst_case_profile<S: AllocationScheme + ?Sized>(scheme: &S, b_max: usize) -> Vec<usize> {
+pub fn worst_case_profile(scheme: &AllocationScheme, b_max: usize) -> Vec<usize> {
     let table = CutTable::of(scheme);
     (1..=b_max.min(scheme.num_buckets()))
         .map(|b| table.worst_case(b))
         .collect()
 }
 
+/// `b*(m)`: the largest `b` such that any `b` distinct buckets of `scheme`
+/// fit in `m` accesses, i.e. the last size whose [`worst_case_profile`]
+/// entry is at most `m`. A `b`-set fits everywhere iff `b ≤ m·|D|` for
+/// every device set `D` holding more than `m·|D|` buckets, so it is the
+/// least such `m·|D|`, or every bucket when no set is that crowded.
+pub fn buckets_within(scheme: &AllocationScheme, m: usize) -> usize {
+    let table = CutTable::of(scheme);
+    table
+        .inside
+        .iter()
+        .enumerate()
+        .skip(1)
+        .map(|(d, &n)| (n as usize, m * d.count_ones() as usize))
+        .filter(|&(n, budget)| n > budget)
+        .map(|(_, budget)| budget)
+        .fold(scheme.num_buckets(), usize::min)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::retrieval::max_flow_retrieval;
-    use crate::{DesignTheoretic, Raid1Chained, Raid1Mirrored};
 
     /// Advance `set` (sorted combination of `0..n`) to the next combination
     /// in lexicographic order; false when exhausted.
@@ -166,7 +186,7 @@ mod tests {
     }
 
     /// The oracle: the worst max-flow cost over every `b`-set of buckets.
-    fn exhaustive<S: AllocationScheme + ?Sized>(scheme: &S, b: usize) -> usize {
+    fn exhaustive(scheme: &AllocationScheme, b: usize) -> usize {
         let mut set: Vec<usize> = (0..b).collect();
         let mut worst = 0;
         loop {
@@ -178,12 +198,16 @@ mod tests {
         }
     }
 
-    /// The largest `b` whose worst case stays within `m` accesses, for each
-    /// `m` in `1..=m_max`.
-    fn largest_within<S: AllocationScheme>(scheme: &S, m_max: usize) -> Vec<usize> {
+    /// [`buckets_within`] for each `m` in `1..=m_max`, checked against the
+    /// profile it reads off.
+    fn largest_within(scheme: &AllocationScheme, m_max: usize) -> Vec<usize> {
         let profile = worst_case_profile(scheme, scheme.num_buckets());
         (1..=m_max)
-            .map(|m| profile.partition_point(|&w| w <= m))
+            .map(|m| {
+                let b = buckets_within(scheme, m);
+                assert_eq!(b, profile.partition_point(|&w| w <= m), "m = {m}");
+                b
+            })
             .collect()
     }
 
@@ -268,7 +292,7 @@ mod tests {
     fn design_worst_case_matches_guarantee_at_small_sizes() {
         // Any 1..=5 buckets of (9,3,1) cost exactly 1 access, and the
         // guarantee is tight: some 6-set costs 2.
-        let s = DesignTheoretic::paper_9_3_1();
+        let s = AllocationScheme::paper_9_3_1();
         for b in 1..=5 {
             assert_eq!(worst_case_accesses(&s, b), 1, "b = {b}");
         }
@@ -279,26 +303,32 @@ mod tests {
     fn mirrored_worst_case_is_inferior() {
         // 4 buckets of one mirror group serialize: worst case ⌈4/3⌉ = 2 at
         // b = 4 already, while the design holds 1 until b = 6.
-        assert_eq!(worst_case_accesses(&Raid1Mirrored::paper(), 4), 2);
-        assert_eq!(worst_case_accesses(&DesignTheoretic::paper_9_3_1(), 4), 1);
+        assert_eq!(
+            worst_case_accesses(&AllocationScheme::mirrored(9, 3, 36), 4),
+            2
+        );
+        assert_eq!(worst_case_accesses(&AllocationScheme::paper_9_3_1(), 4), 1);
     }
 
     #[test]
     fn chained_worst_case_between() {
         // 4 buckets from one 3-device chain window force 2 accesses.
-        assert_eq!(worst_case_accesses(&Raid1Chained::paper(), 4), 2);
+        assert_eq!(
+            worst_case_accesses(&AllocationScheme::chained(9, 3, 36), 4),
+            2
+        );
     }
 
     #[test]
     fn closed_form_equals_exhaustive_enumeration() {
         // Every `b` whose C(36, b) sets stay within 200 000, on three layouts.
         let choose = |n: u64, k: u64| (0..k).fold(1u64, |acc, i| acc * (n - i) / (i + 1));
-        let schemes: [&dyn AllocationScheme; 3] = [
-            &DesignTheoretic::paper_9_3_1(),
-            &Raid1Chained::paper(),
-            &Raid1Mirrored::paper(),
+        let schemes = [
+            AllocationScheme::paper_9_3_1(),
+            AllocationScheme::chained(9, 3, 36),
+            AllocationScheme::mirrored(9, 3, 36),
         ];
-        for s in schemes {
+        for s in &schemes {
             let n = s.num_buckets();
             let profile = worst_case_profile(s, n);
             for b in (1..=n).filter(|&b| choose(n as u64, b as u64) <= 200_000) {
@@ -311,14 +341,23 @@ mod tests {
     fn largest_sets_within_m_accesses_are_pinned() {
         // (9,3,1) meets the paper's S(M) = 5, 14, 27, 44 exactly (capped at
         // its 36 buckets); (13,3,1) serves any 30 buckets in 3 accesses where
-        // S(3) promises 27.
+        // S(3) promises 27. The RAID-1 baselines of Table III: a chain
+        // window of three devices holds four buckets, a mirror group twelve.
         assert_eq!(
-            largest_within(&DesignTheoretic::paper_9_3_1(), 4),
+            largest_within(&AllocationScheme::paper_9_3_1(), 4),
             [5, 14, 27, 36]
         );
         assert_eq!(
-            largest_within(&DesignTheoretic::paper_13_3_1(), 5),
+            largest_within(&AllocationScheme::paper_13_3_1(), 5),
             [5, 14, 30, 44, 65]
+        );
+        assert_eq!(
+            largest_within(&AllocationScheme::chained(9, 3, 36), 4),
+            [3, 10, 27, 36]
+        );
+        assert_eq!(
+            largest_within(&AllocationScheme::mirrored(9, 3, 36), 4),
+            [3, 6, 9, 36]
         );
     }
 }

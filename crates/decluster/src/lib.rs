@@ -7,13 +7,23 @@
 //!
 //! # Allocation schemes
 //!
-//! * [`DesignTheoretic`] — the paper's scheme, backed by an `(N, c, 1)`
-//!   design ([`fqos_designs`]).
-//! * [`Raid1Mirrored`] / [`Raid1Chained`] — the two high-performance RAID
+//! [`AllocationScheme`] is one shared table from bucket to replica tuple,
+//! with one constructor per layout:
+//!
+//! * [`AllocationScheme::design`] — the paper's scheme, backed by an
+//!   `(N, c, 1)` design ([`fqos_designs`]);
+//!   [`paper_9_3_1`](AllocationScheme::paper_9_3_1) and
+//!   [`paper_13_3_1`](AllocationScheme::paper_13_3_1) are built once per
+//!   process.
+//! * [`mirrored`](AllocationScheme::mirrored) /
+//!   [`chained`](AllocationScheme::chained) — the two high-performance RAID
 //!   baselines of Table III (Fig. 7 layouts).
-//! * [`RandomDuplicate`] — RDA (Sanders et al.), near-optimal with high
-//!   probability but no deterministic guarantee.
-//! * [`Partitioned`], [`DependentPeriodic`], [`Orthogonal`] — the remaining
+//! * [`random_duplicate`](AllocationScheme::random_duplicate) — RDA
+//!   (Sanders et al.), near-optimal with high probability but no
+//!   deterministic guarantee.
+//! * [`partitioned`](AllocationScheme::partitioned),
+//!   [`periodic`](AllocationScheme::periodic),
+//!   [`orthogonal`](AllocationScheme::orthogonal) — the remaining
 //!   background schemes of §II-B2.
 //!
 //! # Retrieval algorithms
@@ -35,10 +45,10 @@
 //! # Example
 //!
 //! ```
-//! use fqos_decluster::{AllocationScheme, DesignTheoretic};
+//! use fqos_decluster::AllocationScheme;
 //! use fqos_decluster::retrieval::hybrid_retrieval;
 //!
-//! let scheme = DesignTheoretic::paper_9_3_1();
+//! let scheme = AllocationScheme::paper_9_3_1();
 //! // Any 5 distinct buckets retrieve in a single parallel access.
 //! let requests: Vec<&[usize]> = (0..5).map(|b| scheme.replicas(b)).collect();
 //! let (schedule, used_max_flow) = hybrid_retrieval(&requests, scheme.devices());
@@ -50,12 +60,5 @@ pub mod analysis;
 pub mod retrieval;
 pub mod sampling;
 pub mod scheme;
-pub mod schemes;
 
 pub use scheme::{AllocationScheme, BucketId, DeviceId};
-pub use schemes::design_theoretic::DesignTheoretic;
-pub use schemes::orthogonal::Orthogonal;
-pub use schemes::partitioned::Partitioned;
-pub use schemes::periodic::DependentPeriodic;
-pub use schemes::raid::{Raid1Chained, Raid1Mirrored};
-pub use schemes::rda::RandomDuplicate;

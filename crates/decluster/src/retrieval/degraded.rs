@@ -67,38 +67,26 @@ fn failed_mask(devices: usize, failed: &[bool]) -> u64 {
 
 /// The fault-tolerance level of an allocation scheme: the largest `f` such
 /// that **any** `f` device failures leave every bucket with a live replica.
-/// For a well-formed `c`-copy scheme this is `c − 1`; schemes that
-/// accidentally co-locate copies score lower.
-pub fn fault_tolerance<S: crate::scheme::AllocationScheme + ?Sized>(scheme: &S) -> usize {
-    // Every bucket's replicas are distinct devices (validated), so any
-    // bucket survives f failures iff f < number of distinct replica
-    // devices. The scheme-wide tolerance is the minimum over buckets.
-    (0..scheme.num_buckets())
-        .map(|b| {
-            let mut devs: Vec<DeviceId> = scheme.replicas(b).to_vec();
-            devs.sort_unstable();
-            devs.dedup();
-            devs.len() - 1
-        })
-        .min()
-        .unwrap_or(0)
+/// Every tuple holds `c` distinct devices (the scheme validates it), so it
+/// is `c − 1`.
+pub fn fault_tolerance(scheme: &crate::scheme::AllocationScheme) -> usize {
+    scheme.copies() - 1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scheme::AllocationScheme;
-    use crate::DesignTheoretic;
 
     #[test]
     fn design_tolerates_two_failures() {
-        let s = DesignTheoretic::paper_9_3_1();
+        let s = AllocationScheme::paper_9_3_1();
         assert_eq!(fault_tolerance(&s), 2);
     }
 
     #[test]
     fn no_failures_equals_normal_retrieval() {
-        let s = DesignTheoretic::paper_9_3_1();
+        let s = AllocationScheme::paper_9_3_1();
         let reqs: Vec<&[usize]> = (0..5).map(|b| s.replicas(b)).collect();
         let d = degraded_retrieval(&reqs, 9, &[false; 9]);
         assert!(d.lost.is_empty());
@@ -107,7 +95,7 @@ mod tests {
 
     #[test]
     fn single_failure_preserves_availability() {
-        let s = DesignTheoretic::paper_9_3_1();
+        let s = AllocationScheme::paper_9_3_1();
         let reqs: Vec<&[usize]> = (0..s.num_buckets()).map(|b| s.replicas(b)).collect();
         for dead in 0..9 {
             let mut failed = [false; 9];
@@ -123,7 +111,7 @@ mod tests {
 
     #[test]
     fn double_failure_still_serves_everything() {
-        let s = DesignTheoretic::paper_9_3_1();
+        let s = AllocationScheme::paper_9_3_1();
         let reqs: Vec<&[usize]> = (0..s.num_buckets()).map(|b| s.replicas(b)).collect();
         for a in 0..9 {
             for b in (a + 1)..9 {
@@ -140,7 +128,7 @@ mod tests {
     fn triple_failure_loses_exactly_the_shared_bucket_groups() {
         // Killing all three devices of one design block loses exactly that
         // block's three rotations.
-        let s = DesignTheoretic::paper_9_3_1();
+        let s = AllocationScheme::paper_9_3_1();
         let reqs: Vec<&[usize]> = (0..s.num_buckets()).map(|b| s.replicas(b)).collect();
         let mut failed = [false; 9];
         for &d in s.replicas(0) {
@@ -169,7 +157,7 @@ mod tests {
     #[test]
     fn cost_degrades_gracefully() {
         // Worst case cost is monotone in the number of failures.
-        let s = DesignTheoretic::paper_9_3_1();
+        let s = AllocationScheme::paper_9_3_1();
         let reqs: Vec<&[usize]> = (0..18).map(|b| s.replicas(b)).collect();
         let mut prev = 0;
         for f in 0..3 {

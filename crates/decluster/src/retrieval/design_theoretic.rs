@@ -83,7 +83,6 @@ pub fn design_theoretic_retrieval(requests: &[&[DeviceId]], devices: usize) -> R
 mod tests {
     use super::*;
     use crate::scheme::AllocationScheme;
-    use crate::DesignTheoretic;
 
     fn refs(reqs: &[Vec<usize>]) -> Vec<&[usize]> {
         reqs.iter().map(std::vec::Vec::as_slice).collect()
@@ -140,7 +139,7 @@ mod tests {
     fn guarantee_holds_for_any_5_buckets_of_9_3_1() {
         // Exhaustively spot-check: any 5 of the 36 buckets retrieve in 1
         // access (the S(1) = 5 deterministic guarantee), sampled densely.
-        let scheme = DesignTheoretic::paper_9_3_1();
+        let scheme = AllocationScheme::paper_9_3_1();
         let mut checked = 0;
         for a in 0..36 {
             for b in (a + 1)..36 {

@@ -13,24 +13,12 @@
 //! `1 − 9·(2/3)⁹ ≈ 0.76`) — at the cost of making `P_k` for `k ≤ S(1)`
 //! land slightly below 1 (duplicate draws of one bucket can exceed its
 //! replica count, something a real system would coalesce). Fig. 4 plots
-//! these as 1 at its resolution. [`Sampling::DistinctBuckets`] is the
-//! coalesced alternative where the `S(M)` guarantees hold exactly.
+//! these as 1 at its resolution.
 
 use crate::scheme::AllocationScheme;
 use fqos_maxflow::IncrementalRetrieval;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// How request sets are drawn for the `P_k` estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Sampling {
-    /// The paper's method: draws with replacement, duplicates kept.
-    #[default]
-    WithReplacement,
-    /// Draw `k` distinct buckets (duplicate requests coalesced); under this
-    /// mode `P_k = 1` exactly for `k ≤ S(1)`.
-    DistinctBuckets,
-}
 
 /// Estimated `P_k` table for `k = 1..=k_max`.
 #[derive(Debug, Clone)]
@@ -39,8 +27,6 @@ pub struct OptimalRetrievalProbabilities {
     pub p: Vec<f64>,
     /// Trials used per request size.
     pub trials: usize,
-    /// Sampling mode used.
-    pub sampling: Sampling,
 }
 
 impl OptimalRetrievalProbabilities {
@@ -55,39 +41,20 @@ impl OptimalRetrievalProbabilities {
     }
 }
 
-/// Estimate `P_k` for `k = 1..=k_max` with `trials` samples each, using the
-/// paper's with-replacement sampling. See [`optimal_retrieval_probabilities_with`]
-/// to choose the sampling mode.
-pub fn optimal_retrieval_probabilities<S: AllocationScheme + Sync + ?Sized>(
-    scheme: &S,
+/// Estimate `P_k` for `k = 1..=k_max` with `trials` samples each. Each `k`
+/// gets its own deterministic RNG stream, so one size's estimate does not
+/// depend on which other sizes were computed.
+pub fn optimal_retrieval_probabilities(
+    scheme: &AllocationScheme,
     k_max: usize,
     trials: usize,
     seed: u64,
-) -> OptimalRetrievalProbabilities {
-    optimal_retrieval_probabilities_with(scheme, k_max, trials, seed, Sampling::WithReplacement)
-}
-
-/// Estimate `P_k` under an explicit sampling mode. Each `k` gets its own
-/// deterministic RNG stream, so one size's estimate does not depend on
-/// which other sizes were computed.
-pub fn optimal_retrieval_probabilities_with<S: AllocationScheme + Sync + ?Sized>(
-    scheme: &S,
-    k_max: usize,
-    trials: usize,
-    seed: u64,
-    sampling: Sampling,
 ) -> OptimalRetrievalProbabilities {
     assert!(trials > 0);
-    if sampling == Sampling::DistinctBuckets {
-        assert!(
-            k_max <= scheme.num_buckets(),
-            "cannot draw more distinct buckets than the scheme supports"
-        );
-    }
     let devices = scheme.devices();
     let n = scheme.num_buckets();
-    // One kernel, one pool and one sample buffer for the whole table: no
-    // allocation per `k` or per trial.
+    // One kernel and one sample buffer for the whole table: no allocation
+    // per `k` or per trial.
     //
     // `reqs` has room for 512 requests, several times any `k_max` in use,
     // on purpose. The engine builds this table during set-up, and what the
@@ -96,30 +63,15 @@ pub fn optimal_retrieval_probabilities_with<S: AllocationScheme + Sync + ?Sized>
     // per-thread cache (≤ 64 requests), the benchmark's `stat_overflow`
     // peaks at 25–33 MiB instead of 19.5 (DESIGN.md, "One matcher").
     let mut kernel = IncrementalRetrieval::new(devices, 0);
-    let mut pool: Vec<usize> = Vec::with_capacity(n);
     let mut reqs: Vec<&[usize]> = Vec::with_capacity(512);
     let p: Vec<f64> = (1..=k_max)
         .map(|k| {
             let mut rng = StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E3779B97F4A7C15));
             let mut optimal = 0usize;
-            pool.clear();
-            pool.extend(0..n);
             for _ in 0..trials {
                 reqs.clear();
-                match sampling {
-                    Sampling::WithReplacement => {
-                        for _ in 0..k {
-                            reqs.push(scheme.replicas(rng.gen_range(0..n)));
-                        }
-                    }
-                    Sampling::DistinctBuckets => {
-                        // Partial Fisher–Yates: first k entries are the sample.
-                        for i in 0..k {
-                            let j = rng.gen_range(i..n);
-                            pool.swap(i, j);
-                            reqs.push(scheme.replicas(pool[i]));
-                        }
-                    }
+                for _ in 0..k {
+                    reqs.push(scheme.replicas(rng.gen_range(0..n)));
                 }
                 kernel.reset(k.div_ceil(devices), 0);
                 if reqs.iter().all(|replicas| kernel.try_add(replicas)) {
@@ -129,23 +81,18 @@ pub fn optimal_retrieval_probabilities_with<S: AllocationScheme + Sync + ?Sized>
             optimal as f64 / trials as f64
         })
         .collect();
-    OptimalRetrievalProbabilities {
-        p,
-        trials,
-        sampling,
-    }
+    OptimalRetrievalProbabilities { p, trials }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DesignTheoretic, Raid1Mirrored};
 
     #[test]
     fn paper_fig4_values_for_9_3_1() {
         // Fig. 4 / §III-B1: P_6 ≈ 0.99, P_7 ≈ 0.98, P_8 ≈ 0.95, P_9 ≈ 0.75,
         // P_10 = 1 (the optimum becomes 2 accesses); P_1..P_5 plot as 1.
-        let scheme = DesignTheoretic::paper_9_3_1();
+        let scheme = AllocationScheme::paper_9_3_1();
         let probs = optimal_retrieval_probabilities(&scheme, 10, 20_000, 42);
         for k in 1..=5 {
             assert!(
@@ -169,20 +116,8 @@ mod tests {
     }
 
     #[test]
-    fn distinct_sampling_respects_deterministic_guarantee() {
-        // With coalesced (distinct) sampling, the S(1) = 5 guarantee is
-        // exact: P_k = 1 for k ≤ 5.
-        let scheme = DesignTheoretic::paper_9_3_1();
-        let probs =
-            optimal_retrieval_probabilities_with(&scheme, 6, 5_000, 11, Sampling::DistinctBuckets);
-        for k in 1..=5 {
-            assert_eq!(probs.p_k(k), 1.0, "P_{k} under distinct sampling");
-        }
-    }
-
-    #[test]
     fn out_of_table_sizes_default_to_one() {
-        let scheme = DesignTheoretic::paper_9_3_1();
+        let scheme = AllocationScheme::paper_9_3_1();
         let probs = optimal_retrieval_probabilities(&scheme, 3, 100, 1);
         assert_eq!(probs.p_k(0), 1.0);
         assert_eq!(probs.p_k(99), 1.0);
@@ -193,8 +128,8 @@ mod tests {
         // The qualitative ranking of §II-B2: at k = 5 the design scheme is
         // (essentially) always optimal while mirrored often is not — five
         // random blocks can land 4+ in one 3-device mirror group.
-        let dt = DesignTheoretic::paper_9_3_1();
-        let mir = Raid1Mirrored::paper();
+        let dt = AllocationScheme::paper_9_3_1();
+        let mir = AllocationScheme::mirrored(9, 3, 36);
         let p_dt = optimal_retrieval_probabilities(&dt, 5, 4_000, 7);
         let p_mir = optimal_retrieval_probabilities(&mir, 5, 4_000, 7);
         assert!(p_dt.p_k(5) > 0.99);
@@ -203,7 +138,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let scheme = DesignTheoretic::paper_9_3_1();
+        let scheme = AllocationScheme::paper_9_3_1();
         let a = optimal_retrieval_probabilities(&scheme, 6, 500, 5);
         let b = optimal_retrieval_probabilities(&scheme, 6, 500, 5);
         assert_eq!(a.p, b.p);

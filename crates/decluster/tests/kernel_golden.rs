@@ -12,7 +12,7 @@
 
 use fqos_decluster::retrieval::max_flow_retrieval;
 use fqos_decluster::sampling::{optimal_retrieval_probabilities, OptimalRetrievalProbabilities};
-use fqos_decluster::{AllocationScheme, DesignTheoretic};
+use fqos_decluster::AllocationScheme;
 use fqos_designs::known;
 use fqos_maxflow::IncrementalRetrieval;
 use std::sync::Arc;
@@ -74,7 +74,12 @@ fn verdict(win: &mut IncrementalRetrieval, replicas: &[usize], failed: u64) -> u
 /// 200 windows of Zipf-skewed arrivals at ~1.6× the window's capacity, each
 /// window opened with `failed` devices down and 0–2 pinned single-replica
 /// units.
-fn fingerprint(scheme: &DesignTheoretic, accesses: usize, failed_devs: &[usize], seed: u64) -> u64 {
+fn fingerprint(
+    scheme: &AllocationScheme,
+    accesses: usize,
+    failed_devs: &[usize],
+    seed: u64,
+) -> u64 {
     let devices = scheme.devices();
     let failed = failed_devs.iter().fold(0u64, |m, &d| m | 1 << d);
     let zipf = Zipf::new(scheme.num_buckets());
@@ -110,22 +115,26 @@ fn fingerprint(scheme: &DesignTheoretic, accesses: usize, failed_devs: &[usize],
 
 #[test]
 fn golden_9_3_1_m2() {
-    let s = DesignTheoretic::paper_9_3_1();
+    let s = AllocationScheme::paper_9_3_1();
     assert_eq!(fingerprint(&s, 2, &[4], 7), 0xeee2_92ad_c140_1bfb);
     assert_eq!(fingerprint(&s, 2, &[], 11), 0x07fc_cc67_3a09_6e7a);
 }
 
 #[test]
 fn golden_13_3_1_m3() {
-    let s = DesignTheoretic::paper_13_3_1();
+    let s = AllocationScheme::paper_13_3_1();
     assert_eq!(fingerprint(&s, 3, &[2, 11], 7), 0xd832_6e3f_b161_32ff);
     assert_eq!(fingerprint(&s, 3, &[0, 1, 4], 13), 0x044d_317a_ceb3_ca5c);
 }
 
 /// The `k_max` of the `P_k` table the serving engine builds for an ε > 0
 /// deployment at `M = accesses`: `2·S(M) + 8`.
-fn engine_k_max(scheme: &DesignTheoretic, accesses: usize) -> usize {
-    2 * scheme.guarantee().buckets_in(accesses) + 8
+fn engine_k_max(scheme: &AllocationScheme, accesses: usize) -> usize {
+    2 * scheme
+        .guarantee()
+        .expect("a design layout")
+        .buckets_in(accesses)
+        + 8
 }
 
 /// FNV over the bit patterns of a `P_k` table.
@@ -141,7 +150,7 @@ fn p_table_fingerprint(table: &OptimalRetrievalProbabilities) -> u64 {
 /// through the design's memo: all three carry the pinned bits, and the
 /// memo hands out one table.
 fn memo_p_table(
-    scheme: &DesignTheoretic,
+    scheme: &AllocationScheme,
     accesses: usize,
     golden: u64,
 ) -> Arc<OptimalRetrievalProbabilities> {
@@ -160,7 +169,7 @@ fn memo_p_table(
 /// FNV over the optimal access count of 300 Zipf-skewed request sets of
 /// 1 to `4N` buckets. The count is pinned and the assignment is not: the
 /// minimum is unique, the schedule reaching it is one among equals.
-fn accesses_fingerprint(scheme: &DesignTheoretic, seed: u64) -> u64 {
+fn accesses_fingerprint(scheme: &AllocationScheme, seed: u64) -> u64 {
     let devices = scheme.devices();
     let zipf = Zipf::new(scheme.num_buckets());
     let mut rng = seed;
@@ -187,11 +196,11 @@ fn golden_p_k_tables() {
     // (9,3,1) at M = 2, and the `stat_overflow` deployment: (13,3,1), M = 3.
     // No other test here samples on the paper layouts, so the first memo
     // call is the one that builds.
-    memo_p_table(&DesignTheoretic::paper_9_3_1(), 2, 0x1b40_ab1d_db6e_7eef);
-    let paper = memo_p_table(&DesignTheoretic::paper_13_3_1(), 3, 0x77f0_ac3f_7880_b17d);
+    memo_p_table(&AllocationScheme::paper_9_3_1(), 2, 0x1b40_ab1d_db6e_7eef);
+    let paper = memo_p_table(&AllocationScheme::paper_13_3_1(), 3, 0x77f0_ac3f_7880_b17d);
     // The same design built apart from the paper's layout has its own
     // memo: the same bits, another table.
-    let built = DesignTheoretic::new(known::design_13_3_1());
+    let built = AllocationScheme::design(&known::design_13_3_1());
     let built = memo_p_table(&built, 3, 0x77f0_ac3f_7880_b17d);
     assert!(!Arc::ptr_eq(&paper, &built));
 }
@@ -201,7 +210,7 @@ fn memo_is_keyed_on_the_exact_size() {
     // A shorter request after a longer one gets a table of its own size:
     // sizes past a table read P_k = 1, so handing out the longer one would
     // change admission.
-    let scheme = DesignTheoretic::new(known::design_13_3_1());
+    let scheme = AllocationScheme::design(&known::design_13_3_1());
     let long = scheme.retrieval_probabilities(62, 1500, 0x5eed_cafe);
     assert!(long.p_k(37) < 1.0);
     let short = scheme.retrieval_probabilities(36, 1500, 0x5eed_cafe);
@@ -212,8 +221,8 @@ fn memo_is_keyed_on_the_exact_size() {
 
 #[test]
 fn golden_optimal_accesses() {
-    let s = DesignTheoretic::paper_9_3_1();
+    let s = AllocationScheme::paper_9_3_1();
     assert_eq!(accesses_fingerprint(&s, 7), 0xe6b3_0740_76ce_dc6b);
-    let s = DesignTheoretic::paper_13_3_1();
+    let s = AllocationScheme::paper_13_3_1();
     assert_eq!(accesses_fingerprint(&s, 11), 0x5f59_43a9_d7db_55a9);
 }

@@ -2,35 +2,34 @@
 
 use fqos_decluster::analysis::CutTable;
 use fqos_decluster::retrieval::{design_theoretic_retrieval, hybrid_retrieval, max_flow_retrieval};
-use fqos_decluster::{
-    AllocationScheme, DependentPeriodic, DesignTheoretic, Orthogonal, Partitioned, Raid1Chained,
-    Raid1Mirrored, RandomDuplicate,
-};
+use fqos_decluster::AllocationScheme;
+use fqos_designs::steiner::steiner_triple_system;
+use fqos_designs::{known, Design, DesignCatalog};
 use fqos_maxflow::IncrementalRetrieval;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-fn all_schemes() -> Vec<Box<dyn AllocationScheme>> {
+fn all_schemes() -> Vec<AllocationScheme> {
     vec![
-        Box::new(DesignTheoretic::paper_9_3_1()),
-        Box::new(DesignTheoretic::paper_13_3_1()),
-        Box::new(Raid1Mirrored::paper()),
-        Box::new(Raid1Chained::paper()),
-        Box::new(RandomDuplicate::new(9, 3, 36, 1)),
-        Box::new(Partitioned::new(9, 3, 36)),
-        Box::new(DependentPeriodic::new(9, 3, 2, 36)),
-        Box::new(Orthogonal::new(9, 72)),
+        AllocationScheme::paper_9_3_1(),
+        AllocationScheme::paper_13_3_1(),
+        AllocationScheme::mirrored(9, 3, 36),
+        AllocationScheme::chained(9, 3, 36),
+        AllocationScheme::random_duplicate(9, 3, 36, 1),
+        AllocationScheme::partitioned(9, 3, 36),
+        AllocationScheme::periodic(9, 3, 2, 36),
+        AllocationScheme::orthogonal(9, 72),
     ]
 }
 
 /// The layouts the kernel is checked against the cut table on.
-fn cut_schemes() -> [Box<dyn AllocationScheme>; 4] {
+fn cut_schemes() -> [AllocationScheme; 4] {
     [
-        Box::new(DesignTheoretic::paper_9_3_1()),
-        Box::new(DesignTheoretic::paper_13_3_1()),
-        Box::new(Raid1Chained::paper()),
-        Box::new(Raid1Mirrored::paper()),
+        AllocationScheme::paper_9_3_1(),
+        AllocationScheme::paper_13_3_1(),
+        AllocationScheme::chained(9, 3, 36),
+        AllocationScheme::mirrored(9, 3, 36),
     ]
 }
 
@@ -38,7 +37,7 @@ fn cut_schemes() -> [Box<dyn AllocationScheme>; 4] {
 /// which device `d` serves at most `caps[d]` requests, and describe the
 /// first request on which its verdict differs from the cut table's.
 fn first_disagreement(
-    scheme: &dyn AllocationScheme,
+    scheme: &AllocationScheme,
     buckets: &[usize],
     caps: &[u16],
     mut try_add: impl FnMut(&[usize]) -> bool,
@@ -97,7 +96,7 @@ fn first_fit_fails_the_kernel_cut_comparison() {
             .collect();
         cut_schemes().iter().any(|s| {
             let caps = capacities(bits, more, s.devices(), m);
-            first_disagreement(s.as_ref(), &buckets, &caps, first_fit(&caps)).is_some()
+            first_disagreement(s, &buckets, &caps, first_fit(&caps)).is_some()
         })
     });
     assert!(
@@ -106,10 +105,33 @@ fn first_fit_fails_the_kernel_cut_comparison() {
     );
 }
 
+/// Every design the catalog builds on up to 45 devices, every Steiner
+/// triple system below 100 points and the three known designs: the layout
+/// holds block `b / k` rotated by `b % k` at bucket `b` (§II-B4), for every
+/// bucket, and nothing else.
 #[test]
-fn every_scheme_validates() {
-    for s in all_schemes() {
-        s.validate().unwrap_or_else(|e| panic!("{}: {e}", s.name()));
+fn design_layouts_follow_the_rotation_rule() {
+    let catalog =
+        (2..=5usize).flat_map(|k| (3..=45).filter_map(move |v| DesignCatalog.find(v, k).ok()));
+    let designs: Vec<Design> = catalog
+        .chain((7..100).filter_map(|v| steiner_triple_system(v).ok()))
+        .chain([
+            known::design_7_3_1(),
+            known::design_9_3_1(),
+            known::design_13_3_1(),
+        ])
+        .collect();
+    assert!(designs.len() > 60, "{} designs", designs.len());
+    for d in designs {
+        d.verify().unwrap();
+        let (v, k) = (d.v(), d.k());
+        let s = AllocationScheme::design(&d);
+        assert_eq!(s.num_buckets(), v * (v - 1) / (k - 1), "({v},{k},1)");
+        for b in 0..s.num_buckets() {
+            let block = &d.blocks()[b / k];
+            let rotated: Vec<_> = (0..k).map(|pos| block[(pos + b % k) % k]).collect();
+            assert_eq!(s.replicas(b), rotated, "({v},{k},1) bucket {b}");
+        }
     }
 }
 
@@ -156,7 +178,7 @@ proptest! {
             let caps = capacities(bits, more, s.devices(), m);
             let mut kernel = IncrementalRetrieval::new(s.devices(), m);
             kernel.reset_caps(&caps);
-            let miss = first_disagreement(s.as_ref(), &buckets, &caps, |r| kernel.try_add(r));
+            let miss = first_disagreement(&s, &buckets, &caps, |r| kernel.try_add(r));
             prop_assert!(miss.is_none(), "{}", miss.unwrap_or_default());
 
             let reqs: Vec<&[usize]> =
@@ -216,8 +238,8 @@ proptest! {
         seed in any::<u64>(),
         m in 1usize..4,
     ) {
-        let s = DesignTheoretic::paper_9_3_1();
-        let g = s.guarantee();
+        let s = AllocationScheme::paper_9_3_1();
+        let g = s.guarantee().expect("a design layout");
         let k = g.buckets_in(m).min(s.num_buckets());
         // Draw k distinct buckets deterministically from the seed.
         let mut pool: Vec<usize> = (0..s.num_buckets()).collect();
@@ -242,8 +264,8 @@ proptest! {
         seed in any::<u64>(),
         m in 1usize..3,
     ) {
-        let s = DesignTheoretic::paper_9_3_1();
-        let k = s.guarantee().buckets_in(m);
+        let s = AllocationScheme::paper_9_3_1();
+        let k = s.guarantee().expect("a design layout").buckets_in(m);
         let mut pool: Vec<usize> = (0..s.num_buckets()).collect();
         let mut state = seed | 1;
         for i in 0..k {

@@ -5,6 +5,11 @@ use crate::error::DesignError;
 /// Identifier of a storage device (a *point* of the design).
 pub type DeviceId = usize;
 
+/// Identifier of a bucket: a slot that data blocks are matched to, stored on
+/// one rotation of one design block (*not* a raw LBN — that mapping is done
+/// by the FIM matcher).
+pub type BucketId = usize;
+
 /// A design block: an ordered list of `k` distinct points. The order matters
 /// for declustering — position `i` of a (possibly rotated) block names the
 /// device that stores the `i`-th copy of a bucket.

@@ -15,8 +15,6 @@
 //! * [`difference`] — development of difference families into designs.
 //! * [`known`] — the paper's `(9,3,1)` design (Fig. 2) and a `(13,3,1)`
 //!   design used for the TPC-E experiments.
-//! * [`rotation`] — rotated replica tuples: an `(N,3,1)` design supports
-//!   `N(N−1)/2` buckets once each block is used in all `k` rotations.
 //! * [`guarantee`] — the `S(M)` algebra and its inverse.
 //! * [`catalog`] — pick a constructible design from `(N, c)` or from a QoS
 //!   requirement.
@@ -40,12 +38,9 @@ pub mod difference;
 pub mod error;
 pub mod guarantee;
 pub mod known;
-pub mod resolvable;
-pub mod rotation;
 pub mod steiner;
 
 pub use catalog::DesignCatalog;
-pub use design::{Block, Design, DeviceId};
+pub use design::{Block, BucketId, Design, DeviceId};
 pub use error::DesignError;
 pub use guarantee::RetrievalGuarantee;
-pub use rotation::{BucketId, RotatedDesign};

@@ -1,9 +1,6 @@
 //! Property-based tests for the design substrate.
 
-use fqos_designs::{
-    design::Design, guarantee::RetrievalGuarantee, known, rotation::RotatedDesign,
-    steiner::steiner_triple_system, DesignCatalog,
-};
+use fqos_designs::{design::Design, guarantee::RetrievalGuarantee, steiner::steiner_triple_system};
 use proptest::prelude::*;
 
 /// Constructible STS orders below 100 (v ≡ 3 mod 6, or prime v ≡ 1 mod 6).
@@ -54,51 +51,6 @@ proptest! {
         // information-theoretic optimum ⌈b/N⌉.
         let g = RetrievalGuarantee::new(9, 3);
         prop_assert!(g.accesses_for(buckets) >= g.optimal_accesses(buckets));
-    }
-
-    #[test]
-    fn rotated_design_tuples_are_true_replica_sets(idx in 0usize..14, bucket_seed in any::<usize>()) {
-        let orders = constructible_orders();
-        let v = orders[idx % orders.len()];
-        let d = steiner_triple_system(v).unwrap();
-        let k = d.k();
-        let rd = RotatedDesign::new(d);
-        let bucket = bucket_seed % rd.num_buckets();
-        let tuple = rd.replicas(bucket);
-        // The tuple must be a rotation of the originating block.
-        let block = &rd.design().blocks()[bucket / k];
-        let rot = bucket % k;
-        for pos in 0..k {
-            prop_assert_eq!(tuple[pos], block[(pos + rot) % k]);
-        }
-    }
-}
-
-/// Every design the catalog builds on up to 45 devices, and the three
-/// known ones: the flat bucket table holds block `b / k` rotated by `b % k`
-/// at bucket `b`, for every bucket, and nothing else.
-#[test]
-fn bucket_tables_follow_the_rotation_rule() {
-    let catalog =
-        (2..=5usize).flat_map(|k| (3..=45).filter_map(move |v| DesignCatalog.find(v, k).ok()));
-    let designs: Vec<Design> = catalog
-        .chain([
-            known::design_7_3_1(),
-            known::design_9_3_1(),
-            known::design_13_3_1(),
-        ])
-        .collect();
-    assert!(designs.len() > 40, "{} designs", designs.len());
-    for d in designs {
-        d.verify().unwrap();
-        let (v, k) = (d.v(), d.k());
-        let rd = RotatedDesign::new(d.clone());
-        assert_eq!(rd.num_buckets(), v * (v - 1) / (k - 1), "({v},{k},1)");
-        for b in 0..rd.num_buckets() {
-            let block = &d.blocks()[b / k];
-            let rotated: Vec<_> = (0..k).map(|pos| block[(pos + b % k) % k]).collect();
-            assert_eq!(rd.replicas(b), rotated, "({v},{k},1) bucket {b}");
-        }
     }
 }
 

@@ -279,7 +279,7 @@ impl ServerConfig {
         self.fault_schedule
             .validate(self.qos.devices())
             .map_err(|e| e.to_string())?;
-        let copies = self.qos.guarantee().copies;
+        let copies = self.qos.scheme.copies();
         if copies > crate::window::MAX_COPIES {
             return Err(format!(
                 "scheme keeps {copies} copies per block; window slots hold at most {}",
@@ -332,12 +332,9 @@ mod tests {
     #[test]
     fn validate_rejects_more_copies_than_a_window_slot_holds() {
         let mut qos = QosConfig::paper_9_3_1();
-        qos.scheme = fqos_decluster::DesignTheoretic::new(fqos_designs::Design::new_unchecked(
-            9,
-            9,
-            1,
-            vec![(0..9).collect()],
-        ));
+        qos.scheme = fqos_decluster::AllocationScheme::design(
+            &fqos_designs::Design::new_unchecked(9, 9, 1, vec![(0..9).collect()]),
+        );
         let err = ServerConfig::new(qos).validate().unwrap_err();
         assert!(err.contains("copies"), "{err}");
     }

@@ -53,7 +53,6 @@ use crate::wal::{crash_point, OpenEntry, Stage, Wal};
 use crate::window::{AdmitResult, SealedItem, WindowRing, MAX_COPIES};
 use fqos_core::{OverloadPolicy, StatisticalCounters};
 use fqos_decluster::sampling::OptimalRetrievalProbabilities;
-use fqos_decluster::AllocationScheme;
 use fqos_flashsim::{CalibratedSsd, Completion, Device, GcStats, IoOp, IoRequest};
 use fqos_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use fqos_sync::channel::{bounded, Receiver, Sender};

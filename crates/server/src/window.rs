@@ -1254,8 +1254,7 @@ mod tests {
     /// replica with capacity): flow admits exactly what the cut table
     /// admits, EFT only what it admits.
     fn window_digest(mode: AssignmentMode) -> u64 {
-        use fqos_decluster::{AllocationScheme, DesignTheoretic};
-        let scheme = DesignTheoretic::paper_9_3_1();
+        let scheme = fqos_decluster::AllocationScheme::paper_9_3_1();
         let schedule = FaultSchedule::new()
             .fail(2, 4)
             .recover(2, 8)

@@ -9,6 +9,8 @@
 //! but scripted fail-stops, window `w` admits exactly
 //! `min(R, rank(offered(w)))`. A device down in the arrival window or the
 //! one after (its execution interval) has capacity 0, every other `M`.
+//! It holds on every layout the engine serves: both paper designs and the
+//! chained and mirrored baselines.
 //!
 //! Earliest-finish-time admission puts each read on its least-loaded
 //! replica and never moves it, so it can strand a set the flow places: it
@@ -43,8 +45,8 @@ struct Case {
 
 impl Case {
     /// `WINDOWS` windows of 1..=`2NM` reads each over a random hot range of
-    /// buckets, a reservation of `S(M)`, `S(M)/2` or anything between, and
-    /// up to two devices failing for a while.
+    /// buckets, a reservation of the request limit, half of it or anything
+    /// between, and up to two devices failing for a while.
     fn random(qos: QosConfig, seed: u64) -> Case {
         let mut rng = StdRng::seed_from_u64(seed);
         let (n, m) = (qos.devices(), qos.accesses);
@@ -174,11 +176,22 @@ impl Case {
     }
 }
 
-/// Both paper layouts at `M` ∈ 1..=3.
+/// Both paper layouts and the two RAID-1 baselines of Table III on nine
+/// devices, at `M` ∈ 1..=3. The identity does not depend on the layout; a
+/// baseline reserves its exact limit `b*(M)`.
 fn layouts() -> impl Iterator<Item = QosConfig> {
-    [QosConfig::paper_9_3_1(), QosConfig::paper_13_3_1()]
-        .into_iter()
-        .flat_map(|qos| (1..=3).map(move |m| qos.clone().with_accesses(m)))
+    let baseline = |scheme| QosConfig {
+        scheme,
+        ..QosConfig::paper_9_3_1()
+    };
+    [
+        QosConfig::paper_9_3_1(),
+        QosConfig::paper_13_3_1(),
+        baseline(AllocationScheme::chained(9, 3, 36)),
+        baseline(AllocationScheme::mirrored(9, 3, 36)),
+    ]
+    .into_iter()
+    .flat_map(|qos| (1..=3).map(move |m| qos.clone().with_accesses(m)))
 }
 
 /// A set EFT strands: on `(9,3,1)` at `M = 1`, a read on

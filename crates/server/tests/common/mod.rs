@@ -10,7 +10,7 @@
 #![allow(dead_code)] // each test binary links its own subset of helpers
 
 use fqos_core::{OverloadPolicy, QosConfig};
-use fqos_decluster::{AllocationScheme, DesignTheoretic};
+use fqos_decluster::AllocationScheme;
 use fqos_designs::DesignCatalog;
 use fqos_flashsim::time::{BASE_INTERVAL_NS, BLOCK_READ_NS};
 use fqos_server::{
@@ -56,7 +56,7 @@ pub fn rng(stream: u64) -> StdRng {
 pub fn qos(n: usize, c: usize, m: usize) -> QosConfig {
     let design = DesignCatalog.find(n, c).expect("catalog design");
     QosConfig {
-        scheme: DesignTheoretic::new(design),
+        scheme: AllocationScheme::design(&design),
         accesses: m,
         interval_ns: m as u64 * BASE_INTERVAL_NS,
         epsilon: 0.0,
@@ -190,7 +190,7 @@ impl Scenario {
     /// Build the server, replay every tenant's seeded trace and drain.
     pub fn replay(self) -> Replay {
         let interval_ns = self.qos.interval_ns;
-        let pool = AllocationScheme::num_buckets(&self.qos.scheme) as u64;
+        let pool = self.qos.scheme.num_buckets() as u64;
         let mut cfg = ServerConfig::new(self.qos)
             .with_workers(self.workers)
             .with_queue_depth(self.queue_depth)
@@ -267,7 +267,7 @@ pub fn assert_guarantee_held(r: &Replay) {
 /// The replica set of design bucket `b` under the `(n, c, 1)` catalog
 /// design — lets fault tests script a failure that co-hosts a bucket.
 pub fn bucket_replicas(n: usize, c: usize, bucket: u64) -> Vec<usize> {
-    let scheme = DesignTheoretic::new(DesignCatalog.find(n, c).expect("catalog design"));
+    let scheme = AllocationScheme::design(&DesignCatalog.find(n, c).expect("catalog design"));
     scheme.replicas(scheme.bucket_for_lbn(bucket)).to_vec()
 }
 
@@ -520,7 +520,7 @@ pub fn crash_child_entry() {
     let acks_path = std::env::var("FQOS_ACKS_PATH").expect("FQOS_ACKS_PATH");
     let scenario = Scenario::from_spec(&spec);
     let interval_ns = scenario.qos.interval_ns;
-    let pool = AllocationScheme::num_buckets(&scenario.qos.scheme) as u64;
+    let pool = scenario.qos.scheme.num_buckets() as u64;
     let server =
         QosServer::new(scenario.wal_config(std::path::Path::new(&wal_dir))).expect("child server");
     for &(t, r, p) in &scenario.tenants {

@@ -15,7 +15,7 @@
 mod common;
 
 use fqos_core::{OverloadPolicy, QosConfig};
-use fqos_decluster::{AllocationScheme, DesignTheoretic};
+use fqos_decluster::AllocationScheme;
 use fqos_designs::DesignCatalog;
 use fqos_flashsim::time::{BASE_INTERVAL_NS, BLOCK_READ_NS};
 use fqos_server::CRASH_POINTS;
@@ -35,7 +35,7 @@ fn qos_for(design_idx: usize, m: usize, epsilon: f64) -> QosConfig {
     let (n, c) = DESIGNS[design_idx % DESIGNS.len()];
     let design = DesignCatalog.find(n, c).expect("catalog design");
     QosConfig {
-        scheme: DesignTheoretic::new(design),
+        scheme: AllocationScheme::design(&design),
         accesses: m,
         interval_ns: m as u64 * BASE_INTERVAL_NS,
         epsilon,
@@ -285,7 +285,7 @@ proptest! {
     ) {
         let (n, c) = DESIGNS[design_idx % DESIGNS.len()];
         let deployment = qos_for(design_idx, 1, 0.0);
-        let pool = AllocationScheme::num_buckets(&deployment.scheme) as u64;
+        let pool = deployment.scheme.num_buckets() as u64;
         let bucket = bucket % pool;
         let failed = common::bucket_replicas(n, c, bucket);
         let mut schedule = FaultSchedule::new();

@@ -39,9 +39,12 @@ fn main() {
 
     // 3. Verify the guarantee exactly on the (9,3,1) paper design: the
     //    costliest set of S(2) = 14 distinct buckets, from Hall's cuts.
-    let scheme = DesignTheoretic::paper_9_3_1();
+    let scheme = AllocationScheme::paper_9_3_1();
     let worst = worst_case_accesses(&scheme, 14);
-    let promised = scheme.guarantee().accesses_for(14);
+    let promised = scheme
+        .guarantee()
+        .expect("a design layout")
+        .accesses_for(14);
     println!(
         "\n(9,3,1): worst cost of any 14-bucket request: {worst} accesses (guarantee: {promised})"
     );

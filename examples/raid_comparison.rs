@@ -29,13 +29,13 @@ fn main() {
 
     let mirrored = pipeline
         .run_interval()
-        .run_baseline(&trace, &Raid1Mirrored::paper());
+        .run_baseline(&trace, &AllocationScheme::mirrored(9, 3, 36));
     let chained = pipeline
         .run_interval()
-        .run_baseline(&trace, &Raid1Chained::paper());
+        .run_baseline(&trace, &AllocationScheme::chained(9, 3, 36));
     let rda = pipeline
         .run_interval()
-        .run_baseline(&trace, &RandomDuplicate::new(9, 3, 36, 42));
+        .run_baseline(&trace, &AllocationScheme::random_duplicate(9, 3, 36, 42));
     let design = pipeline.run_interval().run(&trace);
 
     for (name, r) in [

@@ -220,7 +220,7 @@ fn qos_config(
         .find(devices, copies)
         .map_err(|e| e.to_string())?;
     let qos = QosConfig {
-        scheme: flash_qos::decluster::DesignTheoretic::new(design),
+        scheme: AllocationScheme::design(&design),
         accesses,
         interval_ns,
         epsilon,
@@ -460,7 +460,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     let fault_schedule = args.fault_schedule("fault-schedule", opts.get("fault-schedule"))?;
 
     let limit = args.qos.request_limit();
-    let pool = AllocationScheme::num_buckets(&args.qos.scheme) as u64;
+    let pool = args.qos.scheme.num_buckets() as u64;
     let interval_ns = args.qos.interval_ns;
     let submitters = args.submitters.min(limit);
 
@@ -835,7 +835,7 @@ fn cmd_cluster(opts: &Options) -> Result<(), String> {
     }
 
     let limit = args.qos.request_limit();
-    let pool = AllocationScheme::num_buckets(&args.qos.scheme) as u64;
+    let pool = args.qos.scheme.num_buckets() as u64;
     let interval_ns = args.qos.interval_ns;
 
     let array_configs: Vec<ServerConfig> = schedules

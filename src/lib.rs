@@ -18,7 +18,7 @@
 //! | [`maxflow`] | `fqos-maxflow` | the incremental matching kernel, the batch optimal-retrieval solver built on it, an Edmonds–Karp reference for tests |
 //! | [`flashsim`] | `fqos-flashsim` | flash array simulator, FCFS per device (calibrated + page-level models, FTL, GC) |
 //! | [`traces`] | `fqos-traces` | DiskSim ASCII traces, the synthetic generator, Exchange/TPC-E workload models |
-//! | [`decluster`] | `fqos-decluster` | allocation schemes (design-theoretic, RAID-1 × 2, RDA, partitioned, periodic, orthogonal) and retrieval algorithms |
+//! | [`decluster`] | `fqos-decluster` | `AllocationScheme`, one table type with a constructor per layout (design-theoretic, RAID-1 × 2, RDA, partitioned, periodic, orthogonal), and retrieval algorithms |
 //! | [`fim`] | `fqos-fim` | Apriori pair miner and the design-block matcher |
 //! | [`qos`] | `fqos-core` | admission control, online + interval schedulers, the end-to-end pipeline |
 //! | [`server`] | `fqos-server` | concurrent multi-tenant serving engine: thread-safe admission, interval-aligned dispatch, worker pool, metrics |
@@ -68,10 +68,8 @@ pub mod prelude {
         AppAdmission, BlockMapping, MappingStrategy, OverloadPolicy, QosConfig, QosPipeline,
         QosReport, StatisticalCounters,
     };
-    pub use fqos_decluster::{
-        AllocationScheme, DesignTheoretic, Raid1Chained, Raid1Mirrored, RandomDuplicate,
-    };
-    pub use fqos_designs::{Design, DesignCatalog, RetrievalGuarantee, RotatedDesign};
+    pub use fqos_decluster::AllocationScheme;
+    pub use fqos_designs::{Design, DesignCatalog, RetrievalGuarantee};
     pub use fqos_flashsim::{CalibratedSsd, FlashArray, IoRequest, BLOCK_READ_NS};
     pub use fqos_server::{
         DeviceHealth, FaultKind, FaultSchedule, FaultSpecError, FtlGeometry, GcConfig, IoOp,

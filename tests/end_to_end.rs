@@ -97,10 +97,10 @@ fn table3_shape_holds() {
     let design = pipeline.run_interval().run(&trace);
     let chained = pipeline
         .run_interval()
-        .run_baseline(&trace, &Raid1Chained::paper());
+        .run_baseline(&trace, &AllocationScheme::chained(9, 3, 36));
     let mirrored = pipeline
         .run_interval()
-        .run_baseline(&trace, &Raid1Mirrored::paper());
+        .run_baseline(&trace, &AllocationScheme::mirrored(9, 3, 36));
 
     assert!(
         design.total_response.max_ns() <= interval_ns,
@@ -174,8 +174,8 @@ fn four_copy_design_raises_the_per_interval_limit() {
     // design (PG(2,3), found by the difference-family search) guarantees
     // S(1) = 3·1² + 4·1 = 7 blocks per interval instead of 5.
     let design = DesignCatalog.find(13, 4).expect("(13,4,1) exists");
-    let scheme = flash_qos::decluster::DesignTheoretic::new(design);
-    assert_eq!(scheme.guarantee().buckets_in(1), 7);
+    let scheme = AllocationScheme::design(&design);
+    assert_eq!(scheme.guarantee().map(|g| g.buckets_in(1)), Some(7));
 
     let mut config = QosConfig::paper_9_3_1();
     config.scheme = scheme;

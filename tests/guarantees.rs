@@ -11,8 +11,8 @@ use proptest::prelude::*;
 #[test]
 fn catalog_designs_honor_their_guarantees() {
     for v in [7usize, 9, 13, 15] {
-        let scheme = DesignTheoretic::new(DesignCatalog.find(v, 3).unwrap());
-        let g = scheme.guarantee();
+        let scheme = AllocationScheme::design(&DesignCatalog.find(v, 3).unwrap());
+        let g = scheme.guarantee().expect("a design layout");
         for m in 1..=3 {
             let k = g.buckets_in(m).min(scheme.num_buckets());
             let worst = worst_case_accesses(&scheme, k);
@@ -43,7 +43,7 @@ proptest! {
     /// bounded by the serial worst case, on arbitrary bucket multisets.
     #[test]
     fn retrieval_sandwich(buckets in prop::collection::vec(0usize..36, 1..40)) {
-        let scheme = DesignTheoretic::paper_9_3_1();
+        let scheme = AllocationScheme::paper_9_3_1();
         let reqs: Vec<&[usize]> = buckets.iter().map(|&b| scheme.replicas(b)).collect();
         let fast = design_theoretic_retrieval(&reqs, 9);
         let exact = max_flow_retrieval(&reqs, 9);
