@@ -61,7 +61,8 @@ pub fn optimal_retrieval_probabilities(
     // build leaves on the heap decides where the process's later buffers
     // land: with no buffer, or one small enough for the allocator's
     // per-thread cache (≤ 64 requests), the benchmark's `stat_overflow`
-    // peaks at 25–33 MiB instead of 19.5 (DESIGN.md, "One matcher").
+    // peaks at 25–33 MiB instead of 19.5 (DESIGN.md, "Rejected
+    // alternatives"; CHANGES.md, PR 16).
     let mut kernel = IncrementalRetrieval::new(devices, 0);
     let mut reqs: Vec<&[usize]> = Vec::with_capacity(512);
     let p: Vec<f64> = (1..=k_max)

@@ -20,7 +20,7 @@
 //! * [`ftl`] — page-mapped flash translation layer with GC.
 //! * [`hdd`] — a mechanical disk model (seek + rotation), demonstrating
 //!   §II-A's point that HDD arrays cannot hold deterministic guarantees.
-//! * [`array`] — an array of `N` devices behind a controller.
+//! * [`array`](mod@array) — an array of `N` devices behind a controller.
 //! * [`stats`] — streaming response-time statistics (avg/std/max, exactly
 //!   the columns of Table III) and per-interval aggregation.
 //!

@@ -1,6 +1,6 @@
 //! Incremental retrieval scheduling: add requests one at a time and keep the
 //! schedule optimal, re-augmenting instead of re-solving (the "integrated
-//! maximum flow" idea of the paper's ref [15]).
+//! maximum flow" idea of the paper's ref \[15\]).
 //!
 //! Used by the online retrieval path and the statistical admission
 //! controller, which probe "would adding this request keep the interval

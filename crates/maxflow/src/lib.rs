@@ -2,7 +2,7 @@
 //! max-flow to check it against.
 //!
 //! When the design-theoretic retrieval heuristic is non-optimal, the paper
-//! (§III-C, and its refs [14,15]) finds the optimal retrieval schedule by
+//! (§III-C, and its refs \[14,15\]) finds the optimal retrieval schedule by
 //! solving a maximum-flow problem over the bipartite graph
 //! `source → blocks → devices → sink`, where each device edge has capacity
 //! `M` (the number of accesses). A request set of `b` blocks is retrievable

@@ -2,7 +2,7 @@
 //! retrievable in `M` parallel accesses, and from which replica should each
 //! block be fetched?
 //!
-//! Model (paper §III-C, refs [14,15]): `source → block_i → device_d → sink`
+//! Model (paper §III-C, refs \[14,15\]): `source → block_i → device_d → sink`
 //! with unit capacity on the source and replica edges and capacity `M` on
 //! each device→sink edge. The request set is retrievable in `M` accesses iff
 //! the maximum flow saturates all `b` source edges. That flow is a bipartite

@@ -836,7 +836,7 @@ impl FaultPlane {
     }
 
     /// Latency above which a dispatch on `device` should be hedged:
-    /// [`HEDGE_SLACK`] × the [`HEDGE_PERCENTILE`] quantile of the device's
+    /// `HEDGE_SLACK` × the `HEDGE_PERCENTILE` quantile of the device's
     /// recent service latencies. `None` until `HEDGE_MIN_SAMPLES` have
     /// been observed — hedging with no baseline would be guessing.
     pub fn hedge_threshold(&self, device: usize) -> Option<u64> {

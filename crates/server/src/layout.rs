@@ -1,4 +1,4 @@
-//! Test support for "one writer per cache line" (DESIGN.md): the structs
+//! Test support for DESIGN.md, "One writer per line": the structs
 //! the request path shares between submitters and workers describe their
 //! fields as [`Span`]s taken off a live instance, and
 //! [`assert_one_side_per_line`] checks that, wherever malloc puts the

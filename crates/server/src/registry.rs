@@ -5,7 +5,7 @@
 //! Registration (cold path) serializes on one mutex so the aggregate
 //! reservation check against `S(M)` is atomic; lookups take a read lock on
 //! the tenant's shard. The request path does not even do that: each
-//! submitter and worker thread resolves ids through its own [`TenantView`],
+//! submitter and worker thread resolves ids through its own `TenantView`,
 //! which goes to the shards only when the registry's `epoch` has moved.
 
 use crate::metrics::TenantCounters;
@@ -244,7 +244,7 @@ impl TenantRegistry {
     }
 
     /// Live tenants only (the admission path must not see departed
-    /// records). A submit asks its handle's [`TenantView`] instead.
+    /// records). A submit asks its handle's `TenantView` instead.
     pub fn get(&self, tenant: u64) -> Option<Arc<Tenant>> {
         self.shard(tenant)
             .read()
@@ -255,7 +255,7 @@ impl TenantRegistry {
 
     /// Settlement lookup: resolves departed records too, so a request
     /// admitted before its tenant deregistered still settles against the
-    /// tenant's counters. What a [`TenantView`] falls back to.
+    /// tenant's counters. What a `TenantView` falls back to.
     pub fn lookup_any(&self, tenant: u64) -> Option<Arc<Tenant>> {
         self.shard(tenant).read().get(&tenant).cloned()
     }

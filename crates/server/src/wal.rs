@@ -23,27 +23,27 @@
 //! # Fsync contract
 //!
 //! The userspace buffer has two levels. Every [`crate::SubmitterHandle`]
-//! and every worker owns a [`Stage`] of its own `Admit` / `Settle` records
+//! and every worker owns a `Stage` of its own `Admit` / `Settle` records
 //! that have no place in the log yet; a *drain* takes the WAL lock once
 //! and appends the whole stage — LSN, state, frame, CRC, crash point and
 //! flush per record, exactly as one record at a time would have been — to
 //! the shared buffer, which reaches the file (followed by one `fdatasync`)
 //! every `fsync_batch` records, or immediately for the cold-path records
-//! (register/deregister/seal) and on [`Wal::sync_now`].
+//! (register/deregister/seal) and on `Wal::sync_now`.
 //!
 //! Under load the log has one writer, the thread that seals: in the hold
 //! of the WAL lock that logs `Seal(w)` it first appends its own handle's
-//! stage and whatever every worker has staged ([`Wal::log_seal_behind`]) —
+//! stage and whatever every worker has staged (`Wal::log_seal_behind`) —
 //! one hold a window, on one thread. Any stage also drains
 //! * when it holds `fsync_batch` records, so with `fsync_batch = 1` it is
 //!   a pass-through: nothing is ever staged when `submit` or a settle
 //!   returns, and every admission is durable before its ack, as before;
 //! * before every cold-path record and read (`Register`, `Deregister`,
-//!   [`Wal::sync_now`], [`Wal::compact`], [`Wal::state_snapshot`]), which
+//!   `Wal::sync_now`, `Wal::compact`, `Wal::state_snapshot`), which
 //!   drain all stages: a record staged before such a call started is in
 //!   the log before anything the call appends. `finish` and `halt` end
 //!   with `sync_now`, so the log of a stopped server holds every
-//!   admission its snapshot counts. [`Wal::wal_counters`] does not drain:
+//!   admission its snapshot counts. `Wal::wal_counters` does not drain:
 //!   a live `metrics()` counts a record when it reaches the log.
 //!
 //! A submitter's stage reaches the log when the handle raises its
@@ -57,7 +57,7 @@
 //! (`Settle(w)` was staged after the batch that `Seal(w)` released
 //! arrived, so it follows that seal whoever appends it); when the worker,
 //! its queue empty for a whole linger and so no seal in sight, is about
-//! to park ([`Stage::drain_idle`]: an idle server's log is complete one
+//! to park (`Stage::drain_idle`: an idle server's log is complete one
 //! linger after its last batch); and when the worker stops. Never per
 //! batch.
 //!
@@ -68,7 +68,7 @@
 //!
 //! # Snapshot + compaction state machine
 //!
-//! Every `snapshot_interval` sealed windows the materialized [`WalState`]
+//! Every `snapshot_interval` sealed windows the materialized `WalState`
 //! is serialized to `wal.snapshot.tmp`, fsynced, renamed over
 //! `wal.snapshot` (the atomic commit point), and only then is the log
 //! truncated. A crash between rename and truncate leaves records the

@@ -332,7 +332,7 @@ impl WindowRing {
     /// tenant. A window's first one sizes the buffer for `N·M` entries, all
     /// a window can hold: one allocation per window where growth by
     /// doubling takes four, and doubling measured no faster (DESIGN.md,
-    /// "One writer per line").
+    /// "Rejected alternatives").
     fn park(&self, s: &mut SlotState, parked: Parked) {
         match s.per_tenant.iter_mut().find(|(t, _)| *t == parked.tenant) {
             Some((_, n)) => *n += 1,

@@ -252,8 +252,8 @@ fn shutdown_drain_loses_nothing() {
     report_and_check("shutdown-drain", report, 200);
 }
 
-/// The satellite regression from DESIGN.md: dropping a `SubmitterHandle`
-/// mid-window — while another handle still holds the window open — must
+/// Dropping a `SubmitterHandle` mid-window (DESIGN.md, "Concurrency
+/// invariants") — while another handle still holds the window open — must
 /// drain without losing conservation. The drop-side pump races the live
 /// handle's admissions into the same window.
 #[test]

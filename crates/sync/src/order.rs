@@ -26,7 +26,7 @@ pub enum Class {
     /// observe, a half-recovered array; the slot was dead, so nothing
     /// waits to be served.
     ClusterRouter,
-    /// The slot table. May block: `kill_slot` halts the dying engine under
+    /// The slot table. May block: `kill_array` halts the dying engine under
     /// the write side — the fence that keeps new submits off it while its
     /// workers drain, so the residue it returns is exact.
     ClusterArrays,

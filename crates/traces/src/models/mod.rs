@@ -11,7 +11,7 @@
 //!    ≈17 % inter-interval re-match for Exchange, ≈87 % for TPC-E).
 //!
 //! [`ServerModel`] generates traces with exactly these properties;
-//! [`exchange`] and [`tpce`] are the tuned presets. Scale is configurable —
+//! [`exchange()`] and [`tpce()`] are the tuned presets. Scale is configurable —
 //! the defaults run in seconds on a laptop while preserving the shapes.
 
 pub mod exchange;

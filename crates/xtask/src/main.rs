@@ -1,30 +1,34 @@
-//! Repo automation. One subcommand:
+//! Repo automation. Two subcommands, the static passes of DESIGN.md,
+//! "Static analysis passes":
 //!
 //! ```text
-//! cargo run -p xtask -- analyze [--root PATH] [--format text|json]
+//! cargo run -p xtask -- analyze|docs [--root PATH] [--format text|json]
 //! ```
 //!
-//! `analyze` is the static layer of the concurrency verification story
-//! (DESIGN.md "Concurrency invariants" → "Static analysis passes"). It
-//! lexes every source file of `crates/server/src` and `crates/cluster/src`
-//! into spanned tokens (`source::lex`), drops the `#[cfg(test)]` items, and
-//! runs the atomic-ordering audit over what is left: it classifies every
-//! `Ordering::*` site and flags `Relaxed` on cross-thread control flags.
-//! `--format json` emits the findings with their spans for CI artifacts.
+//! `analyze` lexes every source file of `crates/server/src` and
+//! `crates/cluster/src` into spanned tokens (`source::lex`), drops the
+//! `#[cfg(test)]` items, and runs the atomic-ordering audit over what is
+//! left: it classifies every `Ordering::*` site and flags `Relaxed` on
+//! cross-thread control flags. `docs` checks that the prose names only
+//! what the workspace has and cites only sections the design document has
+//! (`docs.rs`). `--format json` emits the findings with their spans for CI
+//! artifacts.
 //!
 //! What the analyzer does not check is checked where it happens. Clippy
 //! denies panic paths, std locks and wall-clock reads in the two crates
 //! (their `lib.rs` and `clippy.toml`); `fqos-sync` checks lock order and
 //! blocking under a lock on every acquisition, and `QosServer::finish`
 //! the conservation law on its final snapshot (debug and `model-check`
-//! builds; DESIGN.md, "Lock hierarchy" and "Concurrency invariants").
+//! builds; DESIGN.md, "Lock hierarchy" and "Ledger").
 //!
 //! With `--root` pointing at a directory that is *not* a workspace (no
-//! `crates/server/src`), every `.rs` file under it is analyzed — that mode
-//! exists for the fixtures under `crates/xtask/fixtures/`, which CI uses
-//! to prove the audit still catches its seeded violation.
+//! `crates/server/src`), `analyze` reads every `.rs` file under it, and
+//! `docs` treats it as the root: that mode exists for the fixtures under
+//! `crates/xtask/fixtures/`, which CI uses to prove each pass still
+//! catches its seeded violation.
 
 mod atomics;
+mod docs;
 mod source;
 
 use std::collections::BTreeMap;
@@ -51,6 +55,7 @@ pub struct Outcome {
     ordering_counts: BTreeMap<String, usize>,
 }
 
+/// Every file under `dir`, in order, but for build output and `.git`.
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
     for entry in entries {
@@ -61,7 +66,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
             if name != "target" && name != ".git" {
                 walk(&path, out)?;
             }
-        } else if path.extension().is_some_and(|e| e == "rs") {
+        } else {
             out.push(path);
         }
     }
@@ -78,6 +83,7 @@ fn rust_files(root: &Path, dirs: &[&str]) -> Result<Vec<PathBuf>, String> {
             walk(&dir, &mut files)?;
         }
     }
+    files.retain(|f| f.extension().is_some_and(|e| e == "rs"));
     Ok(files)
 }
 
@@ -147,7 +153,7 @@ fn render_json(outcome: &Outcome) -> String {
     )
 }
 
-fn render_text(outcome: &Outcome) {
+fn render_text(pass: &str, outcome: &Outcome) {
     for f in &outcome.findings {
         eprintln!(
             "{}:{}:{}: error: [{}] {}",
@@ -160,22 +166,30 @@ fn render_text(outcome: &Outcome) {
         .iter()
         .map(|(k, v)| format!("{k}:{v}"))
         .collect();
+    let orderings = if orderings.is_empty() {
+        String::new()
+    } else {
+        format!(", orderings {{{}}}", orderings.join(", "))
+    };
     eprintln!(
-        "analyze: {} file(s), orderings {{{}}}, {} finding(s)",
+        "{pass}: {} file(s){orderings}, {} finding(s)",
         outcome.files_scanned,
-        orderings.join(", "),
         outcome.findings.len()
     );
 }
 
-const USAGE: &str = "usage: cargo run -p xtask -- analyze [--root PATH] [--format text|json]";
+const USAGE: &str = "usage: cargo run -p xtask -- analyze|docs [--root PATH] [--format text|json]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) != Some("analyze") {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    }
+    let pass: fn(&Path) -> Result<Outcome, String> = match args.first().map(String::as_str) {
+        Some("analyze") => analyze,
+        Some("docs") => docs::check,
+        _ => {
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let mut root: Option<PathBuf> = None;
     let mut json = false;
     let mut rest = args[1..].iter();
@@ -198,12 +212,12 @@ fn main() -> ExitCode {
             .unwrap_or_else(|_| PathBuf::from("."))
     });
 
-    match analyze(&root) {
+    match pass(&root) {
         Ok(outcome) => {
             if json {
                 println!("{}", render_json(&outcome));
             } else {
-                render_text(&outcome);
+                render_text(&args[0], &outcome);
             }
             if outcome.findings.is_empty() {
                 ExitCode::SUCCESS
@@ -212,7 +226,7 @@ fn main() -> ExitCode {
             }
         }
         Err(e) => {
-            eprintln!("analyze: error: {e}");
+            eprintln!("{}: error: {e}", args[0]);
             ExitCode::from(2)
         }
     }

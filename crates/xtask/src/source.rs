@@ -1,17 +1,19 @@
-//! The source model of the `analyze` audit: a spanned token stream.
+//! The source model of the `analyze` and `docs` passes: a spanned token
+//! stream.
 //!
 //! `lex` is a hand-written scanner: every token carries its 1-based line
-//! and column, string/char/raw-string literals are reduced to empty spans
-//! (their *contents* can never alias code), lifetimes are told apart from
-//! char literals, and nested block comments are skipped.
+//! and column, a string literal is one `Lit` token whose text is the whole
+//! literal, quotes included (so its *contents* can never alias code),
+//! char literals are reduced to `''`, lifetimes are told apart from char
+//! literals, and nested block comments are skipped.
 //! `without_test_items` then drops every `#[cfg(test)]` item. It is not a
 //! parser; it is robust to the subset of Rust this repo writes, and the
 //! tests below pin the historically sharp edges (raw strings containing
 //! `{` or `//`, multi-line raw strings, idents ending in `r`, escaped
 //! quote chars, a `#[cfg(test)]` field before an `impl`).
 
-/// Token classes the passes distinguish. Literal contents are dropped, so
-/// `Lit` carries only the delimiter shape (`""`, `''`) or the number.
+/// Token classes the passes distinguish. `Lit` carries a string literal
+/// as written, a char literal as `''`, or the number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     Ident,
@@ -84,8 +86,7 @@ fn string_end(chars: &[char], i: usize) -> Option<usize> {
     Some(chars.len())
 }
 
-/// Lex a source file into spanned tokens. Comments are skipped, literal
-/// contents dropped.
+/// Lex a source file into spanned tokens. Comments are skipped.
 pub fn lex(source: &str) -> Vec<Tok> {
     let chars: Vec<char> = source.chars().collect();
     let mut toks = Vec::new();
@@ -110,7 +111,7 @@ pub fn lex(source: &str) -> Vec<Tok> {
             }
             (None, j)
         } else if let Some(end) = string_end(&chars, i) {
-            (Some((TokKind::Lit, "\"\"".to_string())), end)
+            (Some((TokKind::Lit, chars[i..end].iter().collect())), end)
         } else if c == '\'' && (next == Some('\\') || chars.get(i + 2) == Some(&'\'')) {
             // A char literal: `'x'`, or an escape (`'\''`, `'\u{1F}'`)
             // whose closing quote is at least three chars on.

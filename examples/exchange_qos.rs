@@ -9,7 +9,7 @@ use flash_qos::traces::models::exchange::ExchangeConfig;
 
 fn main() {
     // A scaled Exchange-like workload: 24 diurnal intervals, nine volumes,
-    // bursty arrivals (see DESIGN.md for the SNIA-trace substitution).
+    // bursty arrivals (DESIGN.md §2, the SNIA-trace substitution).
     let model = models::exchange(ExchangeConfig {
         intervals: 24,
         ..Default::default()
