@@ -1071,7 +1071,7 @@ impl Engine {
         let t_ns = self.cfg.qos.interval_ns;
         let mut restored = 0u64;
         let mut max_target = state.sealed_through.saturating_sub(1);
-        for (&w, entries) in &state.open {
+        for (w, entries) in state.open.iter() {
             for e in entries {
                 // A durable admission into a window the log also seals
                 // would have been moved to `pending` by replay; an open
@@ -2907,8 +2907,9 @@ mod tests {
             );
             assert_eq!(wal.worker_stage(0).staged_records(), 0);
             // Without a drain (that would be a cold path emptying the stages):
-            // four registers, 57 admits, four seals and the 56 settles.
-            assert_eq!(wal.wal_counters().records, 4 + 57 + 4 + 56);
+            // four registers, 57 admits, four seals and the 56 settles, one
+            // counted record per window and tenant.
+            assert_eq!(wal.wal_counters().records, 4 + 57 + 4 + 4 * 4);
             drop(h);
             assert!(s.finish().conserved());
         }

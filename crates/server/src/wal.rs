@@ -20,24 +20,35 @@
 //! after the buffered frame reaches the log), so discarding it never
 //! loses an acked admission.
 //!
+//! The payload is a tag and its fields: 1 `Register`, 2 `Deregister`,
+//! 3 `Admit`, 4 `Seal`, 5 `Settle` of one admission, and 6 the counted
+//! `Settle { window, tenant, kind, n }`, `n ≥ 2` settlements of one
+//! `(window, tenant, kind)`. Replay applies a counted record whole or not
+//! at all: with fewer than `n` pending it applies none and counts one
+//! `misordered`. A log without tag 6 replays as it always did; an older
+//! binary reads a tag 6 as a torn tail and truncates there.
+//!
 //! # Fsync contract
 //!
 //! The userspace buffer has two levels. Every [`crate::SubmitterHandle`]
 //! and every worker owns a `Stage` of its own `Admit` / `Settle` records
-//! that have no place in the log yet; a *drain* takes the WAL lock once
-//! and appends the whole stage — LSN, state, frame, CRC, crash point and
-//! flush per record, exactly as one record at a time would have been — to
-//! the shared buffer, which reaches the file (followed by one `fdatasync`)
-//! every `fsync_batch` records, or immediately for the cold-path records
+//! that have no place in the log yet; a worker's settlement joins a staged
+//! `Settle` of the same `(window, tenant, kind)`, so its stage holds one
+//! counted record per key. A *drain* takes the WAL lock once and appends
+//! the whole stage — LSN, state, frame, CRC, crash point and flush per
+//! record, exactly as one record at a time would have been — to the shared
+//! buffer, which reaches the file (followed by one `fdatasync`) every
+//! `fsync_batch` records, or immediately for the cold-path records
 //! (register/deregister/seal) and on `Wal::sync_now`.
 //!
 //! Under load the log has one writer, the thread that seals: in the hold
 //! of the WAL lock that logs `Seal(w)` it first appends its own handle's
 //! stage and whatever every worker has staged (`Wal::log_seal_behind`) —
 //! one hold a window, on one thread. Any stage also drains
-//! * when it holds `fsync_batch` records, so with `fsync_batch = 1` it is
-//!   a pass-through: nothing is ever staged when `submit` or a settle
-//!   returns, and every admission is durable before its ack, as before;
+//! * when it holds `fsync_batch` admissions and settlements, counted
+//!   ones by their count, so with `fsync_batch = 1` it is a pass-through:
+//!   nothing is ever staged when `submit` or a settle returns, and every
+//!   admission is durable before its ack, as before;
 //! * before every cold-path record and read (`Register`, `Deregister`,
 //!   `Wal::sync_now`, `Wal::compact`, `Wal::state_snapshot`), which
 //!   drain all stages: a record staged before such a call started is in
@@ -62,12 +73,18 @@
 //! batch.
 //!
 //! Larger batches amortize the fsync at the cost of losing, on a crash,
-//! what was unsynced: at most `fsync_batch − 1` records *per stage* and
-//! as many in the shared buffer, none of them durable when acknowledged —
-//! recovery still never resurrects a record that did not reach the log.
+//! what was unsynced: at most `fsync_batch − 1` admissions and settlements
+//! *per stage* and as many records in the shared buffer, none of them
+//! durable when acknowledged — recovery still never resurrects a record
+//! that did not reach the log.
 //!
 //! # Snapshot + compaction state machine
 //!
+//! The materialized `WalState` keeps its open windows, and its sealed
+//! windows' pending counts by tenant, in `SmallMap`s: sorted vectors,
+//! binary-searched, that keep what they remove for the next key, so the
+//! sealing thread's warm fold finds a window without walking a tree and
+//! allocates nothing.
 //! Every `snapshot_interval` sealed windows the materialized `WalState`
 //! is serialized to `wal.snapshot.tmp`, fsynced, renamed over
 //! `wal.snapshot` (the atomic commit point), and only then is the log
@@ -181,10 +198,13 @@ enum WalRecord {
     Seal {
         window: u64,
     },
+    /// `n` settlements of `(window, tenant)` as `kind`: tag 5 when `n` is
+    /// 1, the counted tag 6 otherwise.
     Settle {
         window: u64,
         tenant: u64,
         kind: SettleKind,
+        n: u64,
     },
 }
 
@@ -248,11 +268,11 @@ pub(crate) struct WalState {
     pub delayed: u64,
     pub tenants: BTreeMap<u64, TenantState>,
     /// Admissions of windows without a seal record, in admission order.
-    pub open: BTreeMap<u64, Vec<OpenEntry>>,
+    pub open: SmallMap<Vec<OpenEntry>>,
     /// Sealed windows' unsettled admissions: window → tenant → read/write
     /// counts. Non-empty at recovery = dispatches a crash stranded
     /// (crash-lost; stranded writes resolve to `write_lost`).
-    pub pending: BTreeMap<u64, BTreeMap<u64, PendingCounts>>,
+    pub pending: SmallMap<SmallMap<PendingCounts>>,
     /// Records that violated the durable-order contract (a settle without
     /// a durable sealed admission, an admit into a sealed window, …).
     /// Invariantly zero; the model suite asserts it on every schedule.
@@ -272,6 +292,106 @@ pub(crate) struct PendingCounts {
 impl PendingCounts {
     fn is_empty(self) -> bool {
         self.reads == 0 && self.writes == 0
+    }
+}
+
+/// A value a [`SmallMap`] can empty and keep for its next key.
+pub(crate) trait Reusable: Default {
+    fn reset(&mut self);
+}
+
+impl<T> Reusable for Vec<T> {
+    fn reset(&mut self) {
+        self.clear();
+    }
+}
+
+impl Reusable for PendingCounts {
+    fn reset(&mut self) {
+        *self = PendingCounts::default();
+    }
+}
+
+impl<V: Default> Reusable for SmallMap<V> {
+    fn reset(&mut self) {
+        self.entries.clear();
+    }
+}
+
+/// A `u64`-keyed map kept as one `Vec` in ascending key order and
+/// binary-searched: the log's open windows, its sealed windows' pending
+/// counts, and each window's counts by tenant. Windows arrive in order,
+/// so a new one is a push at the end; a removed value is emptied and kept,
+/// and the next new key takes it back, so a warm fold allocates nothing.
+/// Equality sees the entries only.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SmallMap<V> {
+    entries: Vec<(u64, V)>,
+    spares: Vec<V>,
+}
+
+impl<V: PartialEq> PartialEq for SmallMap<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl<V: Eq> Eq for SmallMap<V> {}
+
+impl<V: Reusable> SmallMap<V> {
+    /// Where `key` is, or where it belongs; a key past the last one is
+    /// found without a search.
+    fn position(&self, key: u64) -> Result<usize, usize> {
+        match self.entries.last() {
+            Some(&(last, _)) if last < key => Err(self.entries.len()),
+            _ => self.entries.binary_search_by_key(&key, |&(k, _)| k),
+        }
+    }
+
+    pub fn get(&self, key: u64) -> Option<&V> {
+        let i = self.position(key).ok()?;
+        self.entries.get(i).map(|(_, v)| v)
+    }
+
+    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
+        let i = self.position(key).ok()?;
+        self.entries.get_mut(i).map(|(_, v)| v)
+    }
+
+    /// The value of `key`, an empty one (a kept one, if any) put in first
+    /// if there is none.
+    pub fn entry(&mut self, key: u64) -> &mut V {
+        let i = match self.position(key) {
+            Ok(i) => i,
+            Err(i) => {
+                let value = self.spares.pop().unwrap_or_default();
+                self.entries.insert(i, (key, value));
+                i
+            }
+        };
+        &mut self.entries[i].1
+    }
+
+    /// Remove `key`, keeping its value, emptied, for the next new key.
+    pub fn remove(&mut self, key: u64) {
+        if let Ok(i) = self.position(key) {
+            let (_, mut value) = self.entries.remove(i);
+            value.reset();
+            self.spares.push(value);
+        }
+    }
+
+    /// The entries in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+        self.entries.iter().map(|(k, v)| (*k, v))
+    }
+
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 
@@ -323,82 +443,81 @@ impl WalState {
                     // ordering bug.
                     self.misordered += 1;
                 }
-                self.open.entry(window).or_default().push(entry);
+                self.open.entry(window).push(entry);
             }
             WalRecord::Seal { window } => {
                 if window < self.sealed_through {
                     self.misordered += 1; // double seal
                 }
-                self.sealed_through = self.sealed_through.max(window + 1);
-                if let Some(entries) = self.open.remove(&window) {
-                    let per_tenant = self.pending.entry(window).or_default();
+                self.sealed_through = self.sealed_through.max(window.saturating_add(1));
+                if let Some(entries) = self.open.get(window) {
+                    let per_tenant = self.pending.entry(window);
                     for e in entries {
-                        let counts = per_tenant.entry(e.tenant).or_default();
+                        let counts = per_tenant.entry(e.tenant);
                         if e.is_write {
                             counts.writes += 1;
                         } else {
                             counts.reads += 1;
                         }
                     }
+                    self.open.remove(window);
                 }
             }
             WalRecord::Settle {
                 window,
                 tenant,
                 kind,
+                n,
             } => {
                 // A settlement is only legal against a durable, sealed,
                 // not-yet-exhausted admission of (window, tenant) — of the
                 // matching class (a write settle cannot consume a read
-                // admission, or vice versa).
-                let wants_write = kind.is_write();
-                let matched = match self.pending.get_mut(&window) {
-                    Some(per_tenant) => match per_tenant.get_mut(&tenant) {
-                        Some(counts) => {
-                            let n = if wants_write {
-                                &mut counts.writes
-                            } else {
-                                &mut counts.reads
-                            };
-                            if *n > 0 {
-                                *n -= 1;
-                                if counts.is_empty() {
-                                    per_tenant.remove(&tenant);
-                                }
-                                true
-                            } else {
-                                false
-                            }
-                        }
-                        None => false,
-                    },
-                    None => false,
-                };
+                // admission, or vice versa). A counted record settles all
+                // `n` or, with fewer pending, none.
+                let matched = self.pending.get_mut(window).is_some_and(|per_tenant| {
+                    let Some(counts) = per_tenant.get_mut(tenant) else {
+                        return false;
+                    };
+                    let pending = if kind.is_write() {
+                        &mut counts.writes
+                    } else {
+                        &mut counts.reads
+                    };
+                    if *pending < n {
+                        return false;
+                    }
+                    *pending -= n;
+                    if counts.is_empty() {
+                        per_tenant.remove(tenant);
+                    }
+                    true
+                });
                 if !matched {
                     self.misordered += 1;
                     return;
                 }
-                if self
-                    .pending
-                    .get(&window)
-                    .is_some_and(std::collections::BTreeMap::is_empty)
-                {
-                    self.pending.remove(&window);
+                if self.pending.get(window).is_some_and(SmallMap::is_empty) {
+                    self.pending.remove(window);
                 }
-                self.settle(tenant, kind);
+                self.settle(tenant, kind, n);
             }
         }
     }
 
-    /// Settle one durable admission of `tenant` as `kind`, in the array's
+    /// Settle `n` durable admissions of `tenant` as `kind`, in the array's
     /// ledger and the tenant's. Every state a tenant has admitted from
     /// keeps its record (deregistration only flags it), so a missing one
     /// is a durable-order violation.
-    fn settle(&mut self, tenant: u64, kind: SettleKind) {
-        self.ledger.settle(kind);
-        match self.tenants.get_mut(&tenant) {
-            Some(t) => t.ledger.settle(kind),
-            None => self.misordered += 1,
+    fn settle(&mut self, tenant: u64, kind: SettleKind, n: u64) {
+        let mut record = self.tenants.get_mut(&tenant);
+        if record.is_none() {
+            self.misordered += 1;
+        }
+        for _ in 0..n {
+            self.ledger.settle(kind);
+            if let Some(t) = record.as_deref_mut() {
+                t.ledger.settle(kind);
+            }
         }
     }
 }
@@ -514,11 +633,15 @@ fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
             window,
             tenant,
             kind,
+            n,
         } => {
-            out.push(5);
+            out.push(if n == 1 { 5 } else { 6 });
             put_u64(out, window);
             put_u64(out, tenant);
             out.push(kind as u8);
+            if n != 1 {
+                put_u64(out, n);
+            }
         }
     }
 }
@@ -568,10 +691,16 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
         4 => WalRecord::Seal {
             window: r.take_u64()?,
         },
-        5 => WalRecord::Settle {
+        tag @ (5 | 6) => WalRecord::Settle {
             window: r.take_u64()?,
             tenant: r.take_u64()?,
             kind: SettleKind::from_code(r.take_u8()?)?,
+            // One encoding per record: a count of 1 is tag 5's.
+            n: if tag == 5 {
+                1
+            } else {
+                r.take_u64().filter(|&n| n > 1)?
+            },
         },
         _ => return None,
     };
@@ -595,7 +724,7 @@ fn encode_state(state: &WalState) -> Vec<u8> {
         put_u64(&mut body, t.delayed);
     }
     put_u64(&mut body, state.open.len() as u64);
-    for (&w, entries) in &state.open {
+    for (w, entries) in state.open.iter() {
         put_u64(&mut body, w);
         put_u64(&mut body, entries.len() as u64);
         for e in entries {
@@ -603,10 +732,10 @@ fn encode_state(state: &WalState) -> Vec<u8> {
         }
     }
     put_u64(&mut body, state.pending.len() as u64);
-    for (&w, per_tenant) in &state.pending {
+    for (w, per_tenant) in state.pending.iter() {
         put_u64(&mut body, w);
         put_u64(&mut body, per_tenant.len() as u64);
-        for (&t, &n) in per_tenant {
+        for (t, &n) in per_tenant.iter() {
             put_u64(&mut body, t);
             put_u64(&mut body, n.reads);
             put_u64(&mut body, n.writes);
@@ -663,19 +792,19 @@ fn decode_state(bytes: &[u8]) -> Option<WalState> {
         for _ in 0..n {
             entries.push(OpenEntry::take(&mut r)?);
         }
-        state.open.insert(w, entries);
+        *state.open.entry(w) = entries;
     }
     for _ in 0..r.take_u64()? {
         let w = r.take_u64()?;
         let n = r.take_u64()?;
-        let mut per_tenant = BTreeMap::new();
+        let mut per_tenant = SmallMap::default();
         for _ in 0..n {
             let t = r.take_u64()?;
             let reads = r.take_u64()?;
             let writes = r.take_u64()?;
-            per_tenant.insert(t, PendingCounts { reads, writes });
+            *per_tenant.entry(t) = PendingCounts { reads, writes };
         }
-        state.pending.insert(w, per_tenant);
+        *state.pending.entry(w) = per_tenant;
     }
     r.exhausted().then_some(state)
 }
@@ -718,11 +847,53 @@ struct WalInner {
     /// One empty buffer per worker stage, `fsync_batch` records each: a
     /// seal swaps it for what the worker has staged
     /// ([`Wal::lock_behind_workers`]).
-    spares: Vec<Vec<WalRecord>>,
+    spares: Vec<Staged>,
+}
+
+/// What one [`Stage`] holds: its records in staging order, and how many
+/// admissions and settlements they carry, which is what `fsync_batch`
+/// counts. A settlement joins a staged `Settle` of the same `(window,
+/// tenant, kind)`, so a worker's stage holds one counted record per key.
+#[derive(Default)]
+struct Staged {
+    records: Vec<WalRecord>,
+    held: u64,
+}
+
+impl Staged {
+    fn push(&mut self, rec: WalRecord) {
+        self.held += 1;
+        if let WalRecord::Settle {
+            window,
+            tenant,
+            kind,
+            ..
+        } = rec
+        {
+            let same = self
+                .records
+                .iter_mut()
+                .rev()
+                .find_map(|staged| match staged {
+                    WalRecord::Settle {
+                        window: w,
+                        tenant: t,
+                        kind: k,
+                        n,
+                    } if (*w, *t, *k) == (window, tenant, kind) => Some(n),
+                    _ => None,
+                });
+            if let Some(n) = same {
+                *n += 1;
+                return;
+            }
+        }
+        self.records.push(rec);
+    }
 }
 
 /// The records of one [`Stage`], shared with the log that drains it.
-type StageBuf = Mutex<Vec<WalRecord>>;
+type StageBuf = Mutex<Staged>;
 
 /// One thread's not-yet-logged `Admit` / `Settle` records: every
 /// [`crate::SubmitterHandle`] and every worker owns one and appends to it
@@ -745,23 +916,26 @@ impl Stage {
         self.hold(WalRecord::Admit { window, entry });
     }
 
-    /// Stage one settlement; [`Wal::log_settle`] is the unstaged twin.
+    /// Stage one settlement, counted into a staged one of the same
+    /// `(window, tenant, kind)` if there is one; [`Wal::log_settle`] is the
+    /// unstaged twin.
     pub fn log_settle(&self, window: u64, tenant: u64, kind: SettleKind) {
         settle_crash_point(kind);
         self.hold(WalRecord::Settle {
             window,
             tenant,
             kind,
+            n: 1,
         });
     }
 
-    /// A stage never holds `fsync_batch` records, so with `fsync_batch = 1`
-    /// it never holds any: the record is in the log, and flushed, when
-    /// this returns.
+    /// A stage never holds `fsync_batch` admissions and settlements, so
+    /// with `fsync_batch = 1` it never holds any: the record is in the log,
+    /// and flushed, when this returns.
     fn hold(&self, rec: WalRecord) {
         let mut staged = self.staged.lock();
         staged.push(rec);
-        if staged.len() as u64 >= self.batch {
+        if staged.held >= self.batch {
             #[cfg(test)]
             self.wal.tally(tests::THRESHOLD_DRAIN);
             self.wal.append_staged(&mut staged);
@@ -771,7 +945,7 @@ impl Stage {
     /// Records staged and not yet in the log.
     #[cfg(test)]
     pub fn staged_records(&self) -> usize {
-        self.staged.lock().len()
+        self.staged.lock().records.len()
     }
 
     /// Append everything staged to the log, in staging order.
@@ -911,7 +1085,9 @@ impl Wal {
                 break; // short or absurd frame: torn tail
             }
             let payload = &bytes[off + FRAME_HEADER..off + FRAME_HEADER + len];
-            if frame_crc(lsn, payload) != crc || lsn <= prev_lsn {
+            // LSNs start at 1 and stop short of `u64::MAX`, which no log
+            // reaches: the next append's would not fit.
+            if frame_crc(lsn, payload) != crc || lsn <= prev_lsn || lsn == u64::MAX {
                 break;
             }
             let Some(rec) = decode_payload(payload) else {
@@ -942,7 +1118,7 @@ impl Wal {
                 dir: dir.clone(),
             },
             state,
-            max_lsn + 1,
+            max_lsn.saturating_add(1),
         );
         Ok((wal, report))
     }
@@ -980,7 +1156,12 @@ impl Wal {
     /// records, which no stage reaches: no worker allocates to stage one.
     pub fn with_worker_stages(mut self, workers: usize) -> Self {
         let batch = self.batch as usize;
-        let buffers = || (0..workers).map(|_| Vec::with_capacity(batch));
+        let buffers = || {
+            (0..workers).map(|_| Staged {
+                records: Vec::with_capacity(batch),
+                held: 0,
+            })
+        };
         self.workers = buffers()
             .map(|b| Arc::new(Mutex::new(Class::EngineStage, b)))
             .collect();
@@ -1022,7 +1203,7 @@ impl Wal {
         let payload = &g.buf[frame + FRAME_HEADER..];
         debug_assert!(
             payload.len() <= MAX_PAYLOAD,
-            "every record is a tag and at most three fixed-width fields"
+            "every record is a tag and at most four fixed-width fields"
         );
         let len = payload.len() as u32;
         let crc = frame_crc(lsn, payload);
@@ -1042,7 +1223,7 @@ impl Wal {
 
     /// A new, empty stage for one submitter handle.
     pub fn stage(self: &Arc<Self>) -> Stage {
-        let staged = Arc::new(Mutex::new(Class::EngineStage, Vec::new()));
+        let staged = Arc::new(Mutex::new(Class::EngineStage, Staged::default()));
         let mut g = self.locked();
         g.stages.retain(|s| s.strong_count() > 0);
         g.stages.push(Arc::downgrade(&staged));
@@ -1065,18 +1246,19 @@ impl Wal {
 
     /// Append `staged` under one hold of the WAL lock, each record exactly
     /// as [`Wal::push_record`] would have appended it.
-    fn append_staged(&self, staged: &mut Vec<WalRecord>) {
-        if !staged.is_empty() {
+    fn append_staged(&self, staged: &mut Staged) {
+        if !staged.records.is_empty() {
             self.append_staged_locked(&mut self.locked(), staged);
         }
     }
 
-    fn append_staged_locked(&self, g: &mut WalInner, staged: &mut Vec<WalRecord>) {
-        for rec in staged.iter() {
+    fn append_staged_locked(&self, g: &mut WalInner, staged: &mut Staged) {
+        for rec in &staged.records {
             let is_admit = matches!(rec, WalRecord::Admit { .. });
             self.push_locked(g, rec, false, is_admit);
         }
-        staged.clear();
+        staged.records.clear();
+        staged.held = 0;
     }
 
     /// Drain every stage. What the cold paths do before they append or
@@ -1167,6 +1349,7 @@ impl Wal {
                 window,
                 tenant,
                 kind,
+                n: 1,
             },
             false,
             false,
@@ -1199,14 +1382,15 @@ impl Wal {
         let mut g = self.locked();
         let state = &mut g.state;
         let mut stranded = 0u64;
-        for per_tenant in std::mem::take(&mut state.pending).into_values() {
-            for (tenant, n) in per_tenant {
+        let pending = std::mem::take(&mut state.pending);
+        for (_, per_tenant) in pending.iter() {
+            for (tenant, n) in per_tenant.iter() {
                 for (kind, count) in [
                     (SettleKind::Lost, n.reads),
                     (SettleKind::WriteLost, n.writes),
                 ] {
-                    for _ in 0..count {
-                        state.settle(tenant, kind);
+                    if count > 0 {
+                        state.settle(tenant, kind, count);
                     }
                     stranded += count;
                 }
@@ -1221,29 +1405,25 @@ impl Wal {
     pub fn forfeit_open(&self, window: u64, tenant: u64, is_write: bool) {
         let mut g = self.locked();
         let state = &mut g.state;
-        let mut hit = false;
-        let mut emptied = false;
-        if let Some(entries) = state.open.get_mut(&window) {
-            if let Some(i) = entries
-                .iter()
-                .position(|e| e.tenant == tenant && e.is_write == is_write)
-            {
-                entries.remove(i);
-                hit = true;
-            }
-            emptied = entries.is_empty();
+        let Some(entries) = state.open.get_mut(window) else {
+            return;
+        };
+        let Some(i) = entries
+            .iter()
+            .position(|e| e.tenant == tenant && e.is_write == is_write)
+        else {
+            return;
+        };
+        entries.remove(i);
+        if entries.is_empty() {
+            state.open.remove(window);
         }
-        if hit {
-            let kind = if is_write {
-                SettleKind::WriteLost
-            } else {
-                SettleKind::Lost
-            };
-            state.settle(tenant, kind);
-        }
-        if emptied {
-            state.open.remove(&window);
-        }
+        let kind = if is_write {
+            SettleKind::WriteLost
+        } else {
+            SettleKind::Lost
+        };
+        state.settle(tenant, kind, 1);
     }
 
     /// Clone of the materialized state, staged records included (recovery
@@ -1356,6 +1536,14 @@ pub(crate) mod tests {
     /// lock between seals (a third, [`Stage::drain`], is for when it stops).
     pub(crate) const THRESHOLD_DRAIN: &str = "a stage reached fsync_batch";
     pub(crate) const IDLE_DRAIN: &str = "a parking worker had records staged";
+
+    impl<V: Reusable> std::ops::Index<&u64> for SmallMap<V> {
+        type Output = V;
+
+        fn index(&self, key: &u64) -> &V {
+            self.get(*key).expect("no such key")
+        }
+    }
 
     /// Who takes the WAL lock, by count: the shape of the channel's
     /// `WAKES`, kept per log and by thread *name* because the thread that
@@ -1735,16 +1923,25 @@ pub(crate) mod tests {
                 window: 41,
                 tenant: 7,
                 kind: SettleKind::HedgeWin,
+                n: 1,
             },
             WalRecord::Settle {
                 window: 42,
                 tenant: 7,
                 kind: SettleKind::WriteSettled,
+                n: 1,
             },
             WalRecord::Settle {
                 window: 42,
                 tenant: 7,
                 kind: SettleKind::WriteLost,
+                n: 1,
+            },
+            WalRecord::Settle {
+                window: 42,
+                tenant: 7,
+                kind: SettleKind::Served,
+                n: 14,
             },
         ];
         for rec in records {
@@ -1755,6 +1952,16 @@ pub(crate) mod tests {
             for cut in 0..payload.len() {
                 assert_eq!(decode_payload(&payload[..cut]), None, "cut {cut}");
             }
+        }
+        // A count of 1 is tag 5's; tag 6 never carries it (nor 0).
+        for n in [0u64, 1] {
+            let mut payload = vec![6];
+            for v in [41u64, 7] {
+                put_u64(&mut payload, v);
+            }
+            payload.push(SettleKind::Served as u8);
+            put_u64(&mut payload, n);
+            assert_eq!(decode_payload(&payload), None, "tag 6, n = {n}");
         }
     }
 
@@ -1833,6 +2040,128 @@ pub(crate) mod tests {
         assert_eq!(wal.wal_counters().misordered, 2);
         let s = wal.state_snapshot();
         assert_eq!(s.ledger.served, 1);
+    }
+
+    /// Three windows of six admissions, two tenants, one write each, and
+    /// settles that repeat `(window, tenant, kind)`; window 2 keeps two
+    /// admissions pending and window 3 stays open. A worker's settles go
+    /// through its stage, which the next seal collects, or straight into
+    /// the log, one tag-5 frame each.
+    fn log_repeated_settles(wal: &Arc<Wal>, staged: bool) {
+        let submitter = wal.stage();
+        let worker = wal.worker_stage(0);
+        let settle = |w, t, kind| {
+            if staged {
+                worker.log_settle(w, t, kind);
+            } else {
+                wal.log_settle(w, t, kind);
+            }
+        };
+        wal.log_register(1, 8, OverloadPolicy::Delay);
+        wal.log_register(2, 8, OverloadPolicy::Reject);
+        for w in 0..4u64 {
+            for i in 0..6 {
+                let entry = OpenEntry {
+                    is_write: i == 5,
+                    ..admit_of(1 + i % 2, 10 * w + i)
+                };
+                submitter.log_admit(w, entry);
+            }
+            if w == 3 {
+                break;
+            }
+            wal.log_seal_behind(w, Some(&submitter));
+            settle(w, 1, SettleKind::Served);
+            settle(w, 2, SettleKind::Served);
+            settle(w, 1, SettleKind::Served);
+            settle(w, 2, SettleKind::HedgeWin);
+            if w < 2 {
+                settle(w, 1, SettleKind::Served);
+                settle(w, 2, SettleKind::WriteSettled);
+            }
+        }
+        wal.sync_now();
+    }
+
+    #[test]
+    fn counted_settles_replay_to_the_state_of_one_record_per_settle() {
+        let replayed = |staged: bool| {
+            let dir = tmpdir(if staged { "counted" } else { "per-record" });
+            let cfg = dir_cfg(&dir, 64);
+            let wal = Arc::new(Wal::create(&cfg).unwrap().with_worker_stages(1));
+            log_repeated_settles(&wal, staged);
+            let live = wal.state_snapshot();
+            drop(wal);
+            let (wal, report) = Wal::resume(&cfg).unwrap();
+            let state = wal.state_snapshot();
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(state, live, "the fold and the replay agree");
+            assert!(!report.torn);
+            (state, report.records)
+        };
+        let (per_record, per_record_frames) = replayed(false);
+        let (counted, counted_frames) = replayed(true);
+        assert_eq!(per_record.misordered, 0);
+        assert_eq!(counted.misordered, 0);
+        assert_eq!(counted.ledger, per_record.ledger);
+        assert_eq!(counted.tenants, per_record.tenants);
+        assert_eq!(counted.open, per_record.open);
+        assert_eq!(counted.pending, per_record.pending);
+        assert_eq!(counted.sealed_through, 3);
+        assert_eq!(counted.sealed_through, per_record.sealed_through);
+        assert_eq!(counted.ledger.served, 11);
+        assert_eq!(counted.pending[&2][&1].reads, 1);
+        assert_eq!(counted.open[&3].len(), 6);
+        // Registers, admits and seals: 2 + 24 + 3. Settles: 16 one by one,
+        // or 11 counted: (0, 1, Served) × 3, (1, 1, Served) × 3 and
+        // (2, 1, Served) × 2 are one record each.
+        assert_eq!(per_record_frames, 29 + 16);
+        assert_eq!(counted_frames, 29 + 11);
+        assert_ne!(counted.last_lsn, per_record.last_lsn);
+    }
+
+    #[test]
+    fn a_counted_settle_with_too_few_pending_applies_nothing() {
+        let wal = Arc::new(Wal::create(&staging_cfg(64)).unwrap().with_worker_stages(1));
+        let (submitter, worker) = (wal.stage(), wal.worker_stage(0));
+        wal.log_register(1, 4, OverloadPolicy::Delay);
+        submitter.log_admit(0, admit_of(1, 1));
+        submitter.log_admit(0, admit_of(1, 2));
+        wal.log_seal_behind(0, Some(&submitter));
+        for _ in 0..3 {
+            worker.log_settle(0, 1, SettleKind::Served);
+        }
+        assert_eq!(worker.staged_records(), 1, "one counted record");
+        let (log, state) = flushed(&wal);
+        assert_eq!(state.misordered, 1, "one record, one violation");
+        assert_eq!(state.ledger.served, 0, "all or nothing");
+        assert_eq!(state.tenants[&1].ledger.served, 0);
+        assert_eq!(state.pending[&0][&1].reads, 2);
+        // The record on the log is the counted one.
+        let last = log.len() - (FRAME_HEADER + 26);
+        assert_eq!(log[last + FRAME_HEADER], 6);
+    }
+
+    #[test]
+    fn a_worker_stage_drains_at_fsync_batch_settlements_not_records() {
+        let wal = Arc::new(Wal::create(&staging_cfg(4)).unwrap().with_worker_stages(1));
+        let (submitter, worker) = (wal.stage(), wal.worker_stage(0));
+        wal.log_register(1, 8, OverloadPolicy::Delay);
+        for lbn in 0..4 {
+            submitter.log_admit(0, admit_of(1, lbn));
+        }
+        wal.log_seal_behind(0, None);
+        let logged = wal.wal_counters().records;
+        for _ in 0..3 {
+            worker.log_settle(0, 1, SettleKind::Served);
+            assert_eq!(wal.wal_counters().records, logged, "staged, not logged");
+        }
+        assert_eq!(worker.staged_records(), 1);
+        worker.log_settle(0, 1, SettleKind::Served);
+        assert_eq!(worker.staged_records(), 0, "the fourth settlement drains");
+        assert_eq!(wal.wal_counters().records, logged + 1);
+        let s = wal.state_snapshot();
+        assert!(s.ledger.conserved() && s.pending.is_empty() && s.misordered == 0);
     }
 
     #[test]
@@ -2011,6 +2340,151 @@ pub(crate) mod tests {
         assert_eq!(t.reserved, 3);
         assert_eq!(t.ledger.admitted, 0, "fresh epoch");
         assert_eq!(s.ledger.admitted, 1, "global history is kept");
+    }
+
+    /// A record from drawn fields: small windows and tenants, so that
+    /// replay meets its own registers, seals and pendings, and the
+    /// extremes when `flags` asks for them.
+    fn record_of(tag: u8, a: u64, b: u64, flags: u8) -> WalRecord {
+        let window = if flags & 0x80 == 0 {
+            a % 4
+        } else {
+            u64::MAX - a % 2
+        };
+        let tenant = b % 3;
+        match tag % 5 {
+            0 => WalRecord::Register {
+                tenant,
+                reserved: a,
+                policy: decode_policy(flags & 1),
+            },
+            1 => WalRecord::Deregister { tenant },
+            2 => WalRecord::Admit {
+                window,
+                entry: OpenEntry {
+                    tenant,
+                    lbn: a,
+                    guaranteed: flags & 1 == 1,
+                    delayed: flags & 2 == 2,
+                    is_write: flags & 4 == 4,
+                },
+            },
+            3 => WalRecord::Seal { window },
+            _ => WalRecord::Settle {
+                window,
+                tenant,
+                kind: SettleKind::ALL[usize::from(flags % 5)],
+                n: if flags & 0x40 == 0 { 1 } else { 2 + b % 3 },
+            },
+        }
+    }
+
+    fn frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = lsn.to_le_bytes().to_vec();
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&frame_crc(lsn, payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whole frames, some of them a repeated LSN or a payload that
+        /// does not decode, then arbitrary bytes, the lot cut anywhere:
+        /// `resume` keeps exactly the frames ahead of the first bad one,
+        /// truncates the file behind them, and says `torn` iff it cut.
+        #[test]
+        fn hostile_bytes_leave_resume_the_whole_frames_ahead_of_them(
+            records in prop::collection::vec(
+                (any::<u8>(), any::<u64>(), any::<u64>(), any::<u8>(), 0..12u8),
+                0..24,
+            ),
+            junk in prop::collection::vec(any::<u8>(), 1..40),
+            tail in prop::collection::vec(any::<u8>(), 0..64),
+            cut in any::<usize>(),
+        ) {
+            let mut bytes = Vec::new();
+            let mut ends = Vec::new();
+            let mut lsn = 0u64;
+            let mut whole = true;
+            for &(tag, a, b, flags, step) in &records {
+                // Step 0 repeats the LSN, step 10 jumps to the one no log
+                // reaches, step 11 writes `junk` as the payload.
+                lsn = if step == 10 {
+                    u64::MAX
+                } else {
+                    lsn.saturating_add(u64::from(step.min(1)))
+                };
+                let payload = if step == 11 {
+                    junk.clone()
+                } else {
+                    let mut payload = Vec::new();
+                    encode_payload(&record_of(tag, a, b, flags), &mut payload);
+                    payload
+                };
+                whole &= step > 0 && lsn < u64::MAX && decode_payload(&payload).is_some();
+                bytes.extend_from_slice(&frame(lsn, &payload));
+                if whole {
+                    ends.push(bytes.len());
+                }
+            }
+            bytes.extend_from_slice(&tail);
+            bytes.truncate(cut % (bytes.len() + 1));
+            let kept = ends.iter().filter(|&&end| end <= bytes.len()).count();
+            let kept_bytes = if kept == 0 { 0 } else { ends[kept - 1] };
+
+            let dir = tmpdir("hostile");
+            std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+            let cfg = dir_cfg(&dir, 1);
+            let (wal, report) = Wal::resume(&cfg).unwrap();
+            prop_assert_eq!(report.records, kept as u64);
+            prop_assert_eq!(report.torn, bytes.len() > kept_bytes);
+            let on_disk = std::fs::metadata(dir.join("wal.log")).unwrap().len();
+            prop_assert_eq!(on_disk, kept_bytes as u64);
+            let state = wal.state_snapshot();
+            drop(wal);
+            let (again, report) = Wal::resume(&cfg).unwrap();
+            prop_assert!(!report.torn);
+            prop_assert_eq!(report.records, kept as u64);
+            prop_assert_eq!(again.state_snapshot(), state);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        /// The snapshot decoder on arbitrary bytes, and on a real
+        /// snapshot's body with bytes overwritten and the CRC made good
+        /// again: a state or `None`, never a panic.
+        #[test]
+        fn hostile_bytes_give_the_snapshot_decoder_a_state_or_none(
+            bytes in prop::collection::vec(any::<u8>(), 0..160),
+            records in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>(), any::<u8>()), 0..24),
+            edits in prop::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+        ) {
+            let _ = decode_state(&bytes);
+            let mut stamped = SNAP_MAGIC.to_vec();
+            stamped.extend_from_slice(&bytes);
+            let _ = decode_state(&stamped);
+            stamped.extend_from_slice(&crc32(0, &bytes).to_le_bytes());
+            let _ = decode_state(&stamped);
+
+            let mut state = WalState::default();
+            for &(tag, a, b, flags) in &records {
+                state.apply_record(&record_of(tag, a, b, flags));
+            }
+            let encoded = encode_state(&state);
+            prop_assert_eq!(decode_state(&encoded), Some(state));
+            let mut body = encoded[SNAP_MAGIC.len()..encoded.len() - 4].to_vec();
+            for &(at, byte) in &edits {
+                let at = at % body.len();
+                body[at] = byte;
+            }
+            let mut edited = SNAP_MAGIC.to_vec();
+            edited.extend_from_slice(&body);
+            edited.extend_from_slice(&crc32(0, &body).to_le_bytes());
+            let _ = decode_state(&edited);
+        }
     }
 
     /// `seal-collects-worker-stage`, narrowed to the log (tests/model.rs

@@ -1,11 +1,13 @@
-//! Heap traffic on the write / GC service path — counts, not timings, so
-//! they read the same on any host. In steady state a worker serves reads,
-//! hedges them behind GC stalls, programs write copies through the FTL and
-//! settles all of it without going to the allocator, in either direction:
-//! it hands each batch back to the sealing thread that allocated it, and
-//! drops only clones of the write sinks the seal keeps. A `Vec` per hedge
-//! or per erase, or a batch freed by the worker, shows here long before it
-//! shows on a clock.
+//! Heap traffic on the write / GC service path and in the log — counts,
+//! not timings, so they read the same on any host. In steady state a
+//! worker serves reads, hedges them behind GC stalls, programs write
+//! copies through the FTL and settles all of it without going to the
+//! allocator, in either direction: it hands each batch back to the
+//! sealing thread that allocated it, and drops only clones of the write
+//! sinks the seal keeps. A `Vec` per hedge or per erase, or a batch freed
+//! by the worker, shows here long before it shows on a clock. The sealing
+//! thread folds every log record into the log's state, and allocates no
+//! more for it than without a log.
 //!
 //! The allocator keeps its tallies per thread, so the submitting side,
 //! which seals and so allocates on the worker's behalf, does not drown
@@ -240,10 +242,78 @@ fn workers_neither_allocate_nor_free_in_steady_state() {
     );
 }
 
-// One test, two parts: threads are told apart by when they first allocate,
-// and a second test's thread would pass for one of the server's.
+/// Windows a `steady_read`-shaped load runs before and while the sealing
+/// thread is counted: the warm-up takes the in-memory log through several
+/// compactions (every 64 seals), so its buffers are at their size.
+const SEAL_WARM_UP: u64 = 1_000;
+const SEAL_WINDOWS: u64 = 4_000;
+
+/// Allocations a window of the thread that submits and seals, on one
+/// worker: 14 distinct buckets a window, four tenants in turn, as
+/// `steady_read` offers, behind an in-memory log with `fsync_batch = 64`
+/// (`durable_read`) or none.
+fn sealing_thread_allocations(logged: bool) -> u64 {
+    let mut cfg = ServerConfig::new(QosConfig::paper_9_3_1().with_accesses(2)).with_workers(1);
+    if logged {
+        cfg = cfg.with_wal_memory().with_wal_fsync_batch(64);
+    }
+    let buckets = cfg.qos.scheme.num_buckets();
+    let server = QosServer::new(cfg).unwrap();
+    let interval = server.config().qos.interval_ns;
+    for (tenant, reserved) in [(1, 4), (2, 4), (3, 3), (4, 3)] {
+        server
+            .register(tenant, reserved, OverloadPolicy::Delay)
+            .unwrap();
+    }
+    let mut rng = StdRng::seed_from_u64(2);
+    let mut pool: Vec<u64> = (0..buckets as u64).collect();
+    let mut handle = server.handle();
+    let mine = &TALLIES[my_slot()].allocations;
+    let mut before = 0;
+    for w in 0..SEAL_WARM_UP + SEAL_WINDOWS {
+        if w == SEAL_WARM_UP {
+            before = mine.load(Ordering::Relaxed);
+        }
+        for i in 0..14 {
+            let pick = rng.gen_range(i..pool.len());
+            pool.swap(i, pick);
+            let lbn = pool[i] + buckets as u64 * rng.gen_range(0..4096u64);
+            handle.submit(1 + i as u64 % 4, lbn, w * interval + i as u64);
+        }
+    }
+    let allocations = mine.load(Ordering::Relaxed) - before;
+    drop(handle);
+    let m = server.finish();
+    assert!(m.conserved() && m.rejected == 0, "{m:#?}");
+    allocations
+}
+
+fn the_log_costs_the_sealing_thread_no_allocation() {
+    let bare = sealing_thread_allocations(false);
+    let logged = sealing_thread_allocations(true);
+    println!(
+        "sealing thread: {:.3} allocations a window without a log, {:.3} with one, \
+         over {SEAL_WINDOWS} windows ({bare} / {logged})",
+        bare as f64 / SEAL_WINDOWS as f64,
+        logged as f64 / SEAL_WINDOWS as f64,
+    );
+    // What either side allocates besides its per-window figure is a
+    // high-water mark of the run's timing: a batch when none has come home,
+    // a map slot or a longer buffer when the worker falls further behind
+    // than before (a few in a run). One allocation in fifty windows is
+    // twice the allowance; the tree nodes and vectors a `BTreeMap` fold
+    // allocates (four a window) are four hundred times it.
+    assert!(
+        logged <= bare + SEAL_WINDOWS / 100,
+        "the log's fold allocates: {logged} allocations against {bare} without it"
+    );
+}
+
+// One test, three parts: threads are told apart by when they first
+// allocate, and a second test's thread would pass for one of the server's.
 #[test]
 fn the_write_and_gc_service_path_allocates_nothing_in_steady_state() {
     ftl_write_allocates_nothing_once_the_map_is_full();
     workers_neither_allocate_nor_free_in_steady_state();
+    the_log_costs_the_sealing_thread_no_allocation();
 }

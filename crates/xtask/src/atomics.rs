@@ -2,10 +2,9 @@
 //! flag `Relaxed` on flags that gate cross-thread control decisions.
 //!
 //! The rule: a *control flag* — one whose loaded value decides whether
-//! another thread's writes are observed (`shutdown`, `closed`, tenant
-//! `live`, fail-slow `live_slow`, router `epoch`, WAL `sealed_floor`,
-//! dispatch `watermark`) — must publish with Release and observe with
-//! Acquire (AcqRel for RMWs). `Relaxed` on a control flag orders nothing:
+//! another thread's writes are observed (engine `shutdown`, tenant
+//! `live`, fail-slow `live_slow`, registry and router `epoch`) — must
+//! publish with Release and observe with Acquire (AcqRel for RMWs). `Relaxed` on a control flag orders nothing:
 //! the flag flip can become visible before the writes it is supposed to
 //! publish.
 //!
@@ -18,16 +17,9 @@
 use crate::source::{matching, Tok, TokKind};
 use crate::{Finding, Outcome};
 
-/// Flags gating cross-thread control decisions.
-const CONTROL_FLAGS: &[&str] = &[
-    "shutdown",
-    "closed",
-    "live",
-    "live_slow",
-    "epoch",
-    "sealed_floor",
-    "watermark",
-];
+/// Flags gating cross-thread control decisions: each the name of an
+/// `Atomic*` field of the scanned crates (`every_control_flag_is_an_atomic_field`).
+const CONTROL_FLAGS: &[&str] = &["shutdown", "live", "live_slow", "epoch"];
 
 const ATOMIC_METHODS: &[&str] = &[
     "load",
@@ -152,6 +144,52 @@ mod tests {
         let mut out = Outcome::default();
         audit("engine.rs", &lex(src), &original, &mut out);
         out
+    }
+
+    /// Names declared `name: Atomic…` (the type path-qualified or not).
+    fn atomic_fields(toks: &[Tok]) -> Vec<String> {
+        let mut out = Vec::new();
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != TokKind::Ident || !toks.get(i + 1).is_some_and(|c| c.is(":")) {
+                continue;
+            }
+            let mut j = i + 2;
+            while toks.get(j + 1).is_some_and(|p| p.is("::")) {
+                j += 2;
+            }
+            if toks
+                .get(j)
+                .is_some_and(|ty| ty.kind == TokKind::Ident && ty.text.starts_with("Atomic"))
+            {
+                out.push(t.text.clone());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_control_flag_is_an_atomic_field() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = crate::rust_files(&root, &["crates/server/src", "crates/cluster/src"]).unwrap();
+        assert!(!files.is_empty());
+        let mut fields = Vec::new();
+        for path in files {
+            let src = std::fs::read_to_string(&path).unwrap();
+            fields.extend(atomic_fields(&lex(&src)));
+        }
+        for flag in CONTROL_FLAGS {
+            assert!(
+                fields.iter().any(|f| f == flag),
+                "`{flag}` is in CONTROL_FLAGS, but no atomic field of \
+                 crates/server/src or crates/cluster/src has that name"
+            );
+        }
+        assert_eq!(
+            atomic_fields(&lex(
+                "struct S { a: AtomicBool, b: std::sync::atomic::AtomicU64, c: u64 }"
+            )),
+            ["a", "b"]
+        );
     }
 
     #[test]
