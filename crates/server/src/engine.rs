@@ -28,6 +28,14 @@
 //! separately. With `ε = 0` the engine reports `guaranteed_violations == 0`
 //! unconditionally.
 //!
+//! # From slot to worker
+//!
+//! A request has two records between admission and a device: the window
+//! slot's entry, which the seal fixes in place, and the [`WorkItem`] that
+//! [`Engine::partition`] copies it into — one per read, one per replica of
+//! a write. A worker receives one batch per window: the window number,
+//! once, and its share of the items in seal order.
+//!
 //! # The watermark protocol
 //!
 //! Sealing window `w` is only safe once no submitter can still admit into
@@ -50,7 +58,7 @@ use crate::ledger::{AtomicLedger, SettleKind};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, TenantSnapshot};
 use crate::registry::{RegisterError, Tenant, TenantRegistry, TenantView};
 use crate::wal::{crash_point, OpenEntry, Stage, Wal};
-use crate::window::{AdmitResult, SealedItem, WindowRing, MAX_COPIES};
+use crate::window::{AdmitResult, SealedWindow, WindowRing, MAX_COPIES};
 use fqos_core::{OverloadPolicy, StatisticalCounters};
 use fqos_decluster::sampling::OptimalRetrievalProbabilities;
 use fqos_flashsim::{CalibratedSsd, Completion, Device, GcStats, IoOp, IoRequest};
@@ -135,7 +143,7 @@ struct DispatchState {
     watermarks: Vec<u64>,
     /// Per worker, its served batches on their way back: `messages + 2` at
     /// most (queued, in service, being filled or here), so no `send` blocks.
-    served: Vec<Receiver<Batch>>,
+    served: Vec<Receiver<Box<Batch>>>,
     /// Every [`WriteSink`] handed out, oldest first. The pool keeps one
     /// reference, so a worker only ever drops a clone and never frees one.
     sinks: std::collections::VecDeque<Arc<WriteSink>>,
@@ -238,11 +246,6 @@ struct WorkItem {
     /// The admitting tenant's id. The worker resolves it to the record,
     /// live or departed, through its own [`TenantView`] when it settles.
     tenant_id: u64,
-    /// The window `t` the request was admitted into.
-    window: u64,
-    /// Simulated time the window's execution phase starts: `(t+1)·T`; the
-    /// interval deadline is one interval later.
-    exec_start: u64,
     guaranteed: bool,
     /// Replica bitmap of the block; the bits other than `req.device` are
     /// the hedge candidates.
@@ -263,34 +266,42 @@ struct WorkerLocal {
 }
 
 impl WorkItem {
-    /// Settle this dispatch's admission through [`Engine::settle`];
-    /// `finish` is the completion time the deadline audit judges (`None`
-    /// when nothing completed). The worker's view finds the record the
-    /// seal would have found: while this admission is in flight its record
-    /// cannot be replaced ([`RegisterError::DrainPending`]).
+    /// Settle this dispatch's admission into `window` through
+    /// [`Engine::settle`]; `finish` is the completion time the deadline
+    /// audit judges (`None` when nothing completed). The worker's view
+    /// finds the record the seal would have found: while this admission is
+    /// in flight its record cannot be replaced
+    /// ([`RegisterError::DrainPending`]).
     fn settle(
         &self,
         engine: &Engine,
         local: &mut WorkerLocal,
+        window: u64,
         kind: SettleKind,
         finish: Option<u64>,
     ) {
         let tenant = local.view.resolve(&engine.registry, self.tenant_id);
         let done = finish.map(|f| (self, f));
         let stage = local.stage.as_ref();
-        engine.settle(self.window, self.tenant_id, tenant, kind, done, stage);
+        engine.settle(window, self.tenant_id, tenant, kind, done, stage);
     }
 }
 
 /// One worker's share of one sealed window, in seal order, handed back
-/// empty once served. Boxed so that a queue slot stays one word (DESIGN.md,
-/// "One message per window and worker").
-#[allow(clippy::box_collection, reason = "a queue slot stays one word")]
-type Batch = Box<Vec<WorkItem>>;
-type Batches = [Option<Batch>; MAX_FAULT_DEVICES];
+/// empty once served. It travels boxed, so that a queue slot stays one word
+/// (DESIGN.md, "One message per window and worker").
+#[derive(Default)]
+struct Batch {
+    /// The window `t` its requests were admitted into: they execute from
+    /// `(t+1)·T` and are due by `(t+2)·T`.
+    window: u64,
+    items: Vec<WorkItem>,
+}
+
+type Batches = [Option<Box<Batch>>; MAX_FAULT_DEVICES];
 
 enum WorkMsg {
-    Batch(Batch),
+    Batch(Box<Batch>),
     Stop,
 }
 
@@ -804,7 +815,7 @@ impl Engine {
                 wal.log_seal_behind(w, riding.take());
             }
             // Admissions whose every replica was down at seal.
-            for &t in &sealed.lost {
+            for t in sealed.lost() {
                 let rec = self.registry.lookup_any(t);
                 self.settle(w, t, rec.as_deref(), SettleKind::Lost, None, None);
             }
@@ -823,7 +834,7 @@ impl Engine {
                 self.submit_stats
                     .max_window_total
                     .fetch_max(sealed.total, Ordering::Relaxed);
-                for (tx, batch) in self.txs.iter().zip(self.partition(ds, w, sealed.items)) {
+                for (tx, batch) in self.txs.iter().zip(self.partition(ds, w, &sealed)) {
                     if let Some(batch) = batch {
                         // Blocking send = backpressure: submitters stall
                         // here once a worker's backlog hits queue_depth.
@@ -838,37 +849,33 @@ impl Engine {
         }
     }
 
-    /// Split window `w`'s sealed items into one batch per worker (index =
-    /// worker; `None` = nothing to send), keeping seal order inside each.
-    /// A batch is one its worker handed back if there is one. Every replica
-    /// copy of a logical write shares one [`WriteSink`], whichever batches
-    /// the copies land in; the seal emits a write's copies back to back.
-    fn partition(&self, ds: &mut DispatchState, w: u64, items: Vec<SealedItem>) -> Batches {
+    /// Split sealed window `w` into one batch per worker (index = worker;
+    /// `None` = nothing to send), keeping seal order inside each: a read
+    /// is one item on its assigned device, a write one item per replica,
+    /// all sharing one [`WriteSink`] whichever batches they land in. A
+    /// batch is one its worker handed back if there is one.
+    fn partition(&self, ds: &mut DispatchState, w: u64, sealed: &SealedWindow) -> Batches {
         let workers = self.txs.len();
-        let exec_start = (w + 1) * self.cfg.qos.interval_ns;
         let mut batches = [const { None }; MAX_FAULT_DEVICES];
-        // The write whose copies are being emitted, and its sink.
-        let mut current: Option<(u32, Arc<WriteSink>)> = None;
-        for item in items {
-            let write = item.write_group.map(|(group, fanout)| {
-                let sink = match current.take() {
-                    Some((g, sink)) if g == group => sink,
-                    _ => ds.next_sink(fanout),
-                };
-                Arc::clone(&current.insert((group, sink)).1)
-            });
-            let worker = item.req.device % workers;
-            let batch = batches[worker]
-                .get_or_insert_with(|| ds.served[worker].try_recv().unwrap_or_default());
-            batch.push(WorkItem {
-                tenant_id: item.tenant,
-                req: item.req,
-                window: w,
-                exec_start,
-                guaranteed: item.guaranteed,
-                replica_mask: item.replica_mask,
-                write,
-            });
+        for (p, guaranteed) in sealed.entries() {
+            let write = p.write_copies().map(|copies| ds.next_sink(copies));
+            for d in p.targets() {
+                let worker = d % workers;
+                let batch = batches[worker].get_or_insert_with(|| {
+                    let mut batch = ds.served[worker].try_recv().unwrap_or_default();
+                    batch.window = w;
+                    batch
+                });
+                let mut req = p.req;
+                req.device = d;
+                batch.items.push(WorkItem {
+                    req,
+                    tenant_id: p.tenant,
+                    guaranteed,
+                    replica_mask: p.replica_mask(),
+                    write: write.clone(),
+                });
+            }
         }
         batches
     }
@@ -1036,7 +1043,7 @@ impl Engine {
         }
         if let Some((item, finish)) = done {
             self.hist.record(finish.saturating_sub(item.req.arrival));
-            if finish > item.exec_start + self.cfg.qos.interval_ns {
+            if finish > (window + 2) * self.cfg.qos.interval_ns {
                 self.worker_stats.violations.fetch_add(1, Ordering::Relaxed);
                 // GC stalls and retry backoff legitimately push writes
                 // late; the deadline promise the engine *keeps* is for
@@ -1423,7 +1430,7 @@ fn worker_loop(
     worker: usize,
     workers: usize,
     rx: Receiver<WorkMsg>,
-    home: Sender<Batch>,
+    home: Sender<Box<Batch>>,
     engine: Arc<Engine>,
     stage: Option<Stage>,
 ) {
@@ -1462,57 +1469,37 @@ fn worker_loop(
     while let Ok(WorkMsg::Batch(mut batch)) =
         rx.recv_idle(|| local.stage.iter().for_each(Stage::drain_idle))
     {
-        for item in batch.iter() {
+        let window = batch.window;
+        for item in &batch.items {
             let d = item.req.device;
-            // Admitted into window `t`, the item executes during `t + 1`.
-            let exec_window = item.window + 1;
+            let dev = &mut devs[d / workers];
             if let Some(sink) = &item.write {
-                let dev = &mut devs[d / workers];
-                serve_write_copy(&engine, &mut local, dev, item, sink, exec_window);
+                serve_write_copy(&engine, &mut local, dev, window, item, sink);
                 continue;
             }
+            // Admitted into window `t`, the item executes during `t + 1`.
+            let exec_window = window + 1;
             // Every fault-plane lookup happens BEFORE the hedge lock:
             // `fault.inner` and `fault.health` are peers of `engine.hedge`
-            // in the lock hierarchy, never nested inside it.
+            // in the lock hierarchy, never nested inside it. The threshold
+            // is read before the sample goes in, so that an outlier cannot
+            // vouch for itself.
             let factor = engine.fault.slow_factor_at(d, exec_window);
             let threshold = engine.fault.hedge_threshold(d);
-            let completion = {
-                let mut hs = engine.hedge.lock();
-                devs[d / workers].set_degradation(factor);
-                devs[d / workers].advance_busy(hs.busy[d]);
-                let c = devs[d / workers].submit(&item.req, item.exec_start);
-                hs.accept(d, exec_window, c.finish);
-                c
-            };
-            // The scorer samples the *service* component only: queueing
-            // delay is the scheduler's doing, not evidence about device
-            // health. The threshold above was read first so an outlier
-            // cannot vouch for itself.
-            engine
-                .fault
-                .observe(d, completion.finish - completion.service_start, exec_window);
+            let issue = exec_window * engine.cfg.qos.interval_ns;
+            let completion = serve_on_device(&engine, dev, &item.req, issue, factor, exec_window);
             // Exactly one settlement per read: the winning hedge cancels
             // the primary, otherwise the primary stood.
-            match hedge(
-                &engine,
-                &mut devs[d / workers],
-                item,
-                exec_window,
-                threshold,
-                completion,
-            ) {
-                Some(finish) => {
-                    item.settle(&engine, &mut local, SettleKind::HedgeWin, Some(finish));
-                    // Seeded mutant: the cancelled primary settles as well.
-                    if cfg!(feature = "model-mutant-double-settle") {
-                        let primary = Some(completion.finish);
-                        item.settle(&engine, &mut local, SettleKind::Served, primary);
-                    }
-                }
-                None => {
-                    let finish = Some(completion.finish);
-                    item.settle(&engine, &mut local, SettleKind::Served, finish);
-                }
+            let hedged = hedge(&engine, dev, item, exec_window, threshold, completion);
+            let (kind, finish) = match hedged {
+                Some(finish) => (SettleKind::HedgeWin, finish),
+                None => (SettleKind::Served, completion.finish),
+            };
+            item.settle(&engine, &mut local, window, kind, Some(finish));
+            // Seeded mutant: the cancelled primary settles as well.
+            if kind == SettleKind::HedgeWin && cfg!(feature = "model-mutant-double-settle") {
+                let primary = Some(completion.finish);
+                item.settle(&engine, &mut local, window, SettleKind::Served, primary);
             }
         }
         let gc = std::mem::take(&mut local.gc);
@@ -1524,7 +1511,7 @@ fn worker_loop(
             s.gc_erases.fetch_add(gc.erases, Ordering::Relaxed);
         }
         // Home to the seal; clearing drops only clones of the sinks it keeps.
-        batch.clear();
+        batch.items.clear();
         let _ = home.send(batch);
     }
     local.stage.iter().for_each(Stage::drain);
@@ -1547,17 +1534,17 @@ fn serve_write_copy(
     engine: &Engine,
     local: &mut WorkerLocal,
     dev: &mut CalibratedSsd,
+    window: u64,
     item: &WorkItem,
     sink: &WriteSink,
-    exec_window: u64,
 ) {
     let d = item.req.device;
-    let cfg = &engine.cfg;
-    let t_ns = cfg.qos.interval_ns;
+    let t_ns = engine.cfg.qos.interval_ns;
+    let exec_window = window + 1;
     let mut outcome: Option<Completion> = None;
     let mut retries = 0u64;
     for attempt in 0..=RETRY_LIMIT {
-        let issue = item.exec_start + attempt * RETRY_BACKOFF_NS;
+        let issue = exec_window * t_ns + attempt * RETRY_BACKOFF_NS;
         let issue_window = issue / t_ns;
         if engine.fault.mask_at(issue_window) >> d & 1 == 1 {
             // Fail-stopped at this attempt's issue time; back off and
@@ -1567,15 +1554,11 @@ fn serve_write_copy(
             }
             continue;
         }
+        // The service sample (program + in-line GC stall) feeds the health
+        // scorer — a GC storm looks exactly like a fail-slow episode from
+        // the outside, which is the point: hedged reads route around it.
         let factor = engine.fault.slow_factor_at(d, issue_window);
-        let completion = {
-            let mut hs = engine.hedge.lock();
-            dev.set_degradation(factor);
-            dev.advance_busy(hs.busy[d]);
-            let c = dev.submit(&item.req, issue);
-            hs.accept(d, exec_window, c.finish);
-            c
-        };
+        let completion = serve_on_device(engine, dev, &item.req, issue, factor, exec_window);
         // This write's GC work. Every relocation is one read and one
         // program, so the programs that are left are the host's (none
         // without a GC model, or when the FTL refused the write).
@@ -1585,12 +1568,6 @@ fn serve_write_copy(
         local.gc.gc_pages += gc.pages_relocated;
         local.gc.relocated += gc.pages_relocated;
         local.gc.erases += gc.erases;
-        // The service sample (program + in-line GC stall) feeds the health
-        // scorer — a GC storm looks exactly like a fail-slow episode from
-        // the outside, which is the point: hedged reads route around it.
-        engine
-            .fault
-            .observe(d, completion.finish - completion.service_start, exec_window);
         // Feed the admission-side GC-pressure reserve. Without a GC model
         // the device counts no host pages and the reserve stays 0.
         if host > 0 {
@@ -1602,7 +1579,36 @@ fn serve_write_copy(
     for _ in 0..retries {
         engine.fault.note_retry();
     }
-    settle_write_copy(engine, local, item, sink, outcome);
+    settle_write_copy(engine, local, window, item, sink, outcome);
+}
+
+/// Serve `req` on `dev`, its device, issued at `issue` with the slow
+/// factor `factor` read before the hedge lock: behind the primary work the
+/// device has accepted, and recorded as its work in `exec_window`. The
+/// scorer then samples the *service* component only: queueing delay is the
+/// scheduler's doing, not evidence about device health. Every read primary
+/// and write copy reaches its device here; a hedge does not.
+fn serve_on_device(
+    engine: &Engine,
+    dev: &mut CalibratedSsd,
+    req: &IoRequest,
+    issue: u64,
+    factor: u32,
+    exec_window: u64,
+) -> Completion {
+    let d = req.device;
+    let completion = {
+        let mut hs = engine.hedge.lock();
+        dev.set_degradation(factor);
+        dev.advance_busy(hs.busy[d]);
+        let c = dev.submit(req, issue);
+        hs.accept(d, exec_window, c.finish);
+        c
+    };
+    engine
+        .fault
+        .observe(d, completion.finish - completion.service_start, exec_window);
+    completion
 }
 
 /// Fold one copy's outcome into the logical write's sink; the last copy to
@@ -1610,6 +1616,7 @@ fn serve_write_copy(
 fn settle_write_copy(
     engine: &Engine,
     local: &mut WorkerLocal,
+    window: u64,
     item: &WorkItem,
     sink: &WriteSink,
     outcome: Option<Completion>,
@@ -1628,10 +1635,10 @@ fn settle_write_copy(
     // Last copy: settle the logical write. It is only as done as its
     // slowest replica, so that finish is what the deadline audit sees.
     if sink.lost.load(Ordering::Relaxed) {
-        item.settle(engine, local, SettleKind::WriteLost, None);
+        item.settle(engine, local, window, SettleKind::WriteLost, None);
     } else {
-        let finish = sink.latest_finish.load(Ordering::Relaxed);
-        item.settle(engine, local, SettleKind::WriteSettled, Some(finish));
+        let finish = Some(sink.latest_finish.load(Ordering::Relaxed));
+        item.settle(engine, local, window, SettleKind::WriteSettled, finish);
     }
 }
 
@@ -1664,7 +1671,8 @@ fn hedge(
     // crossing the adaptive threshold — or on a projected deadline miss
     // (which also catches pathological queueing). Queueing below the
     // deadline is the scheduler's normal business and never hedges.
-    let deadline = item.exec_start + cfg.qos.interval_ns;
+    let exec_start = exec_window * cfg.qos.interval_ns;
+    let deadline = exec_start + cfg.qos.interval_ns;
     let service_lat = completion.finish.saturating_sub(completion.service_start);
     let candidate_mask = item.replica_mask & !(1u64 << d);
     let trigger = cfg.hedge_enabled
@@ -1718,7 +1726,7 @@ fn hedge(
             // time, so the speculative read starts with the window's
             // execution phase. Each later attempt models a re-issue after
             // one more backoff period.
-            let issue = item.exec_start + (attempt - 1) * RETRY_BACKOFF_NS;
+            let issue = exec_start + (attempt - 1) * RETRY_BACKOFF_NS;
             // A hedge starts after the primary work its target has
             // accepted up to this window AND after every speculative read
             // already parked there.
@@ -1794,6 +1802,7 @@ mod tests {
     use super::*;
     use crate::config::AssignmentMode;
     use crate::layout::{assert_one_side_per_line, span, Side};
+    use crate::window::Parked;
     use fqos_core::QosConfig;
 
     fn server() -> QosServer {
@@ -2267,58 +2276,52 @@ mod tests {
         assert_eq!(m.guaranteed_violations, 0);
     }
 
-    fn sealed(id: u64, tenant: u64, device: usize, write_group: Option<(u32, u32)>) -> SealedItem {
-        let req = match write_group {
-            Some(_) => IoRequest::write_block(id, 0, device, id),
-            None => IoRequest::read_block(id, 0, device, id),
-        };
-        SealedItem {
-            tenant,
-            req,
-            guaranteed: true,
-            replica_mask: 1 << device,
-            write_group,
-        }
-    }
-
     #[test]
     fn partition_makes_one_batch_per_worker_with_work() {
         let s =
             QosServer::new(ServerConfig::new(QosConfig::paper_9_3_1()).with_workers(4)).unwrap();
         // Devices 0, 4, 8 are worker 0's, 1 and 5 worker 1's, 2 worker 2's;
-        // nothing names a device of worker 3 (3 and 7). Write group 0 has a
-        // copy on each of three workers. Tenants travel as ids: the worker
-        // resolves them when it settles.
-        let items = vec![
-            sealed(10, 1, 4, None),
-            sealed(11, 2, 1, None),
-            sealed(12, 1, 0, Some((0, 3))),
-            sealed(12, 1, 1, Some((0, 3))),
-            sealed(12, 1, 2, Some((0, 3))),
-            sealed(13, 1, 8, None),
-            sealed(14, 1, 5, Some((1, 1))),
-        ];
+        // nothing names a device of worker 3 (3 and 7). Write 12 has a copy
+        // on each of three workers; read 15 is lost and goes nowhere.
+        // Tenants travel as ids: the worker resolves them when it settles.
+        let read = |id, tenant, d: Option<usize>| {
+            let req = IoRequest::read_block(id, 0, 0, id);
+            Parked::sealed(tenant, req, &[d.unwrap_or(7)], d)
+        };
+        let write = |id, replicas: &[usize]| {
+            Parked::sealed(1, IoRequest::write_block(id, 0, 0, id), replicas, None)
+        };
+        let sealed = SealedWindow::of(vec![
+            read(10, 1, Some(4)),
+            read(11, 2, Some(1)),
+            write(12, &[0, 1, 2]),
+            read(13, 1, Some(8)),
+            read(15, 3, None),
+            write(14, &[5]),
+        ]);
         let mut ds = s.engine.dispatch.lock();
-        let batches = s.engine.partition(&mut ds, 6, items);
+        let batches = s.engine.partition(&mut ds, 6, &sealed);
         let ids = |w: usize| -> Vec<(u64, usize)> {
             let batch = batches[w].as_ref().unwrap();
-            batch.iter().map(|i| (i.req.id, i.req.device)).collect()
+            batch
+                .items
+                .iter()
+                .map(|i| (i.req.id, i.req.device))
+                .collect()
         };
         assert_eq!(ids(0), [(10, 4), (12, 0), (13, 8)], "seal order kept");
         assert_eq!(ids(1), [(11, 1), (12, 1), (14, 5)]);
         assert_eq!(ids(2), [(12, 2)]);
         assert!(batches[3].is_none(), "an idle worker gets no message");
-        for item in batches.iter().flatten().flat_map(|b| b.iter()) {
-            assert_eq!((item.window, item.exec_start), (6, 7 * BASE_T));
-        }
+        assert!(batches.iter().flatten().all(|b| b.window == 6));
         let batch = |w: usize| batches[w].as_ref().unwrap();
-        let tenants: Vec<u64> = batch(1).iter().map(|i| i.tenant_id).collect();
+        let tenants: Vec<u64> = batch(1).items.iter().map(|i| i.tenant_id).collect();
         assert_eq!(tenants, [2, 1, 1]);
-        let sink = |w: usize, at: usize| batch(w)[at].write.as_ref().unwrap();
+        let sink = |w: usize, at: usize| batch(w).items[at].write.as_ref().unwrap();
         assert!(Arc::ptr_eq(sink(0, 1), sink(1, 1)) && Arc::ptr_eq(sink(0, 1), sink(2, 0)));
         assert_eq!(sink(0, 1).remaining.load(Ordering::Relaxed), 3);
         assert!(!Arc::ptr_eq(sink(0, 1), sink(1, 2)), "one sink per group");
-        assert!(batch(0)[0].write.is_none());
+        assert!(batch(0).items[0].write.is_none());
         // Both sinks are held by the batches, so the next window's write
         // gets a third; once the batches are gone, the oldest comes back.
         let oldest = Arc::as_ptr(&ds.sinks[0]);
@@ -2393,6 +2396,15 @@ mod tests {
             );
         }
         s.finish();
+    }
+
+    #[test]
+    fn a_batch_carries_its_window_once() {
+        // An item is the request, its tenant, its replicas, its write sink
+        // and one flag; its window travels once, in the batch. A queue slot
+        // is one word.
+        assert_eq!(std::mem::size_of::<WorkItem>(), 72);
+        assert_eq!(std::mem::size_of::<WorkMsg>(), std::mem::size_of::<usize>());
     }
 
     #[test]

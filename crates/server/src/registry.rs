@@ -260,40 +260,9 @@ impl TenantRegistry {
         self.shard(tenant).read().get(&tenant).cloned()
     }
 
-    /// Aggregate reservation currently admitted.
-    pub fn reserved_total(&self) -> usize {
-        self.admission.lock().total()
-    }
-
-    /// The aggregate reservation ceiling `S(M)` this registry admits up to
-    /// (the healthy bound; while devices are down or withheld for GC, each
-    /// window admits against its per-device capacities instead — see
-    /// `window.rs`).
-    pub fn limit(&self) -> usize {
-        let admission = self.admission.lock();
-        admission.total() + admission.headroom()
-    }
-
     /// Remaining admittable reservation.
     pub fn headroom(&self) -> usize {
         self.admission.lock().headroom()
-    }
-
-    /// All live tenants, sorted by id (reporting path).
-    pub fn tenants(&self) -> Vec<Arc<Tenant>> {
-        let mut all: Vec<Arc<Tenant>> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .values()
-                    .filter(|t| t.is_live())
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        all.sort_by_key(|t| t.id);
-        all
     }
 
     /// Every record, live and departed, sorted by id. Snapshots use this so
@@ -376,7 +345,7 @@ mod tests {
         reg.register(1, 2, OverloadPolicy::Delay).unwrap();
         reg.register(2, 2, OverloadPolicy::Delay).unwrap();
         reg.register(3, 1, OverloadPolicy::Reject).unwrap();
-        assert_eq!(reg.reserved_total(), 5);
+        assert_eq!(reg.headroom(), 0);
         let err = reg.register(4, 1, OverloadPolicy::Delay).unwrap_err();
         assert_eq!(
             err,
@@ -387,10 +356,9 @@ mod tests {
         );
         assert!(reg.deregister(2).is_some());
         reg.register(4, 2, OverloadPolicy::Delay).unwrap();
-        assert_eq!(reg.headroom(), 0);
-        assert_eq!(reg.limit(), 5, "limit is invariant under churn");
+        assert_eq!(reg.headroom(), 0, "the freed reservation was taken");
         reg.deregister(1);
-        assert_eq!(reg.limit(), 5);
+        assert_eq!(reg.headroom(), 2);
     }
 
     #[test]
@@ -402,7 +370,7 @@ mod tests {
         assert_eq!(t.reserved, 3);
         assert_eq!(t.policy, OverloadPolicy::Reject);
         reg.register(3, 1, OverloadPolicy::Delay).unwrap();
-        let ids: Vec<u64> = reg.tenants().iter().map(|t| t.id).collect();
+        let ids: Vec<u64> = reg.all_tenants().iter().map(|t| t.id).collect();
         assert_eq!(ids, vec![3, 7]);
         assert!(reg.deregister(99).is_none());
     }
@@ -436,7 +404,6 @@ mod tests {
         assert!(reg.deregister(1).is_some());
         // The admission path no longer sees the tenant...
         assert!(reg.get(1).is_none());
-        assert!(reg.tenants().is_empty());
         assert_eq!(reg.headroom(), 5, "reservation freed immediately");
         // ...but the seal path still resolves the departed record.
         let departed = reg.lookup_any(1).unwrap();
@@ -450,7 +417,7 @@ mod tests {
         let fresh = reg.register(1, 3, OverloadPolicy::Reject).unwrap();
         assert!(fresh.is_live());
         assert_eq!(fresh.counters.ledger.snapshot(), Ledger::default());
-        assert_eq!(reg.tenants().len(), 1);
+        assert_eq!(reg.all_tenants().len(), 1, "the fresh record replaced it");
         assert_eq!(reg.headroom(), 2);
     }
 
@@ -603,7 +570,7 @@ mod tests {
             .filter(|&ok| ok)
             .count();
         assert_eq!(admitted, 8);
-        assert_eq!(reg.reserved_total(), 8);
-        assert_eq!(reg.tenants().len(), 8);
+        assert_eq!(reg.headroom(), 0);
+        assert_eq!(reg.all_tenants().len(), 8);
     }
 }

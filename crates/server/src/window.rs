@@ -24,6 +24,15 @@
 //! interval, on the survivors' full `M`; an item with no surviving replica
 //! is counted lost — never silently dropped.
 //!
+//! # Sealing in place
+//!
+//! A request's [`Parked`] entry is its one record from admission until a
+//! worker's batch copies it. The seal finalises the slot's entries where
+//! they are — a read's `assigned` becomes its dispatch device, or `None`
+//! when it is lost; a write goes to every replica — and hands the slot's
+//! two buffers on as the [`SealedWindow`]. Only a window whose schedule is
+//! rebuilt around a drained device allocates at seal.
+//!
 //! Slots are reused modulo the configured ring size
 //! ([`crate::config::ServerConfig::ring_slots`]); the engine's watermark
 //! protocol guarantees a slot is sealed and drained before its index comes
@@ -87,17 +96,49 @@ impl ReplicaTuple {
     }
 }
 
-/// A request parked in a window awaiting seal.
+/// A request parked in a window: the one record it has from admission
+/// until a worker's batch copies it. The seal fixes it in place.
 #[derive(Debug, Clone)]
-struct Parked {
-    tenant: u64,
-    req: IoRequest,
+pub(crate) struct Parked {
+    pub tenant: u64,
+    pub req: IoRequest,
     replicas: ReplicaTuple,
     /// Chosen replica of a read: set at admit time in EFT mode, copied out
-    /// of the flow kernel at seal in flow mode. Writes fan out to every
-    /// replica; the units they charged are the replicas outside the
+    /// of the flow kernel at seal in flow mode, and final once sealed,
+    /// where `None` means every replica is down (lost). Writes fan out to
+    /// every replica; the units they charged are the replicas outside the
     /// slot's `admit_mask`.
     assigned: Option<usize>,
+}
+
+impl Parked {
+    fn is_write(&self) -> bool {
+        self.req.op == IoOp::Write
+    }
+
+    /// Bitmap of every replica device holding this block — a read's hedge
+    /// candidates beyond its assigned one.
+    pub fn replica_mask(&self) -> u64 {
+        self.replicas.mask()
+    }
+
+    /// A write's copy count, one per replica; `None` for a read.
+    pub fn write_copies(&self) -> Option<u32> {
+        self.is_write().then_some(u32::from(self.replicas.len))
+    }
+
+    /// Where a sealed entry is dispatched: a write to every replica, in
+    /// tuple order, one copy each — including replicas the window did not
+    /// charge (failed or slow at admission), whose fate the worker's
+    /// bounded retry decides; a read to its assigned device, or nowhere
+    /// when it is lost.
+    pub fn targets(&self) -> impl Iterator<Item = usize> + '_ {
+        let (copies, read) = match self.req.op {
+            IoOp::Write => (self.replicas.len as usize, None),
+            IoOp::Read => (0, self.assigned),
+        };
+        self.replicas.iter().take(copies).chain(read)
+    }
 }
 
 /// Outcome of one [`WindowRing::try_admit`].
@@ -204,37 +245,37 @@ impl SlotState {
     }
 }
 
-/// One dispatch-ready request out of a sealed window.
-#[derive(Debug, Clone)]
-pub(crate) struct SealedItem {
-    pub tenant: u64,
-    /// Request with its final `device` assignment filled in.
-    pub req: IoRequest,
-    /// Admitted under the deterministic guarantee (vs statistical overflow).
-    pub guaranteed: bool,
-    /// Bitmap of every replica device holding this block — the worker's
-    /// hedge candidates beyond the assigned one.
-    pub replica_mask: u64,
-    /// Write fan-out only: `(group, fanout)` — this item is one of
-    /// `fanout` replica copies of logical write `group` within its window.
-    /// The engine settles the logical write once all copies land
-    /// (all-must-settle). `None` for reads.
-    pub write_group: Option<(u32, u32)>,
-}
-
-/// The drained contents of one window, in dispatch order.
+/// The drained contents of one window: the slot's own entries, sealed in
+/// place, in dispatch order — the guaranteed set in admission order, then
+/// overflow.
 #[derive(Debug)]
 pub(crate) struct SealedWindow {
-    /// Logical guaranteed admissions (a write counts once, not per copy).
+    /// Guaranteed admissions still servable (a write counts once, not per
+    /// copy).
     pub guaranteed: u64,
-    /// Logical total admissions; `items.len()` may exceed this when writes
-    /// fanned out to several replica copies.
+    /// Admissions still servable, guaranteed and overflow.
     pub total: u64,
-    pub items: Vec<SealedItem>,
+    in_guarantee: Vec<Parked>,
+    overflow: Vec<Parked>,
+}
+
+impl SealedWindow {
+    /// Every entry in dispatch order, with whether it was admitted under
+    /// the deterministic guarantee (vs statistical overflow). A lost read
+    /// is among them, with no target.
+    pub fn entries(&self) -> impl Iterator<Item = (&Parked, bool)> {
+        let guaranteed = self.in_guarantee.iter().map(|p| (p, true));
+        guaranteed.chain(self.overflow.iter().map(|p| (p, false)))
+    }
+
     /// Tenant of each admission unservable at seal (every replica down),
-    /// one entry per lost request, in drain order — the engine settles
-    /// each as [`crate::ledger::SettleKind::Lost`].
-    pub lost: Vec<u64>,
+    /// one per lost request, in drain order — the engine settles each as
+    /// [`crate::ledger::SettleKind::Lost`].
+    pub fn lost(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries()
+            .filter(|(p, _)| !p.is_write() && p.assigned.is_none())
+            .map(|(p, _)| p.tenant)
+    }
 }
 
 /// Ring of interval-admission slots shared by all submitter threads.
@@ -483,8 +524,9 @@ impl WindowRing {
     }
 
     /// Seal `window`: fix every request's replica assignment against the
-    /// final execution-interval health view and drain the slot for reuse.
-    /// An untouched window seals to an empty result.
+    /// final execution-interval health view, in the slot's own entries,
+    /// and drain the slot for reuse. An untouched window seals to an empty
+    /// result.
     pub fn seal(&self, window: u64) -> SealedWindow {
         // The execution interval of window `w` is window `w + 1`; re-read
         // its health now in case a live injection landed after admission.
@@ -508,8 +550,8 @@ impl WindowRing {
             return SealedWindow {
                 guaranteed: 0,
                 total: 0,
-                items: Vec::new(),
-                lost: Vec::new(),
+                in_guarantee: Vec::new(),
+                overflow: Vec::new(),
             };
         }
         s.active = false;
@@ -521,7 +563,7 @@ impl WindowRing {
             let assigned = kernel.assigned();
             let mut next = 0;
             for p in &mut s.guaranteed {
-                if p.req.op == IoOp::Write {
+                if p.is_write() {
                     next += p.replicas.outside(s.admit_mask).count();
                 } else {
                     p.assigned = assigned.get(next).map(|&d| d as usize);
@@ -530,27 +572,20 @@ impl WindowRing {
             }
             debug_assert_eq!(next, assigned.len());
         }
-        let guaranteed = std::mem::take(&mut s.guaranteed);
-        let overflow = std::mem::take(&mut s.overflow);
+        let mut guaranteed = std::mem::take(&mut s.guaranteed);
+        let mut overflow = std::mem::take(&mut s.overflow);
         drop(guard);
 
         // Final per-device loads are rebuilt from scratch so seal-time
         // re-dispatch balances against what actually lands on survivors.
         let mut loads = [0u32; MAX_FAULT_DEVICES];
-        let mut items = Vec::with_capacity(guaranteed.len() + overflow.len());
-        let mut lost: Vec<u64> = Vec::new();
-        // Logical guaranteed admissions: a write counts once even though it
-        // emits one item per replica copy below.
-        let n_guaranteed = guaranteed.len() as u64;
-        // Sequential id for each logical write within this window; the
-        // engine keys its all-must-settle aggregation on it.
-        let mut write_groups = 0u32;
+        let mut lost = 0u64;
         if drain_mask == 0 {
             // Healthy execution interval: the admission-time assignments
             // stand as-is.
-            for p in guaranteed {
-                if p.req.op == IoOp::Write {
-                    fan_out_write(&mut items, &mut loads, &mut write_groups, &p);
+            for p in &guaranteed {
+                if p.is_write() {
+                    p.replicas.iter().for_each(|d| loads[d] += 1);
                     continue;
                 }
                 #[expect(
@@ -559,7 +594,6 @@ impl WindowRing {
                 )]
                 let d = p.assigned.expect("guaranteed request must be assigned");
                 loads[d] += 1;
-                items.push(p.sealed_on(d, true));
             }
         } else {
             // A device is down (or condemned slow) for the execution
@@ -576,7 +610,7 @@ impl WindowRing {
             // replica so read re-dispatch packs around the write load
             // instead of overcommitting the survivors. Pinned adds on
             // drained devices charge nothing.
-            for p in guaranteed.iter().filter(|p| p.req.op == IoOp::Write) {
+            for p in guaranteed.iter().filter(|p| p.is_write()) {
                 for d in p.replicas.iter() {
                     rebuilt.try_add(&[d]);
                 }
@@ -589,16 +623,15 @@ impl WindowRing {
                 .iter()
                 .map(|p| {
                     let live = p.replicas.outside(drain_mask).next().is_some();
-                    (p.req.op != IoOp::Write && live)
-                        .then(|| rebuilt.try_add(p.replicas.widen(&mut buf)))
+                    (!p.is_write() && live).then(|| rebuilt.try_add(p.replicas.widen(&mut buf)))
                 })
                 .collect();
-            for (p, placement) in guaranteed.into_iter().zip(placements) {
-                if p.req.op == IoOp::Write {
-                    fan_out_write(&mut items, &mut loads, &mut write_groups, &p);
+            for (p, placement) in guaranteed.iter_mut().zip(placements) {
+                if p.is_write() {
+                    p.replicas.iter().for_each(|d| loads[d] += 1);
                     continue;
                 }
-                let d = match placement {
+                p.assigned = match placement {
                     Some(true) => {
                         let d = rebuilt.assigned()[next] as usize;
                         next += 1;
@@ -609,7 +642,7 @@ impl WindowRing {
                         } else if p.assigned.is_some_and(|pd| slow_mask >> pd & 1 == 1) {
                             self.fault.note_retry();
                         }
-                        d
+                        Some(d)
                     }
                     Some(false) => {
                         // No `M`-respecting slot on any survivor. With a
@@ -634,7 +667,7 @@ impl WindowRing {
                             .outside(exec_mask)
                             .min_by_key(|&d| loads[d])
                             .expect("Infeasible implies a live replica exists");
-                        d
+                        Some(d)
                     }
                     None => {
                         // Every replica failed or condemned slow. A slow
@@ -644,83 +677,40 @@ impl WindowRing {
                         // readable data. Only an all-failed set — beyond
                         // the c − 1 tolerance — is lost: counted, audited,
                         // never silently dropped.
-                        match p.replicas.outside(exec_mask).min_by_key(|&d| loads[d]) {
-                            Some(d) => {
-                                self.fault.note_retry();
-                                d
-                            }
-                            None => {
-                                lost.push(p.tenant);
-                                continue;
-                            }
+                        let d = p.replicas.outside(exec_mask).min_by_key(|&d| loads[d]);
+                        match d {
+                            Some(_) => self.fault.note_retry(),
+                            None => lost += 1,
                         }
+                        d
                     }
                 };
-                loads[d] += 1;
-                items.push(p.sealed_on(d, true));
+                if let Some(d) = p.assigned {
+                    loads[d] += 1;
+                }
             }
         }
-        let n_guaranteed = n_guaranteed - lost.len() as u64;
+        let n_guaranteed = guaranteed.len() as u64 - lost;
         let mut n_overflow = 0u64;
-        for p in overflow {
+        for p in &mut overflow {
             // Prefer replicas that are neither failed nor detected-slow;
             // fall back to a slow-but-live one before declaring loss.
-            let pick = p
+            p.assigned = p
                 .replicas
                 .outside(drain_mask)
                 .min_by_key(|&d| loads[d])
                 .or_else(|| p.replicas.outside(exec_mask).min_by_key(|&d| loads[d]));
-            let Some(d) = pick else {
-                lost.push(p.tenant);
-                continue;
-            };
-            loads[d] += 1;
-            n_overflow += 1;
-            items.push(p.sealed_on(d, false));
+            if let Some(d) = p.assigned {
+                loads[d] += 1;
+                n_overflow += 1;
+            }
         }
         SealedWindow {
             guaranteed: n_guaranteed,
             total: n_guaranteed + n_overflow,
-            items,
-            lost,
+            in_guarantee: guaranteed,
+            overflow,
         }
-    }
-}
-
-impl Parked {
-    /// The dispatch-ready read item for this request on device `d`.
-    fn sealed_on(&self, d: usize, guaranteed: bool) -> SealedItem {
-        let mut req = self.req;
-        req.device = d;
-        SealedItem {
-            tenant: self.tenant,
-            req,
-            guaranteed,
-            replica_mask: self.replicas.mask(),
-            write_group: None,
-        }
-    }
-}
-
-/// Emit one [`SealedItem`] per replica copy of a logical write, all tagged
-/// with the same `(group, fanout)` so the engine settles the write once
-/// every copy lands. The fan-out deliberately includes replicas the window
-/// did not charge (failed/slow at admission): the worker's bounded retry
-/// against the live health view decides each copy's fate.
-fn fan_out_write(
-    items: &mut Vec<SealedItem>,
-    loads: &mut [u32],
-    write_groups: &mut u32,
-    p: &Parked,
-) {
-    let group = *write_groups;
-    *write_groups += 1;
-    let fanout = u32::from(p.replicas.len);
-    for d in p.replicas.iter() {
-        loads[d] += 1;
-        let mut item = p.sealed_on(d, true);
-        item.write_group = Some((group, fanout));
-        items.push(item);
     }
 }
 
@@ -731,6 +721,41 @@ mod tests {
     use crate::fault::{FaultKind, FaultSchedule};
     use fqos_decluster::analysis::CutTable;
     use fqos_flashsim::IoRequest;
+
+    impl Parked {
+        /// A sealed entry on `replicas`: a read dispatched to `assigned`
+        /// (`None`: lost), a write to every replica.
+        pub(crate) fn sealed(
+            tenant: u64,
+            req: IoRequest,
+            replicas: &[usize],
+            assigned: Option<usize>,
+        ) -> Self {
+            let replicas = ReplicaTuple::new(replicas);
+            Parked {
+                tenant,
+                req,
+                replicas,
+                assigned,
+            }
+        }
+    }
+
+    impl SealedWindow {
+        /// A sealed window of guaranteed entries, counted as the seal counts.
+        pub(crate) fn of(in_guarantee: Vec<Parked>) -> Self {
+            let mut sealed = SealedWindow {
+                guaranteed: 0,
+                total: 0,
+                in_guarantee,
+                overflow: Vec::new(),
+            };
+            let servable = sealed.in_guarantee.len() - sealed.lost().count();
+            sealed.guaranteed = servable as u64;
+            sealed.total = servable as u64;
+            sealed
+        }
+    }
 
     fn req(id: u64) -> IoRequest {
         IoRequest::read_block(id, 0, 0, id)
@@ -754,7 +779,7 @@ mod tests {
         assert!(r.try_admit(0, 1, 10, req(2), &[0]).is_admitted());
         let sealed = r.seal(0);
         assert_eq!(sealed.guaranteed, 2);
-        let devs: Vec<usize> = sealed.items.iter().map(|i| i.req.device).collect();
+        let devs: Vec<usize> = sealed.items().iter().map(|i| i.device).collect();
         assert!(devs.contains(&0) && devs.contains(&1));
     }
 
@@ -797,7 +822,7 @@ mod tests {
         assert_eq!(r.try_admit(1, 1, 99, req(4), &[0, 1, 2]), AdmitResult::Full);
         let sealed = r.seal(1);
         assert_eq!(sealed.total, 3);
-        let mut devs: Vec<usize> = sealed.items.iter().map(|i| i.req.device).collect();
+        let mut devs: Vec<usize> = sealed.items().iter().map(|i| i.device).collect();
         devs.sort_unstable();
         assert_eq!(devs, vec![0, 1, 2]);
     }
@@ -811,15 +836,43 @@ mod tests {
         let sealed = r.seal(0);
         assert_eq!(sealed.guaranteed, 1);
         assert_eq!(sealed.total, 3);
-        assert!(!sealed.items[1].guaranteed);
+        assert!(!sealed.items()[1].guaranteed);
         // First overflow goes to empty device 1, second balances back.
-        assert_eq!(sealed.items[1].req.device, 1);
+        assert_eq!(sealed.items()[1].device, 1);
         assert_eq!(sealed.admitted_devices_sorted(), vec![0, 0, 1]);
     }
 
+    /// One dispatch of a sealed window as a flat list reads it: the device,
+    /// whether it is guaranteed, and for a write's copy `(group, fanout)` —
+    /// the write's ordinal among the window's writes and its copy count.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Dispatch {
+        device: usize,
+        guaranteed: bool,
+        group: Option<(u32, u32)>,
+    }
+
     impl SealedWindow {
+        /// Every dispatch in order, a write's copies back to back.
+        fn items(&self) -> Vec<Dispatch> {
+            let mut writes = 0;
+            let mut out = Vec::new();
+            for (p, guaranteed) in self.entries() {
+                let group = p.write_copies().map(|fanout| {
+                    writes += 1;
+                    (writes - 1, fanout)
+                });
+                out.extend(p.targets().map(|device| Dispatch {
+                    device,
+                    guaranteed,
+                    group,
+                }));
+            }
+            out
+        }
+
         fn admitted_devices_sorted(&self) -> Vec<usize> {
-            let mut v: Vec<usize> = self.items.iter().map(|i| i.req.device).collect();
+            let mut v: Vec<usize> = self.items().iter().map(|i| i.device).collect();
             v.sort_unstable();
             v
         }
@@ -868,13 +921,13 @@ mod tests {
         assert!(r.try_admit(3, 1, 9, req(1), &[0, 1]).is_admitted());
         let sealed = r.seal(3);
         assert_eq!(sealed.total, 1);
-        assert_eq!(sealed.items[0].req.device, 1);
+        assert_eq!(sealed.items()[0].device, 1);
         assert_eq!(fault.reroutes(), 1);
         assert_eq!(fault.redispatches(), 0, "scripted faults never redispatch");
-        assert!(sealed.lost.is_empty());
+        assert!(sealed.lost().next().is_none());
         // Window 6 executes during 7: recovered, full capacity back.
         assert!(r.try_admit(6, 1, 9, req(2), &[0]).is_admitted());
-        assert_eq!(r.seal(6).items[0].req.device, 0);
+        assert_eq!(r.seal(6).items()[0].device, 0);
     }
 
     #[test]
@@ -922,9 +975,9 @@ mod tests {
         fault.inject(0, FaultKind::Fail, 1).unwrap();
         let sealed = r.seal(0);
         assert_eq!(sealed.total, 1);
-        assert_eq!(sealed.items[0].req.device, 1, "re-dispatched to survivor");
+        assert_eq!(sealed.items()[0].device, 1, "re-dispatched to survivor");
         assert_eq!(fault.redispatches(), 1);
-        assert!(sealed.lost.is_empty());
+        assert!(sealed.lost().next().is_none());
     }
 
     #[test]
@@ -944,7 +997,7 @@ mod tests {
         fault.inject(1, FaultKind::Fail, 1).unwrap();
         let sealed = r.seal(0);
         assert_eq!(sealed.total, 0, "both replicas down: nothing dispatchable");
-        assert_eq!(sealed.lost, vec![1, 1]);
+        assert_eq!(sealed.lost().collect::<Vec<_>>(), vec![1, 1]);
         assert_eq!(fault.degraded_windows(), 1);
     }
 
@@ -978,7 +1031,7 @@ mod tests {
         assert!(r.try_admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
         let sealed = r.seal(0);
         assert_eq!(sealed.total, 1);
-        assert_eq!(sealed.items[0].req.device, 1, "routed off the slow device");
+        assert_eq!(sealed.items()[0].device, 1, "routed off the slow device");
         assert_eq!(fault.reroutes(), 1);
         assert_eq!(
             fault.retries(),
@@ -1004,12 +1057,13 @@ mod tests {
         let sealed = r.seal(0);
         assert_eq!(sealed.total, 1);
         assert_eq!(
-            sealed.items[0].req.device, 1,
+            sealed.items()[0].device,
+            1,
             "drained to the healthy replica"
         );
         assert_eq!(fault.retries(), 1);
         assert_eq!(fault.redispatches(), 0, "slow is not fail-stop");
-        assert!(sealed.lost.is_empty());
+        assert!(sealed.lost().next().is_none());
         assert_eq!(fault.degraded_windows(), 0, "no device actually failed");
     }
 
@@ -1028,7 +1082,7 @@ mod tests {
         condemn(&fault, 0);
         let sealed = r.seal(0);
         assert_eq!(sealed.total, 1);
-        assert_eq!(sealed.items[0].req.device, 0, "control arm: no drain");
+        assert_eq!(sealed.items()[0].device, 0, "control arm: no drain");
         assert_eq!(fault.retries(), 0);
     }
 
@@ -1050,15 +1104,12 @@ mod tests {
             let sealed = r.seal(0);
             assert_eq!(sealed.guaranteed, 2, "logical: one write + one read");
             assert_eq!(sealed.total, 2);
-            assert_eq!(sealed.items.len(), 3, "write fans out to both replicas");
-            let copies: Vec<_> = sealed
-                .items
-                .iter()
-                .filter(|i| i.write_group.is_some())
-                .collect();
+            assert_eq!(sealed.items().len(), 3, "write fans out to both replicas");
+            let items = sealed.items();
+            let copies: Vec<_> = items.iter().filter(|i| i.group.is_some()).collect();
             assert_eq!(copies.len(), 2);
-            assert!(copies.iter().all(|i| i.write_group == Some((0, 2))));
-            let mut devs: Vec<usize> = copies.iter().map(|i| i.req.device).collect();
+            assert!(copies.iter().all(|i| i.group == Some((0, 2))));
+            let mut devs: Vec<usize> = copies.iter().map(|i| i.device).collect();
             devs.sort_unstable();
             assert_eq!(devs, vec![0, 1]);
         }
@@ -1086,7 +1137,7 @@ mod tests {
         // The write's unit on 1 fits by pushing read 2 over to device 2;
         // its unit on 2 then cannot fit. The refusal must undo the push.
         assert_eq!(r.try_admit(0, 1, 9, wreq(3), &[1, 2]), AdmitResult::Full);
-        let devs: Vec<usize> = r.seal(0).items.iter().map(|i| i.req.device).collect();
+        let devs: Vec<usize> = r.seal(0).items().iter().map(|i| i.device).collect();
         assert_eq!(devs, vec![0, 1]);
     }
 
@@ -1136,11 +1187,11 @@ mod tests {
         let sealed = r.seal(0);
         assert_eq!(sealed.guaranteed, 1);
         assert_eq!(
-            sealed.items.len(),
+            sealed.items().len(),
             2,
             "fan-out still targets the failed replica; the worker decides its fate"
         );
-        assert!(sealed.items.iter().all(|i| i.write_group == Some((0, 2))));
+        assert!(sealed.items().iter().all(|i| i.group == Some((0, 2))));
     }
 
     #[test]
@@ -1164,7 +1215,7 @@ mod tests {
             assert!(r.try_admit(0, 1, 99, req(4), &[1]).is_admitted());
             let sealed = r.seal(0);
             assert_eq!(sealed.total, 3);
-            assert!(sealed.items.iter().all(|i| i.write_group.is_none()));
+            assert!(sealed.items().iter().all(|i| i.group.is_none()));
         }
     }
 
@@ -1190,7 +1241,7 @@ mod tests {
         let sealed = r.seal(0);
         assert_eq!(sealed.total, 1, "slow-but-live data still serves");
         assert_eq!(sealed.guaranteed, 0, "no deadline promise was made");
-        assert!(sealed.lost.is_empty());
+        assert!(sealed.lost().next().is_none());
     }
 
     fn fnv(h: &mut u64, x: u64) {
@@ -1334,16 +1385,16 @@ mod tests {
             let sealed = r.seal(w);
             fnv(&mut h, sealed.guaranteed);
             fnv(&mut h, sealed.total);
-            for item in &sealed.items {
-                fnv(&mut h, item.req.device as u64);
+            for item in sealed.items() {
+                fnv(&mut h, item.device as u64);
                 fnv(&mut h, u64::from(item.guaranteed));
-                let (group, fanout) = item.write_group.unwrap_or((u32::MAX, 0));
+                let (group, fanout) = item.group.unwrap_or((u32::MAX, 0));
                 fnv(&mut h, u64::from(group) << 32 | u64::from(fanout));
             }
-            for &tenant in &sealed.lost {
+            for tenant in sealed.lost() {
                 fnv(&mut h, tenant);
+                lost += 1;
             }
-            lost += sealed.lost.len();
             fnv(&mut h, 0xff);
         }
         assert!(seen.iter().all(|&n| n > 0), "every verdict: {seen:?}");

@@ -9,10 +9,11 @@
 //! `crates/cluster/src` into spanned tokens (`source::lex`), drops the
 //! `#[cfg(test)]` items, and runs the atomic-ordering audit over what is
 //! left: it classifies every `Ordering::*` site and flags `Relaxed` on
-//! cross-thread control flags. `docs` checks that the prose names only
-//! what the workspace has and cites only sections the design document has
-//! (`docs.rs`). `--format json` emits the findings with their spans for CI
-//! artifacts.
+//! cross-thread control flags. It also counts the lint suppressions left
+//! (`#[allow(…)]` and `#[expect(…)]`), which CI pins like the orderings.
+//! `docs` checks that the prose names only what the workspace has and
+//! cites only sections the design document has (`docs.rs`).
+//! `--format json` emits the findings with their spans for CI artifacts.
 //!
 //! What the analyzer does not check is checked where it happens. Clippy
 //! denies panic paths, std locks and wall-clock reads in the two crates
@@ -53,6 +54,8 @@ pub struct Outcome {
     files_scanned: usize,
     /// Ordering name → use-site count.
     ordering_counts: BTreeMap<String, usize>,
+    /// `#[allow(…)]` and `#[expect(…)]` attributes outside test items.
+    lint_suppressions: usize,
 }
 
 /// Every file under `dir`, in order, but for build output and `.git`.
@@ -100,10 +103,24 @@ fn analyze(root: &Path) -> Result<Outcome, String> {
         let original: Vec<String> = src.lines().map(str::to_string).collect();
         let toks = source::without_test_items(&source::lex(&src));
         atomics::audit(&path.to_string_lossy(), &toks, &original, &mut out);
+        out.lint_suppressions += lint_suppressions(&toks);
     }
     out.findings
         .sort_by(|a, b| (&a.file, a.line, a.pass).cmp(&(&b.file, b.line, b.pass)));
     Ok(out)
+}
+
+/// Outer attributes among `toks` that silence a lint: `#[allow(` and
+/// `#[expect(`.
+fn lint_suppressions(toks: &[source::Tok]) -> usize {
+    toks.windows(4)
+        .filter(|w| {
+            w[0].is("#")
+                && w[1].is("[")
+                && (w[2].is_ident("allow") || w[2].is_ident("expect"))
+                && w[3].is("(")
+        })
+        .count()
 }
 
 fn json_escape(s: &str) -> String {
@@ -146,9 +163,10 @@ fn render_json(outcome: &Outcome) -> String {
         .collect();
     format!(
         "{{\"findings\":[{}],\"summary\":{{\
-         \"files_scanned\":{},\"ordering_counts\":{{{}}}}}}}",
+         \"files_scanned\":{},\"lint_suppressions\":{},\"ordering_counts\":{{{}}}}}}}",
         findings.join(","),
         outcome.files_scanned,
+        outcome.lint_suppressions,
         orderings.join(","),
     )
 }
@@ -171,8 +189,13 @@ fn render_text(pass: &str, outcome: &Outcome) {
     } else {
         format!(", orderings {{{}}}", orderings.join(", "))
     };
+    let suppressions = if pass == "analyze" {
+        format!(", {} lint suppression(s)", outcome.lint_suppressions)
+    } else {
+        String::new()
+    };
     eprintln!(
-        "{pass}: {} file(s){orderings}, {} finding(s)",
+        "{pass}: {} file(s){orderings}{suppressions}, {} finding(s)",
         outcome.files_scanned,
         outcome.findings.len()
     );
@@ -274,6 +297,22 @@ mod tests {
             "{:?}",
             outcome.ordering_counts
         );
+        // Lint suppressions, pinned the same way. 8 → 7: a batch became a
+        // struct that carries its window, and the clippy allow for boxing
+        // the `Vec` it was went with it.
+        assert_eq!(outcome.lint_suppressions, 7);
+    }
+
+    #[test]
+    fn lint_suppressions_count_outer_attributes_outside_tests() {
+        let src = "#[allow(dead_code)] fn a() {}\n\
+                   #[expect(clippy::panic, reason = \"x\")] fn b() {}\n\
+                   #![allow(unused)]\n\
+                   #[cfg(test)] #[allow(dead_code)] fn c() {}\n\
+                   #[derive(Debug)] struct D; // #[allow(x)]\n\
+                   const S: &str = \"#[allow(x)]\";";
+        let toks = source::without_test_items(&source::lex(src));
+        assert_eq!(lint_suppressions(&toks), 2);
     }
 
     #[test]
