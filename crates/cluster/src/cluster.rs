@@ -58,8 +58,8 @@ use crate::health::{ArrayHealth, ClusterFaultEvent, ClusterFaultKind, HealthPlan
 use crate::metrics::ClusterMetrics;
 use crate::router::Router;
 use fqos_server::{
-    MetricsSnapshot, OverloadPolicy, QosServer, RegisterError, RejectReason, ServerConfig,
-    SubmitOutcome, SubmitterHandle,
+    FaultKind, MetricsSnapshot, OverloadPolicy, QosServer, RegisterError, RejectReason,
+    ServerConfig, SubmitOutcome, SubmitterHandle,
 };
 use fqos_sync::{Class, Mutex, RwLock};
 use std::collections::HashMap;
@@ -724,11 +724,11 @@ impl QosCluster {
                 ClusterFaultKind::Restore => {
                     // A dead slot restarts; a live (degraded) one heals.
                     if self.restore_slot(&mut ctrl, e.array).is_err() {
-                        self.each_device(e.array, |s, d| drop(s.restore_device(d)));
+                        self.each_device(e.array, |s, d| drop(s.inject(d, FaultKind::Restore)));
                     }
                 }
                 ClusterFaultKind::Slow(factor) => {
-                    self.each_device(e.array, |s, d| drop(s.degrade_device(d, factor)));
+                    self.each_device(e.array, |s, d| drop(s.inject(d, FaultKind::Slow(factor))));
                 }
             }
         }
@@ -1256,7 +1256,7 @@ mod tests {
         // Seal the three before the fault lands: it takes effect at the
         // next unsealed window.
         h.advance_to(5 * BASE_T);
-        server.inject_fault(dead).unwrap();
+        server.inject(dead, FaultKind::Fail).unwrap();
         assert!(h.submit_write(1, 7, 5 * BASE_T).is_admitted());
         drop(h); // seals and dispatches everything admitted
         let frozen = server.halt();

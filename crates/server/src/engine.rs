@@ -61,7 +61,7 @@ use crate::wal::{crash_point, OpenEntry, Stage, Wal};
 use crate::window::{AdmitResult, SealedWindow, WindowRing, MAX_COPIES};
 use fqos_core::{OverloadPolicy, StatisticalCounters};
 use fqos_decluster::sampling::OptimalRetrievalProbabilities;
-use fqos_flashsim::{CalibratedSsd, Completion, Device, GcStats, IoOp, IoRequest};
+use fqos_flashsim::{CalibratedSsd, Completion, Device, GcStats, IoOp, IoRequest, WriteOutcome};
 use fqos_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use fqos_sync::channel::{bounded, Receiver, Sender};
 use fqos_sync::thread::JoinHandle;
@@ -214,13 +214,6 @@ struct WorkerStats {
     guaranteed_violations: AtomicU64,
     hedges_issued: AtomicU64,
     hedges_won: AtomicU64,
-    // Array-wide GC counters, aggregated from the workers' devices as
-    // writes complete (each worker owns its devices, so per-request deltas
-    // never race).
-    gc_host_pages: AtomicU64,
-    gc_pages: AtomicU64,
-    gc_relocated: AtomicU64,
-    gc_erases: AtomicU64,
 }
 
 /// Shared settlement state of one logical write's replica fan-out. Every
@@ -240,29 +233,25 @@ struct WriteSink {
     latest_finish: AtomicU64,
 }
 
-/// One dispatched request on its way to a worker.
+/// One dispatched request on its way to a worker, in one cache line. A
+/// read's hedge candidates are the other replicas of `req.lbn`'s bucket, so
+/// the item carries none.
 struct WorkItem {
     req: IoRequest,
     /// The admitting tenant's id. The worker resolves it to the record,
     /// live or departed, through its own [`TenantView`] when it settles.
     tenant_id: u64,
     guaranteed: bool,
-    /// Replica bitmap of the block; the bits other than `req.device` are
-    /// the hedge candidates.
-    replica_mask: u64,
     /// Write fan-out: settlement sink shared by all replica copies of the
     /// logical write. `None` for reads.
     write: Option<Arc<WriteSink>>,
 }
 
 /// What a worker thread settles through and shares with no one: its cache
-/// of the tenant records, its stage of the log (`None` without a WAL) and
-/// the GC work of the batch in service, which reaches
-/// [`Engine::worker_stats`] once per batch.
+/// of the tenant records and its stage of the log (`None` without a WAL).
 struct WorkerLocal {
     view: TenantView,
     stage: Option<Stage>,
-    gc: GcStats,
 }
 
 impl WorkItem {
@@ -315,17 +304,19 @@ fn channel_messages(queue_depth: usize, workers: usize, limit: usize) -> usize {
     (queue_depth.saturating_mul(workers) / limit).max(1)
 }
 
-/// The shared per-device busy frontiers workers hedge across. Worker `w`
-/// owns device `d`'s FCFS schedule, but a hedged read lands on a replica
-/// owned by *another* worker, so placement needs one timeline authority.
+/// Every device's simulated timeline, kept once: its FCFS model, FTL and GC
+/// state included. Worker `w` serves the primaries and write copies of each
+/// device `d` with `d % workers == w`, but a hedged read lands on a replica
+/// another worker serves, so the models live here, not in the workers.
 ///
 /// Two frontiers per device, deliberately:
-/// * `busy[d]` — the *primary* (guaranteed-path) frontier. Written only by
-///   `d`'s owning worker, in window order. Hedges read it but never
-///   advance it: speculative reads ride the device's spare bandwidth and
-///   must not delay reserved capacity — otherwise a fast worker's hedge
-///   could push a lagging worker's earlier-window primaries past their
-///   deadlines and break the paper's guarantee from the side.
+/// * the model's own (`next_free`) — the *primary* (guaranteed-path)
+///   frontier, advanced only by `d`'s serving worker, in window order.
+///   Hedges read it but never advance it: speculative reads ride the
+///   device's spare bandwidth and must not delay reserved capacity —
+///   otherwise a fast worker's hedge could push a lagging worker's
+///   earlier-window primaries past their deadlines and break the paper's
+///   guarantee from the side.
 /// * `spec[d]` — the speculative frontier. Hedges serialize against each
 ///   other (and start no earlier than the primary work the device has
 ///   accepted so far); losers roll back off it.
@@ -333,29 +324,30 @@ fn channel_messages(queue_depth: usize, workers: usize, limit: usize) -> usize {
 /// Workers drift apart by up to a queue of windows, and a hedge issued in
 /// exec window `W` queues behind the primaries its target accepted *up to
 /// `W`* — work of later windows arrives after it in simulated time, however
-/// far ahead the target's owner happens to run in real time. `entered`
-/// keeps what `busy[d]` was when each recent window first reached `d`, so
-/// [`HedgeState::busy_as_of`] can give the hedge that view.
+/// far ahead the target's serving worker happens to run in real time.
+/// `entered` keeps the primary frontier as each recent window first found
+/// it, so [`Devices::busy_as_of`] can give the hedge that view.
 ///
-/// Leaf lock (class `engine.hedge`): nothing else is ever acquired while
+/// Leaf lock (class `engine.devices`): nothing else is ever acquired while
 /// it is held.
-struct HedgeState {
-    busy: Vec<u64>,
+struct Devices {
+    models: Vec<CalibratedSsd>,
     spec: Vec<u64>,
-    /// Per device, the latest exec window `busy[d]` holds work of.
+    /// Per device, the latest exec window its primary frontier holds work of.
     latest: Vec<u64>,
     /// Per device, `depth` slots indexed by `exec window % depth`:
-    /// `(exec window, busy[d] as its first primary found it)`.
+    /// `(exec window, the primary frontier as its first primary found it)`.
     entered: Vec<(u64, u64)>,
     /// Windows a peer can run ahead: a full queue, the batch in service and
     /// the one the dispatcher is blocked on.
     depth: usize,
 }
 
-impl HedgeState {
-    fn new(devices: usize, depth: usize) -> Self {
-        HedgeState {
-            busy: vec![0; devices],
+impl Devices {
+    fn new(models: Vec<CalibratedSsd>, depth: usize) -> Self {
+        let devices = models.len();
+        Devices {
+            models,
             spec: vec![0; devices],
             latest: vec![0; devices],
             entered: vec![(0, 0); devices * depth],
@@ -367,27 +359,58 @@ impl HedgeState {
         d * self.depth + (window % self.depth as u64) as usize
     }
 
-    /// Owner side: `d` accepted a primary of exec window `window` that
-    /// finishes at `finish`. Windows reach a device in increasing order.
-    fn accept(&mut self, d: usize, window: u64, finish: u64) {
+    /// `d`'s primary frontier: when its model next becomes free.
+    fn busy(&self, d: usize) -> u64 {
+        self.models[d].next_free(0)
+    }
+
+    /// Serve `req` on its device from `issue` at `factor` × calibrated
+    /// speed, as the device's work in exec window `window` (windows reach
+    /// a device in increasing order). Returns the completion and the GC
+    /// work the submit did (none for a read).
+    fn submit(
+        &mut self,
+        req: &IoRequest,
+        issue: u64,
+        factor: u32,
+        window: u64,
+    ) -> (Completion, WriteOutcome) {
+        let d = req.device;
         if self.latest[d] != window {
             self.latest[d] = window;
             let slot = self.slot(d, window);
-            self.entered[slot] = (window, self.busy[d]);
+            self.entered[slot] = (window, self.busy(d));
         }
-        self.busy[d] = finish;
+        let dev = &mut self.models[d];
+        dev.set_degradation(factor);
+        (dev.submit(req, issue), dev.last_gc_outcome())
     }
 
     /// `d`'s primary frontier as a read issued in exec window `window`
-    /// meets it: what `busy[d]` was before the first later window reached
-    /// `d`. That is `busy[d]` itself when none has — always, on the asking
-    /// worker's own devices — and also when the owner is more than `depth`
-    /// windows ahead and the slot is gone: late, never early.
+    /// meets it: what it was before the first later window reached `d`.
+    /// That is the live frontier when none has — always, on the asking
+    /// worker's own devices — and also when the serving worker is more
+    /// than `depth` windows ahead and the slot is gone: late, never early.
     fn busy_as_of(&self, d: usize, window: u64) -> u64 {
         (window + 1..=self.latest[d].min(window + self.depth as u64))
             .map(|later| (later, self.entered[self.slot(d, later)]))
             .find(|&(later, (entered, _))| entered == later)
-            .map_or(self.busy[d], |(_, (_, found))| found)
+            .map_or(self.busy(d), |(_, (_, found))| found)
+    }
+
+    /// The GC work of every device so far.
+    fn gc_stats(&self) -> GcStats {
+        let sum = |a: GcStats, g: GcStats| GcStats {
+            host_pages: a.host_pages + g.host_pages,
+            gc_pages: a.gc_pages + g.gc_pages,
+            relocated: a.relocated + g.relocated,
+            erases: a.erases + g.erases,
+            full_errors: a.full_errors + g.full_errors,
+        };
+        self.models
+            .iter()
+            .map(CalibratedSsd::gc_stats)
+            .fold(GcStats::default(), sum)
     }
 }
 
@@ -411,7 +434,6 @@ struct Engine {
     dispatch: Mutex<DispatchState>,
     /// Highest window any request was admitted into.
     max_target: AtomicU64,
-    next_id: AtomicU64,
     shutdown: AtomicBool,
     /// Quiesce gate (lock class `engine.quiesce`): every submission holds
     /// the read side for its full duration; [`QosServer::halt`] sets
@@ -423,8 +445,8 @@ struct Engine {
     /// The array's account of the conservation law.
     ledger: AtomicLedger,
     worker_stats: WorkerStats,
-    /// Cross-worker device busy frontier for hedged reads.
-    hedge: Mutex<HedgeState>,
+    /// Every device's timeline, which every worker submits to.
+    devices: Mutex<Devices>,
     hist: LatencyHistogram,
 }
 
@@ -543,6 +565,24 @@ impl QosServer {
             cfg.fault_schedule.clone(),
             cfg.qos.service_ns,
         )?);
+        // With a GC model attached, writes go through a per-device
+        // page-mapped FTL whose relocation work stalls the device in-line
+        // (see `fqos_flashsim::CalibratedSsd`). A program costs the
+        // calibrated read service time, which keeps the `M · service ≤ T`
+        // window math exact for writes too.
+        let plain = || CalibratedSsd::with_latencies(cfg.qos.service_ns, cfg.qos.service_ns);
+        let models = (0..devices)
+            .map(|_| match &cfg.gc {
+                // Geometry was validated with the server config; should a
+                // mismatch slip through anyway, serve without the GC model
+                // rather than fail (writes then run at plain program cost —
+                // degraded fidelity, never lost requests).
+                Some(g) => plain()
+                    .with_gc(g.geometry, g.erase_ns)
+                    .unwrap_or_else(|_| plain()),
+                None => plain(),
+            })
+            .collect();
         let engine = Arc::new(Engine {
             registry: TenantRegistry::new_with_wal(limit, cfg.shards, wal.clone()),
             ring: WindowRing::new(
@@ -560,13 +600,12 @@ impl QosServer {
             stat,
             dispatch: Mutex::new(Class::EngineDispatch, dispatch),
             max_target: AtomicU64::new(0),
-            next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             quiesce: RwLock::new(Class::EngineQuiesce, ()),
             submit_stats: SubmitStats::default(),
             ledger: AtomicLedger::default(),
             worker_stats: WorkerStats::default(),
-            hedge: Mutex::new(Class::EngineHedge, HedgeState::new(devices, messages + 2)),
+            devices: Mutex::new(Class::EngineDevices, Devices::new(models, messages + 2)),
             hist: LatencyHistogram::new(),
             cfg,
         });
@@ -579,7 +618,7 @@ impl QosServer {
                 let stage = engine.wal.as_ref().map(|wal| wal.worker_stage(w));
                 fqos_sync::thread::Builder::new()
                     .name(format!("fqos-worker-{w}"))
-                    .spawn(move || worker_loop(w, workers, rx, home, engine, stage))
+                    .spawn(move || worker_loop(rx, home, engine, stage))
                     .map_err(|e| format!("spawning worker {w}: {e}"))
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -627,34 +666,22 @@ impl QosServer {
         &self.engine.fault
     }
 
-    /// Inject a live device failure, effective from the next unsealed
-    /// window. Requests already dispatched to the device stay on the wire;
-    /// requests admitted but not yet sealed are drained and re-dispatched
-    /// to surviving replicas at seal.
-    pub fn inject_fault(&self, device: usize) -> Result<(), String> {
-        self.engine.inject(device, FaultKind::Fail)
-    }
-
-    /// Return a live-failed device to service, effective from the next
-    /// unsealed window.
-    pub fn recover_device(&self, device: usize) -> Result<(), String> {
-        self.engine.inject(device, FaultKind::Recover)
-    }
-
-    /// Silently degrade `device`'s service time by `factor` (≥ 2) from the
-    /// next unsealed window. Unlike [`QosServer::inject_fault`] nothing is
-    /// told to admission: the device keeps accepting work at `factor×`
-    /// speed until the health scorer condemns it from observed latencies —
-    /// the fail-slow threat model.
-    pub fn degrade_device(&self, device: usize, factor: u32) -> Result<(), String> {
-        self.engine.inject(device, FaultKind::Slow(factor))
-    }
-
-    /// Restore a degraded device to calibrated speed from the next
-    /// unsealed window. The scorer still has to *observe* the recovery
-    /// (or probe it) before the device re-enters schedules.
-    pub fn restore_device(&self, device: usize) -> Result<(), String> {
-        self.engine.inject(device, FaultKind::Restore)
+    /// Apply a live health transition to `device` from the next unsealed
+    /// window.
+    ///
+    /// * [`FaultKind::Fail`]: requests already dispatched to the device
+    ///   stay on the wire; requests admitted but not yet sealed are drained
+    ///   and re-dispatched to surviving replicas at seal.
+    /// * [`FaultKind::Recover`] returns a failed device to service.
+    /// * [`FaultKind::Slow`] silently degrades its service time by the
+    ///   factor (≥ 2). Nothing is told to admission: the device keeps
+    ///   accepting work at that speed until the health scorer condemns it
+    ///   from observed latencies — the fail-slow threat model.
+    /// * [`FaultKind::Restore`] returns it to calibrated speed; the scorer
+    ///   still has to *observe* the recovery (or probe it) before the
+    ///   device re-enters schedules.
+    pub fn inject(&self, device: usize, kind: FaultKind) -> Result<(), String> {
+        self.engine.inject(device, kind)
     }
 
     /// Create a submitter handle for one producer thread. Handles must be
@@ -872,7 +899,6 @@ impl Engine {
                     req,
                     tenant_id: p.tenant,
                     guaranteed,
-                    replica_mask: p.replica_mask(),
                     write: write.clone(),
                 });
             }
@@ -883,6 +909,7 @@ impl Engine {
     fn snapshot(&self) -> MetricsSnapshot {
         let (s, w) = (&self.submit_stats, &self.worker_stats);
         let l = self.ledger.snapshot();
+        let gc = self.devices.lock().gc_stats();
         let wal = self
             .wal
             .as_deref()
@@ -896,10 +923,10 @@ impl Engine {
             served: l.served,
             write_settled: l.write_settled,
             write_lost: l.write_lost,
-            gc_host_pages: w.gc_host_pages.load(Ordering::Relaxed),
-            gc_pages: w.gc_pages.load(Ordering::Relaxed),
-            gc_relocated: w.gc_relocated.load(Ordering::Relaxed),
-            gc_erases: w.gc_erases.load(Ordering::Relaxed),
+            gc_host_pages: gc.host_pages,
+            gc_pages: gc.gc_pages,
+            gc_relocated: gc.relocated,
+            gc_erases: gc.erases,
             deadline_violations: w.violations.load(Ordering::Relaxed),
             guaranteed_violations: w.guaranteed_violations.load(Ordering::Relaxed),
             max_window_guaranteed: s.max_window_guaranteed.load(Ordering::Relaxed),
@@ -1088,11 +1115,10 @@ impl Engine {
                     wal.forfeit_open(w, e.tenant, e.is_write);
                     continue;
                 }
-                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
                 let req = if e.is_write {
-                    IoRequest::write_block(id, w * t_ns, 0, e.lbn)
+                    IoRequest::write_block(0, w * t_ns, 0, e.lbn)
                 } else {
-                    IoRequest::read_block(id, w * t_ns, 0, e.lbn)
+                    IoRequest::read_block(0, w * t_ns, 0, e.lbn)
                 };
                 let replicas = scheme.replicas(scheme.bucket_for_lbn(e.lbn));
                 // Reservation was enforced when the admission was first
@@ -1209,7 +1235,9 @@ impl SubmitterHandle {
     }
 
     /// Shared admission path behind [`SubmitterHandle::submit`] (reads) and
-    /// [`SubmitterHandle::submit_write`] (replica fan-out writes).
+    /// [`SubmitterHandle::submit_write`] (replica fan-out writes). The
+    /// engine does not number requests: each carries its tenant and LBN,
+    /// and its `IoRequest::id` is 0.
     pub fn submit_op(&mut self, tenant: u64, lbn: u64, arrival_ns: u64, op: IoOp) -> SubmitOutcome {
         let engine = &*self.engine;
         let _quiesce = engine.quiesce.read();
@@ -1241,11 +1269,10 @@ impl SubmitterHandle {
         };
         let scheme = &engine.cfg.qos.scheme;
         let replicas = scheme.replicas(scheme.bucket_for_lbn(lbn));
-        let id = engine.next_id.fetch_add(1, Ordering::Relaxed);
         let req = match op {
             // Final device chosen at window seal (writes fan out to all).
-            IoOp::Read => IoRequest::read_block(id, arrival_ns, 0, lbn),
-            IoOp::Write => IoRequest::write_block(id, arrival_ns, 0, lbn),
+            IoOp::Read => IoRequest::read_block(0, arrival_ns, 0, lbn),
+            IoOp::Write => IoRequest::write_block(0, arrival_ns, 0, lbn),
         };
         let is_write = op == IoOp::Write;
 
@@ -1336,28 +1363,10 @@ impl SubmitterHandle {
         outcome
     }
 
-    /// Inject a live device failure from this submitter thread (see
-    /// [`QosServer::inject_fault`]).
-    pub fn inject_fault(&self, device: usize) -> Result<(), String> {
-        self.engine.inject(device, FaultKind::Fail)
-    }
-
-    /// Return a live-failed device to service (see
-    /// [`QosServer::recover_device`]).
-    pub fn recover_device(&self, device: usize) -> Result<(), String> {
-        self.engine.inject(device, FaultKind::Recover)
-    }
-
-    /// Silently degrade a device from this submitter thread (see
-    /// [`QosServer::degrade_device`]).
-    pub fn degrade_device(&self, device: usize, factor: u32) -> Result<(), String> {
-        self.engine.inject(device, FaultKind::Slow(factor))
-    }
-
-    /// Restore a degraded device from this submitter thread (see
-    /// [`QosServer::restore_device`]).
-    pub fn restore_device(&self, device: usize) -> Result<(), String> {
-        self.engine.inject(device, FaultKind::Restore)
+    /// Apply a live health transition from this submitter thread (see
+    /// [`QosServer::inject`]).
+    pub fn inject(&self, device: usize, kind: FaultKind) -> Result<(), String> {
+        self.engine.inject(device, kind)
     }
 
     /// Advance this handle's watermark to `arrival_ns`'s window without
@@ -1407,17 +1416,17 @@ impl Drop for SubmitterHandle {
     }
 }
 
-/// Worker `w` owns every device `d` with `d % workers == w` (local slot
-/// `d / workers`) and serves its batches FCFS, each in seal order — which
-/// per device is window order, then seal order, because the dispatcher is
-/// serialized and sends a window's batches before it seals the next.
+/// Worker `w` serves every device `d` with `d % workers == w` and its
+/// batches FCFS, each in seal order — which per device is window order,
+/// then seal order, because the dispatcher is serialized and sends a
+/// window's batches before it seals the next. The devices' models are
+/// [`Engine::devices`]; only `d`'s worker submits primary work to `d`.
 ///
 /// # Hedged reads (fail-slow tolerance)
 ///
-/// Each dispatch first runs on its assigned device against the shared busy
-/// frontier. If the projected completion crosses the device's adaptive
-/// hedge threshold — or misses the interval deadline outright — the worker
-/// speculatively re-issues the read on alternate replicas (earliest
+/// Each dispatch first runs on its assigned device's model. If the
+/// projected completion crosses the device's adaptive hedge threshold — or
+/// misses the interval deadline outright — the worker speculatively re-issues the read on alternate replicas (earliest
 /// estimated finish first), bounded by [`RETRY_LIMIT`] attempts spaced
 /// [`RETRY_BACKOFF_NS`] apart. First completion wins: losing attempts are
 /// rolled back off the frontier and a winning hedge cancels the primary's
@@ -1427,38 +1436,14 @@ impl Drop for SubmitterHandle {
     reason = "thread entry: owns its channels and engine handle"
 )]
 fn worker_loop(
-    worker: usize,
-    workers: usize,
     rx: Receiver<WorkMsg>,
     home: Sender<Box<Batch>>,
     engine: Arc<Engine>,
     stage: Option<Stage>,
 ) {
-    let devices = engine.cfg.qos.devices();
-    let service = engine.cfg.qos.service_ns;
-    let n_local = (devices + workers - 1 - worker) / workers;
-    // With a GC model attached, writes go through a per-device
-    // page-mapped FTL whose relocation work stalls the device in-line (see
-    // `fqos_flashsim::CalibratedSsd`). A program costs the calibrated read
-    // service time, which keeps the `M · service ≤ T` window math exact
-    // for writes too.
-    let plain = || CalibratedSsd::with_latencies(service, service);
-    let mut devs: Vec<CalibratedSsd> = (0..n_local)
-        .map(|_| match &engine.cfg.gc {
-            // Geometry was validated with the server config; should a
-            // mismatch slip through anyway, serve without the GC model
-            // rather than kill the worker (writes then run at plain
-            // program cost — degraded fidelity, never lost requests).
-            Some(g) => plain()
-                .with_gc(g.geometry, g.erase_ns)
-                .unwrap_or_else(|_| plain()),
-            None => plain(),
-        })
-        .collect();
     let mut local = WorkerLocal {
         view: TenantView::new(),
         stage,
-        gc: GcStats::default(),
     };
     // The settles this worker stages ride the next seal's hold of the log
     // (`Wal::log_seal_behind` collects them), so while batches keep coming
@@ -1472,25 +1457,24 @@ fn worker_loop(
         let window = batch.window;
         for item in &batch.items {
             let d = item.req.device;
-            let dev = &mut devs[d / workers];
             if let Some(sink) = &item.write {
-                serve_write_copy(&engine, &mut local, dev, window, item, sink);
+                serve_write_copy(&engine, &mut local, window, item, sink);
                 continue;
             }
             // Admitted into window `t`, the item executes during `t + 1`.
             let exec_window = window + 1;
-            // Every fault-plane lookup happens BEFORE the hedge lock:
-            // `fault.inner` and `fault.health` are peers of `engine.hedge`
+            // Every fault-plane lookup happens BEFORE the device lock:
+            // `fault.inner` and `fault.health` are peers of `engine.devices`
             // in the lock hierarchy, never nested inside it. The threshold
             // is read before the sample goes in, so that an outlier cannot
             // vouch for itself.
             let factor = engine.fault.slow_factor_at(d, exec_window);
             let threshold = engine.fault.hedge_threshold(d);
             let issue = exec_window * engine.cfg.qos.interval_ns;
-            let completion = serve_on_device(&engine, dev, &item.req, issue, factor, exec_window);
+            let (completion, _) = serve_on_device(&engine, &item.req, issue, factor, exec_window);
             // Exactly one settlement per read: the winning hedge cancels
             // the primary, otherwise the primary stood.
-            let hedged = hedge(&engine, dev, item, exec_window, threshold, completion);
+            let hedged = hedge(&engine, item, exec_window, threshold, completion);
             let (kind, finish) = match hedged {
                 Some(finish) => (SettleKind::HedgeWin, finish),
                 None => (SettleKind::Served, completion.finish),
@@ -1501,14 +1485,6 @@ fn worker_loop(
                 let primary = Some(completion.finish);
                 item.settle(&engine, &mut local, window, SettleKind::Served, primary);
             }
-        }
-        let gc = std::mem::take(&mut local.gc);
-        if gc.host_pages > 0 {
-            let s = &engine.worker_stats;
-            s.gc_host_pages.fetch_add(gc.host_pages, Ordering::Relaxed);
-            s.gc_pages.fetch_add(gc.gc_pages, Ordering::Relaxed);
-            s.gc_relocated.fetch_add(gc.relocated, Ordering::Relaxed);
-            s.gc_erases.fetch_add(gc.erases, Ordering::Relaxed);
         }
         // Home to the seal; clearing drops only clones of the sinks it keeps.
         batch.items.clear();
@@ -1533,7 +1509,6 @@ fn worker_loop(
 fn serve_write_copy(
     engine: &Engine,
     local: &mut WorkerLocal,
-    dev: &mut CalibratedSsd,
     window: u64,
     item: &WorkItem,
     sink: &WriteSink,
@@ -1558,18 +1533,12 @@ fn serve_write_copy(
         // scorer — a GC storm looks exactly like a fail-slow episode from
         // the outside, which is the point: hedged reads route around it.
         let factor = engine.fault.slow_factor_at(d, issue_window);
-        let completion = serve_on_device(engine, dev, &item.req, issue, factor, exec_window);
-        // This write's GC work. Every relocation is one read and one
-        // program, so the programs that are left are the host's (none
-        // without a GC model, or when the FTL refused the write).
-        let gc = dev.last_gc_outcome();
+        let (completion, gc) = serve_on_device(engine, &item.req, issue, factor, exec_window);
+        // This write's GC work feeds the admission-side GC-pressure
+        // reserve. Every relocation is one read and one program, so the
+        // programs that are left are the host's (none without a GC model,
+        // or when the FTL refused the write), and the reserve stays 0.
         let host = gc.pages_programmed - gc.pages_relocated;
-        local.gc.host_pages += host;
-        local.gc.gc_pages += gc.pages_relocated;
-        local.gc.relocated += gc.pages_relocated;
-        local.gc.erases += gc.erases;
-        // Feed the admission-side GC-pressure reserve. Without a GC model
-        // the device counts no host pages and the reserve stays 0.
         if host > 0 {
             engine.fault.observe_gc(d, host, gc.pages_programmed);
         }
@@ -1582,33 +1551,27 @@ fn serve_write_copy(
     settle_write_copy(engine, local, window, item, sink, outcome);
 }
 
-/// Serve `req` on `dev`, its device, issued at `issue` with the slow
-/// factor `factor` read before the hedge lock: behind the primary work the
-/// device has accepted, and recorded as its work in `exec_window`. The
-/// scorer then samples the *service* component only: queueing delay is the
-/// scheduler's doing, not evidence about device health. Every read primary
-/// and write copy reaches its device here; a hedge does not.
+/// Serve `req` on its device, issued at `issue` with the slow factor
+/// `factor` read before the device lock: behind the primary work the device
+/// has accepted, and recorded as its work in `exec_window`. Returns the
+/// completion and the write's GC work. The scorer then samples the
+/// *service* component only: queueing delay is the scheduler's doing, not
+/// evidence about device health. Every read primary and write copy reaches
+/// its device here; a hedge does not.
 fn serve_on_device(
     engine: &Engine,
-    dev: &mut CalibratedSsd,
     req: &IoRequest,
     issue: u64,
     factor: u32,
     exec_window: u64,
-) -> Completion {
-    let d = req.device;
-    let completion = {
-        let mut hs = engine.hedge.lock();
-        dev.set_degradation(factor);
-        dev.advance_busy(hs.busy[d]);
-        let c = dev.submit(req, issue);
-        hs.accept(d, exec_window, c.finish);
-        c
-    };
-    engine
-        .fault
-        .observe(d, completion.finish - completion.service_start, exec_window);
-    completion
+) -> (Completion, WriteOutcome) {
+    let (completion, gc) = engine
+        .devices
+        .lock()
+        .submit(req, issue, factor, exec_window);
+    let service = completion.finish - completion.service_start;
+    engine.fault.observe(req.device, service, exec_window);
+    (completion, gc)
 }
 
 /// Fold one copy's outcome into the logical write's sink; the last copy to
@@ -1659,7 +1622,6 @@ struct HedgeCandidate {
 /// beat it); the caller settles the read exactly once either way.
 fn hedge(
     engine: &Engine,
-    primary_dev: &mut CalibratedSsd,
     item: &WorkItem,
     exec_window: u64,
     threshold: Option<u64>,
@@ -1674,19 +1636,20 @@ fn hedge(
     let exec_start = exec_window * cfg.qos.interval_ns;
     let deadline = exec_start + cfg.qos.interval_ns;
     let service_lat = completion.finish.saturating_sub(completion.service_start);
-    let candidate_mask = item.replica_mask & !(1u64 << d);
     let trigger = cfg.hedge_enabled
-        && candidate_mask != 0
         && (threshold.is_some_and(|thr| service_lat > thr) || completion.finish > deadline);
     if !trigger {
         return None;
     }
 
-    // Candidate replicas: not the primary, not fail-stop dead this
-    // interval. A silently slow replica *is* a candidate — the scorer's
-    // belief, not ground truth, drives the earliest-finish choice.
-    // On the stack, as `placed` below: a hedge allocates nothing.
-    let mut live = candidate_mask & !engine.fault.mask_at(exec_window);
+    // Candidate replicas: the block's others, not fail-stop dead this
+    // interval, in device order. A silently slow replica *is* a candidate —
+    // the scorer's belief, not ground truth, drives the earliest-finish
+    // choice. On the stack, as `placed` below: a hedge allocates nothing.
+    let scheme = &cfg.qos.scheme;
+    let replicas = scheme.replicas(scheme.bucket_for_lbn(item.req.lbn));
+    let others = replicas.iter().fold(0u64, |m, &a| m | 1 << a) & !(1u64 << d);
+    let mut live = others & !engine.fault.mask_at(exec_window);
     if live == 0 {
         return None;
     }
@@ -1712,9 +1675,9 @@ fn hedge(
     let mut winner: Option<(usize, u64, u64)> = None;
     let mut winner_finish = completion.finish;
     {
-        // One hedge-lock hold covers place → compare → rollback, so the
+        // One device-lock hold covers place → compare → rollback, so the
         // frontier restore is exact (nothing else moves in between).
-        let mut hs = engine.hedge.lock();
+        let mut devs = engine.devices.lock();
         let mut placed = [(0usize, 0u64, 0u64); RETRY_LIMIT as usize]; // (dev, prev_busy, finish)
         let mut n_placed = 0;
         for attempt in 1..=RETRY_LIMIT {
@@ -1730,7 +1693,11 @@ fn hedge(
             // A hedge starts after the primary work its target has
             // accepted up to this window AND after every speculative read
             // already parked there.
-            let free_at = |dev: usize| hs.busy_as_of(dev, exec_window).max(hs.spec[dev]).max(issue);
+            let free_at = |dev: usize| {
+                devs.busy_as_of(dev, exec_window)
+                    .max(devs.spec[dev])
+                    .max(issue)
+            };
             let Some(ci) = (0..cands.len())
                 .filter(|&i| !cands[i].tried)
                 .min_by_key(|&i| free_at(cands[i].dev) + cands[i].believed_ns)
@@ -1746,9 +1713,9 @@ fn hedge(
             }
             cands[ci].tried = true;
             let fin = start + cands[ci].actual_ns;
-            placed[n_placed] = (dev, hs.spec[dev], fin);
+            placed[n_placed] = (dev, devs.spec[dev], fin);
             n_placed += 1;
-            hs.spec[dev] = fin;
+            devs.spec[dev] = fin;
             if attempt == 1 {
                 hedges_issued += 1;
             } else {
@@ -1765,16 +1732,15 @@ fn hedge(
             if winner.is_some_and(|(wd, _, wf)| wd == dev && wf == fin) {
                 continue;
             }
-            if hs.spec[dev] == fin {
-                hs.spec[dev] = prev;
+            if devs.spec[dev] == fin {
+                devs.spec[dev] = prev;
             }
         }
         // A winning hedge cancels the primary, reclaiming its slot on the
-        // primary frontier. `busy[d]` is owner-written and this worker IS
-        // the owner, so the reclaim cannot race; the guard is belt and
-        // braces.
-        if winner.is_some() && hs.busy[d] == completion.finish && primary_dev.cancel(&completion) {
-            hs.busy[d] = completion.service_start;
+        // primary frontier: only this worker submits to `d`, so the primary
+        // is still its last submission.
+        if winner.is_some() {
+            devs.models[d].cancel(&completion);
         }
     }
     if hedges_issued > 0 {
@@ -2156,7 +2122,7 @@ mod tests {
         // window seals: the drain must land them on survivors.
         assert!(h.submit(1, 0, 0).is_admitted());
         assert!(h.submit(1, 1, 0).is_admitted());
-        h.inject_fault(0).unwrap();
+        h.inject(0, FaultKind::Fail).unwrap();
         // Advance time so window 0 seals under the new mask.
         assert!(h.submit(1, 2, 2 * BASE_T).is_admitted());
         drop(h);
@@ -2306,7 +2272,7 @@ mod tests {
             batch
                 .items
                 .iter()
-                .map(|i| (i.req.id, i.req.device))
+                .map(|i| (i.req.lbn, i.req.device))
                 .collect()
         };
         assert_eq!(ids(0), [(10, 4), (12, 0), (13, 8)], "seal order kept");
@@ -2349,13 +2315,12 @@ mod tests {
             stat,
             dispatch,
             max_target,
-            next_id,
             shutdown,
             quiesce,
             submit_stats,
             ledger,
             worker_stats,
-            hedge,
+            devices,
             hist,
         } = &*s.engine;
         let mut spans = vec![
@@ -2371,26 +2336,24 @@ mod tests {
             span("stat", stat, Side::Submitter),
             span("dispatch", dispatch, Side::Submitter),
             span("max_target", max_target, Side::Submitter),
-            span("next_id", next_id, Side::Submitter),
             span("shutdown", shutdown, Side::Submitter),
             span("quiesce", quiesce, Side::Submitter),
             span("submit_stats", submit_stats, Side::Submitter),
             // Written by workers as they serve and settle.
             span("worker_stats", worker_stats, Side::Worker),
-            span("hedge", hedge, Side::Worker),
+            span("devices", devices, Side::Worker),
             span("hist", hist, Side::Worker),
         ];
         spans.extend(ledger.layout());
         assert_one_side_per_line(&*s.engine, spans);
-        // Measured (1 720 with the production primitives, whose lock classes
-        // compile out of release builds; 1 680 before the return queues and
-        // the sink pool): the engine is one long-lived allocation, and
-        // growing it is a decision — run the RSS pre-check of the verify
-        // skill when this moves (one 1 720-byte layout of this same engine
-        // took `fleet_route` from 10.0 to 11.5 MiB, and this one does not).
+        // Measured (1 520 with the production primitives, whose lock classes
+        // compile out of release builds): the engine is one long-lived
+        // allocation, and growing it is a decision — run the RSS pre-check
+        // of the verify skill when this moves (one 1 720-byte layout of this
+        // same engine took `fleet_route` from 10.0 to 11.5 MiB).
         if cfg!(not(any(debug_assertions, feature = "model-check"))) {
             assert!(
-                std::mem::size_of::<Engine>() <= 1720,
+                std::mem::size_of::<Engine>() <= 1520,
                 "{}",
                 std::mem::size_of::<Engine>()
             );
@@ -2400,10 +2363,10 @@ mod tests {
 
     #[test]
     fn a_batch_carries_its_window_once() {
-        // An item is the request, its tenant, its replicas, its write sink
-        // and one flag; its window travels once, in the batch. A queue slot
-        // is one word.
-        assert_eq!(std::mem::size_of::<WorkItem>(), 72);
+        // An item is the request, its tenant, its write sink and one flag,
+        // in one cache line; its window travels once, in the batch, and its
+        // replicas are its LBN's. A queue slot is one word.
+        assert_eq!(std::mem::size_of::<WorkItem>(), 64);
         assert_eq!(std::mem::size_of::<WorkMsg>(), std::mem::size_of::<usize>());
     }
 
@@ -2429,33 +2392,37 @@ mod tests {
     }
 
     /// What a hedge is told about a peer's device must not depend on how
-    /// far the peer's owner has run ahead (`faults.rs`'s GC storm missed
-    /// 0–9 deadlines by it, with the thread interleaving).
+    /// far the peer's serving worker has run ahead (`faults.rs`'s GC storm
+    /// missed 0–9 deadlines by it, with the thread interleaving).
     #[test]
     fn a_hedge_meets_the_frontier_of_its_own_window() {
-        let mut hs = HedgeState::new(2, 4);
-        hs.accept(1, 5, 100);
-        hs.accept(1, 5, 200);
-        assert_eq!(hs.busy_as_of(1, 4), 0, "window 5 found the device idle");
-        assert_eq!(hs.busy_as_of(1, 5), 200, "owner in the same window: live");
-        assert_eq!(hs.busy_as_of(1, 7), 200, "owner behind: live");
-        hs.accept(1, 7, 700); // window 6 had nothing for the device
-        hs.accept(1, 8, 800);
-        for (window, frontier) in [(4, 0), (5, 200), (6, 200), (7, 700), (8, 800)] {
-            assert_eq!(hs.busy_as_of(1, window), frontier, "window {window}");
+        let mut devs = Devices::new(vec![CalibratedSsd::with_latencies(100, 100); 2], 4);
+        // A 100 ns read on device 1, issued at `issue` as exec window
+        // `window`'s work.
+        let read = |devs: &mut Devices, issue, window| {
+            let req = IoRequest::read_block(0, 0, 1, 0);
+            devs.submit(&req, issue, 1, window).0
+        };
+        read(&mut devs, 0, 5);
+        read(&mut devs, 0, 5); // queues behind the first: finishes at 200
+        read(&mut devs, 600, 7); // window 6 had nothing for the device
+        let last = read(&mut devs, 750, 8);
+        assert_eq!((last.service_start, last.finish), (750, 850));
+        for (window, frontier) in [(4, 0), (5, 200), (6, 200), (7, 700), (8, 850)] {
+            assert_eq!(devs.busy_as_of(1, window), frontier, "window {window}");
         }
-        assert_eq!(hs.busy_as_of(0, 5), 0, "per device");
+        assert_eq!(devs.busy_as_of(0, 5), 0, "per device");
         // A hedge win cancels the primary; the entry of its window stands.
-        hs.busy[1] = 750;
-        assert_eq!((hs.busy_as_of(1, 7), hs.busy_as_of(1, 8)), (700, 750));
-        // Owner more than `depth` windows ahead: the slots of 5 and 7 are
-        // reused, and the answer is late, never early.
-        hs.accept(1, 9, 900);
-        hs.accept(1, 11, 1100);
-        assert_eq!(hs.busy_as_of(1, 4), 700, "5, 7 gone; 8 entered at 700");
-        assert_eq!(hs.busy_as_of(1, 5), 700);
-        assert_eq!(hs.busy_as_of(1, 8), 750);
-        assert_eq!(hs.busy_as_of(1, 10), 900);
+        assert!(devs.models[1].cancel(&last));
+        assert_eq!((devs.busy_as_of(1, 7), devs.busy_as_of(1, 8)), (700, 750));
+        // Serving worker more than `depth` windows ahead: the slots of 5
+        // and 7 are reused, and the answer is late, never early.
+        read(&mut devs, 800, 9);
+        read(&mut devs, 1000, 11);
+        assert_eq!(devs.busy_as_of(1, 4), 700, "5, 7 gone; 8 entered at 700");
+        assert_eq!(devs.busy_as_of(1, 5), 700);
+        assert_eq!(devs.busy_as_of(1, 8), 750);
+        assert_eq!(devs.busy_as_of(1, 10), 900);
     }
 
     /// A server without a log and one with a memory log: both release
@@ -2627,16 +2594,16 @@ mod tests {
         // seal: lost. The trio returns once the window has executed.
         assert!(h.submit(1, 7, 12 * BASE_T).is_admitted());
         for &d in &trio {
-            h.inject_fault(d).unwrap();
+            h.inject(d, FaultKind::Fail).unwrap();
         }
         h.advance_to(14 * BASE_T);
         for &d in &trio[1..] {
-            h.recover_device(d).unwrap();
+            h.inject(d, FaultKind::Recover).unwrap();
         }
         // One replica stays down through a write's whole retry budget.
         assert!(h.submit_write(2, 7, 15 * BASE_T).is_admitted());
         h.advance_to(17 * BASE_T);
-        h.recover_device(trio[0]).unwrap();
+        h.inject(trio[0], FaultKind::Recover).unwrap();
         traffic(&mut h, 18..30);
         s
     }
@@ -2892,12 +2859,12 @@ mod tests {
             let mut h = s.handle();
             // Four batches queued behind a worker held at its first read, so
             // that it serves them back to back: 56 settles, under the batch.
-            // The hedge lock is held by a thread that takes no other.
+            // The device lock is held by a thread that takes no other.
             let gate = Arc::new(std::sync::Barrier::new(2));
             let holder = {
                 let (engine, gate) = (Arc::clone(&engine), Arc::clone(&gate));
                 std::thread::spawn(move || {
-                    let _held_at_its_first_read = engine.hedge.lock();
+                    let _held_at_its_first_read = engine.devices.lock();
                     gate.wait();
                     gate.wait();
                 })
@@ -2982,7 +2949,7 @@ mod tests {
         // dead device through the whole retry budget.
         let scheme = s.config().qos.scheme.clone();
         let dead = scheme.replicas(scheme.bucket_for_lbn(7))[0];
-        s.inject_fault(dead).unwrap();
+        s.inject(dead, FaultKind::Fail).unwrap();
         let mut h = s.handle();
         assert!(h.submit_write(1, 7, 10).is_admitted());
         drop(h);
@@ -3000,7 +2967,7 @@ mod tests {
         s.register(1, 1, OverloadPolicy::Delay).unwrap();
         let scheme = s.config().qos.scheme.clone();
         for &d in scheme.replicas(scheme.bucket_for_lbn(7)) {
-            s.inject_fault(d).unwrap();
+            s.inject(d, FaultKind::Fail).unwrap();
         }
         let mut h = s.handle();
         assert_eq!(
@@ -3028,6 +2995,7 @@ mod tests {
         let cfg =
             ServerConfig::new(QosConfig::paper_9_3_1()).with_gc_model(GcConfig::new(geometry));
         let s = QosServer::new(cfg).unwrap();
+        let copies = s.config().qos.scheme.copies() as u64;
         s.register(1, 2, OverloadPolicy::Delay).unwrap();
         let mut h = s.handle();
         let mut x = 0x2545_f491_4f6c_dd1du64;
@@ -3045,7 +3013,10 @@ mod tests {
         drop(h);
         let m = s.finish();
         assert_eq!(m.write_settled, 300);
-        assert!(m.gc_host_pages > 0);
+        // Nothing failed and 11 LBNs fit the FTL: every copy of every
+        // settled write is one host page, and each GC page relocates one.
+        assert_eq!(m.gc_host_pages, m.write_settled * copies);
+        assert_eq!(m.gc_pages, m.gc_relocated);
         assert!(m.gc_pages > 0, "no GC triggered: {m:#?}");
         assert!(m.gc_erases > 0);
         assert!(m.write_amplification() > 1.0);
@@ -3061,11 +3032,11 @@ mod tests {
         s.register(1, 1, OverloadPolicy::Delay).unwrap();
         let scheme = s.config().qos.scheme.clone();
         let dead = scheme.replicas(scheme.bucket_for_lbn(7))[0];
-        s.inject_fault(dead).unwrap();
+        s.inject(dead, FaultKind::Fail).unwrap();
         let mut h = s.handle();
         assert!(h.submit_write(1, 7, 10).is_admitted());
         // Recover before window 0 seals: execution (window 1) sees it live.
-        s.recover_device(dead).unwrap();
+        s.inject(dead, FaultKind::Recover).unwrap();
         drop(h);
         let m = s.finish();
         assert_eq!(m.write_settled, 1, "{m:#?}");

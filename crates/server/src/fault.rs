@@ -12,9 +12,8 @@
 //!   `slow` / `restore` (fail-slow) events, fixed at server construction
 //!   (deterministic — the test harness and `fqos serve --fault-schedule`
 //!   replay these),
-//! * live injections ([`crate::QosServer::inject_fault`],
-//!   [`crate::QosServer::degrade_device`]), which take effect at the next
-//!   unsealed window, and
+//! * live injections ([`crate::QosServer::inject`] of a [`FaultKind`]),
+//!   which take effect at the next unsealed window, and
 //! * the **latency health scorer**: an EWMA + windowed-quantile tracker
 //!   over per-device completion latencies reported by the worker pool,
 //!   classifying each device [`DeviceHealth::Healthy`] / `Suspect` /
@@ -53,8 +52,9 @@
 //!
 //! Lock classes owned by this module (see DESIGN.md "Concurrency
 //! invariants"): `fault.inner` (event timeline) and `fault.health` (scorer
-//! state) — both leaves, acquired by workers holding no other lock and by
-//! the dispatcher under `engine.dispatch`.
+//! state) — both leaves, acquired by workers holding no other lock (a
+//! worker asks them before it takes `engine.devices`, a peer leaf, never
+//! under it) and by the dispatcher under `engine.dispatch`.
 
 use fqos_flashsim::BLOCK_READ_NS;
 use fqos_sync::atomic::{AtomicBool, AtomicU64, Ordering};

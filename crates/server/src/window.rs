@@ -116,12 +116,6 @@ impl Parked {
         self.req.op == IoOp::Write
     }
 
-    /// Bitmap of every replica device holding this block — a read's hedge
-    /// candidates beyond its assigned one.
-    pub fn replica_mask(&self) -> u64 {
-        self.replicas.mask()
-    }
-
     /// A write's copy count, one per replica; `None` for a read.
     pub fn write_copies(&self) -> Option<u32> {
         self.is_write().then_some(u32::from(self.replicas.len))

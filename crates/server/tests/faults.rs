@@ -18,8 +18,8 @@ mod common;
 use common::{assert_guarantee_held, bucket_replicas, qos, Scenario};
 use fqos_core::OverloadPolicy;
 use fqos_server::{
-    AssignmentMode, FaultSchedule, FtlGeometry, GcConfig, MetricsSnapshot, QosServer, RejectReason,
-    ServerConfig, SubmitOutcome, WINDOW_RING,
+    AssignmentMode, FaultKind, FaultSchedule, FtlGeometry, GcConfig, MetricsSnapshot, QosServer,
+    RejectReason, ServerConfig, SubmitOutcome, WINDOW_RING,
 };
 use rand::Rng;
 
@@ -151,10 +151,10 @@ fn live_injection_drains_inflight_to_survivors() {
     let mut submitted = 0u64;
     for w in 0..40u64 {
         if w == 10 {
-            h.inject_fault(0).unwrap();
+            h.inject(0, FaultKind::Fail).unwrap();
         }
         if w == 30 {
-            h.recover_device(0).unwrap();
+            h.inject(0, FaultKind::Recover).unwrap();
         }
         for i in 0..5u64 {
             let lbn = rng.gen_range(0..36u64);
@@ -280,9 +280,9 @@ fn fail_slow_hedging_keeps_the_tail_inside_the_deadline() {
     );
 }
 
-/// Live (unscripted) degradation: `degrade_device` starts a silent 10×
+/// Live (unscripted) degradation: `FaultKind::Slow` starts a silent 10×
 /// slowdown mid-run with admission left blind, exactly like the scripted
-/// path; `restore_device` returns the device to calibrated speed. The
+/// path; `FaultKind::Restore` returns the device to calibrated speed. The
 /// scorer must detect it and conservation must hold end to end.
 #[test]
 fn live_degradation_is_detected_and_conserved() {
@@ -295,10 +295,10 @@ fn live_degradation_is_detected_and_conserved() {
     let mut admitted = 0u64;
     for w in 0..80u64 {
         if w == 10 {
-            h.degrade_device(0, 10).unwrap();
+            h.inject(0, FaultKind::Slow(10)).unwrap();
         }
         if w == 40 {
-            h.restore_device(0).unwrap();
+            h.inject(0, FaultKind::Restore).unwrap();
         }
         for i in 0..3u64 {
             let lbn = rng.gen_range(0..36u64);

@@ -34,7 +34,7 @@
 mod common;
 
 use fqos_core::{OverloadPolicy, QosConfig};
-use fqos_server::{FtlGeometry, GcConfig, IoOp, QosServer, ServerConfig, SubmitOutcome};
+use fqos_server::{FaultKind, FtlGeometry, GcConfig, IoOp, QosServer, ServerConfig, SubmitOutcome};
 use fqos_sync::{model_with, Config, Report};
 
 /// A 2-worker, 8-slot-ring configuration small enough for exhaustive
@@ -158,7 +158,7 @@ fn admission_vs_seal_conserves_requests() {
     report_and_check("admission-vs-seal", report, 1000);
 }
 
-/// A live `inject_fault` races admission and seal: two same-bucket
+/// A live fail-stop injection races admission and seal: two same-bucket
 /// requests land in one window while an injector thread takes down two of
 /// the bucket's three replicas. Depending on where the injections land
 /// relative to admission and seal, requests are rerouted at admission,
@@ -168,7 +168,7 @@ fn admission_vs_seal_conserves_requests() {
 /// replica always survives), and the guaranteed-deadline audit may only
 /// be charged when the overload path actually fired.
 #[test]
-fn inject_fault_vs_seal_conserves_requests() {
+fn live_fail_vs_seal_conserves_requests() {
     let replicas = common::bucket_replicas(9, 3, 0);
     let (f0, f1) = (replicas[0], replicas[1]);
     let bounds = Config {
@@ -187,8 +187,8 @@ fn inject_fault_vs_seal_conserves_requests() {
             submit_all(&mut hs, 1, &[(0, 0), (0, 0)])
         });
         let injector = fqos_sync::thread::spawn(move || {
-            hf.inject_fault(f0).unwrap();
-            hf.inject_fault(f1).unwrap();
+            hf.inject(f0, FaultKind::Fail).unwrap();
+            hf.inject(f1, FaultKind::Fail).unwrap();
             // Dropping hf closes its watermark so sealing can proceed.
         });
         let ts = submitter.join().unwrap();
@@ -361,7 +361,7 @@ fn rebalance_vs_seal_conserves_the_cluster_law() {
     report_and_check("rebalance-vs-seal", report, 1000);
 }
 
-/// A live `degrade_device` races admission, dispatch and the hedge
+/// A live `FaultKind::Slow` injection races admission, dispatch and the hedge
 /// decision: the root, holding no handle, silently slows the primary
 /// replica 10× while a submitter pushes two same-bucket requests through
 /// and its release seals the window; then an injector restores the device
@@ -404,12 +404,13 @@ fn hedge_vs_seal_conserves_requests() {
             // degraded device, so each dispatch may race the slowdown.
             submit_all(&mut hs, 1, &[(0, 0), (0, 0)])
         });
-        server.degrade_device(slow, 10).unwrap();
+        server.inject(slow, FaultKind::Slow(10)).unwrap();
         let ts = submitter.join().unwrap();
         // The window is sealed and on its way to a worker: a handle made now
         // holds none of it, and its restore races the worker's service.
         let hf = server.handle();
-        let injector = fqos_sync::thread::spawn(move || hf.restore_device(slow).unwrap());
+        let injector =
+            fqos_sync::thread::spawn(move || hf.inject(slow, FaultKind::Restore).unwrap());
         injector.join().unwrap();
         let m = server.finish();
         assert_eq!(ts.admitted, m.admitted_total());
@@ -768,9 +769,10 @@ fn gc_stall_vs_hedge_never_duplicates_a_write() {
         let ts = submitter.join().unwrap();
         // Every window is sealed: the slowdown starts with the read's
         // execution, and a handle made now holds none of the windows.
-        server.degrade_device(slow, 10).unwrap();
+        server.inject(slow, FaultKind::Slow(10)).unwrap();
         let hf = server.handle();
-        let injector = fqos_sync::thread::spawn(move || hf.restore_device(slow).unwrap());
+        let injector =
+            fqos_sync::thread::spawn(move || hf.inject(slow, FaultKind::Restore).unwrap());
         injector.join().unwrap();
         let m = server.finish();
         assert_eq!(ts.admitted, m.admitted_total());

@@ -11,7 +11,7 @@
 mod common;
 
 use fqos_core::{OverloadPolicy, QosConfig};
-use fqos_server::{AssignmentMode, QosServer, ServerConfig, SubmitOutcome};
+use fqos_server::{AssignmentMode, FaultKind, QosServer, ServerConfig, SubmitOutcome};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -231,9 +231,9 @@ fn fail_slow_under_concurrent_submitters_conserves() {
         std::thread::spawn(move || {
             for round in 0..30u64 {
                 let dev = (round % 3) as usize * 2;
-                server.degrade_device(dev, 8).unwrap();
+                server.inject(dev, FaultKind::Slow(8)).unwrap();
                 std::thread::yield_now();
-                server.restore_device(dev).unwrap();
+                server.inject(dev, FaultKind::Restore).unwrap();
             }
         })
     };

@@ -53,8 +53,8 @@ pub enum Class {
     FaultInner,
     /// The device health scorer.
     FaultHealth,
-    /// Hedge frontiers.
-    EngineHedge,
+    /// Every device's simulated timeline and the hedge frontier.
+    EngineDevices,
     /// One thread's staged WAL records. May block: a stage is held until
     /// whoever drains it holds the log, so a cold path that drains every
     /// stage finds each record staged or logged; the owner keeps it across
@@ -88,7 +88,7 @@ impl Class {
             Class::RegistryShard => "registry.shard",
             Class::FaultInner => "fault.inner",
             Class::FaultHealth => "fault.health",
-            Class::EngineHedge => "engine.hedge",
+            Class::EngineDevices => "engine.devices",
             Class::EngineStage => "engine.stage",
             Class::EngineWal => "engine.wal",
             Class::ClusterPage => "cluster.page",
@@ -289,17 +289,17 @@ mod imp {
 
         #[test]
         fn blocking_under_a_class_that_may_not_block_panics() {
-            let hedge = Mutex::new(Class::EngineHedge, ());
+            let devices = Mutex::new(Class::EngineDevices, ());
             let (tx, _rx) = channel::bounded(1);
-            let (hedge_at, _hedge) = (line!(), hedge.lock());
+            let (devices_at, _devices) = (line!(), devices.lock());
             let (send_at, sent) = (line!(), catch_unwind(AssertUnwindSafe(|| tx.send(()))));
             let (fsync_at, synced) = (line!(), catch_unwind(|| blocking("fsync")));
             for (op, at, caught) in [
                 ("send", send_at, sent.map(drop)),
                 ("fsync", fsync_at, synced),
             ] {
-                let msg = message(&*caught.expect_err("blocked under engine.hedge"));
-                for needle in [op, "engine.hedge", &site(at), &site(hedge_at)] {
+                let msg = message(&*caught.expect_err("blocked under engine.devices"));
+                for needle in [op, "engine.devices", &site(at), &site(devices_at)] {
                     assert!(msg.contains(needle), "`{needle}` missing from: {msg}");
                 }
             }
