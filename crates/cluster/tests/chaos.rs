@@ -560,6 +560,7 @@ fn the_fleet_takes_every_lock_order_edge_it_keeps() {
         WindowSlot,
         RegistryShard,
         FaultInner,
+        FaultHealth,
         EngineStage,
         EngineWal,
     ];

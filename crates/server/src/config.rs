@@ -127,12 +127,12 @@ pub struct ServerConfig {
     /// configs shrink this so schedule exploration wraps the ring within a
     /// few windows; production configs should leave it alone.
     pub ring_slots: usize,
-    /// Master switch for the fail-slow reaction path: hedged reads, the
-    /// worker backoff retry chain and the seal-time slow-device drain.
-    /// Detection (the health scorer) always runs; with hedging off the
-    /// engine only steers *new* schedules away from detected-slow devices
-    /// and otherwise serves as PR 2 did — the configuration used to
-    /// demonstrate what fail-slow costs without mitigation.
+    /// Master switch for the fail-slow reaction path: hedged reads (with
+    /// their backoff re-issues) and the seal's drain off a device detected
+    /// `Slow` after admission. Write-copy retries and detection (the health
+    /// scorer) always run, and admission still steers *new* schedules away
+    /// from detected-slow devices — the configuration used to demonstrate
+    /// what fail-slow costs without mitigation.
     pub hedge_enabled: bool,
     /// Write-ahead durability. `None` (the default) serves exactly as
     /// before this knob existed: nothing is logged and a crash loses all
@@ -203,8 +203,8 @@ impl ServerConfig {
         self
     }
 
-    /// Enable or disable the fail-slow reaction path (hedges, backoff
-    /// retries, seal-time slow drain). Detection always runs.
+    /// Enable or disable hedged reads and the seal's drain off a detected-slow
+    /// device. Write-copy retries and detection run either way.
     pub fn with_hedging(mut self, enabled: bool) -> Self {
         self.hedge_enabled = enabled;
         self

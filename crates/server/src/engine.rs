@@ -53,7 +53,7 @@
 //! log, ahead of the seals it allows ([`SubmitterHandle::release`]).
 
 use crate::config::ServerConfig;
-use crate::fault::{FaultKind, FaultPlane, MAX_FAULT_DEVICES};
+use crate::fault::{Devices, FaultKind, FaultPlane, MAX_FAULT_DEVICES};
 use crate::ledger::{AtomicLedger, SettleKind};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, TenantSnapshot};
 use crate::registry::{RegisterError, Tenant, TenantRegistry, TenantView};
@@ -61,7 +61,7 @@ use crate::wal::{crash_point, OpenEntry, Stage, Wal};
 use crate::window::{AdmitResult, SealedWindow, WindowRing, MAX_COPIES};
 use fqos_core::{OverloadPolicy, StatisticalCounters};
 use fqos_decluster::sampling::OptimalRetrievalProbabilities;
-use fqos_flashsim::{CalibratedSsd, Completion, Device, GcStats, IoOp, IoRequest, WriteOutcome};
+use fqos_flashsim::{CalibratedSsd, Completion, IoOp, IoRequest};
 use fqos_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use fqos_sync::channel::{bounded, Receiver, Sender};
 use fqos_sync::thread::JoinHandle;
@@ -207,13 +207,11 @@ struct SubmitStats {
     replay_truncated: AtomicU64,
 }
 
-/// Array-wide telemetry that workers write.
+/// Array-wide telemetry that workers write (the hedge counts are the board's).
 #[derive(Default)]
 struct WorkerStats {
     violations: AtomicU64,
     guaranteed_violations: AtomicU64,
-    hedges_issued: AtomicU64,
-    hedges_won: AtomicU64,
 }
 
 /// Shared settlement state of one logical write's replica fan-out. Every
@@ -304,116 +302,6 @@ fn channel_messages(queue_depth: usize, workers: usize, limit: usize) -> usize {
     (queue_depth.saturating_mul(workers) / limit).max(1)
 }
 
-/// Every device's simulated timeline, kept once: its FCFS model, FTL and GC
-/// state included. Worker `w` serves the primaries and write copies of each
-/// device `d` with `d % workers == w`, but a hedged read lands on a replica
-/// another worker serves, so the models live here, not in the workers.
-///
-/// Two frontiers per device, deliberately:
-/// * the model's own (`next_free`) — the *primary* (guaranteed-path)
-///   frontier, advanced only by `d`'s serving worker, in window order.
-///   Hedges read it but never advance it: speculative reads ride the
-///   device's spare bandwidth and must not delay reserved capacity —
-///   otherwise a fast worker's hedge could push a lagging worker's
-///   earlier-window primaries past their deadlines and break the paper's
-///   guarantee from the side.
-/// * `spec[d]` — the speculative frontier. Hedges serialize against each
-///   other (and start no earlier than the primary work the device has
-///   accepted so far); losers roll back off it.
-///
-/// Workers drift apart by up to a queue of windows, and a hedge issued in
-/// exec window `W` queues behind the primaries its target accepted *up to
-/// `W`* — work of later windows arrives after it in simulated time, however
-/// far ahead the target's serving worker happens to run in real time.
-/// `entered` keeps the primary frontier as each recent window first found
-/// it, so [`Devices::busy_as_of`] can give the hedge that view.
-///
-/// Leaf lock (class `engine.devices`): nothing else is ever acquired while
-/// it is held.
-struct Devices {
-    models: Vec<CalibratedSsd>,
-    spec: Vec<u64>,
-    /// Per device, the latest exec window its primary frontier holds work of.
-    latest: Vec<u64>,
-    /// Per device, `depth` slots indexed by `exec window % depth`:
-    /// `(exec window, the primary frontier as its first primary found it)`.
-    entered: Vec<(u64, u64)>,
-    /// Windows a peer can run ahead: a full queue, the batch in service and
-    /// the one the dispatcher is blocked on.
-    depth: usize,
-}
-
-impl Devices {
-    fn new(models: Vec<CalibratedSsd>, depth: usize) -> Self {
-        let devices = models.len();
-        Devices {
-            models,
-            spec: vec![0; devices],
-            latest: vec![0; devices],
-            entered: vec![(0, 0); devices * depth],
-            depth,
-        }
-    }
-
-    fn slot(&self, d: usize, window: u64) -> usize {
-        d * self.depth + (window % self.depth as u64) as usize
-    }
-
-    /// `d`'s primary frontier: when its model next becomes free.
-    fn busy(&self, d: usize) -> u64 {
-        self.models[d].next_free(0)
-    }
-
-    /// Serve `req` on its device from `issue` at `factor` × calibrated
-    /// speed, as the device's work in exec window `window` (windows reach
-    /// a device in increasing order). Returns the completion and the GC
-    /// work the submit did (none for a read).
-    fn submit(
-        &mut self,
-        req: &IoRequest,
-        issue: u64,
-        factor: u32,
-        window: u64,
-    ) -> (Completion, WriteOutcome) {
-        let d = req.device;
-        if self.latest[d] != window {
-            self.latest[d] = window;
-            let slot = self.slot(d, window);
-            self.entered[slot] = (window, self.busy(d));
-        }
-        let dev = &mut self.models[d];
-        dev.set_degradation(factor);
-        (dev.submit(req, issue), dev.last_gc_outcome())
-    }
-
-    /// `d`'s primary frontier as a read issued in exec window `window`
-    /// meets it: what it was before the first later window reached `d`.
-    /// That is the live frontier when none has — always, on the asking
-    /// worker's own devices — and also when the serving worker is more
-    /// than `depth` windows ahead and the slot is gone: late, never early.
-    fn busy_as_of(&self, d: usize, window: u64) -> u64 {
-        (window + 1..=self.latest[d].min(window + self.depth as u64))
-            .map(|later| (later, self.entered[self.slot(d, later)]))
-            .find(|&(later, (entered, _))| entered == later)
-            .map_or(self.busy(d), |(_, (_, found))| found)
-    }
-
-    /// The GC work of every device so far.
-    fn gc_stats(&self) -> GcStats {
-        let sum = |a: GcStats, g: GcStats| GcStats {
-            host_pages: a.host_pages + g.host_pages,
-            gc_pages: a.gc_pages + g.gc_pages,
-            relocated: a.relocated + g.relocated,
-            erases: a.erases + g.erases,
-            full_errors: a.full_errors + g.full_errors,
-        };
-        self.models
-            .iter()
-            .map(CalibratedSsd::gc_stats)
-            .fold(GcStats::default(), sum)
-    }
-}
-
 /// Laid out by writer (`repr(C)` keeps the order): what nobody writes
 /// after construction, a gap, what submitting threads write, what workers
 /// write — the ledger, whose own gap parts its admit cells from its settle
@@ -445,8 +333,6 @@ struct Engine {
     /// The array's account of the conservation law.
     ledger: AtomicLedger,
     worker_stats: WorkerStats,
-    /// Every device's timeline, which every worker submits to.
-    devices: Mutex<Devices>,
     hist: LatencyHistogram,
 }
 
@@ -560,11 +446,6 @@ impl QosServer {
             served,
             ..DispatchState::default()
         };
-        let fault = Arc::new(FaultPlane::calibrated(
-            devices,
-            cfg.fault_schedule.clone(),
-            cfg.qos.service_ns,
-        )?);
         // With a GC model attached, writes go through a per-device
         // page-mapped FTL whose relocation work stalls the device in-line
         // (see `fqos_flashsim::CalibratedSsd`). A program costs the
@@ -583,6 +464,11 @@ impl QosServer {
                 None => plain(),
             })
             .collect();
+        let fault = Arc::new(FaultPlane::calibrated(
+            cfg.fault_schedule.clone(),
+            Devices::new(models, messages + 2),
+            cfg.qos.service_ns,
+        )?);
         let engine = Arc::new(Engine {
             registry: TenantRegistry::new_with_wal(limit, cfg.shards, wal.clone()),
             ring: WindowRing::new(
@@ -605,7 +491,6 @@ impl QosServer {
             submit_stats: SubmitStats::default(),
             ledger: AtomicLedger::default(),
             worker_stats: WorkerStats::default(),
-            devices: Mutex::new(Class::EngineDevices, Devices::new(models, messages + 2)),
             hist: LatencyHistogram::new(),
             cfg,
         });
@@ -909,7 +794,11 @@ impl Engine {
     fn snapshot(&self) -> MetricsSnapshot {
         let (s, w) = (&self.submit_stats, &self.worker_stats);
         let l = self.ledger.snapshot();
-        let gc = self.devices.lock().gc_stats();
+        let (gc, hedges_issued, hedges_won) = {
+            let board = self.fault.board();
+            let gc = board.devices.gc_stats();
+            (gc, board.hedges_issued, board.hedges_won)
+        };
         let wal = self
             .wal
             .as_deref()
@@ -938,8 +827,8 @@ impl Engine {
             fault_overloads: self.fault.overloads(),
             fault_lost: l.lost,
             fault_rejected: self.fault.unavailable_rejects(),
-            hedges_issued: w.hedges_issued.load(Ordering::Relaxed),
-            hedges_won: w.hedges_won.load(Ordering::Relaxed),
+            hedges_issued,
+            hedges_won,
             hedges_cancelled: l.hedge_wins,
             retries: self.fault.retries(),
             slow_detected: self.fault.slow_detected(),
@@ -1162,9 +1051,7 @@ impl Engine {
         s.windows_sealed
             .store(state.sealed_through, Ordering::Relaxed);
         // Every durable hedge win cancelled exactly one primary.
-        self.worker_stats
-            .hedges_won
-            .store(state.ledger.hedge_wins, Ordering::Relaxed);
+        self.fault.board().hedges_won = state.ledger.hedge_wins;
         Ok(restored)
     }
 }
@@ -1419,18 +1306,22 @@ impl Drop for SubmitterHandle {
 /// Worker `w` serves every device `d` with `d % workers == w` and its
 /// batches FCFS, each in seal order — which per device is window order,
 /// then seal order, because the dispatcher is serialized and sends a
-/// window's batches before it seals the next. The devices' models are
-/// [`Engine::devices`]; only `d`'s worker submits primary work to `d`.
+/// window's batches before it seals the next. The devices' models are on
+/// the fault plane's board ([`FaultPlane::board`]); only `d`'s worker
+/// submits primary work to `d`. A worker holds the board once per served
+/// read, hedged or not, and once per write copy; it looks up the fault
+/// timeline before each hold, never inside it.
 ///
 /// # Hedged reads (fail-slow tolerance)
 ///
 /// Each dispatch first runs on its assigned device's model. If the
 /// projected completion crosses the device's adaptive hedge threshold — or
-/// misses the interval deadline outright — the worker speculatively re-issues the read on alternate replicas (earliest
-/// estimated finish first), bounded by [`RETRY_LIMIT`] attempts spaced
-/// [`RETRY_BACKOFF_NS`] apart. First completion wins: losing attempts are
-/// rolled back off the frontier and a winning hedge cancels the primary's
-/// reservation, so speculative capacity is reclaimed exactly.
+/// misses the interval deadline outright — the worker speculatively
+/// re-issues the read on alternate replicas (earliest estimated finish
+/// first), bounded by [`RETRY_LIMIT`] attempts spaced [`RETRY_BACKOFF_NS`]
+/// apart. First completion wins: losing attempts are rolled back off the
+/// frontier and a winning hedge cancels the primary's reservation, so
+/// speculative capacity is reclaimed exactly.
 #[allow(
     clippy::needless_pass_by_value,
     reason = "thread entry: owns its channels and engine handle"
@@ -1456,25 +1347,14 @@ fn worker_loop(
     {
         let window = batch.window;
         for item in &batch.items {
-            let d = item.req.device;
             if let Some(sink) = &item.write {
                 serve_write_copy(&engine, &mut local, window, item, sink);
                 continue;
             }
             // Admitted into window `t`, the item executes during `t + 1`.
-            let exec_window = window + 1;
-            // Every fault-plane lookup happens BEFORE the device lock:
-            // `fault.inner` and `fault.health` are peers of `engine.devices`
-            // in the lock hierarchy, never nested inside it. The threshold
-            // is read before the sample goes in, so that an outlier cannot
-            // vouch for itself.
-            let factor = engine.fault.slow_factor_at(d, exec_window);
-            let threshold = engine.fault.hedge_threshold(d);
-            let issue = exec_window * engine.cfg.qos.interval_ns;
-            let (completion, _) = serve_on_device(&engine, &item.req, issue, factor, exec_window);
+            let (completion, hedged) = serve_read(&engine, item, window + 1);
             // Exactly one settlement per read: the winning hedge cancels
             // the primary, otherwise the primary stood.
-            let hedged = hedge(&engine, item, exec_window, threshold, completion);
             let (kind, finish) = match hedged {
                 Some(finish) => (SettleKind::HedgeWin, finish),
                 None => (SettleKind::Served, completion.finish),
@@ -1533,7 +1413,10 @@ fn serve_write_copy(
         // scorer — a GC storm looks exactly like a fail-slow episode from
         // the outside, which is the point: hedged reads route around it.
         let factor = engine.fault.slow_factor_at(d, issue_window);
-        let (completion, gc) = serve_on_device(engine, &item.req, issue, factor, exec_window);
+        let (completion, gc) = engine
+            .fault
+            .board()
+            .serve(&item.req, issue, factor, exec_window);
         // This write's GC work feeds the admission-side GC-pressure
         // reserve. Every relocation is one read and one program, so the
         // programs that are left are the host's (none without a GC model,
@@ -1549,29 +1432,6 @@ fn serve_write_copy(
         engine.fault.note_retry();
     }
     settle_write_copy(engine, local, window, item, sink, outcome);
-}
-
-/// Serve `req` on its device, issued at `issue` with the slow factor
-/// `factor` read before the device lock: behind the primary work the device
-/// has accepted, and recorded as its work in `exec_window`. Returns the
-/// completion and the write's GC work. The scorer then samples the
-/// *service* component only: queueing delay is the scheduler's doing, not
-/// evidence about device health. Every read primary and write copy reaches
-/// its device here; a hedge does not.
-fn serve_on_device(
-    engine: &Engine,
-    req: &IoRequest,
-    issue: u64,
-    factor: u32,
-    exec_window: u64,
-) -> (Completion, WriteOutcome) {
-    let (completion, gc) = engine
-        .devices
-        .lock()
-        .submit(req, issue, factor, exec_window);
-    let service = completion.finish - completion.service_start;
-    engine.fault.observe(req.device, service, exec_window);
-    (completion, gc)
 }
 
 /// Fold one copy's outcome into the logical write's sink; the last copy to
@@ -1616,151 +1476,141 @@ struct HedgeCandidate {
     tried: bool,
 }
 
-/// Decide whether to hedge `item`'s primary completion and run the bounded
-/// speculative-attempt loop. Returns the winning hedge's finish time, or
-/// `None` when the primary stood (no trigger, no candidate, or nothing
-/// beat it); the caller settles the read exactly once either way.
-fn hedge(
-    engine: &Engine,
-    item: &WorkItem,
-    exec_window: u64,
-    threshold: Option<u64>,
-    completion: Completion,
-) -> Option<u64> {
+/// Serve one read on its assigned device and decide whether to hedge it,
+/// in one hold of the board, so that the frontier restore is exact
+/// (nothing else moves in between). Returns the primary's completion and
+/// the winning hedge's finish time, or `None` when the primary stood (no
+/// trigger, no candidate, or nothing beat it); the caller settles the read
+/// exactly once either way.
+fn serve_read(engine: &Engine, item: &WorkItem, exec_window: u64) -> (Completion, Option<u64>) {
     let d = item.req.device;
     let cfg = &engine.cfg;
-    // Trigger on evidence of *device* trouble — the service component
-    // crossing the adaptive threshold — or on a projected deadline miss
-    // (which also catches pathological queueing). Queueing below the
-    // deadline is the scheduler's normal business and never hedges.
     let exec_start = exec_window * cfg.qos.interval_ns;
     let deadline = exec_start + cfg.qos.interval_ns;
-    let service_lat = completion.finish.saturating_sub(completion.service_start);
-    let trigger = cfg.hedge_enabled
-        && (threshold.is_some_and(|thr| service_lat > thr) || completion.finish > deadline);
-    if !trigger {
-        return None;
-    }
 
-    // Candidate replicas: the block's others, not fail-stop dead this
-    // interval, in device order. A silently slow replica *is* a candidate —
-    // the scorer's belief, not ground truth, drives the earliest-finish
-    // choice. On the stack, as `placed` below: a hedge allocates nothing.
+    // The timeline first (`fault.inner` ranks above the board): slow factors
+    // and candidates, the block's other replicas live this interval, in
+    // device order. A silently slow replica *is* a candidate — the scorer's
+    // belief drives the choice. On the stack: a hedge allocates nothing.
+    let factor = engine.fault.slow_factor_at(d, exec_window);
     let scheme = &cfg.qos.scheme;
     let replicas = scheme.replicas(scheme.bucket_for_lbn(item.req.lbn));
     let others = replicas.iter().fold(0u64, |m, &a| m | 1 << a) & !(1u64 << d);
-    let mut live = others & !engine.fault.mask_at(exec_window);
-    if live == 0 {
-        return None;
-    }
-    let service = cfg.qos.service_ns;
+    let mut live = if cfg.hedge_enabled {
+        others & !engine.fault.mask_at(exec_window)
+    } else {
+        0
+    };
     let mut cands = [HedgeCandidate::default(); MAX_COPIES - 1];
     let mut n_cands = 0;
     while live != 0 {
         let a = live.trailing_zeros() as usize;
         live &= live - 1;
+        let slow = u64::from(engine.fault.slow_factor_at(a, exec_window));
         cands[n_cands] = HedgeCandidate {
             dev: a,
-            believed_ns: engine.fault.service_estimate(a),
-            actual_ns: service * u64::from(engine.fault.slow_factor_at(a, exec_window)),
-            tried: false,
+            actual_ns: cfg.qos.service_ns * slow,
+            ..HedgeCandidate::default()
         };
         n_cands += 1;
     }
     let cands = &mut cands[..n_cands];
 
-    let mut hedges_issued = 0u64;
+    let mut board = engine.fault.board();
+    // The threshold is read before the sample goes in, so that an outlier
+    // cannot vouch for itself.
+    let threshold = board.hedge_threshold(d);
+    let (completion, _) = board.serve(&item.req, exec_start, factor, exec_window);
+    // Trigger on evidence of *device* trouble — the service component
+    // crossing the adaptive threshold — or on a projected deadline miss
+    // (which also catches pathological queueing). Queueing below the
+    // deadline is the scheduler's normal business and never hedges.
+    let service_lat = completion.finish.saturating_sub(completion.service_start);
+    let trigger = threshold.is_some_and(|thr| service_lat > thr) || completion.finish > deadline;
+    if !trigger || cands.is_empty() {
+        return (completion, None);
+    }
+    for c in cands.iter_mut() {
+        c.believed_ns = board.service_estimate(c.dev);
+    }
+
     let mut retries = 0u64;
     // Winning hedge, if any: (device, service_start, finish).
     let mut winner: Option<(usize, u64, u64)> = None;
     let mut winner_finish = completion.finish;
-    {
-        // One device-lock hold covers place → compare → rollback, so the
-        // frontier restore is exact (nothing else moves in between).
-        let mut devs = engine.devices.lock();
-        let mut placed = [(0usize, 0u64, 0u64); RETRY_LIMIT as usize]; // (dev, prev_busy, finish)
-        let mut n_placed = 0;
-        for attempt in 1..=RETRY_LIMIT {
-            if winner_finish <= deadline {
-                break;
-            }
-            // Attempt 1 (the hedge) fires immediately off the primary's
-            // projection — completions are known at submit in simulated
-            // time, so the speculative read starts with the window's
-            // execution phase. Each later attempt models a re-issue after
-            // one more backoff period.
-            let issue = exec_start + (attempt - 1) * RETRY_BACKOFF_NS;
-            // A hedge starts after the primary work its target has
-            // accepted up to this window AND after every speculative read
-            // already parked there.
-            let free_at = |dev: usize| {
-                devs.busy_as_of(dev, exec_window)
-                    .max(devs.spec[dev])
-                    .max(issue)
-            };
-            let Some(ci) = (0..cands.len())
-                .filter(|&i| !cands[i].tried)
-                .min_by_key(|&i| free_at(cands[i].dev) + cands[i].believed_ns)
-            else {
-                break;
-            };
-            let dev = cands[ci].dev;
-            let start = free_at(dev);
-            if start + cands[ci].believed_ns >= winner_finish {
-                // Nothing is believed to beat the current winner; further
-                // speculation only burns replica bandwidth.
-                break;
-            }
-            cands[ci].tried = true;
-            let fin = start + cands[ci].actual_ns;
-            placed[n_placed] = (dev, devs.spec[dev], fin);
-            n_placed += 1;
-            devs.spec[dev] = fin;
-            if attempt == 1 {
-                hedges_issued += 1;
-            } else {
-                retries += 1;
-            }
-            if fin < winner_finish {
-                winner_finish = fin;
-                winner = Some((dev, start, fin));
-            }
+    let mut placed = [(0usize, 0u64, 0u64); RETRY_LIMIT as usize]; // (dev, prev_busy, finish)
+    let mut n_placed = 0;
+    for attempt in 1..=RETRY_LIMIT {
+        if winner_finish <= deadline {
+            break;
         }
-        // First-completion-wins: roll every losing attempt back off the
-        // speculative frontier (reverse order restores prior values).
-        for &(dev, prev, fin) in placed[..n_placed].iter().rev() {
-            if winner.is_some_and(|(wd, _, wf)| wd == dev && wf == fin) {
-                continue;
-            }
-            if devs.spec[dev] == fin {
-                devs.spec[dev] = prev;
-            }
+        // Attempt 1 (the hedge) fires immediately off the primary's
+        // projection — completions are known at submit in simulated
+        // time, so the speculative read starts with the window's
+        // execution phase. Each later attempt models a re-issue after
+        // one more backoff period.
+        let issue = exec_start + (attempt - 1) * RETRY_BACKOFF_NS;
+        // A hedge starts after the primary work its target has
+        // accepted up to this window AND after every speculative read
+        // already parked there.
+        let devs = &board.devices;
+        let free_at = |dev: usize| {
+            devs.busy_as_of(dev, exec_window)
+                .max(devs.spec[dev])
+                .max(issue)
+        };
+        let Some(ci) = (0..cands.len())
+            .filter(|&i| !cands[i].tried)
+            .min_by_key(|&i| free_at(cands[i].dev) + cands[i].believed_ns)
+        else {
+            break;
+        };
+        let dev = cands[ci].dev;
+        let start = free_at(dev);
+        if start + cands[ci].believed_ns >= winner_finish {
+            // Nothing is believed to beat the current winner; further
+            // speculation only burns replica bandwidth.
+            break;
         }
-        // A winning hedge cancels the primary, reclaiming its slot on the
-        // primary frontier: only this worker submits to `d`, so the primary
-        // is still its last submission.
-        if winner.is_some() {
-            devs.models[d].cancel(&completion);
+        cands[ci].tried = true;
+        let fin = start + cands[ci].actual_ns;
+        placed[n_placed] = (dev, board.devices.spec[dev], fin);
+        n_placed += 1;
+        board.devices.spec[dev] = fin;
+        if attempt == 1 {
+            board.hedges_issued += 1;
+        } else {
+            retries += 1;
+        }
+        if fin < winner_finish {
+            winner_finish = fin;
+            winner = Some((dev, start, fin));
         }
     }
-    if hedges_issued > 0 {
-        engine
-            .worker_stats
-            .hedges_issued
-            .fetch_add(hedges_issued, Ordering::Relaxed);
+    // First-completion-wins: roll every losing attempt back off the
+    // speculative frontier (reverse order restores prior values).
+    for &(dev, prev, fin) in placed[..n_placed].iter().rev() {
+        if winner.is_some_and(|(wd, _, wf)| wd == dev && wf == fin) {
+            continue;
+        }
+        if board.devices.spec[dev] == fin {
+            board.devices.spec[dev] = prev;
+        }
     }
     for _ in 0..retries {
         engine.fault.note_retry();
     }
-    let (wdev, start, fin) = winner?;
-    // The hedge's service latency is a health sample for the replica that
-    // absorbed it.
-    engine.fault.observe(wdev, fin - start, exec_window);
-    engine
-        .worker_stats
-        .hedges_won
-        .fetch_add(1, Ordering::Relaxed);
-    Some(fin)
+    let Some((wdev, start, fin)) = winner else {
+        return (completion, None);
+    };
+    // A winning hedge cancels the primary, reclaiming its slot on the
+    // primary frontier: only this worker submits to `d`, so the primary
+    // is still its last submission. The hedge's service latency is a
+    // health sample for the replica that absorbed it.
+    board.devices.models[d].cancel(&completion);
+    board.observe(wdev, fin - start, exec_window);
+    board.hedges_won += 1;
+    (completion, Some(fin))
 }
 
 #[cfg(test)]
@@ -2320,7 +2170,6 @@ mod tests {
             submit_stats,
             ledger,
             worker_stats,
-            devices,
             hist,
         } = &*s.engine;
         let mut spans = vec![
@@ -2341,19 +2190,18 @@ mod tests {
             span("submit_stats", submit_stats, Side::Submitter),
             // Written by workers as they serve and settle.
             span("worker_stats", worker_stats, Side::Worker),
-            span("devices", devices, Side::Worker),
             span("hist", hist, Side::Worker),
         ];
         spans.extend(ledger.layout());
         assert_one_side_per_line(&*s.engine, spans);
-        // Measured (1 520 with the production primitives, whose lock classes
+        // Measured (1 392 with the production primitives, whose lock classes
         // compile out of release builds): the engine is one long-lived
         // allocation, and growing it is a decision — run the RSS pre-check
         // of the verify skill when this moves (one 1 720-byte layout of this
         // same engine took `fleet_route` from 10.0 to 11.5 MiB).
         if cfg!(not(any(debug_assertions, feature = "model-check"))) {
             assert!(
-                std::mem::size_of::<Engine>() <= 1520,
+                std::mem::size_of::<Engine>() <= 1392,
                 "{}",
                 std::mem::size_of::<Engine>()
             );
@@ -2389,40 +2237,6 @@ mod tests {
             }
         }
         assert_eq!(channel_messages(4096, 1, 14), 292);
-    }
-
-    /// What a hedge is told about a peer's device must not depend on how
-    /// far the peer's serving worker has run ahead (`faults.rs`'s GC storm
-    /// missed 0–9 deadlines by it, with the thread interleaving).
-    #[test]
-    fn a_hedge_meets_the_frontier_of_its_own_window() {
-        let mut devs = Devices::new(vec![CalibratedSsd::with_latencies(100, 100); 2], 4);
-        // A 100 ns read on device 1, issued at `issue` as exec window
-        // `window`'s work.
-        let read = |devs: &mut Devices, issue, window| {
-            let req = IoRequest::read_block(0, 0, 1, 0);
-            devs.submit(&req, issue, 1, window).0
-        };
-        read(&mut devs, 0, 5);
-        read(&mut devs, 0, 5); // queues behind the first: finishes at 200
-        read(&mut devs, 600, 7); // window 6 had nothing for the device
-        let last = read(&mut devs, 750, 8);
-        assert_eq!((last.service_start, last.finish), (750, 850));
-        for (window, frontier) in [(4, 0), (5, 200), (6, 200), (7, 700), (8, 850)] {
-            assert_eq!(devs.busy_as_of(1, window), frontier, "window {window}");
-        }
-        assert_eq!(devs.busy_as_of(0, 5), 0, "per device");
-        // A hedge win cancels the primary; the entry of its window stands.
-        assert!(devs.models[1].cancel(&last));
-        assert_eq!((devs.busy_as_of(1, 7), devs.busy_as_of(1, 8)), (700, 750));
-        // Serving worker more than `depth` windows ahead: the slots of 5
-        // and 7 are reused, and the answer is late, never early.
-        read(&mut devs, 800, 9);
-        read(&mut devs, 1000, 11);
-        assert_eq!(devs.busy_as_of(1, 4), 700, "5, 7 gone; 8 entered at 700");
-        assert_eq!(devs.busy_as_of(1, 5), 700);
-        assert_eq!(devs.busy_as_of(1, 8), 750);
-        assert_eq!(devs.busy_as_of(1, 10), 900);
     }
 
     /// A server without a log and one with a memory log: both release
@@ -2706,6 +2520,15 @@ mod tests {
                 taken.name()
             );
         }
+        // The board is a leaf: nothing ranked below it is taken under it,
+        // and the order check panics on anything ranked above.
+        for below in [EngineStage, EngineWal, ClusterPage, WalTally] {
+            let name = below.name();
+            assert!(
+                !fqos_sync::seen(FaultHealth, below),
+                "{name} under fault.health"
+            );
+        }
     }
 
     /// A log directory of this test's own.
@@ -2859,12 +2682,12 @@ mod tests {
             let mut h = s.handle();
             // Four batches queued behind a worker held at its first read, so
             // that it serves them back to back: 56 settles, under the batch.
-            // The device lock is held by a thread that takes no other.
+            // The board is held by a thread that takes no other.
             let gate = Arc::new(std::sync::Barrier::new(2));
             let holder = {
                 let (engine, gate) = (Arc::clone(&engine), Arc::clone(&gate));
                 std::thread::spawn(move || {
-                    let _held_at_its_first_read = engine.devices.lock();
+                    let _held_at_its_first_read = engine.fault.board();
                     gate.wait();
                     gate.wait();
                 })
@@ -3021,6 +2844,50 @@ mod tests {
         assert!(m.gc_erases > 0);
         assert!(m.write_amplification() > 1.0);
         assert_extended_law(&m);
+    }
+
+    /// One worker on `mixed_rw_gc`'s shape: reads and writes, a quarter of
+    /// them writes, on an FTL small enough that GC stalls make reads hedge.
+    /// The worker holds the board once per read, hedged or not, and once
+    /// per write copy; the snapshots, taken on this thread, are not counted.
+    #[test]
+    fn a_worker_holds_the_board_once_per_read_and_per_write_copy() {
+        use crate::config::GcConfig;
+        use fqos_flashsim::FtlGeometry;
+        let geometry = FtlGeometry {
+            dies: 1,
+            blocks_per_die: 16,
+            pages_per_block: 8,
+            overprovision: 0.1,
+        };
+        let cfg = ServerConfig::new(QosConfig::paper_9_3_1().with_accesses(2))
+            .with_workers(1)
+            .with_gc_model(GcConfig::new(geometry));
+        let s = QosServer::new(cfg).unwrap();
+        let engine = Arc::clone(&s.engine);
+        s.register(1, 14, OverloadPolicy::Delay).unwrap();
+        let mut h = s.handle();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for w in 0..400u64 {
+            for i in 0..14u64 {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let (lbn, at) = ((x >> 33) % (36 * 3), w * BASE_T + i);
+                // Past `S(M)` a request waits for a later window or is
+                // refused: only what is admitted reaches the worker.
+                match x >> 62 {
+                    0 => h.submit_write(1, lbn, at),
+                    _ => h.submit(1, lbn, at),
+                };
+            }
+        }
+        drop(h);
+        let m = s.finish();
+        assert!(m.hedges_issued > 0 && m.gc_relocated > 0, "{m:#?}");
+        let reads = m.served + m.hedges_cancelled;
+        let copies = 3 * (m.write_settled + m.write_lost);
+        assert_eq!(engine.fault.board().worker_holds.get(), reads + copies);
     }
 
     #[test]

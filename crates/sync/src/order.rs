@@ -51,10 +51,9 @@ pub enum Class {
     RegistryShard,
     /// The fault plane's event log.
     FaultInner,
-    /// The device health scorer.
+    /// The fault plane's board: the device health scorer, every device's
+    /// simulated timeline and the hedge frontier.
     FaultHealth,
-    /// Every device's simulated timeline and the hedge frontier.
-    EngineDevices,
     /// One thread's staged WAL records. May block: a stage is held until
     /// whoever drains it holds the log, so a cold path that drains every
     /// stage finds each record staged or logged; the owner keeps it across
@@ -88,7 +87,6 @@ impl Class {
             Class::RegistryShard => "registry.shard",
             Class::FaultInner => "fault.inner",
             Class::FaultHealth => "fault.health",
-            Class::EngineDevices => "engine.devices",
             Class::EngineStage => "engine.stage",
             Class::EngineWal => "engine.wal",
             Class::ClusterPage => "cluster.page",
@@ -289,17 +287,17 @@ mod imp {
 
         #[test]
         fn blocking_under_a_class_that_may_not_block_panics() {
-            let devices = Mutex::new(Class::EngineDevices, ());
+            let board = Mutex::new(Class::FaultHealth, ());
             let (tx, _rx) = channel::bounded(1);
-            let (devices_at, _devices) = (line!(), devices.lock());
+            let (board_at, _board) = (line!(), board.lock());
             let (send_at, sent) = (line!(), catch_unwind(AssertUnwindSafe(|| tx.send(()))));
             let (fsync_at, synced) = (line!(), catch_unwind(|| blocking("fsync")));
             for (op, at, caught) in [
                 ("send", send_at, sent.map(drop)),
                 ("fsync", fsync_at, synced),
             ] {
-                let msg = message(&*caught.expect_err("blocked under engine.devices"));
-                for needle in [op, "engine.devices", &site(at), &site(devices_at)] {
+                let msg = message(&*caught.expect_err("blocked under fault.health"));
+                for needle in [op, "fault.health", &site(at), &site(board_at)] {
                     assert!(msg.contains(needle), "`{needle}` missing from: {msg}");
                 }
             }
