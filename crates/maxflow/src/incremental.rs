@@ -118,6 +118,16 @@ impl IncrementalRetrieval {
         self.recount_free();
     }
 
+    /// Size the buffers for `requests` admitted requests of up to
+    /// `replicas` live replicas each, so that admitting that many allocates
+    /// nothing.
+    pub fn reserve(&mut self, requests: usize, replicas: usize) {
+        self.assigned.reserve(requests);
+        self.end.reserve(requests);
+        self.reps.reserve(requests.saturating_mul(replicas));
+        self.saved.reserve(requests);
+    }
+
     /// Number of devices (zero-capacity ones included).
     pub fn devices(&self) -> usize {
         self.devices as usize

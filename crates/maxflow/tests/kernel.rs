@@ -110,6 +110,22 @@ fn saturated(rng: &mut u64) -> IncrementalRetrieval {
 }
 
 #[test]
+fn a_reserved_kernel_fills_a_window_without_growing() {
+    let mut inc = IncrementalRetrieval::with_failed(9, 2, 1 << 4);
+    inc.reserve(18, 3);
+    let bytes = inc.retained_bytes();
+    for _ in 0..3 {
+        for d in 0..64 {
+            inc.try_add(&[d % 9, (d + 1) % 9, (d + 3) % 9]);
+        }
+        inc.checkpoint();
+        assert_eq!(inc.len(), 16, "8 live devices × 2 accesses");
+        assert_eq!(inc.retained_bytes(), bytes, "the buffers held a window");
+        inc.reset(2, 1 << 4);
+    }
+}
+
+#[test]
 fn refused_probes_leave_no_trace() {
     let mut rng = 1;
     let mut inc = saturated(&mut rng);

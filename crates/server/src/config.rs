@@ -94,9 +94,9 @@ pub enum AssignmentMode {
     Eft,
 }
 
-/// Number of ring slots the engine keeps live window state for. Bounds how
-/// far apart the slowest and fastest submitter clocks may drift, plus the
-/// delay horizon.
+/// Number of window-ring slots. Bounds how far apart the slowest and
+/// fastest submitter clocks may drift, plus the delay horizon; a slot holds
+/// window state only while its window is open.
 pub const WINDOW_RING: usize = 1024;
 
 /// Configuration of one [`crate::QosServer`].

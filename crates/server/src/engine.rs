@@ -58,7 +58,7 @@ use crate::ledger::{AtomicLedger, SettleKind};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, TenantSnapshot};
 use crate::registry::{RegisterError, Tenant, TenantRegistry, TenantView};
 use crate::wal::{crash_point, OpenEntry, Stage, Wal};
-use crate::window::{AdmitResult, SealedWindow, WindowRing, MAX_COPIES};
+use crate::window::{AdmitResult, OpenWindow, SealedWindow, Spares, WindowRing, MAX_COPIES};
 use fqos_core::{OverloadPolicy, StatisticalCounters};
 use fqos_decluster::sampling::OptimalRetrievalProbabilities;
 use fqos_flashsim::{CalibratedSsd, Completion, IoOp, IoRequest};
@@ -147,6 +147,9 @@ struct DispatchState {
     /// Every [`WriteSink`] handed out, oldest first. The pool keeps one
     /// reference, so a worker only ever drops a clone and never frees one.
     sinks: std::collections::VecDeque<Arc<WriteSink>>,
+    /// Window states the seal gave back, for handles to open windows with:
+    /// as many exist as windows were open at once, plus a spare a handle.
+    spares: Spares,
 }
 
 impl DispatchState {
@@ -166,6 +169,12 @@ impl DispatchState {
         sink.remaining.store(u64::from(fanout), Ordering::Relaxed);
         self.sinks.push_back(Arc::clone(&sink));
         sink
+    }
+
+    /// A window state for a handle to open its next window with: one a
+    /// seal gave back if there is one, else a new one.
+    fn spare(&mut self, ring: &WindowRing) -> Box<OpenWindow> {
+        self.spares.pop().unwrap_or_else(|| ring.spare())
     }
 }
 
@@ -427,7 +436,7 @@ impl QosServer {
             // 1500 trials leave a standard error of ≈ 0.006 at P_k ≈ 0.95,
             // not small beside ε = 0.01. The trial count and seed stay as
             // they are because the `stat_overflow` pin and the P_k golden
-            // fix them, until the table is computed exactly (ROADMAP 10(b)).
+            // fix them, until the table is computed exactly (ROADMAP 22(b)).
             let k_max = 2 * limit + 8;
             StatState {
                 counters: Mutex::new(Class::EngineStatCounters, StatisticalCounters::new()),
@@ -576,7 +585,7 @@ impl QosServer {
         let stage = engine.wal.as_ref().map(Wal::stage);
         // The seal target is computed under the dispatch lock, so no seal
         // can pass a watermark entered under it.
-        let (slot, watermark) = {
+        let (slot, watermark, spare) = {
             let mut ds = engine.dispatch.lock();
             let watermark = ds.sealed_through;
             let marks = &mut ds.watermarks;
@@ -588,7 +597,7 @@ impl QosServer {
                 }
             };
             marks[slot] = watermark;
-            (slot, watermark)
+            (slot, watermark, ds.spare(&engine.ring))
         };
         SubmitterHandle {
             engine,
@@ -596,6 +605,7 @@ impl QosServer {
             watermark: Cell::new(watermark),
             view: TenantView::new(),
             stage,
+            spare: Cell::new(Some(spare)),
         }
     }
 
@@ -754,6 +764,10 @@ impl Engine {
                     }
                 }
             }
+            // The entries are in the batches: the window's state is free.
+            if let Some(w) = sealed.recycle() {
+                ds.spares.push(w);
+            }
             // Probe tick: a condemned device that no longer receives work
             // would never produce the samples needed to clear it.
             self.fault.health_tick(w);
@@ -879,12 +893,17 @@ impl Engine {
     /// Statistical overflow (§III-B2): past the deterministic limit, park
     /// the request best-effort while the projected violation probability
     /// `Q` stays below `ε`. True when parked; the caller admits it.
+    ///
+    /// A window whose `k` requests exceed its devices' summed capacities
+    /// cannot be retrieved within it, whatever the table says, so `k` stops
+    /// there (and at the table's end, past which `p_k` reads 1).
     fn try_overflow(&self, tenant: u64, window: u64, req: IoRequest, replicas: &[usize]) -> bool {
         let Some(stat) = self.stat.as_ref() else {
             return false;
         };
-        let k = self.ring.admitted_total(window) + 1;
-        if k > stat.k_max {
+        let (admitted, capacity) = self.ring.occupancy(window);
+        let k = admitted + 1;
+        if k > stat.k_max.min(capacity) {
             return false;
         }
         // The guard is released before the ring is touched.
@@ -892,8 +911,17 @@ impl Engine {
             stat.counters
                 .lock()
                 .would_admit(k, &stat.probabilities, self.cfg.qos.epsilon);
-        // Every replica down: the statistical path refuses too.
-        within_epsilon && self.ring.add_overflow(window, tenant, req, replicas)
+        // Every replica down: the statistical path refuses too. The window
+        // is open (its `Full` verdict opened it), so it needs no spare.
+        let spare = &mut None;
+        within_epsilon && self.ring.add_overflow(window, tenant, req, replicas, spare)
+    }
+
+    /// A window state off the free list, in a hold of `engine.dispatch` of
+    /// its own: for a submit that opened a window and releases none, or
+    /// opens a second one.
+    fn restock(&self) -> Box<OpenWindow> {
+        self.dispatch.lock().spare(&self.ring)
     }
 
     /// Count one admission — array ledger, tenant ledger, delay telemetry —
@@ -994,6 +1022,8 @@ impl Engine {
         let t_ns = self.cfg.qos.interval_ns;
         let mut restored = 0u64;
         let mut max_target = state.sealed_through.saturating_sub(1);
+        // Each window recovery opens gets a new state; the seals recycle them.
+        let spare = &mut None;
         for (w, entries) in state.open.iter() {
             for e in entries {
                 // A durable admission into a window the log also seals
@@ -1018,11 +1048,12 @@ impl Engine {
                 // them), so a write that no longer fits is forfeited.
                 let ok = if e.guaranteed {
                     matches!(
-                        self.ring.try_admit(w, e.tenant, usize::MAX, req, replicas),
+                        self.ring
+                            .try_admit(w, e.tenant, usize::MAX, req, replicas, spare),
                         AdmitResult::Admitted | AdmitResult::AdmittedSlow
-                    ) || (!e.is_write && self.ring.add_overflow(w, e.tenant, req, replicas))
+                    ) || (!e.is_write && self.ring.add_overflow(w, e.tenant, req, replicas, spare))
                 } else {
-                    self.ring.add_overflow(w, e.tenant, req, replicas)
+                    self.ring.add_overflow(w, e.tenant, req, replicas, spare)
                 };
                 if ok {
                     restored += 1;
@@ -1072,6 +1103,10 @@ pub struct SubmitterHandle {
     /// This handle's admissions on their way to the log (`None` without a
     /// WAL); see [`SubmitterHandle::release`].
     stage: Option<Stage>,
+    /// The window state this handle opens its next window with. `release`
+    /// restocks it in the hold of `engine.dispatch` it takes anyway, so a
+    /// submit that opens a window and then releases one takes no lock more.
+    spare: Cell<Option<Box<OpenWindow>>>,
 }
 
 impl SubmitterHandle {
@@ -1084,7 +1119,8 @@ impl SubmitterHandle {
     /// the dispatch lock — no other seal fits between them — and the stage
     /// rides the first `Seal`'s hold of the WAL lock — the workers' stages
     /// with it — or is drained on its own when a slower handle still holds
-    /// the frontier back.
+    /// the frontier back. The same hold restocks the handle's spare window
+    /// state, or takes it back from a handle that closes.
     fn release(&self, watermark: u64) {
         let engine = &*self.engine;
         let mut ds = engine.dispatch.lock();
@@ -1092,6 +1128,15 @@ impl SubmitterHandle {
         engine.seal_ready(&mut ds, self.stage.as_ref());
         if let Some(stage) = &self.stage {
             stage.drain();
+        }
+        let spare = self.spare.take();
+        if watermark == u64::MAX {
+            if let Some(w) = spare {
+                ds.spares.push(w);
+            }
+        } else {
+            let spare = spare.unwrap_or_else(|| ds.spare(&engine.ring));
+            self.spare.set(Some(spare));
         }
     }
 
@@ -1170,11 +1215,20 @@ impl SubmitterHandle {
         // (windows past arrival, admitted under the guarantee?)
         let mut admitted_at: Option<(u64, bool)> = None;
         let mut any_full = false;
+        let mut spare = self.spare.take();
         for k in 0..=horizon {
-            match engine
-                .ring
-                .try_admit(window + k, tenant, tenant_rec.reserved, req, replicas)
-            {
+            // Only a second window opened in one submit finds it empty.
+            if spare.is_none() {
+                spare = Some(engine.restock());
+            }
+            match engine.ring.try_admit(
+                window + k,
+                tenant,
+                tenant_rec.reserved,
+                req,
+                replicas,
+                &mut spare,
+            ) {
                 AdmitResult::Admitted => {
                     admitted_at = Some((k, true));
                     break;
@@ -1244,6 +1298,11 @@ impl SubmitterHandle {
                 SubmitOutcome::Rejected(reason)
             }
         };
+        if spare.is_none() && !advanced {
+            // A window opened here: the next in-window submit takes no lock.
+            spare = Some(engine.restock());
+        }
+        self.spare.set(spare);
         if advanced {
             self.raise_watermark(window);
         }
@@ -1875,6 +1934,95 @@ mod tests {
     }
 
     #[test]
+    fn overflow_stops_at_the_window_capacity() {
+        // (9,3,1) at M = 2: nine devices of two accesses hold 18 requests,
+        // so no retrieval of a 19th fits the window, whatever the table
+        // prices it at. ε = 1 over a history of one-request windows keeps
+        // `Q` below ε throughout.
+        let qos = QosConfig::paper_9_3_1().with_accesses(2).with_epsilon(1.0);
+        let s = QosServer::new(ServerConfig::new(qos)).unwrap();
+        s.register(1, 14, OverloadPolicy::Reject).unwrap();
+        let t = s.config().qos.interval_ns;
+        let mut h = s.handle();
+        for w in 0..50u64 {
+            assert!(h.submit(1, w, w * t).is_admitted());
+        }
+        let w = 50u64;
+        // Fourteen distinct buckets fill the reservation; the rest of the
+        // burst can only overflow.
+        let outcomes: Vec<_> = (0..30u64).map(|lbn| h.submit(1, lbn, w * t)).collect();
+        assert!(outcomes[..14]
+            .iter()
+            .all(|o| *o == SubmitOutcome::Admitted { window: w }));
+        assert!(outcomes[14..18]
+            .iter()
+            .all(|o| *o == SubmitOutcome::Overflow { window: w }));
+        assert!(outcomes[18..]
+            .iter()
+            .all(|o| *o == SubmitOutcome::Rejected(RejectReason::WindowFull)));
+        drop(h);
+        let m = s.finish();
+        assert_eq!((m.max_window_guaranteed, m.max_window_total), (14, 18));
+    }
+
+    /// Window states the engine built: at rest — every window sealed and
+    /// every handle closed — the free list holds each one.
+    fn window_states(s: &QosServer) -> usize {
+        s.engine.dispatch.lock().spares.len()
+    }
+
+    #[test]
+    fn a_steady_submitter_cycles_three_window_states_at_most() {
+        // `steady_read`'s shape: 14 distinct buckets a window, four tenants
+        // in turn, one submitter.
+        let cfg = ServerConfig::new(QosConfig::paper_9_3_1().with_accesses(2)).with_workers(1);
+        let s = QosServer::new(cfg).unwrap();
+        for (tenant, reserved) in [(1, 4), (2, 4), (3, 3), (4, 3)] {
+            s.register(tenant, reserved, OverloadPolicy::Delay).unwrap();
+        }
+        let t = s.config().qos.interval_ns;
+        let mut h = s.handle();
+        for w in 0..4_000u64 {
+            for i in 0..14u64 {
+                let lbn = (w * 5 + i) % 36 + 36 * w;
+                let out = h.submit(1 + i % 4, lbn, w * t + i);
+                assert_eq!(out, SubmitOutcome::Admitted { window: w });
+            }
+        }
+        drop(h);
+        let built = window_states(&s);
+        assert!((1..=3).contains(&built), "{built} window states");
+        let m = s.finish();
+        assert_eq!((m.admitted, m.windows_sealed), (56_000, 4_000));
+    }
+
+    #[test]
+    fn a_delay_run_needs_its_horizon_plus_two_window_states_at_most() {
+        const HORIZON: u64 = 8;
+        let cfg = ServerConfig::new(QosConfig::paper_9_3_1()).with_delay_horizon(HORIZON);
+        let s = QosServer::new(cfg).unwrap();
+        s.register(1, 5, OverloadPolicy::Delay).unwrap();
+        let mut h = s.handle();
+        let mut furthest = 0;
+        // Every third window, a burst worth the whole horizon.
+        for w in (0..600u64).step_by(3) {
+            for i in 0..5 * (HORIZON + 1) {
+                if let SubmitOutcome::Delayed {
+                    delayed_windows, ..
+                } = h.submit(1, w * 64 + i, w * BASE_T + i)
+                {
+                    furthest = furthest.max(delayed_windows);
+                }
+            }
+        }
+        drop(h);
+        assert_eq!(furthest, HORIZON, "the bursts use the whole horizon");
+        let built = window_states(&s);
+        assert!(built as u64 <= HORIZON + 2, "{built} window states");
+        s.finish();
+    }
+
+    #[test]
     fn finish_with_no_traffic_is_clean() {
         let s = server();
         let m = s.finish();
@@ -1897,6 +2045,7 @@ mod tests {
             engine,
             view: TenantView::new(),
             stage: None,
+            spare: Cell::new(None),
         };
         assert_eq!(
             late.submit(1, 0, 0),

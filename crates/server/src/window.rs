@@ -27,22 +27,28 @@
 //! # Sealing in place
 //!
 //! A request's [`Parked`] entry is its one record from admission until a
-//! worker's batch copies it. The seal finalises the slot's entries where
+//! worker's batch copies it. The seal finalises the window's entries where
 //! they are — a read's `assigned` becomes its dispatch device, or `None`
-//! when it is lost; a write goes to every replica — and hands the slot's
-//! two buffers on as the [`SealedWindow`]. Only a window whose schedule is
-//! rebuilt around a drained device allocates at seal.
+//! when it is lost; a write goes to every replica — and hands the window's
+//! [`OpenWindow`] on as the [`SealedWindow`]. Only a window whose schedule
+//! is rebuilt around a drained device allocates at seal.
+//!
+//! # Only open windows hold state
 //!
 //! Slots are reused modulo the configured ring size
 //! ([`crate::config::ServerConfig::ring_slots`]); the engine's watermark
 //! protocol guarantees a slot is sealed and drained before its index comes
-//! around again (enforced here with an occupancy check).
+//! around again (enforced here with an occupancy check). A closed slot is
+//! its window tag and an empty `Option`. Everything a window needs while it
+//! is open — its capacities and feasibility kernel, per-tenant counts and
+//! parked entries — is one boxed [`OpenWindow`], which the opening
+//! submitter brings as its spare and the engine recycles after the seal.
 
 use crate::config::AssignmentMode;
 use crate::fault::{FaultPlane, MAX_FAULT_DEVICES};
 use fqos_flashsim::{IoOp, IoRequest};
 use fqos_maxflow::IncrementalRetrieval;
-use fqos_sync::{Arc, Class, Mutex, MutexGuard};
+use fqos_sync::{Arc, Class, Mutex};
 
 /// Most replicas a block can have: an `(N, c, 1)` design needs
 /// `N ≥ c² − c + 1` devices, so `c ≤ 8` under the 64-device fault plane.
@@ -163,10 +169,9 @@ impl AdmitResult {
     }
 }
 
-/// A slot's per-window feasibility state, one variant per
-/// [`AssignmentMode`]. Built once with the ring — without allocating: a
-/// thousand small buffers per ring fragment the heap of whoever builds and
-/// drops servers — and reset per window, keeping what the windows grew.
+/// An open window's feasibility state, one variant per [`AssignmentMode`].
+/// It lives in the window's [`OpenWindow`] and is reset, buffers kept,
+/// each time a slot checks that out.
 #[derive(Debug)]
 enum Feasibility {
     /// Exact feasibility: the max-flow kernel over the window's capacities.
@@ -178,14 +183,14 @@ enum Feasibility {
     },
 }
 
-/// Mutable state of one in-flight window.
+/// What a window holds only while it is open. A slot checks one out when
+/// its window opens, the seal hands it on with the window's entries, and
+/// it goes back to the engine's free list once they are cut into batches:
+/// the engine holds as many as windows are open, not one per slot.
 #[derive(Debug)]
-struct SlotState {
-    /// Which window this slot currently holds; meaningful iff `active`.
-    window: u64,
-    active: bool,
-    /// Exclusion bitmap captured when the slot opened: fail-stop admission
-    /// view plus devices the scorer classified `Slow` at open.
+pub(crate) struct OpenWindow {
+    /// Exclusion bitmap captured when the window opened: fail-stop
+    /// admission view plus devices the scorer classified `Slow` at open.
     admit_mask: u64,
     /// Fail-stop-only subset of `admit_mask`; distinguishes "data gone"
     /// (reject `Unavailable`) from "data slow" (serve best-effort).
@@ -197,23 +202,71 @@ struct SlotState {
     per_tenant: Vec<(u64, u32)>,
     guaranteed: Vec<Parked>,
     overflow: Vec<Parked>,
+    /// The next state on the free list while this one waits there.
+    next: Option<Box<OpenWindow>>,
 }
 
-impl SlotState {
-    /// Open the slot for `window`: capture the health view as one capacity
-    /// per device and clear the previous window's state. The feasibility
-    /// state and `per_tenant` keep their buffers; `guaranteed` and
-    /// `overflow` arrive empty and unallocated, because `seal` takes them
-    /// with `mem::take` on purpose — kept, 1 024 slots × `S(M)` parked
-    /// entries would stay resident for the engine's life.
+/// Window states waiting to open a window, linked through the states
+/// themselves: keeping one costs no allocation.
+#[derive(Debug, Default)]
+pub(crate) struct Spares(Option<Box<OpenWindow>>);
+
+impl Spares {
+    pub fn push(&mut self, mut w: Box<OpenWindow>) {
+        w.next = self.0.take();
+        self.0 = Some(w);
+    }
+
+    pub fn pop(&mut self) -> Option<Box<OpenWindow>> {
+        let mut w = self.0.take()?;
+        self.0 = w.next.take();
+        Some(w)
+    }
+
+    /// How many states wait here.
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        std::iter::successors(self.0.as_deref(), |w| w.next.as_deref()).count()
+    }
+}
+
+impl OpenWindow {
+    /// An empty window state for `mode` on `devices` devices at `accesses`
+    /// a window, its buffers sized for the `N·M` guaranteed admissions a
+    /// window can hold: built in one go, it never grows in a window, and
+    /// its buffers sit together rather than among the batches a seal
+    /// allocates meanwhile.
+    fn new(mode: AssignmentMode, devices: usize, accesses: usize) -> Self {
+        let window = devices * accesses;
+        OpenWindow {
+            admit_mask: 0,
+            fail_mask: 0,
+            feas: match mode {
+                AssignmentMode::OptimalFlow => {
+                    let mut kernel = IncrementalRetrieval::new(devices, accesses);
+                    kernel.reserve(window, MAX_COPIES);
+                    Feasibility::Flow(kernel)
+                }
+                AssignmentMode::Eft => Feasibility::Eft {
+                    loads: [0; MAX_FAULT_DEVICES],
+                    cap: [0; MAX_FAULT_DEVICES],
+                },
+            },
+            per_tenant: Vec::with_capacity(window),
+            guaranteed: Vec::with_capacity(window),
+            overflow: Vec::new(),
+            next: None,
+        }
+    }
+
+    /// Open for `window`: capture the health view as one capacity per
+    /// device and clear the previous window's state, keeping its buffers.
     fn reset_for(&mut self, window: u64, accesses: usize, fault: &FaultPlane) {
         // Fail-stop devices are excluded outright; detected-slow devices
         // are steered around too (they are live — blocks with no other
         // copy still fall back to them, see try_admit).
         let fail_mask = fault.admission_mask(window);
         let admit_mask = fail_mask | fault.live_slow_mask();
-        self.window = window;
-        self.active = true;
         self.admit_mask = admit_mask;
         self.fail_mask = fail_mask;
         // Capacity 0 on an excluded device; elsewhere `M` less the accesses
@@ -237,20 +290,51 @@ impl SlotState {
         self.guaranteed.clear();
         self.overflow.clear();
     }
+
+    /// Park one guaranteed admission and count it against its tenant, in
+    /// buffers [`OpenWindow::new`] sized for a window.
+    fn park(&mut self, parked: Parked) {
+        let held = self
+            .per_tenant
+            .iter_mut()
+            .find(|(t, _)| *t == parked.tenant);
+        match held {
+            Some((_, n)) => *n += 1,
+            None => self.per_tenant.push((parked.tenant, 1)),
+        }
+        self.guaranteed.push(parked);
+    }
+
+    /// The accesses the window's devices hold in all: `Σ_d cap_d`.
+    fn capacity(&self) -> usize {
+        let caps = match &self.feas {
+            Feasibility::Flow(kernel) => kernel.caps(),
+            Feasibility::Eft { cap, .. } => &cap[..],
+        };
+        caps.iter().map(|&c| usize::from(c)).sum()
+    }
+}
+
+/// One ring slot: the window it last opened for, and that window's state
+/// while it is open (`None` once sealed, or before its first window).
+#[derive(Debug)]
+struct SlotState {
+    window: u64,
+    open: Option<Box<OpenWindow>>,
 }
 
 /// The drained contents of one window: the slot's own entries, sealed in
 /// place, in dispatch order — the guaranteed set in admission order, then
-/// overflow.
-#[derive(Debug)]
+/// overflow — inside the [`OpenWindow`] they were parked in.
+#[derive(Debug, Default)]
 pub(crate) struct SealedWindow {
     /// Guaranteed admissions still servable (a write counts once, not per
     /// copy).
     pub guaranteed: u64,
     /// Admissions still servable, guaranteed and overflow.
     pub total: u64,
-    in_guarantee: Vec<Parked>,
-    overflow: Vec<Parked>,
+    /// `None` for a window nothing was admitted into.
+    entries: Option<Box<OpenWindow>>,
 }
 
 impl SealedWindow {
@@ -258,8 +342,12 @@ impl SealedWindow {
     /// the deterministic guarantee (vs statistical overflow). A lost read
     /// is among them, with no target.
     pub fn entries(&self) -> impl Iterator<Item = (&Parked, bool)> {
-        let guaranteed = self.in_guarantee.iter().map(|p| (p, true));
-        guaranteed.chain(self.overflow.iter().map(|p| (p, false)))
+        let (in_guarantee, overflow) = match self.entries.as_deref() {
+            Some(w) => (&w.guaranteed[..], &w.overflow[..]),
+            None => (&[][..], &[][..]),
+        };
+        let guaranteed = in_guarantee.iter().map(|p| (p, true));
+        guaranteed.chain(overflow.iter().map(|p| (p, false)))
     }
 
     /// Tenant of each admission unservable at seal (every replica down),
@@ -270,14 +358,21 @@ impl SealedWindow {
             .filter(|(p, _)| !p.is_write() && p.assigned.is_none())
             .map(|(p, _)| p.tenant)
     }
+
+    /// The window state, entries and all, for the free list once the
+    /// entries are cut into batches; the next window to check it out
+    /// clears them.
+    pub fn recycle(self) -> Option<Box<OpenWindow>> {
+        self.entries
+    }
 }
 
 /// Ring of interval-admission slots shared by all submitter threads.
 pub(crate) struct WindowRing {
     slots: Vec<Mutex<SlotState>>,
-    devices: usize,
-    accesses: usize,
     fault: Arc<FaultPlane>,
+    accesses: usize,
+    mode: AssignmentMode,
     /// Whether seal drains items off devices the scorer detected `Slow`
     /// *after* admission (the fail-slow reaction path; off when hedging is
     /// disabled so the unmitigated cost is observable).
@@ -297,48 +392,42 @@ impl WindowRing {
         WindowRing {
             slots: (0..ring_slots)
                 .map(|_| {
-                    Mutex::new(
-                        Class::WindowSlot,
-                        SlotState {
-                            window: 0,
-                            active: false,
-                            admit_mask: 0,
-                            fail_mask: 0,
-                            feas: match mode {
-                                AssignmentMode::OptimalFlow => {
-                                    Feasibility::Flow(IncrementalRetrieval::new(devices, accesses))
-                                }
-                                AssignmentMode::Eft => Feasibility::Eft {
-                                    loads: [0; MAX_FAULT_DEVICES],
-                                    cap: [0; MAX_FAULT_DEVICES],
-                                },
-                            },
-                            per_tenant: Vec::new(),
-                            guaranteed: Vec::new(),
-                            overflow: Vec::new(),
-                        },
-                    )
+                    let closed = SlotState {
+                        window: 0,
+                        open: None,
+                    };
+                    Mutex::new(Class::WindowSlot, closed)
                 })
                 .collect(),
-            devices,
-            accesses,
             fault,
+            accesses,
+            mode,
             failslow,
         }
+    }
+
+    /// A new, empty window state sized for this ring, for a free list
+    /// that has none to give.
+    pub fn spare(&self) -> Box<OpenWindow> {
+        let devices = self.fault.devices();
+        Box::new(OpenWindow::new(self.mode, devices, self.accesses))
     }
 
     fn slot(&self, window: u64) -> &Mutex<SlotState> {
         &self.slots[(window % self.slots.len() as u64) as usize]
     }
 
-    /// Lock `window`'s slot, (re-)initializing it on first touch. Panics if
-    /// the slot still holds an unsealed *older* window — that means
-    /// submitter clocks drifted further apart than the ring covers.
-    fn locked(&self, window: u64) -> MutexGuard<'_, SlotState> {
-        let mut s = self.slot(window).lock();
-        if !s.active {
-            s.reset_for(window, self.accesses, &self.fault);
-        } else if s.window != window {
+    /// `window`'s state in its locked slot `s`, opening the window on first
+    /// touch with `spare` (a new one if that is empty). Panics if the slot
+    /// still holds an unsealed *older* window — that means submitter clocks
+    /// drifted further apart than the ring covers.
+    fn open<'s>(
+        &self,
+        s: &'s mut SlotState,
+        window: u64,
+        spare: &mut Option<Box<OpenWindow>>,
+    ) -> &'s mut OpenWindow {
+        if s.open.is_some() && s.window != window {
             assert!(
                 s.window > window,
                 "window ring wrapped: window {} still unsealed while {} arrives \
@@ -360,29 +449,18 @@ impl WindowRing {
                 );
             }
         }
-        s
-    }
-
-    /// Park one guaranteed admission in `s` and count it against its
-    /// tenant. A window's first one sizes the buffer for `N·M` entries, all
-    /// a window can hold: one allocation per window where growth by
-    /// doubling takes four, and doubling measured no faster (DESIGN.md,
-    /// "Rejected alternatives").
-    fn park(&self, s: &mut SlotState, parked: Parked) {
-        match s.per_tenant.iter_mut().find(|(t, _)| *t == parked.tenant) {
-            Some((_, n)) => *n += 1,
-            None => s.per_tenant.push((parked.tenant, 1)),
-        }
-        if s.guaranteed.capacity() == 0 {
-            s.guaranteed.reserve_exact(self.devices * self.accesses);
-        }
-        s.guaranteed.push(parked);
+        s.window = window;
+        s.open.get_or_insert_with(|| {
+            let mut w = spare.take().unwrap_or_else(|| self.spare());
+            w.reset_for(window, self.accesses, &self.fault);
+            w
+        })
     }
 
     /// Try to admit one guaranteed request for `tenant` (with per-interval
-    /// reservation `reserved`) into `window`. Admits iff the tenant has
-    /// reservation left in this window **and** the request fits the
-    /// window's per-device capacities.
+    /// reservation `reserved`) into `window`, opening it with `spare` if it
+    /// is not yet open. Admits iff the tenant has reservation left in this
+    /// window **and** the request fits the window's per-device capacities.
     ///
     /// A replicated write consumes one unit on **every** replica the window
     /// can schedule (`c×` capacity), not one of `c` — a copy must land on
@@ -397,14 +475,15 @@ impl WindowRing {
         reserved: usize,
         req: IoRequest,
         replicas: &[usize],
+        spare: &mut Option<Box<OpenWindow>>,
     ) -> AdmitResult {
-        let mut guard = self.locked(window);
-        let s = &mut *guard;
-        let held = s.per_tenant.iter().find(|&&(t, _)| t == tenant);
+        let mut guard = self.slot(window).lock();
+        let w = self.open(&mut guard, window, spare);
+        let held = w.per_tenant.iter().find(|&&(t, _)| t == tenant);
         if held.map_or(0, |&(_, n)| n) as usize >= reserved {
             return AdmitResult::Full;
         }
-        let mask = s.admit_mask;
+        let mask = w.admit_mask;
         let tuple = ReplicaTuple::new(replicas);
         let write = req.op == IoOp::Write;
         if tuple.outside(mask).next().is_none() {
@@ -414,13 +493,13 @@ impl WindowRing {
             // congestion — delay it, don't lose it. Writes never park as
             // overflow: they are `Full`, and the engine delays them within
             // the horizon or sheds them, protecting read deadlines.
-            if replicas.iter().all(|&d| s.fail_mask >> d & 1 == 1) {
+            if replicas.iter().all(|&d| w.fail_mask >> d & 1 == 1) {
                 return AdmitResult::Unavailable;
             }
             if write {
                 return AdmitResult::Full;
             }
-            s.overflow.push(Parked {
+            w.overflow.push(Parked {
                 tenant,
                 req,
                 replicas: tuple,
@@ -428,7 +507,7 @@ impl WindowRing {
             });
             return AdmitResult::AdmittedSlow;
         }
-        let assigned = match &mut s.feas {
+        let assigned = match &mut w.feas {
             Feasibility::Flow(kernel) if write => {
                 // One pinned unit per schedulable replica, all or nothing.
                 // A unit that does not fit may already have re-routed
@@ -473,27 +552,34 @@ impl WindowRing {
             replicas: tuple,
             assigned,
         };
-        self.park(s, parked);
+        w.park(parked);
         AdmitResult::Admitted
     }
 
-    /// Total requests (guaranteed + overflow) currently parked in `window`.
-    pub fn admitted_total(&self, window: u64) -> usize {
-        let s = self.locked(window);
-        s.guaranteed.len() + s.overflow.len()
+    /// Requests (guaranteed + overflow) parked in `window` so far, and the
+    /// accesses its devices hold in all, `Σ_d cap_d`. A window that is not
+    /// open reads `(0, 0)` and stays closed.
+    pub fn occupancy(&self, window: u64) -> (usize, usize) {
+        let s = self.slot(window).lock();
+        match s.open.as_deref() {
+            Some(w) if s.window == window => (w.guaranteed.len() + w.overflow.len(), w.capacity()),
+            _ => (0, 0),
+        }
     }
 
     /// Park an overflow (statistically admitted) request in `window`,
-    /// bypassing the reservation and feasibility checks. Device choice is
-    /// deferred to seal, where overflow items pile onto the least-loaded
-    /// surviving replica after the guaranteed schedule. Returns `false`
-    /// (and parks nothing) when every replica is down for this window.
+    /// opening it with `spare` if it is not yet open, bypassing the
+    /// reservation and feasibility checks. Device choice is deferred to
+    /// seal, where overflow items pile onto the least-loaded surviving
+    /// replica after the guaranteed schedule. Returns `false` (and parks
+    /// nothing) when every replica is down for this window.
     pub fn add_overflow(
         &self,
         window: u64,
         tenant: u64,
         req: IoRequest,
         replicas: &[usize],
+        spare: &mut Option<Box<OpenWindow>>,
     ) -> bool {
         // Writes are never admitted statistically: an overflow write would
         // consume `c×` device capacity with no feasibility backing, eating
@@ -502,13 +588,14 @@ impl WindowRing {
         if req.op == IoOp::Write {
             return false;
         }
-        let mut s = self.locked(window);
+        let mut guard = self.slot(window).lock();
+        let w = self.open(&mut guard, window, spare);
         // Only an all-*failed* replica set refuses: slow devices are live
         // and can still carry best-effort work.
-        if s.fail_mask != 0 && replicas.iter().all(|&d| s.fail_mask >> d & 1 == 1) {
+        if w.fail_mask != 0 && replicas.iter().all(|&d| w.fail_mask >> d & 1 == 1) {
             return false;
         }
-        s.overflow.push(Parked {
+        w.overflow.push(Parked {
             tenant,
             req,
             replicas: ReplicaTuple::new(replicas),
@@ -518,9 +605,8 @@ impl WindowRing {
     }
 
     /// Seal `window`: fix every request's replica assignment against the
-    /// final execution-interval health view, in the slot's own entries,
-    /// and drain the slot for reuse. An untouched window seals to an empty
-    /// result.
+    /// final execution-interval health view, in the window's own entries,
+    /// and close the slot. An untouched window seals to an empty result.
     pub fn seal(&self, window: u64) -> SealedWindow {
         // The execution interval of window `w` is window `w + 1`; re-read
         // its health now in case a live injection landed after admission.
@@ -538,27 +624,28 @@ impl WindowRing {
         if exec_mask != 0 {
             self.fault.note_degraded_window();
         }
-        let mut guard = self.slot(window).lock();
-        let s = &mut *guard;
-        if !s.active || s.window != window {
-            return SealedWindow {
-                guaranteed: 0,
-                total: 0,
-                in_guarantee: Vec::new(),
-                overflow: Vec::new(),
-            };
-        }
-        s.active = false;
-        if let Feasibility::Flow(kernel) = &s.feas {
+        let open = {
+            let mut s = self.slot(window).lock();
+            if s.window == window {
+                s.open.take()
+            } else {
+                None
+            }
+        };
+        let Some(mut open) = open else {
+            return SealedWindow::default();
+        };
+        let w = &mut *open;
+        if let Feasibility::Flow(kernel) = &w.feas {
             // The kernel's assignment list holds one entry per admitted
             // unit in admission order: a read consumed one unit, a write
             // one per charged replica. Writes ignore their entries (they
             // fan out to every replica regardless).
             let assigned = kernel.assigned();
             let mut next = 0;
-            for p in &mut s.guaranteed {
+            for p in &mut w.guaranteed {
                 if p.is_write() {
-                    next += p.replicas.outside(s.admit_mask).count();
+                    next += p.replicas.outside(w.admit_mask).count();
                 } else {
                     p.assigned = assigned.get(next).map(|&d| d as usize);
                     next += 1;
@@ -566,9 +653,11 @@ impl WindowRing {
             }
             debug_assert_eq!(next, assigned.len());
         }
-        let mut guaranteed = std::mem::take(&mut s.guaranteed);
-        let mut overflow = std::mem::take(&mut s.overflow);
-        drop(guard);
+        let OpenWindow {
+            guaranteed,
+            overflow,
+            ..
+        } = w;
 
         // Final per-device loads are rebuilt from scratch so seal-time
         // re-dispatch balances against what actually lands on survivors.
@@ -577,7 +666,7 @@ impl WindowRing {
         if drain_mask == 0 {
             // Healthy execution interval: the admission-time assignments
             // stand as-is.
-            for p in &guaranteed {
+            for p in guaranteed.iter() {
                 if p.is_write() {
                     p.replicas.iter().for_each(|d| loads[d] += 1);
                     continue;
@@ -598,7 +687,7 @@ impl WindowRing {
             // subgraph, so whenever a feasible `≤ M` per-device schedule
             // exists the rebuilt one meets every deadline.
             let mut rebuilt =
-                IncrementalRetrieval::with_failed(self.devices, self.accesses, drain_mask);
+                IncrementalRetrieval::with_failed(self.fault.devices(), self.accesses, drain_mask);
             // Writes keep their full fan-out whatever the drain: pre-charge
             // the rebuilt schedule with one pinned unit per surviving write
             // replica so read re-dispatch packs around the write load
@@ -686,7 +775,7 @@ impl WindowRing {
         }
         let n_guaranteed = guaranteed.len() as u64 - lost;
         let mut n_overflow = 0u64;
-        for p in &mut overflow {
+        for p in overflow.iter_mut() {
             // Prefer replicas that are neither failed nor detected-slow;
             // fall back to a slow-but-live one before declaring loss.
             p.assigned = p
@@ -702,8 +791,7 @@ impl WindowRing {
         SealedWindow {
             guaranteed: n_guaranteed,
             total: n_guaranteed + n_overflow,
-            in_guarantee: guaranteed,
-            overflow,
+            entries: Some(open),
         }
     }
 }
@@ -738,16 +826,38 @@ mod tests {
     impl SealedWindow {
         /// A sealed window of guaranteed entries, counted as the seal counts.
         pub(crate) fn of(in_guarantee: Vec<Parked>) -> Self {
+            let mut entries = OpenWindow::new(AssignmentMode::Eft, 1, 1);
+            entries.guaranteed = in_guarantee;
             let mut sealed = SealedWindow {
                 guaranteed: 0,
                 total: 0,
-                in_guarantee,
-                overflow: Vec::new(),
+                entries: Some(Box::new(entries)),
             };
-            let servable = sealed.in_guarantee.len() - sealed.lost().count();
+            let servable = sealed.entries().count() - sealed.lost().count();
             sealed.guaranteed = servable as u64;
             sealed.total = servable as u64;
             sealed
+        }
+    }
+
+    impl WindowRing {
+        /// [`WindowRing::try_admit`], opening a closed window with a new
+        /// state.
+        fn admit(
+            &self,
+            window: u64,
+            tenant: u64,
+            reserved: usize,
+            req: IoRequest,
+            replicas: &[usize],
+        ) -> AdmitResult {
+            self.try_admit(window, tenant, reserved, req, replicas, &mut None)
+        }
+
+        /// [`WindowRing::add_overflow`], opening a closed window with a
+        /// new state.
+        fn overflow(&self, window: u64, tenant: u64, req: IoRequest, replicas: &[usize]) -> bool {
+            self.add_overflow(window, tenant, req, replicas, &mut None)
         }
     }
 
@@ -769,8 +879,8 @@ mod tests {
         let r = ring(AssignmentMode::OptimalFlow);
         // First request could sit on 0; second only fits on 0 → flow must
         // re-route the first to 1.
-        assert!(r.try_admit(0, 1, 10, req(1), &[0, 1]).is_admitted());
-        assert!(r.try_admit(0, 1, 10, req(2), &[0]).is_admitted());
+        assert!(r.admit(0, 1, 10, req(1), &[0, 1]).is_admitted());
+        assert!(r.admit(0, 1, 10, req(2), &[0]).is_admitted());
         let sealed = r.seal(0);
         assert_eq!(sealed.guaranteed, 2);
         let devs: Vec<usize> = sealed.items().iter().map(|i| i.device).collect();
@@ -782,26 +892,26 @@ mod tests {
         // Greedy ties break toward the first replica: request A on 0, then
         // B (only replica 0) is stranded — the documented EFT tradeoff.
         let eft = ring(AssignmentMode::Eft);
-        assert!(eft.try_admit(0, 1, 10, req(1), &[0, 1]).is_admitted());
-        assert_eq!(eft.try_admit(0, 1, 10, req(2), &[0]), AdmitResult::Full);
+        assert!(eft.admit(0, 1, 10, req(1), &[0, 1]).is_admitted());
+        assert_eq!(eft.admit(0, 1, 10, req(2), &[0]), AdmitResult::Full);
 
         let flow = ring(AssignmentMode::OptimalFlow);
-        assert!(flow.try_admit(0, 1, 10, req(1), &[0, 1]).is_admitted());
-        assert!(flow.try_admit(0, 1, 10, req(2), &[0]).is_admitted());
+        assert!(flow.admit(0, 1, 10, req(1), &[0, 1]).is_admitted());
+        assert!(flow.admit(0, 1, 10, req(2), &[0]).is_admitted());
     }
 
     #[test]
     fn per_tenant_reservation_is_enforced() {
         let r = ring(AssignmentMode::OptimalFlow);
-        assert!(r.try_admit(3, 7, 2, req(1), &[0, 1]).is_admitted());
-        assert!(r.try_admit(3, 7, 2, req(2), &[1, 2]).is_admitted());
+        assert!(r.admit(3, 7, 2, req(1), &[0, 1]).is_admitted());
+        assert!(r.admit(3, 7, 2, req(2), &[1, 2]).is_admitted());
         assert_eq!(
-            r.try_admit(3, 7, 2, req(3), &[2, 0]),
+            r.admit(3, 7, 2, req(3), &[2, 0]),
             AdmitResult::Full,
             "reservation of 2 exhausted"
         );
         assert!(
-            r.try_admit(3, 8, 1, req(4), &[2, 0]).is_admitted(),
+            r.admit(3, 8, 1, req(4), &[2, 0]).is_admitted(),
             "other tenants unaffected"
         );
     }
@@ -810,10 +920,10 @@ mod tests {
     fn device_budget_is_enforced() {
         let r = ring(AssignmentMode::OptimalFlow);
         // M = 1 on 3 devices → at most 3 requests, whatever the replicas.
-        assert!(r.try_admit(1, 1, 99, req(1), &[0, 1, 2]).is_admitted());
-        assert!(r.try_admit(1, 1, 99, req(2), &[0, 1, 2]).is_admitted());
-        assert!(r.try_admit(1, 1, 99, req(3), &[0, 1, 2]).is_admitted());
-        assert_eq!(r.try_admit(1, 1, 99, req(4), &[0, 1, 2]), AdmitResult::Full);
+        assert!(r.admit(1, 1, 99, req(1), &[0, 1, 2]).is_admitted());
+        assert!(r.admit(1, 1, 99, req(2), &[0, 1, 2]).is_admitted());
+        assert!(r.admit(1, 1, 99, req(3), &[0, 1, 2]).is_admitted());
+        assert_eq!(r.admit(1, 1, 99, req(4), &[0, 1, 2]), AdmitResult::Full);
         let sealed = r.seal(1);
         assert_eq!(sealed.total, 3);
         let mut devs: Vec<usize> = sealed.items().iter().map(|i| i.device).collect();
@@ -824,9 +934,9 @@ mod tests {
     #[test]
     fn overflow_lands_on_least_loaded_replica_after_guaranteed() {
         let r = ring(AssignmentMode::OptimalFlow);
-        assert!(r.try_admit(0, 1, 9, req(1), &[0]).is_admitted());
-        assert!(r.add_overflow(0, 2, req(2), &[0, 1]));
-        assert!(r.add_overflow(0, 2, req(3), &[0, 1]));
+        assert!(r.admit(0, 1, 9, req(1), &[0]).is_admitted());
+        assert!(r.overflow(0, 2, req(2), &[0, 1]));
+        assert!(r.overflow(0, 2, req(3), &[0, 1]));
         let sealed = r.seal(0);
         assert_eq!(sealed.guaranteed, 1);
         assert_eq!(sealed.total, 3);
@@ -880,22 +990,54 @@ mod tests {
             assert_eq!(sealed.total, 0);
             // Admit into w, seal, then the slot is reusable for w + RING:
             // the previous window's load must not carry over.
-            assert!(r.try_admit(5, 1, 9, req(1), &[0]).is_admitted());
-            assert_eq!(r.try_admit(5, 1, 9, req(2), &[0]), AdmitResult::Full);
+            assert!(r.admit(5, 1, 9, req(1), &[0]).is_admitted());
+            assert_eq!(r.admit(5, 1, 9, req(2), &[0]), AdmitResult::Full);
             assert_eq!(r.seal(5).total, 1);
             let next = 5 + WINDOW_RING as u64;
-            assert!(r.try_admit(next, 1, 9, req(3), &[0]).is_admitted());
+            assert!(r.admit(next, 1, 9, req(3), &[0]).is_admitted());
             assert_eq!(r.seal(next).total, 1);
         }
+    }
+
+    #[test]
+    fn layout_a_closed_slot_is_its_tag_and_an_empty_option() {
+        // A thousand slots stay resident for the ring's life; only the few
+        // open windows carry a kernel and buffers.
+        let size = std::mem::size_of::<Mutex<SlotState>>();
+        assert!(size <= 64, "{size} bytes");
+        assert_eq!(std::mem::size_of::<SlotState>(), 16);
+    }
+
+    #[test]
+    fn a_window_that_is_not_open_stays_closed_when_counted() {
+        let r = ring(AssignmentMode::OptimalFlow);
+        assert_eq!(r.occupancy(3), (0, 0));
+        assert!(r.slot(3).lock().open.is_none());
+        assert!(r.admit(3, 1, 9, req(1), &[0]).is_admitted());
+        assert_eq!(r.occupancy(3), (1, 3), "three devices of one access");
+        assert_eq!(
+            r.occupancy(3 + WINDOW_RING as u64),
+            (0, 0),
+            "another window"
+        );
+        let mut spare = r.seal(3).recycle();
+        assert_eq!(r.occupancy(3), (0, 0));
+        // The sealed state opens the next window empty.
+        let next = 4;
+        assert!(r
+            .try_admit(next, 1, 9, req(2), &[0], &mut spare)
+            .is_admitted());
+        assert!(spare.is_none(), "the window opened with the spare");
+        assert_eq!(r.occupancy(next), (1, 3));
     }
 
     #[test]
     #[should_panic(expected = "window ring wrapped")]
     fn unsealed_slot_reuse_panics() {
         let r = ring(AssignmentMode::Eft);
-        assert!(r.try_admit(0, 1, 1, req(1), &[0]).is_admitted());
+        assert!(r.admit(0, 1, 1, req(1), &[0]).is_admitted());
         // Same slot index one full ring later, while window 0 is unsealed.
-        let _ = r.try_admit(WINDOW_RING as u64, 1, 1, req(2), &[0]);
+        let _ = r.admit(WINDOW_RING as u64, 1, 1, req(2), &[0]);
     }
 
     #[test]
@@ -912,7 +1054,7 @@ mod tests {
         );
         // Window 3 executes during window 4 (device 0 down): the request
         // naming device 0 must land on a survivor at admission time.
-        assert!(r.try_admit(3, 1, 9, req(1), &[0, 1]).is_admitted());
+        assert!(r.admit(3, 1, 9, req(1), &[0, 1]).is_admitted());
         let sealed = r.seal(3);
         assert_eq!(sealed.total, 1);
         assert_eq!(sealed.items()[0].device, 1);
@@ -920,7 +1062,7 @@ mod tests {
         assert_eq!(fault.redispatches(), 0, "scripted faults never redispatch");
         assert!(sealed.lost().next().is_none());
         // Window 6 executes during 7: recovered, full capacity back.
-        assert!(r.try_admit(6, 1, 9, req(2), &[0]).is_admitted());
+        assert!(r.admit(6, 1, 9, req(2), &[0]).is_admitted());
         assert_eq!(r.seal(6).items()[0].device, 0);
     }
 
@@ -936,18 +1078,12 @@ mod tests {
             Arc::clone(&fault),
             true,
         );
-        assert_eq!(
-            r.try_admit(0, 1, 9, req(1), &[0, 1]),
-            AdmitResult::Unavailable
-        );
-        assert!(r.try_admit(0, 1, 9, req(2), &[1, 2]).is_admitted());
-        assert!(
-            !r.add_overflow(0, 1, req(3), &[0, 1]),
-            "overflow refused too"
-        );
+        assert_eq!(r.admit(0, 1, 9, req(1), &[0, 1]), AdmitResult::Unavailable);
+        assert!(r.admit(0, 1, 9, req(2), &[1, 2]).is_admitted());
+        assert!(!r.overflow(0, 1, req(3), &[0, 1]), "overflow refused too");
         let eft = WindowRing::new(WINDOW_RING, 3, 1, AssignmentMode::Eft, fault, true);
         assert_eq!(
-            eft.try_admit(0, 1, 9, req(4), &[0, 1]),
+            eft.admit(0, 1, 9, req(4), &[0, 1]),
             AdmitResult::Unavailable
         );
     }
@@ -964,7 +1100,7 @@ mod tests {
             true,
         );
         // EFT assigns at admit time; ties break toward replica 0.
-        assert!(r.try_admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
+        assert!(r.admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
         // Device 0 dies before the execution interval (window 1).
         fault.inject(0, FaultKind::Fail, 1).unwrap();
         let sealed = r.seal(0);
@@ -985,8 +1121,8 @@ mod tests {
             Arc::clone(&fault),
             true,
         );
-        assert!(r.try_admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
-        assert!(r.add_overflow(0, 1, req(2), &[0]));
+        assert!(r.admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
+        assert!(r.overflow(0, 1, req(2), &[0]));
         fault.inject(0, FaultKind::Fail, 1).unwrap();
         fault.inject(1, FaultKind::Fail, 1).unwrap();
         let sealed = r.seal(0);
@@ -1022,7 +1158,7 @@ mod tests {
             true,
         );
         // EFT would tie-break toward 0; the live-slow bit forces 1.
-        assert!(r.try_admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
+        assert!(r.admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
         let sealed = r.seal(0);
         assert_eq!(sealed.total, 1);
         assert_eq!(sealed.items()[0].device, 1, "routed off the slow device");
@@ -1045,7 +1181,7 @@ mod tests {
             Arc::clone(&fault),
             true,
         );
-        assert!(r.try_admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
+        assert!(r.admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
         // The scorer condemns device 0 only after admission assigned to it.
         condemn(&fault, 0);
         let sealed = r.seal(0);
@@ -1072,7 +1208,7 @@ mod tests {
             Arc::clone(&fault),
             false,
         );
-        assert!(r.try_admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
+        assert!(r.admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
         condemn(&fault, 0);
         let sealed = r.seal(0);
         assert_eq!(sealed.total, 1);
@@ -1090,11 +1226,11 @@ mod tests {
     fn write_charges_capacity_on_every_replica() {
         for mode in BOTH_MODES {
             let r = ring(mode); // 3 devices, M = 1
-            assert!(r.try_admit(0, 1, 9, wreq(1), &[0, 1]).is_admitted());
+            assert!(r.admit(0, 1, 9, wreq(1), &[0, 1]).is_admitted());
             // The write consumed the single slot on both replicas.
-            assert_eq!(r.try_admit(0, 1, 9, req(2), &[0]), AdmitResult::Full);
-            assert_eq!(r.try_admit(0, 1, 9, req(3), &[1]), AdmitResult::Full);
-            assert!(r.try_admit(0, 1, 9, req(4), &[2]).is_admitted());
+            assert_eq!(r.admit(0, 1, 9, req(2), &[0]), AdmitResult::Full);
+            assert_eq!(r.admit(0, 1, 9, req(3), &[1]), AdmitResult::Full);
+            assert!(r.admit(0, 1, 9, req(4), &[2]).is_admitted());
             let sealed = r.seal(0);
             assert_eq!(sealed.guaranteed, 2, "logical: one write + one read");
             assert_eq!(sealed.total, 2);
@@ -1113,12 +1249,12 @@ mod tests {
     fn write_refusal_rolls_back_partial_charges() {
         for mode in BOTH_MODES {
             let r = ring(mode);
-            assert!(r.try_admit(0, 1, 9, req(1), &[0]).is_admitted());
+            assert!(r.admit(0, 1, 9, req(1), &[0]).is_admitted());
             // Device 0 is full: the write cannot charge its whole fan-out.
-            assert_eq!(r.try_admit(0, 1, 9, wreq(2), &[0, 1]), AdmitResult::Full);
+            assert_eq!(r.admit(0, 1, 9, wreq(2), &[0, 1]), AdmitResult::Full);
             // The refused attempt must not leak capacity onto device 1.
-            assert!(r.try_admit(0, 1, 9, req(3), &[1]).is_admitted());
-            assert!(r.try_admit(0, 1, 9, req(4), &[2]).is_admitted());
+            assert!(r.admit(0, 1, 9, req(3), &[1]).is_admitted());
+            assert!(r.admit(0, 1, 9, req(4), &[2]).is_admitted());
             assert_eq!(r.seal(0).total, 3);
         }
     }
@@ -1126,11 +1262,11 @@ mod tests {
     #[test]
     fn write_refused_on_its_second_replica_restores_rerouted_reads() {
         let r = ring(AssignmentMode::OptimalFlow);
-        assert!(r.try_admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
-        assert!(r.try_admit(0, 1, 9, req(2), &[1, 2]).is_admitted());
+        assert!(r.admit(0, 1, 9, req(1), &[0, 1]).is_admitted());
+        assert!(r.admit(0, 1, 9, req(2), &[1, 2]).is_admitted());
         // The write's unit on 1 fits by pushing read 2 over to device 2;
         // its unit on 2 then cannot fit. The refusal must undo the push.
-        assert_eq!(r.try_admit(0, 1, 9, wreq(3), &[1, 2]), AdmitResult::Full);
+        assert_eq!(r.admit(0, 1, 9, wreq(3), &[1, 2]), AdmitResult::Full);
         let devs: Vec<usize> = r.seal(0).items().iter().map(|i| i.device).collect();
         assert_eq!(devs, vec![0, 1]);
     }
@@ -1138,7 +1274,7 @@ mod tests {
     #[test]
     fn writes_never_park_as_overflow() {
         let r = ring(AssignmentMode::Eft);
-        assert!(!r.add_overflow(0, 1, wreq(1), &[0, 1]));
+        assert!(!r.overflow(0, 1, wreq(1), &[0, 1]));
         assert_eq!(r.seal(0).total, 0);
     }
 
@@ -1147,17 +1283,14 @@ mod tests {
         let fault =
             Arc::new(FaultPlane::new(3, FaultSchedule::new().fail(0, 0).fail(1, 0)).unwrap());
         let r = WindowRing::new(WINDOW_RING, 3, 1, AssignmentMode::OptimalFlow, fault, true);
-        assert_eq!(
-            r.try_admit(0, 1, 9, wreq(1), &[0, 1]),
-            AdmitResult::Unavailable
-        );
+        assert_eq!(r.admit(0, 1, 9, wreq(1), &[0, 1]), AdmitResult::Unavailable);
 
         let slow = healthy(3);
         condemn(&slow, 0);
         condemn(&slow, 1);
         let r = WindowRing::new(WINDOW_RING, 3, 1, AssignmentMode::Eft, slow, true);
         assert_eq!(
-            r.try_admit(0, 1, 9, wreq(2), &[0, 1]),
+            r.admit(0, 1, 9, wreq(2), &[0, 1]),
             AdmitResult::Full,
             "slow replicas are congestion: delay the write, don't refuse it"
         );
@@ -1175,9 +1308,9 @@ mod tests {
             Arc::clone(&fault),
             true,
         );
-        assert!(r.try_admit(0, 1, 9, wreq(1), &[0, 1]).is_admitted());
+        assert!(r.admit(0, 1, 9, wreq(1), &[0, 1]).is_admitted());
         // Only the live replica was charged — and it is now full.
-        assert_eq!(r.try_admit(0, 1, 9, req(2), &[1]), AdmitResult::Full);
+        assert_eq!(r.admit(0, 1, 9, req(2), &[1]), AdmitResult::Full);
         let sealed = r.seal(0);
         assert_eq!(sealed.guaranteed, 1);
         assert_eq!(
@@ -1198,15 +1331,15 @@ mod tests {
                 fault.observe_gc(0, 1, 3);
             }
             let r = WindowRing::new(WINDOW_RING, 3, 2, mode, Arc::clone(&fault), true);
-            assert!(r.try_admit(0, 1, 99, req(1), &[0]).is_admitted());
+            assert!(r.admit(0, 1, 99, req(1), &[0]).is_admitted());
             assert_eq!(
-                r.try_admit(0, 1, 99, req(2), &[0]),
+                r.admit(0, 1, 99, req(2), &[0]),
                 AdmitResult::Full,
                 "GC pressure withheld the second slot"
             );
             // Devices without GC pressure keep their full budget.
-            assert!(r.try_admit(0, 1, 99, req(3), &[1]).is_admitted());
-            assert!(r.try_admit(0, 1, 99, req(4), &[1]).is_admitted());
+            assert!(r.admit(0, 1, 99, req(3), &[1]).is_admitted());
+            assert!(r.admit(0, 1, 99, req(4), &[1]).is_admitted());
             let sealed = r.seal(0);
             assert_eq!(sealed.total, 3);
             assert!(sealed.items().iter().all(|i| i.group.is_none()));
@@ -1228,10 +1361,7 @@ mod tests {
         );
         // Data is readable, just slow everywhere: park without a deadline
         // promise rather than reject.
-        assert_eq!(
-            r.try_admit(0, 1, 9, req(1), &[0, 1]),
-            AdmitResult::AdmittedSlow
-        );
+        assert_eq!(r.admit(0, 1, 9, req(1), &[0, 1]), AdmitResult::AdmittedSlow);
         let sealed = r.seal(0);
         assert_eq!(sealed.total, 1, "slow-but-live data still serves");
         assert_eq!(sealed.guaranteed, 0, "no deadline promise was made");
@@ -1252,11 +1382,12 @@ mod tests {
 
     impl WindowRing {
         /// The capacity vector `window`'s slot admits against, opening the
-        /// slot if it is not yet.
-        fn caps(&self, window: u64) -> Vec<u16> {
-            match &self.locked(window).feas {
+        /// window with `spare` if it is not open yet.
+        fn caps(&self, window: u64, spare: &mut Option<Box<OpenWindow>>) -> Vec<u16> {
+            let mut s = self.slot(window).lock();
+            match &self.open(&mut s, window, spare).feas {
                 Feasibility::Flow(kernel) => kernel.caps().to_vec(),
-                Feasibility::Eft { cap, .. } => cap[..self.devices].to_vec(),
+                Feasibility::Eft { cap, .. } => cap[..self.fault.devices()].to_vec(),
             }
         }
     }
@@ -1316,6 +1447,9 @@ mod tests {
         let mut h = 0xcbf2_9ce4_8422_2325_u64;
         let mut seen = [0u32; 4];
         let mut lost = 0;
+        // Each window opens with the state the previous one sealed, as the
+        // engine recycles them: nothing it held may leak into the next.
+        let mut spare = None;
         for w in 0..24u64 {
             match w {
                 3 => {
@@ -1328,7 +1462,7 @@ mod tests {
                 6 => condemn(&fault, 5),
                 _ => {}
             }
-            let caps = r.caps(w);
+            let caps = r.caps(w, &mut spare);
             let mut cuts = CutTable::new(9);
             let mut held = [0usize; 3];
             for i in 0..57u64 {
@@ -1339,7 +1473,7 @@ mod tests {
                 let req = if write { wreq(id) } else { req(id) };
                 let tenant = splitmix(&mut rng) % 3;
                 let reserved = if tenant == 0 { 5 } else { 99 };
-                let out = r.try_admit(w, tenant, reserved, req, replicas);
+                let out = r.admit(w, tenant, reserved, req, replicas);
                 fnv(&mut h, out as u64);
                 seen[out as usize] += 1;
                 let judged =
@@ -1355,7 +1489,7 @@ mod tests {
                     held[tenant as usize] += 1;
                 }
                 if splitmix(&mut rng).is_multiple_of(8) {
-                    let parked = r.add_overflow(w, 9, req, scheme.replicas(bucket));
+                    let parked = r.overflow(w, 9, req, scheme.replicas(bucket));
                     fnv(&mut h, u64::from(parked));
                 }
             }
@@ -1390,6 +1524,8 @@ mod tests {
                 lost += 1;
             }
             fnv(&mut h, 0xff);
+            spare = sealed.recycle();
+            assert!(spare.is_some(), "window {w} opened");
         }
         assert!(seen.iter().all(|&n| n > 0), "every verdict: {seen:?}");
         assert!(lost > 0 && fault.redispatches() > 0 && fault.retries() > 0);
@@ -1398,7 +1534,8 @@ mod tests {
 
     /// Recorded before the per-device capacity vector replaced the
     /// degraded-window wrapper, the GC reserve's pinned units and EFT's
-    /// reserve vector: the same admissions and the same sealed schedule.
+    /// reserve vector, and before slots recycled their window state: the
+    /// same admissions and the same sealed schedule.
     #[test]
     fn window_golden() {
         assert_eq!(

@@ -465,6 +465,16 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     let pool = args.qos.scheme.num_buckets() as u64;
     let interval_ns = args.qos.interval_ns;
     let submitters = args.submitters.min(limit);
+    // Each tenant draws its share of S(M) as distinct buckets a window.
+    let share = limit.div_ceil(submitters);
+    if share as u64 > pool {
+        return Err(format!(
+            "--accesses {}: S({}) = {limit} over --submitters {submitters} gives a tenant \
+             {share} distinct buckets a window, more than the layout's {pool}; \
+             raise --submitters or lower --accesses",
+            args.accesses, args.accesses
+        ));
+    }
 
     let scripted_faults = !fault_schedule.is_empty();
     let scripted_slow = fault_schedule

@@ -1,6 +1,7 @@
-//! The `fqos` command line: a mistyped, foreign, repeated or misused flag
-//! and a zero where a positive number belongs are errors (exit 1, never a
-//! panic's 101), `--help` names every flag, and short `serve` and
+//! The `fqos` command line: a mistyped, foreign, repeated or misused flag,
+//! a zero where a positive number belongs and a tenant share the layout
+//! cannot draw are errors (exit 1, never a panic's 101), `--help` names
+//! every flag, and short `serve` and
 //! `cluster` runs and a long `serve` still close their books, and `analyze`
 //! reports FIM re-matching only when it mined.
 
@@ -63,6 +64,16 @@ fn zero_where_a_positive_number_belongs_is_an_error() {
         ),
         "--reporting-ms",
     );
+}
+
+#[test]
+fn a_tenant_share_past_the_bucket_count_is_an_error() {
+    // S(4) = 44 on (9,3,1) and its 36 buckets: one submitter's tenant
+    // cannot draw its share as distinct buckets; two can.
+    let line = "serve --devices 9 --accesses 4 --submitters 1 --windows 5";
+    rejects(line, "--accesses");
+    rejects(line, "--submitters");
+    conserves("serve --devices 9 --accesses 4 --submitters 2 --windows 5");
 }
 
 #[test]
