@@ -559,7 +559,6 @@ fn the_fleet_takes_every_lock_order_edge_it_keeps() {
         RegistryAdmission,
         WindowSlot,
         RegistryShard,
-        FaultInner,
         FaultHealth,
         EngineStage,
         EngineWal,

@@ -6,9 +6,8 @@ use fqos_flashsim::{FtlGeometry, BLOCK_READ_NS};
 use std::path::PathBuf;
 
 /// Write/GC device model knobs (see [`fqos_flashsim::CalibratedSsd::with_gc`]).
-/// A program costs the calibrated read service time, and window admission
-/// reserves per-device headroom proportional to the device's recent
-/// write-amplification EWMA.
+/// A program costs the calibrated read service time. Window admission does
+/// not see GC: a device under it keeps its `M` accesses a window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcConfig {
     /// Per-device FTL geometry; low over-provisioning makes GC storms easy

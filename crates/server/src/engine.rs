@@ -808,10 +808,17 @@ impl Engine {
     fn snapshot(&self) -> MetricsSnapshot {
         let (s, w) = (&self.submit_stats, &self.worker_stats);
         let l = self.ledger.snapshot();
-        let (gc, hedges_issued, hedges_won) = {
-            let board = self.fault.board();
-            let gc = board.devices.gc_stats();
-            (gc, board.hedges_issued, board.hedges_won)
+        let (gc, hedges_issued, hedges_won, slow_detected, suspects, recoveries) = {
+            let b = self.fault.board();
+            let gc = b.devices.gc_stats();
+            (
+                gc,
+                b.hedges_issued,
+                b.hedges_won,
+                b.slow_detected,
+                b.suspects,
+                b.recoveries,
+            )
         };
         let wal = self
             .wal
@@ -845,9 +852,9 @@ impl Engine {
             hedges_won,
             hedges_cancelled: l.hedge_wins,
             retries: self.fault.retries(),
-            slow_detected: self.fault.slow_detected(),
-            health_suspects: self.fault.health_suspects(),
-            health_recoveries: self.fault.health_recoveries(),
+            slow_detected,
+            health_suspects: suspects,
+            health_recoveries: recoveries,
             p50_latency_ns: self.hist.quantile_ns(0.5),
             p99_latency_ns: self.hist.quantile_ns(0.99),
             p999_latency_ns: self.hist.quantile_ns(0.999),
@@ -1156,11 +1163,11 @@ impl SubmitterHandle {
 
     /// Submit one 8 KiB block **write**. A write is admitted against *all*
     /// `c` replicas of its block — feasibility charges every replica's
-    /// remaining capacity (plus any GC-pressure reserve) — and at seal it
-    /// fans out to one dispatch per replica. The logical write settles
-    /// `write_settled` only when every copy lands (all-must-settle);
-    /// losing any copy to a fail-stopped device past the bounded retry
-    /// budget settles it `write_lost` instead. Writes never ride the
+    /// remaining capacity — and at seal it fans out to one dispatch per
+    /// replica. The logical write settles `write_settled` only when every
+    /// copy lands (all-must-settle); losing any copy to a fail-stopped
+    /// device past the bounded retry budget settles it `write_lost`
+    /// instead. Writes never ride the
     /// statistical overflow path and are never hedged.
     pub fn submit_write(&mut self, tenant: u64, lbn: u64, arrival_ns: u64) -> SubmitOutcome {
         self.submit_op(tenant, lbn, arrival_ns, IoOp::Write)
@@ -1368,8 +1375,8 @@ impl Drop for SubmitterHandle {
 /// window's batches before it seals the next. The devices' models are on
 /// the fault plane's board ([`FaultPlane::board`]); only `d`'s worker
 /// submits primary work to `d`. A worker holds the board once per served
-/// read, hedged or not, and once per write copy; it looks up the fault
-/// timeline before each hold, never inside it.
+/// read, hedged or not, and once per write copy, and reads the fault
+/// timeline in that hold.
 ///
 /// # Hedged reads (fail-slow tolerance)
 ///
@@ -1430,6 +1437,8 @@ fn worker_loop(
         let _ = home.send(batch);
     }
     local.stage.iter().for_each(Stage::drain);
+    #[cfg(test)]
+    engine.fault.note_worker_locks(fqos_sync::taken());
 }
 
 /// Serve one replica copy of a fan-out write on its assigned device, then
@@ -1441,10 +1450,12 @@ fn worker_loop(
 /// redundancy). The copy retries across the bounded backoff budget
 /// ([`RETRY_LIMIT`] re-issues spaced [`RETRY_BACKOFF_NS`] apart) waiting for a
 /// scheduled recovery; a copy still facing a dead device after the last
-/// attempt is lost, and the logical write settles `write_lost`. Writes are
-/// **never hedged**: a speculative duplicate of a write would either fork
-/// the replica state or double-program the FTL — the fan-out itself is the
-/// redundancy mechanism.
+/// attempt is lost, and the logical write settles `write_lost`. The
+/// attempts run in one hold of the board, each reading the timeline at its
+/// issue time there, whether one reaches the device or none does. Writes
+/// are **never hedged**: a speculative duplicate of a write would either
+/// fork the replica state or double-program the FTL — the fan-out itself
+/// is the redundancy mechanism.
 fn serve_write_copy(
     engine: &Engine,
     local: &mut WorkerLocal,
@@ -1457,10 +1468,11 @@ fn serve_write_copy(
     let exec_window = window + 1;
     let mut outcome: Option<Completion> = None;
     let mut retries = 0u64;
+    let mut board = engine.fault.board();
     for attempt in 0..=RETRY_LIMIT {
         let issue = exec_window * t_ns + attempt * RETRY_BACKOFF_NS;
         let issue_window = issue / t_ns;
-        if engine.fault.mask_at(issue_window) >> d & 1 == 1 {
+        if board.timeline.mask_at(issue_window) >> d & 1 == 1 {
             // Fail-stopped at this attempt's issue time; back off and
             // re-check (a scheduled recovery may land mid-interval).
             if attempt < RETRY_LIMIT {
@@ -1471,22 +1483,11 @@ fn serve_write_copy(
         // The service sample (program + in-line GC stall) feeds the health
         // scorer — a GC storm looks exactly like a fail-slow episode from
         // the outside, which is the point: hedged reads route around it.
-        let factor = engine.fault.slow_factor_at(d, issue_window);
-        let (completion, gc) = engine
-            .fault
-            .board()
-            .serve(&item.req, issue, factor, exec_window);
-        // This write's GC work feeds the admission-side GC-pressure
-        // reserve. Every relocation is one read and one program, so the
-        // programs that are left are the host's (none without a GC model,
-        // or when the FTL refused the write), and the reserve stays 0.
-        let host = gc.pages_programmed - gc.pages_relocated;
-        if host > 0 {
-            engine.fault.observe_gc(d, host, gc.pages_programmed);
-        }
-        outcome = Some(completion);
+        let factor = board.timeline.slow_factor_at(d, issue_window);
+        outcome = Some(board.serve(&item.req, issue, factor, exec_window));
         break;
     }
+    drop(board);
     for _ in 0..retries {
         engine.fault.note_retry();
     }
@@ -1537,26 +1538,26 @@ struct HedgeCandidate {
 
 /// Serve one read on its assigned device and decide whether to hedge it,
 /// in one hold of the board, so that the frontier restore is exact
-/// (nothing else moves in between). Returns the primary's completion and
-/// the winning hedge's finish time, or `None` when the primary stood (no
-/// trigger, no candidate, or nothing beat it); the caller settles the read
-/// exactly once either way.
+/// (nothing else moves in between) and the candidates are judged on the
+/// timeline the read was served under. Returns the primary's completion
+/// and the winning hedge's finish time, or `None` when the primary stood
+/// (no trigger, no candidate, or nothing beat it); the caller settles the
+/// read exactly once either way.
 fn serve_read(engine: &Engine, item: &WorkItem, exec_window: u64) -> (Completion, Option<u64>) {
     let d = item.req.device;
     let cfg = &engine.cfg;
     let exec_start = exec_window * cfg.qos.interval_ns;
     let deadline = exec_start + cfg.qos.interval_ns;
 
-    // The timeline first (`fault.inner` ranks above the board): slow factors
-    // and candidates, the block's other replicas live this interval, in
+    // The candidates: the block's other replicas live this interval, in
     // device order. A silently slow replica *is* a candidate — the scorer's
     // belief drives the choice. On the stack: a hedge allocates nothing.
-    let factor = engine.fault.slow_factor_at(d, exec_window);
     let scheme = &cfg.qos.scheme;
     let replicas = scheme.replicas(scheme.bucket_for_lbn(item.req.lbn));
     let others = replicas.iter().fold(0u64, |m, &a| m | 1 << a) & !(1u64 << d);
+    let mut board = engine.fault.board();
     let mut live = if cfg.hedge_enabled {
-        others & !engine.fault.mask_at(exec_window)
+        others & !board.timeline.mask_at(exec_window)
     } else {
         0
     };
@@ -1565,7 +1566,7 @@ fn serve_read(engine: &Engine, item: &WorkItem, exec_window: u64) -> (Completion
     while live != 0 {
         let a = live.trailing_zeros() as usize;
         live &= live - 1;
-        let slow = u64::from(engine.fault.slow_factor_at(a, exec_window));
+        let slow = u64::from(board.timeline.slow_factor_at(a, exec_window));
         cands[n_cands] = HedgeCandidate {
             dev: a,
             actual_ns: cfg.qos.service_ns * slow,
@@ -1575,11 +1576,11 @@ fn serve_read(engine: &Engine, item: &WorkItem, exec_window: u64) -> (Completion
     }
     let cands = &mut cands[..n_cands];
 
-    let mut board = engine.fault.board();
     // The threshold is read before the sample goes in, so that an outlier
     // cannot vouch for itself.
     let threshold = board.hedge_threshold(d);
-    let (completion, _) = board.serve(&item.req, exec_start, factor, exec_window);
+    let factor = board.timeline.slow_factor_at(d, exec_window);
+    let completion = board.serve(&item.req, exec_start, factor, exec_window);
     // Trigger on evidence of *device* trouble — the service component
     // crossing the adaptive threshold — or on a projected deadline miss
     // (which also catches pathological queueing). Queueing below the
@@ -2645,7 +2646,6 @@ mod tests {
             EngineStatCounters,
             WindowSlot,
             RegistryShard,
-            FaultInner,
             FaultHealth,
             EngineStage,
             EngineWal,
@@ -2655,7 +2655,7 @@ mod tests {
             (EngineQuiesce, &seal),
             (EngineDispatch, &seal),
             (RegistryAdmission, &[RegistryShard, EngineStage, EngineWal]),
-            (WindowSlot, &[FaultInner]),
+            (WindowSlot, &[FaultHealth]),
             (EngineStage, &[EngineStage, EngineWal]),
         ];
         for (held, taken) in kept
@@ -2995,12 +2995,14 @@ mod tests {
         assert_extended_law(&m);
     }
 
-    /// One worker on `mixed_rw_gc`'s shape: reads and writes, a quarter of
-    /// them writes, on an FTL small enough that GC stalls make reads hedge.
-    /// The worker holds the board once per read, hedged or not, and once
-    /// per write copy; the snapshots, taken on this thread, are not counted.
-    #[test]
-    fn a_worker_holds_the_board_once_per_read_and_per_write_copy() {
+    /// One worker on `mixed_rw_gc`'s shape under `schedule`: reads and
+    /// writes, a quarter of them writes, on an FTL small enough that GC
+    /// stalls make reads hedge. The worker holds the board once per read,
+    /// hedged or not, and once per write copy, whether the copy reaches its
+    /// device or runs out of retries facing a dead one; the snapshots, taken
+    /// on this thread, are not counted. Apart from one registry lookup, its
+    /// view's first miss on the one tenant, it takes no other lock.
+    fn worker_holds(schedule: crate::fault::FaultSchedule) -> MetricsSnapshot {
         use crate::config::GcConfig;
         use fqos_flashsim::FtlGeometry;
         let geometry = FtlGeometry {
@@ -3011,7 +3013,8 @@ mod tests {
         };
         let cfg = ServerConfig::new(QosConfig::paper_9_3_1().with_accesses(2))
             .with_workers(1)
-            .with_gc_model(GcConfig::new(geometry));
+            .with_gc_model(GcConfig::new(geometry))
+            .with_fault_schedule(schedule);
         let s = QosServer::new(cfg).unwrap();
         let engine = Arc::clone(&s.engine);
         s.register(1, 14, OverloadPolicy::Delay).unwrap();
@@ -3036,7 +3039,32 @@ mod tests {
         assert!(m.hedges_issued > 0 && m.gc_relocated > 0, "{m:#?}");
         let reads = m.served + m.hedges_cancelled;
         let copies = 3 * (m.write_settled + m.write_lost);
-        assert_eq!(engine.fault.board().worker_holds.get(), reads + copies);
+        let board = engine.fault.board();
+        assert_eq!(board.worker_holds.get(), reads + copies);
+        if cfg!(debug_assertions) {
+            assert_eq!(board.worker_locks.get(), board.worker_holds.get() + 1);
+        }
+        m
+    }
+
+    #[test]
+    fn a_worker_holds_the_board_once_per_read_and_per_write_copy() {
+        worker_holds(crate::fault::FaultSchedule::new());
+    }
+
+    /// The same on a faulted array: a silently slow device the scorer
+    /// condemns and then clears, and a device that fails and recovers,
+    /// losing the write copies it is sent meanwhile. The timeline is read
+    /// in the holds the healthy array takes.
+    #[test]
+    fn a_worker_holds_the_board_once_per_read_and_per_write_copy_on_a_faulted_array() {
+        let schedule = crate::fault::FaultSchedule::parse(
+            "slow:2@40x10,restore:2@160,fail:5@200,recover:5@300",
+        )
+        .unwrap();
+        let m = worker_holds(schedule);
+        assert!(m.slow_detected > 0 && m.write_lost > 0, "{m:#?}");
+        assert!(m.hedges_won > 0 && m.retries > 0, "{m:#?}");
     }
 
     #[test]

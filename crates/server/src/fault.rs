@@ -50,13 +50,14 @@
 //! it, and a hedge threshold exists once `HEDGE_MIN_SAMPLES` (4) samples
 //! have been seen.
 //!
-//! Lock classes owned by this module (DESIGN.md, "Lock hierarchy"), both
-//! leaves: `fault.inner` (event timeline) and `fault.health`, the board
-//! (per device its score, model and speculative frontier; hedge counts).
-//! Workers read the timeline before they take the board, never under it;
-//! the dispatcher takes both under `engine.dispatch`.
+//! Lock class owned by this module (DESIGN.md, "Lock hierarchy"), a leaf:
+//! `fault.health`, the board. It holds every fact about a device: the
+//! fault timeline, and per device its score, model and speculative
+//! frontier; the scorer's and the hedges' counts. Workers read the
+//! timeline inside the hold they serve under; admission and the seal take
+//! the board for it only once an event was ever scripted or injected.
 
-use fqos_flashsim::{CalibratedSsd, Completion, Device, GcStats, IoRequest, WriteOutcome};
+use fqos_flashsim::{CalibratedSsd, Completion, Device, GcStats, IoRequest};
 use fqos_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use fqos_sync::{Class, LineGap, Mutex, MutexGuard};
 
@@ -389,21 +390,22 @@ impl FaultSchedule {
     }
 }
 
-/// Events plus the timeline compiled from them: `timeline[i] = (w, mask)`
-/// means `mask` holds for windows in `w .. timeline[i+1].0`. Only
-/// fail-stop events contribute to the mask; fail-slow events are kept in
+/// Events plus the fail-stop masks compiled from them: `masks[i] = (w,
+/// mask)` means `mask` holds for windows in `w .. masks[i+1].0`. Only
+/// fail-stop events contribute to the masks; fail-slow events are kept in
 /// `events` and scanned by `slow_factor_at` (they are few and silent).
 #[derive(Debug, Default)]
-struct PlaneInner {
+pub(crate) struct Timeline {
     events: Vec<FaultEvent>,
-    timeline: Vec<(u64, u64)>,
+    masks: Vec<(u64, u64)>,
 }
 
-impl PlaneInner {
-    fn recompile(&mut self) {
+impl Timeline {
+    fn push(&mut self, event: FaultEvent) {
+        self.events.push(event);
         // Stable by window: same-window events apply in injection order.
         self.events.sort_by_key(|e| e.window);
-        self.timeline.clear();
+        self.masks.clear();
         let mut mask = 0u64;
         for e in &self.events {
             match e.kind {
@@ -411,21 +413,23 @@ impl PlaneInner {
                 FaultKind::Recover => mask &= !(1 << e.device),
                 FaultKind::Slow(_) | FaultKind::Restore => continue,
             }
-            match self.timeline.last_mut() {
+            match self.masks.last_mut() {
                 Some(last) if last.0 == e.window => last.1 = mask,
-                _ => self.timeline.push((e.window, mask)),
+                _ => self.masks.push((e.window, mask)),
             }
         }
     }
 
-    fn mask_at(&self, window: u64) -> u64 {
-        match self.timeline.partition_point(|&(w, _)| w <= window) {
+    /// Bitmap of devices down during `window`.
+    pub(crate) fn mask_at(&self, window: u64) -> u64 {
+        match self.masks.partition_point(|&(w, _)| w <= window) {
             0 => 0,
-            i => self.timeline[i - 1].1,
+            i => self.masks[i - 1].1,
         }
     }
 
-    fn slow_factor_at(&self, device: usize, window: u64) -> u32 {
+    /// The fail-slow multiplier in force on `device` during `window`.
+    pub(crate) fn slow_factor_at(&self, device: usize, window: u64) -> u32 {
         let mut factor = 1;
         for e in &self.events {
             if e.window > window {
@@ -596,15 +600,8 @@ impl Devices {
 
     /// Serve `req` on its device from `issue` at `factor` × calibrated
     /// speed, as the device's work in exec window `window` (windows reach
-    /// a device in increasing order). Returns the completion and the GC
-    /// work the submit did (none for a read).
-    fn submit(
-        &mut self,
-        req: &IoRequest,
-        issue: u64,
-        factor: u32,
-        window: u64,
-    ) -> (Completion, WriteOutcome) {
+    /// a device in increasing order).
+    fn submit(&mut self, req: &IoRequest, issue: u64, factor: u32, window: u64) -> Completion {
         let d = req.device;
         if self.latest[d] != window {
             self.latest[d] = window;
@@ -613,7 +610,7 @@ impl Devices {
         }
         let dev = &mut self.models[d];
         dev.set_degradation(factor);
-        (dev.submit(req, issue), dev.last_gc_outcome())
+        dev.submit(req, issue)
     }
 
     /// `d`'s primary frontier as a read issued in exec window `window`
@@ -649,24 +646,36 @@ impl Devices {
     }
 }
 
-/// The state of each device as one server: the scorer's view of it, its
-/// timeline, and the hedges placed on the array. Behind the `fault.health`
-/// leaf lock, which [`FaultPlane::board`] takes.
+/// The state of each device as one server: when it fails or slows, the
+/// scorer's view of it, its simulated timeline, and the hedges placed on
+/// the array. Behind the `fault.health` leaf lock, which
+/// [`FaultPlane::board`] takes.
 #[derive(Debug)]
 pub(crate) struct HealthBoard {
+    pub(crate) timeline: Timeline,
     scores: Vec<DeviceHealthState>,
     pub(crate) devices: Devices,
     /// Reads that placed a hedge.
     pub(crate) hedges_issued: u64,
     /// Hedges that beat their primary; each cancelled it.
     pub(crate) hedges_won: u64,
+    /// Devices the scorer promoted to `Slow` (entries, not a level).
+    pub(crate) slow_detected: u64,
+    /// Devices the scorer moved `Healthy → Suspect` (entries).
+    pub(crate) suspects: u64,
+    /// Devices the scorer demoted `Slow → Healthy` (entries).
+    pub(crate) recoveries: u64,
     /// Holds taken by worker threads (`FaultPlane::board`).
     #[cfg(test)]
     pub(crate) worker_holds: std::cell::Cell<u64>,
+    /// Locks of any class worker threads took, each counted as it exits
+    /// (`FaultPlane::note_worker_locks`).
+    #[cfg(test)]
+    pub(crate) worker_locks: std::cell::Cell<u64>,
 }
 
-/// One hold of the board, with the plane whose verdict bitmap and counters
-/// the scorer's transitions update.
+/// One hold of the board, with the plane whose verdict bitmap the scorer's
+/// transitions update.
 pub(crate) struct Board<'a> {
     plane: &'a FaultPlane,
     held: MutexGuard<'a, HealthBoard>,
@@ -696,11 +705,11 @@ impl Board<'_> {
         issue: u64,
         factor: u32,
         exec_window: u64,
-    ) -> (Completion, WriteOutcome) {
-        let (completion, gc) = self.devices.submit(req, issue, factor, exec_window);
+    ) -> Completion {
+        let completion = self.devices.submit(req, issue, factor, exec_window);
         let service = completion.finish - completion.service_start;
         self.observe(req.device, service, exec_window);
-        (completion, gc)
+        completion
     }
 
     /// Record one completion's service latency for the scorer, and publish
@@ -708,7 +717,8 @@ impl Board<'_> {
     pub(crate) fn observe(&mut self, device: usize, service_ns: u64, window: u64) {
         use DeviceHealth::{Healthy, Slow, Suspect};
         let plane = self.plane;
-        let Some(st) = self.held.scores.get_mut(device) else {
+        let board = &mut *self.held;
+        let Some(st) = board.scores.get_mut(device) else {
             return;
         };
         st.last_sample_window = window;
@@ -727,13 +737,13 @@ impl Board<'_> {
             (Healthy, false) => Healthy,
             (Healthy, true) => {
                 st.bad_streak = 1;
-                plane.suspects.fetch_add(1, Ordering::Relaxed);
+                board.suspects += 1;
                 Suspect
             }
             (Suspect, true) if st.bad_streak + 1 >= PROMOTE_STREAK => {
                 st.bad_streak += 1;
                 st.good_streak = 0;
-                plane.slow_detected.fetch_add(1, Ordering::Relaxed);
+                board.slow_detected += 1;
                 plane.live_slow.fetch_or(1 << device, Ordering::AcqRel);
                 Slow
             }
@@ -754,7 +764,7 @@ impl Board<'_> {
             (Slow, false) if st.good_streak + 1 >= RECOVER_STREAK => {
                 st.good_streak = 0;
                 st.bad_streak = 0;
-                plane.recoveries.fetch_add(1, Ordering::Relaxed);
+                board.recoveries += 1;
                 plane.live_slow.fetch_and(!(1 << device), Ordering::AcqRel);
                 Healthy
             }
@@ -782,41 +792,34 @@ impl Board<'_> {
 /// Shared device-health view plus the degraded-serving audit counters.
 ///
 /// Owned by the engine, consulted by the window ring on every admission and
-/// seal and by every worker completion. All counter reads/writes are
-/// relaxed atomics; the event timeline sits behind one small mutex
-/// (`fault.inner`) with a lock-free fast path while no fault has ever been
-/// scripted or injected, and the devices' state behind another (the
-/// board). The scorer's verdict is published lock-free in `live_slow`, so
-/// the admission hot path never touches the board.
+/// seal and by every worker completion. Every fact about a device — the
+/// fault timeline, its score, model and frontier — is on the board behind
+/// one leaf lock (`fault.health`). Two flags keep the healthy hot path off
+/// it: while no fault has ever been scripted or injected, the fail-stop
+/// masks are 0 and the slow factors 1 without a hold. The scorer's verdict
+/// is published lock-free in `live_slow`, so admission never holds the
+/// board to learn it. The audit counters are relaxed atomics.
 ///
 /// Laid out by writer (DESIGN.md, "One writer per line"): what admission
 /// and seal read per window and nobody writes while the array is healthy,
 /// a gap, the audit counters the submitting side bumps, a gap, then the
-/// board workers hold once per served read or write copy and the counters
-/// they bump.
+/// board workers hold once per served read or write copy and the retry
+/// count they bump.
 #[derive(Debug)]
 #[repr(C)]
 pub struct FaultPlane {
-    inner: Mutex<PlaneInner>,
     /// False until the first event exists: lets the healthy hot path skip
-    /// the timeline lock entirely.
+    /// the board's timeline entirely.
     any: AtomicBool,
-    /// False until a fail-slow event exists: lets workers skip the
-    /// per-completion factor lookup on healthy arrays.
+    /// False until a fail-slow event exists: lets the healthy hot path
+    /// skip the per-device factor lookup.
     any_slow: AtomicBool,
-    /// False until the first GC observation: keeps the per-seal decay a
-    /// no-op on read-only workloads.
-    any_gc: AtomicBool,
     /// Bitmap of devices the scorer currently classifies `Slow`. Excluded
     /// from new window schedules like failed devices, but their in-flight
     /// work drains.
     live_slow: AtomicU64,
-    /// Per-device write-amplification EWMA, fixed-point `×256`
-    /// (`256` = WA 1.0). Two writers: the device's owning worker raises it
-    /// per write copy ([`FaultPlane::observe_gc`]) and the sealing thread
-    /// decays it per window, so both go through `fetch_update`. Read by
-    /// window admission to size the GC-pressure reserve.
-    gc_pressure: Vec<AtomicU64>,
+    /// Devices on the board.
+    devices: usize,
     _gap: LineGap,
     degraded_windows: AtomicU64,
     reroutes: AtomicU64,
@@ -825,20 +828,8 @@ pub struct FaultPlane {
     unavailable_rejects: AtomicU64,
     _gap_workers: LineGap,
     health: Mutex<HealthBoard>,
-    slow_detected: AtomicU64,
-    suspects: AtomicU64,
-    recoveries: AtomicU64,
     /// Workers' backoff hops; the seal's drains off a slow device too.
     retries: AtomicU64,
-}
-
-/// Fixed-point unit of the GC-pressure EWMA (`256` = write amplification 1.0).
-const GC_FP_ONE: u64 = 256;
-
-#[cfg(test)]
-thread_local! {
-    /// Stores to `any_gc` made from this thread (`observe_gc`).
-    static ANY_GC_STORES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl FaultPlane {
@@ -862,19 +853,14 @@ impl FaultPlane {
             .events
             .iter()
             .any(|e| matches!(e.kind, FaultKind::Slow(_)));
-        let mut inner = PlaneInner {
-            events: schedule.events,
-            timeline: Vec::new(),
-        };
-        inner.recompile();
-        let any = !inner.events.is_empty();
+        let any = !schedule.events.is_empty();
+        let mut timeline = Timeline::default();
+        schedule.events.into_iter().for_each(|e| timeline.push(e));
         Ok(FaultPlane {
-            inner: Mutex::new(Class::FaultInner, inner),
             any: AtomicBool::new(any),
             any_slow: AtomicBool::new(any_slow),
-            any_gc: AtomicBool::new(false),
             live_slow: AtomicU64::new(0),
-            gc_pressure: (0..count).map(|_| AtomicU64::new(GC_FP_ONE)).collect(),
+            devices: count,
             _gap: LineGap::default(),
             degraded_windows: AtomicU64::new(0),
             reroutes: AtomicU64::new(0),
@@ -885,26 +871,29 @@ impl FaultPlane {
             health: Mutex::new(
                 Class::FaultHealth,
                 HealthBoard {
+                    timeline,
                     scores: (0..count)
                         .map(|_| DeviceHealthState::new(service_ns))
                         .collect(),
                     devices,
                     hedges_issued: 0,
                     hedges_won: 0,
+                    slow_detected: 0,
+                    suspects: 0,
+                    recoveries: 0,
                     #[cfg(test)]
                     worker_holds: std::cell::Cell::new(0),
+                    #[cfg(test)]
+                    worker_locks: std::cell::Cell::new(0),
                 },
             ),
-            slow_detected: AtomicU64::new(0),
-            suspects: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
             retries: AtomicU64::new(0),
         })
     }
 
     /// Device count covered by the bitmap.
     pub fn devices(&self) -> usize {
-        self.gc_pressure.len()
+        self.devices
     }
 
     /// Bitmap of devices down during window `window` (bit `d` set = device
@@ -913,7 +902,7 @@ impl FaultPlane {
         if !self.any.load(Ordering::Acquire) {
             return 0;
         }
-        self.inner.lock().mask_at(window)
+        self.board().timeline.mask_at(window)
     }
 
     /// Conservative health view for admitting into window `window`:
@@ -923,8 +912,8 @@ impl FaultPlane {
         if !self.any.load(Ordering::Acquire) {
             return 0;
         }
-        let inner = self.inner.lock();
-        inner.mask_at(window) | inner.mask_at(window + 1)
+        let board = self.board();
+        board.timeline.mask_at(window) | board.timeline.mask_at(window + 1)
     }
 
     /// Bitmap of devices the scorer currently classifies `Slow`.
@@ -938,15 +927,15 @@ impl FaultPlane {
         if !self.any_slow.load(Ordering::Acquire) {
             return 1;
         }
-        self.inner.lock().slow_factor_at(device, window)
+        self.board().timeline.slow_factor_at(device, window)
     }
 
     /// Inject a live health transition taking effect at window `window`.
     pub fn inject(&self, device: usize, kind: FaultKind, window: u64) -> Result<(), String> {
-        if device >= self.devices() {
+        if device >= self.devices {
             return Err(format!(
                 "device {device} out of range (array has {} devices)",
-                self.devices()
+                self.devices
             ));
         }
         if let FaultKind::Slow(factor) = kind {
@@ -954,14 +943,11 @@ impl FaultPlane {
                 return Err(FaultSpecError::SlowFactorTooSmall { device, factor }.to_string());
             }
         }
-        let mut inner = self.inner.lock();
-        inner.events.push(FaultEvent {
+        self.board().timeline.push(FaultEvent {
             device,
             window,
             kind,
         });
-        inner.recompile();
-        drop(inner);
         if matches!(kind, FaultKind::Slow(_)) {
             self.any_slow.store(true, Ordering::Release);
         }
@@ -981,6 +967,14 @@ impl FaultPlane {
             held.worker_holds.set(held.worker_holds.get() + 1);
         }
         Board { plane: self, held }
+    }
+
+    /// Add the locks an exiting worker took (`fqos_sync::taken`) to the
+    /// board's count, in a hold `board` does not count.
+    #[cfg(test)]
+    pub(crate) fn note_worker_locks(&self, taken: u64) {
+        let held = self.health.lock();
+        held.worker_locks.set(held.worker_locks.get() + taken);
     }
 
     /// Record one completion's service latency for the scorer, in a hold
@@ -1013,7 +1007,6 @@ impl FaultPlane {
     /// either the samples come back normal (full recovery) or the anomaly
     /// streak re-promotes it within `PROMOTE_STREAK` completions.
     pub(crate) fn health_tick(&self, sealed_window: u64) {
-        self.gc_decay();
         let slow = self.live_slow.load(Ordering::Acquire);
         if slow == 0 {
             return;
@@ -1034,71 +1027,6 @@ impl FaultPlane {
         if cleared != 0 {
             self.live_slow.fetch_and(!cleared, Ordering::AcqRel);
         }
-    }
-
-    /// Record the FTL outcome of one host write on `device`: `programmed`
-    /// total page programs (host + GC relocations) for `host` host pages.
-    /// Feeds the write-amplification EWMA (α = 1/8) behind the GC-pressure
-    /// admission reserve. The sealing thread's per-window decay writes the
-    /// same cell, so the step is a `fetch_update`: neither is lost.
-    pub fn observe_gc(&self, device: usize, host: u64, programmed: u64) {
-        let Some(cell) = self.gc_pressure.get(device) else {
-            return;
-        };
-        if host == 0 {
-            return;
-        }
-        let sample = programmed * GC_FP_ONE / host;
-        let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |ewma| {
-            let delta = sample as i64 - ewma as i64;
-            Some((ewma as i64 + (delta >> 3)).max(GC_FP_ONE as i64) as u64)
-        });
-        // Admission reads this flag every window: write the line once in
-        // the plane's life (once per racing worker), not once per copy.
-        if !self.any_gc.load(Ordering::Relaxed) {
-            #[cfg(test)]
-            ANY_GC_STORES.with(|n| n.set(n.get() + 1));
-            self.any_gc.store(true, Ordering::Release);
-        }
-    }
-
-    /// Decay every device's GC-pressure EWMA toward 1.0 (one step per
-    /// sealed window): a device whose write storm ended gives its reserved
-    /// headroom back to `S(M)` within a few windows.
-    fn gc_decay(&self) {
-        if !self.any_gc.load(Ordering::Acquire) {
-            return;
-        }
-        for cell in &self.gc_pressure {
-            let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |ewma| {
-                (ewma > GC_FP_ONE).then(|| ewma - ((ewma - GC_FP_ONE) >> 4).max(1))
-            });
-        }
-    }
-
-    /// The device's current write-amplification estimate (EWMA; 1.0 when
-    /// the device has seen no GC).
-    pub fn write_amp_estimate(&self, device: usize) -> f64 {
-        self.gc_pressure
-            .get(device)
-            .map(|c| c.load(Ordering::Relaxed) as f64 / GC_FP_ONE as f64)
-            .unwrap_or(1.0)
-    }
-
-    /// Access slots window admission reserves on `device` out of a
-    /// per-device budget of `accesses`: GC-pressure headroom stolen from
-    /// `S(M)` in proportion to the amplification excess `WA − 1`, capped
-    /// at half the budget so reads are never starved outright. Zero while
-    /// the device shows no amplification.
-    pub fn gc_reserve(&self, device: usize, accesses: usize) -> usize {
-        if !self.any_gc.load(Ordering::Acquire) {
-            return 0;
-        }
-        let Some(cell) = self.gc_pressure.get(device) else {
-            return 0;
-        };
-        let excess = cell.load(Ordering::Relaxed).saturating_sub(GC_FP_ONE);
-        ((excess as usize * accesses) / (2 * GC_FP_ONE as usize)).min(accesses / 2)
     }
 
     pub(crate) fn note_degraded_window(&self) {
@@ -1160,21 +1088,6 @@ impl FaultPlane {
     /// across the admissible horizon (≥ `c` co-hosting failures).
     pub fn unavailable_rejects(&self) -> u64 {
         self.unavailable_rejects.load(Ordering::Relaxed)
-    }
-
-    /// Devices the scorer promoted to `Slow` (entries, not a level).
-    pub fn slow_detected(&self) -> u64 {
-        self.slow_detected.load(Ordering::Relaxed)
-    }
-
-    /// Devices the scorer moved `Healthy → Suspect` (entries).
-    pub fn health_suspects(&self) -> u64 {
-        self.suspects.load(Ordering::Relaxed)
-    }
-
-    /// Devices the scorer demoted `Slow → Healthy` (entries).
-    pub fn health_recoveries(&self) -> u64 {
-        self.recoveries.load(Ordering::Relaxed)
     }
 
     /// Deadline-aware re-dispatches: seal-time drains off a detected-slow
@@ -1378,8 +1291,8 @@ mod tests {
         assert_eq!(plane.live_slow_mask(), 0, "suspect is still schedulable");
         plane.observe(0, BASE, 6);
         assert_eq!(plane.health_state(0), DeviceHealth::Healthy);
-        assert_eq!(plane.slow_detected(), 0);
-        assert_eq!(plane.health_suspects(), 1);
+        assert_eq!(plane.board().slow_detected, 0);
+        assert_eq!(plane.board().suspects, 1);
         // The outlier did not drag the baseline up: the next anomaly is
         // still judged against the calibrated EWMA.
         plane.observe(0, 10 * BASE, 7);
@@ -1400,7 +1313,7 @@ mod tests {
         assert_eq!(plane.health_state(1), DeviceHealth::Slow);
         assert_eq!(plane.live_slow_mask(), 0b10);
         assert_eq!(plane.admission_mask(5), 0, "slow is not fail-stop");
-        assert_eq!(plane.slow_detected(), 1);
+        assert_eq!(plane.board().slow_detected, 1);
         // Recovery needs a sustained normal streak, not one good sample.
         for w in 6..13 {
             plane.observe(1, BASE, w);
@@ -1409,7 +1322,7 @@ mod tests {
         plane.observe(1, BASE, 13);
         assert_eq!(plane.health_state(1), DeviceHealth::Healthy);
         assert_eq!(plane.live_slow_mask(), 0);
-        assert_eq!(plane.health_recoveries(), 1);
+        assert_eq!(plane.board().recoveries, 1);
     }
 
     #[test]
@@ -1422,7 +1335,7 @@ mod tests {
         }
         assert_eq!(plane.health_state(0), DeviceHealth::Slow);
         assert_eq!(plane.live_slow_mask(), 0b01);
-        assert_eq!(plane.slow_detected(), 1);
+        assert_eq!(plane.board().slow_detected, 1);
         assert_eq!(
             plane.board().service_estimate(0),
             BASE,
@@ -1503,7 +1416,7 @@ mod tests {
         // `window`'s work.
         let read = |devs: &mut Devices, issue, window| {
             let req = IoRequest::read_block(0, 0, 1, 0);
-            devs.submit(&req, issue, 1, window).0
+            devs.submit(&req, issue, 1, window)
         };
         read(&mut devs, 0, 5);
         read(&mut devs, 0, 5); // queues behind the first: finishes at 200
@@ -1536,12 +1449,10 @@ mod tests {
     fn layout_keeps_the_admission_view_off_the_lines_workers_write() {
         let plane = FaultPlane::new(9, FaultSchedule::new()).unwrap();
         let FaultPlane {
-            inner,
             any,
             any_slow,
-            any_gc,
             live_slow,
-            gc_pressure,
+            devices,
             _gap,
             degraded_windows,
             reroutes,
@@ -1550,20 +1461,15 @@ mod tests {
             unavailable_rejects,
             _gap_workers,
             health,
-            slow_detected,
-            suspects,
-            recoveries,
             retries,
         } = &plane;
         let spans = vec![
-            // Read per window by admission and seal, per item by workers;
-            // written by an injection or a scorer verdict.
-            span("inner", inner, Side::ReadMostly),
+            // Read per window by admission and seal; written by an
+            // injection or a scorer verdict.
             span("any", any, Side::ReadMostly),
             span("any_slow", any_slow, Side::ReadMostly),
-            span("any_gc", any_gc, Side::ReadMostly),
             span("live_slow", live_slow, Side::ReadMostly),
-            span("gc_pressure", gc_pressure, Side::ReadMostly),
+            span("devices", devices, Side::ReadMostly),
             span("_gap", _gap, Side::Gap),
             // Bumped by admission and seal while a fault is in force.
             span("degraded_windows", degraded_windows, Side::Submitter),
@@ -1574,9 +1480,6 @@ mod tests {
             span("_gap_workers", _gap_workers, Side::Gap),
             // Held by workers once per served read and write copy.
             span("health", health, Side::Worker),
-            span("slow_detected", slow_detected, Side::Worker),
-            span("suspects", suspects, Side::Worker),
-            span("recoveries", recoveries, Side::Worker),
             span("retries", retries, Side::Worker),
         ];
         assert_one_side_per_line(&plane, spans);
@@ -1601,95 +1504,6 @@ mod tests {
         assert_eq!(plane.live_slow_mask(), 0);
         assert_eq!(plane.health_state(0), DeviceHealth::Suspect);
         // Probation is not a counted recovery.
-        assert_eq!(plane.health_recoveries(), 0);
-    }
-
-    #[test]
-    fn gc_pressure_reserve_grows_with_amplification_and_decays() {
-        let plane = FaultPlane::new(2, FaultSchedule::new()).unwrap();
-        assert_eq!(plane.gc_reserve(0, 8), 0, "no GC observed yet");
-        assert_eq!(plane.write_amp_estimate(0), 1.0);
-        // Sustained WA-3 writes on device 0: the EWMA converges toward 3.0
-        // and the reserve toward (3−1)/2 × budget = the half-budget cap.
-        for _ in 0..64 {
-            plane.observe_gc(0, 1, 3);
-        }
-        assert!(plane.write_amp_estimate(0) > 2.5);
-        assert_eq!(plane.gc_reserve(0, 8), 4, "capped at half the budget");
-        assert_eq!(plane.gc_reserve(1, 8), 0, "other devices unaffected");
-        // Writes stop: per-seal decay hands the headroom back.
-        for w in 0..200 {
-            plane.health_tick(w);
-        }
-        assert_eq!(plane.gc_reserve(0, 8), 0, "pressure decayed away");
-        assert!(plane.write_amp_estimate(0) < 1.1);
-    }
-
-    #[test]
-    fn gc_pressure_steps_are_the_load_store_formulas() {
-        // What `observe_gc` and `gc_decay` computed when each was a plain
-        // load → store; one thread at a time the `fetch_update`s must give
-        // the same cell values.
-        fn observed(ewma: u64, host: u64, programmed: u64) -> u64 {
-            let delta = (programmed * GC_FP_ONE / host) as i64 - ewma as i64;
-            (ewma as i64 + (delta >> 3)).max(GC_FP_ONE as i64) as u64
-        }
-        fn decayed(ewma: u64) -> u64 {
-            if ewma > GC_FP_ONE {
-                ewma - ((ewma - GC_FP_ONE) >> 4).max(1)
-            } else {
-                ewma
-            }
-        }
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x6c);
-        let plane = FaultPlane::new(3, FaultSchedule::new()).unwrap();
-        let mut expected = [GC_FP_ONE; 3];
-        for step in 0..50_000u64 {
-            if rng.gen_range(0..3u32) == 0 {
-                plane.health_tick(step);
-                expected = expected.map(decayed);
-            } else {
-                let d = rng.gen_range(0..3usize);
-                let host = rng.gen_range(1..=4u64);
-                let programmed = host + rng.gen_range(0..=8u64) * rng.gen_range(0..=1u64);
-                plane.observe_gc(d, host, programmed);
-                expected[d] = observed(expected[d], host, programmed);
-            }
-            let cells: Vec<u64> = plane
-                .gc_pressure
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect();
-            assert_eq!(cells, expected, "step {step}");
-        }
-    }
-
-    #[test]
-    fn any_gc_is_stored_once_in_a_planes_life() {
-        // The layout test lists `any_gc` with what nobody writes per
-        // request; a store per write copy would make that a lie again.
-        let stores = || ANY_GC_STORES.with(std::cell::Cell::get);
-        let before = stores();
-        let plane = FaultPlane::new(2, FaultSchedule::new()).unwrap();
-        plane.observe_gc(0, 0, 0);
-        assert_eq!(stores(), before, "no host page, no observation");
-        for i in 0..1_000u64 {
-            plane.observe_gc((i % 2) as usize, 1, 1 + i % 3);
-            plane.health_tick(i);
-        }
-        assert_eq!(stores(), before + 1);
-        assert!(plane.gc_reserve(0, 8) > 0, "and the flag is up");
-    }
-
-    #[test]
-    fn gc_reserve_never_exceeds_half_the_budget() {
-        let plane = FaultPlane::new(1, FaultSchedule::new()).unwrap();
-        for _ in 0..200 {
-            plane.observe_gc(0, 1, 50);
-        }
-        for accesses in [1usize, 2, 3, 8, 27] {
-            assert!(plane.gc_reserve(0, accesses) <= accesses / 2);
-        }
+        assert_eq!(plane.board().recoveries, 0);
     }
 }

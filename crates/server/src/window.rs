@@ -14,9 +14,8 @@
 //! Every slot captures the [`FaultPlane`]'s conservative view when it
 //! opens, as one capacity per device: 0 for a device down on arrival or
 //! during the execution interval or condemned `Slow` by the health scorer,
-//! and `M` less the device's GC reserve otherwise. Both assignment modes
-//! admit against that vector, so admission re-routes blocks away from
-//! excluded devices and holds back what GC needs, in one feasibility
+//! and `M` otherwise. Both assignment modes admit against that vector, so
+//! admission re-routes blocks away from excluded devices in one feasibility
 //! question (Hall's condition with per-device capacities). At seal the
 //! *execution* health view is re-read: items still assigned to a device
 //! that failed meanwhile (live injection between admission and seal) are
@@ -269,14 +268,13 @@ impl OpenWindow {
         let admit_mask = fail_mask | fault.live_slow_mask();
         self.admit_mask = admit_mask;
         self.fail_mask = fail_mask;
-        // Capacity 0 on an excluded device; elsewhere `M` less the accesses
-        // withheld for GC on devices under write amplification.
+        // Capacity 0 on an excluded device, `M` on every other.
         let devices = fault.devices();
+        let m = u16::try_from(accesses).unwrap_or(u16::MAX);
         let mut caps = [0u16; MAX_FAULT_DEVICES];
         for (d, c) in caps[..devices].iter_mut().enumerate() {
             if admit_mask >> d & 1 == 0 {
-                let cap = accesses - fault.gc_reserve(d, accesses);
-                *c = u16::try_from(cap).unwrap_or(u16::MAX);
+                *c = m;
             }
         }
         match &mut self.feas {
@@ -1322,31 +1320,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_reserve_shrinks_window_capacity() {
-        for mode in BOTH_MODES {
-            let fault = healthy(3);
-            // Sustained WA-3 writes on device 0: with M = 2 the reserve
-            // withholds one of its two slots.
-            for _ in 0..64 {
-                fault.observe_gc(0, 1, 3);
-            }
-            let r = WindowRing::new(WINDOW_RING, 3, 2, mode, Arc::clone(&fault), true);
-            assert!(r.admit(0, 1, 99, req(1), &[0]).is_admitted());
-            assert_eq!(
-                r.admit(0, 1, 99, req(2), &[0]),
-                AdmitResult::Full,
-                "GC pressure withheld the second slot"
-            );
-            // Devices without GC pressure keep their full budget.
-            assert!(r.admit(0, 1, 99, req(3), &[1]).is_admitted());
-            assert!(r.admit(0, 1, 99, req(4), &[1]).is_admitted());
-            let sealed = r.seal(0);
-            assert_eq!(sealed.total, 3);
-            assert!(sealed.items().iter().all(|i| i.group.is_none()));
-        }
-    }
-
-    #[test]
     fn all_replicas_slow_is_admitted_slow_and_still_dispatched() {
         let fault = healthy(3);
         condemn(&fault, 0);
@@ -1418,12 +1391,11 @@ mod tests {
 
     /// One mode's digest over 24 windows of `(9,3,1)` at `M = 4`, about
     /// 1.6× a window's capacity each, a quarter of them writes: scripted
-    /// failures (a whole block down in windows 14–17), GC reserves of 2 and
-    /// 1 from window 3, a device condemned before window 6 admits and
-    /// another after window 12 admits, and live failures injected between
-    /// admission and seal in windows 5, 10 and 22. Hashes every admission
-    /// verdict, every overflow verdict and every sealed item's device,
-    /// guarantee and write group.
+    /// failures (a whole block down in windows 14–17), a device condemned
+    /// before window 6 admits and another after window 12 admits, and live
+    /// failures injected between admission and seal in windows 5, 10 and
+    /// 22. Hashes every admission verdict, every overflow verdict and every
+    /// sealed item's device, guarantee and write group.
     ///
     /// Hall's cuts over the slot's capacities judge every verdict the
     /// capacities decide (the tenant has reservation left and the block a
@@ -1451,16 +1423,8 @@ mod tests {
         // engine recycles them: nothing it held may leak into the next.
         let mut spare = None;
         for w in 0..24u64 {
-            match w {
-                3 => {
-                    for _ in 0..64 {
-                        fault.observe_gc(0, 1, 3);
-                        fault.observe_gc(3, 4, 7);
-                    }
-                    assert_eq!((fault.gc_reserve(0, 4), fault.gc_reserve(3, 4)), (2, 1));
-                }
-                6 => condemn(&fault, 5),
-                _ => {}
+            if w == 6 {
+                condemn(&fault, 5);
             }
             let caps = r.caps(w, &mut spare);
             let mut cuts = CutTable::new(9);
@@ -1532,16 +1496,15 @@ mod tests {
         h
     }
 
-    /// Recorded before the per-device capacity vector replaced the
-    /// degraded-window wrapper, the GC reserve's pinned units and EFT's
-    /// reserve vector, and before slots recycled their window state: the
-    /// same admissions and the same sealed schedule.
+    /// Recorded on the code that still withheld a GC reserve, with this
+    /// scenario's GC step taken out: deleting the reserve changed no
+    /// admission and no sealed item here.
     #[test]
     fn window_golden() {
         assert_eq!(
             window_digest(AssignmentMode::OptimalFlow),
-            0x7ba4_8d88_b01b_fc93
+            0x2854_17c5_b52e_9ffd
         );
-        assert_eq!(window_digest(AssignmentMode::Eft), 0xb37c_29b8_2c46_a47d);
+        assert_eq!(window_digest(AssignmentMode::Eft), 0xd308_32b7_760d_b775);
     }
 }

@@ -33,7 +33,7 @@ mod order;
 #[cfg(not(feature = "model-check"))]
 mod queue;
 
-pub use order::{blocking, seen, Class};
+pub use order::{blocking, seen, taken, Class};
 
 #[cfg(not(feature = "model-check"))]
 pub use std::sync::{atomic, Arc};

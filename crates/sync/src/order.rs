@@ -49,10 +49,9 @@ pub enum Class {
     WindowSlot,
     /// One tenant lookup shard, taken by a submit only on a view miss.
     RegistryShard,
-    /// The fault plane's event log.
-    FaultInner,
-    /// The fault plane's board: the device health scorer, every device's
-    /// simulated timeline and the hedge frontier.
+    /// The fault plane's board: the fault timeline, the device health
+    /// scorer and its counts, every device's simulated timeline and the
+    /// hedge frontier.
     FaultHealth,
     /// One thread's staged WAL records. May block: a stage is held until
     /// whoever drains it holds the log, so a cold path that drains every
@@ -85,7 +84,6 @@ impl Class {
             Class::EngineStatCounters => "engine.stat_counters",
             Class::WindowSlot => "window.slot",
             Class::RegistryShard => "registry.shard",
-            Class::FaultInner => "fault.inner",
             Class::FaultHealth => "fault.health",
             Class::EngineStage => "engine.stage",
             Class::EngineWal => "engine.wal",
@@ -115,13 +113,13 @@ impl Class {
     }
 }
 
-pub use imp::{blocking, seen};
+pub use imp::{blocking, seen, taken};
 pub(crate) use imp::{tag, Held, Tag};
 
 #[cfg(any(debug_assertions, feature = "model-check"))]
 mod imp {
     use super::Class;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::panic::Location;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -147,6 +145,8 @@ mod imp {
         /// What this thread holds, in free slots: a fixed array, not a
         /// `Vec`, because a worker must not allocate (`alloc_count`).
         static HELD: RefCell<[Option<Entry>; DEPTH]> = const { RefCell::new([None; DEPTH]) };
+        /// Locks this thread has taken.
+        static TAKEN: Cell<u64> = const { Cell::new(0) };
     }
 
     const CLASSES: usize = Class::WalTally as usize + 1;
@@ -188,6 +188,7 @@ mod imp {
                 let free = held.iter_mut().find(|e| e.is_none());
                 *free.expect("more than DEPTH locks held by one thread") = Some(entry);
             });
+            let _ = TAKEN.try_with(|n| n.set(n.get() + 1));
             Held(entry)
         }
     }
@@ -236,6 +237,12 @@ mod imp {
     /// builds, where nothing is recorded).
     pub fn seen(held: Class, taken: Class) -> bool {
         SEEN[held as usize].load(Ordering::Relaxed) & (1 << taken as u32) != 0
+    }
+
+    /// Locks of any class this thread has taken so far (always 0 in
+    /// release builds, where nothing is recorded).
+    pub fn taken() -> u64 {
+        TAKEN.with(Cell::get)
     }
 
     #[cfg(test)]
@@ -316,6 +323,18 @@ mod imp {
             assert_eq!(rx.recv(), Ok(7));
         }
 
+        #[test]
+        fn taken_counts_the_locks_of_this_thread() {
+            let board = Mutex::new(Class::FaultHealth, ());
+            let quiesce = RwLock::new(Class::EngineQuiesce, ());
+            let before = taken();
+            drop(quiesce.read());
+            drop(board.lock());
+            drop(board.lock());
+            assert_eq!(taken(), before + 3);
+            assert_eq!(std::thread::spawn(taken).join().unwrap(), 0);
+        }
+
         /// `Wal::lock_behind_workers`: the stages in index order, then the
         /// log, then the stages go while the log is still held.
         #[test]
@@ -383,6 +402,11 @@ mod imp {
     /// Nothing is recorded in release builds.
     pub fn seen(_: Class, _: Class) -> bool {
         false
+    }
+
+    /// Nothing is recorded in release builds.
+    pub fn taken() -> u64 {
+        0
     }
 
     #[cfg(test)]
