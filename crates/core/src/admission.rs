@@ -67,7 +67,7 @@ impl AppAdmission {
 /// intervals. `R_k = N_k / N_t` estimates the request-size distribution and
 /// `Q = Σ_k (1 − P_k) · R_k` the probability that an interval cannot be
 /// retrieved optimally. Requests beyond the deterministic limit are admitted
-/// while `Q < ε`.
+/// while `Q < ε`, which [`StatisticalCounters::slack`] puts in closed form.
 #[derive(Debug, Clone, Default)]
 pub struct StatisticalCounters {
     n_k: Vec<u64>,
@@ -94,37 +94,32 @@ impl StatisticalCounters {
         self.n_t
     }
 
-    /// `Q = Σ_k (1 − P_k) · R_k` over the recorded history.
-    pub fn violation_probability(&self, p: &OptimalRetrievalProbabilities) -> f64 {
-        if self.n_t == 0 {
-            return 0.0;
-        }
-        self.n_k
+    /// What a tentative interval may still miss by: `ε·(N_t + 1) −
+    /// Σ_j (1 − P_j)·N_j`. Counting an interval of size `k` into the
+    /// history keeps `Q < ε` exactly when `1 − P_k` is below it
+    /// ([`StatisticalCounters::within`]). It moves only when an interval is
+    /// recorded; the empty history's is `ε`.
+    pub fn slack(&self, p: &OptimalRetrievalProbabilities, epsilon: f64) -> f64 {
+        let missed: f64 = self
+            .n_k
             .iter()
             .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(k, &n)| (1.0 - p.p_k(k)) * (n as f64 / self.n_t as f64))
-            .sum()
+            .map(|(size, &n)| (1.0 - p.p_k(size)) * n as f64)
+            .sum();
+        epsilon * (self.n_t + 1) as f64 - missed
     }
 
-    /// Would admitting an interval of size `k` keep `Q < ε`? Evaluates `Q`
-    /// with the tentative interval counted (§III-B2: "Admission control
-    /// algorithm admits the requests of the current interval if Q … is
-    /// smaller than ε").
+    /// The one admission test: an interval of size `k` fits a history whose
+    /// [`slack`](StatisticalCounters::slack) is `slack` iff `1 − P_k < slack`.
+    pub fn within(k: usize, p: &OptimalRetrievalProbabilities, slack: f64) -> bool {
+        1.0 - p.p_k(k) < slack
+    }
+
+    /// Would admitting an interval of size `k` keep `Q < ε`? `Q` counts the
+    /// tentative interval (§III-B2: "Admission control algorithm admits the
+    /// requests of the current interval if Q … is smaller than ε").
     pub fn would_admit(&self, k: usize, p: &OptimalRetrievalProbabilities, epsilon: f64) -> bool {
-        let n_t = (self.n_t + 1) as f64;
-        let mut q = 0.0;
-        for (size, &n) in self.n_k.iter().enumerate() {
-            let n = n + u64::from(size == k);
-            if n > 0 {
-                q += (1.0 - p.p_k(size)) * (n as f64 / n_t);
-            }
-        }
-        if self.n_k.len() <= k {
-            // Tentative interval size beyond the recorded table.
-            q += (1.0 - p.p_k(k)) / n_t;
-        }
-        q < epsilon
+        Self::within(k, p, self.slack(p, epsilon))
     }
 }
 
@@ -164,6 +159,12 @@ mod tests {
         optimal_retrieval_probabilities(&AllocationScheme::paper_9_3_1(), 12, 4000, 3)
     }
 
+    /// `Q` over the recorded history: at `ε = 0` the slack is minus the
+    /// weighted misses, `−N_t·Q`.
+    fn q(c: &StatisticalCounters, p: &OptimalRetrievalProbabilities) -> f64 {
+        -c.slack(p, 0.0) / c.intervals() as f64
+    }
+
     #[test]
     fn q_is_zero_for_small_intervals() {
         let p = p931();
@@ -172,7 +173,7 @@ mod tests {
             c.record_interval(3);
         }
         // P_3 ≈ 1 → Q ≈ 0.
-        assert!(c.violation_probability(&p) < 0.01);
+        assert!(q(&c, &p) < 0.01);
     }
 
     #[test]
@@ -182,11 +183,11 @@ mod tests {
         for _ in 0..50 {
             c.record_interval(3);
         }
-        let q_before = c.violation_probability(&p);
+        let q_before = q(&c, &p);
         for _ in 0..50 {
             c.record_interval(9); // P_9 ≈ 0.75 → each adds ~0.25 weight
         }
-        let q_after = c.violation_probability(&p);
+        let q_after = q(&c, &p);
         assert!(q_after > q_before + 0.05, "{q_before} → {q_after}");
         // Roughly (1 - 0.75) × 0.5 ≈ 0.125.
         assert!((q_after - 0.125).abs() < 0.05, "{q_after}");
@@ -213,5 +214,6 @@ mod tests {
         // First interval of size 9: Q = 1 − P_9 ≈ 0.25.
         assert!(c.would_admit(9, &p, 0.5));
         assert!(!c.would_admit(9, &p, 0.1));
+        assert_eq!(c.slack(&p, 0.1), 0.1, "the empty history's slack is ε");
     }
 }

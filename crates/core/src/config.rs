@@ -75,13 +75,15 @@ impl QosConfig {
     }
 
     /// The per-interval request limit: `S(M) = (c−1)M² + cM` for a design
-    /// layout; for any other, the exact `b*(M)`, the most buckets of which
-    /// any set fits in `M` accesses ([`buckets_within`]). A design keeps
-    /// `S(M)` even where `b*(M)` is larger (30 against 27 on `(13,3,1)` at
-    /// `M = 3`), so its admissions stay the paper's.
+    /// layout, capped at its bucket count (`S(4) = 44` on `(9,3,1)`, whose
+    /// 36 buckets all fit in four accesses); for any other, the exact
+    /// `b*(M)`, the most buckets of which any set fits in `M` accesses
+    /// ([`buckets_within`]), which the bucket count bounds already. A design
+    /// keeps `S(M)` even where `b*(M)` is larger (30 against 27 on
+    /// `(13,3,1)` at `M = 3`), so its admissions stay the paper's.
     pub fn request_limit(&self) -> usize {
         match self.scheme.guarantee() {
-            Some(g) => g.buckets_in(self.accesses),
+            Some(g) => g.buckets_in(self.accesses).min(self.scheme.num_buckets()),
             None => buckets_within(&self.scheme, self.accesses),
         }
     }

@@ -4,11 +4,13 @@ use fqos_core::admission::StatisticalCounters;
 use fqos_core::config::QosConfig;
 use fqos_core::mapping::{BlockMapping, MappingStrategy};
 use fqos_core::scheduler::OnlineQos;
-use fqos_decluster::sampling::optimal_retrieval_probabilities;
+use fqos_decluster::sampling::{optimal_retrieval_probabilities, OptimalRetrievalProbabilities};
 use fqos_decluster::AllocationScheme;
 use fqos_flashsim::time::BASE_INTERVAL_NS;
 use fqos_flashsim::{IoOp, BLOCK_SIZE_BYTES};
 use fqos_traces::{Trace, TraceRecord};
+use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
 
 fn rec(t: u64, lbn: u64) -> TraceRecord {
     TraceRecord {
@@ -50,7 +52,8 @@ fn q_converges_to_the_empirical_violation_rate() {
     for _ in 0..10 {
         c.record_interval(9);
     }
-    let q = c.violation_probability(&p);
+    // At ε = 0 the slack is minus the weighted misses: `−N_t·Q`.
+    let q = -c.slack(&p, 0.0) / c.intervals() as f64;
     let expected = 0.6 * (1.0 - p.p_k(3)) + 0.3 * (1.0 - p.p_k(8)) + 0.1 * (1.0 - p.p_k(9));
     assert!(
         (q - expected).abs() < 1e-12,
@@ -127,4 +130,82 @@ fn schedulers_at_different_epsilon_share_one_probability_table() {
         OnlineQos::new(cfg).probabilities().is_none(),
         "ε = 0 samples nothing"
     );
+}
+
+/// `Q` with a tentative interval of size `k` counted, summed term by term
+/// as §III-B2 writes it: `Σ_j (1 − P_j)·N_j / (N_t + 1)` over the sizes
+/// seen, the tentative one included. The reference for the closed form.
+fn q_with_tentative(n_k: &[u64], k: usize, p: &OptimalRetrievalProbabilities) -> f64 {
+    let n_t = (n_k.iter().sum::<u64>() + 1) as f64;
+    let mut q = 0.0;
+    for (size, &n) in n_k.iter().enumerate() {
+        let n = n + u64::from(size == k);
+        if n > 0 {
+            q += (1.0 - p.p_k(size)) * (n as f64 / n_t);
+        }
+    }
+    if n_k.len() <= k {
+        q += (1.0 - p.p_k(k)) / n_t;
+    }
+    q
+}
+
+/// The tables the engine samples for the two paper layouts at their
+/// pinned access budgets: `(9,3,1)` at `M = 2` and `(13,3,1)` at `M = 3`,
+/// each up to `2·S(M) + 8` requests, 1 500 trials.
+fn engine_tables() -> &'static [Arc<OptimalRetrievalProbabilities>; 2] {
+    static TABLES: OnceLock<[Arc<OptimalRetrievalProbabilities>; 2]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        [
+            QosConfig::paper_9_3_1().with_accesses(2),
+            QosConfig::paper_13_3_1().with_accesses(3),
+        ]
+        .map(|cfg| {
+            let k_max = 2 * cfg.request_limit() + 8;
+            cfg.scheme.retrieval_probabilities(k_max, 1500, 0x5eed_cafe)
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The closed form decides as the paper's sum does: on histories of up
+    /// to 64 sizes and `10⁵` intervals, short and long, over the engine's
+    /// tables, arbitrary `P ∈ [0, 1]` and `P` within `4ε` of 1 (where `Q`
+    /// lands near `ε`), `would_admit` is `Q < ε` wherever `Q` is not within
+    /// `10⁻⁹·ε` of `ε`, where the two roundings may part.
+    #[test]
+    fn the_closed_form_admits_as_the_sum_does(
+        counts in prop::collection::vec(0u64..1563, 1..65),
+        scale in 0usize..4,
+        k in 0usize..80,
+        table in 0usize..4,
+        random_p in prop::collection::vec(any::<u32>(), 1..80),
+        eps in 0usize..4,
+    ) {
+        let epsilon = [0.001, 0.01, 0.05, 0.4][eps];
+        let counts: Vec<u64> = counts.iter().map(|n| n % [2, 20, 200, 1563][scale]).collect();
+        let unit = |x: u32| f64::from(x) / f64::from(u32::MAX);
+        let random;
+        let p = match table {
+            0 | 1 => &*engine_tables()[table],
+            _ => {
+                let miss = if table == 2 { 1.0 } else { 4.0 * epsilon };
+                let p = random_p.iter().map(|&x| 1.0 - miss * unit(x)).collect();
+                random = OptimalRetrievalProbabilities { p, trials: 0 };
+                &random
+            }
+        };
+        let mut c = StatisticalCounters::new();
+        for (size, &n) in counts.iter().enumerate() {
+            for _ in 0..n {
+                c.record_interval(size);
+            }
+        }
+        let q = q_with_tentative(&counts, k, p);
+        if (q - epsilon).abs() > 1e-9 * epsilon {
+            prop_assert_eq!(c.would_admit(k, p, epsilon), q < epsilon);
+        }
+    }
 }

@@ -47,8 +47,6 @@ pub struct CalibratedSsd {
     /// stalls the device in-line with the host write.
     ftl: Option<PageMappedFtl>,
     gc: GcStats,
-    /// GC work triggered by the most recent write submission.
-    last_gc: WriteOutcome,
 }
 
 /// Cumulative garbage-collection counters of one device.
@@ -97,7 +95,6 @@ impl CalibratedSsd {
             erase_ns: 0,
             ftl: None,
             gc: GcStats::default(),
-            last_gc: WriteOutcome::default(),
         }
     }
 
@@ -184,11 +181,6 @@ impl CalibratedSsd {
         self.gc.relocated += gc.pages_relocated;
         self.gc.erases += gc.erases;
         self.gc.full_errors += full;
-        self.last_gc = WriteOutcome {
-            pages_programmed: gc.pages_programmed,
-            pages_relocated: gc.pages_relocated,
-            erases: gc.erases,
-        };
         gc.pages_relocated * self.read_ns_per_block
             + gc_pages * self.write_ns_per_block
             + gc.erases * self.erase_ns
@@ -197,12 +189,6 @@ impl CalibratedSsd {
     /// Cumulative GC counters (all zero without an attached FTL).
     pub fn gc_stats(&self) -> GcStats {
         self.gc
-    }
-
-    /// GC work triggered by the most recent write submission (zeroed
-    /// outcome if the last submission was a read or no FTL is attached).
-    pub fn last_gc_outcome(&self) -> WriteOutcome {
-        self.last_gc
     }
 }
 
@@ -215,7 +201,6 @@ impl Default for CalibratedSsd {
 impl Device for CalibratedSsd {
     fn submit(&mut self, req: &IoRequest, now: SimTime) -> Completion {
         debug_assert!(now >= req.arrival);
-        self.last_gc = WriteOutcome::default();
         let gc_ns = match req.op {
             IoOp::Read => 0,
             IoOp::Write => self.gc_stall(req),
@@ -239,7 +224,6 @@ impl Device for CalibratedSsd {
     fn reset(&mut self) {
         self.busy_until = 0;
         self.gc = GcStats::default();
-        self.last_gc = WriteOutcome::default();
         if let Some(ftl) = self.ftl.as_mut() {
             *ftl = PageMappedFtl::new(*ftl.geometry());
         }
@@ -365,7 +349,6 @@ mod tests {
         let c = d.submit(&IoRequest::write_block(1, 0, 0, 7), 0);
         assert_eq!(c.service_time(), 300);
         assert_eq!(d.gc_stats(), GcStats::default());
-        assert_eq!(d.last_gc_outcome(), crate::ftl::WriteOutcome::default());
     }
 
     #[test]
@@ -381,19 +364,21 @@ mod tests {
             seed = seed
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
+            let before = d.gc_stats();
             let c = d.submit(&IoRequest::write_block(i, now, 0, (seed >> 33) % 18), now);
+            let after = d.gc_stats();
             let base = d.service_time(&c.request);
-            if c.service_time() > base {
-                saw_stall = true;
-                let out = d.last_gc_outcome();
-                // The stall decomposes exactly into relocation reads,
-                // relocation programs and erases.
-                let gc_pages = out.pages_programmed - c.request.num_blocks() as u64;
-                assert_eq!(
-                    c.service_time() - base,
-                    out.pages_relocated * 100 + gc_pages * 300 + out.erases * 5_000
-                );
-            }
+            // The stall decomposes exactly into this write's relocation
+            // reads, relocation programs and erases.
+            let relocated = after.relocated - before.relocated;
+            let gc_pages = after.gc_pages - before.gc_pages;
+            let erases = after.erases - before.erases;
+            assert_eq!(after.host_pages - before.host_pages, 1);
+            assert_eq!(
+                c.service_time() - base,
+                relocated * 100 + gc_pages * 300 + erases * 5_000
+            );
+            saw_stall |= c.service_time() > base;
             now = c.finish;
         }
         assert!(saw_stall, "GC never stalled a write");
@@ -424,8 +409,9 @@ mod tests {
             let req = IoRequest::write_block(i, now, 0, i % 8);
             let ch = healthy.submit(&req, now);
             let cd = degraded.submit(&req, now);
-            // Identical FTL state ⇒ identical GC stall on both devices.
-            assert_eq!(healthy.last_gc_outcome(), degraded.last_gc_outcome());
+            // Identical FTL state ⇒ identical GC work on both devices, write
+            // by write.
+            assert_eq!(healthy.gc_stats(), degraded.gc_stats());
             let base = 300 * req.num_blocks() as u64;
             let gc_ns = ch.service_time() - base;
             assert_eq!(

@@ -150,6 +150,8 @@ struct DispatchState {
     /// Window states the seal gave back, for handles to open windows with:
     /// as many exist as windows were open at once, plus a spare a handle.
     spares: Spares,
+    /// The §III-B2 history (`ε > 0` only): each seal records its window.
+    counters: StatisticalCounters,
 }
 
 impl DispatchState {
@@ -180,7 +182,9 @@ impl DispatchState {
 
 /// Statistical admission state (`ε > 0` only).
 struct StatState {
-    counters: Mutex<StatisticalCounters>,
+    /// The seal's [`StatisticalCounters::slack`] as `f64` bits: one value
+    /// alone, so `Relaxed`, and a seal before a submit is visible to it.
+    slack: AtomicU64,
     /// The design's shared table: sampled by the first server on this
     /// layout, and every later one (fleet arrays, restarts) reuses it.
     probabilities: Arc<OptimalRetrievalProbabilities>,
@@ -439,7 +443,8 @@ impl QosServer {
             // fix them, until the table is computed exactly (ROADMAP 22(b)).
             let k_max = 2 * limit + 8;
             StatState {
-                counters: Mutex::new(Class::EngineStatCounters, StatisticalCounters::new()),
+                // The empty history's slack is ε.
+                slack: AtomicU64::new(cfg.qos.epsilon.to_bits()),
                 probabilities: cfg
                     .qos
                     .scheme
@@ -747,7 +752,9 @@ impl Engine {
             if let Some(stat) = &self.stat {
                 // Every elapsed interval counts toward the R_k history,
                 // including empty ones (they dilute Q, per §III-B2).
-                stat.counters.lock().record_interval(sealed.total as usize);
+                ds.counters.record_interval(sealed.total as usize);
+                let slack = ds.counters.slack(&stat.probabilities, self.cfg.qos.epsilon);
+                stat.slack.store(slack.to_bits(), Ordering::Relaxed);
             }
             if sealed.total > 0 {
                 self.submit_stats
@@ -908,20 +915,15 @@ impl Engine {
         let Some(stat) = self.stat.as_ref() else {
             return false;
         };
-        let (admitted, capacity) = self.ring.occupancy(window);
-        let k = admitted + 1;
-        if k > stat.k_max.min(capacity) {
-            return false;
-        }
-        // The guard is released before the ring is touched.
-        let within_epsilon =
-            stat.counters
-                .lock()
-                .would_admit(k, &stat.probabilities, self.cfg.qos.epsilon);
+        let slack = f64::from_bits(stat.slack.load(Ordering::Relaxed));
+        let admits = |k: usize, capacity: usize| {
+            k <= stat.k_max.min(capacity)
+                && StatisticalCounters::within(k, &stat.probabilities, slack)
+        };
         // Every replica down: the statistical path refuses too. The window
         // is open (its `Full` verdict opened it), so it needs no spare.
-        let spare = &mut None;
-        within_epsilon && self.ring.add_overflow(window, tenant, req, replicas, spare)
+        self.ring
+            .add_overflow(window, tenant, req, replicas, &mut None, admits)
     }
 
     /// A window state off the free list, in a hold of `engine.dispatch` of
@@ -1053,15 +1055,15 @@ impl Engine {
                 // reservation and fall back to the overflow slot. Writes
                 // have no overflow slot (the statistical path never admits
                 // them), so a write that no longer fits is forfeited.
-                let ok = if e.guaranteed {
-                    matches!(
+                let ok = (e.guaranteed
+                    && matches!(
                         self.ring
                             .try_admit(w, e.tenant, usize::MAX, req, replicas, spare),
                         AdmitResult::Admitted | AdmitResult::AdmittedSlow
-                    ) || (!e.is_write && self.ring.add_overflow(w, e.tenant, req, replicas, spare))
-                } else {
-                    self.ring.add_overflow(w, e.tenant, req, replicas, spare)
-                };
+                    ))
+                    || self
+                        .ring
+                        .add_overflow(w, e.tenant, req, replicas, spare, |_, _| true);
                 if ok {
                     restored += 1;
                     max_target = max_target.max(w);
@@ -1966,6 +1968,39 @@ mod tests {
         assert_eq!((m.max_window_guaranteed, m.max_window_total), (14, 18));
     }
 
+    /// An in-window read that ends as an overflow admission takes one lock
+    /// more than one admitted under the guarantee: the slot hold that
+    /// counts the window, prices it against the published slack and parks.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "lock counts compile out of release")]
+    fn an_overflow_admission_takes_one_slot_hold_more_than_a_guaranteed_one() {
+        let cfg = ServerConfig::new(QosConfig::paper_9_3_1().with_epsilon(1.0));
+        let s = QosServer::new(cfg).unwrap();
+        s.register(1, 5, OverloadPolicy::Reject).unwrap();
+        let mut h = s.handle();
+        // Opens window 0 and warms the handle's view of tenant 1.
+        assert!(h.submit(1, 0, 0).is_admitted());
+        let mut counted = |lbn| {
+            let before = fqos_sync::taken();
+            let outcome = h.submit(1, lbn, 0);
+            (outcome, fqos_sync::taken() - before)
+        };
+        let (admitted, guaranteed) = counted(1);
+        assert_eq!(admitted, SubmitOutcome::Admitted { window: 0 });
+        for lbn in 2..5 {
+            assert_eq!(counted(lbn).0, SubmitOutcome::Admitted { window: 0 });
+        }
+        let (overflow, parked) = counted(5);
+        assert_eq!(overflow, SubmitOutcome::Overflow { window: 0 });
+        assert_eq!(
+            parked,
+            guaranteed + 1,
+            "{guaranteed} locks for a guaranteed read"
+        );
+        drop(h);
+        assert_eq!(s.finish().overflow, 1);
+    }
+
     /// Window states the engine built: at rest — every window sealed and
     /// every handle closed — the free list holds each one.
     fn window_states(s: &QosServer) -> usize {
@@ -2643,7 +2678,6 @@ mod tests {
         // What a seal takes: under a submit's `engine.quiesce`, and under
         // `engine.dispatch`.
         let seal = [
-            EngineStatCounters,
             WindowSlot,
             RegistryShard,
             FaultHealth,

@@ -37,7 +37,7 @@
 //! Slots are reused modulo the configured ring size
 //! ([`crate::config::ServerConfig::ring_slots`]); the engine's watermark
 //! protocol guarantees a slot is sealed and drained before its index comes
-//! around again (enforced here with an occupancy check). A closed slot is
+//! around again (enforced here when a slot opens). A closed slot is
 //! its window tag and an empty `Option`. Everything a window needs while it
 //! is open — its capacities and feasibility kernel, per-tenant counts and
 //! parked entries — is one boxed [`OpenWindow`], which the opening
@@ -554,23 +554,14 @@ impl WindowRing {
         AdmitResult::Admitted
     }
 
-    /// Requests (guaranteed + overflow) parked in `window` so far, and the
-    /// accesses its devices hold in all, `Σ_d cap_d`. A window that is not
-    /// open reads `(0, 0)` and stays closed.
-    pub fn occupancy(&self, window: u64) -> (usize, usize) {
-        let s = self.slot(window).lock();
-        match s.open.as_deref() {
-            Some(w) if s.window == window => (w.guaranteed.len() + w.overflow.len(), w.capacity()),
-            _ => (0, 0),
-        }
-    }
-
     /// Park an overflow (statistically admitted) request in `window`,
     /// opening it with `spare` if it is not yet open, bypassing the
-    /// reservation and feasibility checks. Device choice is deferred to
-    /// seal, where overflow items pile onto the least-loaded surviving
-    /// replica after the guaranteed schedule. Returns `false` (and parks
-    /// nothing) when every replica is down for this window.
+    /// reservation and feasibility checks, if `admits(k, Σ_d cap_d)`: `k`
+    /// counts the window's requests with this one, in the hold that parks,
+    /// so two submitters cannot both take its last place. Device choice is
+    /// deferred to seal, where overflow items pile onto the least-loaded
+    /// surviving replica after the guaranteed schedule. Returns `false`
+    /// (and parks nothing) on a refusal or when every replica is down.
     pub fn add_overflow(
         &self,
         window: u64,
@@ -578,6 +569,7 @@ impl WindowRing {
         req: IoRequest,
         replicas: &[usize],
         spare: &mut Option<Box<OpenWindow>>,
+        admits: impl FnOnce(usize, usize) -> bool,
     ) -> bool {
         // Writes are never admitted statistically: an overflow write would
         // consume `c×` device capacity with no feasibility backing, eating
@@ -588,6 +580,9 @@ impl WindowRing {
         }
         let mut guard = self.slot(window).lock();
         let w = self.open(&mut guard, window, spare);
+        if !admits(w.guaranteed.len() + w.overflow.len() + 1, w.capacity()) {
+            return false;
+        }
         // Only an all-*failed* replica set refuses: slow devices are live
         // and can still carry best-effort work.
         if w.fail_mask != 0 && replicas.iter().all(|&d| w.fail_mask >> d & 1 == 1) {
@@ -852,10 +847,10 @@ mod tests {
             self.try_admit(window, tenant, reserved, req, replicas, &mut None)
         }
 
-        /// [`WindowRing::add_overflow`], opening a closed window with a
-        /// new state.
+        /// [`WindowRing::add_overflow`] with a test that always admits,
+        /// opening a closed window with a new state.
         fn overflow(&self, window: u64, tenant: u64, req: IoRequest, replicas: &[usize]) -> bool {
-            self.add_overflow(window, tenant, req, replicas, &mut None)
+            self.add_overflow(window, tenant, req, replicas, &mut None, |_, _| true)
         }
     }
 
@@ -1007,26 +1002,32 @@ mod tests {
     }
 
     #[test]
-    fn a_window_that_is_not_open_stays_closed_when_counted() {
+    fn a_refused_overflow_parks_nothing() {
         let r = ring(AssignmentMode::OptimalFlow);
-        assert_eq!(r.occupancy(3), (0, 0));
-        assert!(r.slot(3).lock().open.is_none());
         assert!(r.admit(3, 1, 9, req(1), &[0]).is_admitted());
-        assert_eq!(r.occupancy(3), (1, 3), "three devices of one access");
-        assert_eq!(
-            r.occupancy(3 + WINDOW_RING as u64),
-            (0, 0),
-            "another window"
-        );
-        let mut spare = r.seal(3).recycle();
-        assert_eq!(r.occupancy(3), (0, 0));
+        // The test sees the window with the request counted: one parked,
+        // this one, of three devices of one access.
+        let mut asked = None;
+        let refuse = |k, capacity| {
+            asked = Some((k, capacity));
+            false
+        };
+        assert!(!r.add_overflow(3, 2, req(2), &[1], &mut None, refuse));
+        assert_eq!(asked, Some((2, 3)));
+        assert!(r.overflow(3, 2, req(3), &[1]));
+        let admit_third = |k, capacity| k <= capacity;
+        assert!(r.add_overflow(3, 2, req(4), &[2], &mut None, admit_third));
+        assert!(!r.add_overflow(3, 2, req(5), &[2], &mut None, admit_third));
+        let sealed = r.seal(3);
+        assert_eq!((sealed.guaranteed, sealed.total), (1, 3));
+        let mut spare = sealed.recycle();
         // The sealed state opens the next window empty.
         let next = 4;
         assert!(r
-            .try_admit(next, 1, 9, req(2), &[0], &mut spare)
+            .try_admit(next, 1, 9, req(6), &[0], &mut spare)
             .is_admitted());
         assert!(spare.is_none(), "the window opened with the spare");
-        assert_eq!(r.occupancy(next), (1, 3));
+        assert!(r.add_overflow(next, 2, req(7), &[1], &mut None, |k, _| k == 2));
     }
 
     #[test]

@@ -1062,3 +1062,78 @@ fn seal_collects_worker_stage_behind_every_cold_path() {
     let _ = std::fs::remove_dir_all(&dir);
     report_and_check("seal-collects-worker-stage", report, 1000);
 }
+
+/// Two submitters race for a window's last overflow place, at ε > 0. A
+/// `(9,3,1)` window at `M = 1` holds nine accesses; one handle parks eight
+/// requests in window 1 — both tenants' reservations, five guaranteed, and
+/// three past them as overflow — and then each handle submits one more
+/// read past its tenant's reservation. The handle whose read arrives past
+/// its watermark also seals window 0 once its read is in, which records
+/// that interval and publishes the slack the other read may load. The
+/// window counts, prices and parks an overflow in one hold of its slot, so
+/// on every schedule one read takes the last place and the other is
+/// delayed into window 2, the window never holds more than it can serve,
+/// and the books close at `finish`. Guaranteed deadlines are not audited
+/// here: overflow gives up the deadline promise.
+///
+/// One worker and one preemption keep the race within the explorer's
+/// reach: it sits ahead of `finish`'s seals and service, and the explorer
+/// flips the last choices first. An engine that counts, prices and parks
+/// in separate holds lets both reads pass the count: this exploration fails
+/// it after 656 schedules, and at two preemptions it does not reach the
+/// race in 4 096.
+#[test]
+fn overflow_vs_overflow_never_parks_past_the_window() {
+    let bounds = Config {
+        preemptions: 1,
+        max_schedules: 4096,
+        ..Config::default()
+    };
+    let report = model_with(bounds, || {
+        let mut cfg = model_cfg().with_workers(1);
+        cfg.qos = cfg.qos.with_epsilon(1.0);
+        let server = QosServer::new(cfg).unwrap();
+        let t_ns = server.config().qos.interval_ns;
+        let capacity = server.config().qos.devices() as u64 * server.config().qos.accesses as u64;
+        server.register(1, 3, OverloadPolicy::Delay).unwrap();
+        server.register(2, 2, OverloadPolicy::Delay).unwrap();
+        let mut ha = server.handle();
+        let mut hb = server.handle();
+        let fill = [
+            (1, 0),
+            (1, 1),
+            (1, 2),
+            (2, 3),
+            (2, 4),
+            (1, 5),
+            (1, 6),
+            (1, 7),
+        ];
+        for (i, &(tenant, lbn)) in fill.iter().enumerate() {
+            let expected = if i < 5 {
+                SubmitOutcome::Admitted { window: 1 }
+            } else {
+                SubmitOutcome::Overflow { window: 1 }
+            };
+            assert_eq!(ha.submit(tenant, lbn, t_ns), expected);
+        }
+        let a = fqos_sync::thread::spawn(move || ha.submit(1, 8, t_ns));
+        let b = fqos_sync::thread::spawn(move || hb.submit(2, 9, t_ns));
+        let outcomes = [a.join().unwrap(), b.join().unwrap()];
+        let m = server.finish();
+        let last_place = SubmitOutcome::Overflow { window: 1 };
+        assert_eq!(
+            outcomes.iter().filter(|&&o| o == last_place).count(),
+            1,
+            "{outcomes:?}"
+        );
+        assert!(
+            m.max_window_total <= capacity,
+            "a window of {capacity} accesses holds {}",
+            m.max_window_total
+        );
+        assert_eq!((m.admitted_total(), m.overflow), (10, 4));
+        assert!(m.ledger().conserved(), "{}", m.ledger().render());
+    });
+    report_and_check("overflow-vs-overflow", report, 1000);
+}

@@ -43,8 +43,6 @@ pub enum Class {
     /// under it, so replay rebuilds exactly the admitted tenant set; the
     /// submit path never takes it.
     RegistryAdmission,
-    /// Statistical admission counters.
-    EngineStatCounters,
     /// One window-ring slot.
     WindowSlot,
     /// One tenant lookup shard, taken by a submit only on a view miss.
@@ -81,7 +79,6 @@ impl Class {
             Class::EngineQuiesce => "engine.quiesce",
             Class::EngineDispatch => "engine.dispatch",
             Class::RegistryAdmission => "registry.admission",
-            Class::EngineStatCounters => "engine.stat_counters",
             Class::WindowSlot => "window.slot",
             Class::RegistryShard => "registry.shard",
             Class::FaultHealth => "fault.health",
@@ -116,6 +113,10 @@ impl Class {
 pub use imp::{blocking, seen, taken};
 pub(crate) use imp::{tag, Held, Tag};
 
+/// How many classes the hierarchy has: the order check's table size.
+#[cfg(any(debug_assertions, feature = "model-check", test))]
+const CLASSES: usize = Class::WalTally as usize + 1;
+
 #[cfg(any(debug_assertions, feature = "model-check"))]
 mod imp {
     use super::Class;
@@ -149,7 +150,7 @@ mod imp {
         static TAKEN: Cell<u64> = const { Cell::new(0) };
     }
 
-    const CLASSES: usize = Class::WalTally as usize + 1;
+    use super::CLASSES;
 
     /// Bit `b` of `SEEN[a]`: some thread took class `b` holding class `a`.
     static SEEN: [AtomicU32; CLASSES] = [const { AtomicU32::new(0) }; CLASSES];
@@ -427,5 +428,17 @@ mod imp {
                 size_of::<std::sync::MutexGuard<'_, u8>>()
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A class more is a decision: it goes into DESIGN.md's table and the
+    /// lock-order census, and this count moves with it.
+    #[test]
+    fn the_hierarchy_has_fourteen_classes() {
+        assert_eq!(CLASSES, 14);
     }
 }

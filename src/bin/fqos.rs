@@ -461,20 +461,12 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     }
     let fault_schedule = args.fault_schedule("fault-schedule", opts.get("fault-schedule"))?;
 
+    // At most the layout's bucket count, so each tenant can draw its share
+    // as distinct buckets a window.
     let limit = args.qos.request_limit();
     let pool = args.qos.scheme.num_buckets() as u64;
     let interval_ns = args.qos.interval_ns;
     let submitters = args.submitters.min(limit);
-    // Each tenant draws its share of S(M) as distinct buckets a window.
-    let share = limit.div_ceil(submitters);
-    if share as u64 > pool {
-        return Err(format!(
-            "--accesses {}: S({}) = {limit} over --submitters {submitters} gives a tenant \
-             {share} distinct buckets a window, more than the layout's {pool}; \
-             raise --submitters or lower --accesses",
-            args.accesses, args.accesses
-        ));
-    }
 
     let scripted_faults = !fault_schedule.is_empty();
     let scripted_slow = fault_schedule
@@ -559,12 +551,11 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     }
     println!(
         "serving {} windows of {:.3} ms on a ({},{},1) array: \
-         S({}) = {limit}, {} tenants, {} workers",
+         limit {limit}, {} tenants, {} workers",
         args.windows,
         interval_ns as f64 / 1e6,
         args.devices,
         args.copies,
-        args.accesses,
         plan.len(),
         args.workers.min(args.devices),
     );

@@ -67,13 +67,11 @@ fn zero_where_a_positive_number_belongs_is_an_error() {
 }
 
 #[test]
-fn a_tenant_share_past_the_bucket_count_is_an_error() {
-    // S(4) = 44 on (9,3,1) and its 36 buckets: one submitter's tenant
-    // cannot draw its share as distinct buckets; two can.
-    let line = "serve --devices 9 --accesses 4 --submitters 1 --windows 5";
-    rejects(line, "--accesses");
-    rejects(line, "--submitters");
-    conserves("serve --devices 9 --accesses 4 --submitters 2 --windows 5");
+fn a_design_limit_stops_at_its_bucket_count() {
+    // S(4) = 44 on (9,3,1), but it has 36 buckets: the limit is 36, and one
+    // submitter's tenant draws them all as distinct buckets a window.
+    let stdout = conserves("serve --devices 9 --accesses 4 --submitters 1 --windows 5");
+    assert!(stdout.contains("limit 36,"), "{stdout}");
 }
 
 #[test]
@@ -103,8 +101,9 @@ fn help_names_every_flag_of_every_command() {
     }
 }
 
-/// `fqos <line>` must exit 0 and print a closed conservation law.
-fn conserves(line: &str) {
+/// `fqos <line>` must exit 0 and print a closed conservation law; returns
+/// what it printed.
+fn conserves(line: &str) -> String {
     let out = fqos(line);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -115,6 +114,7 @@ fn conserves(line: &str) {
             .any(|l| l.starts_with("conservation: ") && l.ends_with(" ✓")),
         "{stdout}"
     );
+    stdout.into_owned()
 }
 
 #[test]
