@@ -428,6 +428,12 @@ impl Timeline {
         }
     }
 
+    /// Slow events on the timeline, scripted or injected.
+    pub(crate) fn slowdowns(&self) -> u64 {
+        let slow = |e: &&FaultEvent| matches!(e.kind, FaultKind::Slow(_));
+        self.events.iter().filter(slow).count() as u64
+    }
+
     /// The fail-slow multiplier in force on `device` during `window`.
     pub(crate) fn slow_factor_at(&self, device: usize, window: u64) -> u32 {
         let mut factor = 1;
@@ -849,13 +855,10 @@ impl FaultPlane {
     ) -> Result<Self, String> {
         let count = devices.models.len();
         schedule.validate(count).map_err(|e| e.to_string())?;
-        let any_slow = schedule
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::Slow(_)));
         let any = !schedule.events.is_empty();
         let mut timeline = Timeline::default();
         schedule.events.into_iter().for_each(|e| timeline.push(e));
+        let any_slow = timeline.slowdowns() > 0;
         Ok(FaultPlane {
             any: AtomicBool::new(any),
             any_slow: AtomicBool::new(any_slow),

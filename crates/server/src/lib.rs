@@ -69,6 +69,6 @@ pub use fault::{
 pub use fqos_core::OverloadPolicy;
 pub use fqos_flashsim::{FtlGeometry, IoOp};
 pub use ledger::{AtomicLedger, Ledger, SettleKind};
-pub use metrics::{LatencyHistogram, MetricsSnapshot, TenantCounters, TenantSnapshot};
+pub use metrics::{LatencyHistogram, MetricsSnapshot, TenantCounters, TenantSnapshot, Verdict};
 pub use registry::{RegisterError, Tenant, TenantRegistry};
 pub use wal::CRASH_POINTS;

@@ -180,7 +180,7 @@ impl TenantSnapshot {
 }
 
 /// Engine-wide metrics snapshot.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Requests admitted under the deterministic guarantee.
     pub admitted: u64,
@@ -209,8 +209,8 @@ pub struct MetricsSnapshot {
     pub gc_erases: u64,
     /// Served requests finishing past their interval deadline.
     pub deadline_violations: u64,
-    /// Violations among *guaranteed* (deterministically admitted) requests.
-    /// The engine's core invariant keeps this at exactly 0.
+    /// Violations among *guaranteed* (deterministically admitted) requests,
+    /// which [`MetricsSnapshot::verdict`] forbids or prices.
     pub guaranteed_violations: u64,
     /// Largest guaranteed aggregate observed in any sealed window; never
     /// exceeds `S(M)`.
@@ -253,6 +253,9 @@ pub struct MetricsSnapshot {
     /// Deadline-aware re-dispatches: backoff retry hops past the first
     /// hedge plus seal-time drains off a detected-slow device.
     pub retries: u64,
+    /// Slow events on the fault timeline, scripted or injected
+    /// ([`Verdict::priced`]).
+    pub slowdowns: u64,
     /// Health-scorer promotions into `Slow` (admission then steers new
     /// schedules away from the device until it recovers or is re-probed).
     pub slow_detected: u64,
@@ -339,6 +342,27 @@ impl MetricsSnapshot {
         self.hedges_won == self.hedges_cancelled && self.ledger().conserved()
     }
 
+    /// Whether this run kept the contract (DESIGN.md, "Ledger").
+    pub fn verdict(&self) -> Verdict {
+        let misses = self.guaranteed_violations;
+        let priced = self.slowdowns > 0 || self.gc_erases > 0;
+        let (missed, priced) = if priced { (0, misses) } else { (misses, 0) };
+        Verdict {
+            missed,
+            priced,
+            lost: self.fault_lost.saturating_sub(self.recovered_lost),
+            conserved: self.conserved(),
+        }
+    }
+
+    /// Guaranteed reads that met their deadline, in percent. A read
+    /// completes as `served` or as a primary a hedge cancelled; overflow
+    /// carries no deadline promise.
+    pub fn read_compliance_pct(&self) -> f64 {
+        let reads = (self.served + self.hedges_cancelled).saturating_sub(self.overflow);
+        100.0 - 100.0 * self.guaranteed_violations as f64 / reads.max(1) as f64
+    }
+
     /// Measured write amplification across the array:
     /// `(host + GC pages) / host pages` (1.0 before any host write).
     pub fn write_amplification(&self) -> f64 {
@@ -347,6 +371,42 @@ impl MetricsSnapshot {
         } else {
             (self.gc_host_pages + self.gc_pages) as f64 / self.gc_host_pages as f64
         }
+    }
+}
+
+/// The contract's clauses over one run ([`MetricsSnapshot::verdict`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verdict {
+    /// Guaranteed misses the contract forbids.
+    pub missed: u64,
+    /// Guaranteed misses the contract prices: those of a run whose fault
+    /// timeline held a slowdown (admission is blind until the scorer
+    /// convicts) or whose devices erased a block (ROADMAP defect iii).
+    pub priced: u64,
+    /// `fault_lost` net of the crash losses a recovery charged.
+    pub lost: u64,
+    /// [`MetricsSnapshot::conserved`].
+    pub conserved: bool,
+}
+
+impl Verdict {
+    /// No guaranteed miss of either kind, nothing lost, the books closed.
+    pub const CLEAN: Verdict = Verdict {
+        missed: 0,
+        priced: 0,
+        lost: 0,
+        conserved: true,
+    };
+
+    /// The first clause broken, as an error; `None` when the contract held.
+    pub fn broken(&self) -> Option<&'static str> {
+        [
+            (self.missed > 0, "deterministic guarantee violated"),
+            (self.lost > 0, "admitted requests lost to device failures"),
+            (!self.conserved, "completion accounting does not balance"),
+        ]
+        .into_iter()
+        .find_map(|(broken, error)| broken.then_some(error))
     }
 }
 
@@ -375,6 +435,109 @@ mod tests {
             spans.extend(ledger.layout());
             spans
         }
+    }
+
+    type Judge = fn(&MetricsSnapshot) -> Verdict;
+    type Case = (fn(&mut MetricsSnapshot), (u64, u64, u64, bool));
+
+    /// Whether `judge` gives each edit of a clean run the clauses
+    /// `(missed, priced, lost, conserved)` it lists.
+    fn judges(judge: Judge, cases: &[Case]) -> bool {
+        cases.iter().all(|(edit, want)| {
+            let mut m = MetricsSnapshot::default();
+            (m.admitted, m.served) = (10, 10);
+            edit(&mut m);
+            let v = judge(&m);
+            (v.missed, v.priced, v.lost, v.conserved) == *want
+        })
+    }
+
+    #[test]
+    fn misses_are_priced_under_a_slowdown_or_gc_and_forbidden_otherwise() {
+        let cases: [Case; 3] = [
+            (|m| m.guaranteed_violations = 3, (3, 0, 0, true)),
+            (
+                |m| (m.guaranteed_violations, m.slowdowns) = (3, 1),
+                (0, 3, 0, true),
+            ),
+            (
+                |m| (m.guaranteed_violations, m.gc_erases) = (3, 5),
+                (0, 3, 0, true),
+            ),
+        ];
+        assert!(judges(MetricsSnapshot::verdict, &cases));
+        // Mutant: GC erases leave a miss forbidden.
+        let mutant: Judge = |m| {
+            let mut v = m.verdict();
+            if m.slowdowns == 0 {
+                (v.missed, v.priced) = (m.guaranteed_violations, 0);
+            }
+            v
+        };
+        assert!(!judges(mutant, &cases));
+    }
+
+    #[test]
+    fn lost_is_net_of_recovered_crash_losses() {
+        let crashed =
+            |m: &mut MetricsSnapshot| (m.served, m.fault_lost, m.recovered_lost) = (6, 4, 3);
+        let cases: [Case; 1] = [(crashed, (0, 0, 1, true))];
+        assert!(judges(MetricsSnapshot::verdict, &cases));
+        // Mutant: a recovery's crash losses count as failures.
+        let mutant: Judge = |m| {
+            let mut v = m.verdict();
+            v.lost = m.fault_lost;
+            v
+        };
+        assert!(!judges(mutant, &cases));
+    }
+
+    #[test]
+    fn a_hedge_win_without_its_cancelled_primary_breaks_conservation() {
+        let cases: [Case; 2] = [
+            (|m| m.hedges_won = 1, (0, 0, 0, false)),
+            (
+                |m| (m.served, m.hedges_won, m.hedges_cancelled) = (9, 1, 1),
+                (0, 0, 0, true),
+            ),
+        ];
+        assert!(judges(MetricsSnapshot::verdict, &cases));
+        // Mutant: the ledger alone, blind to the hedge telemetry.
+        let mutant: Judge = |m| {
+            let mut v = m.verdict();
+            v.conserved = m.ledger().conserved();
+            v
+        };
+        assert!(!judges(mutant, &cases));
+    }
+
+    #[test]
+    fn broken_names_the_first_clause_in_contract_order() {
+        let mut v = Verdict::CLEAN;
+        v.priced = 1;
+        assert_eq!(v.broken(), None, "a priced miss breaks nothing");
+        v.conserved = false;
+        assert_eq!(v.broken(), Some("completion accounting does not balance"));
+        v.lost = 1;
+        assert_eq!(
+            v.broken(),
+            Some("admitted requests lost to device failures")
+        );
+        v.missed = 1;
+        assert_eq!(v.broken(), Some("deterministic guarantee violated"));
+    }
+
+    #[test]
+    fn read_compliance_counts_hedge_won_reads_and_leaves_out_overflow() {
+        let mut m = MetricsSnapshot::default();
+        assert_eq!(m.read_compliance_pct(), 100.0);
+        (
+            m.served,
+            m.hedges_cancelled,
+            m.overflow,
+            m.guaranteed_violations,
+        ) = (8, 2, 2, 2);
+        assert_eq!(m.read_compliance_pct(), 75.0, "2 of 8 guaranteed reads");
     }
 
     #[test]

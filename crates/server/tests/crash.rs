@@ -233,7 +233,8 @@ fn a_kill_behind_a_seal_loses_at_most_the_settles_on_the_workers_stage() {
     // admission of the ten sealed windows is durable.
     assert!(m.admitted_total() >= 10 * 4 - 4, "{}", m.admitted_total());
     assert_eq!(
-        m.fault_lost, m.recovered_lost,
+        m.verdict().lost,
+        0,
         "lost at recovery and nowhere else: no fault was injected"
     );
     let killed_window = 4; // two tenants reserving two each
@@ -276,9 +277,8 @@ fn a_drain_pending_departure_survives_recovery_and_still_refuses_the_id() {
     }
     let m = server.finish();
     assert!(
-        m.ledger().conserved(),
-        "{}: {}",
-        "drained departure accounting diverges",
+        m.verdict().conserved,
+        "drained departure accounting diverges: {}",
         m.ledger().render()
     );
     let departed = m.tenants.iter().find(|t| t.tenant == 2).expect("tenant 2");
@@ -352,9 +352,8 @@ fn recovery_stops_at_a_corrupt_mid_file_frame_and_truncates() {
         clean.admitted_total()
     );
     assert!(
-        m.ledger().conserved(),
-        "{}: {}",
-        "conservation must hold over the surviving prefix",
+        m.verdict().conserved,
+        "conservation must hold over the surviving prefix: {}",
         m.ledger().render()
     );
 
@@ -462,9 +461,8 @@ fn the_window_ring_survives_a_double_lap_across_the_recovery_boundary() {
         "restored counters must carry across the boundary"
     );
     assert!(
-        after.ledger().conserved(),
-        "{}: {}",
-        "combined ledger diverges across the recovery boundary",
+        after.verdict().conserved,
+        "combined ledger diverges across the recovery boundary: {}",
         after.ledger().render()
     );
     let _ = std::fs::remove_dir_all(&wal_dir);

@@ -13,12 +13,10 @@
 //! Invariants checked on every schedule (see DESIGN.md, "Concurrency
 //! invariants"):
 //!
-//! - **Conservation**: `Ledger::conserved` over the final snapshot (a
-//!   hedge win cancels exactly one primary, so `hedges_won ==
-//!   hedges_cancelled`), and `admitted_total + rejected` equals the
-//!   number of submits issued.
-//! - **Deadline audit**: no guaranteed-deadline violations unless a live
-//!   fault forced the overload path (`fault_overloads > 0`).
+//! - **The verdict** (`MetricsSnapshot::verdict`): the books close (a hedge
+//!   win cancels exactly one primary), nothing is lost, and no guaranteed
+//!   miss unless a live fault forced the overload path or a slowdown
+//!   prices it; `admitted_total + rejected` equals the submits issued.
 //! - **Deadlock freedom**: the scenario runs to completion — submitters
 //!   join, `finish` drains the workers — on every schedule.
 //!
@@ -34,7 +32,9 @@
 mod common;
 
 use fqos_core::{OverloadPolicy, QosConfig};
-use fqos_server::{FaultKind, FtlGeometry, GcConfig, IoOp, QosServer, ServerConfig, SubmitOutcome};
+use fqos_server::{
+    FaultKind, FtlGeometry, GcConfig, IoOp, QosServer, ServerConfig, SubmitOutcome, Verdict,
+};
 use fqos_sync::{model_with, Config, Report};
 
 /// A 2-worker, 8-slot-ring configuration small enough for exhaustive
@@ -151,9 +151,12 @@ fn admission_vs_seal_conserves_requests() {
         assert_eq!(ta.rejected + tb.rejected, m.rejected);
         assert_eq!(m.admitted_total() + m.rejected, submitted);
         assert_eq!(m.hedges_issued, 0, "healthy devices never speculate");
-        assert_eq!(m.served + m.fault_lost, m.admitted_total(), "conservation");
-        assert_eq!(m.fault_lost, 0, "no faults were injected");
-        assert_eq!(m.guaranteed_violations, 0, "deadline audit");
+        assert_eq!(m.verdict(), Verdict::CLEAN, "{}", m.ledger().render());
+        assert_eq!(
+            m.hedges_cancelled + m.write_settled + m.write_lost,
+            0,
+            "reads only"
+        );
     });
     report_and_check("admission-vs-seal", report, 1000);
 }
@@ -197,17 +200,13 @@ fn live_fail_vs_seal_conserves_requests() {
         assert_eq!(ts.admitted, m.admitted_total());
         assert_eq!(ts.rejected, m.rejected);
         assert_eq!(m.admitted_total() + m.rejected, 2);
-        assert_eq!(m.hedges_won, m.hedges_cancelled);
-        assert!(
-            m.ledger().conserved(),
-            "{}: {}",
-            "conservation",
-            m.ledger().render()
-        );
-        assert_eq!(m.fault_lost, 0, "one replica survives on every schedule");
+        let v = m.verdict();
+        assert!(v.conserved, "conservation: {}", m.ledger().render());
+        assert_eq!(v.lost, 0, "one replica survives on every schedule");
         if m.fault_overloads == 0 {
             assert_eq!(
-                m.guaranteed_violations, 0,
+                v,
+                Verdict::CLEAN,
                 "deadline audit may only be charged via the overload path"
             );
         }
@@ -247,7 +246,7 @@ fn shutdown_drain_loses_nothing() {
         assert_eq!(ta.admitted + tb.admitted, m.admitted_total());
         assert_eq!(m.hedges_issued, 0, "healthy devices never speculate");
         assert_eq!(m.served, m.admitted_total(), "drain may not strand items");
-        assert_eq!(m.guaranteed_violations, 0);
+        assert_eq!(m.verdict(), Verdict::CLEAN);
     });
     report_and_check("shutdown-drain", report, 200);
 }
@@ -280,9 +279,12 @@ fn handle_drop_mid_window_conserves_requests() {
         let m = server.finish();
         assert_eq!(m.admitted_total() + m.rejected, 3);
         assert_eq!(ta.admitted + tb.admitted, m.admitted_total());
-        assert_eq!(m.served + m.fault_lost, m.admitted_total(), "conservation");
-        assert_eq!(m.fault_lost, 0);
-        assert_eq!(m.guaranteed_violations, 0);
+        assert_eq!(m.verdict(), Verdict::CLEAN, "{}", m.ledger().render());
+        assert_eq!(
+            m.hedges_cancelled + m.write_settled + m.write_lost,
+            0,
+            "reads only"
+        );
     });
     report_and_check("handle-drop-mid-window", report, 200);
 }
@@ -341,15 +343,7 @@ fn rebalance_vs_seal_conserves_the_cluster_law() {
         assert_eq!(td.admitted, md.admitted_total());
         // Cluster law over both arrays, and per array.
         for m in [&ms, &md] {
-            assert_eq!(m.hedges_won, m.hedges_cancelled);
-            assert!(
-                m.ledger().conserved(),
-                "{}: {}",
-                "conservation",
-                m.ledger().render()
-            );
-            assert_eq!(m.fault_lost, 0, "no faults were injected");
-            assert_eq!(m.guaranteed_violations, 0, "deadline audit");
+            assert_eq!(m.verdict(), Verdict::CLEAN, "{}", m.ledger().render());
         }
         // The drain stranded nothing: the departed source record settled
         // every admission it ever took (migrated_in_flight == 0).
@@ -415,14 +409,8 @@ fn hedge_vs_seal_conserves_requests() {
         let m = server.finish();
         assert_eq!(ts.admitted, m.admitted_total());
         assert_eq!(m.admitted_total() + m.rejected, 2);
-        assert_eq!(m.hedges_won, m.hedges_cancelled, "exactly-once hedging");
-        assert!(
-            m.ledger().conserved(),
-            "{}: {}",
-            "conservation",
-            m.ledger().render()
-        );
-        assert_eq!(m.fault_lost, 0, "slow devices stay live; nothing is lost");
+        // Slow devices stay live: conserved, nothing lost, misses priced.
+        assert_eq!(m.verdict().broken(), None, "{}", m.ledger().render());
         if m.hedges_issued > 0 {
             HEDGED.fetch_add(1, Ordering::Relaxed);
         }
@@ -473,9 +461,12 @@ fn wal_append_vs_settle_orders_every_schedule() {
             m.wal_records >= m.admitted_total(),
             "every admission must reach the log"
         );
-        assert_eq!(m.served + m.fault_lost, m.admitted_total(), "conservation");
-        assert_eq!(m.fault_lost, 0, "no faults were injected");
-        assert_eq!(m.guaranteed_violations, 0, "deadline audit");
+        assert_eq!(m.verdict(), Verdict::CLEAN, "{}", m.ledger().render());
+        assert_eq!(
+            m.hedges_cancelled + m.write_settled + m.write_lost,
+            0,
+            "reads only"
+        );
     });
     report_and_check("wal-append-vs-settle", report, 1000);
 
@@ -564,7 +555,7 @@ fn kill_vs_submit_freezes_every_ack_into_the_ledger() {
         // residue to `evacuation_lost`.
         let residue = frozen.ledger().in_flight();
         assert!(frozen.ledger().conserved_with(residue), "conservation");
-        assert_eq!(frozen.fault_lost, 0, "no device faults were injected");
+        assert_eq!(frozen.verdict().lost, 0, "no device faults were injected");
     });
     report_and_check("kill-vs-submit", report, 1000);
 }
@@ -612,15 +603,12 @@ fn evacuate_vs_seal_lands_the_displaced_tenant_exactly_once() {
         assert_eq!(tn.admitted + tn.rejected, 2);
         assert_eq!(te.admitted, 1);
         assert_eq!(tn.admitted + te.admitted, m.admitted_total());
-        assert_eq!(m.hedges_won, m.hedges_cancelled);
-        assert!(
-            m.ledger().conserved(),
-            "{}: {}",
-            "survivor conservation",
+        assert_eq!(
+            m.verdict(),
+            Verdict::CLEAN,
+            "survivor: {}",
             m.ledger().render()
         );
-        assert_eq!(m.fault_lost, 0, "no faults were injected");
-        assert_eq!(m.guaranteed_violations, 0, "deadline audit");
         let t2 = m.tenants.iter().find(|t| t.tenant == 2).unwrap();
         assert!(t2.live, "evacuated tenant registered on the survivor");
         assert_eq!(t2.admitted, 1, "evacuated admission settled here");
@@ -693,21 +681,14 @@ fn write_fanout_vs_seal_settles_each_group_once() {
         let m = server.finish();
         assert_eq!(ta.admitted + tb.admitted, m.admitted_total());
         assert_eq!(m.admitted_total() + m.rejected, 4);
-        assert!(
-            m.ledger().conserved(),
-            "{}: {}",
-            "extended conservation",
-            m.ledger().render()
-        );
+        assert_eq!(m.verdict(), Verdict::CLEAN, "{}", m.ledger().render());
         assert!(
             m.write_settled <= 3,
             "a fan-out group must settle once, not once per replica: {}",
             m.write_settled
         );
         assert_eq!(m.write_lost, 0, "every device is healthy");
-        assert_eq!(m.fault_lost, 0, "no faults were injected");
         assert_eq!(m.hedges_issued, 0, "healthy devices never speculate");
-        assert_eq!(m.guaranteed_violations, 0, "deadline audit");
     };
     if cfg!(feature = "model-mutant-sink-reuse") {
         expect_mutant_caught("write-fanout-vs-seal", &RAN, || {
@@ -777,13 +758,8 @@ fn gc_stall_vs_hedge_never_duplicates_a_write() {
         let m = server.finish();
         assert_eq!(ts.admitted, m.admitted_total());
         assert_eq!(m.admitted_total() + m.rejected, 3);
-        assert!(
-            m.ledger().conserved(),
-            "{}: {}",
-            "extended conservation",
-            m.ledger().render()
-        );
-        assert_eq!(m.hedges_won, m.hedges_cancelled, "exactly-once hedging");
+        // Slow devices stay live: conserved, nothing lost, misses priced.
+        assert_eq!(m.verdict().broken(), None, "{}", m.ledger().render());
         assert!(
             m.hedges_issued <= 1,
             "only the single read may speculate; a hedged write would \
@@ -796,7 +772,6 @@ fn gc_stall_vs_hedge_never_duplicates_a_write() {
             m.write_settled
         );
         assert_eq!(m.write_lost, 0, "a GC stall delays a write, never loses it");
-        assert_eq!(m.fault_lost, 0, "slow devices stay live; nothing is lost");
         if m.hedges_issued > 0 {
             HEDGED.fetch_add(1, Ordering::Relaxed);
         }
@@ -875,14 +850,8 @@ fn cached_view_vs_reregister_never_hides_the_new_record() {
         assert_eq!(ts.admitted + ts.rejected, 2);
         assert_eq!(1 + ts.admitted, m.admitted_total());
         assert_eq!(ts.rejected, m.rejected);
-        assert!(
-            m.ledger().conserved(),
-            "{}: {}",
-            "conservation",
-            m.ledger().render()
-        );
+        assert_eq!(m.verdict(), Verdict::CLEAN, "{}", m.ledger().render());
         assert_eq!(m.served, m.admitted_total(), "no faults were injected");
-        assert_eq!(m.guaranteed_violations, 0, "deadline audit");
         let mut records = first.counters.ledger.snapshot();
         if let Some(second) = &fresh {
             records.merge(&second.counters.ledger.snapshot());
@@ -936,7 +905,7 @@ fn staged_settle_vs_reregister_keeps_each_epochs_settles_apart() {
         let m = server.finish();
         assert_eq!(m.wal_misordered, 0, "a record outran the one it depends on");
         assert_eq!((m.admitted_total(), m.served), (1, 1));
-        assert!(m.ledger().conserved(), "{}", m.ledger().render());
+        assert!(m.verdict().conserved, "{}", m.ledger().render());
         let restarted = QosServer::recover(cfg()).unwrap().finish();
         assert_eq!(restarted.wal_misordered, 0);
         assert_eq!(
@@ -1029,7 +998,7 @@ fn seal_collects_worker_stage_behind_every_cold_path() {
         let m = server.finish();
         assert_eq!(m.wal_misordered, 0, "a record outran the one it depends on");
         assert_eq!((m.admitted_total(), m.served), (2, 2));
-        assert!(m.ledger().conserved(), "{}", m.ledger().render());
+        assert!(m.verdict().conserved, "{}", m.ledger().render());
         let mut records = first.counters.ledger.snapshot();
         records.merge(&other.counters.ledger.snapshot());
         if let Some(second) = &fresh {
@@ -1133,7 +1102,7 @@ fn overflow_vs_overflow_never_parks_past_the_window() {
             m.max_window_total
         );
         assert_eq!((m.admitted_total(), m.overflow), (10, 4));
-        assert!(m.ledger().conserved(), "{}", m.ledger().render());
+        assert!(m.verdict().conserved, "{}", m.ledger().render());
     });
     report_and_check("overflow-vs-overflow", report, 1000);
 }

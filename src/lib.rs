@@ -74,6 +74,7 @@ pub mod prelude {
     pub use fqos_server::{
         DeviceHealth, FaultKind, FaultSchedule, FaultSpecError, FtlGeometry, GcConfig, IoOp,
         MetricsSnapshot, QosServer, RejectReason, ServerConfig, SubmitOutcome, SubmitterHandle,
+        Verdict,
     };
     pub use fqos_traces::{models, rw, BurstConfig, SyntheticConfig, Trace, TraceRecord};
 }

@@ -2,8 +2,9 @@
 //! a zero where a positive number belongs and a tenant share the layout
 //! cannot draw are errors (exit 1, never a panic's 101), `--help` names
 //! every flag, and short `serve` and
-//! `cluster` runs and a long `serve` still close their books, and `analyze`
-//! reports FIM re-matching only when it mined.
+//! `cluster` runs and a long `serve` still close their books, `serve` exits
+//! non-zero exactly when it prints a `✗` (a recovered run included), and
+//! `analyze` reports FIM re-matching only when it mined.
 
 use std::collections::HashSet;
 use std::process::{Command, Output};
@@ -127,6 +128,58 @@ fn a_short_serve_conserves() {
 #[test]
 fn a_long_serve_keeps_its_submitters_within_the_ring() {
     conserves("serve --devices 9 --windows 20000");
+}
+
+/// A `✗` on stdout exactly when the exit code is non-zero, and each row's
+/// code: a miss under a slowdown or GC is priced, not fatal.
+#[test]
+fn serve_exits_non_zero_exactly_when_it_prints_a_cross() {
+    let one = "serve --devices 9 --workers 1 --submitters 1";
+    let slow =
+        format!("{one} --windows 400 --accesses 2 --fault-schedule slow:2@40x10,restore:2@160");
+    let gc = format!("{one} --windows 400 --accesses 3 --write-ratio 0.25 --gc 0.07");
+    // Defect (x): overflow reads at ε > 0 make later guaranteed reads miss.
+    let eps =
+        format!("{one} --windows 200 --accesses 2 --burst 20@20+100 --epsilon 0.05 --no-hedge");
+    let healthy = "serve --devices 9 --windows 20".to_string();
+    let no_hedge = format!("{slow} --no-hedge");
+    for (line, code) in [(healthy, 0), (slow, 0), (no_hedge, 0), (gc, 0), (eps, 1)] {
+        let out = fqos(&line);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(code), "{line}: {stdout}");
+        assert_eq!(stdout.contains('✗'), code != 0, "{line}: {stdout}");
+    }
+}
+
+/// A run killed mid-seal, then recovered from its log: the crash losses the
+/// recovery charges are the law's `lost`, counted rather than forgiven, and
+/// the recovered run breaks no clause.
+#[test]
+fn a_recovered_serve_counts_its_crash_losses() {
+    let wal = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-recover-wal");
+    let _ = std::fs::remove_dir_all(&wal);
+    let line = format!(
+        "serve --devices 9 --accesses 2 --workers 2 --submitters 2 --windows 200 --wal-dir {}",
+        wal.display()
+    );
+    let crashed = Command::new(env!("CARGO_BIN_EXE_fqos"))
+        .args(line.split_whitespace())
+        .env("FQOS_CRASH_POINT", "seal-mid-batch:50")
+        .output()
+        .expect("fqos runs");
+    assert!(!crashed.status.success(), "the crash point never fired");
+    let out = fqos(&format!("{line} --recover"));
+    let _ = std::fs::remove_dir_all(&wal);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success() && !stdout.contains('✗'), "{stdout}");
+    // "re-parked, N charged as crash losses" and "+ lost N +".
+    let figure =
+        |after| -> Option<u64> { stdout.split_once(after)?.1.split(' ').next()?.parse().ok() };
+    let charged = figure("re-parked, ");
+    assert!(
+        charged > Some(0) && charged == figure("+ lost "),
+        "{stdout}"
+    );
 }
 
 #[test]
