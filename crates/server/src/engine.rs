@@ -409,12 +409,11 @@ impl QosServer {
         let (wal, report) = Wal::resume(&wal_cfg)?;
         // Every sealed-but-unsettled admission's dispatch died with the
         // old process: the durable outcome is Lost.
-        let crash_lost = wal.resolve_crash_losses();
+        wal.resolve_crash_losses();
         let server = Self::build(cfg, Some(wal))?;
         let restored = server.engine.restore_state()?;
         let s = &server.engine.submit_stats;
         s.recovered_admissions.store(restored, Ordering::Relaxed);
-        s.recovered_lost.store(crash_lost, Ordering::Relaxed);
         s.replay_records.store(report.records, Ordering::Relaxed);
         s.replay_duration_ns
             .store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -1090,6 +1089,7 @@ impl Engine {
         self.ledger.restore(&state.ledger);
         let s = &self.submit_stats;
         s.delayed.store(state.delayed, Ordering::Relaxed);
+        s.recovered_lost.store(state.crash_lost, Ordering::Relaxed);
         s.windows_sealed
             .store(state.sealed_through, Ordering::Relaxed);
         // Every durable hedge win cancelled exactly one primary.
@@ -2936,7 +2936,6 @@ mod tests {
         assert_eq!(m.write_settled, 20);
         assert_eq!(m.write_lost, 0);
         assert_eq!(m.verdict(), Verdict::CLEAN);
-        assert!(m.verdict().conserved, "{m:#?}");
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl TenantSnapshot {
 }
 
 /// Engine-wide metrics snapshot.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     /// Requests admitted under the deterministic guarantee.
     pub admitted: u64,
@@ -290,8 +290,9 @@ pub struct MetricsSnapshot {
     /// Durable admissions restored into live windows by the last
     /// [`crate::QosServer::recover`] (0 on a fresh start).
     pub recovered_admissions: u64,
-    /// Sealed-but-unsettled admissions the last recovery charged to
-    /// `fault_lost` (dispatches the crash stranded).
+    /// Sealed-but-unsettled reads the log's recoveries, every one of them,
+    /// charged to `fault_lost` (dispatches a crash stranded; a stranded
+    /// write settles `write_lost`).
     pub recovered_lost: u64,
     /// Log records replayed by the last recovery.
     pub wal_replay_records: u64,
@@ -347,11 +348,13 @@ impl MetricsSnapshot {
         let misses = self.guaranteed_violations;
         let priced = self.slowdowns > 0 || self.gc_erases > 0;
         let (missed, priced) = if priced { (0, misses) } else { (misses, 0) };
+        // More crash losses than losses: the books do not close.
+        let lost = self.fault_lost.checked_sub(self.recovered_lost);
         Verdict {
             missed,
             priced,
-            lost: self.fault_lost.saturating_sub(self.recovered_lost),
-            conserved: self.conserved(),
+            lost: lost.unwrap_or(0),
+            conserved: lost.is_some() && self.conserved(),
         }
     }
 
@@ -379,13 +382,13 @@ impl MetricsSnapshot {
 pub struct Verdict {
     /// Guaranteed misses the contract forbids.
     pub missed: u64,
-    /// Guaranteed misses the contract prices: those of a run whose fault
-    /// timeline held a slowdown (admission is blind until the scorer
+    /// Guaranteed misses the contract prices: every miss of a run whose
+    /// fault timeline held a slowdown (admission is blind until the scorer
     /// convicts) or whose devices erased a block (ROADMAP defect iii).
     pub priced: u64,
-    /// `fault_lost` net of the crash losses a recovery charged.
+    /// `fault_lost` net of the crash losses the log's recoveries charged.
     pub lost: u64,
-    /// [`MetricsSnapshot::conserved`].
+    /// [`MetricsSnapshot::conserved`], and no more crash losses than losses.
     pub conserved: bool,
 }
 
@@ -398,15 +401,33 @@ impl Verdict {
         conserved: true,
     };
 
+    /// The clauses in contract order: whether each held, its audit mark
+    /// and its error.
+    pub fn clauses(&self) -> [(bool, &'static str, &'static str); 3] {
+        [
+            (
+                self.missed == 0,
+                "✗ GUARANTEE BROKEN",
+                "deterministic guarantee violated",
+            ),
+            (
+                self.lost == 0,
+                "✗ REQUESTS LOST",
+                "admitted requests lost to device failures",
+            ),
+            (
+                self.conserved,
+                "✗ ACCOUNTING BROKEN",
+                "completion accounting does not balance",
+            ),
+        ]
+    }
+
     /// The first clause broken, as an error; `None` when the contract held.
     pub fn broken(&self) -> Option<&'static str> {
-        [
-            (self.missed > 0, "deterministic guarantee violated"),
-            (self.lost > 0, "admitted requests lost to device failures"),
-            (!self.conserved, "completion accounting does not balance"),
-        ]
-        .into_iter()
-        .find_map(|(broken, error)| broken.then_some(error))
+        self.clauses()
+            .into_iter()
+            .find_map(|(held, _, error)| (!held).then_some(error))
     }
 }
 
@@ -440,11 +461,19 @@ mod tests {
     type Judge = fn(&MetricsSnapshot) -> Verdict;
     type Case = (fn(&mut MetricsSnapshot), (u64, u64, u64, bool));
 
+    /// An idle server's snapshot.
+    fn idle() -> MetricsSnapshot {
+        let qos = fqos_core::QosConfig::paper_9_3_1();
+        crate::QosServer::new(crate::ServerConfig::new(qos))
+            .unwrap()
+            .finish()
+    }
+
     /// Whether `judge` gives each edit of a clean run the clauses
     /// `(missed, priced, lost, conserved)` it lists.
     fn judges(judge: Judge, cases: &[Case]) -> bool {
         cases.iter().all(|(edit, want)| {
-            let mut m = MetricsSnapshot::default();
+            let mut m = idle();
             (m.admitted, m.served) = (10, 10);
             edit(&mut m);
             let v = judge(&m);
@@ -481,15 +510,22 @@ mod tests {
     fn lost_is_net_of_recovered_crash_losses() {
         let crashed =
             |m: &mut MetricsSnapshot| (m.served, m.fault_lost, m.recovered_lost) = (6, 4, 3);
-        let cases: [Case; 1] = [(crashed, (0, 0, 1, true))];
+        // More crash losses than losses: the books are broken, not clean.
+        let overcharged = |m: &mut MetricsSnapshot| m.recovered_lost = 1;
+        let cases: [Case; 2] = [(crashed, (0, 0, 1, true)), (overcharged, (0, 0, 0, false))];
         assert!(judges(MetricsSnapshot::verdict, &cases));
-        // Mutant: a recovery's crash losses count as failures.
-        let mutant: Judge = |m| {
-            let mut v = m.verdict();
-            v.lost = m.fault_lost;
-            v
+        // Mutants: a recovery's crash losses count as failures; an excess
+        // of them nets to zero.
+        let gross: Judge = |m| Verdict {
+            lost: m.fault_lost,
+            ..m.verdict()
         };
-        assert!(!judges(mutant, &cases));
+        let saturating: Judge = |m| Verdict {
+            lost: m.fault_lost.saturating_sub(m.recovered_lost),
+            conserved: m.conserved(),
+            ..m.verdict()
+        };
+        assert!(!judges(gross, &cases) && !judges(saturating, &cases));
     }
 
     #[test]
@@ -529,7 +565,7 @@ mod tests {
 
     #[test]
     fn read_compliance_counts_hedge_won_reads_and_leaves_out_overflow() {
-        let mut m = MetricsSnapshot::default();
+        let mut m = idle();
         assert_eq!(m.read_compliance_pct(), 100.0);
         (
             m.served,

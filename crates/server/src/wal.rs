@@ -128,7 +128,7 @@ const MAX_PAYLOAD: usize = 256;
 /// Frame header: lsn (8) + len (4) + crc (4).
 const FRAME_HEADER: usize = 16;
 /// Snapshot file magic (8 bytes, versioned).
-const SNAP_MAGIC: &[u8; 8] = b"FQWSNAP3";
+const SNAP_MAGIC: &[u8; 8] = b"FQWSNAP4";
 
 /// The deterministic crash points the injection harness recognizes, in
 /// log order of the operation they interrupt.
@@ -277,6 +277,9 @@ pub(crate) struct WalState {
     /// a durable sealed admission, an admit into a sealed window, …).
     /// Invariantly zero; the model suite asserts it on every schedule.
     pub misordered: u64,
+    /// Reads every recovery of this log charged lost because a crash
+    /// stranded their dispatch: the share of `ledger.lost` no device caused.
+    pub crash_lost: u64,
 }
 
 /// Unsettled sealed admissions of one `(window, tenant)`, split by class:
@@ -714,6 +717,7 @@ fn encode_state(state: &WalState) -> Vec<u8> {
     state.ledger.put(&mut body);
     put_u64(&mut body, state.delayed);
     put_u64(&mut body, state.misordered);
+    put_u64(&mut body, state.crash_lost);
     put_u64(&mut body, state.tenants.len() as u64);
     for (&id, t) in &state.tenants {
         put_u64(&mut body, id);
@@ -765,6 +769,7 @@ fn decode_state(bytes: &[u8]) -> Option<WalState> {
         ledger: Ledger::take(&mut r.0)?,
         delayed: r.take_u64()?,
         misordered: r.take_u64()?,
+        crash_lost: r.take_u64()?,
         ..WalState::default()
     };
     for _ in 0..r.take_u64()? {
@@ -1394,6 +1399,7 @@ impl Wal {
                     }
                     stranded += count;
                 }
+                state.crash_lost += n.reads;
             }
         }
         stranded
@@ -2003,11 +2009,11 @@ pub(crate) mod tests {
     fn an_old_layout_snapshot_is_refused_not_misread() {
         // An empty-maps FQWSNAP2 body — last_lsn, sealed_through, then
         // admitted, overflow, delayed, served, hedges_won, lost,
-        // write_settled, write_lost, misordered — is exactly as long as
-        // the current header, so only the magic keeps `delayed` from being
-        // read as `served`.
+        // write_settled, write_lost, misordered — and the one word FQWSNAP4
+        // added (crash_lost) are exactly as long as the current header, so
+        // only the magic keeps `delayed` from being read as `served`.
         let mut body = Vec::new();
-        for v in [9u64, 1, 2, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0] {
+        for v in [9u64, 1, 2, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0] {
             put_u64(&mut body, v);
         }
         let stamp = |magic: &[u8; 8]| {
@@ -2017,13 +2023,14 @@ pub(crate) mod tests {
             blob
         };
         assert!(decode_state(&stamp(b"FQWSNAP2")).is_none());
+        assert!(decode_state(&stamp(b"FQWSNAP3")).is_none());
         let misread = decode_state(&stamp(SNAP_MAGIC)).expect("same length");
         assert_eq!(misread.ledger.served, 1, "the old `delayed` slot");
         // On disk: recovery reports it instead of replaying past it.
         let dir = tmpdir("oldsnap");
         std::fs::write(dir.join("wal.snapshot"), stamp(b"FQWSNAP2")).unwrap();
         let err = Wal::resume(&dir_cfg(&dir, 1)).err().expect("refused");
-        assert!(err.contains("FQWSNAP3"), "{err}");
+        assert!(err.contains("FQWSNAP4"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2263,6 +2270,7 @@ pub(crate) mod tests {
         let s = wal.state_snapshot();
         assert_eq!(s.ledger.lost, 1);
         assert_eq!(s.tenants[&1].ledger.lost, 1);
+        assert_eq!(s.crash_lost, 1);
         assert!(s.pending.is_empty());
         assert!(s.ledger.conserved());
         // Idempotent: nothing left to resolve.
@@ -2320,6 +2328,7 @@ pub(crate) mod tests {
         assert_eq!(s.ledger.write_lost, 2, "retry-exhausted + crash-stranded");
         assert_eq!(s.tenants[&1].ledger.write_settled, 1);
         assert_eq!(s.tenants[&1].ledger.write_lost, 2);
+        assert_eq!(s.crash_lost, 0, "a stranded write is no read lost");
         assert!(s.ledger.conserved(), "over the durable admissions");
         let decoded = decode_state(&encode_state(&s)).expect("decode");
         assert_eq!(decoded, s);

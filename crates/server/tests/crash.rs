@@ -162,6 +162,10 @@ fn recovery_after_a_mid_write_settle_crash_resolves_the_group_once() {
         "at least the seven pre-crash settles (or their crash-loss \
          residues) must survive recovery"
     );
+    assert_eq!(
+        m.fault_lost, m.recovered_lost,
+        "a stranded write settles write_lost, and no device failed"
+    );
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
@@ -233,8 +237,7 @@ fn a_kill_behind_a_seal_loses_at_most_the_settles_on_the_workers_stage() {
     // admission of the ten sealed windows is durable.
     assert!(m.admitted_total() >= 10 * 4 - 4, "{}", m.admitted_total());
     assert_eq!(
-        m.verdict().lost,
-        0,
+        m.fault_lost, m.recovered_lost,
         "lost at recovery and nowhere else: no fault was injected"
     );
     let killed_window = 4; // two tenants reserving two each

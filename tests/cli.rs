@@ -152,34 +152,47 @@ fn serve_exits_non_zero_exactly_when_it_prints_a_cross() {
 }
 
 /// A run killed mid-seal, then recovered from its log: the crash losses the
-/// recovery charges are the law's `lost`, counted rather than forgiven, and
-/// the recovered run breaks no clause.
+/// recoveries charge are the law's `lost`, counted rather than forgiven, and
+/// the recovered run breaks no clause — with writes, whose stranded copies
+/// settle `write_lost`, and across two crashes, whose losses add up.
 #[test]
 fn a_recovered_serve_counts_its_crash_losses() {
     let wal = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-recover-wal");
+    for (flags, crashes) in [("", 1), ("--write-ratio 0.25", 1), ("", 2)] {
+        let _ = std::fs::remove_dir_all(&wal);
+        let line = format!(
+            "serve --devices 9 --accesses 2 --workers 2 --submitters 2 --windows 200 {flags} \
+             --wal-dir {}",
+            wal.display()
+        );
+        for crash in 0..crashes {
+            let crashed = Command::new(env!("CARGO_BIN_EXE_fqos"))
+                .args(line.split_whitespace())
+                .args((crash > 0).then_some("--recover"))
+                .env("FQOS_CRASH_POINT", "seal-mid-batch:50")
+                .output()
+                .expect("fqos runs");
+            assert!(
+                !crashed.status.success(),
+                "{line}: crash {crash} never fired"
+            );
+        }
+        let out = fqos(&format!("{line} --recover"));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && !stdout.contains('✗'),
+            "{line}: {stdout}"
+        );
+        // "re-parked, N reads charged as crash losses" and "+ lost N +".
+        let figure =
+            |after| -> Option<u64> { stdout.split_once(after)?.1.split(' ').next()?.parse().ok() };
+        let charged = figure("re-parked, ");
+        assert!(
+            charged > Some(0) && charged == figure("+ lost "),
+            "{line}: {stdout}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&wal);
-    let line = format!(
-        "serve --devices 9 --accesses 2 --workers 2 --submitters 2 --windows 200 --wal-dir {}",
-        wal.display()
-    );
-    let crashed = Command::new(env!("CARGO_BIN_EXE_fqos"))
-        .args(line.split_whitespace())
-        .env("FQOS_CRASH_POINT", "seal-mid-batch:50")
-        .output()
-        .expect("fqos runs");
-    assert!(!crashed.status.success(), "the crash point never fired");
-    let out = fqos(&format!("{line} --recover"));
-    let _ = std::fs::remove_dir_all(&wal);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success() && !stdout.contains('✗'), "{stdout}");
-    // "re-parked, N charged as crash losses" and "+ lost N +".
-    let figure =
-        |after| -> Option<u64> { stdout.split_once(after)?.1.split(' ').next()?.parse().ok() };
-    let charged = figure("re-parked, ");
-    assert!(
-        charged > Some(0) && charged == figure("+ lost "),
-        "{stdout}"
-    );
 }
 
 #[test]
